@@ -1,8 +1,7 @@
 //! The backend-matrix bench behind `spq-bench --backend` and the
 //! `BENCH_PR5.json` document.
 //!
-//! Where the QPS harness compares serving *lifecycles* over one engine,
-//! this bench compares execution *backends* through the typed facade: the
+//! This bench compares execution *backends* through the typed facade: the
 //! same query stream is served through [`SpqService`] built on each
 //! requested [`Backend`] (`local`, `sharded:N`, `remote:N`), and every
 //! response is asserted byte-identical to the plain single-store engine —
@@ -12,22 +11,20 @@
 //! bytes per query and retries observed — the `BENCH_PR6.json` document
 //! CI publishes from this bench.
 //!
-//! Three modes per backend, mirroring the serving modes of PR 3/PR 4 so
-//! the trajectories stay comparable:
+//! Three modes per backend (`measure_modes`, shared with the ingest
+//! bench):
 //!
-//! | mode | facade call | local backend equivalent |
-//! |---|---|---|
-//! | `execute` | [`QueryExecutor::execute`] loop | `engine` (sequential) |
-//! | `execute-batch` | [`QueryExecutor::execute_batch`] | `engine-batch` (keyword-index candidate pruning) |
-//! | `serve` | [`QueryExecutor::serve_requests`] | `engine-serve` (inter-query concurrency) |
+//! | mode | facade call |
+//! |---|---|
+//! | `execute` | [`QueryExecutor::execute`] loop |
+//! | `execute-batch` | [`QueryExecutor::execute_batch`] per chunk |
+//! | `serve` | [`QueryExecutor::serve_requests`] (inter-query concurrency) |
 //!
-//! On top of the per-mode QPS, the report aggregates the new per-query
+//! On top of the per-mode QPS, the report aggregates the per-query
 //! [`spq_core::QueryStats`]: shards touched, gather wire bytes,
-//! plan-cache hit rate — the observability surface this PR adds,
-//! exercised end to end.
+//! plan-cache hit rate.
 
 use crate::params::{scaled, DEFAULT_GRID_SYNTH, DEFAULT_SIZE_UN};
-use crate::qps::{mode_stats, ModeStats};
 use spq_core::{
     Backend, QueryEngine, QueryExecutor, QueryRequest, RankedObject, SpqExecutor, SpqService,
 };
@@ -37,7 +34,126 @@ use spq_data::{
 use spq_mapreduce::ClusterConfig;
 use spq_spatial::Rect;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Throughput and latency of one serving mode.
+#[derive(Debug, Clone, Copy)]
+pub struct ModeStats {
+    /// Mode id (`execute`, `execute-batch`, `serve`; the ingest bench
+    /// adds `job`).
+    pub id: &'static str,
+    /// Queries per second over the whole stream.
+    pub qps: f64,
+    /// Median per-query latency, milliseconds. For `execute-batch` the
+    /// per-query latency is the batch wall amortized over its queries.
+    pub p50_ms: f64,
+    /// 99th-percentile per-query latency, milliseconds.
+    pub p99_ms: f64,
+    /// Total wall-clock of the stream, milliseconds.
+    pub wall_ms: f64,
+}
+
+pub(crate) fn mode_stats(id: &'static str, latencies: Vec<Duration>, wall: Duration) -> ModeStats {
+    // Percentiles come from the shared stats module (linear interpolation
+    // at rank (n−1)·p), the single definition every bench uses.
+    let sample = criterion::stats::Sample::new(
+        latencies
+            .iter()
+            .map(|d| d.as_secs_f64() * 1e3)
+            .collect::<Vec<_>>(),
+    );
+    ModeStats {
+        id,
+        qps: sample.len() as f64 / wall.as_secs_f64().max(1e-12),
+        p50_ms: sample.percentile(0.50),
+        p99_ms: sample.percentile(0.99),
+        wall_ms: wall.as_secs_f64() * 1e3,
+    }
+}
+
+/// Serves `requests` through the three facade modes of `service`
+/// (`execute`, `execute-batch`, `serve`) and returns their stats plus the
+/// aggregated per-query [`spq_core::QueryStats`] of the `execute` pass.
+///
+/// # Panics
+///
+/// Panics if any response differs from `reference` — the byte-identity
+/// gate both callers exist for.
+pub(crate) fn measure_modes(
+    label: &str,
+    service: &SpqService,
+    requests: &[QueryRequest],
+    reference: &[Vec<RankedObject>],
+    batch: usize,
+    workers: usize,
+) -> (Vec<ModeStats>, StatsSummary) {
+    // -- execute: sequential typed requests -------------------------------
+    let mut latencies = Vec::with_capacity(requests.len());
+    let mut shards_touched = 0u64;
+    let mut shuffle_bytes = 0u64;
+    let mut plan_hits = 0u64;
+    let mut retries = 0u64;
+    let frame_bytes_before = service.remote_traffic_bytes().unwrap_or(0);
+    let wall = Instant::now();
+    for (request, expect) in requests.iter().zip(reference) {
+        let t0 = Instant::now();
+        let response = service.execute(request).expect("execute");
+        latencies.push(t0.elapsed());
+        assert_eq!(&response.results, expect, "{label}: execute diverged");
+        shards_touched += response.stats.shards_touched as u64;
+        shuffle_bytes += response.stats.shuffle_bytes;
+        plan_hits += response.stats.plan_cache_hit as u64;
+        retries += response.stats.retries;
+    }
+    let execute = mode_stats("execute", latencies, wall.elapsed());
+    let frame_bytes = service
+        .remote_traffic_bytes()
+        .unwrap_or(0)
+        .saturating_sub(frame_bytes_before);
+    let n = requests.len().max(1) as f64;
+    let stats = StatsSummary {
+        mean_shards_touched: shards_touched as f64 / n,
+        mean_shuffle_bytes: shuffle_bytes as f64 / n,
+        plan_cache_hit_rate: plan_hits as f64 / n,
+        mean_frame_bytes: frame_bytes as f64 / n,
+        mean_retries: retries as f64 / n,
+    };
+
+    // -- execute-batch: one facade call per chunk -------------------------
+    let mut latencies = Vec::with_capacity(requests.len());
+    let wall = Instant::now();
+    for (chunk, expect) in requests
+        .chunks(batch.max(1))
+        .zip(reference.chunks(batch.max(1)))
+    {
+        let t0 = Instant::now();
+        let responses = service.execute_batch(chunk).expect("batch");
+        let amortized = t0.elapsed() / chunk.len() as u32;
+        for (response, expect) in responses.iter().zip(expect) {
+            assert_eq!(&response.results, expect, "{label}: batch diverged");
+            latencies.push(amortized);
+        }
+    }
+    let execute_batch = mode_stats("execute-batch", latencies, wall.elapsed());
+
+    // -- serve: inter-query concurrency -----------------------------------
+    let wall = Instant::now();
+    let responses = service
+        .serve_requests(requests, workers.max(1))
+        .expect("serve");
+    let serve_wall = wall.elapsed();
+    let latencies = responses
+        .iter()
+        .zip(reference)
+        .map(|(response, expect)| {
+            assert_eq!(&response.results, expect, "{label}: serve diverged");
+            Duration::from_micros(response.stats.wall_micros)
+        })
+        .collect();
+    let serve = mode_stats("serve", latencies, serve_wall);
+
+    (vec![execute, execute_batch, serve], stats)
+}
 
 /// Where the benched dataset comes from.
 #[derive(Debug, Clone)]
@@ -120,7 +236,8 @@ pub struct StatsSummary {
 pub struct BackendAlgoReport {
     /// The algorithm measured.
     pub algorithm: spq_core::Algorithm,
-    /// Per-mode stats: `execute`, `execute-batch`, `serve`.
+    /// Per-mode stats: `execute`, `execute-batch`, `serve` (the ingest
+    /// bench puts its `job` pass first).
     pub modes: Vec<ModeStats>,
     /// Aggregated per-query stats from the `execute` pass.
     pub stats: StatsSummary,
@@ -254,83 +371,18 @@ pub fn run_backend_bench(cfg: &BackendBenchConfig) -> Result<BackendReport, Inge
                         .expect("service build");
                     build_ms_total += t0.elapsed().as_secs_f64() * 1e3;
 
-                    // -- execute: sequential typed requests ---------------
-                    let mut latencies = Vec::with_capacity(requests.len());
-                    let mut shards_touched = 0u64;
-                    let mut shuffle_bytes = 0u64;
-                    let mut plan_hits = 0u64;
-                    let mut retries = 0u64;
-                    let frame_bytes_before = service.remote_traffic_bytes().unwrap_or(0);
-                    let wall = Instant::now();
-                    for (request, expect) in requests.iter().zip(reference.iter()) {
-                        let t0 = Instant::now();
-                        let response = service.execute(request).expect("execute");
-                        latencies.push(t0.elapsed());
-                        assert_eq!(
-                            &response.results, expect,
-                            "{backend}/{algorithm}: execute diverged"
-                        );
-                        shards_touched += response.stats.shards_touched as u64;
-                        shuffle_bytes += response.stats.shuffle_bytes;
-                        plan_hits += response.stats.plan_cache_hit as u64;
-                        retries += response.stats.retries;
-                    }
-                    let execute = mode_stats("execute", latencies, wall.elapsed());
-                    let frame_bytes = service
-                        .remote_traffic_bytes()
-                        .unwrap_or(0)
-                        .saturating_sub(frame_bytes_before);
-                    let n = requests.len().max(1) as f64;
-                    let stats = StatsSummary {
-                        mean_shards_touched: shards_touched as f64 / n,
-                        mean_shuffle_bytes: shuffle_bytes as f64 / n,
-                        plan_cache_hit_rate: plan_hits as f64 / n,
-                        mean_frame_bytes: frame_bytes as f64 / n,
-                        mean_retries: retries as f64 / n,
-                    };
-
-                    // -- execute-batch: the engine-batch path -------------
-                    let mut latencies = Vec::with_capacity(requests.len());
-                    let wall = Instant::now();
-                    for (chunk, expect) in requests
-                        .chunks(cfg.batch.max(1))
-                        .zip(reference.chunks(cfg.batch.max(1)))
-                    {
-                        let t0 = Instant::now();
-                        let responses = service.execute_batch(chunk).expect("batch");
-                        let amortized = t0.elapsed() / chunk.len() as u32;
-                        for (response, expect) in responses.iter().zip(expect) {
-                            assert_eq!(
-                                &response.results, expect,
-                                "{backend}/{algorithm}: batch diverged"
-                            );
-                            latencies.push(amortized);
-                        }
-                    }
-                    let execute_batch = mode_stats("execute-batch", latencies, wall.elapsed());
-
-                    // -- serve: inter-query concurrency -------------------
-                    let wall = Instant::now();
-                    let responses = service
-                        .serve_requests(&requests, cfg.workers.max(1))
-                        .expect("serve");
-                    let serve_wall = wall.elapsed();
-                    let latencies = responses
-                        .iter()
-                        .zip(reference.iter())
-                        .map(|(response, expect)| {
-                            assert_eq!(
-                                &response.results, expect,
-                                "{backend}/{algorithm}: serve diverged"
-                            );
-                            std::time::Duration::from_micros(response.stats.wall_micros)
-                        })
-                        .collect();
-                    let serve = mode_stats("serve", latencies, serve_wall);
+                    let (modes, stats) = measure_modes(
+                        &format!("{backend}/{algorithm}"),
+                        &service,
+                        &requests,
+                        reference,
+                        cfg.batch,
+                        cfg.workers,
+                    );
 
                     BackendAlgoReport {
                         algorithm,
-                        modes: vec![execute, execute_batch, serve],
+                        modes,
                         stats,
                     }
                 })
@@ -348,6 +400,37 @@ pub fn run_backend_bench(cfg: &BackendBenchConfig) -> Result<BackendReport, Inge
         objects: dataset.total(),
         backends,
     })
+}
+
+/// The entries of an `"algorithms": [...]` array (name, modes, stats) —
+/// the shape shared by the backend and ingest documents.
+pub(crate) fn json_algorithms(algorithms: &[BackendAlgoReport]) -> String {
+    let entries: Vec<String> = algorithms
+        .iter()
+        .map(|a| {
+            let modes: Vec<String> = a
+                .modes
+                .iter()
+                .map(|m| {
+                    format!(
+                        "            {{ \"id\": \"{}\", \"qps\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"wall_ms\": {:.3} }}",
+                        m.id, m.qps, m.p50_ms, m.p99_ms, m.wall_ms
+                    )
+                })
+                .collect();
+            format!(
+                "        {{\n          \"name\": \"{}\",\n          \"modes\": [\n{}\n          ],\n          \"stats\": {{ \"mean_shards_touched\": {:.2}, \"mean_shuffle_bytes\": {:.1}, \"plan_cache_hit_rate\": {:.3}, \"mean_frame_bytes\": {:.1}, \"mean_retries\": {:.3} }}\n        }}",
+                a.algorithm.name(),
+                modes.join(",\n"),
+                a.stats.mean_shards_touched,
+                a.stats.mean_shuffle_bytes,
+                a.stats.plan_cache_hit_rate,
+                a.stats.mean_frame_bytes,
+                a.stats.mean_retries,
+            )
+        })
+        .collect();
+    entries.join(",\n") + "\n"
 }
 
 /// Renders the report as the `BENCH_PR5.json` document.
@@ -380,32 +463,7 @@ pub fn backend_to_json(cfg: &BackendBenchConfig, report: &BackendReport) -> Stri
             "    {{\n      \"backend\": \"{}\",\n      \"build_ms\": {:.3},\n      \"algorithms\": [\n",
             section.backend, section.build_ms
         ));
-        for (ai, a) in section.algorithms.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\n          \"name\": \"{}\",\n          \"modes\": [\n",
-                a.algorithm.name()
-            ));
-            for (mi, m) in a.modes.iter().enumerate() {
-                out.push_str(&format!(
-                    "            {{ \"id\": \"{}\", \"qps\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"wall_ms\": {:.3} }}{}\n",
-                    m.id,
-                    m.qps,
-                    m.p50_ms,
-                    m.p99_ms,
-                    m.wall_ms,
-                    if mi + 1 < a.modes.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(&format!(
-                "          ],\n          \"stats\": {{ \"mean_shards_touched\": {:.2}, \"mean_shuffle_bytes\": {:.1}, \"plan_cache_hit_rate\": {:.3}, \"mean_frame_bytes\": {:.1}, \"mean_retries\": {:.3} }}\n        }}{}\n",
-                a.stats.mean_shards_touched,
-                a.stats.mean_shuffle_bytes,
-                a.stats.plan_cache_hit_rate,
-                a.stats.mean_frame_bytes,
-                a.stats.mean_retries,
-                if ai + 1 < section.algorithms.len() { "," } else { "" }
-            ));
-        }
+        out.push_str(&json_algorithms(&section.algorithms));
         out.push_str(&format!(
             "      ]\n    }}{}\n",
             if bi + 1 < report.backends.len() {
@@ -514,6 +572,18 @@ mod tests {
         for p in [&d, &f] {
             std::fs::remove_file(p).ok();
         }
+    }
+
+    #[test]
+    fn percentiles_on_sorted_latencies() {
+        let ms = |v: u64| Duration::from_millis(v);
+        let stats = mode_stats("execute", vec![ms(4), ms(1), ms(2), ms(3)], ms(10));
+        assert_eq!(stats.p50_ms, 2.5); // true midpoint of {1,2,3,4}
+        assert!((stats.p99_ms - 3.97).abs() < 1e-9); // rank 2.97 between 3 and 4
+        assert!((stats.qps - 400.0).abs() < 1e-9);
+        // Odd-length sample: exact middle element.
+        let stats = mode_stats("execute", vec![ms(3), ms(1), ms(2)], ms(10));
+        assert_eq!(stats.p50_ms, 2.0);
     }
 
     #[test]

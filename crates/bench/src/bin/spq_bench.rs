@@ -5,13 +5,13 @@
 //!
 //! 1. **Generated datasets** (default): writes the zero-copy trajectory
 //!    (`BENCH_PR2.json` — fig7-uniform + fig9-clustered vs the fossilised
-//!    pre-refactor baseline) and the serving throughput document
-//!    (`BENCH_PR3.json` — rebuild vs the persistent `QueryEngine` modes).
+//!    pre-refactor baseline).
 //! 2. **Loaded dataset** (`--data-tsv F --features-tsv F`): ingests an
 //!    external TSV dump (optionally synthesizing it first with
-//!    `--synthesize N`), benches the four serving modes over it with
-//!    byte-identity asserted against the in-memory path, and writes
-//!    `BENCH_INGEST.json` including ingest throughput in objects/sec.
+//!    `--synthesize N`), benches a job-per-query pass and the three
+//!    facade modes over it with byte-identity asserted against the
+//!    in-memory path, and writes `BENCH_INGEST.json` including ingest
+//!    throughput in objects/sec.
 
 use spq_bench::backend_bench::{
     backend_to_json, run_backend_bench, BackendBenchConfig, BackendSource,
@@ -21,7 +21,6 @@ use spq_bench::cli::{
 };
 use spq_bench::ingest_bench::{ingest_to_json, run_ingest_bench, IngestReport};
 use spq_bench::matrix::{compare_files, run_matrix};
-use spq_bench::qps::{qps_to_json, run_qps};
 use spq_bench::trajectory::{run_trajectory, to_json};
 use spq_data::ingest::{synthesize_dump, DumpConfig};
 
@@ -81,21 +80,6 @@ fn main() {
             );
         }
     }
-
-    let qps_report = run_qps(&options.qps);
-    let qps_json = qps_to_json(&options.qps, &qps_report);
-    std::fs::write(&options.qps_out, &qps_json).expect("write qps report");
-
-    println!("\nwrote {}", options.qps_out);
-    println!(
-        "\n{} ({} objects, {} queries, batch {}, {} workers):",
-        qps_report.id,
-        qps_report.objects,
-        options.qps.queries,
-        options.qps.batch,
-        options.qps.workers
-    );
-    print_modes(&qps_report.algorithms);
 }
 
 /// `spq-bench matrix`: runs the declarative benchmark matrix and writes
@@ -256,25 +240,17 @@ fn run_ingest_mode(ingest: &IngestCli) {
         "  ingest: {:.0} ms, {:.0} objects/s ({} lines, {} skipped)",
         i.wall_ms, i.objects_per_sec, i.lines, i.skipped
     );
-    println!("  all serving modes byte-identical to the in-memory rebuild path");
-    print_modes(&report.algorithms);
-}
-
-fn print_modes(algorithms: &[spq_bench::qps::QpsAlgoReport]) {
-    for a in algorithms {
+    println!("  all serving modes byte-identical to the in-memory job-per-query path");
+    for a in &report.algorithms {
         println!("  {}:", a.algorithm.name());
         println!(
-            "    {:<14}{:>10}{:>12}{:>12}{:>14}",
-            "mode", "qps", "p50 ms", "p99 ms", "vs rebuild"
+            "    {:<14}{:>10}{:>12}{:>12}",
+            "mode", "qps", "p50 ms", "p99 ms"
         );
         for m in &a.modes {
             println!(
-                "    {:<14}{:>10.1}{:>12.3}{:>12.3}{:>13.2}x",
-                m.id,
-                m.qps,
-                m.p50_ms,
-                m.p99_ms,
-                a.qps_vs_rebuild(m.id),
+                "    {:<14}{:>10.1}{:>12.3}{:>12.3}",
+                m.id, m.qps, m.p50_ms, m.p99_ms
             );
         }
     }

@@ -12,7 +12,6 @@
 
 use crate::ingest_bench::IngestBenchConfig;
 use crate::matrix::{MatrixConfig, DEFAULT_THRESHOLD};
-use crate::qps::QpsConfig;
 use crate::trajectory::TrajectoryConfig;
 
 /// The usage string printed on `--help` and on parse errors.
@@ -32,7 +31,6 @@ prints a markdown table, and exits 1 if anything regressed (2 on \
 unreadable documents) — the CI regression gate.\n\
 spq-bench [--scale F] [--seed N] [--workers N] [--repeats N] \
      [--queries N] [--grid N] [--out FILE] \
-     [--qps-queries N] [--qps-batch N] [--qps-out FILE] \
      [--data-tsv FILE --features-tsv FILE] [--ingest-out FILE] \
      [--ingest-queries N] [--ingest-batch N] [--synthesize N] \
      [--backend local|sharded|sharded:N|remote:N]... [--backend-out FILE] \
@@ -54,12 +52,8 @@ host:port addresses — and reports frame bytes and retries per query \
 pub struct CliOptions {
     /// Zero-copy trajectory section configuration.
     pub trajectory: TrajectoryConfig,
-    /// Serving-throughput section configuration.
-    pub qps: QpsConfig,
     /// Output path of the trajectory document.
     pub out: String,
-    /// Output path of the QPS document.
-    pub qps_out: String,
     /// Loaded-dataset mode, when `--data-tsv`/`--features-tsv` are given.
     pub ingest: Option<IngestCli>,
     /// Backend-matrix mode, when any `--backend` is given.
@@ -132,9 +126,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         _ => {}
     }
     let mut cfg = TrajectoryConfig::default();
-    let mut qps_cfg = QpsConfig::default();
     let mut out = String::from("BENCH_PR2.json");
-    let mut qps_out = String::from("BENCH_PR3.json");
     let mut ingest_out = String::from("BENCH_INGEST.json");
     let mut data_tsv: Option<String> = None;
     let mut features_tsv: Option<String> = None;
@@ -167,9 +159,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--queries" => cfg.queries = parsed(flag, value()?)?,
             "--grid" => cfg.grid = parsed(flag, value()?)?,
             "--out" => out = value()?,
-            "--qps-queries" => qps_cfg.queries = parsed(flag, value()?)?,
-            "--qps-batch" => qps_cfg.batch = parsed(flag, value()?)?,
-            "--qps-out" => qps_out = value()?,
             "--data-tsv" => data_tsv = Some(value()?),
             "--features-tsv" => features_tsv = Some(value()?),
             "--ingest-out" => ingest_out = value()?,
@@ -185,12 +174,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         i += 1;
     }
-    // The QPS section follows the shared knobs.
-    qps_cfg.scale = cfg.scale;
-    qps_cfg.seed = cfg.seed;
-    qps_cfg.workers = cfg.workers;
-    qps_cfg.grid = cfg.grid;
-
     let ingest = match (data_tsv, features_tsv) {
         (Some(data), Some(features)) => Some(IngestCli {
             config: IngestBenchConfig {
@@ -230,9 +213,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
 
     Ok(Command::Run(Box::new(CliOptions {
         trajectory: cfg,
-        qps: qps_cfg,
         out,
-        qps_out,
         ingest,
         backend,
     })))
@@ -340,10 +321,8 @@ mod tests {
     fn defaults_without_flags() {
         let o = run(&[]);
         assert_eq!(o.out, "BENCH_PR2.json");
-        assert_eq!(o.qps_out, "BENCH_PR3.json");
         assert!(o.ingest.is_none());
         assert!(o.backend.is_none());
-        assert_eq!(o.qps.seed, o.trajectory.seed);
     }
 
     #[test]
@@ -412,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_shared_and_qps_flags() {
+    fn parses_shared_flags() {
         let o = run(&[
             "--scale",
             "0.5",
@@ -428,12 +407,6 @@ mod tests {
             "20",
             "--out",
             "a.json",
-            "--qps-queries",
-            "12",
-            "--qps-batch",
-            "6",
-            "--qps-out",
-            "b.json",
         ]);
         assert_eq!(o.trajectory.scale, 0.5);
         assert_eq!(o.trajectory.seed, 9);
@@ -442,14 +415,6 @@ mod tests {
         assert_eq!(o.trajectory.queries, 4);
         assert_eq!(o.trajectory.grid, 20);
         assert_eq!(o.out, "a.json");
-        assert_eq!(o.qps.queries, 12);
-        assert_eq!(o.qps.batch, 6);
-        assert_eq!(o.qps_out, "b.json");
-        // Shared knobs propagate into the QPS section.
-        assert_eq!(o.qps.scale, 0.5);
-        assert_eq!(o.qps.seed, 9);
-        assert_eq!(o.qps.workers, 3);
-        assert_eq!(o.qps.grid, 20);
     }
 
     #[test]
@@ -466,7 +431,9 @@ mod tests {
     fn missing_and_bad_values_are_errors() {
         assert!(parse(&["--seed"]).unwrap_err().contains("missing value"));
         assert!(parse(&["--seed", "abc"]).unwrap_err().contains("bad value"));
-        assert!(parse(&["--qps-batch"]).is_err());
+        assert!(parse(&["--ingest-batch"]).is_err());
+        // The removed QPS flags are unknown arguments now.
+        assert!(parse(&["--qps-batch", "4"]).is_err());
     }
 
     #[test]

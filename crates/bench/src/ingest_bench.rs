@@ -1,19 +1,21 @@
 //! The loaded-dataset bench behind `spq-bench --data-tsv/--features-tsv`
 //! and the `BENCH_INGEST.json` document.
 //!
-//! Where the QPS harness generates its dataset, this bench **loads** one
-//! from an external `id<TAB>x<TAB>y<TAB>keywords` dump through
-//! `spq_data::ingest`, then pushes a query stream authored against the
-//! ingested vocabulary through the same four serving modes
-//! ([`crate::qps::measure_algorithms`]). Because the `rebuild` mode is
+//! This bench **loads** a dataset from an external
+//! `id<TAB>x<TAB>y<TAB>keywords` dump through `spq_data::ingest`, then
+//! pushes a query stream authored against the ingested vocabulary through
+//! a `job` mode — one fresh [`SpqExecutor::run_dataset`] job per query,
 //! exactly the in-memory generated-dataset lifecycle run over the loaded
-//! objects, the built-in byte-identity assertion proves the ingest path
-//! changes nothing about query answers — only where the objects came
+//! objects — and the three facade modes of a local engine
+//! (`backend_bench::measure_modes`). Every facade response is
+//! asserted byte-identical to its `job` answer, which proves the ingest
+//! path changes nothing about query answers — only where the objects came
 //! from. Reported on top of the per-mode QPS numbers: ingest wall-clock
 //! and throughput in objects per second.
 
-use crate::qps::{measure_algorithms, ModeInputs, QpsAlgoReport};
-use spq_data::{ingest, IngestError, IngestOptions, QueryStream, StreamConfig};
+use crate::backend_bench::{json_algorithms, measure_modes, mode_stats, BackendAlgoReport};
+use spq_core::{Algorithm, Backend, QueryRequest, SpqExecutor, SpqService};
+use spq_data::{ingest, IngestOptions, QueryStream, StreamConfig};
 use spq_mapreduce::ClusterConfig;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -27,11 +29,12 @@ pub struct IngestBenchConfig {
     pub features_tsv: PathBuf,
     /// RNG seed for the query stream.
     pub seed: u64,
-    /// Worker threads (see [`crate::qps::QpsConfig::workers`]).
+    /// Worker threads: intra-query for `job`/`execute`/`execute-batch`,
+    /// inter-query for `serve`.
     pub workers: usize,
     /// Length of the measured query stream.
     pub queries: usize,
-    /// Batch size for `engine-batch`.
+    /// Batch size for `execute-batch`.
     pub batch: usize,
     /// Grid cells per axis.
     pub grid: u32,
@@ -85,19 +88,24 @@ pub struct IngestReport {
     pub id: &'static str,
     /// Load-phase measurements.
     pub ingest: IngestPhase,
-    /// Per-algorithm serving modes over the loaded dataset, in
-    /// `Algorithm::ALL` order. Byte-identity of every mode against the
-    /// in-memory `rebuild` lifecycle is asserted during measurement.
-    pub algorithms: Vec<QpsAlgoReport>,
+    /// Per-algorithm serving modes over the loaded dataset (`job` /
+    /// `execute` / `execute-batch` / `serve`), in `Algorithm::ALL` order.
+    /// Byte-identity of every facade mode against the in-memory `job`
+    /// lifecycle is asserted during measurement.
+    pub algorithms: Vec<BackendAlgoReport>,
 }
 
-/// Ingests the dump and measures the serving modes over it.
+/// Ingests the dump and measures the serving modes over it. Fails with
+/// the ingest error of an unreadable dump, or the [`spq_core::SpqError`]
+/// of a failed job or engine build.
 ///
 /// # Panics
 ///
-/// Panics (inside [`measure_algorithms`]) if any serving mode diverges
-/// from the in-memory rebuild path — the CI gate this bench exists for.
-pub fn run_ingest_bench(cfg: &IngestBenchConfig) -> Result<IngestReport, IngestError> {
+/// Panics (inside `measure_modes`) if any serving mode diverges from
+/// the in-memory job-per-query path — the CI gate this bench exists for.
+pub fn run_ingest_bench(
+    cfg: &IngestBenchConfig,
+) -> Result<IngestReport, Box<dyn std::error::Error>> {
     eprintln!(
         "[ingest-tsv] loading {} + {}",
         cfg.data_tsv.display(),
@@ -154,15 +162,47 @@ pub fn run_ingest_bench(cfg: &IngestBenchConfig) -> Result<IngestReport, IngestE
         },
     );
     let queries = stream.batch(cfg.queries);
-    let algorithms = measure_algorithms(&ModeInputs {
-        label: "ingest-tsv",
-        dataset: &loaded.dataset,
-        queries: &queries,
-        bounds: loaded.dataset.bounds,
-        workers: cfg.workers,
-        grid: cfg.grid,
-        batch: cfg.batch,
-    });
+    let requests: Vec<QueryRequest> = queries.iter().cloned().map(QueryRequest::new).collect();
+    let (shared, _) = loaded.dataset.to_shared_splits(8);
+    let mut algorithms = Vec::with_capacity(Algorithm::ALL.len());
+    for algorithm in Algorithm::ALL {
+        eprintln!(
+            "[ingest-tsv] {algorithm}: {} queries x 4 modes",
+            queries.len()
+        );
+        let exec = SpqExecutor::new(loaded.dataset.bounds)
+            .algorithm(algorithm)
+            .grid_size(cfg.grid)
+            .cluster(ClusterConfig::with_workers(cfg.workers));
+
+        // -- job: the in-memory job-per-query lifecycle, the reference ----
+        let mut latencies = Vec::with_capacity(queries.len());
+        let mut reference = Vec::with_capacity(queries.len());
+        let wall = Instant::now();
+        for q in &queries {
+            let t0 = Instant::now();
+            let result = exec.run_dataset(&shared, q)?;
+            latencies.push(t0.elapsed());
+            reference.push(result.top_k);
+        }
+        let mut modes = vec![mode_stats("job", latencies, wall.elapsed())];
+
+        let service = SpqService::build(exec, shared.clone(), Backend::Local)?;
+        let (facade_modes, stats) = measure_modes(
+            &format!("ingest-tsv/{algorithm}"),
+            &service,
+            &requests,
+            &reference,
+            cfg.batch,
+            cfg.workers,
+        );
+        modes.extend(facade_modes);
+        algorithms.push(BackendAlgoReport {
+            algorithm,
+            modes,
+            stats,
+        });
+    }
 
     Ok(IngestReport {
         id: "ingest-tsv",
@@ -171,8 +211,7 @@ pub fn run_ingest_bench(cfg: &IngestBenchConfig) -> Result<IngestReport, IngestE
     })
 }
 
-/// Renders the report as the `BENCH_INGEST.json` document (the
-/// `BENCH_PR3.json` shape plus an `"ingest"` section).
+/// Renders the report as the `BENCH_INGEST.json` document.
 pub fn ingest_to_json(cfg: &IngestBenchConfig, report: &IngestReport) -> String {
     let mut out = String::from("{\n  \"bench\": \"spq-bench ingest\",\n");
     out.push_str(&format!(
@@ -190,14 +229,14 @@ pub fn ingest_to_json(cfg: &IngestBenchConfig, report: &IngestReport) -> String 
         "  \"ingest\": {{ \"objects\": {}, \"data_objects\": {}, \"feature_objects\": {}, \"vocab_terms\": {}, \"lines\": {}, \"skipped\": {}, \"wall_ms\": {:.3}, \"objects_per_sec\": {:.0} }},\n",
         i.objects, i.data_objects, i.feature_objects, i.vocab_terms, i.lines, i.skipped, i.wall_ms, i.objects_per_sec
     ));
-    // The measurement asserts mode/rebuild byte-identity; reaching the
+    // The measurement asserts facade/job byte-identity; reaching the
     // report at all means it held.
-    out.push_str("  \"modes_identical_to_rebuild\": true,\n");
+    out.push_str("  \"modes_identical_to_fresh_jobs\": true,\n");
     out.push_str(&format!(
         "  \"workloads\": [\n    {{\n      \"id\": \"{}\",\n      \"objects\": {},\n      \"algorithms\": [\n",
         report.id, i.objects
     ));
-    out.push_str(&crate::qps::json_algorithms(&report.algorithms, "        "));
+    out.push_str(&json_algorithms(&report.algorithms));
     out.push_str("      ]\n    }\n  ]\n}\n");
     out
 }
@@ -229,8 +268,8 @@ mod tests {
             workers: 2,
             ..IngestBenchConfig::default()
         };
-        // measure_algorithms asserts byte-identity of every serving mode
-        // against the in-memory rebuild path, so completing is the
+        // measure_modes asserts byte-identity of every serving mode
+        // against the in-memory job-per-query path, so completing is the
         // correctness part.
         let report = run_ingest_bench(&cfg).unwrap();
         assert_eq!(report.ingest.objects, 1200);
@@ -243,7 +282,8 @@ mod tests {
         }
         let json = ingest_to_json(&cfg, &report);
         assert!(json.contains("\"objects_per_sec\""));
-        assert!(json.contains("\"modes_identical_to_rebuild\": true"));
+        assert!(json.contains("\"modes_identical_to_fresh_jobs\": true"));
+        assert!(json.contains("\"execute-batch\""));
         assert!(json.contains("\"ingest-tsv\""));
         for p in [&d, &f] {
             std::fs::remove_file(p).ok();

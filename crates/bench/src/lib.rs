@@ -27,7 +27,6 @@ pub mod figures;
 pub mod ingest_bench;
 pub mod matrix;
 pub mod params;
-pub mod qps;
 pub mod report;
 pub mod trajectory;
 

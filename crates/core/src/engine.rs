@@ -12,27 +12,30 @@
 //!   [`CellRouting`] lookup tables (cached per radius, shared by every
 //!   later query); a [`KeywordIndex`] inverted index over the feature
 //!   keywords is built eagerly at construction.
-//! * **Serve many** — the engine speaks the typed
-//!   [`QueryExecutor`] surface:
-//!   [`execute`](crate::service::QueryExecutor::execute) evaluates one
-//!   request against the prebuilt state, byte-identical to a fresh
-//!   [`SpqExecutor::run_dataset`] job;
-//!   [`execute_batch`](crate::service::QueryExecutor::execute_batch)
-//!   additionally resolves each request's matching features through the
-//!   keyword index, so the map phase scans only candidate features
-//!   instead of the whole feature set;
+//! * **Serve many** — the engine speaks the typed [`QueryExecutor`]
+//!   surface, and every entry point takes the **same path**: resolve the
+//!   request's matching features through the keyword index (the map-side
+//!   pruning rule of Algorithm 1 line 9, paid once at build time), map
+//!   over every data object plus only those candidates, shuffle, reduce.
+//!   Entry points differ in parallelism width alone:
+//!   [`execute`](crate::service::QueryExecutor::execute) and
+//!   [`execute_batch`](crate::service::QueryExecutor::execute_batch) run
+//!   each job on the executor's worker pool
+//!   ([`ExecutionMode::Parallel`]), while
+//!   [`execute_sequential`](crate::service::QueryExecutor::execute_sequential)
+//!   and
 //!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
-//!   pushes independent requests through the `spq-mapreduce` worker pool
-//!   — parallelism comes from **inter-query concurrency** (each query
-//!   runs as a single-threaded job), the right shape for high-QPS
-//!   traffic of many small queries. The plain-`SpqQuery` methods
-//!   ([`query`](QueryEngine::query) and friends) are deprecated shims
-//!   over the same machinery.
+//!   run single-threaded jobs ([`ExecutionMode::Sequential`]) so that
+//!   parallelism comes from **inter-query concurrency** — the right shape
+//!   for high-QPS traffic of many small queries.
 //!
 //! Determinism carries over from the job runner: for a fixed engine and
-//! query, every entry point returns the same bytes regardless of worker
-//! counts, and `execute` matches a fresh per-query executor job exactly
-//! (`tests/engine_reuse.rs` proves both properties with proptests).
+//! query, every entry point returns the same bytes and the same traced
+//! counters regardless of worker counts, and the `top_k`, shuffle volume
+//! and reduce-side counters match a fresh [`SpqExecutor::run_dataset`]
+//! job exactly — only the input-side statistics differ, because pruned
+//! features are never read at all (`tests/engine_reuse.rs` proves these
+//! properties with proptests).
 //!
 //! ```
 //! use spq_core::{Algorithm, DataObject, FeatureObject, QueryEngine, SpqExecutor, SpqQuery};
@@ -73,7 +76,6 @@ use crate::service::{
 };
 use crate::store::{ObjectRef, SharedDataset};
 use parking_lot::Mutex;
-use spq_mapreduce::pool::run_tasks;
 use spq_mapreduce::{ClusterConfig, JobContext};
 use spq_spatial::SpacePartition;
 use spq_text::{KeywordSet, Term};
@@ -90,7 +92,7 @@ use std::time::Instant;
 /// store order — exactly the order the map phase would have visited them.
 /// This is the engine's build-once replacement for the per-query keyword
 /// pruning scan: instead of testing `q.W ∩ f.W` for every feature on
-/// every query, a batched query probes `|q.W|` posting lists.
+/// every query, each query probes `|q.W|` posting lists.
 #[derive(Debug, Clone)]
 pub struct KeywordIndex {
     /// `postings[offsets[t]..offsets[t + 1]]` are the features carrying
@@ -295,16 +297,19 @@ const MAX_CACHED_PLANS: usize = 64;
 /// workloads use a small set of radius classes; a bound of 64 plans
 /// guards against unbounded-radius streams, evicting arbitrarily).
 ///
-/// The engine is `Sync`: [`serve`](QueryEngine::serve) shares it across
-/// the worker pool, and external callers may do the same.
+/// The engine is `Sync`:
+/// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
+/// shares it across the worker pool, and external callers may do the
+/// same.
 #[derive(Debug)]
 pub struct QueryEngine {
     exec: SpqExecutor,
-    serve_exec: SpqExecutor,
     dataset: SharedDataset,
+    /// Full round-robin splits: what partition planning samples, and the
+    /// map input when keyword pruning is disabled.
     splits: Vec<Vec<ObjectRef>>,
     /// The data-object prefix of every split — the immutable part of a
-    /// candidate-pruned batch split.
+    /// candidate-pruned split.
     data_splits: Vec<Vec<ObjectRef>>,
     keyword_index: KeywordIndex,
     plans: Mutex<HashMap<u64, Arc<PartitionPlan>>>,
@@ -313,8 +318,8 @@ pub struct QueryEngine {
 }
 
 /// The engine's default split count — matches
-/// [`SpqExecutor::run_dataset`], so `engine.query` is byte-identical to
-/// the per-query path it replaces.
+/// [`SpqExecutor::run_dataset`], so the engine is byte-identical to the
+/// per-query path it replaces.
 pub const DEFAULT_NUM_SPLITS: usize = 8;
 
 impl QueryEngine {
@@ -347,10 +352,8 @@ impl QueryEngine {
             .map(|s| s.iter().copied().filter(|r| r.is_data()).collect())
             .collect();
         let keyword_index = KeywordIndex::build(dataset.features());
-        let serve_exec = executor.clone().cluster(ClusterConfig::sequential());
         Self {
             exec: executor,
-            serve_exec,
             dataset,
             splits,
             data_splits,
@@ -456,96 +459,10 @@ impl QueryEngine {
         (Arc::clone(plans.entry(key).or_insert(plan)), false)
     }
 
-    fn run_with(
-        &self,
-        exec: &SpqExecutor,
-        splits: &[Vec<ObjectRef>],
-        query: &SpqQuery,
-    ) -> Result<SpqResult, SpqError> {
-        Ok(self.run_measured(exec, splits, query)?.0)
-    }
-
-    /// [`run_with`](Self::run_with) that also reports whether the
-    /// partition plan was served from cache.
-    fn run_measured(
-        &self,
-        exec: &SpqExecutor,
-        splits: &[Vec<ObjectRef>],
-        query: &SpqQuery,
-    ) -> Result<(SpqResult, bool), SpqError> {
-        self.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        let (plan, hit) = self.plan(query);
-        let result = exec.run_planned(
-            &self.dataset,
-            splits,
-            query,
-            Arc::clone(&plan.partition),
-            Some(&plan.routing),
-            Some(&self.ctx),
-        )?;
-        Ok((result, hit))
-    }
-
-    /// Evaluates one query against the prebuilt state.
-    ///
-    /// Byte-identical — results, counters, record counts — to a fresh
-    /// [`SpqExecutor::run_dataset`] job over the same dataset; only the
-    /// plan/routing work is served from cache instead of being redone.
-    #[deprecated(
-        note = "use the typed path: `QueryExecutor::execute` with a `QueryRequest` \
-                (validates first and reports per-query stats)"
-    )]
-    pub fn query(&self, query: &SpqQuery) -> Result<SpqResult, SpqError> {
-        self.run_with(&self.exec, &self.splits, query)
-    }
-
-    /// [`query`](Self::query) forced onto a single-threaded job — the
-    /// per-query building block of [`serve`](Self::serve), where
-    /// parallelism comes from running many such jobs concurrently. Same
-    /// bytes as `query` (jobs are worker-count-invariant).
-    pub fn query_sequential(&self, query: &SpqQuery) -> Result<SpqResult, SpqError> {
-        self.run_with(&self.serve_exec, &self.splits, query)
-    }
-
-    /// Evaluates a batch of queries, sharing the build-once structures
-    /// across the batch and pruning each query's map pass down to its
-    /// candidate features.
-    ///
-    /// Instead of letting every job test `q.W ∩ f.W` against all of `F`,
-    /// the batch resolves each query's matching features through the
-    /// [`KeywordIndex`] (one probe per query keyword) and maps over
-    /// splits containing only those candidates — the cells, scores and
-    /// emitted records are exactly those of [`query`](Self::query), so
-    /// `top_k` is byte-identical; only input-side statistics (map records
-    /// in, pruned-feature counters) differ, because pruned features are
-    /// no longer read at all. With keyword pruning disabled on the
-    /// executor (the shuffle-ablation mode), the batch falls back to full
-    /// splits.
-    ///
-    /// Results are returned in query order.
-    #[deprecated(
-        note = "use the typed path: `QueryExecutor::execute_batch` with `QueryRequest`s \
-                (same coalesced pruning, plus validation and per-query stats)"
-    )]
-    pub fn query_batch(&self, queries: &[SpqQuery]) -> Result<Vec<SpqResult>, SpqError> {
-        queries
-            .iter()
-            .map(|query| {
-                if self.exec.keyword_pruning_enabled() {
-                    let candidates = self.keyword_index.candidates(&query.keywords);
-                    let splits = self.candidate_splits(&candidates);
-                    self.run_with(&self.exec, &splits, query)
-                } else {
-                    self.run_with(&self.exec, &self.splits, query)
-                }
-            })
-            .collect()
-    }
-
-    /// Builds batch splits holding every data object plus only the
-    /// candidate features, preserving the engine's round-robin layout
-    /// (and therefore the per-split record order the shuffle depends on
-    /// for byte-identical output).
+    /// Builds splits holding every data object plus only the candidate
+    /// features, preserving the engine's round-robin layout (and therefore
+    /// the per-split record order the shuffle depends on for
+    /// byte-identical output).
     fn candidate_splits(&self, candidates: &[u32]) -> Vec<Vec<ObjectRef>> {
         let n = self.data_splits.len();
         let mut splits = self.data_splits.clone();
@@ -555,64 +472,24 @@ impl QueryEngine {
         splits
     }
 
-    /// Evaluates independent queries concurrently on `workers` threads of
-    /// the `spq-mapreduce` pool, each as a single-threaded job
-    /// ([`query_sequential`](Self::query_sequential)) — inter-query
-    /// concurrency instead of intra-query splits, so a stream of small
-    /// queries saturates the host without oversubscribing it.
-    ///
-    /// Results come back in query order and are byte-identical to calling
-    /// [`query`](Self::query) sequentially, for any worker count.
-    #[deprecated(
-        note = "use the typed path: `QueryExecutor::serve_requests` with `QueryRequest`s, \
-                or the `crate::serve::AdmissionQueue` front-end for live traffic"
-    )]
-    pub fn serve(&self, queries: &[SpqQuery], workers: usize) -> Result<Vec<SpqResult>, SpqError> {
-        let outcomes = run_tasks(workers.max(1), queries.len(), |i| {
-            self.query_sequential(&queries[i])
-        })
-        .map_err(|p| SpqError::Worker {
-            message: format!("query {}: {}", p.task_index, p.message),
-        })?;
-        outcomes.into_iter().collect()
-    }
-
-    /// [`serve`](Self::serve) with the worker count of
-    /// [`ClusterConfig::auto`] — which honours the `SPQ_WORKERS`
-    /// environment override and falls back to 4 workers on hosts that do
-    /// not report their parallelism (see
-    /// [`ClusterConfig::auto`] for the full resolution order).
-    #[deprecated(note = "use the typed path: `QueryExecutor::serve_requests` with \
-                `ClusterConfig::auto().workers`")]
-    pub fn serve_auto(&self, queries: &[SpqQuery]) -> Result<Vec<SpqResult>, SpqError> {
-        #[allow(deprecated)] // a shim forwarding to its sibling shim
-        self.serve(queries, ClusterConfig::auto().workers)
-    }
-
-    // ---- The typed request path (crate::service) ------------------------
-
-    /// The executor serving a request: the engine's own when the request
-    /// carries no overrides, otherwise a derived copy (executors are a
-    /// few plain-old-data fields; deriving is allocation-free).
-    ///
-    /// With `sequential` the job stays single-threaded **regardless of
-    /// the request's worker budget** — sequential execution is the
-    /// serve-worker building block, where the budget is already consumed
-    /// by the inter-query concurrency (exactly as the sharded scatter
-    /// clears the budget before driving its shards). Honouring it here
-    /// would nest multi-worker jobs inside the serve pool.
-    fn exec_for(&self, options: &QueryOptions, sequential: bool) -> SpqExecutor {
-        let mut exec = if sequential {
-            self.serve_exec.clone()
-        } else {
-            self.exec.clone()
-        };
+    /// The executor serving a request: the engine's own with the
+    /// request's overrides applied (a few plain-old-data fields; deriving
+    /// is allocation-free). An [`ExecutionMode::Sequential`] job stays
+    /// single-threaded **regardless of the request's worker budget**: the
+    /// budget is already consumed by the inter-query concurrency (exactly
+    /// as the sharded scatter clears it before driving its shards), and
+    /// honouring it would nest multi-worker jobs inside the serve pool.
+    fn exec_for(&self, options: &QueryOptions, mode: ExecutionMode) -> SpqExecutor {
+        let mut exec = self.exec.clone();
         if let Some(algorithm) = options.algorithm {
             exec = exec.algorithm(algorithm);
         }
-        if !sequential {
-            if let Some(workers) = options.workers {
-                exec = exec.cluster(ClusterConfig::with_workers(workers));
+        match mode {
+            ExecutionMode::Sequential => exec = exec.cluster(ClusterConfig::sequential()),
+            ExecutionMode::Parallel => {
+                if let Some(workers) = options.workers {
+                    exec = exec.cluster(ClusterConfig::with_workers(workers));
+                }
             }
         }
         if let Some(enabled) = options.keyword_pruning {
@@ -621,42 +498,37 @@ impl QueryEngine {
         exec
     }
 
-    /// Runs one query under per-request options; `sequential` forces a
-    /// single-threaded job (the serve-worker building block), exactly as
-    /// [`query_sequential`](Self::query_sequential) does for the shim
-    /// path.
-    pub(crate) fn run_opts(
+    /// The one engine path (see the [module docs](self)): every local
+    /// request, every sharded scatter and every remote worker query runs
+    /// through here. Maps over every data object plus only the query's
+    /// candidate features — or over the full splits when keyword pruning
+    /// is disabled (the shuffle-ablation mode). Returns the result
+    /// together with whether the partition plan was served from cache.
+    pub(crate) fn run(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
-        sequential: bool,
+        mode: ExecutionMode,
     ) -> Result<(SpqResult, bool), SpqError> {
-        let exec = self.exec_for(options, sequential);
-        self.run_measured(&exec, &self.splits, query)
-    }
-
-    /// [`run_opts`](Self::run_opts) with the map pass pruned down to the
-    /// query's candidate features through the keyword index (unless
-    /// pruning is disabled, which falls back to full splits). Results are
-    /// byte-identical to the full-split path — candidate splits preserve
-    /// the round-robin record order the shuffle depends on. This is the
-    /// building block of [`execute_batch`](Self::execute_batch) and of
-    /// every sharded scatter (each shard probes its own build-once
-    /// index).
-    pub(crate) fn run_opts_pruned(
-        &self,
-        query: &SpqQuery,
-        options: &QueryOptions,
-        sequential: bool,
-    ) -> Result<(SpqResult, bool), SpqError> {
-        let exec = self.exec_for(options, sequential);
-        if exec.keyword_pruning_enabled() {
-            let candidates = self.keyword_index.candidates(&query.keywords);
-            let splits = self.candidate_splits(&candidates);
-            self.run_measured(&exec, &splits, query)
+        self.metrics.queries.fetch_add(1, Ordering::Relaxed);
+        let exec = self.exec_for(options, mode);
+        let (plan, hit) = self.plan(query);
+        let pruned;
+        let splits = if exec.keyword_pruning_enabled() {
+            pruned = self.candidate_splits(&self.keyword_index.candidates(&query.keywords));
+            &pruned
         } else {
-            self.run_measured(&exec, &self.splits, query)
-        }
+            &self.splits
+        };
+        let result = exec.run_planned(
+            &self.dataset,
+            splits,
+            query,
+            Arc::clone(&plan.partition),
+            Some(&plan.routing),
+            Some(&self.ctx),
+        )?;
+        Ok((result, hit))
     }
 
     /// Probes each query keyword against the build-once keyword index,
@@ -723,26 +595,16 @@ impl QueryEngine {
 
 impl QueryExecutor for QueryEngine {
     /// The single-store request lifecycle: probe the keyword index → run
-    /// (sequential for [`ExecutionMode::Sequential`], candidate-pruned
-    /// for [`ExecutionMode::Coalesced`]) → wrap stats. Validation already
-    /// happened on the trait's entry points.
+    /// the one engine path at the mode's width → wrap stats. Validation
+    /// already happened on the trait's entry points.
     fn run_validated(
         &self,
         request: &QueryRequest,
         mode: ExecutionMode,
     ) -> Result<QueryResponse, SpqError> {
-        let (sequential, pruned) = match mode {
-            ExecutionMode::Parallel => (false, false),
-            ExecutionMode::Sequential => (true, false),
-            ExecutionMode::Coalesced => (false, true),
-        };
         let started = Instant::now();
         let keywords = self.keyword_stats(&request.query.keywords);
-        let (result, plan_hit) = if pruned {
-            self.run_opts_pruned(&request.query, &request.options, sequential)?
-        } else {
-            self.run_opts(&request.query, &request.options, sequential)?
-        };
+        let (result, plan_hit) = self.run(&request.query, &request.options, mode)?;
         Ok(self.respond(request, result, plan_hit, keywords, started))
     }
 
@@ -752,13 +614,11 @@ impl QueryExecutor for QueryEngine {
 }
 
 #[cfg(test)]
-// The tests below deliberately exercise the deprecated plain-`SpqQuery`
-// shims: they are the parity coverage that keeps `query`/`query_batch`/
-// `serve` byte-identical to the typed path for as long as the shims live.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::model::DataObject;
+    use crate::partitioning::COUNTER_MAP_PRUNED;
+    use spq_mapreduce::JobStats;
     use spq_spatial::{Point, Rect};
 
     fn feature(id: u64, x: f64, y: f64, kw: &[u32]) -> FeatureObject {
@@ -793,6 +653,29 @@ mod tests {
 
     fn executor() -> SpqExecutor {
         SpqExecutor::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0)).grid_size(4)
+    }
+
+    fn request(k: usize, r: f64, kw: &[u32]) -> QueryRequest {
+        QueryRequest::new(SpqQuery::new(
+            k,
+            r,
+            KeywordSet::from_ids(kw.iter().copied()),
+        ))
+    }
+
+    /// The single traced job of a local response.
+    fn traced_job(response: &QueryResponse) -> &JobStats {
+        &response.trace.as_ref().expect("trace requested")[0]
+    }
+
+    /// Every counter except the one the engine path cannot have: pruned
+    /// features are never read, so never counted.
+    fn output_counters(stats: &JobStats) -> Vec<(&'static str, u64)> {
+        stats
+            .counters
+            .iter()
+            .filter(|&(name, _)| name != COUNTER_MAP_PRUNED)
+            .collect()
     }
 
     #[test]
@@ -840,11 +723,11 @@ mod tests {
         assert!((stats.mean_keywords - 14.0 / 8.0).abs() < 1e-12);
         assert_eq!(stats.max_posting, 3);
         // Same bytes as an engine built the usual way.
-        let q = SpqQuery::new(2, 1.5, KeywordSet::from_ids([0]));
+        let req = request(2, 1.5, &[0]);
         let other = QueryEngine::new(executor(), ds);
         assert_eq!(
-            engine.query(&q).unwrap().top_k,
-            other.query(&q).unwrap().top_k
+            engine.execute(&req).unwrap().results,
+            other.execute(&req).unwrap().results
         );
     }
 
@@ -865,68 +748,75 @@ mod tests {
     }
 
     #[test]
-    fn engine_query_matches_fresh_executor_job() {
+    fn engine_matches_fresh_executor_job() {
         let exec = executor();
         let dataset = paper_dataset();
         let engine = QueryEngine::new(exec.clone(), dataset.clone());
         for (k, r, kw) in [(1, 1.5, vec![0]), (3, 1.5, vec![0]), (2, 2.5, vec![0, 4])] {
-            let q = SpqQuery::new(k, r, KeywordSet::from_ids(kw));
-            let fresh = exec.run_dataset(&dataset, &q).unwrap();
-            let served = engine.query(&q).unwrap();
-            assert_eq!(served.top_k, fresh.top_k);
-            assert_eq!(served.stats.counters, fresh.stats.counters);
-            assert_eq!(served.stats.shuffle_records, fresh.stats.shuffle_records);
+            let req = request(k, r, &kw).with_trace();
+            let fresh = exec.run_dataset(&dataset, &req.query).unwrap();
+            let served = engine.execute(&req).unwrap();
+            let job = traced_job(&served);
+            assert_eq!(served.results, fresh.top_k);
+            assert_eq!(output_counters(job), output_counters(&fresh.stats));
+            assert_eq!(job.shuffle_records, fresh.stats.shuffle_records);
+            // The one input-side difference: pruned features are not read.
+            let candidates = engine.keyword_index().candidates(&req.query.keywords);
+            assert_eq!(
+                job.map_input_records(),
+                (dataset.data().len() + candidates.len()) as u64
+            );
             // Replays are stable.
-            assert_eq!(engine.query(&q).unwrap().top_k, served.top_k);
+            assert_eq!(engine.execute(&req).unwrap().results, served.results);
         }
         assert_eq!(engine.cached_plans(), 2); // radii 1.5 and 2.5
     }
 
     #[test]
-    fn batch_matches_single_queries() {
+    fn batch_matches_single_requests() {
         let engine = QueryEngine::new(executor(), paper_dataset());
-        let queries: Vec<SpqQuery> = [
-            (1usize, 1.5, vec![0u32]),
-            (3, 1.5, vec![0]),
-            (2, 2.0, vec![4, 5]),
-        ]
-        .into_iter()
-        .map(|(k, r, kw)| SpqQuery::new(k, r, KeywordSet::from_ids(kw)))
-        .collect();
-        let batch = engine.query_batch(&queries).unwrap();
-        for (q, b) in queries.iter().zip(&batch) {
-            assert_eq!(b.top_k, engine.query(q).unwrap().top_k, "{q}");
+        let requests = [
+            request(1, 1.5, &[0]),
+            request(3, 1.5, &[0]),
+            request(2, 2.0, &[4, 5]),
+        ];
+        let batch = engine.execute_batch(&requests).unwrap();
+        for (req, b) in requests.iter().zip(&batch) {
+            assert_eq!(b.results, engine.execute(req).unwrap().results);
         }
     }
 
     #[test]
-    fn serve_preserves_query_order_for_any_worker_count() {
+    fn serve_preserves_request_order_for_any_worker_count() {
         let engine = QueryEngine::new(executor(), paper_dataset());
-        let queries: Vec<SpqQuery> = (1..=5)
-            .map(|k| SpqQuery::new(k, 1.5, KeywordSet::from_ids([0])))
-            .collect();
-        let sequential: Vec<_> = queries
+        let requests: Vec<QueryRequest> = (1..=5).map(|k| request(k, 1.5, &[0])).collect();
+        let sequential: Vec<_> = requests
             .iter()
-            .map(|q| engine.query(q).unwrap().top_k)
+            .map(|r| engine.execute(r).unwrap().results)
             .collect();
         for workers in [1, 2, 8] {
-            let served = engine.serve(&queries, workers).unwrap();
-            let got: Vec<_> = served.into_iter().map(|r| r.top_k).collect();
+            let served = engine.serve_requests(&requests, workers).unwrap();
+            let got: Vec<_> = served.into_iter().map(|r| r.results).collect();
             assert_eq!(got, sequential, "workers={workers}");
         }
     }
 
     #[test]
-    fn batch_without_pruning_still_matches() {
+    fn without_pruning_the_job_maps_over_full_splits() {
         let exec = executor().keyword_pruning(false);
         let dataset = paper_dataset();
         let engine = QueryEngine::new(exec.clone(), dataset.clone());
-        let q = SpqQuery::new(3, 1.5, KeywordSet::from_ids([0]));
-        let batch = engine.query_batch(std::slice::from_ref(&q)).unwrap();
-        assert_eq!(
-            batch[0].top_k,
-            exec.run_dataset(&dataset, &q).unwrap().top_k
-        );
+        let req = request(3, 1.5, &[0]).with_trace();
+        let fresh = exec.run_dataset(&dataset, &req.query).unwrap();
+        for served in [
+            engine.execute(&req).unwrap(),
+            engine.execute_sequential(&req).unwrap(),
+        ] {
+            let job = traced_job(&served);
+            assert_eq!(served.results, fresh.top_k);
+            assert_eq!(job.counters, fresh.stats.counters);
+            assert_eq!(job.map_input_records(), fresh.stats.map_input_records());
+        }
     }
 
     #[test]
@@ -934,27 +824,16 @@ mod tests {
         let engine = QueryEngine::new(executor(), paper_dataset());
         // An adversarial stream of distinct radii must not grow the cache
         // past the bound — and eviction must not disturb results.
-        let q_at = |r: f64| SpqQuery::new(1, r, KeywordSet::from_ids([0]));
-        let expect = engine.query(&q_at(1.5)).unwrap().top_k;
+        let expect = engine.execute(&request(1, 1.5, &[0])).unwrap().results;
         for i in 0..(MAX_CACHED_PLANS + 20) {
             let r = 1.0 + i as f64 * 1e-3;
-            engine.query(&q_at(r)).unwrap();
+            engine.execute(&request(1, r, &[0])).unwrap();
             assert!(engine.cached_plans() <= MAX_CACHED_PLANS);
         }
-        assert_eq!(engine.query(&q_at(1.5)).unwrap().top_k, expect);
-    }
-
-    #[test]
-    fn deprecated_shims_match_typed_path() {
-        let engine = QueryEngine::new(executor(), paper_dataset());
-        let q = SpqQuery::new(3, 1.5, KeywordSet::from_ids([0]));
-        let typed = engine.execute(&QueryRequest::new(q.clone())).unwrap();
-        assert_eq!(engine.query(&q).unwrap().top_k, typed.results);
         assert_eq!(
-            engine.query_batch(std::slice::from_ref(&q)).unwrap()[0].top_k,
-            typed.results
+            engine.execute(&request(1, 1.5, &[0])).unwrap().results,
+            expect
         );
-        assert_eq!(engine.serve(&[q], 2).unwrap()[0].top_k, typed.results);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::algo::espq_sco::ESpqScoTask;
 use crate::algo::pspq::PSpqTask;
 use crate::algo::Algorithm;
 use crate::merge::merge_top_k;
-use crate::model::{DataObject, FeatureObject, RankedObject, SpqObject};
+use crate::model::{DataObject, FeatureObject, RankedObject};
 use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
 use crate::store::{ObjectRef, SharedDataset};
@@ -78,16 +78,16 @@ pub enum LoadBalancing {
 pub enum SpqError {
     /// The underlying MapReduce job failed.
     Job(JobError),
-    /// A query worker of [`crate::engine::QueryEngine::serve`] panicked
-    /// outside any MapReduce phase.
+    /// A worker thread of
+    /// [`QueryExecutor::serve_requests`](crate::service::QueryExecutor::serve_requests)
+    /// (or of a shard scatter) panicked outside any MapReduce phase.
     Worker {
         /// Human-readable description of the failed query task.
         message: String,
     },
     /// A request was rejected before execution (non-finite radius, `k` of
-    /// zero, a zero worker budget, …). Only the typed request path
-    /// validates; the plain-`SpqQuery` shims keep their permissive
-    /// historical behaviour.
+    /// zero, a zero worker budget, …) by
+    /// [`QueryRequest::validate`](crate::service::QueryRequest::validate).
     InvalidQuery {
         /// What was wrong with the request.
         message: String,
@@ -338,56 +338,29 @@ impl SpqExecutor {
 
     /// Plans the query-time space partition: the uniform grid, or — under
     /// [`LoadBalancing::AdaptiveQuadtree`] — a quadtree with the same cell
-    /// budget built over a sample of the data object locations in
-    /// `splits`.
-    pub fn plan_partition(&self, query: &SpqQuery, splits: &[Vec<SpqObject>]) -> SpacePartition {
-        let total: usize = splits.iter().map(Vec::len).sum();
-        self.plan_partition_sampled(query, total, |stride, sample_size| {
-            splits
-                .iter()
-                .flatten()
-                .step_by(stride)
-                .filter(|o| o.is_data())
-                .map(|o| o.location())
-                .take(sample_size)
-                .collect()
-        })
-    }
-
-    /// [`plan_partition`](Self::plan_partition) over reference splits into
-    /// a shared dataset — same sampling rule, no owned records.
+    /// budget built over a sample of the data object locations that
+    /// `splits` reference in `dataset`.
     pub fn plan_partition_shared(
         &self,
         query: &SpqQuery,
         dataset: &SharedDataset,
         splits: &[Vec<ObjectRef>],
     ) -> SpacePartition {
-        let total: usize = splits.iter().map(Vec::len).sum();
-        self.plan_partition_sampled(query, total, |stride, sample_size| {
-            splits
-                .iter()
-                .flatten()
-                .step_by(stride)
-                .filter(|r| r.is_data())
-                .map(|&r| dataset.location_of(r))
-                .take(sample_size)
-                .collect()
-        })
-    }
-
-    fn plan_partition_sampled(
-        &self,
-        query: &SpqQuery,
-        total: usize,
-        sample_with: impl FnOnce(usize, usize) -> Vec<Point>,
-    ) -> SpacePartition {
         let grid = self.plan_grid(query);
         match self.balancing {
             LoadBalancing::UniformGrid => grid.into(),
             LoadBalancing::AdaptiveQuadtree { sample_size } => {
                 let budget = grid.num_cells();
+                let total: usize = splits.iter().map(Vec::len).sum();
                 let stride = (total / sample_size.max(1)).max(1);
-                let sample = sample_with(stride, sample_size);
+                let sample: Vec<Point> = splits
+                    .iter()
+                    .flatten()
+                    .step_by(stride)
+                    .filter(|r| r.is_data())
+                    .map(|&r| dataset.location_of(r))
+                    .take(sample_size)
+                    .collect();
                 AdaptiveGrid::build_with_min_cell(self.bounds, &sample, budget, query.radius).into()
             }
         }
@@ -423,20 +396,6 @@ impl SpqExecutor {
         }
         let dataset = SharedDataset::new(data, features);
         self.run_shared(&dataset, &splits, query)
-    }
-
-    /// Runs the query over pre-built mixed splits of owned records. The
-    /// records are copied **once** into a [`SharedDataset`]; callers that
-    /// evaluate many queries over the same objects should build the
-    /// shared dataset themselves and use
-    /// [`run_shared`](Self::run_shared).
-    pub fn run_splits(
-        &self,
-        splits: &[Vec<SpqObject>],
-        query: &SpqQuery,
-    ) -> Result<SpqResult, SpqError> {
-        let (dataset, ref_splits) = SharedDataset::from_splits(splits);
-        self.run_shared(&dataset, &ref_splits, query)
     }
 
     /// Runs the query over a shared dataset with automatic round-robin
@@ -481,35 +440,7 @@ impl SpqExecutor {
         routing: Option<&CellRouting>,
         ctx: Option<&JobContext>,
     ) -> Result<SpqResult, SpqError> {
-        self.run_planned_on(
-            &LocalPool::new(self.cluster),
-            dataset,
-            splits,
-            query,
-            partition,
-            routing,
-            ctx,
-        )
-    }
-
-    /// [`run_planned`](Self::run_planned) over an explicit
-    /// [`ExecutionBackend`] — the seam through which the same planned
-    /// job's map/reduce tasks can be placed somewhere other than the
-    /// in-process pool (the executor's own cluster configuration is
-    /// ignored; placement is entirely the backend's). Every backend
-    /// honouring the [`ExecutionBackend`] determinism contract returns
-    /// byte-identical results here.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_on<B: ExecutionBackend>(
-        &self,
-        backend: &B,
-        dataset: &SharedDataset,
-        splits: &[Vec<ObjectRef>],
-        query: &SpqQuery,
-        partition: Arc<SpacePartition>,
-        routing: Option<&CellRouting>,
-        ctx: Option<&JobContext>,
-    ) -> Result<SpqResult, SpqError> {
+        let backend = LocalPool::new(self.cluster);
         let scratch;
         let ctx = match ctx {
             Some(ctx) => ctx,

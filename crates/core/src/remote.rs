@@ -539,7 +539,7 @@ impl ShardHost {
             .ok_or_else(|| format!("shard {shard_id} is not provisioned on this worker"))?;
         let (result, plan_hit) = shard
             .engine
-            .run_opts_pruned(&query, &options, true)
+            .run(&query, &options, ExecutionMode::Sequential)
             .map_err(|e| format!("shard {shard_id} query failed: {e}"))?;
         let records = wire::encode_results(&result.top_k, &shard.id_to_index);
         Ok(encode_shard_result(plan_hit, &records, &result.stats))
@@ -1606,11 +1606,17 @@ impl RemoteEngine {
         m.probe_streak.push(0);
         Ok(index)
     }
+}
 
-    fn execute_inner(
+impl QueryExecutor for RemoteEngine {
+    /// The remote lifecycle: probe the manager-side term index, scatter
+    /// framed shard queries over TCP (width 1 for
+    /// [`ExecutionMode::Sequential`]), gather wire records with
+    /// failover/retry, merge.
+    fn run_validated(
         &self,
         request: &QueryRequest,
-        scatter_override: Option<usize>,
+        mode: ExecutionMode,
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
         let query = &request.query;
@@ -1663,10 +1669,11 @@ impl RemoteEngine {
         // Scatter: one framed call per relevant shard; the request's
         // worker budget bounds the scatter width (results are
         // width-invariant), exactly as in the in-process engine.
-        let scatter = scatter_override
-            .or(options.workers)
-            .unwrap_or(self.scatter_workers)
-            .clamp(1, relevant.len());
+        let scatter = match mode {
+            ExecutionMode::Sequential => 1,
+            ExecutionMode::Parallel => options.workers.unwrap_or(self.scatter_workers),
+        }
+        .clamp(1, relevant.len());
         let outcomes = run_tasks(scatter, relevant.len(), |i| {
             let shard = relevant[i];
             let payload = encode_shard_query(shard as u32, query, options);
@@ -1727,26 +1734,6 @@ impl RemoteEngine {
             },
             trace,
         })
-    }
-}
-
-impl QueryExecutor for RemoteEngine {
-    /// The remote lifecycle: probe the manager-side term index, scatter
-    /// framed shard queries over TCP (width 1 for
-    /// [`ExecutionMode::Sequential`]), gather wire records with
-    /// failover/retry, merge. Workers prune per shard, so
-    /// [`ExecutionMode::Coalesced`] drives like
-    /// [`ExecutionMode::Parallel`].
-    fn run_validated(
-        &self,
-        request: &QueryRequest,
-        mode: ExecutionMode,
-    ) -> Result<QueryResponse, SpqError> {
-        let scatter_override = match mode {
-            ExecutionMode::Sequential => Some(1),
-            ExecutionMode::Parallel | ExecutionMode::Coalesced => None,
-        };
-        self.execute_inner(request, scatter_override)
     }
 
     fn metrics(&self) -> MetricsSnapshot {

@@ -3,9 +3,9 @@
 //!
 //! The engines execute whatever they are handed; under real traffic the
 //! interesting decisions happen *before* execution — how many requests
-//! may be in the building at once, how arrivals are grouped into batches
-//! (the fastest execution mode), and what to do when the system cannot
-//! keep up. [`AdmissionQueue`] is that front door, generic over any
+//! may be in the building at once, how arrivals are grouped into
+//! batches, and what to do when the system cannot keep up.
+//! [`AdmissionQueue`] is that front door, generic over any
 //! [`QueryExecutor`] (a borrowed [`crate::service::SpqService`] works:
 //! references execute wherever their referent does):
 //!
@@ -19,11 +19,10 @@
 //!   that closes when it holds [`AdmissionConfig::batch_max`] requests
 //!   *or* [`AdmissionConfig::batch_ticks`] ticks after it opened,
 //!   whichever comes first. A closed window executes as one coalesced
-//!   batch ([`ExecutionMode::Coalesced`] per member — exactly what
-//!   [`QueryExecutor::execute_batch`] runs), so concurrency converts
-//!   into the engines' fastest mode. Responses are byte-identical to
-//!   executing each request alone; coalescing and priorities only move
-//!   *when* a request runs.
+//!   batch ([`ExecutionMode::Parallel`] per member — exactly what
+//!   [`QueryExecutor::execute_batch`] runs). Responses are
+//!   byte-identical to executing each request alone; coalescing and
+//!   priorities only move *when* a request runs.
 //! * **Deadline shedding** — time is a **manual clock**
 //!   ([`AdmissionQueue::tick`], like [`crate::remote::RemoteEngine::tick`]),
 //!   so every schedule is deterministic and testable. When a window
@@ -274,7 +273,7 @@ pub struct AdmissionSnapshot {
     pub executed: u64,
     /// Admitted requests whose execution returned an error.
     pub failed: u64,
-    /// Coalesced batches the serve loop has executed.
+    /// Windows the serve loop has executed as one coalesced batch.
     pub coalesced_batches: u64,
     /// Highest queue depth ever observed at admission.
     pub queue_depth_watermark: usize,
@@ -601,14 +600,14 @@ impl<E: QueryExecutor> AdmissionQueue<E> {
             self.counters
                 .coalesced_batches
                 .fetch_add(1, Ordering::Relaxed);
-            // One coalesced window: per-member ExecutionMode::Coalesced,
+            // One coalesced window: per-member ExecutionMode::Parallel,
             // exactly what `QueryExecutor::execute_batch` runs — but
             // delivered per ticket, so one failing request cannot poison
             // its window-mates.
             for p in &window {
                 match self
                     .executor
-                    .run_validated(&p.request, ExecutionMode::Coalesced)
+                    .run_validated(&p.request, ExecutionMode::Parallel)
                 {
                     Ok(response) => {
                         self.latency.record(response.stats.wall_micros);
@@ -853,7 +852,7 @@ pub fn export_metrics(
         push_counter(
             &mut out,
             "spq_admission_coalesced_batches_total",
-            "Coalesced windows the serve loop executed.",
+            "Windows the serve loop executed as one coalesced batch.",
             a.coalesced_batches,
         );
         push_gauge(

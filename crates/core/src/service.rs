@@ -34,10 +34,7 @@
 //!
 //! Requests **validate before execution** ([`QueryRequest::validate`]):
 //! a non-finite radius or a zero worker budget comes back as
-//! [`SpqError::InvalidQuery`] instead of a panic deep inside routing. The
-//! plain-`SpqQuery` engine methods ([`QueryEngine::query`] and friends)
-//! are deprecated shims; migrate to the typed path (see the migration
-//! notes in `docs/ARCHITECTURE.md`).
+//! [`SpqError::InvalidQuery`] instead of a panic deep inside routing.
 //!
 //! ```
 //! use spq_core::service::{Backend, QueryExecutor, QueryRequest, SpqService};
@@ -247,9 +244,9 @@ impl QueryRequest {
         self
     }
 
-    /// Checks the request before execution. The typed path rejects inputs
-    /// that the permissive shims would either panic on (non-finite radius
-    /// reaches a routing assert) or answer degenerately (`k == 0`).
+    /// Checks the request before execution: rejects inputs that would
+    /// either panic deep inside routing (a non-finite radius reaches an
+    /// assert) or answer degenerately (`k == 0`).
     pub fn validate(&self) -> Result<(), SpqError> {
         if !self.query.radius.is_finite() || self.query.radius < 0.0 {
             return Err(SpqError::invalid_query(format!(
@@ -323,7 +320,8 @@ pub struct QueryStats {
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
     /// The global top-k, canonical order (score desc, id asc) — the same
-    /// bytes [`QueryEngine::query`] returns for the same query.
+    /// bytes a fresh [`SpqExecutor::run_dataset`] job returns for the same
+    /// query.
     pub results: Vec<RankedObject>,
     /// Per-query execution statistics.
     pub stats: QueryStats,
@@ -333,10 +331,10 @@ pub struct QueryResponse {
     pub trace: Option<Vec<JobStats>>,
 }
 
-/// How a validated request is driven through an engine — the one axis on
-/// which the typed entry points differ. Every mode returns the same
-/// result bytes; modes only move where the parallelism (and, on the
-/// local backend, the map-side pruning) comes from.
+/// How wide a validated request is driven through an engine — the one
+/// axis on which the typed entry points differ. Both widths take the
+/// same engine path and return the same result bytes and counters; the
+/// width only moves where the parallelism comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Full parallelism for a lone request: the worker budget drives the
@@ -348,12 +346,6 @@ pub enum ExecutionMode {
     /// [`QueryExecutor::serve_requests`], where parallelism comes from
     /// running many such requests concurrently.
     Sequential,
-    /// A member of a coalesced batch: the local backend prunes the map
-    /// pass down to the request's candidate features through the
-    /// build-once keyword index; the scatter/gather backends already
-    /// prune per shard, so they drive it like
-    /// [`Parallel`](Self::Parallel).
-    Coalesced,
 }
 
 /// The one execute/batch/serve surface every engine speaks.
@@ -403,16 +395,13 @@ pub trait QueryExecutor: Sync {
         self.run_validated(request, ExecutionMode::Sequential)
     }
 
-    /// Validates and executes a batch, responses in request order
-    /// ([`ExecutionMode::Coalesced`] per request) — byte-identical to
-    /// [`execute`](Self::execute) one by one.
+    /// Validates and executes a batch, responses in request order —
+    /// [`execute`](Self::execute) one by one, stopping at the first
+    /// error.
     fn execute_batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, SpqError> {
         requests
             .iter()
-            .map(|request| {
-                request.validate()?;
-                self.run_validated(request, ExecutionMode::Coalesced)
-            })
+            .map(|request| self.execute(request))
             .collect()
     }
 
@@ -459,6 +448,9 @@ impl<E: QueryExecutor> QueryExecutor for &E {
 /// enum is public so callers that need backend-specific surface (per-shard
 /// statistics, the raw engine) can match on it.
 #[derive(Debug)]
+// A service is built once and held for a process's lifetime, and callers
+// build the variants from bare engines: boxing the larger ones buys nothing.
+#[allow(clippy::large_enum_variant)]
 pub enum SpqService {
     /// Serving through one build-once [`QueryEngine`].
     Local(QueryEngine),
@@ -517,15 +509,6 @@ impl SpqService {
     pub fn remote_retries(&self) -> Option<u64> {
         match self {
             SpqService::Remote(engine) => Some(engine.retries()),
-            _ => None,
-        }
-    }
-
-    /// Remote workers currently out of rotation (excluded or probing);
-    /// `None` on in-process backends.
-    pub fn excluded_workers(&self) -> Option<usize> {
-        match self {
-            SpqService::Remote(engine) => Some(engine.excluded_workers()),
             _ => None,
         }
     }
@@ -694,8 +677,8 @@ mod tests {
         assert_eq!(r.options.workers, Some(2));
         assert_eq!(r.options.keyword_pruning, Some(false));
         assert!(r.options.trace);
-        let shim: QueryRequest = q(3, 1.0).into();
-        assert_eq!(shim.options, QueryOptions::default());
+        let plain: QueryRequest = q(3, 1.0).into();
+        assert_eq!(plain.options, QueryOptions::default());
     }
 
     #[test]

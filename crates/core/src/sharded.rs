@@ -262,11 +262,17 @@ impl ShardedEngine {
             .map(|s| s.engine.metrics())
             .fold(MetricsSnapshot::default(), MetricsSnapshot::merged)
     }
+}
 
-    fn execute_inner(
+impl QueryExecutor for ShardedEngine {
+    /// The scatter/gather lifecycle: probe once, scatter to relevant
+    /// shards (width 1 for [`ExecutionMode::Sequential`] — parallelism
+    /// then comes from running many requests concurrently), gather wire
+    /// records, merge.
+    fn run_validated(
         &self,
         request: &QueryRequest,
-        scatter_override: Option<usize>,
+        mode: ExecutionMode,
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
         let query = &request.query;
@@ -307,22 +313,22 @@ impl ShardedEngine {
         // Scatter: each relevant shard evaluates the query against its
         // slice as a single-threaded job; the request's worker budget
         // bounds the scatter width (results are width-invariant).
-        let scatter = scatter_override
-            .or(options.workers)
-            .unwrap_or(self.scatter_workers)
-            .clamp(1, relevant.len());
+        let scatter = match mode {
+            ExecutionMode::Sequential => 1,
+            ExecutionMode::Parallel => options.workers.unwrap_or(self.scatter_workers),
+        }
+        .clamp(1, relevant.len());
         let shard_options = QueryOptions {
             workers: None, // consumed by the scatter; shard jobs stay sequential
             ..*options
         };
-        // Each shard probes its own build-once keyword index and maps
-        // only over its candidate features — the same candidate-split
-        // pruning the batched local path uses, byte-identical to a full
-        // scan.
+        // Each shard takes the one engine path: it probes its own
+        // build-once keyword index and maps only over its candidate
+        // features.
         let outcomes = run_tasks(scatter, relevant.len(), |i| {
             self.shards[relevant[i]]
                 .engine
-                .run_opts_pruned(query, &shard_options, true)
+                .run(query, &shard_options, ExecutionMode::Sequential)
         })
         .map_err(|p| SpqError::Worker {
             message: format!("shard {}: {}", relevant[p.task_index], p.message),
@@ -377,26 +383,6 @@ impl ShardedEngine {
             },
             trace,
         })
-    }
-}
-
-impl QueryExecutor for ShardedEngine {
-    /// The scatter/gather lifecycle: probe once, scatter to relevant
-    /// shards (width 1 for [`ExecutionMode::Sequential`] — parallelism
-    /// then comes from running many requests concurrently), gather wire
-    /// records, merge. Each shard prunes through its own build-once
-    /// keyword index, so [`ExecutionMode::Coalesced`] drives like
-    /// [`ExecutionMode::Parallel`].
-    fn run_validated(
-        &self,
-        request: &QueryRequest,
-        mode: ExecutionMode,
-    ) -> Result<QueryResponse, SpqError> {
-        let scatter_override = match mode {
-            ExecutionMode::Sequential => Some(1),
-            ExecutionMode::Parallel | ExecutionMode::Coalesced => None,
-        };
-        self.execute_inner(request, scatter_override)
     }
 
     fn metrics(&self) -> MetricsSnapshot {

@@ -38,7 +38,7 @@
 //! }
 //! ```
 
-use crate::model::{DataObject, FeatureObject, SpqObject};
+use crate::model::{DataObject, FeatureObject};
 use spq_spatial::Point;
 use std::sync::Arc;
 
@@ -98,34 +98,6 @@ impl SharedDataset {
         }
     }
 
-    /// Builds a store from pre-built mixed splits, returning reference
-    /// splits with the identical structure (same split boundaries, same
-    /// order) — the compatibility path for callers still holding owned
-    /// [`SpqObject`] splits.
-    pub fn from_splits(splits: &[Vec<SpqObject>]) -> (Self, Vec<Vec<ObjectRef>>) {
-        let mut data = Vec::new();
-        let mut features = Vec::new();
-        let ref_splits = splits
-            .iter()
-            .map(|split| {
-                split
-                    .iter()
-                    .map(|o| match o {
-                        SpqObject::Data(d) => {
-                            data.push(*d);
-                            ObjectRef::Data((data.len() - 1) as u32)
-                        }
-                        SpqObject::Feature(f) => {
-                            features.push(f.clone());
-                            ObjectRef::Feature((features.len() - 1) as u32)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        (Self::new(data, features), ref_splits)
-    }
-
     /// The data objects `O`.
     #[inline]
     pub fn data(&self) -> &[DataObject] {
@@ -182,6 +154,39 @@ impl SharedDataset {
             splits[i % num_splits].push(ObjectRef::Feature(i as u32));
         }
         splits
+    }
+}
+
+#[cfg(test)]
+use crate::model::SpqObject;
+
+#[cfg(test)]
+impl SharedDataset {
+    /// Test fixture: builds a store from owned mixed splits, returning
+    /// reference splits with the identical structure (same split
+    /// boundaries, same order).
+    pub(crate) fn from_splits(splits: &[Vec<SpqObject>]) -> (Self, Vec<Vec<ObjectRef>>) {
+        let mut data = Vec::new();
+        let mut features = Vec::new();
+        let ref_splits = splits
+            .iter()
+            .map(|split| {
+                split
+                    .iter()
+                    .map(|o| match o {
+                        SpqObject::Data(d) => {
+                            data.push(*d);
+                            ObjectRef::Data((data.len() - 1) as u32)
+                        }
+                        SpqObject::Feature(f) => {
+                            features.push(f.clone());
+                            ObjectRef::Feature((features.len() - 1) as u32)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        (Self::new(data, features), ref_splits)
     }
 }
 

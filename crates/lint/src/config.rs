@@ -49,11 +49,6 @@ pub const WALL_CLOCK_SANCTIONED: &[Sanctioned] = &[
         rationale: "map/shuffle/reduce phase timings feeding PhaseTimings \
                     counters only",
     },
-    Sanctioned {
-        prefix: "crates/mapreduce/src/remote/worker.rs",
-        rationale: "per-request serve timing in the worker loop, reported in \
-                    worker stats frames that carry no result data",
-    },
 ];
 
 /// Modules that produce serialized or wire output (12-byte gather
@@ -67,7 +62,6 @@ pub const ORDERED_OUTPUT_MODULES: &[&str] = &[
     "crates/core/src/sharded.rs",
     "crates/mapreduce/src/remote",
     "crates/bench/src/matrix",
-    "crates/bench/src/qps.rs",
     "crates/bench/src/trajectory.rs",
     "crates/bench/src/ingest_bench.rs",
     "crates/bench/src/backend_bench.rs",
@@ -80,7 +74,6 @@ pub const ORDERED_OUTPUT_MODULES: &[&str] = &[
 /// first slice of the ROADMAP's legacy-bench-writer migration.
 pub const BENCH_WRITER_MODULES: &[&str] = &[
     "crates/bench/src/matrix",
-    "crates/bench/src/qps.rs",
     "crates/bench/src/trajectory.rs",
     "crates/bench/src/ingest_bench.rs",
     "crates/bench/src/backend_bench.rs",
@@ -131,9 +124,15 @@ mod tests {
 
     #[test]
     fn prefix_matching_is_boundary_aware() {
-        assert!(path_in("crates/bench/src/qps.rs", &["crates/bench/src"]));
+        assert!(path_in(
+            "crates/bench/src/trajectory.rs",
+            &["crates/bench/src"]
+        ));
         assert!(path_in("crates/bench/src", &["crates/bench/src"]));
-        assert!(!path_in("crates/bench/src2/qps.rs", &["crates/bench/src"]));
+        assert!(!path_in(
+            "crates/bench/src2/trajectory.rs",
+            &["crates/bench/src"]
+        ));
     }
 
     #[test]

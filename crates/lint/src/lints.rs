@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn wall_clock_ok_in_sanctioned_module_and_in_tests() {
         let f = run(
-            "crates/bench/src/qps.rs",
+            "crates/bench/src/backend_bench.rs",
             "fn f() { let t = Instant::now(); }",
         );
         assert!(f.violations.is_empty());
@@ -607,13 +607,13 @@ mod tests {
     fn hand_rolled_percentile_flagged_sample_routed_passes() {
         let bad = "fn percentile_ms(mut v: Vec<f64>, p: f64) -> f64 {\n\
                    v.sort_by(f64::total_cmp); v[(p * v.len() as f64) as usize] }";
-        let f = run("crates/bench/src/qps.rs", bad);
+        let f = run("crates/bench/src/backend_bench.rs", bad);
         assert_eq!(lints_of(&f), vec![lint::BENCH_STATS]);
         assert_eq!(f.stats_helpers, vec!["percentile_ms"]);
 
         let good = "fn median_ms(v: Vec<f64>) -> f64 {\n\
                     criterion::stats::Sample::new(&v).percentile(0.50) }";
-        let f = run("crates/bench/src/qps.rs", good);
+        let f = run("crates/bench/src/backend_bench.rs", good);
         assert!(f.violations.is_empty());
         assert_eq!(f.stats_helpers, vec!["median_ms"]);
     }

@@ -92,8 +92,8 @@ impl ClusterConfig {
     /// `available_parallelism` errors out (no `/proc`, restricted
     /// `sched_getaffinity`, …): there `auto()` silently becomes 4 workers,
     /// which also caps anything that derives its concurrency from it —
-    /// e.g. `spq_core::engine::QueryEngine::serve_auto`. Set `SPQ_WORKERS`
-    /// to size such hosts explicitly.
+    /// e.g. an `SpqExecutor`'s default cluster. Set `SPQ_WORKERS` to size
+    /// such hosts explicitly.
     pub fn auto() -> Self {
         match Self::try_auto() {
             Ok(config) => config,

@@ -16,7 +16,7 @@ use super::frame::{
     read_frame, write_frame, write_frame_with, FrameError, OP_ERROR, OP_FAULT_OK, OP_PING, OP_PONG,
     OP_SET_FAULT, OP_SHUTDOWN,
 };
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -41,6 +41,10 @@ pub const FAULT_EXIT_CODE: i32 = 86;
 
 /// Interval at which blocked server loops wake to check shutdown flags.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
+/// Consecutive empty polls (about [`POLL_INTERVAL`] each) a peer may stall
+/// in the middle of a frame before the connection is given up on.
+const MAX_STALLED_POLLS: u32 = 2_000;
 
 struct ServerState {
     handlers: Vec<Box<dyn FrameHandler>>,
@@ -179,6 +183,44 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
     // refused, which is exactly how a dead worker looks to the manager.
 }
 
+/// The connection as [`read_frame`] sees it: the poll timeout applies
+/// only *between* frames. While no byte of the next frame has arrived a
+/// timed-out read surfaces as such, so the serve loop can check for
+/// shutdown and ask again — nothing was consumed. Once a frame's first
+/// byte is in, timeouts are read through (a large frame routinely stalls
+/// longer than one poll on a busy host, and abandoning it mid-read would
+/// desync the stream); only a stopped server or [`MAX_STALLED_POLLS`]
+/// silent polls in a row end the frame, as a truncation.
+struct FrameReader<'a> {
+    stream: &'a mut TcpStream,
+    state: &'a ServerState,
+    in_frame: bool,
+}
+
+impl Read for FrameReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut stalled = 0;
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    self.in_frame |= n > 0;
+                    return Ok(n);
+                }
+                Err(e)
+                    if self.in_frame
+                        && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    stalled += 1;
+                    if self.state.is_stopped() || stalled > MAX_STALLED_POLLS {
+                        return Err(ErrorKind::UnexpectedEof.into());
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     // Connection-refusal seam: a plan with budgeted refusals closes the
     // stream before any frame is read — to the peer this is a worker that
@@ -193,10 +235,16 @@ fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
         if state.is_stopped() {
             return;
         }
-        let (opcode, payload) = match read_frame(&mut stream) {
+        let mut reader = FrameReader {
+            stream: &mut stream,
+            state: &state,
+            in_frame: false,
+        };
+        let (opcode, payload) = match read_frame(&mut reader) {
             Ok(frame) => frame,
+            // Idle between frames: nothing was consumed, poll again.
             Err(FrameError::Io(ErrorKind::WouldBlock | ErrorKind::TimedOut)) => continue,
-            Err(_) => return, // peer hung up or lost protocol sync
+            Err(_) => return, // peer hung up, stalled mid-frame or lost protocol sync
         };
         match opcode {
             OP_SET_FAULT => {
@@ -333,6 +381,34 @@ mod tests {
             b"work"
         );
         assert!(client.bytes_sent() > 0 && client.bytes_received() > 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn frame_stalled_mid_read_is_still_served() {
+        use std::io::Write;
+        let (server, _) = spawn_echo();
+        let mut frame = Vec::new();
+        write_frame(&mut frame, OP_PING, &[7u8; 64]).unwrap();
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // The frame arrives in two halves, far enough apart that the
+        // worker's poll timeout fires while it is mid-payload.
+        stream.write_all(head).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(POLL_INTERVAL * 4);
+        stream.write_all(tail).unwrap();
+        stream.flush().unwrap();
+        let (op, payload) = read_frame(&mut stream).unwrap();
+        assert_eq!((op, payload.as_slice()), (OP_PONG, [7u8; 64].as_slice()));
+        // The connection stayed in sync: a second frame is answered too.
+        write_frame(&mut stream, OP_PING, b"again").unwrap();
+        let (op, payload) = read_frame(&mut stream).unwrap();
+        assert_eq!((op, payload.as_slice()), (OP_PONG, b"again".as_slice()));
         server.shutdown();
     }
 

@@ -4,15 +4,21 @@
 //! splits, keyword index and per-radius routing plans are built once and
 //! reused by every query. That reuse must be invisible: for any world,
 //! any algorithm, either partitioning strategy and cluster workers in
-//! {1, 2, 8}, a sequence of `engine.query` calls must return results —
-//! and counters, and shuffle volumes — **byte-identical** to the same
-//! sequence of fresh `SpqExecutor::run_dataset` jobs, with interleaved
-//! replays not disturbing later queries. `execute_batch` must match
-//! request-for-request, and `serve_requests` must reproduce the
-//! sequential results in request order for any worker count.
+//! {1, 2, 8}, a sequence of `engine.execute` calls must return results —
+//! and output-side counters, and shuffle volumes — **byte-identical** to
+//! the same sequence of fresh `SpqExecutor::run_dataset` jobs, with
+//! interleaved replays not disturbing later queries. Only the input side
+//! differs: the engine resolves candidate features through its keyword
+//! index, so pruned features are never read (nor counted as pruned).
+//! `execute_batch` must match request-for-request, `serve_requests` must
+//! reproduce the sequential results in request order for any worker
+//! count, and every entry point must report the same traced counters.
 
 use proptest::prelude::*;
+use spq::core::centralized::brute_force;
+use spq::core::partitioning::COUNTER_MAP_PRUNED;
 use spq::core::{QueryEngine, SharedDataset};
+use spq::mapreduce::JobStats;
 use spq::prelude::*;
 use spq::text::Term;
 
@@ -73,6 +79,16 @@ const BALANCERS: [LoadBalancing; 2] = [
     LoadBalancing::AdaptiveQuadtree { sample_size: 16 },
 ];
 
+/// Every job counter except the input-side one the engine path cannot
+/// have: pruned features are never read, so never counted.
+fn output_counters(stats: &JobStats) -> Vec<(&'static str, u64)> {
+    stats
+        .counters
+        .iter()
+        .filter(|&(name, _)| name != COUNTER_MAP_PRUNED)
+        .collect()
+}
+
 fn build_queries(specs: &[(Vec<u32>, u8, u8)]) -> Vec<SpqQuery> {
     specs
         .iter()
@@ -89,21 +105,20 @@ fn build_queries(specs: &[(Vec<u32>, u8, u8)]) -> Vec<SpqQuery> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// N sequential `engine.query` calls are byte-identical to N fresh
+    /// N sequential `engine.execute` calls are byte-identical to N fresh
     /// `Executor::run_dataset` jobs, for every algorithm × partitioning ×
-    /// worker count, including counters and shuffle volume; replaying a
-    /// query after serving others returns the same bytes again.
-    ///
-    /// Deliberately exercises the deprecated `query` shim: `SpqResult` is
-    /// the only surface exposing the raw MapReduce counters this parity
-    /// check compares, and the shim must stay byte-identical to the typed
-    /// path for as long as it lives.
-    #[allow(deprecated)]
+    /// worker count, including output-side counters and shuffle volume;
+    /// replaying a query after serving others returns the same bytes
+    /// again.
     #[test]
     fn prop_engine_reuse_matches_fresh_jobs(
         (data, features, query_specs, g) in world()
     ) {
         let queries = build_queries(&query_specs);
+        let requests: Vec<QueryRequest> = queries
+            .iter()
+            .map(|q| QueryRequest::new(q.clone()).with_trace())
+            .collect();
         let dataset = SharedDataset::new(data, features);
         for algo in ALGORITHMS {
             for balancing in BALANCERS {
@@ -115,26 +130,28 @@ proptest! {
                         .cluster(ClusterConfig::with_workers(workers));
                     let engine = QueryEngine::new(exec.clone(), dataset.clone());
                     let mut first_pass = Vec::new();
-                    for q in &queries {
-                        let served = engine.query(q).unwrap();
+                    for (q, request) in queries.iter().zip(&requests) {
+                        let served = engine.execute(request).unwrap();
+                        let job = &served.trace.as_ref().expect("trace requested")[0];
                         let fresh = exec.run_dataset(&dataset, q).unwrap();
                         prop_assert_eq!(
-                            &served.top_k, &fresh.top_k,
+                            &served.results, &fresh.top_k,
                             "{} workers={} balancing={:?} {}: engine diverged",
                             algo, workers, balancing, q
                         );
                         prop_assert_eq!(
-                            &served.stats.counters, &fresh.stats.counters,
+                            output_counters(job), output_counters(&fresh.stats),
                             "{} workers={} {}: counters diverged", algo, workers, q
                         );
-                        prop_assert_eq!(served.stats.shuffle_records, fresh.stats.shuffle_records);
-                        prop_assert_eq!(served.partition.num_cells(), fresh.partition.num_cells());
-                        first_pass.push(served.top_k);
+                        prop_assert_eq!(job.shuffle_records, fresh.stats.shuffle_records);
+                        // One reduce task per cell of the cached partition.
+                        prop_assert_eq!(job.reduce_tasks.len(), fresh.stats.reduce_tasks.len());
+                        first_pass.push(served.results);
                     }
                     // Replay after the whole stream: prebuilt state is not
                     // corrupted by serving other queries in between.
-                    for (q, expect) in queries.iter().zip(&first_pass) {
-                        prop_assert_eq!(&engine.query(q).unwrap().top_k, expect);
+                    for (request, expect) in requests.iter().zip(&first_pass) {
+                        prop_assert_eq!(&engine.execute(request).unwrap().results, expect);
                     }
                     // The plan cache held one plan per distinct radius.
                     let distinct_radii = {
@@ -236,5 +253,98 @@ fn serve_on_generated_workload_is_worker_invariant() {
             2,
             "{algo}: one plan per radius class"
         );
+    }
+}
+
+/// One engine path: on a local engine every entry point reports the same
+/// traced job counters, reads exactly `|O| + |candidates(q.W)|` map
+/// records (the keyword index resolved the candidates; pruned features
+/// are never read), and still answers the bytes of a fresh job and of the
+/// centralized brute force.
+#[test]
+fn every_entry_point_takes_the_same_engine_path() {
+    use spq::data::{QueryStream, StreamConfig, UniformGen};
+
+    let dataset = UniformGen.generate(2_000, 42);
+    let (shared, _) = dataset.to_shared_splits(8);
+    let mut stream = QueryStream::new(
+        dataset.vocab_size,
+        StreamConfig {
+            radius_classes: vec![0.03, 0.08],
+            seed: 11,
+            ..StreamConfig::default()
+        },
+    );
+    let requests: Vec<QueryRequest> = stream
+        .batch(6)
+        .into_iter()
+        .map(|q| QueryRequest::new(q).with_trace())
+        .collect();
+    let exec = SpqExecutor::new(Rect::unit())
+        .grid_size(8)
+        .cluster(ClusterConfig::with_workers(2));
+    let engine = QueryEngine::new(exec.clone(), shared.clone());
+
+    type EntryPoint = fn(&QueryEngine, &[QueryRequest]) -> Vec<QueryResponse>;
+    let entry_points: [(&str, EntryPoint); 5] = [
+        ("execute", |engine, requests| {
+            requests
+                .iter()
+                .map(|r| engine.execute(r).unwrap())
+                .collect()
+        }),
+        ("execute_sequential", |engine, requests| {
+            requests
+                .iter()
+                .map(|r| engine.execute_sequential(r).unwrap())
+                .collect()
+        }),
+        ("execute_batch", |engine, requests| {
+            engine.execute_batch(requests).unwrap()
+        }),
+        ("serve_requests", |engine, requests| {
+            engine.serve_requests(requests, 2).unwrap()
+        }),
+        ("AdmissionQueue::submit", |engine, requests| {
+            let queue = AdmissionQueue::new(engine, AdmissionConfig::default()).unwrap();
+            let tickets: Vec<Ticket> = requests
+                .iter()
+                .map(|r| queue.submit(r.clone()).unwrap())
+                .collect();
+            queue.drain();
+            tickets.into_iter().map(|t| t.wait().unwrap()).collect()
+        }),
+    ];
+
+    let fresh: Vec<SpqResult> = requests
+        .iter()
+        .map(|r| exec.run_dataset(&shared, &r.query).unwrap())
+        .collect();
+    for (name, run) in entry_points {
+        let responses = run(&engine, &requests);
+        assert_eq!(responses.len(), requests.len(), "{name}");
+        for ((request, response), fresh) in requests.iter().zip(&responses).zip(&fresh) {
+            let q = &request.query;
+            let job = &response.trace.as_ref().expect("trace requested")[0];
+            let candidates = engine.keyword_index().candidates(&q.keywords).len();
+            assert_eq!(
+                job.map_input_records(),
+                (shared.data().len() + candidates) as u64,
+                "{name}: {q}"
+            );
+            assert_eq!(job.counters.get(COUNTER_MAP_PRUNED), 0, "{name}: {q}");
+            assert_eq!(
+                output_counters(job),
+                output_counters(&fresh.stats),
+                "{name}: {q}"
+            );
+            assert_eq!(job.shuffle_records, fresh.stats.shuffle_records, "{name}");
+            assert_eq!(response.results, fresh.top_k, "{name}: {q}");
+            assert_eq!(
+                response.results,
+                brute_force(shared.data(), shared.features(), q),
+                "{name}: {q}"
+            );
+        }
     }
 }

@@ -10,6 +10,7 @@
 //!   in-memory path over the same objects.
 
 use proptest::prelude::*;
+use spq::core::partitioning::COUNTER_MAP_PRUNED;
 use spq::data::ingest::{self, synthesize_dump_with, LineErrorKind};
 use spq::data::{tsv, UniformGen};
 use spq::prelude::*;
@@ -35,6 +36,16 @@ impl Drop for TempFiles {
             std::fs::remove_file(p).ok();
         }
     }
+}
+
+/// Every job counter except the input-side one the engine path cannot
+/// have: pruned features are never read, so never counted.
+fn output_counters(stats: &spq::mapreduce::JobStats) -> Vec<(&'static str, u64)> {
+    stats
+        .counters
+        .iter()
+        .filter(|&(name, _)| name != COUNTER_MAP_PRUNED)
+        .collect()
 }
 
 proptest! {
@@ -178,11 +189,8 @@ fn crlf_dumps_ingest_like_unix_dumps() {
 /// A loaded dump must answer queries byte-identically to the in-memory
 /// path (a fresh executor job over the same objects), for all three
 /// algorithms — the property the CI ingest gate asserts at 100k+ objects.
-///
-/// Deliberately exercises the deprecated `query` shim: `SpqResult` is the
-/// only surface exposing the raw MapReduce counters this parity check
-/// compares against the fresh job.
-#[allow(deprecated)]
+/// The engine never reads pruned features, so the one counter that
+/// differs from the fresh job is `COUNTER_MAP_PRUNED`.
 #[test]
 fn loaded_dump_serves_all_algorithms_byte_identically() {
     let mut files = TempFiles(Vec::new());
@@ -222,13 +230,21 @@ fn loaded_dump_serves_all_algorithms_byte_identically() {
         );
         let (shared, _) = loaded.dataset.to_shared_splits(8);
         for q in &queries {
-            let from_engine = engine.query(q).expect("engine query");
+            let from_engine = engine
+                .execute(&QueryRequest::new(q.clone()).with_trace())
+                .expect("engine query");
             let in_memory = exec.run_dataset(&shared, q).expect("fresh job");
             assert_eq!(
-                from_engine.top_k, in_memory.top_k,
+                from_engine.results, in_memory.top_k,
                 "{algorithm}: loaded-dump path diverged on {q}"
             );
-            assert_eq!(from_engine.stats.counters, in_memory.stats.counters);
+            let job = &from_engine.trace.expect("trace requested")[0];
+            assert_eq!(
+                output_counters(job),
+                output_counters(&in_memory.stats),
+                "{algorithm}: counters diverged on {q}"
+            );
+            assert_eq!(job.shuffle_records, in_memory.stats.shuffle_records);
         }
     }
 }
