@@ -20,15 +20,11 @@
 //! the in-process job, plus the simulated makespan on a 128-slot virtual
 //! cluster (the paper's 16 nodes × 8 cores).
 
-pub mod backend_bench;
-pub mod baseline;
 pub mod cli;
 pub mod figures;
-pub mod ingest_bench;
 pub mod matrix;
 pub mod params;
 pub mod report;
-pub mod trajectory;
 
 use spq_core::{Algorithm, ObjectRef, SharedDataset, SpqExecutor, SpqQuery};
 use spq_mapreduce::SimulatedCluster;

@@ -1,199 +1,155 @@
 //! `spq-bench compare`: the CI regression gate over two matrix reports.
 //!
-//! Each benchmark id present in both documents is classified by its
-//! **mean-latency** bootstrap intervals: if the candidate's 95% interval
-//! overlaps the baseline's, the difference is statistical noise and the
-//! id is *unchanged*; if the intervals are disjoint AND the point means
-//! differ by more than the relative threshold, the id is *improved* or
-//! *regressed* by direction. Requiring both conditions keeps the gate
-//! honest on noisy runners: disjoint-but-close intervals (tiny variance)
-//! don't fail the build, and huge-but-overlapping deltas (huge variance)
-//! don't either. Ids present in only one document are reported as
-//! added/removed, never silently ignored.
+//! The gate is an **exact match on deterministic counters**. For every
+//! benchmark id of the baseline, the candidate must carry the same id
+//! with an identical [`Counters`](super::record::Counters) block and
+//! `shed_rate`; any differing counter, and any baseline id missing from
+//! the candidate, fails it. Ids only the candidate has are listed and
+//! pass (a new benchmark is not a regression). Timings (`qps`, `mean_ms`,
+//! `p50_ms`, `p99_ms`) are never looked at: the counters are a pure
+//! function of the run configuration, so the gate cannot flake, needs no
+//! threshold, and means the same thing on any runner — wall-clock claims
+//! belong to `benchmark/run.sh`.
+//!
+//! Because the counters are only comparable like-for-like, two documents
+//! whose `config` echoes differ in `seed`, `scale`, `queries`, `batch` or
+//! `filter` are refused outright (`workers` is excluded: the counters are
+//! worker-invariant).
 
-use super::record::MatrixReport;
-use criterion::stats::Estimate;
+use super::record::{MatrixReport, ReportConfig};
 use std::path::Path;
 
-/// Default relative mean-shift threshold: 5% — deltas smaller than this
-/// are never called a change even with disjoint intervals.
-pub const DEFAULT_THRESHOLD: f64 = 0.05;
-
-/// Classification of one shared benchmark id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Candidate is statistically faster by more than the threshold.
-    Improved,
-    /// Candidate is statistically slower by more than the threshold.
-    Regressed,
-    /// Within noise or under the threshold.
-    Unchanged,
-}
-
-impl Verdict {
-    /// Display label for the markdown table.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Verdict::Improved => "improved",
-            Verdict::Regressed => "**regressed**",
-            Verdict::Unchanged => "unchanged",
-        }
-    }
-}
-
-/// One shared id's delta.
-#[derive(Debug, Clone)]
-pub struct Delta {
+/// One counter of one shared id that differs between the documents.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mismatch {
     /// The benchmark id.
     pub id: String,
-    /// Baseline mean latency (ms) with interval.
-    pub baseline: Estimate,
-    /// Candidate mean latency (ms) with interval.
-    pub candidate: Estimate,
-    /// `candidate.point / baseline.point` (>1 = slower).
-    pub ratio: f64,
-    /// The classification.
-    pub verdict: Verdict,
+    /// The counter's document key (`shuffle_records`, `shed_rate`, …).
+    pub counter: &'static str,
+    /// The baseline's value, as written in its document.
+    pub baseline: String,
+    /// The candidate's value.
+    pub candidate: String,
 }
 
 /// The full comparison of two reports.
 #[derive(Debug, Clone)]
 pub struct Comparison {
-    /// Shared ids in candidate order.
-    pub deltas: Vec<Delta>,
-    /// Ids only in the candidate.
+    /// Ids present in both documents.
+    pub compared: usize,
+    /// Differing counters, in baseline id order then document key order.
+    pub mismatches: Vec<Mismatch>,
+    /// Ids only in the candidate (listed, not a failure).
     pub added: Vec<String>,
-    /// Ids only in the baseline.
+    /// Ids only in the baseline (a failure: coverage was lost).
     pub removed: Vec<String>,
-    /// The relative threshold used.
-    pub threshold: f64,
 }
 
 impl Comparison {
-    /// Number of regressed ids — the gate's exit condition.
-    pub fn regressions(&self) -> usize {
-        self.deltas
-            .iter()
-            .filter(|d| d.verdict == Verdict::Regressed)
-            .count()
+    /// Differing counters plus removed ids — the gate's exit condition.
+    pub fn failures(&self) -> usize {
+        self.mismatches.len() + self.removed.len()
     }
 
-    /// Renders the comparison as a markdown document.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from("## Benchmark comparison\n\n");
-        out.push_str(&format!(
-            "Gate: mean 95% CIs disjoint AND |Δ| > {:.1}% (improved/regressed), else unchanged.\n\n",
-            self.threshold * 100.0
-        ));
-        if !self.deltas.is_empty() {
-            out.push_str(
-                "| benchmark | baseline mean ms [95% CI] | candidate mean ms [95% CI] | Δ | verdict |\n\
-                 |---|---|---|---|---|\n",
-            );
-            for d in &self.deltas {
-                out.push_str(&format!(
-                    "| `{}` | {:.3} [{:.3}, {:.3}] | {:.3} [{:.3}, {:.3}] | {:+.1}% | {} |\n",
-                    d.id,
-                    d.baseline.point,
-                    d.baseline.lo,
-                    d.baseline.hi,
-                    d.candidate.point,
-                    d.candidate.lo,
-                    d.candidate.hi,
-                    (d.ratio - 1.0) * 100.0,
-                    d.verdict.label()
-                ));
-            }
+    /// Renders the comparison: one line per finding, then a summary.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for m in &self.mismatches {
+            out.push_str(&format!(
+                "MISMATCH {} {}: baseline {}, candidate {}\n",
+                m.id, m.counter, m.baseline, m.candidate
+            ));
         }
-        for (title, ids) in [("Added", &self.added), ("Removed", &self.removed)] {
-            if !ids.is_empty() {
-                out.push_str(&format!("\n### {title} benchmarks\n\n"));
-                for id in ids {
-                    out.push_str(&format!("- `{id}`\n"));
-                }
-            }
+        for id in &self.removed {
+            out.push_str(&format!("REMOVED  {id}: in the baseline only\n"));
         }
-        let (improved, unchanged) = (
-            self.deltas
-                .iter()
-                .filter(|d| d.verdict == Verdict::Improved)
-                .count(),
-            self.deltas
-                .iter()
-                .filter(|d| d.verdict == Verdict::Unchanged)
-                .count(),
-        );
+        for id in &self.added {
+            out.push_str(&format!("ADDED    {id}: in the candidate only\n"));
+        }
         out.push_str(&format!(
-            "\n{} compared: {} regressed, {improved} improved, {unchanged} unchanged; {} added, {} removed.\n",
-            self.deltas.len(),
-            self.regressions(),
+            "counter gate: {} ids compared, {} differing counters, {} removed, {} added — {}\n",
+            self.compared,
+            self.mismatches.len(),
+            self.removed.len(),
             self.added.len(),
-            self.removed.len()
+            if self.failures() == 0 { "ok" } else { "FAILED" }
         ));
         out
     }
 }
 
-fn classify(baseline: &Estimate, candidate: &Estimate, threshold: f64) -> (f64, Verdict) {
-    let ratio = candidate.point / baseline.point.max(1e-12);
-    let verdict = if candidate.overlaps(baseline) {
-        Verdict::Unchanged
-    } else if ratio > 1.0 + threshold {
-        Verdict::Regressed
-    } else if ratio < 1.0 - threshold {
-        Verdict::Improved
-    } else {
-        Verdict::Unchanged
-    };
-    (ratio, verdict)
+/// The first `config` field on which two runs are not like-for-like.
+fn config_mismatch(b: &ReportConfig, c: &ReportConfig) -> Option<String> {
+    [
+        ("seed", b.seed.to_string(), c.seed.to_string()),
+        ("scale", format!("{:?}", b.scale), format!("{:?}", c.scale)),
+        ("queries", b.queries.to_string(), c.queries.to_string()),
+        ("batch", b.batch.to_string(), c.batch.to_string()),
+        (
+            "filter",
+            format!("{:?}", b.filter),
+            format!("{:?}", c.filter),
+        ),
+    ]
+    .into_iter()
+    .find(|(_, b, c)| b != c)
+    .map(|(field, b, c)| format!("config.{field} differs: baseline {b}, candidate {c}"))
 }
 
-/// Compares two parsed reports.
+/// Compares two parsed reports; `Err` when they were not produced by the
+/// same run configuration.
 pub fn compare_reports(
     baseline: &MatrixReport,
     candidate: &MatrixReport,
-    threshold: f64,
-) -> Comparison {
-    let mut deltas = Vec::new();
-    let mut added = Vec::new();
-    for record in &candidate.records {
-        match baseline.records.iter().find(|b| b.id == record.id) {
-            Some(base) => {
-                let (ratio, verdict) = classify(&base.mean_ms, &record.mean_ms, threshold);
-                deltas.push(Delta {
-                    id: record.id.clone(),
-                    baseline: base.mean_ms,
-                    candidate: record.mean_ms,
-                    ratio,
-                    verdict,
+) -> Result<Comparison, String> {
+    if let Some(message) = config_mismatch(&baseline.config, &candidate.config) {
+        return Err(format!("documents are not like-for-like: {message}"));
+    }
+    let mut comparison = Comparison {
+        compared: 0,
+        mismatches: Vec::new(),
+        added: Vec::new(),
+        removed: Vec::new(),
+    };
+    for base in &baseline.records {
+        let Some(cand) = candidate.records.iter().find(|c| c.id == base.id) else {
+            comparison.removed.push(base.id.clone());
+            continue;
+        };
+        comparison.compared += 1;
+        for ((counter, b), (_, c)) in base.counters.fields().iter().zip(cand.counters.fields()) {
+            if *b != c {
+                comparison.mismatches.push(Mismatch {
+                    id: base.id.clone(),
+                    counter,
+                    baseline: b.to_string(),
+                    candidate: c.to_string(),
                 });
             }
-            None => added.push(record.id.clone()),
+        }
+        if base.shed_rate != cand.shed_rate {
+            comparison.mismatches.push(Mismatch {
+                id: base.id.clone(),
+                counter: "shed_rate",
+                baseline: format!("{:?}", base.shed_rate),
+                candidate: format!("{:?}", cand.shed_rate),
+            });
         }
     }
-    let removed = baseline
+    comparison.added = candidate
         .records
         .iter()
-        .filter(|b| !candidate.records.iter().any(|c| c.id == b.id))
-        .map(|b| b.id.clone())
+        .filter(|c| !baseline.records.iter().any(|b| b.id == c.id))
+        .map(|c| c.id.clone())
         .collect();
-    Comparison {
-        deltas,
-        added,
-        removed,
-        threshold,
-    }
+    Ok(comparison)
 }
 
 /// Reads, parses and compares two report files.
-pub fn compare_files(
-    baseline: &Path,
-    candidate: &Path,
-    threshold: f64,
-) -> Result<Comparison, String> {
+pub fn compare_files(baseline: &Path, candidate: &Path) -> Result<Comparison, String> {
     let base = MatrixReport::from_file(baseline)?;
     let cand = MatrixReport::from_file(candidate)?;
-    Ok(compare_reports(&base, &cand, threshold))
+    compare_reports(&base, &cand)
 }
 
 #[cfg(test)]
@@ -201,88 +157,42 @@ mod tests {
     use super::*;
     use crate::matrix::record::synthetic_fixture;
 
-    fn shift(report: &MatrixReport, id_contains: &str, factor: f64) -> MatrixReport {
-        let mut out = report.clone();
-        for r in &mut out.records {
-            if r.id.contains(id_contains) {
-                for e in [&mut r.mean_ms, &mut r.p50_ms, &mut r.p99_ms] {
-                    e.point *= factor;
-                    e.lo *= factor;
-                    e.hi *= factor;
-                }
-            }
-        }
-        out
-    }
-
     #[test]
     fn identical_reports_are_all_unchanged() {
         let report = synthetic_fixture();
-        let cmp = compare_reports(&report, &report, DEFAULT_THRESHOLD);
-        assert_eq!(cmp.deltas.len(), report.records.len());
-        assert_eq!(cmp.regressions(), 0);
-        assert!(cmp.added.is_empty() && cmp.removed.is_empty());
-        assert!(cmp.deltas.iter().all(|d| d.verdict == Verdict::Unchanged));
+        let cmp = compare_reports(&report, &report).unwrap();
+        assert_eq!(cmp.compared, report.records.len());
+        assert_eq!(cmp.failures(), 0);
+        assert!(cmp.mismatches.is_empty() && cmp.added.is_empty() && cmp.removed.is_empty());
+        assert!(cmp.render().ends_with("— ok\n"), "{}", cmp.render());
     }
 
     #[test]
-    fn a_30_percent_slowdown_regresses_and_a_speedup_improves() {
-        let base = synthetic_fixture();
-        let slow = shift(&base, "pSPQ/local", 1.3);
-        let cmp = compare_reports(&base, &slow, DEFAULT_THRESHOLD);
-        assert_eq!(cmp.regressions(), 1);
-        let d = cmp
-            .deltas
-            .iter()
-            .find(|d| d.id.contains("pSPQ/local"))
-            .unwrap();
-        assert_eq!(d.verdict, Verdict::Regressed);
-        assert!((d.ratio - 1.3).abs() < 1e-9);
-
-        // The same shift seen from the other side is an improvement.
-        let cmp = compare_reports(&slow, &base, DEFAULT_THRESHOLD);
-        assert_eq!(cmp.regressions(), 0);
-        assert!(cmp.deltas.iter().any(|d| d.verdict == Verdict::Improved));
-    }
-
-    #[test]
-    fn overlapping_intervals_are_noise_even_with_large_point_shift() {
+    fn a_differing_counter_fails_and_is_named_but_timings_never_are() {
         let base = synthetic_fixture();
         let mut cand = base.clone();
-        // +8% point shift but a wide interval still overlapping the
-        // baseline's: statistically indistinguishable.
+        cand.records[1].counters.map_duplicates += 1;
+        cand.records[3].shed_rate = 0.25;
         for r in &mut cand.records {
-            r.mean_ms.point *= 1.08;
-            r.mean_ms.lo = r.mean_ms.point * 0.8;
-            r.mean_ms.hi = r.mean_ms.point * 1.2;
+            r.qps /= 3.0;
+            r.mean_ms.point *= 3.0;
+            r.p99_ms.hi *= 3.0;
         }
-        let cmp = compare_reports(&base, &cand, DEFAULT_THRESHOLD);
-        assert_eq!(cmp.regressions(), 0);
-        assert!(cmp.deltas.iter().all(|d| d.verdict == Verdict::Unchanged));
-    }
-
-    #[test]
-    fn disjoint_but_sub_threshold_shifts_stay_unchanged() {
-        let base = synthetic_fixture();
-        // 3% shift with razor-thin disjoint intervals: below the 5%
-        // threshold, so not a regression.
-        let mut cand = shift(&base, "", 1.03);
-        for r in &mut cand.records {
-            r.mean_ms.lo = r.mean_ms.point * 0.999;
-            r.mean_ms.hi = r.mean_ms.point * 1.001;
-        }
-        let mut tight_base = base.clone();
-        for r in &mut tight_base.records {
-            r.mean_ms.lo = r.mean_ms.point * 0.999;
-            r.mean_ms.hi = r.mean_ms.point * 1.001;
-        }
-        let cmp = compare_reports(&tight_base, &cand, DEFAULT_THRESHOLD);
-        assert_eq!(cmp.regressions(), 0);
-        // A generous threshold keeps even a 30% shift unchanged — the
-        // heterogeneous-runner CI configuration.
-        let slow = shift(&tight_base, "", 1.3);
-        let cmp = compare_reports(&tight_base, &slow, 1.0);
-        assert_eq!(cmp.regressions(), 0);
+        let cmp = compare_reports(&base, &cand).unwrap();
+        let found: Vec<(&str, &str)> = cmp
+            .mismatches
+            .iter()
+            .map(|m| (m.id.as_str(), m.counter))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                (base.records[1].id.as_str(), "map_duplicates"),
+                (base.records[3].id.as_str(), "shed_rate")
+            ]
+        );
+        assert_eq!(cmp.failures(), 2);
+        assert!(cmp.render().ends_with("— FAILED\n"), "{}", cmp.render());
     }
 
     #[test]
@@ -293,24 +203,38 @@ mod tests {
         let mut renamed = cand.records[0].clone();
         renamed.id = "clustered-60k/pSPQ/local/execute".to_owned();
         cand.records.push(renamed.clone());
-        let cmp = compare_reports(&base, &cand, DEFAULT_THRESHOLD);
+        let cmp = compare_reports(&base, &cand).unwrap();
         assert_eq!(cmp.removed, vec![dropped.id.clone()]);
         assert_eq!(cmp.added, vec![renamed.id.clone()]);
-        assert_eq!(cmp.deltas.len(), base.records.len() - 1);
-        let md = cmp.to_markdown();
-        assert!(md.contains("Added benchmarks"), "{md}");
-        assert!(md.contains("Removed benchmarks"), "{md}");
-        assert!(md.contains(&dropped.id), "{md}");
+        assert_eq!(cmp.compared, base.records.len() - 1);
+        // Lost coverage fails the gate; gained coverage alone does not.
+        assert_eq!(cmp.failures(), 1);
+        let text = cmp.render();
+        assert!(text.contains(&format!("REMOVED  {}", dropped.id)), "{text}");
+        assert!(text.contains(&format!("ADDED    {}", renamed.id)), "{text}");
+        assert_eq!(compare_reports(&cand, &cand).unwrap().failures(), 0);
     }
 
     #[test]
-    fn markdown_table_carries_intervals_and_summary() {
+    fn unlike_configs_are_refused_but_workers_may_differ() {
         let base = synthetic_fixture();
-        let slow = shift(&base, "pSPQ/local", 1.3);
-        let md = compare_reports(&base, &slow, DEFAULT_THRESHOLD).to_markdown();
-        assert!(md.contains("| benchmark |"), "{md}");
-        assert!(md.contains("**regressed**"), "{md}");
-        assert!(md.contains("+30.0%"), "{md}");
-        assert!(md.contains("1 regressed"), "{md}");
+        let mut cand = base.clone();
+        cand.config.workers = 1;
+        assert_eq!(compare_reports(&base, &cand).unwrap().failures(), 0);
+
+        type Edit = fn(&mut ReportConfig);
+        let edits: [(&str, Edit); 5] = [
+            ("seed", |c| c.seed += 1),
+            ("scale", |c| c.scale *= 2.0),
+            ("queries", |c| c.queries += 1),
+            ("batch", |c| c.batch += 1),
+            ("filter", |c| c.filter = None),
+        ];
+        for (field, edit) in edits {
+            let mut cand = base.clone();
+            edit(&mut cand.config);
+            let err = compare_reports(&base, &cand).unwrap_err();
+            assert!(err.contains(&format!("config.{field}")), "{err}");
+        }
     }
 }

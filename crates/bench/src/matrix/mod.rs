@@ -12,19 +12,15 @@
 //! dataset shapes (uniform / clustered / Flickr-shaped), the algorithms
 //! are [`spq_core::Algorithm::ALL`], the backends any parseable
 //! [`spq_core::Backend`] (`local`, `sharded:N`, `remote:N`), and the
-//! modes the three facade lifecycles ([`corpus::Mode`]). One runner
+//! modes the four facade lifecycles ([`corpus::Mode`]). One runner
 //! ([`runner::run_matrix`]) executes any glob-selected slice of the
 //! product and emits one versioned record format ([`record::MatrixReport`]
-//! → `BENCH_MATRIX.json`), each record carrying bootstrap 95% confidence
-//! intervals and Tukey outlier counts from [`criterion::stats`] plus the
-//! byte-identity assertion against the single-store engine. Two reports
-//! from different commits are compared by [`compare::compare_reports`] —
-//! the CI regression gate.
-//!
-//! This subsystem supersedes the per-PR ad-hoc JSON writers
-//! (`BENCH_PR2..7.json`): those documents remain for their original
-//! trajectories, but new performance claims should land as matrix
-//! records, which stay comparable across PRs by construction.
+//! → `BENCH_MATRIX.json`), each record carrying a block of deterministic
+//! work counters, bootstrap 95% confidence intervals and Tukey outlier
+//! counts from [`criterion::stats`], and the byte-identity assertion
+//! against the single-store engine. Two reports from different commits
+//! are compared by [`compare::compare_reports`] — the CI regression
+//! gate, an exact match on the counters.
 
 pub mod compare;
 pub mod corpus;
@@ -32,9 +28,9 @@ pub mod json;
 pub mod record;
 pub mod runner;
 
-pub use compare::{compare_files, compare_reports, Comparison, Delta, Verdict, DEFAULT_THRESHOLD};
+pub use compare::{compare_files, compare_reports, Comparison, Mismatch};
 pub use corpus::{CorpusShape, CorpusSpec, Mode, CORPORA};
-pub use record::{MatrixRecord, MatrixReport, SCHEMA_VERSION};
+pub use record::{Counters, MatrixRecord, MatrixReport, SCHEMA_VERSION};
 pub use runner::{run_matrix, MatrixConfig};
 
 /// Builds the canonical benchmark id from its four axes.

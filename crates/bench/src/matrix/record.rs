@@ -20,7 +20,7 @@ use criterion::stats::{Estimate, Outliers};
 /// Version of the record shape. **Bump this whenever any field of
 /// [`MatrixReport`]/[`MatrixRecord`] changes**, and regenerate the golden
 /// fixture; the schema-fingerprint test enforces the coupling.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The run configuration echoed into the document, so a stored report is
 /// self-describing and comparable runs are recognizable.
@@ -38,6 +38,72 @@ pub struct ReportConfig {
     pub workers: usize,
     /// The id glob this run was restricted to, if any.
     pub filter: Option<String>,
+}
+
+/// The deterministic work counters of one benchmark id — with
+/// [`MatrixRecord::shed_rate`], everything `spq-bench compare` gates on.
+/// Each is a sum over the id's measured stream and a pure function of
+/// `(seed, scale, queries, batch, filter)`: the same on any host, at any
+/// worker count, on every run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Σ `QueryStats::shards_touched`.
+    pub shards_touched: u64,
+    /// Σ `QueryStats::shuffle_records`.
+    pub shuffle_records: u64,
+    /// Σ `QueryStats::shuffle_bytes`.
+    pub shuffle_bytes: u64,
+    /// Σ `QueryStats::keyword_terms_probed`.
+    pub keyword_terms_probed: u64,
+    /// Σ `QueryStats::keyword_terms_matched`.
+    pub keyword_terms_matched: u64,
+    /// Σ `QueryStats::retries`.
+    pub retries: u64,
+    /// Ranked objects returned, over all responses.
+    pub results: u64,
+    /// Σ `JobStats::map_input_records` over the traced single-store
+    /// reference pass (the same for every backend and mode of one
+    /// corpus/algorithm).
+    pub map_input_records: u64,
+    /// Σ `COUNTER_MAP_DUPLICATES` over the reference pass: Lemma-1 routed
+    /// feature copies beyond the enclosing cell.
+    pub map_duplicates: u64,
+    /// Σ `COUNTER_REDUCE_FEATURES_EXAMINED` over the reference pass:
+    /// features the reducers looked at before early termination.
+    pub reduce_features_examined: u64,
+}
+
+impl Counters {
+    /// Every counter with its document key, in document order — the one
+    /// list the writer and the gate both walk. The destructuring is
+    /// exhaustive on purpose: a field added to the struct does not
+    /// compile until it is listed here, so it is written and compared.
+    pub fn fields(&self) -> [(&'static str, u64); 10] {
+        let Counters {
+            shards_touched,
+            shuffle_records,
+            shuffle_bytes,
+            keyword_terms_probed,
+            keyword_terms_matched,
+            retries,
+            results,
+            map_input_records,
+            map_duplicates,
+            reduce_features_examined,
+        } = *self;
+        [
+            ("shards_touched", shards_touched),
+            ("shuffle_records", shuffle_records),
+            ("shuffle_bytes", shuffle_bytes),
+            ("keyword_terms_probed", keyword_terms_probed),
+            ("keyword_terms_matched", keyword_terms_matched),
+            ("retries", retries),
+            ("results", results),
+            ("map_input_records", map_input_records),
+            ("map_duplicates", map_duplicates),
+            ("reduce_features_examined", reduce_features_examined),
+        ]
+    }
 }
 
 /// One benchmark id's measurement.
@@ -63,13 +129,17 @@ pub struct MatrixRecord {
     /// Fraction of offered requests not answered — overload rejections
     /// plus deadline sheds over total offered. `0.0` for every mode but
     /// `serve-admission`, where the 2×-overload harness makes it
-    /// deterministic and nonzero by construction.
+    /// deterministic and nonzero by construction. Gated with the
+    /// [`counters`](Self::counters).
     pub shed_rate: f64,
     /// `true` iff every response matched the single-store reference
     /// byte for byte (the runner asserts it, so a written record always
     /// says `true` — the field exists so a reader need not know that).
     pub identical_to_reference: bool,
-    /// Mean latency (ms) with its bootstrap 95% interval.
+    /// The gated deterministic counters.
+    pub counters: Counters,
+    /// Mean latency (ms) with its bootstrap 95% interval — like `qps`,
+    /// `p50_ms` and `p99_ms`, information only: never compared.
     pub mean_ms: Estimate,
     /// Median latency (ms) with its bootstrap 95% interval.
     pub p50_ms: Estimate,
@@ -124,6 +194,16 @@ impl MatrixReport {
             out.push_str(&format!(
                 "      \"objects\": {}, \"samples\": {}, \"qps\": {:?}, \"shed_rate\": {:?}, \"identical_to_reference\": {},\n",
                 r.objects, r.samples, r.qps, r.shed_rate, r.identical_to_reference
+            ));
+            let counters: Vec<String> = r
+                .counters
+                .fields()
+                .iter()
+                .map(|(key, value)| format!("\"{key}\": {value}"))
+                .collect();
+            out.push_str(&format!(
+                "      \"counters\": {{ {} }},\n",
+                counters.join(", ")
             ));
             out.push_str(&format!(
                 "      \"mean_ms\": {},\n      \"p50_ms\": {},\n      \"p99_ms\": {},\n",
@@ -222,6 +302,22 @@ fn parse_estimate(v: &Json, key: &str) -> Result<Estimate, String> {
     })
 }
 
+fn parse_counters(v: &Json) -> Result<Counters, String> {
+    let c = v.get("counters").ok_or("missing counters")?;
+    Ok(Counters {
+        shards_touched: field_u64(c, "shards_touched")?,
+        shuffle_records: field_u64(c, "shuffle_records")?,
+        shuffle_bytes: field_u64(c, "shuffle_bytes")?,
+        keyword_terms_probed: field_u64(c, "keyword_terms_probed")?,
+        keyword_terms_matched: field_u64(c, "keyword_terms_matched")?,
+        retries: field_u64(c, "retries")?,
+        results: field_u64(c, "results")?,
+        map_input_records: field_u64(c, "map_input_records")?,
+        map_duplicates: field_u64(c, "map_duplicates")?,
+        reduce_features_examined: field_u64(c, "reduce_features_examined")?,
+    })
+}
+
 fn parse_record(v: &Json) -> Result<MatrixRecord, String> {
     let outliers = v.get("outliers").ok_or("missing outliers")?;
     Ok(MatrixRecord {
@@ -238,6 +334,7 @@ fn parse_record(v: &Json) -> Result<MatrixRecord, String> {
             .get("identical_to_reference")
             .and_then(Json::as_bool)
             .ok_or("missing identical_to_reference")?,
+        counters: parse_counters(v)?,
         mean_ms: parse_estimate(v, "mean_ms")?,
         p50_ms: parse_estimate(v, "p50_ms")?,
         p99_ms: parse_estimate(v, "p99_ms")?,
@@ -268,6 +365,18 @@ pub fn synthetic_fixture() -> MatrixReport {
             qps: 4000.0 / base,
             shed_rate,
             identical_to_reference: true,
+            counters: Counters {
+                shards_touched: 24,
+                shuffle_records: 9_600,
+                shuffle_bytes: 115_200,
+                keyword_terms_probed: 72,
+                keyword_terms_matched: 70,
+                retries: 0,
+                results: 240,
+                map_input_records: 14_400,
+                map_duplicates: 1_200,
+                reduce_features_examined: 2_400,
+            },
             mean_ms: est(base, base * 0.9, base * 1.1),
             p50_ms: est(base * 0.95, base * 0.85, base * 1.05),
             p99_ms: est(base * 2.0, base * 1.7, base * 2.4),
@@ -371,7 +480,7 @@ mod tests {
     fn wrong_schema_version_is_rejected_with_advice() {
         let text = synthetic_fixture()
             .to_json()
-            .replace("\"schema_version\": 2", "\"schema_version\": 999");
+            .replace("\"schema_version\": 3", "\"schema_version\": 999");
         let err = MatrixReport::from_json(&text).unwrap_err();
         assert!(err.contains("schema version 999"), "{err}");
         assert!(err.contains("regenerate"), "{err}");

@@ -7,16 +7,20 @@
 //! the plain single-store [`QueryEngine`], and summarizes the sample
 //! through [`criterion::stats::summarize`] — bootstrap 95% intervals for
 //! mean/p50/p99 plus the Tukey outlier census. Everything data-shaped is
-//! deterministic from the seed; only the latencies themselves are
-//! machine-dependent.
+//! deterministic from the seed — including the [`Counters`] block summed
+//! from every response's `QueryStats` and from the traced reference
+//! pass, which is what `spq-bench compare` gates on; only the latencies
+//! themselves are machine-dependent.
 
 use super::corpus::{Mode, CORPORA};
-use super::record::{MatrixRecord, MatrixReport, ReportConfig};
+use super::record::{Counters, MatrixRecord, MatrixReport, ReportConfig};
 use super::{bench_id, glob_match};
 use criterion::stats::{summarize, BootstrapConfig, Sample};
+use spq_core::partitioning::{COUNTER_MAP_DUPLICATES, COUNTER_REDUCE_FEATURES_EXAMINED};
 use spq_core::{
     AdmissionConfig, AdmissionQueue, Algorithm, Backend, OverflowPolicy, QueryEngine,
-    QueryExecutor, QueryRequest, RankedObject, SpqError, SpqExecutor, SpqService, Ticket,
+    QueryExecutor, QueryRequest, QueryResponse, RankedObject, SpqError, SpqExecutor, SpqService,
+    Ticket,
 };
 use spq_data::{QueryStream, StreamConfig};
 use spq_mapreduce::ClusterConfig;
@@ -140,9 +144,23 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
                 .grid_size(spec.grid)
                 .cluster(ClusterConfig::with_workers(cfg.workers));
             let reference_engine = QueryEngine::new(exec.clone(), shared.clone());
+            // Traced, so the job-level counters no `QueryStats` carries
+            // (map input, Lemma-1 copies, reducer work) are gated too.
+            let mut job_counters = Counters::default();
             let reference: Vec<Vec<RankedObject>> = requests
                 .iter()
-                .map(|r| reference_engine.execute(r).expect("reference job").results)
+                .map(|r| {
+                    let response = reference_engine
+                        .execute(&r.clone().with_trace())
+                        .expect("reference job");
+                    for job in response.trace.iter().flatten() {
+                        job_counters.map_input_records += job.map_input_records();
+                        job_counters.map_duplicates += job.counters.get(COUNTER_MAP_DUPLICATES);
+                        job_counters.reduce_features_examined +=
+                            job.counters.get(COUNTER_REDUCE_FEATURES_EXAMINED);
+                    }
+                    response.results
+                })
                 .collect();
 
             for &backend in &cfg.backends {
@@ -163,7 +181,15 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
                         &backend.to_string(),
                         mode.name(),
                     );
-                    let measured = measure_mode(&service, &requests, &reference, mode, cfg, &id);
+                    let measured = measure_mode(
+                        &service,
+                        &requests,
+                        &reference,
+                        job_counters,
+                        mode,
+                        cfg,
+                        &id,
+                    );
                     records.push(make_record(
                         &id, spec.name, algorithm, backend, mode, objects, measured, cfg,
                     ));
@@ -186,18 +212,42 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
 }
 
 /// What one mode measurement produced: the per-query latency sample, the
-/// mode's wall clock, and the fraction of offered requests not answered
-/// (nonzero only for `serve-admission`).
+/// mode's wall clock, the fraction of offered requests not answered
+/// (nonzero only for `serve-admission`), and the `QueryStats` sums of
+/// the answered ones.
 struct Measured {
     latencies: Vec<Duration>,
     wall: Duration,
     shed_rate: f64,
+    counters: Counters,
 }
 
+/// Checks one response against the reference bytes and adds its
+/// `QueryStats` to the id's counters.
+fn check_and_tally(
+    counters: &mut Counters,
+    response: &QueryResponse,
+    expect: &[RankedObject],
+    id: &str,
+) {
+    assert_eq!(response.results, expect, "{id}: diverged from reference");
+    let stats = &response.stats;
+    counters.shards_touched += stats.shards_touched as u64;
+    counters.shuffle_records += stats.shuffle_records;
+    counters.shuffle_bytes += stats.shuffle_bytes;
+    counters.keyword_terms_probed += stats.keyword_terms_probed as u64;
+    counters.keyword_terms_matched += stats.keyword_terms_matched as u64;
+    counters.retries += stats.retries;
+    counters.results += response.results.len() as u64;
+}
+
+/// Measures one mode. `counters` arrives holding the reference pass's
+/// job-level sums; the mode's own `QueryStats` sums are added to it.
 fn measure_mode(
     service: &SpqService,
     requests: &[QueryRequest],
     reference: &[Vec<RankedObject>],
+    mut counters: Counters,
     mode: Mode,
     cfg: &MatrixConfig,
     id: &str,
@@ -210,12 +260,13 @@ fn measure_mode(
                 let t0 = Instant::now();
                 let response = service.execute(request).expect("execute");
                 latencies.push(t0.elapsed());
-                assert_eq!(&response.results, expect, "{id}: execute diverged");
+                check_and_tally(&mut counters, &response, expect, id);
             }
             Measured {
                 latencies,
                 wall: wall.elapsed(),
                 shed_rate: 0.0,
+                counters,
             }
         }
         Mode::ExecuteBatch => {
@@ -230,7 +281,7 @@ fn measure_mode(
                 let responses = service.execute_batch(chunk).expect("batch");
                 let amortized = t0.elapsed() / chunk.len() as u32;
                 for (response, expect) in responses.iter().zip(expect) {
-                    assert_eq!(&response.results, expect, "{id}: batch diverged");
+                    check_and_tally(&mut counters, response, expect, id);
                     latencies.push(amortized);
                 }
             }
@@ -238,6 +289,7 @@ fn measure_mode(
                 latencies,
                 wall: wall.elapsed(),
                 shed_rate: 0.0,
+                counters,
             }
         }
         Mode::Serve => {
@@ -250,7 +302,7 @@ fn measure_mode(
                 .iter()
                 .zip(reference)
                 .map(|(response, expect)| {
-                    assert_eq!(&response.results, expect, "{id}: serve diverged");
+                    check_and_tally(&mut counters, response, expect, id);
                     Duration::from_micros(response.stats.wall_micros)
                 })
                 .collect();
@@ -258,9 +310,12 @@ fn measure_mode(
                 latencies,
                 wall,
                 shed_rate: 0.0,
+                counters,
             }
         }
-        Mode::ServeAdmission => measure_serve_admission(service, requests, reference, cfg, id),
+        Mode::ServeAdmission => {
+            measure_serve_admission(service, requests, reference, counters, cfg, id)
+        }
     }
 }
 
@@ -281,6 +336,7 @@ fn measure_serve_admission(
     service: &SpqService,
     requests: &[QueryRequest],
     reference: &[Vec<RankedObject>],
+    mut counters: Counters,
     cfg: &MatrixConfig,
     id: &str,
 ) -> Measured {
@@ -334,7 +390,7 @@ fn measure_serve_admission(
         .zip(reference)
         .map(|(ticket, expect)| {
             let response = ticket.wait().expect("admitted original");
-            assert_eq!(&response.results, expect, "{id}: serve-admission diverged");
+            check_and_tally(&mut counters, &response, expect, id);
             Duration::from_micros(response.stats.wall_micros)
         })
         .collect();
@@ -344,6 +400,7 @@ fn measure_serve_admission(
         latencies,
         wall,
         shed_rate: (stats.rejected_overload + stats.shed_deadline) as f64 / offered as f64,
+        counters,
     }
 }
 
@@ -378,6 +435,7 @@ fn make_record(
         shed_rate: measured.shed_rate,
         // Reaching this point at all means every assert above held.
         identical_to_reference: true,
+        counters: measured.counters,
         mean_ms: summary.mean,
         p50_ms: summary.p50,
         p99_ms: summary.p99,

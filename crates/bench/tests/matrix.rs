@@ -7,7 +7,7 @@ use criterion::stats::{Estimate, Outliers};
 use proptest::prelude::*;
 use spq_bench::matrix::record::{schema_fingerprint, synthetic_fixture, ReportConfig};
 use spq_bench::matrix::{
-    run_matrix, MatrixConfig, MatrixRecord, MatrixReport, Verdict, SCHEMA_VERSION,
+    run_matrix, Counters, MatrixConfig, MatrixRecord, MatrixReport, SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -49,12 +49,18 @@ fn golden_file_matches_the_committed_fixture() {
 /// regenerate the golden fixture.
 #[test]
 fn schema_fingerprint_is_pinned_to_the_version() {
-    assert_eq!(SCHEMA_VERSION, 2, "update the fingerprint below on bump");
+    assert_eq!(SCHEMA_VERSION, 3, "update the fingerprint below on bump");
     assert_eq!(
         schema_fingerprint(),
         "bench;\
          config.batch;config.filter;config.queries;config.scale;config.seed;config.workers;\
-         records[].algorithm;records[].backend;records[].corpus;records[].id;\
+         records[].algorithm;records[].backend;records[].corpus;\
+         records[].counters.keyword_terms_matched;records[].counters.keyword_terms_probed;\
+         records[].counters.map_duplicates;records[].counters.map_input_records;\
+         records[].counters.reduce_features_examined;records[].counters.results;\
+         records[].counters.retries;records[].counters.shards_touched;\
+         records[].counters.shuffle_bytes;records[].counters.shuffle_records;\
+         records[].id;\
          records[].identical_to_reference;\
          records[].mean_ms.hi;records[].mean_ms.lo;records[].mean_ms.point;\
          records[].mode;records[].objects;\
@@ -86,8 +92,9 @@ fn arb_record() -> impl Strategy<Value = MatrixRecord> {
         arb_estimate(),
         arb_estimate(),
         (0usize..5, 0usize..5, 0usize..5, 0usize..5),
+        (0u64..1 << 40, 0u64..1 << 40, 0u64..1_000),
     )
-        .prop_map(|(axes, counts, mean_ms, p50_ms, p99_ms, outl)| {
+        .prop_map(|(axes, counts, mean_ms, p50_ms, p99_ms, outl, work)| {
             let corpora = ["uniform-120k", "clustered-60k", "flickr-40k", "tiny"];
             let algos = ["pSPQ", "eSPQlen", "eSPQsco"];
             let backends = ["local", "sharded:4", "remote:2", "sharded:16"];
@@ -109,6 +116,18 @@ fn arb_record() -> impl Strategy<Value = MatrixRecord> {
                     0.0
                 },
                 identical_to_reference: true,
+                counters: Counters {
+                    shards_touched: work.2,
+                    shuffle_records: work.0,
+                    shuffle_bytes: work.1,
+                    keyword_terms_probed: work.2 * 3,
+                    keyword_terms_matched: work.2 * 2,
+                    retries: work.2 % 3,
+                    results: work.2 * 10,
+                    map_input_records: work.0 / 2,
+                    map_duplicates: work.0 / 7,
+                    reduce_features_examined: work.1 / 5,
+                },
                 mean_ms,
                 p50_ms,
                 p99_ms,
@@ -186,6 +205,11 @@ fn tiny_matrix_run_produces_consistent_records() {
         for e in [&r.mean_ms, &r.p50_ms, &r.p99_ms] {
             assert!(e.lo <= e.point && e.point <= e.hi, "{}: {:?}", r.id, e);
         }
+        // Every query probes its keywords and the reference job maps at
+        // least the data objects; in-process backends never retry.
+        assert!(r.counters.keyword_terms_probed >= 6, "{}", r.id);
+        assert!(r.counters.map_input_records > 0, "{}", r.id);
+        assert_eq!(r.counters.retries, 0, "{}", r.id);
         assert_eq!(
             r.id,
             format!("{}/{}/{}/{}", r.corpus, r.algorithm, r.backend, r.mode)
@@ -194,6 +218,13 @@ fn tiny_matrix_run_produces_consistent_records() {
     // The document the runner writes parses back to itself.
     let parsed = MatrixReport::from_json(&report.to_json()).unwrap();
     assert_eq!(parsed, report);
+
+    // The gated block is a function of the run configuration alone: a
+    // second run at another worker count reproduces it exactly.
+    let again = run_matrix(&MatrixConfig { workers: 1, ..cfg });
+    let cmp = spq_bench::matrix::compare_reports(&report, &again).unwrap();
+    assert_eq!(cmp.compared, 24);
+    assert_eq!(cmp.failures(), 0, "{}", cmp.render());
 }
 
 // ---- the compare gate, driven through the real binary ----------------
@@ -222,67 +253,99 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn compare_flags_an_injected_30_percent_slowdown() {
-    let dir = temp_dir("slowdown");
-    let base = synthetic_fixture();
-    let mut slow = base.clone();
-    for r in &mut slow.records {
-        if r.id.contains("pSPQ/local") {
-            for e in [&mut r.mean_ms, &mut r.p50_ms, &mut r.p99_ms] {
-                e.point *= 1.3;
-                e.lo *= 1.3;
-                e.hi *= 1.3;
-            }
-        }
-    }
-    let b = write_report(&dir, "base.json", &base);
-    let c = write_report(&dir, "slow.json", &slow);
-    let (code, stdout) = run_compare(&[b.to_str().unwrap(), c.to_str().unwrap()]);
-    assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("**regressed**"), "{stdout}");
-    assert!(stdout.contains("1 regressed"), "{stdout}");
+/// Writes `base` and `cand` into a fresh directory and runs the gate
+/// over them.
+fn compare_pair(tag: &str, base: &MatrixReport, cand: &MatrixReport) -> (i32, String) {
+    let dir = temp_dir(tag);
+    let b = write_report(&dir, "base.json", base);
+    let c = write_report(&dir, "cand.json", cand);
+    let outcome = run_compare(&[b.to_str().unwrap(), c.to_str().unwrap()]);
     std::fs::remove_dir_all(&dir).ok();
+    outcome
 }
 
 #[test]
-fn compare_passes_pure_noise_within_the_interval() {
-    let dir = temp_dir("noise");
+fn compare_fails_on_one_counter_off_by_one_naming_id_and_counter() {
     let base = synthetic_fixture();
-    let mut noisy = base.clone();
-    // Small point wiggle, intervals still overlapping: noise.
-    for r in &mut noisy.records {
-        r.mean_ms.point *= 1.02;
-        r.mean_ms.lo *= 1.02;
-        r.mean_ms.hi *= 1.02;
+    let mut cand = base.clone();
+    cand.records[2].counters.shuffle_records += 1;
+    let (code, stdout) = compare_pair("counter", &base, &cand);
+    assert_eq!(code, 1, "{stdout}");
+    let expected = format!(
+        "MISMATCH {} shuffle_records: baseline 9600, candidate 9601",
+        base.records[2].id
+    );
+    assert!(stdout.contains(&expected), "{stdout}");
+    assert!(stdout.contains("1 differing counters"), "{stdout}");
+}
+
+#[test]
+fn compare_ignores_tripled_timings_when_counters_are_equal() {
+    let base = synthetic_fixture();
+    let mut slow = base.clone();
+    for r in &mut slow.records {
+        r.qps /= 3.0;
+        for e in [&mut r.mean_ms, &mut r.p50_ms, &mut r.p99_ms] {
+            e.point *= 3.0;
+            e.lo *= 3.0;
+            e.hi *= 3.0;
+        }
     }
-    let b = write_report(&dir, "base.json", &base);
-    let c = write_report(&dir, "noisy.json", &noisy);
-    let (code, stdout) = run_compare(&[b.to_str().unwrap(), c.to_str().unwrap()]);
+    let (code, stdout) = compare_pair("timings", &base, &slow);
     assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("0 regressed"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(stdout.contains("0 differing counters"), "{stdout}");
 }
 
 #[test]
 fn compare_reports_disjoint_id_sets_as_added_and_removed() {
-    let dir = temp_dir("disjoint");
+    // A baseline id the candidate lost fails the gate, whatever else the
+    // candidate gained.
     let base = synthetic_fixture();
     let mut cand = base.clone();
     let dropped = cand.records.remove(0).id;
     let mut extra = cand.records[0].clone();
     extra.id = "clustered-60k/eSPQsco/local/serve".to_owned();
     cand.records.push(extra.clone());
-    let b = write_report(&dir, "base.json", &base);
-    let c = write_report(&dir, "cand.json", &cand);
-    let (code, stdout) = run_compare(&[b.to_str().unwrap(), c.to_str().unwrap()]);
+    let (code, stdout) = compare_pair("disjoint", &base, &cand);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains(&format!("REMOVED  {dropped}")), "{stdout}");
+    assert!(
+        stdout.contains(&format!("ADDED    {}", extra.id)),
+        "{stdout}"
+    );
+    assert!(stdout.contains("1 removed, 1 added"), "{stdout}");
+}
+
+#[test]
+fn compare_lists_an_added_id_and_passes() {
+    let base = synthetic_fixture();
+    let mut grown = base.clone();
+    let mut extra = base.records[1].clone();
+    extra.id = "clustered-60k/eSPQsco/local/serve".to_owned();
+    grown.records.push(extra.clone());
+    let (code, stdout) = compare_pair("added", &base, &grown);
     assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("Added benchmarks"), "{stdout}");
-    assert!(stdout.contains(&extra.id), "{stdout}");
-    assert!(stdout.contains("Removed benchmarks"), "{stdout}");
-    assert!(stdout.contains(&dropped), "{stdout}");
-    assert!(stdout.contains("1 added, 1 removed"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        stdout.contains(&format!("ADDED    {}", extra.id)),
+        "{stdout}"
+    );
+    assert!(stdout.contains("0 removed, 1 added"), "{stdout}");
+}
+
+#[test]
+fn compare_exits_2_on_documents_that_are_not_like_for_like() {
+    let base = synthetic_fixture();
+    let mut other_scale = base.clone();
+    other_scale.config.scale = 0.5;
+    let (code, stdout) = compare_pair("scale", &base, &other_scale);
+    assert_eq!(code, 2, "{stdout}");
+    let mut other_queries = base.clone();
+    other_queries.config.queries = 16;
+    assert_eq!(compare_pair("queries", &base, &other_queries).0, 2);
+    // The worker count is not part of the contract.
+    let mut other_workers = base.clone();
+    other_workers.config.workers = 1;
+    assert_eq!(compare_pair("workers", &base, &other_workers).0, 0);
 }
 
 #[test]
@@ -299,19 +362,4 @@ fn compare_exits_2_on_unreadable_documents() {
     ]);
     assert_eq!(code, 2);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn compare_verdicts_are_symmetric() {
-    // Improvements never fail the gate: compare(slow, fast) exits 0.
-    let base = synthetic_fixture();
-    let mut fast = base.clone();
-    for r in &mut fast.records {
-        r.mean_ms.point *= 0.5;
-        r.mean_ms.lo *= 0.5;
-        r.mean_ms.hi *= 0.5;
-    }
-    let cmp = spq_bench::matrix::compare_reports(&base, &fast, 0.05);
-    assert_eq!(cmp.regressions(), 0);
-    assert!(cmp.deltas.iter().all(|d| d.verdict == Verdict::Improved));
 }

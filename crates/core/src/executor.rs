@@ -399,8 +399,7 @@ impl SpqExecutor {
     }
 
     /// Runs the query over a shared dataset with automatic round-robin
-    /// splitting (8 splits, matching `spq_data::Dataset::to_splits`'
-    /// default shape).
+    /// splitting (8 splits).
     pub fn run_dataset(
         &self,
         dataset: &SharedDataset,

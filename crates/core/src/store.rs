@@ -136,8 +136,7 @@ impl SharedDataset {
     }
 
     /// Round-robin horizontal partitioning into `num_splits` mixed
-    /// reference splits (data objects first, then features — the same
-    /// layout `spq_data::Dataset::to_splits` produces, minus the clones).
+    /// reference splits (data objects first, then features).
     ///
     /// # Panics
     ///

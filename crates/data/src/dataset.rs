@@ -1,6 +1,6 @@
 //! Generated datasets and their horizontal partitioning into splits.
 
-use spq_core::{DataObject, FeatureObject, ObjectRef, SharedDataset, SpqObject};
+use spq_core::{DataObject, FeatureObject, ObjectRef, SharedDataset};
 use spq_spatial::Rect;
 
 /// A complete SPQ input: the data objects `O`, the feature objects `F`,
@@ -34,32 +34,12 @@ impl Dataset {
 
     /// Horizontally partitions the dataset into `num_splits` mixed splits
     /// (round-robin over data then feature objects — "no assumption on
-    /// the partitioning method", Section 3.1). Objects are cloned; call
-    /// once per dataset and reuse the splits across queries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_splits == 0`.
-    pub fn to_splits(&self, num_splits: usize) -> Vec<Vec<SpqObject>> {
-        assert!(num_splits > 0, "need at least one split");
-        let mut splits: Vec<Vec<SpqObject>> = (0..num_splits)
-            .map(|_| Vec::with_capacity(self.total() / num_splits + 1))
-            .collect();
-        for (i, o) in self.data.iter().enumerate() {
-            splits[i % num_splits].push(SpqObject::Data(*o));
-        }
-        for (i, f) in self.features.iter().enumerate() {
-            splits[i % num_splits].push(SpqObject::Feature(f.clone()));
-        }
-        splits
-    }
-
-    /// The shared-store counterpart of [`to_splits`](Self::to_splits):
-    /// copies the objects **once** into a [`SharedDataset`] (held behind
-    /// `Arc`s; this `Dataset` is untouched) and returns reference splits
-    /// with the identical round-robin layout. Queries run through
-    /// `SpqExecutor::run_shared` then shuffle 8–16 byte handles instead
-    /// of cloned objects, however many queries reuse the store.
+    /// the partitioning method", Section 3.1): copies the objects
+    /// **once** into a [`SharedDataset`] (held behind `Arc`s; this
+    /// `Dataset` is untouched) and returns reference splits into it.
+    /// Queries run through `SpqExecutor::run_shared` then shuffle 8–16
+    /// byte handles instead of cloned objects, however many queries
+    /// reuse the store.
     ///
     /// # Panics
     ///
@@ -115,11 +95,16 @@ mod tests {
     fn splits_partition_every_object_exactly_once() {
         let d = tiny();
         for s in [1, 2, 3, 9, 20] {
-            let splits = d.to_splits(s);
+            let (shared, splits) = d.to_shared_splits(s);
+            assert_eq!(shared.total(), 9);
             assert_eq!(splits.len(), s);
             let total: usize = splits.iter().map(Vec::len).sum();
             assert_eq!(total, 9, "splits {s}");
-            let data_count = splits.iter().flatten().filter(|o| o.is_data()).count();
+            let data_count = splits
+                .iter()
+                .flatten()
+                .filter(|r| matches!(r, ObjectRef::Data(_)))
+                .count();
             assert_eq!(data_count, 5);
         }
     }
@@ -150,6 +135,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_splits_rejected() {
-        let _ = tiny().to_splits(0);
+        let _ = tiny().to_shared_splits(0);
     }
 }

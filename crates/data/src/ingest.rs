@@ -715,6 +715,13 @@ mod tests {
     }
 
     #[test]
+    fn missing_dump_is_an_error() {
+        let gone = Path::new("/nonexistent/spq-dump.tsv");
+        assert!(ingest_files(gone, gone, &opts()).is_err());
+        assert!(ingest_combined(gone, &opts()).is_err());
+    }
+
+    #[test]
     fn crlf_and_blank_and_comment_lines() {
         let got = ingest_strs(
             "# a comment\r\n1\t0.1\t0.2\r\n\r\n2\t0.3\t0.4\r\n",

@@ -18,10 +18,10 @@
 //!   shifted-Poisson keyword counts and Zipf term frequencies matching the
 //!   reported dictionary sizes and means.
 //!
-//! [`Dataset::to_splits`] produces the horizontally partitioned input the
-//! distributed algorithms consume, [`tsv`] round-trips datasets to disk,
-//! and [`QueryGenerator`] draws query keyword sets (random / frequent /
-//! infrequent, footnote 2 of the paper).
+//! [`Dataset::to_shared_splits`] produces the horizontally partitioned
+//! input the distributed algorithms consume, [`tsv`] round-trips datasets
+//! to disk, and [`QueryGenerator`] draws query keyword sets (random /
+//! frequent / infrequent, footnote 2 of the paper).
 //!
 //! Real (or real-shaped) dumps enter through [`ingest`]: a streaming
 //! `id<TAB>x<TAB>y<TAB>keywords` loader that interns keyword strings into

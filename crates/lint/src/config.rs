@@ -52,7 +52,7 @@ pub const WALL_CLOCK_SANCTIONED: &[Sanctioned] = &[
 ];
 
 /// Modules that produce serialized or wire output (12-byte gather
-/// records, remote frames, `BENCH_*` JSON documents). Iterating a
+/// records, remote frames, `BENCH_MATRIX` JSON documents). Iterating a
 /// `HashMap`/`HashSet` here can silently break the byte-identity
 /// invariant, so the `determinism/unordered-iter` lint demands
 /// `BTreeMap`/`BTreeSet` or an explicit sort before anything is
@@ -62,23 +62,14 @@ pub const ORDERED_OUTPUT_MODULES: &[&str] = &[
     "crates/core/src/sharded.rs",
     "crates/mapreduce/src/remote",
     "crates/bench/src/matrix",
-    "crates/bench/src/trajectory.rs",
-    "crates/bench/src/ingest_bench.rs",
-    "crates/bench/src/backend_bench.rs",
     "crates/bench/src/figures.rs",
 ];
 
-/// Bench modules that write `BENCH_*`/`BENCH_MATRIX` documents. Any
-/// percentile/median/quantile helper defined here must route through
-/// `criterion::stats::Sample` instead of hand-rolling rank math — the
-/// first slice of the ROADMAP's legacy-bench-writer migration.
-pub const BENCH_WRITER_MODULES: &[&str] = &[
-    "crates/bench/src/matrix",
-    "crates/bench/src/trajectory.rs",
-    "crates/bench/src/ingest_bench.rs",
-    "crates/bench/src/backend_bench.rs",
-    "crates/bench/src/figures.rs",
-];
+/// Bench modules that write `BENCH_MATRIX` documents and figure CSVs.
+/// Any percentile/median/quantile helper defined here must route through
+/// `criterion::stats::Sample` instead of hand-rolling rank math.
+pub const BENCH_WRITER_MODULES: &[&str] =
+    &["crates/bench/src/matrix", "crates/bench/src/figures.rs"];
 
 /// Stable lint identifiers, shared by diagnostics, suppression
 /// directives, the JSON report and the docs.
@@ -125,19 +116,19 @@ mod tests {
     #[test]
     fn prefix_matching_is_boundary_aware() {
         assert!(path_in(
-            "crates/bench/src/trajectory.rs",
+            "crates/bench/src/figures.rs",
             &["crates/bench/src"]
         ));
         assert!(path_in("crates/bench/src", &["crates/bench/src"]));
         assert!(!path_in(
-            "crates/bench/src2/trajectory.rs",
+            "crates/bench/src2/figures.rs",
             &["crates/bench/src"]
         ));
     }
 
     #[test]
     fn sanctioned_entries_resolve() {
-        assert!(sanction_for("crates/bench/src/bin/chaos.rs").is_some());
+        assert!(sanction_for("crates/bench/src/bin/spq_bench.rs").is_some());
         assert!(sanction_for("crates/core/src/serve.rs").is_none());
     }
 }

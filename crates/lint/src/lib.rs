@@ -180,19 +180,4 @@ mod tests {
             .collect();
         assert!(in_ordered.is_empty(), "suppressions: {in_ordered:#?}");
     }
-
-    /// The bench-stats pass is not vacuous: it actually inspected the
-    /// known percentile helpers in the BENCH_* writer modules.
-    #[test]
-    fn bench_stats_pass_saw_the_writers() {
-        let outcome = run_workspace(&repo_root()).unwrap();
-        assert!(
-            outcome
-                .stats_helpers
-                .iter()
-                .any(|h| h.starts_with("crates/bench/src/trajectory.rs::")),
-            "helpers seen: {:?}",
-            outcome.stats_helpers
-        );
-    }
 }

@@ -354,19 +354,24 @@ fn allow_justification(path: &str, tokens: &[Token], lexed: &LexOut, out: &mut V
     }
 }
 
-/// `panic/ratchet`: every `unwrap()` / `expect(` / `panic!` /
-/// `unreachable!` / `todo!` site in non-test code.
+/// `panic/ratchet`: every `.unwrap()` / `.expect(` / `panic!` /
+/// `unreachable!` / `todo!` site in non-test code. `unwrap`/`expect`
+/// count only in method position (a `.` right before the name), so a
+/// free function that happens to be called `expect` is not a site.
 fn panic_sites(tokens: &[Token]) -> Vec<(u32, &'static str)> {
     let mut sites = Vec::new();
     for i in 0..tokens.len() {
         let Some(name) = ident_at(tokens, i) else {
             continue;
         };
+        let method = i > 0 && punct_at(tokens, i - 1, b'.');
         let hit: Option<&'static str> = match name {
-            "unwrap" if punct_at(tokens, i + 1, b'(') && punct_at(tokens, i + 2, b')') => {
+            "unwrap"
+                if method && punct_at(tokens, i + 1, b'(') && punct_at(tokens, i + 2, b')') =>
+            {
                 Some("unwrap()")
             }
-            "expect" if punct_at(tokens, i + 1, b'(') => Some("expect("),
+            "expect" if method && punct_at(tokens, i + 1, b'(') => Some("expect("),
             "panic" if punct_at(tokens, i + 1, b'!') => Some("panic!"),
             "unreachable" if punct_at(tokens, i + 1, b'!') => Some("unreachable!"),
             "todo" if punct_at(tokens, i + 1, b'!') => Some("todo!"),
@@ -466,7 +471,7 @@ mod tests {
     #[test]
     fn wall_clock_ok_in_sanctioned_module_and_in_tests() {
         let f = run(
-            "crates/bench/src/backend_bench.rs",
+            "crates/bench/src/matrix/runner.rs",
             "fn f() { let t = Instant::now(); }",
         );
         assert!(f.violations.is_empty());
@@ -601,19 +606,29 @@ mod tests {
         assert!(f.panic_sites.is_empty());
     }
 
+    #[test]
+    fn free_fn_named_expect_is_not_a_panic_site() {
+        let src = "fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> bool { bytes[*pos] == c }\n\
+                   fn f(b: &[u8]) -> bool { let mut p = 0; expect(b, &mut p, b'x') }\n\
+                   fn g(x: Option<u32>) -> u32 { x.expect(\"m\") }\n\
+                   fn h(x: Option<u32>) -> u32 { unwrap() + x.unwrap() }";
+        let f = run("src/lib.rs", src);
+        assert_eq!(f.panic_sites, vec![(3, "expect("), (4, "unwrap()")]);
+    }
+
     // ---- bench/stats-discipline ----
 
     #[test]
     fn hand_rolled_percentile_flagged_sample_routed_passes() {
         let bad = "fn percentile_ms(mut v: Vec<f64>, p: f64) -> f64 {\n\
                    v.sort_by(f64::total_cmp); v[(p * v.len() as f64) as usize] }";
-        let f = run("crates/bench/src/backend_bench.rs", bad);
+        let f = run("crates/bench/src/figures.rs", bad);
         assert_eq!(lints_of(&f), vec![lint::BENCH_STATS]);
         assert_eq!(f.stats_helpers, vec!["percentile_ms"]);
 
         let good = "fn median_ms(v: Vec<f64>) -> f64 {\n\
                     criterion::stats::Sample::new(&v).percentile(0.50) }";
-        let f = run("crates/bench/src/backend_bench.rs", good);
+        let f = run("crates/bench/src/figures.rs", good);
         assert!(f.violations.is_empty());
         assert_eq!(f.stats_helpers, vec!["median_ms"]);
     }

@@ -365,3 +365,63 @@ fn admitted_worker_takes_over_after_total_loss_of_the_original_set() {
     assert_eq!(remote.excluded_workers(), 2);
     assert!(remote.membership().primaries.iter().all(|&p| p == 2));
 }
+
+/// Kill-and-recover rounds with a rotating victim: every round kills a
+/// different worker process, the whole stream stays byte-identical to
+/// the local engine during the outage, the victim is restarted on its
+/// old address and ticked back to a quiescent, fully replicated layout,
+/// and the recovered cluster answers the stream again with no retries.
+/// Every shard has a warm replica, so each single death is served by a
+/// pointer flip and never by re-shipping a provision payload.
+#[test]
+fn rotating_victim_rounds_stay_identical_and_recover() {
+    let (mut workers, addrs) = spawn_workers(3);
+    let remote =
+        RemoteEngine::connect_with(executor(), dataset(), &addrs, MembershipConfig::default())
+            .unwrap();
+    let local = QueryEngine::new(executor(), dataset());
+    let stream = [
+        request(1, 1.0, &[0]),
+        request(3, 1.8, &[0, 4]),
+        request(6, 3.0, &[0, 2, 6, 11]),
+        request(4, 1.8, &[0]),
+        request(2, 1.0, &[99]),
+    ];
+    let reference: Vec<_> = stream
+        .iter()
+        .map(|req| local.execute(req).unwrap().results)
+        .collect();
+
+    for round in 0..3 {
+        let victim = round % workers.len();
+        workers[victim].child.kill().expect("kill victim");
+        workers[victim].child.wait().expect("reap victim");
+
+        for (req, expect) in stream.iter().zip(&reference) {
+            let got = remote.execute(req).unwrap();
+            assert_eq!(&got.results, expect, "round {round}: during the outage");
+        }
+
+        let readmissions = remote.readmissions();
+        workers[victim] = Worker::respawn_at(&addrs[victim]);
+        let recovered =
+            (0..32).any(|_| remote.tick().quiescent() && remote.readmissions() > readmissions);
+        assert!(
+            recovered,
+            "round {round}: worker {victim} never re-admitted"
+        );
+        remote.check_replication().unwrap();
+
+        for (req, expect) in stream.iter().zip(&reference) {
+            let got = remote.execute(req).unwrap();
+            assert_eq!(&got.results, expect, "round {round}: after recovery");
+            assert_eq!(got.stats.retries, 0, "round {round}: {:?}", got.stats);
+        }
+    }
+    assert!(remote.warm_failovers() > 0, "no warm failover in any round");
+    assert_eq!(
+        remote.cold_reprovisions(),
+        0,
+        "a single death re-shipped a payload: replication is not warm"
+    );
+}
