@@ -8,34 +8,51 @@
 //!
 //! * **Build once** — construction pins the [`SharedDataset`] and its
 //!   reference splits; the first query at each radius plans the space
-//!   partition and fossilises the full map-side routing into
-//!   [`CellRouting`] lookup tables (cached per radius, shared by every
-//!   later query); a [`KeywordIndex`] inverted index over the feature
-//!   keywords is built eagerly at construction.
+//!   partition, fossilises the full map-side routing into [`CellRouting`]
+//!   lookup tables and groups the data objects by cell (cached per
+//!   radius, least recently used evicted, shared by every later query); a
+//!   [`KeywordIndex`] inverted index over the feature keywords is built
+//!   eagerly at construction.
 //! * **Serve many** — the engine speaks the typed [`QueryExecutor`]
-//!   surface, and every entry point takes the **same path**: resolve the
-//!   request's matching features through the keyword index (the map-side
-//!   pruning rule of Algorithm 1 line 9, paid once at build time), map
-//!   over every data object plus only those candidates, shuffle, reduce.
-//!   Entry points differ in parallelism width alone:
+//!   surface, and every entry point takes the **same path**
+//!   (`QueryEngine::run`), which answers from that state with the direct
+//!   kernel of `kernel.rs` — **no MapReduce job**: merge the query's
+//!   posting lists into scored candidates (the map-side pruning rule of
+//!   Algorithm 1 line 9, paid once at build time), visit them in
+//!   descending score order, distance-check only the data objects of each
+//!   candidate's Lemma-1 target cells, and stop once one global top-k
+//!   list is full and the next score is strictly below its `τ` —
+//!   eSPQsco's early termination applied across cells instead of per
+//!   reducer. The kernel is single-threaded whatever the worker budget;
+//!   parallelism comes from **inter-query concurrency**
+//!   ([`serve_requests`](crate::service::QueryExecutor::serve_requests),
+//!   the admission queue) — the right shape for high-QPS traffic of many
+//!   small queries.
+//! * **A job when the request asks for one** — one rule, on options that
+//!   already exist: a request with
+//!   [`with_trace`](crate::service::QueryRequest::with_trace) (its trace
+//!   *is* a job's [`JobStats`]) or with keyword pruning disabled (the
+//!   shuffle ablation) runs the paper's job instead — map over every data
+//!   object plus the candidates (or the full splits without pruning),
+//!   shuffle, reduce — at the entry point's width:
 //!   [`execute`](crate::service::QueryExecutor::execute) and
-//!   [`execute_batch`](crate::service::QueryExecutor::execute_batch) run
-//!   each job on the executor's worker pool
-//!   ([`ExecutionMode::Parallel`]), while
+//!   [`execute_batch`](crate::service::QueryExecutor::execute_batch) on
+//!   the executor's worker pool ([`ExecutionMode::Parallel`]),
 //!   [`execute_sequential`](crate::service::QueryExecutor::execute_sequential)
 //!   and
 //!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
-//!   run single-threaded jobs ([`ExecutionMode::Sequential`]) so that
-//!   parallelism comes from **inter-query concurrency** — the right shape
-//!   for high-QPS traffic of many small queries.
+//!   single-threaded ([`ExecutionMode::Sequential`]). The job stays the
+//!   paper-faithful reproduction and an independent oracle inside every
+//!   engine.
 //!
-//! Determinism carries over from the job runner: for a fixed engine and
-//! query, every entry point returns the same bytes and the same traced
-//! counters regardless of worker counts, and the `top_k`, shuffle volume
+//! Determinism holds on both: for a fixed engine and query, every entry
+//! point returns the same bytes — kernel, job and
+//! [`brute_force`](crate::centralized::brute_force) alike
+//! (`tests/kernel_ties.rs`) — and a traced job's `top_k`, shuffle volume
 //! and reduce-side counters match a fresh [`SpqExecutor::run_dataset`]
-//! job exactly — only the input-side statistics differ, because pruned
-//! features are never read at all (`tests/engine_reuse.rs` proves these
-//! properties with proptests).
+//! job exactly, regardless of worker counts; only the input-side
+//! statistics differ, because pruned features are never read at all
+//! (`tests/engine_reuse.rs` proves these properties with proptests).
 //!
 //! ```
 //! use spq_core::{Algorithm, DataObject, FeatureObject, QueryEngine, SpqExecutor, SpqQuery};
@@ -67,7 +84,9 @@
 //! assert_eq!(engine.cached_plans(), 2); // one routing plan per radius
 //! ```
 
+use crate::algo::Algorithm;
 use crate::executor::{SpqError, SpqExecutor, SpqResult};
+use crate::kernel::{self, CellTable};
 use crate::model::FeatureObject;
 use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
@@ -76,7 +95,7 @@ use crate::service::{
 };
 use crate::store::{ObjectRef, SharedDataset};
 use parking_lot::Mutex;
-use spq_mapreduce::{ClusterConfig, JobContext};
+use spq_mapreduce::{ClusterConfig, JobContext, JobStats};
 use spq_spatial::SpacePartition;
 use spq_text::{KeywordSet, Term};
 use std::collections::HashMap;
@@ -89,7 +108,10 @@ use std::time::Instant;
 /// Postings are CSR-packed (one flat, term-grouped slice of feature
 /// indices plus a per-term offset table) and each term's posting list is
 /// ascending, so merging a query's lists yields the candidate features in
-/// store order — exactly the order the map phase would have visited them.
+/// store order — exactly the order the map phase would have visited them —
+/// together with each candidate's `|q.W ∩ f.W|`. With the flat `|f.W|`
+/// array beside the postings that is everything a score needs, so the
+/// kernel scores candidates without touching a feature object.
 /// This is the engine's build-once replacement for the per-query keyword
 /// pruning scan: instead of testing `q.W ∩ f.W` for every feature on
 /// every query, each query probes `|q.W|` posting lists.
@@ -99,6 +121,8 @@ pub struct KeywordIndex {
     /// term `t`, ascending.
     offsets: Box<[usize]>,
     postings: Box<[u32]>,
+    /// `|f.W|` per feature, so a score needs no feature object.
+    feature_lens: Box<[u32]>,
 }
 
 impl KeywordIndex {
@@ -131,6 +155,7 @@ impl KeywordIndex {
         Self {
             offsets: offsets.into_boxed_slice(),
             postings: postings.into_boxed_slice(),
+            feature_lens: features.iter().map(|f| f.keywords.len() as u32).collect(),
         }
     }
 
@@ -175,12 +200,33 @@ impl KeywordIndex {
     /// would keep — ascending and deduplicated.
     pub fn candidates(&self, keywords: &KeywordSet) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
-        for t in keywords.iter() {
-            out.extend_from_slice(self.postings(t));
-        }
-        out.sort_unstable();
-        out.dedup();
+        self.for_each_match(keywords, |feature, _| out.push(feature));
         out
+    }
+
+    /// Merges the posting lists of `keywords`, calling
+    /// `emit(feature, |keywords ∩ f.W|)` once per feature sharing at least
+    /// one keyword, in ascending feature order. A [`KeywordSet`] holds
+    /// each term once, so the number of lists a feature heads is exactly
+    /// its intersection size.
+    pub(crate) fn for_each_match(&self, keywords: &KeywordSet, mut emit: impl FnMut(u32, usize)) {
+        let mut lists: Vec<&[u32]> = keywords.iter().map(|t| self.postings(t)).collect();
+        while let Some(next) = lists.iter().filter_map(|l| l.first().copied()).min() {
+            let mut inter = 0;
+            for list in &mut lists {
+                if list.first() == Some(&next) {
+                    inter += 1;
+                    *list = &list[1..];
+                }
+            }
+            emit(next, inter);
+        }
+    }
+
+    /// `|f.W|` of feature `i`.
+    #[inline]
+    pub(crate) fn feature_len(&self, i: u32) -> usize {
+        self.feature_lens[i as usize] as usize
     }
 }
 
@@ -205,12 +251,50 @@ pub struct DatasetStats {
     pub max_posting: usize,
 }
 
-/// One cached per-radius plan: the space partition plus its prebuilt
-/// routing tables.
+/// One cached per-radius plan: the space partition, its prebuilt routing
+/// tables and the kernel's data-by-cell table.
 #[derive(Debug)]
 struct PartitionPlan {
     partition: Arc<SpacePartition>,
     routing: CellRouting,
+    cells: CellTable,
+}
+
+/// The per-radius plans with their last-use stamps. `clock` is a
+/// per-engine use counter (no wall clock), bumped whenever a plan is
+/// found or inserted; the smallest stamp is the least recently used.
+#[derive(Debug, Default)]
+struct PlanCache {
+    plans: HashMap<u64, (Arc<PartitionPlan>, u64)>,
+    clock: u64,
+}
+
+impl PlanCache {
+    /// The plan cached under `key`, stamped as just used.
+    fn touch(&mut self, key: u64) -> Option<Arc<PartitionPlan>> {
+        let (plan, used) = self.plans.get_mut(&key)?;
+        self.clock += 1;
+        *used = self.clock;
+        Some(Arc::clone(plan))
+    }
+
+    /// Caches `plan` under the absent `key`, stamped as just used, first
+    /// evicting the least recently used plan if the cache is at its
+    /// bound. Returns whether it evicted.
+    fn insert(&mut self, key: u64, plan: Arc<PartitionPlan>) -> bool {
+        let evict = if self.plans.len() >= MAX_CACHED_PLANS {
+            let lru = self.plans.iter().min_by_key(|(_, (_, used))| *used);
+            lru.map(|(&key, _)| key)
+        } else {
+            None
+        };
+        if let Some(evict) = evict {
+            self.plans.remove(&evict);
+        }
+        self.clock += 1;
+        self.plans.insert(key, (plan, self.clock));
+        evict.is_some()
+    }
 }
 
 /// Cumulative engine counters (atomics — the engine is `Sync` and these
@@ -220,8 +304,12 @@ struct EngineMetrics {
     queries: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
+    plan_cache_evictions: AtomicU64,
     keyword_probes: AtomicU64,
     keyword_hits: AtomicU64,
+    kernel_candidates: AtomicU64,
+    kernel_visited: AtomicU64,
+    kernel_distance_checks: AtomicU64,
 }
 
 /// A point-in-time snapshot of an engine's cumulative counters — the
@@ -233,7 +321,9 @@ struct EngineMetrics {
 ///
 /// The remote fields are zero for the in-process backends; the remote
 /// backend fills them from its membership layer (see
-/// [`crate::remote::RemoteEngine::metrics`]).
+/// [`crate::remote::RemoteEngine::metrics`]) and leaves the engine-side
+/// eviction and kernel counters at zero — those live in its workers'
+/// engines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Queries executed through any entry point.
@@ -242,10 +332,21 @@ pub struct MetricsSnapshot {
     pub plan_cache_hits: u64,
     /// Queries that had to build (and cache) their partition plan.
     pub plan_cache_misses: u64,
+    /// Cached plans dropped, least recently used first, to keep the
+    /// per-radius cache inside its bound.
+    pub plan_cache_evictions: u64,
     /// Query keywords probed against the inverted keyword index.
     pub keyword_probes: u64,
     /// Probed keywords that hit a non-empty posting list.
     pub keyword_hits: u64,
+    /// Candidate features the serving kernel scored (features sharing a
+    /// keyword with the query), over all kernel-answered queries.
+    pub kernel_candidates: u64,
+    /// Of those, candidates the kernel visited — scanned the target cells
+    /// of — before its global-τ stop.
+    pub kernel_visited: u64,
+    /// `d(p, f) <= r` evaluations the kernel made.
+    pub kernel_distance_checks: u64,
     /// Shard re-dispatches after remote worker failures.
     pub remote_retries: u64,
     /// Remote workers currently out of rotation (a gauge, not a
@@ -269,8 +370,12 @@ impl MetricsSnapshot {
             queries: self.queries + other.queries,
             plan_cache_hits: self.plan_cache_hits + other.plan_cache_hits,
             plan_cache_misses: self.plan_cache_misses + other.plan_cache_misses,
+            plan_cache_evictions: self.plan_cache_evictions + other.plan_cache_evictions,
             keyword_probes: self.keyword_probes + other.keyword_probes,
             keyword_hits: self.keyword_hits + other.keyword_hits,
+            kernel_candidates: self.kernel_candidates + other.kernel_candidates,
+            kernel_visited: self.kernel_visited + other.kernel_visited,
+            kernel_distance_checks: self.kernel_distance_checks + other.kernel_distance_checks,
             remote_retries: self.remote_retries + other.remote_retries,
             excluded_workers: self.excluded_workers + other.excluded_workers,
             warm_failovers: self.warm_failovers + other.warm_failovers,
@@ -283,9 +388,9 @@ impl MetricsSnapshot {
 /// Upper bound on cached per-radius plans. Serving workloads use a small
 /// set of radius classes, so the bound exists purely as a memory safety
 /// valve against adversarial streams of distinct radii: each plan pins an
-/// `O(|O| + |F|·duplication)` routing table, and on overflow an arbitrary
-/// cached plan is evicted (plans rebuild deterministically, so eviction
-/// only costs time, never correctness).
+/// `O(|O| + |F|·duplication)` routing table plus the kernel's cell table,
+/// and on overflow the least recently used plan is evicted (plans rebuild
+/// deterministically, so eviction only costs time, never correctness).
 const MAX_CACHED_PLANS: usize = 64;
 
 /// A long-lived SPQ serving engine over one dataset.
@@ -295,7 +400,8 @@ const MAX_CACHED_PLANS: usize = 64;
 /// per-radius partition plans are built lazily by the first query that
 /// needs them and cached (keyed by the exact radius bits — real
 /// workloads use a small set of radius classes; a bound of 64 plans
-/// guards against unbounded-radius streams, evicting arbitrarily).
+/// guards against unbounded-radius streams, evicting the least recently
+/// used).
 ///
 /// The engine is `Sync`:
 /// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
@@ -306,13 +412,13 @@ pub struct QueryEngine {
     exec: SpqExecutor,
     dataset: SharedDataset,
     /// Full round-robin splits: what partition planning samples, and the
-    /// map input when keyword pruning is disabled.
+    /// job's map input when keyword pruning is disabled.
     splits: Vec<Vec<ObjectRef>>,
     /// The data-object prefix of every split — the immutable part of a
-    /// candidate-pruned split.
+    /// traced job's candidate-pruned split.
     data_splits: Vec<Vec<ObjectRef>>,
     keyword_index: KeywordIndex,
-    plans: Mutex<HashMap<u64, Arc<PartitionPlan>>>,
+    plans: Mutex<PlanCache>,
     ctx: JobContext,
     metrics: EngineMetrics,
 }
@@ -358,7 +464,7 @@ impl QueryEngine {
             splits,
             data_splits,
             keyword_index,
-            plans: Mutex::new(HashMap::new()),
+            plans: Mutex::new(PlanCache::default()),
             ctx: JobContext::new(),
             metrics: EngineMetrics::default(),
         }
@@ -425,16 +531,16 @@ impl QueryEngine {
 
     /// Number of per-radius partition plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.plans.lock().len()
+        self.plans.lock().plans.len()
     }
 
     /// The cached plan for this query's radius, built on first use.
     /// Returns the plan together with whether it was a cache hit.
     fn plan(&self, query: &SpqQuery) -> (Arc<PartitionPlan>, bool) {
         let key = query.radius.to_bits();
-        if let Some(plan) = self.plans.lock().get(&key) {
+        if let Some(plan) = self.plans.lock().touch(key) {
             self.metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(plan), true);
+            return (plan, true);
         }
         self.metrics
             .plan_cache_misses
@@ -446,17 +552,22 @@ impl QueryEngine {
             .exec
             .plan_partition_shared(query, &self.dataset, &self.splits);
         let routing = CellRouting::build(&partition, &self.dataset, query.radius);
+        let cells = CellTable::build(&routing, partition.num_cells(), self.dataset.data().len());
         let plan = Arc::new(PartitionPlan {
             partition: Arc::new(partition),
             routing,
+            cells,
         });
-        let mut plans = self.plans.lock();
-        if plans.len() >= MAX_CACHED_PLANS && !plans.contains_key(&key) {
-            if let Some(&evict) = plans.keys().next() {
-                plans.remove(&evict);
-            }
+        let mut cache = self.plans.lock();
+        if let Some(raced) = cache.touch(key) {
+            return (raced, false);
         }
-        (Arc::clone(plans.entry(key).or_insert(plan)), false)
+        if cache.insert(key, Arc::clone(&plan)) {
+            self.metrics
+                .plan_cache_evictions
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        (plan, false)
     }
 
     /// Builds splits holding every data object plus only the candidate
@@ -500,10 +611,13 @@ impl QueryEngine {
 
     /// The one engine path (see the [module docs](self)): every local
     /// request, every sharded scatter and every remote worker query runs
-    /// through here. Maps over every data object plus only the query's
-    /// candidate features — or over the full splits when keyword pruning
-    /// is disabled (the shuffle-ablation mode). Returns the result
-    /// together with whether the partition plan was served from cache.
+    /// through here. A request that asks for a job — a trace, or keyword
+    /// pruning disabled — runs one: over every data object plus the
+    /// query's candidate features, or over the full splits without
+    /// pruning. Every other request is answered by the
+    /// [kernel](crate::kernel) with an empty [`JobStats`] and zero shuffle.
+    /// Returns the result together with whether the partition plan was
+    /// served from cache.
     pub(crate) fn run(
         &self,
         query: &SpqQuery,
@@ -513,6 +627,9 @@ impl QueryEngine {
         self.metrics.queries.fetch_add(1, Ordering::Relaxed);
         let exec = self.exec_for(options, mode);
         let (plan, hit) = self.plan(query);
+        if !options.trace && exec.keyword_pruning_enabled() {
+            return Ok((self.run_kernel(query, &plan, exec.algorithm_choice()), hit));
+        }
         let pruned;
         let splits = if exec.keyword_pruning_enabled() {
             pruned = self.candidate_splits(&self.keyword_index.candidates(&query.keywords));
@@ -529,6 +646,38 @@ impl QueryEngine {
             Some(&self.ctx),
         )?;
         Ok((result, hit))
+    }
+
+    /// Answers `query` with the kernel and counts its work. The result
+    /// carries the shape a job's would — the configured algorithm, the
+    /// plan's partition — with no job behind it.
+    fn run_kernel(
+        &self,
+        query: &SpqQuery,
+        plan: &PartitionPlan,
+        algorithm: Algorithm,
+    ) -> SpqResult {
+        let answer = kernel::top_k(
+            &self.dataset,
+            &self.keyword_index,
+            &plan.routing,
+            &plan.cells,
+            query,
+        );
+        let m = &self.metrics;
+        m.kernel_candidates
+            .fetch_add(answer.candidates, Ordering::Relaxed);
+        m.kernel_visited
+            .fetch_add(answer.visited, Ordering::Relaxed);
+        m.kernel_distance_checks
+            .fetch_add(answer.distance_checks, Ordering::Relaxed);
+        SpqResult {
+            top_k: answer.top_k,
+            stats: JobStats::default(),
+            algorithm,
+            partition: Arc::clone(&plan.partition),
+            shuffle_bytes: 0,
+        }
     }
 
     /// Probes each query keyword against the build-once keyword index,
@@ -580,14 +729,19 @@ impl QueryEngine {
     }
 
     /// A snapshot of the engine's cumulative counters: queries served,
-    /// plan-cache hits/misses, keyword-index probe outcomes.
+    /// plan-cache hits/misses/evictions, keyword-index probe outcomes,
+    /// kernel work.
     pub fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             queries: self.metrics.queries.load(Ordering::Relaxed),
             plan_cache_hits: self.metrics.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.metrics.plan_cache_misses.load(Ordering::Relaxed),
+            plan_cache_evictions: self.metrics.plan_cache_evictions.load(Ordering::Relaxed),
             keyword_probes: self.metrics.keyword_probes.load(Ordering::Relaxed),
             keyword_hits: self.metrics.keyword_hits.load(Ordering::Relaxed),
+            kernel_candidates: self.metrics.kernel_candidates.load(Ordering::Relaxed),
+            kernel_visited: self.metrics.kernel_visited.load(Ordering::Relaxed),
+            kernel_distance_checks: self.metrics.kernel_distance_checks.load(Ordering::Relaxed),
             ..MetricsSnapshot::default()
         }
     }
@@ -618,7 +772,6 @@ mod tests {
     use super::*;
     use crate::model::DataObject;
     use crate::partitioning::COUNTER_MAP_PRUNED;
-    use spq_mapreduce::JobStats;
     use spq_spatial::{Point, Rect};
 
     fn feature(id: u64, x: f64, y: f64, kw: &[u32]) -> FeatureObject {
@@ -823,17 +976,73 @@ mod tests {
     fn plan_cache_is_bounded() {
         let engine = QueryEngine::new(executor(), paper_dataset());
         // An adversarial stream of distinct radii must not grow the cache
-        // past the bound — and eviction must not disturb results.
-        let expect = engine.execute(&request(1, 1.5, &[0])).unwrap().results;
-        for i in 0..(MAX_CACHED_PLANS + 20) {
+        // past the bound — and eviction must not disturb results, nor
+        // take the one radius that is in use between every insertion.
+        let hot = request(1, 1.5, &[0]);
+        let expect = engine.execute(&hot).unwrap().results;
+        let distinct = (MAX_CACHED_PLANS + 20) as u64;
+        for i in 0..distinct {
             let r = 1.0 + i as f64 * 1e-3;
             engine.execute(&request(1, r, &[0])).unwrap();
             assert!(engine.cached_plans() <= MAX_CACHED_PLANS);
+            let served = engine.execute(&hot).unwrap();
+            assert!(served.stats.plan_cache_hit, "hot radius evicted at {i}");
+            assert_eq!(served.results, expect);
         }
+        let m = engine.metrics();
+        // The hot radius was planned once; every other miss is a distinct
+        // radius, and each insertion past the bound evicted exactly one.
+        assert_eq!(m.plan_cache_misses, 1 + distinct);
+        assert_eq!(m.plan_cache_hits, distinct);
         assert_eq!(
-            engine.execute(&request(1, 1.5, &[0])).unwrap().results,
-            expect
+            m.plan_cache_evictions,
+            1 + distinct - MAX_CACHED_PLANS as u64
         );
+        assert_eq!(engine.cached_plans(), MAX_CACHED_PLANS);
+    }
+
+    #[test]
+    fn unmatched_keywords_answer_empty_without_scoring() {
+        let engine = QueryEngine::new(executor(), paper_dataset());
+        let response = engine.execute(&request(3, 1.5, &[77])).unwrap();
+        assert!(response.results.is_empty());
+        assert_eq!(response.stats.keyword_terms_matched, 0);
+        // The local engine always reports itself as the one shard.
+        assert_eq!(response.stats.shards_touched, 1);
+        assert_eq!(response.stats.shuffle_records, 0);
+        let m = engine.metrics();
+        assert_eq!(
+            (
+                m.queries,
+                m.kernel_candidates,
+                m.kernel_visited,
+                m.kernel_distance_checks
+            ),
+            (1, 0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn kernel_counters_accumulate_only_on_kernel_requests() {
+        let engine = QueryEngine::new(executor(), paper_dataset());
+        let req = request(1, 1.5, &[0]);
+        // A traced request and a pruning-off request each buy a job.
+        engine.execute(&req.clone().with_trace()).unwrap();
+        let unpruned = engine
+            .execute(&req.clone().with_keyword_pruning(false))
+            .unwrap();
+        assert!(unpruned.stats.shuffle_records > 0);
+        assert_eq!(engine.metrics().kernel_candidates, 0);
+        // Term 0 is on f1, f4, f7; f4 scores 1 and fills k = 1, so the
+        // two 0.5-scoring candidates are never visited.
+        let served = engine.execute(&req).unwrap();
+        assert_eq!(served.results, unpruned.results);
+        let m = engine.metrics();
+        assert_eq!((m.kernel_candidates, m.kernel_visited), (3, 1));
+        assert!(m.kernel_distance_checks > 0);
+        let twice = engine.metrics().merged(m);
+        assert_eq!((twice.kernel_candidates, twice.kernel_visited), (6, 2));
+        assert_eq!(twice.kernel_distance_checks, 2 * m.kernel_distance_checks);
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod algo;
 pub mod centralized;
 pub mod engine;
 pub mod executor;
+mod kernel;
 pub mod merge;
 pub mod model;
 pub mod partitioning;

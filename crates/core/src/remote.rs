@@ -1153,6 +1153,8 @@ impl RemoteEngine {
             warm_failovers: self.warm_failovers(),
             cold_reprovisions: self.cold_reprovisions(),
             readmissions: self.readmissions(),
+            // Evictions and kernel work happen in the workers' engines.
+            ..MetricsSnapshot::default()
         }
     }
 

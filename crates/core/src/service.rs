@@ -75,8 +75,9 @@ use std::str::FromStr;
 /// single-store simplicity against shard-per-node scale-out shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// One build-once [`QueryEngine`] over the whole dataset, executing
-    /// jobs on the in-process [`spq_mapreduce::LocalPool`].
+    /// One build-once [`QueryEngine`] over the whole dataset: its direct
+    /// kernel, or — for a traced or pruning-off request — a job on the
+    /// in-process [`spq_mapreduce::LocalPool`].
     Local,
     /// A [`ShardedEngine`]: the data
     /// objects are sliced into `shards` per-shard stores (features are
@@ -162,15 +163,26 @@ pub struct QueryOptions {
     /// Run this algorithm instead of the engine's configured one.
     pub algorithm: Option<Algorithm>,
     /// Worker budget for this request: intra-job workers on the local
-    /// backend, scatter width on the sharded backend. Jobs are
-    /// worker-count-invariant, so this is a pure resource knob — the
+    /// backend (when the request runs a job — the kernel is
+    /// single-threaded), scatter width on the sharded backend. Execution
+    /// is worker-count-invariant, so this is a pure resource knob — the
     /// timeout-free way to bound a query's CPU appetite.
     pub workers: Option<usize>,
-    /// Override the map-side keyword-pruning rule (the shuffle ablation;
-    /// results are unchanged, the shuffle just carries every feature).
+    /// Override the map-side keyword-pruning rule. Disabling it is the
+    /// shuffle ablation, so it asks for a MapReduce job on every engine
+    /// that answers the request: results are unchanged, the shuffle just
+    /// carries every feature. With pruning on (the default) and no
+    /// [`trace`](Self::trace), engines answer from their direct kernel
+    /// and run no job.
     pub keyword_pruning: Option<bool>,
     /// Attach the full per-job [`JobStats`] to the response (one entry on
-    /// the local backend, one per touched shard on the sharded one).
+    /// the local backend, one per touched shard on the sharded one). A
+    /// trace *is* a job's statistics, so a traced request runs the
+    /// MapReduce job instead of the kernel — same result bytes, a job's
+    /// cost — on the local engine and on every in-process shard. The
+    /// flag is not part of the remote wire format: remote workers answer
+    /// from their kernel and the trace holds one empty [`JobStats`] per
+    /// touched worker.
     pub trace: bool,
 }
 
@@ -281,23 +293,28 @@ pub struct QueryStats {
     /// from its per-radius cache (`false` when any plan was built, and on
     /// requests short-circuited before consulting a plan).
     pub plan_cache_hit: bool,
-    /// Shards the query scattered to (1 on the local backend; 0 when the
-    /// keyword index proved no feature can match).
+    /// Shards the query scattered to. Always 1 on the local backend; on
+    /// the sharded and remote backends, 0 when the keyword index proved
+    /// no feature can match (or no shard holds data).
     pub shards_touched: usize,
-    /// Records that crossed the data-movement boundary: the in-process
-    /// shuffle on the local backend, the serialized gather on the sharded
-    /// one.
+    /// Records that crossed the data-movement boundary. Local backend:
+    /// the in-process shuffle of the request's MapReduce job — non-zero
+    /// only when the request asked for one ([`QueryOptions::trace`] or
+    /// keyword pruning disabled), `0` when the kernel answered. Sharded
+    /// and remote backends: the serialized gather, whichever way the
+    /// shards computed.
     pub shuffle_records: u64,
     /// Bytes behind [`shuffle_records`](Self::shuffle_records) — actual
     /// wire bytes for the sharded gather, `records × record size` for the
-    /// in-process shuffle.
+    /// in-process shuffle (`0` when the kernel answered).
     pub shuffle_bytes: u64,
     /// End-to-end wall time of the request, microseconds.
     pub wall_micros: u64,
     /// Query keywords probed against the build-once keyword index.
     pub keyword_terms_probed: usize,
     /// Probed keywords carried by at least one feature. `0` means the
-    /// query cannot match anything and short-circuits.
+    /// query cannot match anything: the scatter/gather backends
+    /// short-circuit, the local kernel scores zero candidates.
     pub keyword_terms_matched: usize,
     /// Shard executions that were re-dispatched after a worker failure.
     /// Always `0` on the in-process backends; on [`Backend::Remote`] a
@@ -327,7 +344,8 @@ pub struct QueryResponse {
     pub stats: QueryStats,
     /// Full per-job statistics, present when the request set
     /// [`QueryOptions::trace`]: one entry on the local backend, one per
-    /// touched shard on the sharded backend.
+    /// touched shard on the sharded backend (on the remote backend one
+    /// per touched worker, empty — see [`QueryOptions::trace`]).
     pub trace: Option<Vec<JobStats>>,
 }
 
@@ -338,7 +356,8 @@ pub struct QueryResponse {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Full parallelism for a lone request: the worker budget drives the
-    /// job on the local backend and the scatter width on the
+    /// job on the local backend (when the request asks for one; the
+    /// kernel is single-threaded) and the scatter width on the
     /// scatter/gather backends.
     Parallel,
     /// Single-threaded job (local) / width-1 scatter (sharded, remote) —
@@ -389,7 +408,7 @@ pub trait QueryExecutor: Sync {
 
     /// Validates and executes one request single-threaded
     /// ([`ExecutionMode::Sequential`]) — same bytes as
-    /// [`execute`](Self::execute); jobs are worker-count-invariant.
+    /// [`execute`](Self::execute); execution is worker-count-invariant.
     fn execute_sequential(&self, request: &QueryRequest) -> Result<QueryResponse, SpqError> {
         request.validate()?;
         self.run_validated(request, ExecutionMode::Sequential)

@@ -131,14 +131,23 @@ impl SetSimilarity {
     /// Computes the similarity `w(f, q)` between a query keyword set and a
     /// feature keyword set.
     pub fn score(self, query: &KeywordSet, feature: &KeywordSet) -> Score {
-        let inter = query.intersection_len(feature);
+        self.score_from_counts(query.intersection_len(feature), query.len(), feature.len())
+    }
+
+    /// The similarity of two sets known only by their sizes:
+    /// `inter = |q.W ∩ f.W|`, `query_len = |q.W|`, `feature_len = |f.W|`.
+    /// [`score`](Self::score) delegates here, so a caller that already
+    /// counted the intersection (an inverted index merging posting lists)
+    /// gets the same `f64` bits without touching either set.
+    #[inline]
+    pub fn score_from_counts(self, inter: usize, query_len: usize, feature_len: usize) -> Score {
         if inter == 0 {
             return Score::ZERO;
         }
         match self {
-            SetSimilarity::Jaccard => Score::ratio(inter, query.len() + feature.len() - inter),
-            SetSimilarity::Dice => Score::ratio(2 * inter, query.len() + feature.len()),
-            SetSimilarity::Overlap => Score::ratio(inter, query.len().min(feature.len())),
+            SetSimilarity::Jaccard => Score::ratio(inter, query_len + feature_len - inter),
+            SetSimilarity::Dice => Score::ratio(2 * inter, query_len + feature_len),
+            SetSimilarity::Overlap => Score::ratio(inter, query_len.min(feature_len)),
         }
     }
 
@@ -249,6 +258,28 @@ mod tests {
         let f = ks(&[2, 3, 4]);
         assert_eq!(SetSimilarity::Dice.score(&q, &f), Score::ratio(2, 5));
         assert_eq!(SetSimilarity::Overlap.score(&q, &f), Score::ratio(1, 2));
+    }
+
+    #[test]
+    fn score_from_counts_needs_only_the_sizes() {
+        // |q ∩ f| = 2, |q| = 3, |f| = 4: union 5, sum 7, min 3.
+        let (j, d, o) = (
+            SetSimilarity::Jaccard.score_from_counts(2, 3, 4),
+            SetSimilarity::Dice.score_from_counts(2, 3, 4),
+            SetSimilarity::Overlap.score_from_counts(2, 3, 4),
+        );
+        assert_eq!(
+            (j, d, o),
+            (Score::ratio(2, 5), Score::ratio(4, 7), Score::ratio(2, 3))
+        );
+        let (q, f) = (ks(&[1, 2, 3]), ks(&[2, 3, 4, 5]));
+        assert_eq!(SetSimilarity::Jaccard.score(&q, &f), j);
+        assert_eq!(SetSimilarity::Dice.score(&q, &f), d);
+        assert_eq!(SetSimilarity::Overlap.score(&q, &f), o);
+        assert_eq!(
+            SetSimilarity::Jaccard.score_from_counts(0, 3, 4),
+            Score::ZERO
+        );
     }
 
     #[test]

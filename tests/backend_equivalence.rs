@@ -304,8 +304,16 @@ fn stats_reflect_backend_shape() {
         "first query builds the plan"
     );
     assert!(local.execute(&request).unwrap().stats.plan_cache_hit);
-    assert!(response.stats.shuffle_records > 0);
-    assert!(response.stats.shuffle_bytes >= response.stats.shuffle_records);
+    // The local shuffle exists only when the request asked for a job: a
+    // plain request is answered by the kernel and moves nothing.
+    assert_eq!(response.stats.shuffle_records, 0);
+    assert_eq!(response.stats.shuffle_bytes, 0);
+    assert!(response.trace.is_none());
+    let traced = local.execute(&request.clone().with_trace()).unwrap();
+    assert_eq!(traced.results, response.results);
+    assert!(traced.stats.shuffle_records > 0);
+    assert!(traced.stats.shuffle_bytes >= traced.stats.shuffle_records);
+    assert_eq!(traced.trace.unwrap().len(), 1);
 
     let sharded = SpqService::build(
         exec,

@@ -260,7 +260,9 @@ fn serve_on_generated_workload_is_worker_invariant() {
 /// traced job counters, reads exactly `|O| + |candidates(q.W)|` map
 /// records (the keyword index resolved the candidates; pruned features
 /// are never read), and still answers the bytes of a fresh job and of the
-/// centralized brute force.
+/// centralized brute force. The same requests without a trace are
+/// answered by the kernel through every entry point: the same bytes, no
+/// shuffle.
 #[test]
 fn every_entry_point_takes_the_same_engine_path() {
     use spq::data::{QueryStream, StreamConfig, UniformGen};
@@ -275,11 +277,8 @@ fn every_entry_point_takes_the_same_engine_path() {
             ..StreamConfig::default()
         },
     );
-    let requests: Vec<QueryRequest> = stream
-        .batch(6)
-        .into_iter()
-        .map(|q| QueryRequest::new(q).with_trace())
-        .collect();
+    let untraced: Vec<QueryRequest> = stream.batch(6).into_iter().map(QueryRequest::new).collect();
+    let requests: Vec<QueryRequest> = untraced.iter().cloned().map(|r| r.with_trace()).collect();
     let exec = SpqExecutor::new(Rect::unit())
         .grid_size(8)
         .cluster(ClusterConfig::with_workers(2));
@@ -345,6 +344,14 @@ fn every_entry_point_takes_the_same_engine_path() {
                 brute_force(shared.data(), shared.features(), q),
                 "{name}: {q}"
             );
+        }
+        let plain = run(&engine, &untraced);
+        assert_eq!(plain.len(), responses.len(), "{name}");
+        for (plain, traced) in plain.iter().zip(&responses) {
+            assert_eq!(plain.results, traced.results, "{name}: kernel vs job");
+            assert_eq!(plain.stats.shuffle_records, 0, "{name}");
+            assert_eq!(plain.stats.shuffle_bytes, 0, "{name}");
+            assert!(plain.trace.is_none(), "{name}");
         }
     }
 }
