@@ -417,7 +417,10 @@ pub struct QueryEngine {
     /// The data-object prefix of every split — the immutable part of a
     /// traced job's candidate-pruned split.
     data_splits: Vec<Vec<ObjectRef>>,
-    keyword_index: KeywordIndex,
+    /// Behind an `Arc` because engines over slices of one dataset (the
+    /// shards of a sharded engine, the shards a worker hosts) see the same
+    /// broadcast feature array and share one index over it.
+    keyword_index: Arc<KeywordIndex>,
     plans: Mutex<PlanCache>,
     ctx: JobContext,
     metrics: EngineMetrics,
@@ -448,6 +451,32 @@ impl QueryEngine {
         dataset: SharedDataset,
         num_splits: usize,
     ) -> Self {
+        let keyword_index = Arc::new(KeywordIndex::build(dataset.features()));
+        Self::build(executor, dataset, num_splits, keyword_index)
+    }
+
+    /// [`new`](Self::new) over an index some other engine already built
+    /// for the **same feature array** — `N` shard engines then cost one
+    /// index build and one index's memory instead of `N`.
+    pub(crate) fn with_shared_index(
+        executor: SpqExecutor,
+        dataset: SharedDataset,
+        keyword_index: Arc<KeywordIndex>,
+    ) -> Self {
+        debug_assert_eq!(
+            keyword_index.feature_lens.len(),
+            dataset.features().len(),
+            "a shared keyword index must cover the dataset's feature array"
+        );
+        Self::build(executor, dataset, DEFAULT_NUM_SPLITS, keyword_index)
+    }
+
+    fn build(
+        executor: SpqExecutor,
+        dataset: SharedDataset,
+        num_splits: usize,
+        keyword_index: Arc<KeywordIndex>,
+    ) -> Self {
         assert!(num_splits > 0, "engine needs at least one split");
         let splits = dataset.ref_splits(num_splits);
         // Derived from the actual splits (not re-derived from the
@@ -457,7 +486,6 @@ impl QueryEngine {
             .iter()
             .map(|s| s.iter().copied().filter(|r| r.is_data()).collect())
             .collect();
-        let keyword_index = KeywordIndex::build(dataset.features());
         Self {
             exec: executor,
             dataset,

@@ -7,7 +7,8 @@
 //! contiguous chunks, features broadcast to every shard — but instead of
 //! building shard engines in-process it **provisions** each shard onto
 //! [`MembershipConfig::replication_factor`] workers over the
-//! [`spq_mapreduce::remote`] frame protocol. Workers are either spawned
+//! [`spq_mapreduce::remote`] frame protocol (see *Provisioning* below).
+//! Workers are either spawned
 //! in-process (the default — real sockets, no extra processes) or
 //! external `spq-worker` binaries named by [`SPQ_REMOTE_WORKERS`].
 //!
@@ -16,6 +17,30 @@
 //! same 12-byte [`wire`] records the in-process gather uses, so the merged
 //! top-k is **byte-identical** to every other backend
 //! (`tests/backend_equivalence.rs` proptests it across worker counts).
+//!
+//! ## Provisioning
+//!
+//! The feature set crosses the wire **once per worker** and lives **once
+//! per worker process**, however many shards the worker hosts:
+//!
+//! * The manager encodes `F` once into bounded [`OP_FEATURES`] chunk
+//!   payloads (about 1 MiB of whole features each, so no frame grows with
+//!   the corpus) named by the set's *fingerprint* — FNV-1a over the
+//!   encoded features, a function of the content alone. The same buffers
+//!   serve every worker and every later re-provision.
+//! * A worker appends the chunks of a set, in order, into one feature
+//!   vector; on the last chunk it builds one `Arc<[FeatureObject]>` and
+//!   one `Arc<KeywordIndex>`. An [`OP_PROVISION`] then carries only the
+//!   shard id, the executor, the shard's data slice and the fingerprint;
+//!   the shard engine is built over clones of those two `Arc`s. A set is
+//!   dropped when the last shard hosted over it is replaced.
+//! * An [`OP_PROVISION`] naming a set the worker does not hold is refused
+//!   with a typed "unknown feature set" error; the manager ships the set
+//!   and retries the install once. Cold failover, rebalancing and the
+//!   re-admission of a restarted (hence empty) process all take that one
+//!   path. Only the initial build ships ahead of asking — to every worker
+//!   at the same time, one thread per worker: the set, then the worker's
+//!   shards in shard order.
 //!
 //! ## Membership
 //!
@@ -39,8 +64,9 @@
 //!   exponential backoff, which rides out a blip; a second failure
 //!   excludes it and the shard **fails over**. With a warm replica alive
 //!   the failover is a placement-pointer flip (no data crosses the wire);
-//!   otherwise the kept provision payload is re-provisioned onto a
-//!   survivor (a *cold* re-provision). Both are visible per query in
+//!   otherwise the shard's kept data slice is re-installed on a survivor
+//!   (a *cold* re-provision; the survivor is sent the feature set first
+//!   only if it does not already hold it). Both are visible per query in
 //!   [`QueryStats::warm_failovers`] / [`QueryStats::cold_reprovisions`].
 //! * **Ticks** drive the way back: [`RemoteEngine::tick`] probes every
 //!   excluded worker with a ping frame and, after
@@ -69,7 +95,7 @@
 //! it surfaces directly as [`SpqError::Remote`], matching the local
 //! backends' error-path behaviour.
 
-use crate::engine::{MetricsSnapshot, QueryEngine};
+use crate::engine::{KeywordIndex, MetricsSnapshot, QueryEngine};
 use crate::executor::{GridSizing, LoadBalancing, SpqError, SpqExecutor};
 use crate::merge::merge_top_k;
 use crate::model::{DataObject, FeatureObject, ObjectId};
@@ -85,10 +111,12 @@ use spq_mapreduce::pool::run_tasks;
 use spq_mapreduce::remote::codec::{
     decode_job_stats, encode_job_stats, put_bytes, put_f64, put_u32, put_u64, put_u8,
 };
+use spq_mapreduce::remote::frame::{fnv1a_extend, FNV_OFFSET_BASIS};
 use spq_mapreduce::remote::{
     decode_error_payload, ByteReader, ClientConfig, CodecError, FaultPlan, FrameHandler,
-    WorkerClient, WorkerServer, OP_ERROR, OP_FAULT_OK, OP_PROVISION, OP_PROVISION_OK, OP_SET_FAULT,
-    OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS, OP_SHARD_STATUS_OK,
+    RemoteError, WorkerClient, WorkerServer, OP_ERROR, OP_FAULT_OK, OP_FEATURES, OP_FEATURES_OK,
+    OP_PROVISION, OP_PROVISION_OK, OP_SET_FAULT, OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS,
+    OP_SHARD_STATUS_OK,
 };
 use spq_mapreduce::{ClusterConfig, JobStats};
 use spq_text::{KeywordSet, SetSimilarity};
@@ -235,6 +263,9 @@ fn decode_executor(r: &mut ByteReader<'_>) -> Result<SpqExecutor, CodecError> {
     if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()) {
         return Err(CodecError::invalid("non-finite data-space bounds"));
     }
+    if min_x > max_x || min_y > max_y {
+        return Err(CodecError::invalid("inverted data-space bounds"));
+    }
     let algorithm = algorithm_from_u8(r.u8()?)?;
     let sizing_tag = r.u8()?;
     let sizing_value = r.u32()?;
@@ -269,19 +300,157 @@ fn decode_executor(r: &mut ByteReader<'_>) -> Result<SpqExecutor, CodecError> {
     Ok(exec)
 }
 
-/// Encodes an [`OP_PROVISION`] payload: the shard id, the executor
-/// configuration, the shard's data slice (each object with its **global**
-/// store index, so gather records resolve without any per-shard coordinate
-/// space) and the broadcast feature set.
-pub(crate) fn encode_provision(
+/// Encoded size of one data object in an [`OP_PROVISION`] payload.
+const DATA_RECORD_BYTES: usize = 4 + 8 + 8 + 8;
+/// Encoded size of a feature with no keywords — the floor a shipped
+/// feature count is held to before anything is allocated for it.
+const MIN_FEATURE_BYTES: usize = 8 + 8 + 8 + 4;
+/// Encoded size of one keyword id.
+const TERM_BYTES: usize = 4;
+/// Fingerprint, chunk index, chunk total, feature count.
+const CHUNK_HEADER_BYTES: usize = 8 + 4 + 4 + 4;
+
+/// Feature bytes one [`OP_FEATURES`] chunk carries: whole features are
+/// packed until the next one would cross it, so a chunk only exceeds it
+/// when a single feature does. Small enough that neither side ever holds
+/// a feature set as one buffer, far enough under
+/// [`MAX_FRAME_LEN`](spq_mapreduce::remote::MAX_FRAME_LEN) that no corpus
+/// size brings a provisioning frame near the cap.
+const FEATURES_CHUNK_BYTES: usize = 1 << 20;
+
+/// A feature set as it crosses the wire: its fingerprint and its
+/// [`OP_FEATURES`] payloads, in the order they must be sent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FeatureChunks {
+    /// [`fnv1a`](spq_mapreduce::remote::frame::fnv1a) over the encoded
+    /// features — a function of the content alone, whatever the chunking.
+    pub fingerprint: u64,
+    /// One payload per chunk; never empty (a feature-less set is one
+    /// chunk of zero features).
+    pub chunks: Vec<Vec<u8>>,
+}
+
+/// Encodes a feature set into [`OP_FEATURES`] chunk payloads of at most
+/// `budget` feature bytes each (one feature per chunk when a feature is
+/// larger than the budget).
+pub fn encode_feature_chunks(features: &[FeatureObject], budget: usize) -> FeatureChunks {
+    // Headers are patched at the end, once the fingerprint and the chunk
+    // total are known.
+    let mut sealed: Vec<(Vec<u8>, u32)> = Vec::new();
+    let mut chunk = vec![0; CHUNK_HEADER_BYTES];
+    let mut count = 0u32;
+    for feature in features {
+        let len = MIN_FEATURE_BYTES + TERM_BYTES * feature.keywords.len();
+        if count > 0 && chunk.len() - CHUNK_HEADER_BYTES + len > budget {
+            sealed.push((
+                std::mem::replace(&mut chunk, vec![0; CHUNK_HEADER_BYTES]),
+                count,
+            ));
+            count = 0;
+        }
+        put_u64(&mut chunk, feature.id);
+        put_f64(&mut chunk, feature.location.x);
+        put_f64(&mut chunk, feature.location.y);
+        put_u32(&mut chunk, feature.keywords.len() as u32);
+        for term in feature.keywords.iter() {
+            put_u32(&mut chunk, term.0);
+        }
+        count += 1;
+    }
+    sealed.push((chunk, count));
+    let fingerprint = sealed.iter().fold(FNV_OFFSET_BASIS, |hash, (chunk, _)| {
+        fnv1a_extend(hash, &chunk[CHUNK_HEADER_BYTES..])
+    });
+    let total = sealed.len() as u32;
+    let chunks = sealed
+        .into_iter()
+        .enumerate()
+        .map(|(index, (mut chunk, count))| {
+            let mut header = Vec::with_capacity(CHUNK_HEADER_BYTES);
+            put_u64(&mut header, fingerprint);
+            put_u32(&mut header, index as u32);
+            put_u32(&mut header, total);
+            put_u32(&mut header, count);
+            chunk[..CHUNK_HEADER_BYTES].copy_from_slice(&header);
+            // The chunks live as long as the engine; drop growth slack.
+            chunk.shrink_to_fit();
+            chunk
+        })
+        .collect();
+    FeatureChunks {
+        fingerprint,
+        chunks,
+    }
+}
+
+/// One decoded [`OP_FEATURES`] chunk.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeaturesChunk {
+    /// The set this chunk belongs to.
+    pub fingerprint: u64,
+    /// Position of this chunk in the set (`< total`).
+    pub index: u32,
+    /// Chunks in the set (≥ 1).
+    pub total: u32,
+    /// The chunk's features, in store order.
+    pub features: Vec<FeatureObject>,
+}
+
+/// Decodes one [`OP_FEATURES`] payload. Every shipped count is checked
+/// against the bytes that remain before it sizes an allocation.
+pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError> {
+    let mut r = ByteReader::new(payload);
+    let fingerprint = r.u64()?;
+    let index = r.u32()?;
+    let total = r.u32()?;
+    if index >= total {
+        return Err(CodecError::invalid(format!(
+            "feature chunk {index} of a set of {total}"
+        )));
+    }
+    let num_features = r.count(MIN_FEATURE_BYTES)?;
+    let mut features = Vec::with_capacity(num_features);
+    for _ in 0..num_features {
+        let id = r.u64()?;
+        let (x, y) = (r.f64()?, r.f64()?);
+        let num_terms = r.count(TERM_BYTES)?;
+        let mut terms = Vec::with_capacity(num_terms);
+        for _ in 0..num_terms {
+            terms.push(r.u32()?);
+        }
+        features.push(FeatureObject::new(
+            id,
+            spq_spatial::Point::new(x, y),
+            KeywordSet::from_ids(terms),
+        ));
+    }
+    if !r.is_empty() {
+        return Err(CodecError::invalid("trailing bytes after feature chunk"));
+    }
+    Ok(FeaturesChunk {
+        fingerprint,
+        index,
+        total,
+        features,
+    })
+}
+
+/// Encodes an [`OP_PROVISION`] payload: the shard id, the fingerprint of
+/// the feature set the shard is evaluated against (shipped separately,
+/// once per worker, as [`OP_FEATURES`] chunks), the executor configuration
+/// and the shard's data slice — each object with its **global** store
+/// index, so gather records resolve without any per-shard coordinate
+/// space.
+pub fn encode_provision(
     shard_id: u32,
+    fingerprint: u64,
     exec: &SpqExecutor,
     first_global_index: u32,
     data: &[DataObject],
-    features: &[FeatureObject],
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(64 + data.len() * DATA_RECORD_BYTES);
     put_u32(&mut out, shard_id);
+    put_u64(&mut out, fingerprint);
     encode_executor(exec, &mut out);
     put_u32(&mut out, data.len() as u32);
     for (i, object) in data.iter().enumerate() {
@@ -290,34 +459,34 @@ pub(crate) fn encode_provision(
         put_f64(&mut out, object.location.x);
         put_f64(&mut out, object.location.y);
     }
-    put_u32(&mut out, features.len() as u32);
-    for feature in features {
-        put_u64(&mut out, feature.id);
-        put_f64(&mut out, feature.location.x);
-        put_f64(&mut out, feature.location.y);
-        put_u32(&mut out, feature.keywords.len() as u32);
-        for term in feature.keywords.iter() {
-            put_u32(&mut out, term.0);
-        }
-    }
     out
 }
 
-pub(crate) struct Provision {
+/// One decoded [`OP_PROVISION`] payload.
+#[derive(Debug)]
+pub struct Provision {
+    /// The shard to install.
     pub shard_id: u32,
+    /// The feature set the shard belongs to.
+    pub fingerprint: u64,
+    /// The executor configuration the shard engine is built with.
     pub exec: SpqExecutor,
+    /// Data-object id → index in the manager's global store.
     pub id_to_index: HashMap<ObjectId, u32>,
+    /// The shard's data slice.
     pub data: Vec<DataObject>,
-    pub features: Vec<FeatureObject>,
 }
 
-pub(crate) fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
+/// Decodes an [`OP_PROVISION`] payload. The shipped object count is
+/// checked against the bytes that remain before it sizes an allocation.
+pub fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
     let mut r = ByteReader::new(payload);
     let shard_id = r.u32()?;
+    let fingerprint = r.u64()?;
     let exec = decode_executor(&mut r)?;
-    let num_data = r.u32()? as usize;
+    let num_data = r.count(DATA_RECORD_BYTES)?;
     let mut id_to_index = HashMap::with_capacity(num_data);
-    let mut data = Vec::with_capacity(num_data.min(1 << 16));
+    let mut data = Vec::with_capacity(num_data);
     for _ in 0..num_data {
         let global_index = r.u32()?;
         let id = r.u64()?;
@@ -329,38 +498,24 @@ pub(crate) fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> 
         }
         data.push(DataObject::new(id, spq_spatial::Point::new(x, y)));
     }
-    let num_features = r.u32()? as usize;
-    let mut features = Vec::with_capacity(num_features.min(1 << 16));
-    for _ in 0..num_features {
-        let id = r.u64()?;
-        let (x, y) = (r.f64()?, r.f64()?);
-        let num_terms = r.u32()? as usize;
-        let mut terms = Vec::with_capacity(num_terms.min(1 << 12));
-        for _ in 0..num_terms {
-            terms.push(r.u32()?);
-        }
-        features.push(FeatureObject::new(
-            id,
-            spq_spatial::Point::new(x, y),
-            KeywordSet::from_ids(terms),
-        ));
-    }
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after provision"));
     }
     Ok(Provision {
         shard_id,
+        fingerprint,
         exec,
         id_to_index,
         data,
-        features,
     })
 }
 
 /// Encodes an [`OP_SHARD_QUERY`] payload: the shard id, the query and the
-/// result-relevant per-request options. The worker budget is **not**
-/// shipped — shard jobs always run sequentially, exactly as the
-/// in-process scatter does (the scatter width is the parallelism).
+/// result-relevant per-request options, the trace flag included (a traced
+/// request is answered by a job on the worker, and its [`JobStats`] come
+/// back in the reply). The worker budget is **not** shipped — shard jobs
+/// always run sequentially, exactly as the in-process scatter does (the
+/// scatter width is the parallelism).
 pub(crate) fn encode_shard_query(
     shard_id: u32,
     query: &SpqQuery,
@@ -383,6 +538,7 @@ pub(crate) fn encode_shard_query(
         None => put_u8(&mut out, 2),
         Some(enabled) => put_u8(&mut out, enabled as u8),
     }
+    put_u8(&mut out, options.trace as u8);
     out
 }
 
@@ -399,11 +555,11 @@ pub(crate) fn decode_shard_query(
         )));
     }
     let similarity = similarity_from_u8(r.u8()?)?;
-    let num_terms = r.u32()? as usize;
+    let num_terms = r.count(TERM_BYTES)?;
     if num_terms == 0 {
         return Err(CodecError::invalid("shard query with no keywords"));
     }
-    let mut terms = Vec::with_capacity(num_terms.min(1 << 12));
+    let mut terms = Vec::with_capacity(num_terms);
     for _ in 0..num_terms {
         terms.push(r.u32()?);
     }
@@ -421,6 +577,11 @@ pub(crate) fn decode_shard_query(
             )))
         }
     };
+    let trace = match r.u8()? {
+        0 => false,
+        1 => true,
+        other => return Err(CodecError::invalid(format!("unknown trace tag {other}"))),
+    };
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after shard query"));
     }
@@ -429,7 +590,7 @@ pub(crate) fn decode_shard_query(
         algorithm,
         workers: None,
         keyword_pruning,
-        trace: false,
+        trace,
     };
     Ok((shard_id, query, options))
 }
@@ -475,8 +636,8 @@ pub(crate) fn encode_shard_status(shard_ids: &[u32]) -> Vec<u8> {
 
 pub(crate) fn decode_shard_status(payload: &[u8]) -> Result<Vec<u32>, CodecError> {
     let mut r = ByteReader::new(payload);
-    let count = r.u32()? as usize;
-    let mut shards = Vec::with_capacity(count.min(1 << 16));
+    let count = r.count(4)?;
+    let mut shards = Vec::with_capacity(count);
     for _ in 0..count {
         shards.push(r.u32()?);
     }
@@ -495,46 +656,153 @@ struct HostedShard {
     id_to_index: HashMap<ObjectId, u32>,
 }
 
+/// One assembled feature set: the array and the keyword index every
+/// shard of the set hosted here shares.
+struct FeatureSet {
+    features: Arc<[FeatureObject]>,
+    index: Arc<KeywordIndex>,
+}
+
+/// A feature set whose chunks are still arriving.
+struct IncomingSet {
+    fingerprint: u64,
+    total: u32,
+    /// Chunks appended so far (= the index of the chunk expected next).
+    received: u32,
+    features: Vec<FeatureObject>,
+}
+
+#[derive(Default)]
+struct HostState {
+    // BTreeMaps, not HashMaps: `status()` serializes the hosted shard
+    // ids, and this module's wire output must never depend on hash order
+    // (enforced by spq-lint's determinism/unordered-iter).
+    shards: BTreeMap<u32, HostedShard>,
+    /// Assembled sets by fingerprint. The engines of `shards` hold clones
+    /// of a set's two `Arc`s, so a set whose index has no other holder
+    /// serves no shard.
+    sets: BTreeMap<u64, FeatureSet>,
+    incoming: Option<IncomingSet>,
+}
+
+impl HostState {
+    /// Drops every set no hosted engine holds a clone of.
+    fn drop_unreferenced_sets(&mut self) {
+        self.sets.retain(|_, set| Arc::strong_count(&set.index) > 1);
+    }
+}
+
+/// What a worker answers to an [`OP_PROVISION`] naming a feature set it
+/// does not hold; the manager recognizes it, ships the set and retries.
+const UNKNOWN_FEATURE_SET: &str = "unknown feature set";
+
 /// The worker-side shard host: a [`FrameHandler`] answering
-/// [`OP_PROVISION`] (build a shard engine from a shipped dataset slice),
-/// [`OP_SHARD_QUERY`] (evaluate a query against a hosted shard and reply
-/// with gather records) and [`OP_SHARD_STATUS`] (report which shards are
-/// hosted, so a re-admitting manager knows which copies are still warm).
-/// This is what the `spq-worker` binary and the in-process workers of
+/// [`OP_FEATURES`] (assemble a feature set from its chunk frames; on the
+/// last chunk build the one feature array and the one keyword index every
+/// shard of that set will share), [`OP_PROVISION`] (build a shard engine
+/// from a shipped data slice over an assembled set), [`OP_SHARD_QUERY`]
+/// (evaluate a query against a hosted shard and reply with gather
+/// records) and [`OP_SHARD_STATUS`] (report which shards are hosted, so a
+/// re-admitting manager knows which copies are still warm). This is what
+/// the `spq-worker` binary and the in-process workers of
 /// [`RemoteEngine::self_hosted`] serve.
 #[derive(Default)]
 pub struct ShardHost {
-    // BTreeMap, not HashMap: `status()` serializes the hosted shard ids,
-    // and this module's wire output must never depend on hash order
-    // (enforced by spq-lint's determinism/unordered-iter).
-    shards: Mutex<BTreeMap<u32, HostedShard>>,
+    state: Mutex<HostState>,
 }
 
 impl ShardHost {
-    /// Creates an empty host; shards arrive via [`OP_PROVISION`] frames.
+    /// Creates an empty host; feature sets arrive via [`OP_FEATURES`]
+    /// frames, shards via [`OP_PROVISION`] frames.
     pub fn new() -> Self {
         Self::default()
     }
 
+    fn features(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
+        let chunk =
+            decode_features_chunk(payload).map_err(|e| format!("bad features payload: {e}"))?;
+        if let Some(set) = self.append_chunk(chunk)? {
+            // Last chunk: build the shared array and index outside the
+            // lock, so shards already hosted keep answering meanwhile.
+            let features: Arc<[FeatureObject]> = set.features.into();
+            let index = Arc::new(KeywordIndex::build(&features));
+            let mut state = self.state.lock();
+            // At most one set waits for its first shard.
+            state.drop_unreferenced_sets();
+            state
+                .sets
+                .insert(set.fingerprint, FeatureSet { features, index });
+        }
+        Ok(Vec::new())
+    }
+
+    /// Appends `chunk` to the set being assembled and returns the set
+    /// once its last chunk is in. Chunk 0 opens a set (abandoning one
+    /// left half-shipped); any other chunk must be the next of the open
+    /// set, or the assembly is abandoned with a typed error.
+    fn append_chunk(&self, chunk: FeaturesChunk) -> Result<Option<IncomingSet>, String> {
+        let mut state = self.state.lock();
+        if chunk.index == 0 {
+            state.incoming = Some(IncomingSet {
+                fingerprint: chunk.fingerprint,
+                total: chunk.total,
+                received: 0,
+                features: Vec::new(),
+            });
+        }
+        let expected = state.incoming.as_mut().filter(|set| {
+            (set.fingerprint, set.total, set.received)
+                == (chunk.fingerprint, chunk.total, chunk.index)
+        });
+        let Some(set) = expected else {
+            state.incoming = None;
+            return Err(format!(
+                "feature chunk {}/{} of set {:#018x} is out of sequence",
+                chunk.index, chunk.total, chunk.fingerprint
+            ));
+        };
+        set.features.extend(chunk.features);
+        set.received += 1;
+        Ok(if set.received == set.total {
+            state.incoming.take()
+        } else {
+            None
+        })
+    }
+
     fn provision(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
         let p = decode_provision(payload).map_err(|e| format!("bad provision payload: {e}"))?;
-        let dataset = SharedDataset::new(p.data, p.features);
-        let engine = QueryEngine::new(p.exec, dataset);
-        self.shards.lock().insert(
+        let (features, index) = {
+            let state = self.state.lock();
+            let set = state.sets.get(&p.fingerprint).ok_or_else(|| {
+                format!(
+                    "{UNKNOWN_FEATURE_SET} {:#018x} for shard {}",
+                    p.fingerprint, p.shard_id
+                )
+            })?;
+            (Arc::clone(&set.features), Arc::clone(&set.index))
+        };
+        let dataset = SharedDataset::with_shared_features(p.data, features);
+        let engine = QueryEngine::with_shared_index(p.exec, dataset, index);
+        let mut state = self.state.lock();
+        state.shards.insert(
             p.shard_id,
             HostedShard {
                 engine,
                 id_to_index: p.id_to_index,
             },
         );
+        // A set goes when the last shard hosted over it was just replaced.
+        state.drop_unreferenced_sets();
         Ok(Vec::new())
     }
 
     fn query(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
         let (shard_id, query, options) =
             decode_shard_query(payload).map_err(|e| format!("bad shard query payload: {e}"))?;
-        let shards = self.shards.lock();
-        let shard = shards
+        let state = self.state.lock();
+        let shard = state
+            .shards
             .get(&shard_id)
             .ok_or_else(|| format!("shard {shard_id} is not provisioned on this worker"))?;
         let (result, plan_hit) = shard
@@ -548,13 +816,20 @@ impl ShardHost {
     fn status(&self) -> Vec<u8> {
         // BTreeMap keys are already ascending, the order the codec
         // documents.
-        let hosted: Vec<u32> = self.shards.lock().keys().copied().collect();
+        let hosted: Vec<u32> = self.state.lock().shards.keys().copied().collect();
         encode_shard_status(&hosted)
     }
 
     /// Number of shards currently hosted (for tests and diagnostics).
     pub fn hosted_shards(&self) -> usize {
-        self.shards.lock().len()
+        self.state.lock().shards.len()
+    }
+
+    /// Number of assembled feature sets currently held (for tests and
+    /// diagnostics): one per distinct fingerprint among the hosted
+    /// shards, plus at most one shipped ahead of its first shard.
+    pub fn feature_sets(&self) -> usize {
+        self.state.lock().sets.len()
     }
 }
 
@@ -562,6 +837,7 @@ impl std::fmt::Debug for ShardHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardHost")
             .field("hosted_shards", &self.hosted_shards())
+            .field("feature_sets", &self.feature_sets())
             .finish()
     }
 }
@@ -569,6 +845,7 @@ impl std::fmt::Debug for ShardHost {
 impl FrameHandler for ShardHost {
     fn handle(&self, opcode: u16, payload: &[u8]) -> Result<Option<(u16, Vec<u8>)>, String> {
         match opcode {
+            OP_FEATURES => Ok(Some((OP_FEATURES_OK, self.features(payload)?))),
             OP_PROVISION => Ok(Some((OP_PROVISION_OK, self.provision(payload)?))),
             OP_SHARD_QUERY => Ok(Some((OP_SHARD_RESULT, self.query(payload)?))),
             OP_SHARD_STATUS => Ok(Some((OP_SHARD_STATUS_OK, self.status()))),
@@ -797,6 +1074,7 @@ struct RemoteCounters {
     health_probes: AtomicU64,
     rebalance_moves: AtomicU64,
     provisions_sent: AtomicU64,
+    feature_sets_sent: AtomicU64,
 }
 
 /// Per-shard recovery outcome of one scatter leg.
@@ -824,7 +1102,11 @@ pub struct RemoteEngine {
     config: MembershipConfig,
     client_config: ClientConfig,
     workers: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// Per-shard provision payload, kept for failover re-provisioning.
+    /// The feature set, encoded once: every worker — and every later cold
+    /// re-provision — is sent these same chunk buffers.
+    features: FeatureChunks,
+    /// Per-shard [`OP_PROVISION`] payload (the shard's data slice; no
+    /// features), kept for failover re-provisioning.
     shard_payloads: Vec<Vec<u8>>,
     membership: Mutex<Membership>,
     /// Whether each shard owns any data objects.
@@ -969,7 +1251,7 @@ impl RemoteEngine {
         }
         let num_shards = addrs.len();
         let num_workers = addrs.len();
-        let features = dataset.features();
+        let features = encode_feature_chunks(dataset.features(), FEATURES_CHUNK_BYTES);
         let mut shard_payloads = Vec::with_capacity(num_shards);
         let mut shard_nonempty = Vec::with_capacity(num_shards);
         for s in 0..num_shards {
@@ -977,14 +1259,15 @@ impl RemoteEngine {
             let end = (s + 1) * data.len() / num_shards;
             shard_payloads.push(encode_provision(
                 s as u32,
+                features.fingerprint,
                 &executor,
                 start as u32,
                 &data[start..end],
-                features,
             ));
             shard_nonempty.push(end > start);
         }
-        let term_index = features
+        let term_index = dataset
+            .features()
             .iter()
             .flat_map(|f| f.keywords.iter().map(|t| t.0))
             .collect();
@@ -999,6 +1282,7 @@ impl RemoteEngine {
             config,
             client_config,
             workers: Mutex::new(workers),
+            features,
             shard_payloads,
             membership: Mutex::new(Membership {
                 states: vec![WorkerState::Live; num_workers],
@@ -1014,19 +1298,32 @@ impl RemoteEngine {
             hosts,
         };
         // Initial placement: shard s primary on worker s, warm replicas
-        // on the next replication_factor − 1 workers. Build is strict — a
-        // worker that cannot be provisioned fails the build instead of
-        // starting life on the exclusion list.
+        // on the next replication_factor − 1 workers. Every worker is
+        // provisioned at the same time, on a thread of its own: the
+        // feature set once, then the shards it hosts, in shard order.
+        // Build is strict — a worker that cannot be provisioned fails the
+        // build instead of starting life on the exclusion list.
         let replicas_per_shard = engine.config.replication_factor.min(num_workers);
-        for s in 0..engine.shard_payloads.len() {
+        let mut hosted = vec![Vec::new(); num_workers];
+        for s in 0..num_shards {
             for j in 0..replicas_per_shard {
-                let w = (s + j) % num_workers;
-                engine.install(s, w).map_err(|e| match e {
-                    AttemptError::Transport(message) => SpqError::WorkerLost { worker: w, message },
-                    AttemptError::Fatal(e) => e,
-                })?;
+                hosted[(s + j) % num_workers].push(s);
             }
         }
+        run_tasks(num_workers, num_workers, |w| {
+            engine
+                .ship_features(w)
+                .and_then(|()| hosted[w].iter().try_for_each(|&s| engine.install(s, w)))
+                .map_err(|e| match e {
+                    AttemptError::Transport(message) => SpqError::WorkerLost { worker: w, message },
+                    AttemptError::Fatal(e) => e,
+                })
+        })
+        .map_err(|p| SpqError::Worker {
+            message: format!("provisioning worker {}: {}", p.task_index, p.message),
+        })?
+        .into_iter()
+        .collect::<Result<(), SpqError>>()?;
         Ok(engine)
     }
 
@@ -1112,6 +1409,14 @@ impl RemoteEngine {
     /// that proves a warm failover shipped no data.
     pub fn provisions_sent(&self) -> u64 {
         self.counters.provisions_sent.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative feature-set shipments (every [`OP_FEATURES`] chunk of
+    /// the set to one worker counts once): one per worker at build, one
+    /// more whenever an install finds a worker that does not hold the
+    /// set — a restarted process, or one admitted later.
+    pub fn feature_sets_sent(&self) -> u64 {
+        self.counters.feature_sets_sent.load(Ordering::Relaxed)
     }
 
     /// Total frame bytes exchanged with workers (both directions, headers
@@ -1213,9 +1518,7 @@ impl RemoteEngine {
         Arc::clone(&self.workers.lock()[w])
     }
 
-    /// One framed call to worker `w`, mapping the reply to the retry
-    /// loop's vocabulary: `Fatal` for typed worker-reported errors (never
-    /// retried), `Transport` for anything that smells like a dead worker.
+    /// One framed call to worker `w`; see [`classify_reply`](Self::classify_reply).
     fn call_worker(
         &self,
         w: usize,
@@ -1224,8 +1527,19 @@ impl RemoteEngine {
         ok_opcode: u16,
     ) -> Result<Vec<u8>, AttemptError> {
         let slot = self.slot(w);
-        let mut client = slot.client.lock();
-        match client.call(opcode, payload) {
+        let reply = slot.client.lock().call(opcode, payload);
+        Self::classify_reply(w, reply, ok_opcode)
+    }
+
+    /// Maps worker `w`'s reply to the retry loop's vocabulary: `Fatal`
+    /// for typed worker-reported errors (never retried), `Transport` for
+    /// anything that smells like a dead worker.
+    fn classify_reply(
+        w: usize,
+        reply: Result<(u16, Vec<u8>), RemoteError>,
+        ok_opcode: u16,
+    ) -> Result<Vec<u8>, AttemptError> {
+        match reply {
             Ok((op, resp)) if op == ok_opcode => Ok(resp),
             Ok((OP_ERROR, resp)) => Err(AttemptError::Fatal(SpqError::remote(format!(
                 "worker {w}: {}",
@@ -1238,19 +1552,39 @@ impl RemoteEngine {
         }
     }
 
-    /// Ships shard `shard`'s provision payload to worker `w` and records
-    /// the warm copy. Does **not** move the primary pointer — callers
-    /// decide that.
+    /// Ships the feature set to worker `w`, chunk by chunk. The worker's
+    /// connection is held for the whole sequence, so two shipments to one
+    /// worker cannot interleave their chunks.
+    fn ship_features(&self, w: usize) -> Result<(), AttemptError> {
+        self.counters
+            .feature_sets_sent
+            .fetch_add(1, Ordering::Relaxed);
+        let slot = self.slot(w);
+        let mut client = slot.client.lock();
+        for chunk in &self.features.chunks {
+            Self::classify_reply(w, client.call(OP_FEATURES, chunk), OP_FEATURES_OK)?;
+        }
+        Ok(())
+    }
+
+    /// Installs shard `shard` on worker `w` and records the warm copy. A
+    /// worker that does not hold the shard's feature set says so; it is
+    /// sent the set and asked once more — the one path by which a
+    /// survivor of a failover, a rebalance target and a restarted or
+    /// newly admitted process all come to hold it. Does **not** move the
+    /// primary pointer — callers decide that.
     fn install(&self, shard: usize, w: usize) -> Result<(), AttemptError> {
         self.counters
             .provisions_sent
             .fetch_add(1, Ordering::Relaxed);
-        self.call_worker(
-            w,
-            OP_PROVISION,
-            &self.shard_payloads[shard],
-            OP_PROVISION_OK,
-        )?;
+        let payload = &self.shard_payloads[shard];
+        let mut reply = self.call_worker(w, OP_PROVISION, payload, OP_PROVISION_OK);
+        if matches!(&reply, Err(AttemptError::Fatal(e)) if e.to_string().contains(UNKNOWN_FEATURE_SET))
+        {
+            self.ship_features(w)?;
+            reply = self.call_worker(w, OP_PROVISION, payload, OP_PROVISION_OK);
+        }
+        reply?;
         let mut m = self.membership.lock();
         // The worker may have been excluded by a concurrent query while
         // the provision round-trip was in flight; recording the copy then
@@ -1820,6 +2154,12 @@ mod tests {
             );
             assert_eq!(decoded.cluster_config(), exec.cluster_config());
         }
+        // Inverted bounds are a typed error, not `Rect`'s constructor
+        // panic: min.x written past max.x.
+        let mut bytes = Vec::new();
+        encode_executor(&executor(), &mut bytes);
+        bytes[..8].copy_from_slice(&11.0f64.to_le_bytes());
+        assert!(decode_executor(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -1893,6 +2233,137 @@ mod tests {
         assert_eq!(view.replicas, vec![vec![0, 1], vec![1, 2], vec![0, 2]]);
         // 3 shards × replication factor 2.
         assert_eq!(remote.provisions_sent(), 6);
+    }
+
+    /// A feature-heavy world: the provisioning traffic is the features'.
+    fn feature_heavy_dataset() -> SharedDataset {
+        SharedDataset::new(
+            (0..50)
+                .map(|i| DataObject::new(i, Point::new((i % 10) as f64, (i / 10) as f64)))
+                .collect(),
+            (0..2000u64)
+                .map(|i| {
+                    let (x, y) = ((i % 97) as f64 / 9.7, (i % 89) as f64 / 8.9);
+                    feature(i, x, y, &[(i % 13) as u32, 13 + (i % 7) as u32, 20, 21])
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn build_ships_the_feature_set_once_per_worker() {
+        let dataset = feature_heavy_dataset();
+        let remote = RemoteEngine::self_hosted(executor(), dataset.clone(), 2).unwrap();
+        assert_eq!(remote.provisions_sent(), 4); // 2 shards × replication 2
+        assert_eq!(remote.feature_sets_sent(), 2);
+        // What one payload per install — features and data slice together,
+        // the scheme this replaced — would have put on the wire.
+        let features: usize = remote
+            .features
+            .chunks
+            .iter()
+            .map(|chunk| chunk.len() - CHUNK_HEADER_BYTES)
+            .sum();
+        let slices: usize = remote.shard_payloads.iter().map(Vec::len).sum();
+        let per_install = 2 * (2 * features + slices);
+        let sent = remote.traffic_bytes() as usize;
+        assert!(sent >= 2 * features + 2 * slices);
+        assert!(
+            sent * 100 <= per_install * 55,
+            "build sent {sent} B, one payload per install would send {per_install} B"
+        );
+        // And what was provisioned answers like the single-store engine.
+        let engine = QueryEngine::new(executor(), dataset);
+        let req = request(5, 1.5, &[3, 20]);
+        assert_eq!(
+            remote.execute(&req).unwrap().results,
+            engine.execute(&req).unwrap().results
+        );
+    }
+
+    /// Sends `payloads` to `host` as frames of `opcode`, all of which
+    /// must be accepted.
+    fn accept_all(host: &ShardHost, opcode: u16, payloads: &[Vec<u8>]) {
+        for payload in payloads {
+            assert!(host.handle(opcode, payload).unwrap().is_some());
+        }
+    }
+
+    #[test]
+    fn hosted_shards_share_one_feature_array_and_one_index() {
+        let dataset = paper_dataset();
+        let host = ShardHost::new();
+        let set = encode_feature_chunks(dataset.features(), 64);
+        assert!(set.chunks.len() > 1);
+        accept_all(&host, OP_FEATURES, &set.chunks);
+        let data = dataset.data();
+        let provisions = |fingerprint| {
+            vec![
+                encode_provision(0, fingerprint, &executor(), 0, &data[..2]),
+                encode_provision(1, fingerprint, &executor(), 2, &data[2..]),
+            ]
+        };
+        accept_all(&host, OP_PROVISION, &provisions(set.fingerprint));
+        assert_eq!((host.hosted_shards(), host.feature_sets()), (2, 1));
+        let first_set = {
+            let state = host.state.lock();
+            let (a, b) = (&state.shards[&0].engine, &state.shards[&1].engine);
+            let features = a.dataset().features_arc();
+            assert!(Arc::ptr_eq(&features, &b.dataset().features_arc()));
+            assert!(std::ptr::eq(a.keyword_index(), b.keyword_index()));
+            assert_eq!(&features[..], dataset.features());
+            Arc::downgrade(&features)
+        };
+
+        // Replacing one shard with one over a different set keeps the
+        // first set alive for the other; replacing both frees it.
+        let other = encode_feature_chunks(&dataset.features()[..5], usize::MAX);
+        assert_ne!(other.fingerprint, set.fingerprint);
+        accept_all(&host, OP_FEATURES, &other.chunks);
+        let replacements = provisions(other.fingerprint);
+        accept_all(&host, OP_PROVISION, &replacements[..1]);
+        assert_eq!(host.feature_sets(), 2);
+        assert!(first_set.upgrade().is_some());
+        accept_all(&host, OP_PROVISION, &replacements[1..]);
+        assert_eq!((host.hosted_shards(), host.feature_sets()), (2, 1));
+        assert!(first_set.upgrade().is_none());
+    }
+
+    /// A feature set too large for one frame's budget crosses a real
+    /// socket as many bounded frames and is served exactly like the
+    /// single-store engine serves the same dataset.
+    #[test]
+    fn multi_chunk_set_provisions_through_a_worker_server() {
+        let dataset = feature_heavy_dataset();
+        let budget = 4096;
+        let set = encode_feature_chunks(dataset.features(), budget);
+        assert!(set.chunks.len() > 10);
+        let largest_feature = MIN_FEATURE_BYTES + 4 * TERM_BYTES;
+        for chunk in &set.chunks {
+            assert!(chunk.len() <= CHUNK_HEADER_BYTES + budget + largest_feature);
+        }
+        let server =
+            WorkerServer::bind("127.0.0.1:0", vec![Box::new(ShardHost::new())], false).unwrap();
+        let mut client = WorkerClient::new(server.addr().to_string(), ClientConfig::fast());
+        for chunk in &set.chunks {
+            assert_eq!(client.call(OP_FEATURES, chunk).unwrap().0, OP_FEATURES_OK);
+        }
+        let provision = encode_provision(0, set.fingerprint, &executor(), 0, dataset.data());
+        assert_eq!(
+            client.call(OP_PROVISION, &provision).unwrap().0,
+            OP_PROVISION_OK
+        );
+        let engine = QueryEngine::new(executor(), dataset.clone());
+        for req in [request(5, 1.5, &[3, 20]), request(3, 0.7, &[14])] {
+            let query = encode_shard_query(0, &req.query, &req.options);
+            let (op, reply) = client.call(OP_SHARD_QUERY, &query).unwrap();
+            assert_eq!(op, OP_SHARD_RESULT);
+            let (_, records, _) = decode_shard_result(&reply).unwrap();
+            assert_eq!(
+                wire::decode_results(&records, dataset.data()),
+                engine.execute(&req).unwrap().results
+            );
+        }
     }
 
     #[test]
@@ -2039,5 +2510,17 @@ mod tests {
         let mut long = good.clone();
         long.push(0);
         assert!(decode_shard_query(&long).is_err());
+        // The trace flag crosses the wire; an unknown tag is rejected
+        // like an unknown pruning tag.
+        let options = QueryOptions {
+            trace: true,
+            ..QueryOptions::default()
+        };
+        let traced = encode_shard_query(0, &request(3, 1.5, &[0]).query, &options);
+        assert!(decode_shard_query(&traced).unwrap().2.trace);
+        assert!(!decode_shard_query(&good).unwrap().2.trace);
+        let mut bad_tag = traced.clone();
+        *bad_tag.last_mut().unwrap() = 2;
+        assert!(decode_shard_query(&bad_tag).is_err());
     }
 }

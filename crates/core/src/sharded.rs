@@ -7,8 +7,9 @@
 //! placement, PAPERS.md): the data objects are sliced into `N` per-shard
 //! [`SharedDataset`]s at build time — features are **broadcast** to every
 //! shard by cloning the `Arc`, never the array — and each shard runs its
-//! own build-once [`QueryEngine`] (keyword index, per-radius partition
-//! plans and routing tables, all local to the shard).
+//! own build-once [`QueryEngine`] (per-radius partition plans and routing
+//! tables local to the shard; the keyword index, a function of the
+//! broadcast features alone, is built once and shared by all of them).
 //!
 //! A query then:
 //!
@@ -34,7 +35,7 @@
 //! execution statistics differ: features are routed once per shard, so
 //! map-side counters scale with the shard count.
 
-use crate::engine::{MetricsSnapshot, QueryEngine};
+use crate::engine::{KeywordIndex, MetricsSnapshot, QueryEngine};
 use crate::executor::{SpqError, SpqExecutor};
 use crate::merge::merge_top_k;
 use crate::model::{DataObject, ObjectId, RankedObject};
@@ -45,6 +46,7 @@ use crate::store::SharedDataset;
 use spq_mapreduce::pool::run_tasks;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The cross-shard wire format: what a shard's gather response looks like
@@ -200,6 +202,8 @@ impl ShardedEngine {
             }
         }
         let scatter_workers = executor.cluster_config().workers.max(1);
+        // Features are broadcast, so one index speaks for every shard.
+        let keyword_index = Arc::new(KeywordIndex::build(dataset.features()));
         let shards = (0..num_shards)
             .map(|s| {
                 let start = s * data.len() / num_shards;
@@ -209,7 +213,11 @@ impl ShardedEngine {
                     dataset.features_arc(),
                 );
                 Shard {
-                    engine: QueryEngine::new(executor.clone(), slice),
+                    engine: QueryEngine::with_shared_index(
+                        executor.clone(),
+                        slice,
+                        Arc::clone(&keyword_index),
+                    ),
                     counters: ShardCounters::default(),
                 }
             })
@@ -322,7 +330,7 @@ impl QueryExecutor for ShardedEngine {
             workers: None, // consumed by the scatter; shard jobs stay sequential
             ..*options
         };
-        // Each shard takes the one engine path: it probes its own
+        // Each shard takes the one engine path: it probes the shared
         // build-once keyword index and maps only over its candidate
         // features.
         let outcomes = run_tasks(scatter, relevant.len(), |i| {
@@ -479,6 +487,22 @@ mod tests {
                 let got = sharded.execute(&req).unwrap();
                 assert_eq!(got.results, expect.results, "shards={shards}");
             }
+        }
+    }
+
+    #[test]
+    fn shards_share_one_feature_array_and_one_keyword_index() {
+        let sharded = ShardedEngine::new(executor(), paper_dataset(), 4).unwrap();
+        let first = &sharded.shards[0].engine;
+        for shard in &sharded.shards[1..] {
+            assert!(std::ptr::eq(
+                first.keyword_index(),
+                shard.engine.keyword_index()
+            ));
+            assert!(Arc::ptr_eq(
+                &first.dataset().features_arc(),
+                &shard.engine.dataset().features_arc()
+            ));
         }
     }
 

@@ -160,6 +160,18 @@ impl<'a> ByteReader<'a> {
         let len = self.u32()? as usize;
         self.take(len)
     }
+
+    /// Reads a `u32` record count and checks it against the bytes left:
+    /// a count the rest of the payload cannot hold at `min_record_bytes`
+    /// apiece is a lie, rejected as [`CodecError::Truncated`] *before* the
+    /// caller sizes an allocation from it.
+    pub fn count(&mut self, min_record_bytes: usize) -> Result<usize, CodecError> {
+        let count = self.u32()? as usize;
+        if count > self.remaining() / min_record_bytes.max(1) {
+            return Err(CodecError::Truncated);
+        }
+        Ok(count)
+    }
 }
 
 /// Interns a decoded counter name so it satisfies the `&'static str`
@@ -290,6 +302,26 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_that_remain() {
+        let mut out = Vec::new();
+        put_u32(&mut out, 3);
+        out.extend_from_slice(&[0; 12]);
+        // 12 bytes hold three 4-byte records, not three 5-byte ones.
+        assert_eq!(ByteReader::new(&out).count(4).unwrap(), 3);
+        assert_eq!(
+            ByteReader::new(&out).count(5).unwrap_err(),
+            CodecError::Truncated
+        );
+        // A hostile count never becomes an allocation size.
+        let mut lying = Vec::new();
+        put_u32(&mut lying, u32::MAX);
+        assert_eq!(
+            ByteReader::new(&lying).count(1).unwrap_err(),
+            CodecError::Truncated
+        );
     }
 
     #[test]

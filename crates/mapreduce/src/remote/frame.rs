@@ -39,7 +39,8 @@ pub const OP_JOB: u16 = 3;
 pub const OP_JOB_OK: u16 = 4;
 /// Typed error reply to any request.
 pub const OP_ERROR: u16 = 5;
-/// Installs a query shard (executor config + data slice + features).
+/// Installs a query shard: executor config + data slice + the fingerprint
+/// of the feature set ([`OP_FEATURES`]) the shard is evaluated against.
 pub const OP_PROVISION: u16 = 6;
 /// Acknowledges [`OP_PROVISION`].
 pub const OP_PROVISION_OK: u16 = 7;
@@ -59,6 +60,13 @@ pub const OP_SHUTDOWN: u16 = 12;
 pub const OP_SHARD_STATUS: u16 = 13;
 /// Reply to [`OP_SHARD_STATUS`]: the hosted shard ids.
 pub const OP_SHARD_STATUS_OK: u16 = 14;
+/// One bounded chunk of a feature set, named by the set's fingerprint and
+/// carrying its chunk index and the chunk total; the chunks of a set
+/// arrive in order, once per worker, and every shard the worker hosts
+/// shares the assembled set.
+pub const OP_FEATURES: u16 = 15;
+/// Acknowledges one [`OP_FEATURES`] chunk.
+pub const OP_FEATURES_OK: u16 = 16;
 
 /// Transport-level failure while reading or writing a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +77,8 @@ pub enum FrameError {
         /// The four bytes found where the magic was expected.
         found: u32,
     },
-    /// The length field exceeded [`MAX_FRAME_LEN`].
+    /// The length field — or, on the write side, the payload handed to
+    /// [`write_frame`] — exceeded [`MAX_FRAME_LEN`].
     Oversize {
         /// The claimed payload length.
         len: u32,
@@ -121,7 +130,17 @@ impl From<std::io::Error> for FrameError {
 /// catch torn or bit-flipped payloads (this is an integrity check against
 /// accidents, not an authentication code).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET_BASIS, bytes)
+}
+
+/// The FNV-1a hash of the empty string — where [`fnv1a_extend`] starts.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash over more bytes: folding the pieces of a
+/// buffer in order from [`FNV_OFFSET_BASIS`] equals [`fnv1a`] of the
+/// whole, which is how a feature set split into chunk frames keeps one
+/// fingerprint whatever the chunk boundaries.
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -143,16 +162,16 @@ pub(crate) fn write_frame_with(
     payload: &[u8],
     corrupt: bool,
 ) -> Result<(), FrameError> {
-    assert!(
-        payload.len() <= MAX_FRAME_LEN as usize,
-        "frame payload of {} bytes exceeds the {MAX_FRAME_LEN} cap",
-        payload.len()
-    );
+    // A payload past `u32` saturates: it is over the cap either way.
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversize { len });
+    }
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&opcode.to_le_bytes());
     buf.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(&fnv1a(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     if corrupt && !payload.is_empty() {
@@ -174,16 +193,17 @@ pub(crate) fn write_frame_with(
 pub fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let [m0, m1, m2, m3, o0, o1, _, _, l0, l1, l2, l3, c0, c1, c2, c3, c4, c5, c6, c7] = header;
+    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
     if magic != MAGIC {
         return Err(FrameError::BadMagic { found: magic });
     }
-    let opcode = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let opcode = u16::from_le_bytes([o0, o1]);
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversize { len });
     }
-    let expected = u64::from_le_bytes(header[12..20].try_into().unwrap());
+    let expected = u64::from_le_bytes([c0, c1, c2, c3, c4, c5, c6, c7]);
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     let found = fnv1a(&payload);
@@ -239,6 +259,20 @@ mod tests {
     }
 
     #[test]
+    fn oversize_payload_is_a_typed_write_error() {
+        let payload = vec![0u8; MAX_FRAME_LEN as usize + 1];
+        let mut buf = Vec::new();
+        assert_eq!(
+            write_frame(&mut buf, OP_PING, &payload),
+            Err(FrameError::Oversize {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
+        // Nothing reached the stream: the peer never sees a torn frame.
+        assert!(buf.is_empty());
+    }
+
+    #[test]
     fn truncation_is_detected() {
         let mut buf = Vec::new();
         write_frame(&mut buf, OP_PING, b"hello world").unwrap();
@@ -276,5 +310,8 @@ mod tests {
         // Published FNV-1a test vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // Piecewise hashing equals hashing the whole.
+        let pieces = fnv1a_extend(fnv1a_extend(FNV_OFFSET_BASIS, b"foo"), b"bar");
+        assert_eq!(pieces, fnv1a(b"foobar"));
     }
 }

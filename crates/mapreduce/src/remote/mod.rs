@@ -37,9 +37,9 @@ pub use codec::{ByteReader, CodecError};
 pub use fault::FaultPlan;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 pub use frame::{
-    OP_ERROR, OP_FAULT_OK, OP_JOB, OP_JOB_OK, OP_PING, OP_PONG, OP_PROVISION, OP_PROVISION_OK,
-    OP_SET_FAULT, OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS, OP_SHARD_STATUS_OK,
-    OP_SHUTDOWN,
+    OP_ERROR, OP_FAULT_OK, OP_FEATURES, OP_FEATURES_OK, OP_JOB, OP_JOB_OK, OP_PING, OP_PONG,
+    OP_PROVISION, OP_PROVISION_OK, OP_SET_FAULT, OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS,
+    OP_SHARD_STATUS_OK, OP_SHUTDOWN,
 };
 pub use job::WorkerRegistry;
 pub use worker::{

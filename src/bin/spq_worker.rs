@@ -1,9 +1,10 @@
 //! `spq-worker` — a standalone shard worker process.
 //!
 //! Listens for framed requests from a `RemoteEngine` manager (the
-//! `remote:N` backend): `OP_PROVISION` ships a shard of the dataset plus
-//! the executor configuration, `OP_SHARD_QUERY` evaluates a query against
-//! a hosted shard. Fault plans installed via `OP_SET_FAULT` are **fatal**
+//! `remote:N` backend): `OP_FEATURES` chunk frames ship the feature set
+//! (once, shared by every shard hosted here), `OP_PROVISION` installs a
+//! shard — its data slice plus the executor configuration — over that
+//! set, `OP_SHARD_QUERY` evaluates a query against a hosted shard. Fault plans installed via `OP_SET_FAULT` are **fatal**
 //! here: a kill fault exits the process with code 86, exactly like a real
 //! crash — which is what the cross-process fault tests exercise.
 //!

@@ -356,3 +356,55 @@ fn stats_reflect_backend_shape() {
     let traced = remote.execute(&request.with_trace()).unwrap();
     assert_eq!(traced.trace.unwrap().len(), 3);
 }
+
+/// The trace flag crosses the shard wire: a traced `remote:2` request is
+/// answered by a *job* on each worker — same bytes as the untraced
+/// kernel answer, and per-shard `JobStats` that are the shard's real
+/// shuffle, equal to what `sharded:2` (the same slicing, in-process)
+/// reports.
+#[test]
+fn traced_remote_request_carries_the_workers_job_stats() {
+    let dataset = SharedDataset::new(
+        (0..40)
+            .map(|i| DataObject::new(i, Point::new(i as f64 / 40.0, 0.5)))
+            .collect(),
+        (0..40)
+            .map(|i| {
+                FeatureObject::new(
+                    i,
+                    Point::new(i as f64 / 40.0, 0.52),
+                    KeywordSet::from_ids([(i % 5) as u32]),
+                )
+            })
+            .collect(),
+    );
+    let exec = SpqExecutor::new(Rect::unit()).grid_size(4);
+    let request = QueryRequest::new(SpqQuery::new(5, 0.1, KeywordSet::from_ids([0, 1])));
+    let sharded = SpqService::build(
+        exec.clone(),
+        dataset.clone(),
+        Backend::Sharded { shards: 2 },
+    )
+    .unwrap();
+    let remote = SpqService::build(exec, dataset, Backend::Remote { workers: 2 }).unwrap();
+
+    let plain = remote.execute(&request).unwrap();
+    assert!(plain.trace.is_none());
+    let traced = remote.execute(&request.clone().with_trace()).unwrap();
+    assert_eq!(traced.results, plain.results);
+    let remote_trace = traced.trace.unwrap();
+    let sharded_trace = sharded
+        .execute(&request.with_trace())
+        .unwrap()
+        .trace
+        .unwrap();
+    assert_eq!(remote_trace.len(), 2);
+    for (shard, (over_wire, in_process)) in remote_trace.iter().zip(&sharded_trace).enumerate() {
+        assert!(over_wire.shuffle_records > 0, "shard {shard} ran no job");
+        assert_eq!(over_wire.shuffle_records, in_process.shuffle_records);
+        assert_eq!(
+            over_wire.map_input_records(),
+            in_process.map_input_records()
+        );
+    }
+}

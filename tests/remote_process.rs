@@ -256,6 +256,7 @@ fn killed_and_restarted_worker_is_readmitted() {
     let local = QueryEngine::new(executor(), dataset());
     let provisions_after_build = remote.provisions_sent();
     assert_eq!(provisions_after_build, 6); // 3 shards × replication 2
+    assert_eq!(remote.feature_sets_sent(), 3); // once per worker
 
     let req = request(4, 1.8, &[0]);
     assert_eq!(
@@ -306,7 +307,11 @@ fn killed_and_restarted_worker_is_readmitted() {
     // The restarted process reported an empty shard status, so the
     // rebalancer had to ship its shards again — and the canonical layout
     // is back: worker 0 is the primary for shard 0 and serves queries.
+    // The new process holds no feature set either: its first install is
+    // refused with "unknown feature set", the set is shipped — once, for
+    // both shards it hosts — and the install retried.
     assert!(remote.provisions_sent() > provisions_after_build);
+    assert_eq!(remote.feature_sets_sent(), 4);
     let view = remote.membership();
     assert_eq!(view.states, vec![WorkerState::Live; 3]);
     assert_eq!(view.primaries[0], 0);

@@ -1,4 +1,5 @@
-//! Round-trip properties of the remote frame and job codecs.
+//! Round-trip properties of the remote frame, job and provisioning
+//! codecs, and what the provisioning decoders do with hostile bytes.
 //!
 //! The remote backend's correctness argument leans on exact
 //! serialization: a task batch shipped to a worker and the grouped output
@@ -9,17 +10,26 @@
 //! codec (`spq::mapreduce::remote`) the TCP transport actually speaks.
 
 use proptest::prelude::*;
+use spq::core::remote::{
+    decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision, ShardHost,
+};
+use spq::core::{DataObject, FeatureObject, SpqExecutor};
 use spq::mapreduce::remote::codec::{
     decode_counters, encode_counters, put_str, put_u64, ByteReader,
 };
-use spq::mapreduce::remote::frame::MAGIC;
+use spq::mapreduce::remote::frame::{fnv1a, MAGIC};
 use spq::mapreduce::remote::job::{decode_job, decode_job_output, encode_job, encode_job_output};
-use spq::mapreduce::remote::{read_frame, write_frame, CodecError, FrameError};
+use spq::mapreduce::remote::{
+    read_frame, write_frame, ClientConfig, CodecError, FrameError, FrameHandler, WorkerClient,
+    WorkerServer, OP_ERROR, OP_FEATURES, OP_PROVISION,
+};
 use spq::mapreduce::ExecutionBackend;
 use spq::mapreduce::{
     ClusterConfig, Counters, GroupValues, JobContext, LocalPool, MapContext, MapReduceTask,
     ReduceContext,
 };
+use spq::spatial::{Point, Rect};
+use spq::text::KeywordSet;
 use std::cmp::Ordering;
 use std::io::Cursor;
 
@@ -270,5 +280,218 @@ fn truncated_job_payloads_are_errors() {
             decode_job::<WireCount>(&mut r).is_err(),
             "cut={cut} decoded from a truncated payload"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Provisioning: feature-set chunk frames and the shard install
+// ---------------------------------------------------------------------
+
+/// Encoded size of a feature carrying `terms` keywords.
+fn feature_bytes(terms: usize) -> usize {
+    8 + 8 + 8 + 4 + 4 * terms
+}
+
+/// `n` features of three keywords each — one encoded size, so a chunk
+/// budget can be stated in features.
+fn uniform_features(n: u64) -> Vec<FeatureObject> {
+    (0..n)
+        .map(|i| {
+            let terms = [i as u32 % 11, 11 + i as u32 % 5, 16 + i as u32 % 3];
+            FeatureObject::new(
+                i,
+                Point::new(i as f64 * 0.25, 10.0 - i as f64 * 0.125),
+                KeywordSet::from_ids(terms),
+            )
+        })
+        .collect()
+}
+
+fn unit_executor() -> SpqExecutor {
+    SpqExecutor::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0)).grid_size(4)
+}
+
+/// Decodes a chunk sequence back into one feature vector, checking the
+/// chunk headers on the way.
+fn reassemble(chunks: &[Vec<u8>], fingerprint: u64) -> Vec<FeatureObject> {
+    let mut features = Vec::new();
+    for (i, payload) in chunks.iter().enumerate() {
+        let chunk = decode_features_chunk(payload).unwrap();
+        assert_eq!(chunk.fingerprint, fingerprint);
+        assert_eq!((chunk.index, chunk.total), (i as u32, chunks.len() as u32));
+        features.extend(chunk.features);
+    }
+    features
+}
+
+/// Where the chunk boundaries fall changes neither the features that
+/// come out nor the set's fingerprint, which is the FNV-1a of the encoded
+/// features and of nothing else.
+#[test]
+fn feature_chunking_is_boundary_independent() {
+    let features = uniform_features(23);
+    let one = feature_bytes(3);
+    let whole = encode_feature_chunks(&features, usize::MAX);
+    assert_eq!(whole.chunks.len(), 1);
+    assert_eq!(whole.fingerprint, fnv1a(&whole.chunks[0][20..]));
+    for (budget, chunks) in [(one, 23), (7 * one, 4), (usize::MAX, 1)] {
+        let set = encode_feature_chunks(&features, budget);
+        assert_eq!(set.chunks.len(), chunks, "budget {budget}");
+        assert_eq!(set.fingerprint, whole.fingerprint, "budget {budget}");
+        assert_eq!(reassemble(&set.chunks, set.fingerprint), features);
+        // No chunk carries more than its budget of whole features.
+        for chunk in &set.chunks {
+            assert!(chunk.len() - 20 <= budget);
+        }
+    }
+    // A budget below one feature still makes progress, one per chunk.
+    assert_eq!(encode_feature_chunks(&features, 1).chunks.len(), 23);
+    // A feature-less set is one empty chunk: the set exists.
+    let empty = encode_feature_chunks(&[], one);
+    assert_eq!(empty.chunks.len(), 1);
+    assert!(reassemble(&empty.chunks, empty.fingerprint).is_empty());
+    // Different content, different name.
+    assert_ne!(
+        encode_feature_chunks(&features[..22], usize::MAX).fingerprint,
+        whole.fingerprint
+    );
+}
+
+/// The host takes a set's chunks in order, once: anything else is a
+/// typed error — and so is an install that names a set the host does not
+/// hold, which must never become a silently empty shard.
+#[test]
+fn shard_host_rejects_out_of_sequence_chunks_and_unknown_sets() {
+    let features = uniform_features(12);
+    let set = encode_feature_chunks(&features, 4 * feature_bytes(3));
+    assert_eq!(set.chunks.len(), 3);
+    let foreign = encode_feature_chunks(&features[..8], 4 * feature_bytes(3));
+    let refused = |host: &ShardHost, payload: &[u8]| host.handle(OP_FEATURES, payload).unwrap_err();
+
+    // Out of order: chunk 1 before chunk 0, and chunk 2 right after 0.
+    let host = ShardHost::new();
+    assert!(refused(&host, &set.chunks[1]).contains("out of sequence"));
+    host.handle(OP_FEATURES, &set.chunks[0]).unwrap();
+    assert!(refused(&host, &set.chunks[2]).contains("out of sequence"));
+
+    // Duplicated: chunk 1 twice.
+    let host = ShardHost::new();
+    host.handle(OP_FEATURES, &set.chunks[0]).unwrap();
+    host.handle(OP_FEATURES, &set.chunks[1]).unwrap();
+    assert!(refused(&host, &set.chunks[1]).contains("out of sequence"));
+
+    // Foreign fingerprint: another set's chunk 1 in the middle of this one.
+    let host = ShardHost::new();
+    host.handle(OP_FEATURES, &set.chunks[0]).unwrap();
+    assert!(refused(&host, &foreign.chunks[1]).contains("out of sequence"));
+    assert_eq!(host.feature_sets(), 0);
+
+    // A refused sequence is abandoned; shipping again from chunk 0 works.
+    for chunk in &set.chunks {
+        host.handle(OP_FEATURES, chunk).unwrap();
+    }
+    assert_eq!(host.feature_sets(), 1);
+
+    // An install over that set is accepted, one over an unknown set is
+    // refused by name and hosts nothing.
+    let data = [DataObject::new(7, Point::new(1.0, 1.0))];
+    let unknown = encode_provision(1, foreign.fingerprint, &unit_executor(), 0, &data);
+    let error = host.handle(OP_PROVISION, &unknown).unwrap_err();
+    assert!(error.contains("unknown feature set"), "{error}");
+    assert_eq!(host.hosted_shards(), 0);
+    let known = encode_provision(1, set.fingerprint, &unit_executor(), 0, &data);
+    host.handle(OP_PROVISION, &known).unwrap();
+    assert_eq!(host.hosted_shards(), 1);
+}
+
+/// Overwrites the little-endian `u32` at `at` with `value`.
+fn patch_u32(payload: &mut [u8], at: usize, value: u32) {
+    payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary bytes, and well-formed payloads whose feature, term or
+    /// data-object count was overwritten with a lie, decode to a typed
+    /// error or a valid value — never a panic, never an allocation sized
+    /// by the lie (every count is held to what the remaining bytes can
+    /// carry before anything is reserved for it). A worker that was sent
+    /// such a frame says so with a typed error and serves the next
+    /// connection.
+    #[test]
+    fn prop_provisioning_decoders_survive_hostile_input(
+        noise in proptest::collection::vec(0u8..=u8::MAX, 0..256),
+        num_features in 1u64..12,
+        lie in (u32::MAX - 2)..=u32::MAX,
+        near_lie in 0u32..4,
+    ) {
+        // Arbitrary bytes.
+        let _ = decode_features_chunk(&noise);
+        let _ = decode_provision(&noise);
+
+        let features = uniform_features(num_features);
+        let chunk = encode_feature_chunks(&features, usize::MAX).chunks.remove(0);
+        let data: Vec<DataObject> = (0..num_features)
+            .map(|i| DataObject::new(i, Point::new(i as f64, 1.0)))
+            .collect();
+        let provision = encode_provision(0, 1, &unit_executor(), 0, &data);
+        prop_assert!(decode_features_chunk(&chunk).is_ok());
+        prop_assert!(decode_provision(&provision).is_ok());
+
+        // Lying counts: absurd ones, and ones just past the truth. The
+        // feature count sits at byte 16 of a chunk, the first feature's
+        // term count 24 bytes into it; the data count is the last field
+        // before the 28-byte data records.
+        let feature_count_at = 16;
+        let term_count_at = 20 + 24;
+        let data_count_at = provision.len() - 28 * data.len() - 4;
+        let mut hostile = Vec::new();
+        for count in [lie, num_features as u32 + 1 + near_lie] {
+            let mut bad = chunk.clone();
+            patch_u32(&mut bad, feature_count_at, count);
+            prop_assert!(decode_features_chunk(&bad).is_err());
+            hostile.push((OP_FEATURES, bad));
+            let mut bad = provision.clone();
+            patch_u32(&mut bad, data_count_at, count);
+            prop_assert!(decode_provision(&bad).is_err());
+            hostile.push((OP_PROVISION, bad));
+        }
+        for count in [lie, 4 + near_lie] {
+            let mut bad = chunk.clone();
+            patch_u32(&mut bad, term_count_at, count);
+            // Three extra terms can be read out of the next feature's
+            // bytes; what follows then no longer parses.
+            prop_assert!(decode_features_chunk(&bad).is_err());
+            hostile.push((OP_FEATURES, bad));
+        }
+        // Truncations anywhere are errors too.
+        let cut = noise.len() % chunk.len();
+        prop_assert!(decode_features_chunk(&chunk[..cut]).is_err());
+        let cut = noise.len() % provision.len();
+        prop_assert!(decode_provision(&provision[..cut]).is_err());
+        hostile.push((OP_FEATURES, noise.clone()));
+        hostile.push((OP_PROVISION, noise));
+
+        // Through a real worker: each hostile frame is answered with a
+        // typed error, and a new connection is served afterwards.
+        let server =
+            WorkerServer::bind("127.0.0.1:0", vec![Box::new(ShardHost::new())], false).unwrap();
+        let addr = server.addr().to_string();
+        let mut client = WorkerClient::new(addr.clone(), ClientConfig::fast());
+        for (opcode, payload) in &hostile {
+            let outcome = client.call(*opcode, payload);
+            if opcode == &OP_PROVISION && decode_provision(payload).is_ok() {
+                continue; // noise that happens to parse: refused for its unknown set
+            }
+            if opcode == &OP_FEATURES && decode_features_chunk(payload).is_ok() {
+                continue;
+            }
+            let (op, _) = outcome.unwrap();
+            prop_assert_eq!(op, OP_ERROR);
+        }
+        let mut fresh = WorkerClient::new(addr, ClientConfig::fast());
+        prop_assert!(fresh.ping(b"still here").is_ok());
+        prop_assert!(fresh.call(OP_FEATURES, &chunk).is_ok());
     }
 }
