@@ -281,7 +281,7 @@ impl MapReduceTask for ESpqScoTask<'_> {
 mod tests {
     use super::*;
     use crate::model::{DataObject, FeatureObject, SpqObject};
-    use spq_mapreduce::{ClusterConfig, JobRunner, JobStats};
+    use spq_mapreduce::{ClusterConfig, JobStats, LocalPool};
     use spq_spatial::Rect;
     use spq_text::KeywordSet;
 
@@ -290,7 +290,7 @@ mod tests {
             spq_spatial::Grid::square(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 4).into();
         let (dataset, splits) = SharedDataset::from_splits(&[objects]);
         let task = ESpqScoTask::new(&dataset, &grid, query);
-        let runner = JobRunner::new(ClusterConfig::with_workers(2));
+        let runner = LocalPool::new(ClusterConfig::with_workers(2));
         let out = runner.run(&task, &splits).unwrap();
         let stats = out.stats.clone();
         let mut flat = out.into_flat();

@@ -219,7 +219,7 @@ impl MapReduceTask for PSpqTask<'_> {
 mod tests {
     use super::*;
     use crate::model::{DataObject, FeatureObject, SpqObject};
-    use spq_mapreduce::{ClusterConfig, JobRunner};
+    use spq_mapreduce::{ClusterConfig, LocalPool};
     use spq_spatial::Rect;
     use spq_text::KeywordSet;
 
@@ -228,7 +228,7 @@ mod tests {
             spq_spatial::Grid::square(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 4).into();
         let (dataset, splits) = SharedDataset::from_splits(&[objects]);
         let task = PSpqTask::new(&dataset, &grid, query);
-        let runner = JobRunner::new(ClusterConfig::with_workers(2));
+        let runner = LocalPool::new(ClusterConfig::with_workers(2));
         let mut out = runner.run(&task, &splits).unwrap().into_flat();
         out.sort_by(RankedObject::canonical_cmp);
         out
@@ -313,7 +313,7 @@ mod tests {
         ];
         let (dataset, splits) = SharedDataset::from_splits(&[objects]);
         let task = PSpqTask::new(&dataset, &grid, &q);
-        let out = JobRunner::new(ClusterConfig::sequential())
+        let out = LocalPool::new(ClusterConfig::sequential())
             .run(&task, &splits)
             .unwrap();
         let c = &out.stats.counters;

@@ -6,13 +6,13 @@
 //! points) re-copies the datasets. A serving system amortizes all of that
 //! across the query stream. [`QueryEngine`] is that system:
 //!
-//! * **Build once** — construction pins the [`SharedDataset`] and its
-//!   reference splits; the first query at each radius plans the space
-//!   partition, fossilises the full map-side routing into [`CellRouting`]
-//!   lookup tables and groups the data objects by cell (cached per
-//!   radius, least recently used evicted, shared by every later query); a
-//!   [`KeywordIndex`] inverted index over the feature keywords is built
-//!   eagerly at construction.
+//! * **Build once** — construction pins the [`SharedDataset`] and builds
+//!   the [`KeywordIndex`] inverted index over the feature keywords; the
+//!   first query at each radius plans the space partition, fossilises the
+//!   full map-side routing into [`CellRouting`] lookup tables and groups
+//!   the data objects by cell (cached per radius, least recently used
+//!   evicted, shared by every later query). That — dataset, index, plan
+//!   cache, counters — is all an engine holds.
 //! * **Serve many** — the engine speaks the typed [`QueryExecutor`]
 //!   surface, and every entry point takes the **same path**
 //!   (`QueryEngine::run`), which answers from that state with the direct
@@ -41,9 +41,11 @@
 //!   [`execute_sequential`](crate::service::QueryExecutor::execute_sequential)
 //!   and
 //!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
-//!   single-threaded ([`ExecutionMode::Sequential`]). The job stays the
-//!   paper-faithful reproduction and an independent oracle inside every
-//!   engine.
+//!   single-threaded ([`ExecutionMode::Sequential`]). The job pays for
+//!   its own inputs, as [`SpqExecutor::run_dataset`] does: the request
+//!   builds the round-robin reference splits it maps over and drops them
+//!   when it returns. The job stays the paper-faithful reproduction and
+//!   an independent oracle inside every engine.
 //!
 //! Determinism holds on both: for a fixed engine and query, every entry
 //! point returns the same bytes — kernel, job and
@@ -95,7 +97,7 @@ use crate::service::{
 };
 use crate::store::{ObjectRef, SharedDataset};
 use parking_lot::Mutex;
-use spq_mapreduce::{ClusterConfig, JobContext, JobStats};
+use spq_mapreduce::{ClusterConfig, JobStats};
 use spq_spatial::SpacePartition;
 use spq_text::{KeywordSet, Term};
 use std::collections::HashMap;
@@ -411,48 +413,26 @@ const MAX_CACHED_PLANS: usize = 64;
 pub struct QueryEngine {
     exec: SpqExecutor,
     dataset: SharedDataset,
-    /// Full round-robin splits: what partition planning samples, and the
-    /// job's map input when keyword pruning is disabled.
-    splits: Vec<Vec<ObjectRef>>,
-    /// The data-object prefix of every split — the immutable part of a
-    /// traced job's candidate-pruned split.
-    data_splits: Vec<Vec<ObjectRef>>,
     /// Behind an `Arc` because engines over slices of one dataset (the
     /// shards of a sharded engine, the shards a worker hosts) see the same
     /// broadcast feature array and share one index over it.
     keyword_index: Arc<KeywordIndex>,
     plans: Mutex<PlanCache>,
-    ctx: JobContext,
     metrics: EngineMetrics,
 }
 
-/// The engine's default split count — matches
-/// [`SpqExecutor::run_dataset`], so the engine is byte-identical to the
-/// per-query path it replaces.
+/// The split count (= map tasks) of an engine's jobs — matches
+/// [`SpqExecutor::run_dataset`], so a traced job is byte-identical to the
+/// per-query job it stands for.
 pub const DEFAULT_NUM_SPLITS: usize = 8;
 
 impl QueryEngine {
-    /// Builds an engine over `dataset` with [`DEFAULT_NUM_SPLITS`]
-    /// round-robin splits. `executor` supplies the full query
-    /// configuration (bounds, algorithm, grid sizing, load balancing,
-    /// pruning, cluster).
+    /// Builds an engine over `dataset`. `executor` supplies the full
+    /// query configuration (bounds, algorithm, grid sizing, load
+    /// balancing, pruning, cluster).
     pub fn new(executor: SpqExecutor, dataset: SharedDataset) -> Self {
-        Self::with_num_splits(executor, dataset, DEFAULT_NUM_SPLITS)
-    }
-
-    /// [`new`](Self::new) with an explicit number of round-robin splits
-    /// (= map tasks per job).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_splits == 0`.
-    pub fn with_num_splits(
-        executor: SpqExecutor,
-        dataset: SharedDataset,
-        num_splits: usize,
-    ) -> Self {
         let keyword_index = Arc::new(KeywordIndex::build(dataset.features()));
-        Self::build(executor, dataset, num_splits, keyword_index)
+        Self::with_shared_index(executor, dataset, keyword_index)
     }
 
     /// [`new`](Self::new) over an index some other engine already built
@@ -468,39 +448,17 @@ impl QueryEngine {
             dataset.features().len(),
             "a shared keyword index must cover the dataset's feature array"
         );
-        Self::build(executor, dataset, DEFAULT_NUM_SPLITS, keyword_index)
-    }
-
-    fn build(
-        executor: SpqExecutor,
-        dataset: SharedDataset,
-        num_splits: usize,
-        keyword_index: Arc<KeywordIndex>,
-    ) -> Self {
-        assert!(num_splits > 0, "engine needs at least one split");
-        let splits = dataset.ref_splits(num_splits);
-        // Derived from the actual splits (not re-derived from the
-        // round-robin rule) so the candidate-split layout can never drift
-        // from the full-split layout byte-identity depends on.
-        let data_splits: Vec<Vec<ObjectRef>> = splits
-            .iter()
-            .map(|s| s.iter().copied().filter(|r| r.is_data()).collect())
-            .collect();
         Self {
             exec: executor,
             dataset,
-            splits,
-            data_splits,
             keyword_index,
             plans: Mutex::new(PlanCache::default()),
-            ctx: JobContext::new(),
             metrics: EngineMetrics::default(),
         }
     }
 
     /// Builds an engine directly over ingested object vectors (e.g. the
-    /// `spq-data` TSV loader's output) with [`DEFAULT_NUM_SPLITS`]
-    /// round-robin splits — the loaded-dump counterpart of
+    /// `spq-data` TSV loader's output) — the loaded-dump counterpart of
     /// [`new`](Self::new), wrapping the vectors into the engine's
     /// [`SharedDataset`] without an intermediate copy. Pair it with
     /// [`dataset_stats`](Self::dataset_stats) and
@@ -576,9 +534,11 @@ impl QueryEngine {
         // Built outside the lock: concurrent builders may race, but the
         // planning is deterministic so every racer builds the same plan
         // and the first insert wins.
-        let partition = self
-            .exec
-            .plan_partition_shared(query, &self.dataset, &self.splits);
+        let partition = self.exec.plan_partition_shared(
+            query,
+            &self.dataset,
+            &self.dataset.ref_splits(DEFAULT_NUM_SPLITS),
+        );
         let routing = CellRouting::build(&partition, &self.dataset, query.radius);
         let cells = CellTable::build(&routing, partition.num_cells(), self.dataset.data().len());
         let plan = Arc::new(PartitionPlan {
@@ -598,15 +558,21 @@ impl QueryEngine {
         (plan, false)
     }
 
-    /// Builds splits holding every data object plus only the candidate
-    /// features, preserving the engine's round-robin layout (and therefore
-    /// the per-split record order the shuffle depends on for
+    /// The map input of a job this engine runs: the round-robin reference
+    /// splits a fresh [`SpqExecutor::run_dataset`] job maps over — whole
+    /// when `pruned` is false; otherwise every data ref plus only the
+    /// query's candidate features, each in the split the full layout puts
+    /// it in (the per-split record order the shuffle depends on for
     /// byte-identical output).
-    fn candidate_splits(&self, candidates: &[u32]) -> Vec<Vec<ObjectRef>> {
-        let n = self.data_splits.len();
-        let mut splits = self.data_splits.clone();
-        for &i in candidates {
-            splits[i as usize % n].push(ObjectRef::Feature(i));
+    fn job_splits(&self, query: &SpqQuery, pruned: bool) -> Vec<Vec<ObjectRef>> {
+        let mut splits = self.dataset.ref_splits(DEFAULT_NUM_SPLITS);
+        if pruned {
+            for split in &mut splits {
+                split.retain(|r| r.is_data());
+            }
+            self.keyword_index.for_each_match(&query.keywords, |i, _| {
+                splits[i as usize % DEFAULT_NUM_SPLITS].push(ObjectRef::Feature(i));
+            });
         }
         splits
     }
@@ -658,20 +624,12 @@ impl QueryEngine {
         if !options.trace && exec.keyword_pruning_enabled() {
             return Ok((self.run_kernel(query, &plan, exec.algorithm_choice()), hit));
         }
-        let pruned;
-        let splits = if exec.keyword_pruning_enabled() {
-            pruned = self.candidate_splits(&self.keyword_index.candidates(&query.keywords));
-            &pruned
-        } else {
-            &self.splits
-        };
         let result = exec.run_planned(
             &self.dataset,
-            splits,
+            &self.job_splits(query, exec.keyword_pruning_enabled()),
             query,
             Arc::clone(&plan.partition),
             Some(&plan.routing),
-            Some(&self.ctx),
         )?;
         Ok((result, hit))
     }
@@ -1071,11 +1029,5 @@ mod tests {
         let twice = engine.metrics().merged(m);
         assert_eq!((twice.kernel_candidates, twice.kernel_visited), (6, 2));
         assert_eq!(twice.kernel_distance_checks, 2 * m.kernel_distance_checks);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_splits_rejected() {
-        let _ = QueryEngine::with_num_splits(executor(), paper_dataset(), 0);
     }
 }

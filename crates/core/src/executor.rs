@@ -10,7 +10,7 @@ use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
 use crate::store::{ObjectRef, SharedDataset};
 use crate::theory::auto_grid_size;
-use spq_mapreduce::{ClusterConfig, ExecutionBackend, JobContext, JobError, JobStats, LocalPool};
+use spq_mapreduce::{ClusterConfig, JobError, JobStats, LocalPool};
 use spq_spatial::{AdaptiveGrid, Grid, Point, Rect, SpacePartition};
 use std::fmt;
 use std::sync::Arc;
@@ -419,17 +419,15 @@ impl SpqExecutor {
         query: &SpqQuery,
     ) -> Result<SpqResult, SpqError> {
         let grid = self.plan_partition_shared(query, dataset, splits);
-        self.run_planned(dataset, splits, query, Arc::new(grid), None, None)
+        self.run_planned(dataset, splits, query, Arc::new(grid), None)
     }
 
     /// Runs the query over a **pre-planned** partition — the building
     /// block behind [`crate::engine::QueryEngine`], which plans (and
     /// caches) partitions itself. `routing` optionally supplies prebuilt
-    /// [`CellRouting`] tables for the partition at this query's radius;
-    /// `ctx` optionally supplies a reusable [`JobContext`] so a stream of
-    /// per-query jobs recycles its task scratch state. Both are pure
-    /// optimizations: for the same partition the result is byte-identical
-    /// to [`run_shared`](Self::run_shared).
+    /// [`CellRouting`] tables for the partition at this query's radius — a
+    /// pure optimization: for the same partition the result is
+    /// byte-identical to [`run_shared`](Self::run_shared).
     pub fn run_planned(
         &self,
         dataset: &SharedDataset,
@@ -437,17 +435,8 @@ impl SpqExecutor {
         query: &SpqQuery,
         partition: Arc<SpacePartition>,
         routing: Option<&CellRouting>,
-        ctx: Option<&JobContext>,
     ) -> Result<SpqResult, SpqError> {
-        let backend = LocalPool::new(self.cluster);
-        let scratch;
-        let ctx = match ctx {
-            Some(ctx) => ctx,
-            None => {
-                scratch = JobContext::new();
-                &scratch
-            }
-        };
+        let pool = LocalPool::new(self.cluster);
         /// One shuffle record's in-memory wire size for byte accounting.
         fn record_bytes<T: spq_mapreduce::MapReduceTask>(_: &T) -> u64 {
             std::mem::size_of::<(T::Key, T::Value)>() as u64
@@ -462,7 +451,7 @@ impl SpqExecutor {
                     task = task.with_routing(routing);
                 }
                 let record_bytes = record_bytes(&task);
-                let out = backend.execute(ctx, &task, splits)?;
+                let out = pool.run(&task, splits)?;
                 let stats = out.stats.clone();
                 let shuffle_bytes = stats.shuffle_records * record_bytes;
                 (out.into_flat(), stats, shuffle_bytes)

@@ -1,30 +1,17 @@
-//! Pluggable execution backends: where a planned job's tasks actually run.
+//! [`LocalPool`]: the bounded in-process worker pool that runs a job.
 //!
-//! [`crate::JobRunner`] owns the *contract* of a job — map every split,
-//! shuffle by the task's partitioner/comparator, reduce every partition —
-//! but it should not own the *placement* of that work. The paper makes the
-//! same separation: its algorithms are expressed against Hadoop's task
-//! interfaces precisely so the cluster substrate underneath can change
-//! without touching a line of the map/reduce logic. [`ExecutionBackend`]
-//! is that seam in this codebase:
-//!
-//! * [`LocalPool`] — the in-process bounded worker pool that has executed
-//!   every job since PR 1, now factored behind the trait. This is the
-//!   reference backend: deterministic output for a fixed task and input,
-//!   regardless of worker count.
-//! * [`RemoteBackend`](crate::remote::RemoteBackend) places whole jobs on
-//!   worker *processes* over a framed TCP protocol (see [`crate::remote`]),
-//!   retrying a dead worker's jobs on survivors; shard-per-node serving is
-//!   built one layer up, in `spq-core`'s sharded and remote engines, where
-//!   the SPQ top-k merge makes the cross-shard gather trivial.
-//!
-//! The trait is deliberately *not* object-safe ([`ExecutionBackend::execute`]
-//! is generic over the task type, mirroring [`crate::JobRunner::run_in`]):
-//! backends are chosen statically, and callers that need runtime selection
-//! wrap backends in an enum (as `spq-core`'s service layer does).
+//! A job is one [`MapReduceTask`] over horizontally partitioned input:
+//! every split becomes a map task, the shuffle regroups map output by the
+//! task's partitioner (concatenating pre-grouped sub-bucket runs, sorting
+//! only the runs the task asks for), and each of the task's
+//! `num_reducers()` partitions becomes a reduce task. There is one place a
+//! job runs — this pool, in this process. Distribution happens one layer
+//! up and by *partition*, not by job: `spq-core`'s sharded and remote
+//! engines keep data shards on long-lived workers, and each shard runs
+//! its own jobs on its own pool.
 //!
 //! ```
-//! use spq_mapreduce::backend::{ExecutionBackend, LocalPool};
+//! use spq_mapreduce::backend::LocalPool;
 //! use spq_mapreduce::{ClusterConfig, GroupValues, JobContext, MapContext, MapReduceTask,
 //!     ReduceContext};
 //! use std::cmp::Ordering;
@@ -47,12 +34,18 @@
 //!     }
 //! }
 //!
-//! let backend = LocalPool::new(ClusterConfig::with_workers(2));
-//! assert_eq!(backend.descriptor().name, "local");
-//! let out = backend
-//!     .execute(&JobContext::new(), &CharCount, &[vec!["abba".to_owned()]])
-//!     .unwrap();
+//! let pool = LocalPool::new(ClusterConfig::with_workers(2));
+//! let splits = [vec!["abba".to_owned()]];
+//!
+//! // One-shot:
+//! let out = pool.run(&CharCount, &splits).unwrap();
 //! assert_eq!(out.len(), 2); // 'a' and 'b'
+//!
+//! // A stream of jobs recycles its per-task scratch through one context.
+//! let ctx = JobContext::new();
+//! for _ in 0..3 {
+//!     assert_eq!(pool.execute(&ctx, &CharCount, &splits).unwrap().len(), 2);
+//! }
 //! ```
 
 use crate::cluster::ClusterConfig;
@@ -62,77 +55,17 @@ use crate::pool::run_tasks;
 use crate::stats::{JobStats, Phase, TaskStats};
 use crate::task::{GroupValues, MapContext, MapReduceTask, ReduceContext};
 use parking_lot::Mutex;
-use std::fmt;
 use std::time::Instant;
 
-/// A static description of a backend, for logs, stats and bench reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendDescriptor {
-    /// Short stable identifier (`"local"`, `"sharded"`, …).
-    pub name: &'static str,
-    /// Degree of task parallelism the backend schedules onto (worker
-    /// threads for [`LocalPool`]; nodes for a distributed backend).
-    pub parallelism: usize,
-}
-
-impl fmt::Display for BackendDescriptor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}x{}", self.name, self.parallelism)
-    }
-}
-
-/// Executes one planned MapReduce job: map tasks over the given splits,
-/// shuffle by the task's partition/sort/group contract, reduce tasks over
-/// every partition — returning the grouped output together with merged
-/// counters and per-task statistics.
-///
-/// The contract every implementation must honour (it is what all of
-/// `spq-core`'s byte-identity guarantees rest on):
-///
-/// * **Determinism** — for a fixed task and input, the returned records
-///   and counters are identical across calls and across backends; only
-///   measured durations may differ.
-/// * **Output order** — [`JobOutput`] holds outputs in reducer order, with
-///   each reducer's records in its emission order.
-/// * **Failure** — a panicking task surfaces as [`JobError::TaskPanicked`]
-///   with the phase and task index; it never tears down the caller.
-pub trait ExecutionBackend {
-    /// Runs `task` over `splits`, recycling per-task scratch state through
-    /// `ctx` (see [`JobContext`]).
-    fn execute<T: MapReduceTask>(
-        &self,
-        ctx: &JobContext,
-        task: &T,
-        splits: &[Vec<T::Input>],
-    ) -> Result<JobOutput<T::Output>, JobError>;
-
-    /// The backend's static description.
-    fn descriptor(&self) -> BackendDescriptor;
-}
-
-/// The in-process thread-pool backend — the bounded worker pool the
-/// runtime has always used, now behind [`ExecutionBackend`].
+/// The in-process thread pool every job runs on.
 ///
 /// Map tasks run on at most [`ClusterConfig::workers`] threads, the
 /// shuffle concatenates pre-grouped sub-bucket runs into exactly-sized
 /// buffers on the submitting thread, and reduce tasks run on the pool
-/// again. See [`crate::JobRunner`] for the convenience wrapper most
-/// callers use.
+/// again.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalPool {
     config: ClusterConfig,
-}
-
-impl LocalPool {
-    /// Creates a pool backend over the given cluster configuration.
-    pub fn new(config: ClusterConfig) -> Self {
-        Self { config }
-    }
-
-    /// The cluster configuration the pool schedules onto.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
-    }
 }
 
 type MapTaskResult<T> = (
@@ -154,8 +87,41 @@ type ReduceSlot<T> = Mutex<Option<ReduceInput<T>>>;
 /// One map task's emitted buckets, indexed `reducer * num_subs + sub`.
 type MapBuckets<T> = Vec<Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>>;
 
-impl ExecutionBackend for LocalPool {
-    fn execute<T: MapReduceTask>(
+impl LocalPool {
+    /// Creates a pool over the given cluster configuration.
+    pub fn new(config: ClusterConfig) -> Self {
+        Self { config }
+    }
+
+    /// [`execute`](Self::execute) over a fresh [`JobContext`] — the
+    /// one-shot form, for a caller that runs a single job.
+    pub fn run<T: MapReduceTask>(
+        &self,
+        task: &T,
+        splits: &[Vec<T::Input>],
+    ) -> Result<JobOutput<T::Output>, JobError> {
+        self.execute(&JobContext::new(), task, splits)
+    }
+
+    /// Runs one job: each element of `splits` becomes a map task, each of
+    /// the task's `num_reducers()` partitions a reduce task; per-task
+    /// scratch state is recycled through `ctx` (see [`JobContext`]).
+    ///
+    /// What `spq-core`'s byte-identity guarantees rest on:
+    ///
+    /// * **Determinism** — for a fixed task and input, the returned records
+    ///   and counters are identical across calls and worker counts; only
+    ///   measured durations differ.
+    /// * **Output order** — [`JobOutput`] holds outputs in reducer order,
+    ///   with each reducer's records in its emission order.
+    /// * **Failure** — a panicking task surfaces as
+    ///   [`JobError::TaskPanicked`] with the phase and task index; it never
+    ///   tears down the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task declares zero reducers or zero sub-buckets.
+    pub fn execute<T: MapReduceTask>(
         &self,
         ctx: &JobContext,
         task: &T,
@@ -337,13 +303,6 @@ impl ExecutionBackend for LocalPool {
             },
         ))
     }
-
-    fn descriptor(&self) -> BackendDescriptor {
-        BackendDescriptor {
-            name: "local",
-            parallelism: self.config.workers,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -377,36 +336,6 @@ mod tests {
         ) {
             ctx.emit((*key, values.map(|(_, v)| v).sum()));
         }
-    }
-
-    #[test]
-    fn local_pool_descriptor() {
-        let backend = LocalPool::new(ClusterConfig::with_workers(7));
-        let d = backend.descriptor();
-        assert_eq!(d.name, "local");
-        assert_eq!(d.parallelism, 7);
-        assert_eq!(d.to_string(), "localx7");
-        assert_eq!(backend.config().workers, 7);
-    }
-
-    #[test]
-    fn local_pool_matches_job_runner() {
-        // The runner is a thin wrapper over the backend; both entry points
-        // must return identical bytes.
-        let splits: Vec<Vec<u64>> = vec![vec![1, 2, 3], vec![4, 5], vec![6]];
-        let ctx = JobContext::new();
-        let direct = LocalPool::new(ClusterConfig::with_workers(2))
-            .execute(&ctx, &Sum, &splits)
-            .unwrap();
-        let via_runner = crate::JobRunner::new(ClusterConfig::with_workers(2))
-            .run(&Sum, &splits)
-            .unwrap();
-        assert_eq!(direct.per_reducer(), via_runner.per_reducer());
-        assert_eq!(direct.stats.counters, via_runner.stats.counters);
-        assert_eq!(
-            direct.stats.shuffle_records,
-            via_runner.stats.shuffle_records
-        );
     }
 
     #[test]

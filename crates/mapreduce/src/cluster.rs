@@ -17,7 +17,7 @@ use crate::stats::JobStats;
 use std::fmt;
 use std::time::Duration;
 
-/// Execution configuration for [`crate::JobRunner`].
+/// Execution configuration for [`crate::LocalPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of real worker threads (task slots) on the host.

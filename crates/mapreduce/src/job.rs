@@ -1,24 +1,17 @@
-//! The job runner: map → shuffle → reduce over a bounded worker pool.
+//! What a job hands back and what it reuses: [`JobOutput`], [`JobError`]
+//! and the [`JobContext`] scratch pool.
 //!
-//! [`JobRunner::run`] executes one [`MapReduceTask`] over horizontally
-//! partitioned input: every split becomes a map task, map output is
-//! partitioned/grouped by the shuffle (concatenating pre-grouped
-//! sub-bucket runs, sorting only the runs the task asks for), and each of
-//! the task's `num_reducers()` partitions becomes a reduce task. Results
-//! and counters are deterministic for a fixed task and input — the worker
-//! count only changes measured durations.
-//!
-//! Callers that run **many jobs over the same cluster** — one job per
-//! query, as `spq_core::engine::QueryEngine` does — should create one
-//! [`JobContext`] and go through [`JobRunner::run_in`], which recycles
-//! per-task scratch state (the [`Counters`] sets every map and reduce
-//! task allocates) across jobs instead of re-allocating it per query.
-//! [`JobRunner::run`] is the one-shot convenience wrapper over a fresh
-//! context.
+//! The pipeline itself — map, shuffle, reduce — is
+//! [`LocalPool::execute`](crate::LocalPool::execute). A caller that runs
+//! **many jobs back to back** holds one [`JobContext`] and passes it to
+//! every `execute`, so the [`Counters`] sets each map and reduce task
+//! allocates are recycled instead of re-allocated per job;
+//! [`LocalPool::run`](crate::LocalPool::run) is the one-shot form over a
+//! fresh context.
 //!
 //! ```
 //! use spq_mapreduce::{
-//!     ClusterConfig, GroupValues, JobContext, JobRunner, MapContext, MapReduceTask,
+//!     ClusterConfig, GroupValues, JobContext, LocalPool, MapContext, MapReduceTask,
 //!     ReduceContext,
 //! };
 //! use std::cmp::Ordering;
@@ -56,26 +49,22 @@
 //!     }
 //! }
 //!
-//! let runner = JobRunner::new(ClusterConfig::with_workers(2));
+//! let pool = LocalPool::new(ClusterConfig::with_workers(2));
 //! let splits = vec![vec!["to be or".to_owned()], vec!["not to be".to_owned()]];
-//!
-//! // One-shot:
-//! let out = runner.run(&WordCount, &splits).unwrap();
-//! assert_eq!(out.len(), 4); // to, be, or, not
-//!
-//! // Job-per-query serving: reuse one context across jobs.
 //! let ctx = JobContext::new();
-//! for _ in 0..3 {
-//!     let again = runner.run_in(&ctx, &WordCount, &splits).unwrap();
-//!     assert_eq!(again.len(), out.len());
-//! }
+//!
+//! let out = pool.execute(&ctx, &WordCount, &splits).unwrap();
+//! assert_eq!(out.len(), 4); // to, be, or, not
+//! assert_eq!(out.per_reducer().len(), 2); // reducer order
+//! assert_eq!(out.stats.shuffle_records, 6);
+//!
+//! // The same context serves the next job; its output is the same bytes.
+//! let again = pool.execute(&ctx, &WordCount, &splits).unwrap();
+//! assert_eq!(again.into_flat(), out.into_flat());
 //! ```
 
-use crate::backend::{ExecutionBackend, LocalPool};
-use crate::cluster::ClusterConfig;
 use crate::counters::Counters;
 use crate::stats::{JobStats, Phase};
-use crate::task::MapReduceTask;
 use parking_lot::Mutex;
 use std::fmt;
 
@@ -96,20 +85,6 @@ pub enum JobError {
         /// Captured panic message.
         message: String,
     },
-    /// The task cannot run on a remote backend: it declares no
-    /// `REMOTE_KIND` (see [`MapReduceTask`]) or the worker does not have
-    /// it registered.
-    NotRemotable {
-        /// The task's type or wire-kind name.
-        task: String,
-    },
-    /// The remote transport or worker-side execution failed after every
-    /// retry — including the case where all workers are on the exclusion
-    /// list.
-    Remote {
-        /// What happened, including the per-worker failure trail.
-        message: String,
-    },
 }
 
 impl fmt::Display for JobError {
@@ -120,10 +95,6 @@ impl fmt::Display for JobError {
                 task_index,
                 message,
             } => write!(f, "{phase} task {task_index} panicked: {message}"),
-            JobError::NotRemotable { task } => {
-                write!(f, "task {task} is not registered for remote execution")
-            }
-            JobError::Remote { message } => write!(f, "remote job failed: {message}"),
         }
     }
 }
@@ -145,7 +116,8 @@ pub struct JobOutput<O> {
 
 impl<O> JobOutput<O> {
     /// Assembles a job output from per-reducer vectors, caching the record
-    /// count. Crate-internal: only execution backends build outputs.
+    /// count. Crate-internal: only [`LocalPool`](crate::LocalPool) builds
+    /// outputs.
     pub(crate) fn from_parts(per_reducer: Vec<Vec<O>>, stats: JobStats) -> Self {
         let num_records = per_reducer.iter().map(Vec::len).sum();
         Self {
@@ -191,13 +163,13 @@ impl<O> JobOutput<O> {
 /// Reusable scratch state for running many jobs back to back.
 ///
 /// Every map and reduce task allocates a task-local [`Counters`] set; a
-/// job-per-query workload (the engine's serve loop) would otherwise pay
-/// those allocations for every single query. A `JobContext` keeps the
-/// cleared counter sets of finished tasks and hands them back to the next
-/// job's tasks — create it once next to the [`JobRunner`] and pass it to
-/// [`JobRunner::run_in`]. Sharing one context from several threads is
-/// fine: checkout/recycle go through a mutex and fall back to a fresh
-/// allocation when the pool is empty.
+/// caller that runs one job after another would otherwise pay those
+/// allocations for every job. A `JobContext` keeps the cleared counter
+/// sets of finished tasks and hands them back to the next job's tasks —
+/// create it once next to the [`LocalPool`](crate::LocalPool) and pass it
+/// to every `execute`. Sharing one context from several threads is fine:
+/// checkout/recycle go through a mutex and fall back to a fresh allocation
+/// when the pool is empty.
 #[derive(Debug, Default)]
 pub struct JobContext {
     recycled: Mutex<Vec<Counters>>,
@@ -230,79 +202,12 @@ impl JobContext {
     }
 }
 
-/// Executes [`MapReduceTask`]s over horizontally partitioned input on the
-/// in-process [`LocalPool`] backend.
-///
-/// `JobRunner` is the convenience entry point most callers want: it fixes
-/// the backend to the bounded worker pool and keeps the one-shot
-/// [`run`](Self::run) / streaming [`run_in`](Self::run_in) API stable.
-/// Code that needs to choose *where* tasks run — a different pool, a
-/// future remote placement — goes through
-/// [`ExecutionBackend`] directly.
-#[derive(Debug, Clone, Default)]
-pub struct JobRunner {
-    backend: LocalPool,
-}
-
-impl JobRunner {
-    /// Creates a runner with the given cluster configuration.
-    pub fn new(config: ClusterConfig) -> Self {
-        Self {
-            backend: LocalPool::new(config),
-        }
-    }
-
-    /// The configured cluster.
-    pub fn config(&self) -> ClusterConfig {
-        self.backend.config()
-    }
-
-    /// The [`LocalPool`] backend the runner executes on.
-    pub fn backend(&self) -> LocalPool {
-        self.backend
-    }
-
-    /// Runs one job: each element of `splits` becomes a map task; each of
-    /// the task's `num_reducers()` partitions becomes a reduce task.
-    ///
-    /// The execution is deterministic for a fixed task and input: results
-    /// and statistics record-counts do not depend on the number of
-    /// workers (only the measured durations do).
-    ///
-    /// This is the one-shot wrapper over [`run_in`](Self::run_in) with a
-    /// fresh [`JobContext`]; callers running a stream of jobs should hold
-    /// a context of their own so per-task scratch state is recycled.
-    pub fn run<T: MapReduceTask>(
-        &self,
-        task: &T,
-        splits: &[Vec<T::Input>],
-    ) -> Result<JobOutput<T::Output>, JobError> {
-        self.run_in(&JobContext::new(), task, splits)
-    }
-
-    /// [`run`](Self::run) against a reusable [`JobContext`]: identical
-    /// semantics and identical (deterministic) output, but the per-task
-    /// counter sets are checked out of — and recycled back into — `ctx`
-    /// instead of being allocated per job.
-    ///
-    /// Since the backend split, this is sugar for
-    /// `self.backend().execute(ctx, task, splits)` — the map → shuffle →
-    /// reduce pipeline itself lives in
-    /// [`LocalPool::execute`](crate::backend::LocalPool).
-    pub fn run_in<T: MapReduceTask>(
-        &self,
-        ctx: &JobContext,
-        task: &T,
-        splits: &[Vec<T::Input>],
-    ) -> Result<JobOutput<T::Output>, JobError> {
-        self.backend.execute(ctx, task, splits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{GroupValues, MapContext, ReduceContext};
+    use crate::backend::LocalPool;
+    use crate::cluster::ClusterConfig;
+    use crate::task::{GroupValues, MapContext, MapReduceTask, ReduceContext};
     use std::cmp::Ordering;
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
@@ -359,8 +264,8 @@ mod tests {
     }
 
     fn run_word_count(workers: usize, reducers: usize) -> Vec<(String, u64)> {
-        let runner = JobRunner::new(ClusterConfig::with_workers(workers));
-        let mut out = runner
+        let pool = LocalPool::new(ClusterConfig::with_workers(workers));
+        let mut out = pool
             .run(&WordCount { reducers }, &word_count_input())
             .unwrap()
             .into_flat();
@@ -382,8 +287,8 @@ mod tests {
 
     #[test]
     fn stats_record_counts() {
-        let runner = JobRunner::new(ClusterConfig::with_workers(2));
-        let out = runner
+        let pool = LocalPool::new(ClusterConfig::with_workers(2));
+        let out = pool
             .run(&WordCount { reducers: 2 }, &word_count_input())
             .unwrap();
         assert_eq!(out.stats.map_input_records(), 4); // 4 lines
@@ -451,8 +356,8 @@ mod tests {
 
     #[test]
     fn values_arrive_in_secondary_sort_order() {
-        let runner = JobRunner::new(ClusterConfig::with_workers(4));
-        let out = runner
+        let pool = LocalPool::new(ClusterConfig::with_workers(4));
+        let out = pool
             .run(&SecondarySort { take: usize::MAX }, &secondary_sort_input())
             .unwrap();
         let mut flat = out.into_flat();
@@ -465,8 +370,8 @@ mod tests {
 
     #[test]
     fn early_termination_counts_skipped_records() {
-        let runner = JobRunner::new(ClusterConfig::with_workers(4));
-        let out = runner
+        let pool = LocalPool::new(ClusterConfig::with_workers(4));
+        let out = pool
             .run(&SecondarySort { take: 2 }, &secondary_sort_input())
             .unwrap();
         // Group 1 has 4 values (2 skipped); groups 2 and 7 fit within 2.
@@ -479,8 +384,8 @@ mod tests {
     #[test]
     fn deterministic_across_worker_counts() {
         let run = |workers| {
-            let runner = JobRunner::new(ClusterConfig::with_workers(workers));
-            let out = runner
+            let pool = LocalPool::new(ClusterConfig::with_workers(workers));
+            let out = pool
                 .run(&SecondarySort { take: usize::MAX }, &secondary_sort_input())
                 .unwrap();
             out.into_per_reducer()
@@ -554,8 +459,8 @@ mod tests {
 
     #[test]
     fn subbucket_runs_are_pre_grouped_and_selectively_sorted() {
-        let runner = JobRunner::new(ClusterConfig::sequential());
-        let out = runner.run(&SubBucketed, &subbucket_input()).unwrap();
+        let pool = LocalPool::new(ClusterConfig::sequential());
+        let out = pool.run(&SubBucketed, &subbucket_input()).unwrap();
         let mut flat = out.into_flat();
         flat.sort_by_key(|(cell, _)| *cell);
         // Cell 0: tag-0 run in map-task concatenation order (5 from task 0,
@@ -568,7 +473,7 @@ mod tests {
     #[test]
     fn subbucketed_job_is_worker_count_invariant() {
         let run = |workers| {
-            JobRunner::new(ClusterConfig::with_workers(workers))
+            LocalPool::new(ClusterConfig::with_workers(workers))
                 .run(&SubBucketed, &subbucket_input())
                 .unwrap()
                 .into_per_reducer()
@@ -581,14 +486,14 @@ mod tests {
 
     #[test]
     fn context_reuse_is_invisible_to_results() {
-        let runner = JobRunner::new(ClusterConfig::with_workers(2));
+        let pool = LocalPool::new(ClusterConfig::with_workers(2));
         let ctx = JobContext::new();
-        let fresh = runner
+        let fresh = pool
             .run(&WordCount { reducers: 2 }, &word_count_input())
             .unwrap();
         for round in 0..3 {
-            let out = runner
-                .run_in(&ctx, &WordCount { reducers: 2 }, &word_count_input())
+            let out = pool
+                .execute(&ctx, &WordCount { reducers: 2 }, &word_count_input())
                 .unwrap();
             assert_eq!(out.per_reducer(), fresh.per_reducer(), "round {round}");
             assert_eq!(out.stats.counters, fresh.stats.counters, "round {round}");
@@ -599,8 +504,8 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let runner = JobRunner::new(ClusterConfig::sequential());
-        let out = runner.run(&WordCount { reducers: 4 }, &[]).unwrap();
+        let pool = LocalPool::new(ClusterConfig::sequential());
+        let out = pool.run(&WordCount { reducers: 4 }, &[]).unwrap();
         assert!(out.is_empty());
         assert_eq!(out.stats.map_tasks.len(), 0);
         assert_eq!(out.stats.reduce_tasks.len(), 4);
@@ -650,33 +555,25 @@ mod tests {
 
     #[test]
     fn map_panic_becomes_job_error() {
-        let runner = JobRunner::new(ClusterConfig::with_workers(2));
-        let err = runner
-            .run(&PanickyMap, &[vec![1, 2], vec![13]])
-            .unwrap_err();
-        match err {
-            JobError::TaskPanicked {
-                phase,
-                task_index,
-                ref message,
-            } => {
-                assert_eq!(phase, Phase::Map);
-                assert_eq!(task_index, 1);
-                assert!(message.contains("unlucky"));
-            }
-            ref other => panic!("expected TaskPanicked, got {other:?}"),
-        }
+        let pool = LocalPool::new(ClusterConfig::with_workers(2));
+        let err = pool.run(&PanickyMap, &[vec![1, 2], vec![13]]).unwrap_err();
+        let JobError::TaskPanicked {
+            phase,
+            task_index,
+            ref message,
+        } = err;
+        assert_eq!(phase, Phase::Map);
+        assert_eq!(task_index, 1);
+        assert!(message.contains("unlucky"));
         assert!(err.to_string().contains("map task 1"));
     }
 
     #[test]
     fn reduce_panic_becomes_job_error() {
-        let runner = JobRunner::new(ClusterConfig::with_workers(2));
-        let err = runner.run(&PanickyMap, &[vec![1, 99]]).unwrap_err();
-        match err {
-            JobError::TaskPanicked { phase, .. } => assert_eq!(phase, Phase::Reduce),
-            other => panic!("expected TaskPanicked, got {other:?}"),
-        }
+        let pool = LocalPool::new(ClusterConfig::with_workers(2));
+        let err = pool.run(&PanickyMap, &[vec![1, 99]]).unwrap_err();
+        let JobError::TaskPanicked { phase, .. } = err;
+        assert_eq!(phase, Phase::Reduce);
     }
 
     #[test]
@@ -701,6 +598,6 @@ mod tests {
             fn reduce(&self, _: &(), _: &mut GroupValues<'_, Self>, _: &mut ReduceContext<'_, ()>) {
             }
         }
-        let _ = JobRunner::new(ClusterConfig::sequential()).run(&NoReducers, &[]);
+        let _ = LocalPool::new(ClusterConfig::sequential()).run(&NoReducers, &[]);
     }
 }

@@ -17,14 +17,12 @@
 //!
 //! * [`MapReduceTask`] — one trait bundling map, partition, sort, group and
 //!   reduce (the paper's Map/Partitioner/Comparator/Reduce quadruple).
-//! * [`JobRunner`] — executes a task over horizontally partitioned input
-//!   splits on a bounded worker pool, with a sort-based shuffle.
-//! * [`ExecutionBackend`] — the placement seam underneath the runner:
-//!   *where* a planned job's map/reduce tasks run. [`LocalPool`] is the
-//!   in-process implementation; [`remote::RemoteBackend`] ships whole
-//!   jobs to worker processes over the framed TCP protocol in [`remote`],
-//!   with backoff connect, per-task deadlines, worker exclusion and
-//!   deterministic fault injection.
+//! * [`LocalPool`] — executes a task over horizontally partitioned input
+//!   splits on a bounded worker pool, with a sort-based shuffle. It is the
+//!   one place a job runs.
+//! * [`remote`] — the framed TCP transport (backoff connect, per-call
+//!   deadlines, deterministic fault injection) that `spq-core` ships
+//!   *shards and queries* over; it carries no jobs.
 //! * [`GroupValues`] — the streaming per-group value iterator handed to
 //!   reducers; **early termination** is simply returning before the
 //!   iterator is exhausted, and the runtime accounts skipped records.
@@ -48,10 +46,10 @@ pub mod remote;
 pub mod stats;
 pub mod task;
 
-pub use backend::{BackendDescriptor, ExecutionBackend, LocalPool};
+pub use backend::LocalPool;
 pub use cluster::{ClusterConfig, SimulatedCluster, WorkersEnvError};
 pub use counters::Counters;
-pub use job::{JobContext, JobError, JobOutput, JobRunner};
-pub use remote::{FaultPlan, RemoteBackend, WorkerRegistry, WorkerServer};
+pub use job::{JobContext, JobError, JobOutput};
+pub use remote::{FaultPlan, WorkerServer};
 pub use stats::{JobStats, Phase, TaskStats};
 pub use task::{GroupValues, MapContext, MapReduceTask, ReduceContext};

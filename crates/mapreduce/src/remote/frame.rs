@@ -33,10 +33,8 @@ pub const HEADER_LEN: usize = 20;
 pub const OP_PING: u16 = 1;
 /// Reply to [`OP_PING`].
 pub const OP_PONG: u16 = 2;
-/// A serialized map/reduce job (task spec + input splits).
-pub const OP_JOB: u16 = 3;
-/// Successful job reply: per-reducer outputs + job statistics.
-pub const OP_JOB_OK: u16 = 4;
+// 3 and 4 carried whole map/reduce jobs; they are retired and stay
+// unassigned, so a peer from before the removal gets "unknown opcode".
 /// Typed error reply to any request.
 pub const OP_ERROR: u16 = 5;
 /// Installs a query shard: executor config + data slice + the fingerprint
@@ -291,14 +289,14 @@ mod tests {
     #[test]
     fn corruption_is_detected_by_checksum() {
         let mut buf = Vec::new();
-        write_frame_with(&mut buf, OP_JOB_OK, b"payload", true).unwrap();
+        write_frame_with(&mut buf, OP_PONG, b"payload", true).unwrap();
         assert!(matches!(
             read_frame(&mut Cursor::new(&buf)),
             Err(FrameError::Corrupt { .. })
         ));
         // Even an empty payload can be corrupted (via the checksum field).
         let mut buf = Vec::new();
-        write_frame_with(&mut buf, OP_JOB_OK, &[], true).unwrap();
+        write_frame_with(&mut buf, OP_PONG, &[], true).unwrap();
         assert!(matches!(
             read_frame(&mut Cursor::new(&buf)),
             Err(FrameError::Corrupt { .. })

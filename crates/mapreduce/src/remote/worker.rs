@@ -345,19 +345,23 @@ pub fn expect_reply(ok_op: u16, reply: (u16, Vec<u8>)) -> Result<Vec<u8>, Remote
 #[cfg(test)]
 mod tests {
     use super::super::client::{ClientConfig, WorkerClient};
-    use super::super::frame::{OP_JOB, OP_PONG};
+    use super::super::frame::OP_PONG;
     use super::*;
 
-    /// Echoes any OP_JOB payload back as OP_JOB_OK.
+    /// Test-local opcodes, outside the range `frame` assigns.
+    const OP_ECHO: u16 = 0x7e00;
+    const OP_ECHO_OK: u16 = 0x7e01;
+
+    /// Echoes any `OP_ECHO` payload back as `OP_ECHO_OK`.
     struct Echo;
 
     impl FrameHandler for Echo {
         fn handle(&self, opcode: u16, payload: &[u8]) -> Result<Option<(u16, Vec<u8>)>, String> {
-            if opcode == OP_JOB {
+            if opcode == OP_ECHO {
                 if payload == b"boom" {
                     return Err("echo refused".to_owned());
                 }
-                Ok(Some((super::super::frame::OP_JOB_OK, payload.to_vec())))
+                Ok(Some((OP_ECHO_OK, payload.to_vec())))
             } else {
                 Ok(None)
             }
@@ -375,11 +379,8 @@ mod tests {
         let (server, mut client) = spawn_echo();
         let (op, payload) = client.call(OP_PING, b"hi").unwrap();
         assert_eq!((op, payload.as_slice()), (OP_PONG, b"hi".as_slice()));
-        let reply = client.call(OP_JOB, b"work").unwrap();
-        assert_eq!(
-            expect_reply(super::super::frame::OP_JOB_OK, reply).unwrap(),
-            b"work"
-        );
+        let reply = client.call(OP_ECHO, b"work").unwrap();
+        assert_eq!(expect_reply(OP_ECHO_OK, reply).unwrap(), b"work");
         assert!(client.bytes_sent() > 0 && client.bytes_received() > 0);
         server.shutdown();
     }
@@ -415,8 +416,8 @@ mod tests {
     #[test]
     fn handler_error_becomes_typed_op_error() {
         let (server, mut client) = spawn_echo();
-        let reply = client.call(OP_JOB, b"boom").unwrap();
-        match expect_reply(super::super::frame::OP_JOB_OK, reply) {
+        let reply = client.call(OP_ECHO, b"boom").unwrap();
+        match expect_reply(OP_ECHO_OK, reply) {
             Err(RemoteError::Protocol { message }) => assert!(message.contains("echo refused")),
             other => panic!("expected protocol error, got {other:?}"),
         }

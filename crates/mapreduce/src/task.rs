@@ -1,7 +1,6 @@
 //! The MapReduce task contract: map, partition, sort, group, reduce.
 
 use crate::counters::Counters;
-use crate::remote::{ByteReader, CodecError};
 use std::cmp::Ordering;
 use std::iter::Peekable;
 use std::vec::IntoIter;
@@ -47,76 +46,6 @@ pub trait MapReduceTask: Sync {
     type Value: Send;
     /// One output record of the reduce function.
     type Output: Send;
-
-    /// Wire identifier under which remote workers know this task type, or
-    /// `None` (the default) for tasks that only run in-process.
-    ///
-    /// A task that sets this must also implement the six remote codec
-    /// hooks below and be registered on the worker under the same name
-    /// (see `spq_mapreduce::remote::WorkerRegistry`). The
-    /// `RemoteBackend` refuses tasks without a kind instead of shipping
-    /// them half-serialized.
-    const REMOTE_KIND: Option<&'static str> = None;
-
-    /// Serializes the task's configuration (everything `decode_spec`
-    /// needs to rebuild an equivalent task on the worker). Only called
-    /// when [`REMOTE_KIND`](Self::REMOTE_KIND) is `Some`; the default
-    /// writes nothing.
-    fn encode_spec(&self, out: &mut Vec<u8>) {
-        let _ = out;
-    }
-
-    /// Rebuilds the task from bytes written by
-    /// [`encode_spec`](Self::encode_spec). The default rejects the
-    /// payload, so a task that sets `REMOTE_KIND` without a codec fails
-    /// loudly on the worker instead of silently misbehaving.
-    fn decode_spec(r: &mut ByteReader<'_>) -> Result<Self, CodecError>
-    where
-        Self: Sized,
-    {
-        let _ = r;
-        Err(CodecError::invalid("task implements no remote spec codec"))
-    }
-
-    /// Serializes one input record. Only called when `REMOTE_KIND` is
-    /// `Some`.
-    fn encode_input(record: &Self::Input, out: &mut Vec<u8>)
-    where
-        Self: Sized,
-    {
-        let _ = (record, out);
-    }
-
-    /// Decodes one input record written by
-    /// [`encode_input`](Self::encode_input).
-    fn decode_input(r: &mut ByteReader<'_>) -> Result<Self::Input, CodecError>
-    where
-        Self: Sized,
-    {
-        let _ = r;
-        Err(CodecError::invalid("task implements no remote input codec"))
-    }
-
-    /// Serializes one output record. Only called when `REMOTE_KIND` is
-    /// `Some`.
-    fn encode_output(record: &Self::Output, out: &mut Vec<u8>)
-    where
-        Self: Sized,
-    {
-        let _ = (record, out);
-    }
-
-    /// Decodes one output record written by
-    /// [`encode_output`](Self::encode_output).
-    fn decode_output(r: &mut ByteReader<'_>) -> Result<Self::Output, CodecError>
-    where
-        Self: Sized,
-    {
-        let _ = r;
-        Err(CodecError::invalid(
-            "task implements no remote output codec",
-        ))
-    }
 
     /// Number of reduce tasks `R` (one per grid cell in the paper).
     fn num_reducers(&self) -> usize;

@@ -1,8 +1,8 @@
 //! Reuse properties of the persistent `QueryEngine`.
 //!
 //! The engine inverts the job-per-query lifecycle: the shared store,
-//! splits, keyword index and per-radius routing plans are built once and
-//! reused by every query. That reuse must be invisible: for any world,
+//! keyword index and per-radius routing plans are built once and reused
+//! by every query. That reuse must be invisible: for any world,
 //! any algorithm, either partitioning strategy and cluster workers in
 //! {1, 2, 8}, a sequence of `engine.execute` calls must return results —
 //! and output-side counters, and shuffle volumes — **byte-identical** to
@@ -262,9 +262,18 @@ fn serve_on_generated_workload_is_worker_invariant() {
 /// are never read), and still answers the bytes of a fresh job and of the
 /// centralized brute force. The same requests without a trace are
 /// answered by the kernel through every entry point: the same bytes, no
-/// shuffle.
+/// shuffle. Under the adaptive quadtree the plan is sampled from splits
+/// the engine builds at plan time and the job maps over splits the request
+/// builds, so the row also pins both to a fresh job's: the same reducers,
+/// and without pruning the same map input.
 #[test]
 fn every_entry_point_takes_the_same_engine_path() {
+    for balancing in BALANCERS {
+        entry_points_agree_under(balancing);
+    }
+}
+
+fn entry_points_agree_under(balancing: LoadBalancing) {
     use spq::data::{QueryStream, StreamConfig, UniformGen};
 
     let dataset = UniformGen.generate(2_000, 42);
@@ -281,6 +290,7 @@ fn every_entry_point_takes_the_same_engine_path() {
     let requests: Vec<QueryRequest> = untraced.iter().cloned().map(|r| r.with_trace()).collect();
     let exec = SpqExecutor::new(Rect::unit())
         .grid_size(8)
+        .load_balancing(balancing)
         .cluster(ClusterConfig::with_workers(2));
     let engine = QueryEngine::new(exec.clone(), shared.clone());
 
@@ -338,6 +348,11 @@ fn every_entry_point_takes_the_same_engine_path() {
                 "{name}: {q}"
             );
             assert_eq!(job.shuffle_records, fresh.stats.shuffle_records, "{name}");
+            assert_eq!(
+                job.reduce_tasks.len(),
+                fresh.stats.reduce_tasks.len(),
+                "{name}: {q}"
+            );
             assert_eq!(response.results, fresh.top_k, "{name}: {q}");
             assert_eq!(
                 response.results,
@@ -353,5 +368,16 @@ fn every_entry_point_takes_the_same_engine_path() {
             assert_eq!(plain.stats.shuffle_bytes, 0, "{name}");
             assert!(plain.trace.is_none(), "{name}");
         }
+    }
+
+    let unpruned_exec = exec.keyword_pruning(false);
+    for request in &requests {
+        let request = request.clone().with_keyword_pruning(false);
+        let fresh = unpruned_exec.run_dataset(&shared, &request.query).unwrap();
+        let response = engine.execute(&request).unwrap();
+        let job = &response.trace.as_ref().expect("trace requested")[0];
+        assert_eq!(job.map_input_records(), fresh.stats.map_input_records());
+        assert_eq!(job.counters, fresh.stats.counters);
+        assert_eq!(response.results, fresh.top_k);
     }
 }

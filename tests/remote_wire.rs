@@ -1,131 +1,29 @@
-//! Round-trip properties of the remote frame, job and provisioning
+//! Round-trip properties of the remote frame, counter and provisioning
 //! codecs, and what the provisioning decoders do with hostile bytes.
 //!
-//! The remote backend's correctness argument leans on exact
-//! serialization: a task batch shipped to a worker and the grouped output
-//! shipped back must decode to precisely what was encoded, for any
-//! content — including empty batches, empty splits, empty outputs and
-//! records near the frame-size cap. These tests mirror the
-//! `sharded::wire` round-trip style one layer down, at the frame and job
-//! codec (`spq::mapreduce::remote`) the TCP transport actually speaks.
+//! The remote engine's correctness argument leans on exact
+//! serialization: what is shipped to a worker and what is shipped back
+//! must decode to precisely what was encoded, for any content —
+//! including empty payloads and payloads near the frame-size cap. These
+//! tests mirror the `sharded::wire` round-trip style one layer down, at
+//! the frame and codec layer (`spq::mapreduce::remote`) the TCP transport
+//! actually speaks.
 
 use proptest::prelude::*;
 use spq::core::remote::{
     decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision, ShardHost,
 };
 use spq::core::{DataObject, FeatureObject, SpqExecutor};
-use spq::mapreduce::remote::codec::{
-    decode_counters, encode_counters, put_str, put_u64, ByteReader,
-};
+use spq::mapreduce::remote::codec::{decode_counters, encode_counters, ByteReader};
 use spq::mapreduce::remote::frame::{fnv1a, MAGIC};
-use spq::mapreduce::remote::job::{decode_job, decode_job_output, encode_job, encode_job_output};
 use spq::mapreduce::remote::{
-    read_frame, write_frame, ClientConfig, CodecError, FrameError, FrameHandler, WorkerClient,
-    WorkerServer, OP_ERROR, OP_FEATURES, OP_PROVISION,
+    read_frame, write_frame, ClientConfig, FrameError, FrameHandler, WorkerClient, WorkerServer,
+    OP_ERROR, OP_FEATURES, OP_PROVISION,
 };
-use spq::mapreduce::ExecutionBackend;
-use spq::mapreduce::{
-    ClusterConfig, Counters, GroupValues, JobContext, LocalPool, MapContext, MapReduceTask,
-    ReduceContext,
-};
+use spq::mapreduce::Counters;
 use spq::spatial::{Point, Rect};
 use spq::text::KeywordSet;
-use std::cmp::Ordering;
 use std::io::Cursor;
-
-/// The remotable task the job codec is exercised with: word count over
-/// string records, the canonical MapReduce shape.
-struct WireCount {
-    reducers: usize,
-}
-
-impl MapReduceTask for WireCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-
-    const REMOTE_KIND: Option<&'static str> = Some("test.wire_count");
-
-    fn encode_spec(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.reducers as u64);
-    }
-
-    fn decode_spec(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            reducers: r.u64()? as usize,
-        })
-    }
-
-    fn encode_input(record: &String, out: &mut Vec<u8>) {
-        put_str(out, record);
-    }
-
-    fn decode_input(r: &mut ByteReader<'_>) -> Result<String, CodecError> {
-        Ok(r.str()?.to_owned())
-    }
-
-    fn encode_output(record: &(String, u64), out: &mut Vec<u8>) {
-        put_str(out, &record.0);
-        put_u64(out, record.1);
-    }
-
-    fn decode_output(r: &mut ByteReader<'_>) -> Result<(String, u64), CodecError> {
-        Ok((r.str()?.to_owned(), r.u64()?))
-    }
-
-    fn num_reducers(&self) -> usize {
-        self.reducers
-    }
-
-    fn map(&self, record: &String, ctx: &mut MapContext<'_, Self>) {
-        for word in record.split_whitespace() {
-            ctx.emit(self, word.to_owned(), 1);
-        }
-    }
-
-    fn partition(&self, key: &String) -> usize {
-        key.len() % self.reducers
-    }
-
-    fn sort_cmp(&self, a: &String, b: &String) -> Ordering {
-        a.cmp(b)
-    }
-
-    fn reduce(
-        &self,
-        group: &String,
-        values: &mut GroupValues<'_, Self>,
-        ctx: &mut ReduceContext<'_, (String, u64)>,
-    ) {
-        ctx.emit((group.clone(), values.map(|(_, v)| v).sum()));
-    }
-}
-
-/// Strategy: input splits of lowercase-and-space records (what the word
-/// count maps over), including empty splits and empty batches.
-fn splits_strategy(max_splits: usize) -> impl Strategy<Value = Vec<Vec<String>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(proptest::collection::vec(0u8..27, 0..12), 0..6),
-        0..max_splits,
-    )
-    .prop_map(|splits| {
-        splits
-            .into_iter()
-            .map(|records| {
-                records
-                    .into_iter()
-                    .map(|bytes| {
-                        bytes
-                            .into_iter()
-                            .map(|b| if b == 26 { ' ' } else { (b'a' + b) as char })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -179,49 +77,6 @@ proptest! {
         prop_assert!(read_frame(&mut Cursor::new(&stream[..cut])).is_err());
     }
 
-    /// A task batch (spec + splits) round-trips exactly, including empty
-    /// batches and empty splits.
-    #[test]
-    fn prop_job_batch_round_trips(
-        reducers in 1usize..5,
-        splits in splits_strategy(5),
-    ) {
-        let task = WireCount { reducers };
-        let payload = encode_job("test.wire_count", &task, &splits);
-        let mut r = ByteReader::new(&payload);
-        let kind = r.str().unwrap().to_owned();
-        prop_assert_eq!(kind, "test.wire_count");
-        let (decoded_task, decoded_splits) = decode_job::<WireCount>(&mut r).unwrap();
-        prop_assert_eq!(decoded_task.reducers, reducers);
-        prop_assert_eq!(decoded_splits, splits);
-    }
-
-    /// A grouped job output (per-reducer records + statistics + counters)
-    /// round-trips exactly, including jobs that produce nothing.
-    #[test]
-    fn prop_job_output_round_trips(
-        reducers in 1usize..4,
-        splits in splits_strategy(4),
-    ) {
-        let task = WireCount { reducers };
-        let output = LocalPool::new(ClusterConfig::with_workers(2))
-            .execute(&JobContext::new(), &task, &splits)
-            .unwrap();
-        let payload = encode_job_output::<WireCount>(&output);
-        let decoded = decode_job_output::<WireCount>(&payload).unwrap();
-        prop_assert_eq!(decoded.per_reducer(), output.per_reducer());
-        prop_assert_eq!(decoded.len(), output.len());
-        prop_assert_eq!(
-            decoded.stats.shuffle_records,
-            output.stats.shuffle_records
-        );
-        prop_assert_eq!(decoded.stats.map_tasks.len(), output.stats.map_tasks.len());
-        prop_assert_eq!(
-            decoded.stats.counters.iter().collect::<Vec<_>>(),
-            output.stats.counters.iter().collect::<Vec<_>>()
-        );
-    }
-
     /// Counter sets round-trip exactly.
     #[test]
     fn prop_counters_round_trip(
@@ -242,45 +97,16 @@ proptest! {
     }
 }
 
-/// A record at the upper end of what one frame can carry (a few MiB,
-/// under the 64 MiB cap) survives the batch codec byte-for-byte.
+/// A payload at the upper end of what one frame carries in practice (a
+/// few MiB, under the 64 MiB cap) crosses a stream byte-for-byte.
 #[test]
 fn max_size_records_round_trip() {
-    let big = "x".repeat(4 << 20);
-    let task = WireCount { reducers: 2 };
-    let splits = vec![vec![big.clone()], Vec::new()];
-    let payload = encode_job("test.wire_count", &task, &splits);
-    assert!(payload.len() > 4 << 20);
-    let mut r = ByteReader::new(&payload);
-    assert_eq!(r.str().unwrap(), "test.wire_count");
-    let (_, decoded_splits) = decode_job::<WireCount>(&mut r).unwrap();
-    assert_eq!(decoded_splits, splits);
-
-    // And the frame layer carries it whole through a stream.
+    let payload: Vec<u8> = (0..(4usize << 20) + 17).map(|i| (i % 251) as u8).collect();
     let mut stream = Vec::new();
-    write_frame(&mut stream, 3, &payload).unwrap();
-    let (_, got) = read_frame(&mut Cursor::new(&stream)).unwrap();
+    write_frame(&mut stream, OP_FEATURES, &payload).unwrap();
+    let (op, got) = read_frame(&mut Cursor::new(&stream)).unwrap();
+    assert_eq!(op, OP_FEATURES);
     assert_eq!(got, payload);
-}
-
-/// Truncating a job payload anywhere inside the spec or a record is a
-/// typed decode error, never a panic.
-#[test]
-fn truncated_job_payloads_are_errors() {
-    let task = WireCount { reducers: 2 };
-    let splits = vec![vec!["hello world".to_owned()]];
-    let payload = encode_job("test.wire_count", &task, &splits);
-    for cut in 0..payload.len() {
-        let mut r = ByteReader::new(&payload[..cut]);
-        let kind = r.str();
-        if kind.is_err() {
-            continue; // truncated inside the kind marker — also an error
-        }
-        assert!(
-            decode_job::<WireCount>(&mut r).is_err(),
-            "cut={cut} decoded from a truncated payload"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
