@@ -34,14 +34,15 @@
 //!   *is* a job's [`JobStats`]) or with keyword pruning disabled (the
 //!   shuffle ablation) runs the paper's job instead — map over every data
 //!   object plus the candidates (or the full splits without pruning),
-//!   shuffle, reduce — at the entry point's width:
+//!   shuffle, reduce — at the request's worker budget
+//!   ([`QueryOptions::workers`]):
 //!   [`execute`](crate::service::QueryExecutor::execute) and
 //!   [`execute_batch`](crate::service::QueryExecutor::execute_batch) on
-//!   the executor's worker pool ([`ExecutionMode::Parallel`]),
+//!   the executor's worker pool unless the request narrows it,
 //!   [`execute_sequential`](crate::service::QueryExecutor::execute_sequential)
 //!   and
 //!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
-//!   single-threaded ([`ExecutionMode::Sequential`]). The job pays for
+//!   at budget 1, single-threaded. The job pays for
 //!   its own inputs, as [`SpqExecutor::run_dataset`] does: the request
 //!   builds the round-robin reference splits it maps over and drops them
 //!   when it returns. The job stays the paper-faithful reproduction and
@@ -92,9 +93,7 @@ use crate::kernel::{self, CellTable};
 use crate::model::FeatureObject;
 use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
-use crate::service::{
-    ExecutionMode, QueryExecutor, QueryOptions, QueryRequest, QueryResponse, QueryStats,
-};
+use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::{ObjectRef, SharedDataset};
 use parking_lot::Mutex;
 use spq_mapreduce::{ClusterConfig, JobStats};
@@ -362,28 +361,75 @@ pub struct MetricsSnapshot {
     pub cold_reprovisions: u64,
     /// Remote workers re-admitted after probe hysteresis.
     pub readmissions: u64,
+    /// Health probes the remote membership tick sent to excluded workers.
+    pub health_probes: u64,
+    /// Provision round-trips the remote rebalancer performed.
+    pub rebalance_moves: u64,
+    /// Shard installs attempted on remote workers (build, cold failover
+    /// and rebalancing combined) — the counter that proves a warm
+    /// failover shipped no data.
+    pub provisions_sent: u64,
+    /// Feature-set shipments to remote workers (all chunks of the set to
+    /// one worker count once): one per worker at build, one more whenever
+    /// an install finds a worker that does not hold the set — a restarted
+    /// process, or one admitted later.
+    pub feature_sets_sent: u64,
 }
 
 impl MetricsSnapshot {
-    /// Merges two snapshots (used by the sharded engine to aggregate its
-    /// per-shard engines).
-    pub fn merged(self, other: MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queries: self.queries + other.queries,
-            plan_cache_hits: self.plan_cache_hits + other.plan_cache_hits,
-            plan_cache_misses: self.plan_cache_misses + other.plan_cache_misses,
-            plan_cache_evictions: self.plan_cache_evictions + other.plan_cache_evictions,
-            keyword_probes: self.keyword_probes + other.keyword_probes,
-            keyword_hits: self.keyword_hits + other.keyword_hits,
-            kernel_candidates: self.kernel_candidates + other.kernel_candidates,
-            kernel_visited: self.kernel_visited + other.kernel_visited,
-            kernel_distance_checks: self.kernel_distance_checks + other.kernel_distance_checks,
-            remote_retries: self.remote_retries + other.remote_retries,
-            excluded_workers: self.excluded_workers + other.excluded_workers,
-            warm_failovers: self.warm_failovers + other.warm_failovers,
-            cold_reprovisions: self.cold_reprovisions + other.cold_reprovisions,
-            readmissions: self.readmissions + other.readmissions,
+    /// Every field, in declaration order. The destructuring is exhaustive
+    /// on purpose: a counter added to the struct does not compile until
+    /// it is listed here, so [`merged`](Self::merged) cannot drop it.
+    fn fields_mut(&mut self) -> [&mut u64; 18] {
+        let MetricsSnapshot {
+            queries,
+            plan_cache_hits,
+            plan_cache_misses,
+            plan_cache_evictions,
+            keyword_probes,
+            keyword_hits,
+            kernel_candidates,
+            kernel_visited,
+            kernel_distance_checks,
+            remote_retries,
+            excluded_workers,
+            warm_failovers,
+            cold_reprovisions,
+            readmissions,
+            health_probes,
+            rebalance_moves,
+            provisions_sent,
+            feature_sets_sent,
+        } = self;
+        [
+            queries,
+            plan_cache_hits,
+            plan_cache_misses,
+            plan_cache_evictions,
+            keyword_probes,
+            keyword_hits,
+            kernel_candidates,
+            kernel_visited,
+            kernel_distance_checks,
+            remote_retries,
+            excluded_workers,
+            warm_failovers,
+            cold_reprovisions,
+            readmissions,
+            health_probes,
+            rebalance_moves,
+            provisions_sent,
+            feature_sets_sent,
+        ]
+    }
+
+    /// Merges two snapshots field by field (used by the sharded engine to
+    /// aggregate its per-shard engines).
+    pub fn merged(mut self, mut other: MetricsSnapshot) -> MetricsSnapshot {
+        for (mine, theirs) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *mine += *theirs;
         }
+        self
     }
 }
 
@@ -579,23 +625,17 @@ impl QueryEngine {
 
     /// The executor serving a request: the engine's own with the
     /// request's overrides applied (a few plain-old-data fields; deriving
-    /// is allocation-free). An [`ExecutionMode::Sequential`] job stays
-    /// single-threaded **regardless of the request's worker budget**: the
-    /// budget is already consumed by the inter-query concurrency (exactly
-    /// as the sharded scatter clears it before driving its shards), and
-    /// honouring it would nest multi-worker jobs inside the serve pool.
-    fn exec_for(&self, options: &QueryOptions, mode: ExecutionMode) -> SpqExecutor {
+    /// is allocation-free). The worker budget is the job's width; the
+    /// callers whose parallelism comes from elsewhere — the serve pool's
+    /// inter-query concurrency, a scatter over shards — hand in budget 1,
+    /// so multi-worker jobs never nest inside them.
+    fn exec_for(&self, options: &QueryOptions) -> SpqExecutor {
         let mut exec = self.exec.clone();
         if let Some(algorithm) = options.algorithm {
             exec = exec.algorithm(algorithm);
         }
-        match mode {
-            ExecutionMode::Sequential => exec = exec.cluster(ClusterConfig::sequential()),
-            ExecutionMode::Parallel => {
-                if let Some(workers) = options.workers {
-                    exec = exec.cluster(ClusterConfig::with_workers(workers));
-                }
-            }
+        if let Some(workers) = options.workers {
+            exec = exec.cluster(ClusterConfig::with_workers(workers));
         }
         if let Some(enabled) = options.keyword_pruning {
             exec = exec.keyword_pruning(enabled);
@@ -616,10 +656,9 @@ impl QueryEngine {
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
-        mode: ExecutionMode,
     ) -> Result<(SpqResult, bool), SpqError> {
         self.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        let exec = self.exec_for(options, mode);
+        let exec = self.exec_for(options);
         let (plan, hit) = self.plan(query);
         if !options.trace && exec.keyword_pruning_enabled() {
             return Ok((self.run_kernel(query, &plan, exec.algorithm_choice()), hit));
@@ -688,7 +727,7 @@ impl QueryEngine {
     /// Wraps one executed result into a typed response.
     fn respond(
         &self,
-        request: &QueryRequest,
+        options: &QueryOptions,
         result: SpqResult,
         plan_hit: bool,
         keywords: (usize, usize),
@@ -710,7 +749,7 @@ impl QueryEngine {
         QueryResponse {
             results: result.top_k,
             stats,
-            trace: request.options.trace.then(|| vec![result.stats]),
+            trace: options.trace.then(|| vec![result.stats]),
         }
     }
 
@@ -735,17 +774,17 @@ impl QueryEngine {
 
 impl QueryExecutor for QueryEngine {
     /// The single-store request lifecycle: probe the keyword index → run
-    /// the one engine path at the mode's width → wrap stats. Validation
-    /// already happened on the trait's entry points.
+    /// the one engine path at the options' worker budget → wrap stats.
+    /// Validation already happened on the trait's entry points.
     fn run_validated(
         &self,
-        request: &QueryRequest,
-        mode: ExecutionMode,
+        query: &SpqQuery,
+        options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
-        let keywords = self.keyword_stats(&request.query.keywords);
-        let (result, plan_hit) = self.run(&request.query, &request.options, mode)?;
-        Ok(self.respond(request, result, plan_hit, keywords, started))
+        let keywords = self.keyword_stats(&query.keywords);
+        let (result, plan_hit) = self.run(query, options)?;
+        Ok(self.respond(options, result, plan_hit, keywords, started))
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -758,6 +797,7 @@ mod tests {
     use super::*;
     use crate::model::DataObject;
     use crate::partitioning::COUNTER_MAP_PRUNED;
+    use crate::service::QueryRequest;
     use spq_spatial::{Point, Rect};
 
     fn feature(id: u64, x: f64, y: f64, kw: &[u32]) -> FeatureObject {

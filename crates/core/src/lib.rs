@@ -54,6 +54,7 @@ mod kernel;
 pub mod merge;
 pub mod model;
 pub mod partitioning;
+mod prometheus;
 pub mod query;
 pub mod remote;
 pub mod serve;
@@ -79,8 +80,8 @@ pub use serve::{
     LatencyHistogram, OverflowPolicy, PumpReport, Ticket,
 };
 pub use service::{
-    Backend, ExecutionMode, QueryExecutor, QueryOptions, QueryRequest, QueryResponse, QueryStats,
-    SpqService, TickOutcome,
+    Backend, QueryExecutor, QueryOptions, QueryRequest, QueryResponse, QueryStats, SpqService,
+    TickOutcome,
 };
 pub use sharded::{ShardStats, ShardedEngine};
 pub use store::{ObjectRef, SharedDataset};

@@ -162,10 +162,14 @@ impl FromStr for Backend {
 pub struct QueryOptions {
     /// Run this algorithm instead of the engine's configured one.
     pub algorithm: Option<Algorithm>,
-    /// Worker budget for this request: intra-job workers on the local
-    /// backend (when the request runs a job — the kernel is
-    /// single-threaded), scatter width on the sharded backend. Execution
-    /// is worker-count-invariant, so this is a pure resource knob — the
+    /// Worker budget for this request — the one width control there is:
+    /// intra-job workers on the local backend (when the request runs a
+    /// job — the kernel is single-threaded), scatter width on the sharded
+    /// and remote backends (each shard is always evaluated at budget 1;
+    /// the scatter is the parallelism). `None` is the engine's configured
+    /// cluster width; `Some(1)` is single-threaded end to end, which is
+    /// all [`QueryExecutor::execute_sequential`] sets. Execution is
+    /// worker-count-invariant, so this is a pure resource knob — the
     /// timeout-free way to bound a query's CPU appetite.
     pub workers: Option<usize>,
     /// Override the map-side keyword-pruning rule. Disabling it is the
@@ -176,13 +180,12 @@ pub struct QueryOptions {
     /// and run no job.
     pub keyword_pruning: Option<bool>,
     /// Attach the full per-job [`JobStats`] to the response (one entry on
-    /// the local backend, one per touched shard on the sharded one). A
-    /// trace *is* a job's statistics, so a traced request runs the
-    /// MapReduce job instead of the kernel — same result bytes, a job's
-    /// cost — on the local engine and on every in-process shard. The
-    /// flag is not part of the remote wire format: remote workers answer
-    /// from their kernel and the trace holds one empty [`JobStats`] per
-    /// touched worker.
+    /// the local backend, one per touched shard on the sharded and remote
+    /// ones). A trace *is* a job's statistics, so a traced request runs
+    /// the MapReduce job instead of the kernel — same result bytes, a
+    /// job's cost — on the local engine and on every shard, in-process or
+    /// behind a worker: the flag rides on the shard-query frame and the
+    /// worker's [`JobStats`] come back in its reply.
     pub trace: bool,
 }
 
@@ -344,27 +347,8 @@ pub struct QueryResponse {
     pub stats: QueryStats,
     /// Full per-job statistics, present when the request set
     /// [`QueryOptions::trace`]: one entry on the local backend, one per
-    /// touched shard on the sharded backend (on the remote backend one
-    /// per touched worker, empty — see [`QueryOptions::trace`]).
+    /// touched shard, in shard order, on the sharded and remote backends.
     pub trace: Option<Vec<JobStats>>,
-}
-
-/// How wide a validated request is driven through an engine — the one
-/// axis on which the typed entry points differ. Both widths take the
-/// same engine path and return the same result bytes and counters; the
-/// width only moves where the parallelism comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Full parallelism for a lone request: the worker budget drives the
-    /// job on the local backend (when the request asks for one; the
-    /// kernel is single-threaded) and the scatter width on the
-    /// scatter/gather backends.
-    Parallel,
-    /// Single-threaded job (local) / width-1 scatter (sharded, remote) —
-    /// the per-request building block of
-    /// [`QueryExecutor::serve_requests`], where parallelism comes from
-    /// running many such requests concurrently.
-    Sequential,
 }
 
 /// The one execute/batch/serve surface every engine speaks.
@@ -384,14 +368,15 @@ pub enum ExecutionMode {
 ///
 /// [`run_validated`]: Self::run_validated
 pub trait QueryExecutor: Sync {
-    /// Executes one request **already checked** by
-    /// [`QueryRequest::validate`] under `mode`. This is the only method a
+    /// Executes one query **already checked** by
+    /// [`QueryRequest::validate`] under `options` (the request's, or the
+    /// entry point's variation of them). This is the only method a
     /// backend implements; callers should prefer the validating entry
     /// points below.
     fn run_validated(
         &self,
-        request: &QueryRequest,
-        mode: ExecutionMode,
+        query: &SpqQuery,
+        options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError>;
 
     /// A snapshot of the engine's cumulative counters (see
@@ -399,19 +384,25 @@ pub trait QueryExecutor: Sync {
     /// backends.
     fn metrics(&self) -> MetricsSnapshot;
 
-    /// Validates and executes one request with full parallelism
-    /// ([`ExecutionMode::Parallel`]).
+    /// Validates and executes one request at its own worker budget
+    /// ([`QueryOptions::workers`]; the engine's configured width when
+    /// unset).
     fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, SpqError> {
         request.validate()?;
-        self.run_validated(request, ExecutionMode::Parallel)
+        self.run_validated(&request.query, &request.options)
     }
 
-    /// Validates and executes one request single-threaded
-    /// ([`ExecutionMode::Sequential`]) — same bytes as
+    /// Validates and executes one request at worker budget 1, whatever
+    /// budget it carries: a single-threaded job on the local backend, a
+    /// width-1 scatter on the sharded and remote ones — same bytes as
     /// [`execute`](Self::execute); execution is worker-count-invariant.
     fn execute_sequential(&self, request: &QueryRequest) -> Result<QueryResponse, SpqError> {
         request.validate()?;
-        self.run_validated(request, ExecutionMode::Sequential)
+        let options = QueryOptions {
+            workers: Some(1),
+            ..request.options
+        };
+        self.run_validated(&request.query, &options)
     }
 
     /// Validates and executes a batch, responses in request order —
@@ -450,10 +441,10 @@ pub trait QueryExecutor: Sync {
 impl<E: QueryExecutor> QueryExecutor for &E {
     fn run_validated(
         &self,
-        request: &QueryRequest,
-        mode: ExecutionMode,
+        query: &SpqQuery,
+        options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
-        (**self).run_validated(request, mode)
+        (**self).run_validated(query, options)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -527,7 +518,7 @@ impl SpqService {
     /// this service's lifetime; `None` on in-process backends.
     pub fn remote_retries(&self) -> Option<u64> {
         match self {
-            SpqService::Remote(engine) => Some(engine.retries()),
+            SpqService::Remote(engine) => Some(engine.metrics().remote_retries),
             _ => None,
         }
     }
@@ -563,13 +554,13 @@ impl QueryExecutor for SpqService {
     /// entry point of [`QueryExecutor`] funnels through this match.
     fn run_validated(
         &self,
-        request: &QueryRequest,
-        mode: ExecutionMode,
+        query: &SpqQuery,
+        options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
         match self {
-            SpqService::Local(engine) => engine.run_validated(request, mode),
-            SpqService::Sharded(engine) => engine.run_validated(request, mode),
-            SpqService::Remote(engine) => engine.run_validated(request, mode),
+            SpqService::Local(engine) => engine.run_validated(query, options),
+            SpqService::Sharded(engine) => engine.run_validated(query, options),
+            SpqService::Remote(engine) => engine.run_validated(query, options),
         }
     }
 

@@ -11,12 +11,15 @@
 //! tables local to the shard; the keyword index, a function of the
 //! broadcast features alone, is built once and shared by all of them).
 //!
-//! A query then:
+//! A query then runs the one scatter/gather of the distribution layer
+//! (`Layout::scatter_gather` — [`crate::remote`] runs the same function
+//! with each shard asked over a socket instead of by a call):
 //!
 //! 1. **probes** the keyword index once — if no feature carries any query
 //!    keyword, no object can score and the query touches zero shards;
 //! 2. **scatters** to every relevant shard (shards holding data), each
-//!    evaluating the query against its slice as a single-threaded job —
+//!    evaluating the query against its slice at worker budget 1
+//!    (`Shard::answer`, the step a remote worker runs too) —
 //!    inter-shard concurrency is the parallelism, exactly the
 //!    shard-per-node serving shape;
 //! 3. **gathers** each shard's local top-k as *serialized wire records* —
@@ -39,12 +42,13 @@ use crate::engine::{KeywordIndex, MetricsSnapshot, QueryEngine};
 use crate::executor::{SpqError, SpqExecutor};
 use crate::merge::merge_top_k;
 use crate::model::{DataObject, ObjectId, RankedObject};
-use crate::service::{
-    ExecutionMode, QueryExecutor, QueryOptions, QueryRequest, QueryResponse, QueryStats,
-};
+use crate::query::SpqQuery;
+use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::SharedDataset;
 use spq_mapreduce::pool::run_tasks;
+use spq_mapreduce::JobStats;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,6 +68,11 @@ pub mod wire {
 
     /// Serialized size of one gather record.
     pub const RECORD_BYTES: usize = 12;
+
+    /// The global data index a record names.
+    pub(crate) fn record_index(record: &[u8]) -> usize {
+        u32::from_le_bytes([record[0], record[1], record[2], record[3]]) as usize
+    }
 
     /// Serializes a shard's local top-k into wire records. `id_to_index`
     /// maps data-object ids to indices in the *global* store (built once
@@ -90,8 +99,10 @@ pub mod wire {
     /// # Panics
     ///
     /// Panics on a malformed buffer (length not a multiple of
-    /// [`RECORD_BYTES`], index out of range) — the in-process transport
-    /// cannot truncate, so this is a bug canary, not an I/O error path.
+    /// [`RECORD_BYTES`], index out of range) — a bug canary, not an I/O
+    /// error path: the in-process transport cannot truncate, and records
+    /// that came off a socket are checked (whole records, every index
+    /// inside the answering shard's slice) before they get here.
     pub fn decode_results(bytes: &[u8], data: &[DataObject]) -> Vec<RankedObject> {
         assert!(
             bytes.len().is_multiple_of(RECORD_BYTES),
@@ -101,7 +112,7 @@ pub mod wire {
         bytes
             .chunks_exact(RECORD_BYTES)
             .map(|chunk| {
-                let index = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) as usize;
+                let index = record_index(chunk);
                 let bits = u64::from_le_bytes([
                     chunk[4], chunk[5], chunk[6], chunk[7], chunk[8], chunk[9], chunk[10],
                     chunk[11],
@@ -117,20 +128,205 @@ pub mod wire {
     }
 }
 
+/// Maps each `(id, global store index)` pair, or returns the first id that
+/// occurs twice — gather records resolve by id, so ids must be unique.
+pub(crate) fn index_by_id(
+    pairs: impl ExactSizeIterator<Item = (ObjectId, u32)>,
+) -> Result<HashMap<ObjectId, u32>, ObjectId> {
+    let mut id_to_index = HashMap::with_capacity(pairs.len());
+    for (id, index) in pairs {
+        if id_to_index.insert(id, index).is_some() {
+            return Err(id);
+        }
+    }
+    Ok(id_to_index)
+}
+
+/// One shard, wherever it lives — inside a [`ShardedEngine`] or behind a
+/// worker's socket ([`crate::remote::ShardHost`]): a build-once engine
+/// over the shard's data slice, plus the id → global-store-index map its
+/// gather records are written with.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    pub engine: QueryEngine,
+    pub id_to_index: Arc<HashMap<ObjectId, u32>>,
+}
+
+/// What a shard answers a query with.
+pub(crate) struct ShardAnswer {
+    /// Whether the shard's engine served its partition plan from cache.
+    pub plan_hit: bool,
+    /// The shard's local top-k as [`wire`] records.
+    pub records: Vec<u8>,
+    /// The shard job's statistics (empty when the kernel answered).
+    pub stats: JobStats,
+}
+
+impl Shard {
+    /// Evaluates `query` against the shard's slice through the one engine
+    /// path, always at worker budget 1 — the scatter over shards is the
+    /// parallelism — and serializes the local top-k.
+    pub(crate) fn answer(
+        &self,
+        query: &SpqQuery,
+        options: &QueryOptions,
+    ) -> Result<ShardAnswer, SpqError> {
+        let options = QueryOptions {
+            workers: Some(1),
+            ..*options
+        };
+        let (result, plan_hit) = self.engine.run(query, &options)?;
+        Ok(ShardAnswer {
+            plan_hit,
+            records: wire::encode_results(&result.top_k, &self.id_to_index),
+            stats: result.stats,
+        })
+    }
+}
+
+/// The recovery work one scatter leg took (remote workers only; an
+/// in-process shard never needs any).
+#[derive(Default)]
+pub(crate) struct Recovery {
+    pub retries: u64,
+    pub warm_failovers: u64,
+    pub cold_reprovisions: u64,
+}
+
+/// What both scatter/gather engines know about how the store is cut: the
+/// global store the gather resolves against, the executor every shard was
+/// built with, and each shard's contiguous `[start, end)` data slice.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    pub dataset: SharedDataset,
+    pub exec: SpqExecutor,
+    pub slices: Vec<Range<usize>>,
+}
+
+impl Layout {
+    /// Cuts `dataset`'s data objects into `num_shards` contiguous slices
+    /// (features are broadcast, never sliced). Also returns the id →
+    /// store-index map the uniqueness check builds.
+    ///
+    /// # Errors
+    ///
+    /// [`SpqError::InvalidConfig`] when `num_shards == 0` or two data
+    /// objects share an id.
+    pub(crate) fn new(
+        exec: SpqExecutor,
+        dataset: SharedDataset,
+        num_shards: usize,
+    ) -> Result<(Self, HashMap<ObjectId, u32>), SpqError> {
+        if num_shards == 0 {
+            return Err(SpqError::invalid_config(
+                "a scatter/gather backend needs at least one shard",
+            ));
+        }
+        let data = dataset.data();
+        let ids = data.iter().enumerate().map(|(i, o)| (o.id, i as u32));
+        let id_to_index = index_by_id(ids).map_err(|id| {
+            SpqError::invalid_config(format!(
+                "duplicate data object id {id} — gather records resolve by id"
+            ))
+        })?;
+        let slices = (0..num_shards)
+            .map(|s| s * data.len() / num_shards..(s + 1) * data.len() / num_shards)
+            .collect();
+        let layout = Self {
+            dataset,
+            exec,
+            slices,
+        };
+        Ok((layout, id_to_index))
+    }
+
+    /// The one scatter/gather lifecycle (see the [module docs](self)).
+    /// `keywords` is the caller's `(probed, matched)` keyword probe: with
+    /// no match no object can score, and no shard is asked. Otherwise
+    /// `ask` is called once per shard holding data, on up to
+    /// [`QueryOptions::workers`] threads (results are width-invariant);
+    /// each reply's records are checked against the answering shard's
+    /// slice, resolved against the global store and merged.
+    pub(crate) fn scatter_gather(
+        &self,
+        query: &SpqQuery,
+        options: &QueryOptions,
+        keywords: (usize, usize),
+        ask: impl Fn(usize) -> Result<(ShardAnswer, Recovery), SpqError> + Sync,
+    ) -> Result<QueryResponse, SpqError> {
+        let started = Instant::now();
+        let relevant: Vec<usize> = (0..self.slices.len())
+            .filter(|&s| keywords.1 > 0 && !self.slices[s].is_empty())
+            .collect();
+        let mut stats = QueryStats {
+            algorithm: options.algorithm.unwrap_or(self.exec.algorithm_choice()),
+            plan_cache_hit: !relevant.is_empty(),
+            shards_touched: relevant.len(),
+            shuffle_records: 0,
+            shuffle_bytes: 0,
+            wall_micros: 0,
+            keyword_terms_probed: keywords.0,
+            keyword_terms_matched: keywords.1,
+            retries: 0,
+            warm_failovers: 0,
+            cold_reprovisions: 0,
+        };
+        let mut flat = Vec::new();
+        let mut trace = options.trace.then(Vec::new);
+        if !relevant.is_empty() {
+            let width = options
+                .workers
+                .unwrap_or(self.exec.cluster_config().workers)
+                .clamp(1, relevant.len());
+            let outcomes = run_tasks(width, relevant.len(), |i| ask(relevant[i])).map_err(|p| {
+                SpqError::Worker {
+                    message: format!("shard {}: {}", relevant[p.task_index], p.message),
+                }
+            })?;
+            for (&s, outcome) in relevant.iter().zip(outcomes) {
+                let (answer, recovery) = outcome?;
+                // The records may have come off a socket: an index outside
+                // the answering shard's slice is a lie, never resolved.
+                let slice = &self.slices[s];
+                let stray = answer
+                    .records
+                    .chunks_exact(wire::RECORD_BYTES)
+                    .map(wire::record_index)
+                    .find(|index| !slice.contains(index));
+                if let Some(index) = stray {
+                    return Err(SpqError::remote(format!(
+                        "shard {s} answered with data index {index}, outside its slice \
+                         {slice:?}"
+                    )));
+                }
+                stats.plan_cache_hit &= answer.plan_hit;
+                stats.shuffle_records += (answer.records.len() / wire::RECORD_BYTES) as u64;
+                stats.shuffle_bytes += answer.records.len() as u64;
+                stats.retries += recovery.retries;
+                stats.warm_failovers += recovery.warm_failovers;
+                stats.cold_reprovisions += recovery.cold_reprovisions;
+                flat.extend(wire::decode_results(&answer.records, self.dataset.data()));
+                if let Some(t) = &mut trace {
+                    t.push(answer.stats);
+                }
+            }
+        }
+        let results = merge_top_k(flat, query.k);
+        stats.wall_micros = started.elapsed().as_micros() as u64;
+        Ok(QueryResponse {
+            results,
+            stats,
+            trace,
+        })
+    }
+}
+
 /// Cumulative per-shard traffic counters.
 #[derive(Debug, Default)]
 struct ShardCounters {
     queries: AtomicU64,
     records_shipped: AtomicU64,
     bytes_shipped: AtomicU64,
-}
-
-/// One shard: a build-once engine over its data slice plus traffic
-/// counters.
-#[derive(Debug)]
-struct Shard {
-    engine: QueryEngine,
-    counters: ShardCounters,
 }
 
 /// A point-in-time view of one shard, for monitoring and the
@@ -164,11 +360,8 @@ pub struct ShardStats {
 /// [`serve_requests`](QueryExecutor::serve_requests)).
 #[derive(Debug)]
 pub struct ShardedEngine {
-    dataset: SharedDataset,
-    exec: SpqExecutor,
-    shards: Vec<Shard>,
-    id_to_index: HashMap<ObjectId, u32>,
-    scatter_workers: usize,
+    layout: Layout,
+    shards: Vec<(Shard, ShardCounters)>,
 }
 
 impl ShardedEngine {
@@ -186,49 +379,31 @@ impl ShardedEngine {
         dataset: SharedDataset,
         num_shards: usize,
     ) -> Result<Self, SpqError> {
-        if num_shards == 0 {
-            return Err(SpqError::invalid_config(
-                "sharded backend needs at least one shard",
-            ));
-        }
-        let data = dataset.data();
-        let mut id_to_index = HashMap::with_capacity(data.len());
-        for (i, object) in data.iter().enumerate() {
-            if id_to_index.insert(object.id, i as u32).is_some() {
-                return Err(SpqError::invalid_config(format!(
-                    "duplicate data object id {} — the sharded wire format resolves by id",
-                    object.id
-                )));
-            }
-        }
-        let scatter_workers = executor.cluster_config().workers.max(1);
+        let (layout, id_to_index) = Layout::new(executor, dataset, num_shards)?;
+        let id_to_index = Arc::new(id_to_index);
         // Features are broadcast, so one index speaks for every shard.
-        let keyword_index = Arc::new(KeywordIndex::build(dataset.features()));
-        let shards = (0..num_shards)
-            .map(|s| {
-                let start = s * data.len() / num_shards;
-                let end = (s + 1) * data.len() / num_shards;
-                let slice = SharedDataset::with_shared_features(
-                    data[start..end].to_vec(),
-                    dataset.features_arc(),
+        let keyword_index = Arc::new(KeywordIndex::build(layout.dataset.features()));
+        let shards = layout
+            .slices
+            .iter()
+            .map(|slice| {
+                let data = SharedDataset::with_shared_features(
+                    layout.dataset.data()[slice.clone()].to_vec(),
+                    layout.dataset.features_arc(),
                 );
-                Shard {
-                    engine: QueryEngine::with_shared_index(
-                        executor.clone(),
-                        slice,
-                        Arc::clone(&keyword_index),
-                    ),
-                    counters: ShardCounters::default(),
-                }
+                let engine = QueryEngine::with_shared_index(
+                    layout.exec.clone(),
+                    data,
+                    Arc::clone(&keyword_index),
+                );
+                let shard = Shard {
+                    engine,
+                    id_to_index: Arc::clone(&id_to_index),
+                };
+                (shard, ShardCounters::default())
             })
             .collect();
-        Ok(Self {
-            dataset,
-            exec: executor,
-            shards,
-            id_to_index,
-            scatter_workers,
-        })
+        Ok(Self { layout, shards })
     }
 
     /// Number of shards.
@@ -238,12 +413,12 @@ impl ShardedEngine {
 
     /// The global (unsharded) store the gather resolves against.
     pub fn dataset(&self) -> &SharedDataset {
-        &self.dataset
+        &self.layout.dataset
     }
 
     /// The executor configuration every shard engine was built from.
     pub fn executor(&self) -> &SpqExecutor {
-        &self.exec
+        &self.layout.exec
     }
 
     /// Per-shard statistics, in shard order.
@@ -251,13 +426,13 @@ impl ShardedEngine {
         self.shards
             .iter()
             .enumerate()
-            .map(|(i, shard)| ShardStats {
+            .map(|(i, (shard, counters))| ShardStats {
                 shard: i,
                 data_objects: shard.engine.dataset().data().len(),
                 feature_objects: shard.engine.dataset().features().len(),
-                queries: shard.counters.queries.load(Ordering::Relaxed),
-                records_shipped: shard.counters.records_shipped.load(Ordering::Relaxed),
-                bytes_shipped: shard.counters.bytes_shipped.load(Ordering::Relaxed),
+                queries: counters.queries.load(Ordering::Relaxed),
+                records_shipped: counters.records_shipped.load(Ordering::Relaxed),
+                bytes_shipped: counters.bytes_shipped.load(Ordering::Relaxed),
                 cached_plans: shard.engine.cached_plans(),
             })
             .collect()
@@ -267,129 +442,34 @@ impl ShardedEngine {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shards
             .iter()
-            .map(|s| s.engine.metrics())
+            .map(|(shard, _)| shard.engine.metrics())
             .fold(MetricsSnapshot::default(), MetricsSnapshot::merged)
     }
 }
 
 impl QueryExecutor for ShardedEngine {
-    /// The scatter/gather lifecycle: probe once, scatter to relevant
-    /// shards (width 1 for [`ExecutionMode::Sequential`] — parallelism
-    /// then comes from running many requests concurrently), gather wire
-    /// records, merge.
+    /// Probe once — features are broadcast, so shard 0's index speaks for
+    /// all — then `Layout::scatter_gather` with every shard asked
+    /// in-process. The ship is a real encode/decode round-trip, so the
+    /// wire format is exercised on every query.
     fn run_validated(
         &self,
-        request: &QueryRequest,
-        mode: ExecutionMode,
+        query: &SpqQuery,
+        options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
-        let started = Instant::now();
-        let query = &request.query;
-        let options = &request.options;
-        let algorithm = options.algorithm.unwrap_or(self.exec.algorithm_choice());
-
-        // Probe once (features are broadcast, so shard 0's index speaks
-        // for all): a query whose keywords no feature carries cannot
-        // score any object, on any shard.
-        let keywords = self.shards[0].engine.keyword_stats(&query.keywords);
-        let relevant: Vec<usize> = if keywords.1 == 0 {
-            Vec::new()
-        } else {
-            (0..self.shards.len())
-                .filter(|&s| !self.shards[s].engine.dataset().data().is_empty())
-                .collect()
-        };
-        if relevant.is_empty() {
-            return Ok(QueryResponse {
-                results: Vec::new(),
-                stats: QueryStats {
-                    algorithm,
-                    plan_cache_hit: false,
-                    shards_touched: 0,
-                    shuffle_records: 0,
-                    shuffle_bytes: 0,
-                    wall_micros: started.elapsed().as_micros() as u64,
-                    keyword_terms_probed: keywords.0,
-                    keyword_terms_matched: keywords.1,
-                    retries: 0,
-                    warm_failovers: 0,
-                    cold_reprovisions: 0,
-                },
-                trace: options.trace.then(Vec::new),
-            });
-        }
-
-        // Scatter: each relevant shard evaluates the query against its
-        // slice as a single-threaded job; the request's worker budget
-        // bounds the scatter width (results are width-invariant).
-        let scatter = match mode {
-            ExecutionMode::Sequential => 1,
-            ExecutionMode::Parallel => options.workers.unwrap_or(self.scatter_workers),
-        }
-        .clamp(1, relevant.len());
-        let shard_options = QueryOptions {
-            workers: None, // consumed by the scatter; shard jobs stay sequential
-            ..*options
-        };
-        // Each shard takes the one engine path: it probes the shared
-        // build-once keyword index and maps only over its candidate
-        // features.
-        let outcomes = run_tasks(scatter, relevant.len(), |i| {
-            self.shards[relevant[i]]
-                .engine
-                .run(query, &shard_options, ExecutionMode::Sequential)
-        })
-        .map_err(|p| SpqError::Worker {
-            message: format!("shard {}: {}", relevant[p.task_index], p.message),
-        })?;
-
-        // Gather: serialize each shard's local top-k into wire records,
-        // ship, resolve against the global store, merge. The ship is a
-        // real encode/decode round-trip so the wire format is exercised
-        // on every query, not just in tests.
-        let mut flat = Vec::new();
-        let mut plan_cache_hit = true;
-        let mut shuffle_records = 0u64;
-        let mut shuffle_bytes = 0u64;
-        let mut trace = options.trace.then(Vec::new);
-        for (&s, outcome) in relevant.iter().zip(outcomes) {
-            let (result, hit) = outcome?;
-            let bytes = wire::encode_results(&result.top_k, &self.id_to_index);
-            let shard = &self.shards[s];
-            shard.counters.queries.fetch_add(1, Ordering::Relaxed);
-            shard
-                .counters
+        let keywords = self.shards[0].0.engine.keyword_stats(&query.keywords);
+        self.layout.scatter_gather(query, options, keywords, |s| {
+            let (shard, counters) = &self.shards[s];
+            let answer = shard.answer(query, options)?;
+            let records = (answer.records.len() / wire::RECORD_BYTES) as u64;
+            counters.queries.fetch_add(1, Ordering::Relaxed);
+            counters
                 .records_shipped
-                .fetch_add(result.top_k.len() as u64, Ordering::Relaxed);
-            shard
-                .counters
+                .fetch_add(records, Ordering::Relaxed);
+            counters
                 .bytes_shipped
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            plan_cache_hit &= hit;
-            shuffle_records += result.top_k.len() as u64;
-            shuffle_bytes += bytes.len() as u64;
-            flat.extend(wire::decode_results(&bytes, self.dataset.data()));
-            if let Some(t) = &mut trace {
-                t.push(result.stats);
-            }
-        }
-        let results = merge_top_k(flat, query.k);
-
-        Ok(QueryResponse {
-            results,
-            stats: QueryStats {
-                algorithm,
-                plan_cache_hit,
-                shards_touched: relevant.len(),
-                shuffle_records,
-                shuffle_bytes,
-                wall_micros: started.elapsed().as_micros() as u64,
-                keyword_terms_probed: keywords.0,
-                keyword_terms_matched: keywords.1,
-                retries: 0,
-                warm_failovers: 0,
-                cold_reprovisions: 0,
-            },
-            trace,
+                .fetch_add(answer.records.len() as u64, Ordering::Relaxed);
+            Ok((answer, Recovery::default()))
         })
     }
 
@@ -402,7 +482,7 @@ impl QueryExecutor for ShardedEngine {
 mod tests {
     use super::*;
     use crate::model::FeatureObject;
-    use crate::query::SpqQuery;
+    use crate::service::QueryRequest;
     use spq_spatial::{Point, Rect};
     use spq_text::{KeywordSet, Score};
 
@@ -493,8 +573,8 @@ mod tests {
     #[test]
     fn shards_share_one_feature_array_and_one_keyword_index() {
         let sharded = ShardedEngine::new(executor(), paper_dataset(), 4).unwrap();
-        let first = &sharded.shards[0].engine;
-        for shard in &sharded.shards[1..] {
+        let first = &sharded.shards[0].0.engine;
+        for (shard, _) in &sharded.shards[1..] {
             assert!(std::ptr::eq(
                 first.keyword_index(),
                 shard.engine.keyword_index()

@@ -36,13 +36,9 @@ pub const WALL_CLOCK_SANCTIONED: &[Sanctioned] = &[
     },
     Sanctioned {
         prefix: "crates/core/src/sharded.rs",
-        rationale: "gather-phase wall time for QueryStats; result bytes are \
-                    asserted identical to the single-store engine",
-    },
-    Sanctioned {
-        prefix: "crates/core/src/remote.rs",
-        rationale: "scatter wall time for QueryStats; membership is tick-driven, \
-                    never wall-clock-driven",
+        rationale: "scatter/gather wall time for QueryStats, in-process and remote \
+                    alike (one function); result bytes are asserted identical to \
+                    the single-store engine",
     },
     Sanctioned {
         prefix: "crates/mapreduce/src/backend.rs",
@@ -58,7 +54,7 @@ pub const WALL_CLOCK_SANCTIONED: &[Sanctioned] = &[
 /// `BTreeMap`/`BTreeSet` or an explicit sort before anything is
 /// iterated.
 pub const ORDERED_OUTPUT_MODULES: &[&str] = &[
-    "crates/core/src/remote.rs",
+    "crates/core/src/remote",
     "crates/core/src/sharded.rs",
     "crates/mapreduce/src/remote",
     "crates/bench/src/matrix",

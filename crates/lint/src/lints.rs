@@ -520,7 +520,7 @@ mod tests {
         let src = "struct S { shards: Mutex<HashMap<u32, Shard>> }\n\
                    impl S { fn status(&self) -> Vec<u32> { \
                    self.shards.lock().keys().copied().collect() } }";
-        let f = run("crates/core/src/remote.rs", src);
+        let f = run("crates/core/src/remote/host.rs", src);
         assert_eq!(lints_of(&f), vec![lint::UNORDERED_ITER]);
         assert!(f.violations[0].message.contains("shards"));
     }
@@ -536,7 +536,9 @@ mod tests {
     fn hash_lookup_passes_and_other_modules_exempt() {
         // Point lookups don't iterate: no violation.
         let src = "fn g(m: &HashMap<u32, u32>) -> Option<&u32> { m.get(&1) }";
-        assert!(run("crates/core/src/remote.rs", src).violations.is_empty());
+        assert!(run("crates/core/src/remote/engine.rs", src)
+            .violations
+            .is_empty());
         // Same iteration outside the ordered-output list: no violation.
         let src = "fn f(seen: &HashSet<u32>) { for s in seen { emit(s); } }";
         assert!(run("crates/core/src/engine.rs", src).violations.is_empty());
@@ -545,13 +547,15 @@ mod tests {
     #[test]
     fn btree_iteration_passes_in_ordered_module() {
         let src = "fn f(m: &BTreeMap<u32, u32>) { for (k, v) in m.iter() { emit(k, v); } }";
-        assert!(run("crates/core/src/remote.rs", src).violations.is_empty());
+        assert!(run("crates/core/src/remote/engine.rs", src)
+            .violations
+            .is_empty());
     }
 
     #[test]
     fn inferred_let_binding_is_tracked() {
         let src = "fn f() { let seen = HashMap::with_capacity(4); for x in seen.keys() {} }";
-        let f = run("crates/core/src/remote.rs", src);
+        let f = run("crates/core/src/remote/engine.rs", src);
         assert_eq!(lints_of(&f), vec![lint::UNORDERED_ITER]);
     }
 

@@ -66,7 +66,7 @@ fn real_repo_is_clean_and_reports_json() {
     // The policy is part of the artifact: a CI report records what it
     // was checked against.
     assert!(json.contains("\"ordered_output_modules\""));
-    assert!(json.contains("crates/core/src/remote.rs"));
+    assert!(json.contains("\"crates/core/src/remote\""));
 }
 
 #[test]

@@ -203,9 +203,16 @@ pub fn encode_counters(counters: &Counters, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a counter set, interning each name.
+/// Encoded size of a counter with an empty name — the floor a shipped
+/// counter count is held to.
+const MIN_COUNTER_BYTES: usize = 4 + 8;
+/// Encoded size of one [`TaskStats`] record.
+const TASK_STATS_BYTES: usize = 8 + 8 + 8;
+
+/// Decodes a counter set, interning each name. The shipped count is
+/// checked against the bytes that remain before anything loops over it.
 pub fn decode_counters(r: &mut ByteReader<'_>) -> Result<Counters, CodecError> {
-    let n = r.u32()?;
+    let n = r.count(MIN_COUNTER_BYTES)?;
     let mut counters = Counters::new();
     for _ in 0..n {
         let name = intern_counter_name(r.str()?);
@@ -255,15 +262,17 @@ pub fn encode_job_stats(stats: &JobStats, out: &mut Vec<u8>) {
     encode_counters(&stats.counters, out);
 }
 
-/// Decodes job statistics produced by [`encode_job_stats`].
+/// Decodes job statistics produced by [`encode_job_stats`]. Each shipped
+/// task count is checked against the bytes that remain before it sizes an
+/// allocation — the payload comes off a worker's socket.
 pub fn decode_job_stats(r: &mut ByteReader<'_>) -> Result<JobStats, CodecError> {
-    let n_map = r.u32()?;
-    let mut map_tasks = Vec::with_capacity(n_map as usize);
+    let n_map = r.count(TASK_STATS_BYTES)?;
+    let mut map_tasks = Vec::with_capacity(n_map);
     for _ in 0..n_map {
         map_tasks.push(decode_task_stats(r)?);
     }
-    let n_red = r.u32()?;
-    let mut reduce_tasks = Vec::with_capacity(n_red as usize);
+    let n_red = r.count(TASK_STATS_BYTES)?;
+    let mut reduce_tasks = Vec::with_capacity(n_red);
     for _ in 0..n_red {
         reduce_tasks.push(decode_task_stats(r)?);
     }

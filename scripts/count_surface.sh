@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
-# Prints, per workspace crate, the two numbers a simplicity PR reports:
+# Prints, per workspace crate, the numbers a simplicity PR reports:
 # non-test lines (every line of a src/*.rs file before its first
-# `#[cfg(test)]`; the whole file when it has none) and public items (the
-# PR 13 grep, over the same lines). Report only — no threshold.
+# `#[cfg(test)]`; the whole file when it has none), public items (the
+# PR 13 grep, over the same lines) and the crate's largest file by
+# non-test lines. Report only — no threshold.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-printf '%-18s %14s %13s\n' crate non-test-lines public-items
+printf '%-18s %14s %13s  %s\n' crate non-test-lines public-items largest-file
 for dir in crates/*/; do
-    find "$dir/src" -name '*.rs' -print0 | sort -z | xargs -0 awk -v crate="$(basename "$dir")" '
+    find "${dir}src" -name '*.rs' -print0 | sort -z | xargs -0 awk -v crate="$(basename "$dir")" '
         FNR == 1 { in_tests = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests { next }
-        { lines++ }
+        { lines++; per_file[FILENAME]++ }
         /^[[:space:]]*pub (fn|enum|struct|trait|const|type|mod) / { items++ }
-        END { printf "%-18s %14d %13d\n", crate, lines, items }'
+        END {
+            for (file in per_file) if (per_file[file] > per_file[largest]) largest = file
+            printf "%-18s %14d %13d  %s %d\n", crate, lines, items, largest, per_file[largest]
+        }'
 done

@@ -67,12 +67,11 @@ pub use spq_text as text;
 pub mod prelude {
     pub use spq_core::{
         export_metrics, AdmissionConfig, AdmissionQueue, AdmissionSnapshot, Algorithm, Backend,
-        DataObject, ExecutionMode, FeatureObject, HistogramSnapshot, LatencyHistogram,
-        LoadBalancing, MembershipConfig, MembershipView, MetricsSnapshot, ObjectRef,
-        OverflowPolicy, PumpReport, QueryEngine, QueryExecutor, QueryOptions, QueryRequest,
-        QueryResponse, QueryStats, RankedObject, RemoteEngine, ShardHost, ShardStats,
-        ShardedEngine, SharedDataset, SpqError, SpqExecutor, SpqQuery, SpqResult, SpqService,
-        TickOutcome, TickReport, Ticket, WorkerState,
+        DataObject, FeatureObject, HistogramSnapshot, LatencyHistogram, LoadBalancing,
+        MembershipConfig, MembershipView, MetricsSnapshot, ObjectRef, OverflowPolicy, PumpReport,
+        QueryEngine, QueryExecutor, QueryOptions, QueryRequest, QueryResponse, QueryStats,
+        RankedObject, RemoteEngine, ShardHost, ShardStats, ShardedEngine, SharedDataset, SpqError,
+        SpqExecutor, SpqQuery, SpqResult, SpqService, TickOutcome, TickReport, Ticket, WorkerState,
     };
     pub use spq_data::{
         ingest_files, synthesize_dump, ClusteredGen, DatasetGenerator, DumpConfig, FlickrLike,

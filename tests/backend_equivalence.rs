@@ -231,6 +231,48 @@ proptest! {
             }
         }
     }
+
+    /// `execute_sequential` is `execute` at worker budget 1 and nothing
+    /// else: the two return the same bytes and the same deterministic
+    /// statistics — which are also the bytes `execute` returns at the
+    /// engine's own width — on every backend, traced and untraced.
+    #[test]
+    fn prop_sequential_entry_point_is_budget_one(
+        (data, features, query_specs, g) in world()
+    ) {
+        let requests = build_requests(&query_specs);
+        let dataset = SharedDataset::new(data, features);
+        let exec = SpqExecutor::new(Rect::unit())
+            .grid_size(g as u32)
+            .cluster(ClusterConfig::with_workers(3));
+        for backend in [
+            Backend::Local,
+            Backend::Sharded { shards: 3 },
+            Backend::Remote { workers: 2 },
+        ] {
+            let service = SpqService::build(exec.clone(), dataset.clone(), backend).unwrap();
+            for request in &requests {
+                for request in [request.clone(), request.clone().with_trace()] {
+                    let wide = service.execute(&request).unwrap();
+                    let sequential = service.execute_sequential(&request).unwrap();
+                    let budget_one = service.execute(&request.clone().with_workers(1)).unwrap();
+                    prop_assert_eq!(&sequential.results, &wide.results, "{}", backend);
+                    prop_assert_eq!(&budget_one.results, &wide.results, "{}", backend);
+                    let counts = |r: &QueryResponse| {
+                        let jobs: Vec<(u64, u64)> = r
+                            .trace
+                            .iter()
+                            .flatten()
+                            .map(|job| (job.shuffle_records, job.map_input_records()))
+                            .collect();
+                        (r.stats.shards_touched, r.stats.shuffle_records, r.stats.shuffle_bytes, jobs)
+                    };
+                    prop_assert_eq!(counts(&sequential), counts(&budget_one), "{}", backend);
+                    prop_assert_eq!(counts(&sequential), counts(&wide), "{}", backend);
+                }
+            }
+        }
+    }
 }
 
 #[test]

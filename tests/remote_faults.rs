@@ -127,9 +127,9 @@ proptest! {
         // response; three all-shard queries guarantee the death fired
         // and the recovery was observed as at least one retry.
         prop_assert!(retries_seen >= 1, "no retry reported despite {killed} kill(s)");
-        prop_assert_eq!(remote.retries() >= retries_seen, true);
-        prop_assert!(remote.excluded_workers() >= killed);
-        prop_assert!(remote.excluded_workers() < WORKERS, "lone survivor was excluded");
+        prop_assert_eq!(remote.metrics().remote_retries >= retries_seen, true);
+        prop_assert!(remote.metrics().excluded_workers >= killed as u64);
+        prop_assert!(remote.metrics().excluded_workers < WORKERS as u64, "lone survivor was excluded");
 
         // The engine keeps serving identically after the storm, with no
         // fresh retries: the failover placement is sticky.

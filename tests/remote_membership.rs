@@ -62,8 +62,6 @@ fn request(k: usize, r: f64, kw: &[u32]) -> QueryRequest {
 fn config() -> MembershipConfig {
     MembershipConfig {
         replication_factor: 2,
-        probe_interval_ticks: 1,
-        readmit_threshold: 2,
         max_moves_per_tick: 8,
     }
 }
@@ -90,7 +88,7 @@ fn temp_kill(remote: &RemoteEngine, worker: usize, refusals: u32) {
 fn flapping_worker_readmits_only_after_consecutive_probes() {
     let local = QueryEngine::new(executor(), dataset());
     let remote = RemoteEngine::self_hosted_with(executor(), dataset(), 3, config()).unwrap();
-    assert_eq!(remote.provisions_sent(), 6); // 3 shards × replication 2
+    assert_eq!(remote.metrics().provisions_sent, 6); // 3 shards × replication 2
 
     // Worker 0 "restarts": stream evicted, next 2 connections refused.
     temp_kill(&remote, 0, 2);
@@ -102,8 +100,8 @@ fn flapping_worker_readmits_only_after_consecutive_probes() {
     assert_eq!(got.stats.retries, 2, "stats: {:?}", got.stats);
     assert_eq!(got.stats.warm_failovers, 1);
     assert_eq!(got.stats.cold_reprovisions, 0);
-    assert_eq!(remote.provisions_sent(), 6);
-    assert_eq!(remote.excluded_workers(), 1);
+    assert_eq!(remote.metrics().provisions_sent, 6);
+    assert_eq!(remote.metrics().excluded_workers, 1);
 
     // Tick 1: the probe eats the last refusal and fails; meanwhile the
     // rebalancer restores two-way replication over the two survivors
@@ -118,7 +116,7 @@ fn flapping_worker_readmits_only_after_consecutive_probes() {
     let t2 = remote.tick();
     assert_eq!((t2.probes, t2.probe_successes), (1, 1));
     assert!(t2.readmitted.is_empty());
-    assert_eq!(remote.excluded_workers(), 1);
+    assert_eq!(remote.metrics().excluded_workers, 1);
 
     // Flap: the worker goes down again mid-probation. The next probe
     // fails and the streak resets — one more success alone won't readmit.
@@ -133,13 +131,13 @@ fn flapping_worker_readmits_only_after_consecutive_probes() {
 
     // Streak reaches the threshold: the worker reports its (still warm)
     // shards over OP_SHARD_STATUS and re-enters with zero provisioning.
-    let provisions_before = remote.provisions_sent();
+    let provisions_before = remote.metrics().provisions_sent;
     let t6 = remote.tick();
     assert_eq!(t6.readmitted, vec![0]);
     assert_eq!(t6.provisions, 0);
-    assert_eq!(remote.provisions_sent(), provisions_before);
-    assert_eq!(remote.readmissions(), 1);
-    assert_eq!(remote.excluded_workers(), 0);
+    assert_eq!(remote.metrics().provisions_sent, provisions_before);
+    assert_eq!(remote.metrics().readmissions, 1);
+    assert_eq!(remote.metrics().excluded_workers, 0);
 
     // One more tick settles the primaries back to the canonical layout.
     let t7 = remote.tick();
@@ -175,11 +173,10 @@ fn rebalance_respects_the_move_budget() {
         MembershipConfig {
             replication_factor: 3,
             max_moves_per_tick: 1,
-            ..config()
         },
     )
     .unwrap();
-    assert_eq!(remote.provisions_sent(), 9); // 3 shards × replication 3
+    assert_eq!(remote.metrics().provisions_sent, 9); // 3 shards × replication 3
 
     let joiner =
         WorkerServer::bind("127.0.0.1:0", vec![Box::new(ShardHost::new())], false).unwrap();
@@ -194,7 +191,7 @@ fn rebalance_respects_the_move_budget() {
     assert_eq!(t2.provisions, 1);
     let t3 = remote.tick();
     assert!(t3.quiescent(), "not settled: {t3:?}");
-    assert_eq!(remote.rebalance_moves(), 2);
+    assert_eq!(remote.metrics().rebalance_moves, 2);
     remote.check_replication().unwrap();
     let view = remote.membership();
     assert_eq!(
@@ -230,7 +227,7 @@ fn replication_factor_env_override() {
     std::env::set_var("SPQ_REPLICATION_FACTOR", "1");
     let remote = RemoteEngine::build(executor(), dataset(), 3).unwrap();
     assert_eq!(remote.membership_config().replication_factor, 1);
-    assert_eq!(remote.provisions_sent(), 3); // one copy per shard
+    assert_eq!(remote.metrics().provisions_sent, 3); // one copy per shard
 
     for bad in ["0", "-1", "x"] {
         std::env::set_var("SPQ_REPLICATION_FACTOR", bad);

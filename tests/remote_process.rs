@@ -146,7 +146,7 @@ fn cross_process_results_are_byte_identical() {
         assert_eq!(got.results, expect.results);
         assert_eq!(got.stats.retries, 0);
     }
-    assert_eq!(remote.retries(), 0);
+    assert_eq!(remote.metrics().remote_retries, 0);
     assert!(remote.traffic_bytes() > 0);
 }
 
@@ -171,7 +171,7 @@ fn killed_worker_process_fails_over_to_survivors() {
     let got = remote.execute(&req).unwrap();
     assert_eq!(got.results, local.execute(&req).unwrap().results);
     assert!(got.stats.retries >= 1, "stats: {:?}", got.stats);
-    assert_eq!(remote.excluded_workers(), 1);
+    assert_eq!(remote.metrics().excluded_workers, 1);
 
     // Steady state after the failover: no fresh retries.
     let again = remote.execute(&req).unwrap();
@@ -248,15 +248,13 @@ fn killed_and_restarted_worker_is_readmitted() {
     let (mut workers, addrs) = spawn_workers(3);
     let config = MembershipConfig {
         replication_factor: 2,
-        probe_interval_ticks: 1,
-        readmit_threshold: 2,
         max_moves_per_tick: 8,
     };
     let remote = RemoteEngine::connect_with(executor(), dataset(), &addrs, config).unwrap();
     let local = QueryEngine::new(executor(), dataset());
-    let provisions_after_build = remote.provisions_sent();
+    let provisions_after_build = remote.metrics().provisions_sent;
     assert_eq!(provisions_after_build, 6); // 3 shards × replication 2
-    assert_eq!(remote.feature_sets_sent(), 3); // once per worker
+    assert_eq!(remote.metrics().feature_sets_sent, 3); // once per worker
 
     let req = request(4, 1.8, &[0]);
     assert_eq!(
@@ -274,15 +272,15 @@ fn killed_and_restarted_worker_is_readmitted() {
     assert_eq!(got.results, local.execute(&req).unwrap().results);
     assert!(got.stats.warm_failovers >= 1, "stats: {:?}", got.stats);
     assert_eq!(got.stats.cold_reprovisions, 0, "stats: {:?}", got.stats);
-    assert_eq!(remote.provisions_sent(), provisions_after_build);
-    assert_eq!(remote.excluded_workers(), 1);
+    assert_eq!(remote.metrics().provisions_sent, provisions_after_build);
+    assert_eq!(remote.metrics().excluded_workers, 1);
 
     // Ticks while the process is down probe it and keep it excluded.
     let report = remote.tick();
     assert_eq!(report.probes, 1);
     assert_eq!(report.probe_successes, 0);
     assert!(report.readmitted.is_empty());
-    assert_eq!(remote.excluded_workers(), 1);
+    assert_eq!(remote.metrics().excluded_workers, 1);
 
     // Restart the worker on the same address and tick until the
     // membership layer settles: probe hysteresis (2 consecutive
@@ -300,8 +298,8 @@ fn killed_and_restarted_worker_is_readmitted() {
     }
     assert!(readmitted, "worker 0 was never re-admitted");
     assert!(settled, "membership never settled");
-    assert_eq!(remote.readmissions(), 1);
-    assert_eq!(remote.excluded_workers(), 0);
+    assert_eq!(remote.metrics().readmissions, 1);
+    assert_eq!(remote.metrics().excluded_workers, 0);
     remote.check_replication().unwrap();
 
     // The restarted process reported an empty shard status, so the
@@ -310,8 +308,8 @@ fn killed_and_restarted_worker_is_readmitted() {
     // The new process holds no feature set either: its first install is
     // refused with "unknown feature set", the set is shipped — once, for
     // both shards it hosts — and the install retried.
-    assert!(remote.provisions_sent() > provisions_after_build);
-    assert_eq!(remote.feature_sets_sent(), 4);
+    assert!(remote.metrics().provisions_sent > provisions_after_build);
+    assert_eq!(remote.metrics().feature_sets_sent, 4);
     let view = remote.membership();
     assert_eq!(view.states, vec![WorkerState::Live; 3]);
     assert_eq!(view.primaries[0], 0);
@@ -329,7 +327,6 @@ fn admitted_worker_takes_over_after_total_loss_of_the_original_set() {
     let config = MembershipConfig {
         replication_factor: 2,
         max_moves_per_tick: 8,
-        ..MembershipConfig::default()
     };
     let remote = RemoteEngine::connect_with(executor(), dataset(), &addrs, config).unwrap();
     let local = QueryEngine::new(executor(), dataset());
@@ -367,7 +364,7 @@ fn admitted_worker_takes_over_after_total_loss_of_the_original_set() {
     let got = remote.execute(&req).unwrap();
     assert_eq!(got.results, local.execute(&req).unwrap().results);
     assert!(got.stats.retries >= 1, "stats: {:?}", got.stats);
-    assert_eq!(remote.excluded_workers(), 2);
+    assert_eq!(remote.metrics().excluded_workers, 2);
     assert!(remote.membership().primaries.iter().all(|&p| p == 2));
 }
 
@@ -407,10 +404,10 @@ fn rotating_victim_rounds_stay_identical_and_recover() {
             assert_eq!(&got.results, expect, "round {round}: during the outage");
         }
 
-        let readmissions = remote.readmissions();
+        let readmissions = remote.metrics().readmissions;
         workers[victim] = Worker::respawn_at(&addrs[victim]);
-        let recovered =
-            (0..32).any(|_| remote.tick().quiescent() && remote.readmissions() > readmissions);
+        let recovered = (0..32)
+            .any(|_| remote.tick().quiescent() && remote.metrics().readmissions > readmissions);
         assert!(
             recovered,
             "round {round}: worker {victim} never re-admitted"
@@ -423,9 +420,12 @@ fn rotating_victim_rounds_stay_identical_and_recover() {
             assert_eq!(got.stats.retries, 0, "round {round}: {:?}", got.stats);
         }
     }
-    assert!(remote.warm_failovers() > 0, "no warm failover in any round");
+    assert!(
+        remote.metrics().warm_failovers > 0,
+        "no warm failover in any round"
+    );
     assert_eq!(
-        remote.cold_reprovisions(),
+        remote.metrics().cold_reprovisions,
         0,
         "a single death re-shipped a payload: replication is not warm"
     );

@@ -14,13 +14,15 @@ use spq::core::remote::{
     decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision, ShardHost,
 };
 use spq::core::{DataObject, FeatureObject, SpqExecutor};
-use spq::mapreduce::remote::codec::{decode_counters, encode_counters, ByteReader};
+use spq::mapreduce::remote::codec::{
+    decode_counters, decode_job_stats, encode_counters, encode_job_stats, ByteReader,
+};
 use spq::mapreduce::remote::frame::{fnv1a, MAGIC};
 use spq::mapreduce::remote::{
     read_frame, write_frame, ClientConfig, FrameError, FrameHandler, WorkerClient, WorkerServer,
     OP_ERROR, OP_FEATURES, OP_PROVISION,
 };
-use spq::mapreduce::Counters;
+use spq::mapreduce::{Counters, JobStats, TaskStats};
 use spq::spatial::{Point, Rect};
 use spq::text::KeywordSet;
 use std::io::Cursor;
@@ -319,5 +321,49 @@ proptest! {
         let mut fresh = WorkerClient::new(addr, ClientConfig::fast());
         prop_assert!(fresh.ping(b"still here").is_ok());
         prop_assert!(fresh.call(OP_FEATURES, &chunk).is_ok());
+    }
+
+    /// The trace of an `OP_SHARD_RESULT` comes off a worker's socket:
+    /// arbitrary bytes decode to an error or a value, and a well-formed
+    /// payload whose map-task, reduce-task or counter count was
+    /// overwritten with a lie decodes to an error — never a panic, never
+    /// an allocation (or a loop) sized by the lie.
+    #[test]
+    fn prop_job_stats_decoder_survives_hostile_input(
+        noise in proptest::collection::vec(0u8..=u8::MAX, 0..256),
+        map_tasks in 0usize..5,
+        reduce_tasks in 0usize..5,
+        lie in (u32::MAX - 2)..=u32::MAX,
+    ) {
+        let _ = decode_job_stats(&mut ByteReader::new(&noise));
+        let _ = decode_counters(&mut ByteReader::new(&noise));
+
+        let mut counters = Counters::new();
+        counters.add("wire.a", 7);
+        let stats = JobStats {
+            map_tasks: vec![TaskStats::default(); map_tasks],
+            reduce_tasks: vec![TaskStats::default(); reduce_tasks],
+            shuffle_records: 3,
+            counters,
+            ..JobStats::default()
+        };
+        let mut good = Vec::new();
+        encode_job_stats(&stats, &mut good);
+        prop_assert!(decode_job_stats(&mut ByteReader::new(&good)).is_ok());
+
+        // A task-stats record is 24 bytes; four 8-byte walls and the
+        // 8-byte shuffle count sit between the tasks and the counters.
+        let reduce_count_at = 4 + 24 * map_tasks;
+        let counter_count_at = reduce_count_at + 4 + 24 * reduce_tasks + 4 * 8 + 8;
+        for at in [0, reduce_count_at, counter_count_at] {
+            let mut bad = good.clone();
+            patch_u32(&mut bad, at, lie);
+            prop_assert!(
+                decode_job_stats(&mut ByteReader::new(&bad)).is_err(),
+                "count {lie} at byte {at} decoded"
+            );
+        }
+        let cut = noise.len() % good.len();
+        prop_assert!(decode_job_stats(&mut ByteReader::new(&good[..cut])).is_err());
     }
 }
