@@ -20,7 +20,7 @@ use criterion::stats::{Estimate, Outliers};
 /// Version of the record shape. **Bump this whenever any field of
 /// [`MatrixReport`]/[`MatrixRecord`] changes**, and regenerate the golden
 /// fixture; the schema-fingerprint test enforces the coupling.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The run configuration echoed into the document, so a stored report is
 /// self-describing and comparable runs are recognizable.
@@ -71,6 +71,17 @@ pub struct Counters {
     /// Σ `COUNTER_REDUCE_FEATURES_EXAMINED` over the reference pass:
     /// features the reducers looked at before early termination.
     pub reduce_features_examined: u64,
+    /// Candidate features the serving kernel scored during the mode's run
+    /// (the `MetricsSnapshot::kernel_candidates` delta around it). Remote
+    /// ids record 0: the manager's snapshot carries no worker kernel
+    /// counters.
+    pub kernel_candidates: u64,
+    /// Candidates the kernel visited before its global-τ stop (the
+    /// `kernel_visited` delta; 0 on remote ids, as above).
+    pub kernel_visited: u64,
+    /// `d(p, f) <= r` evaluations the kernel made (the
+    /// `kernel_distance_checks` delta; 0 on remote ids, as above).
+    pub kernel_distance_checks: u64,
 }
 
 impl Counters {
@@ -78,7 +89,7 @@ impl Counters {
     /// list the writer and the gate both walk. The destructuring is
     /// exhaustive on purpose: a field added to the struct does not
     /// compile until it is listed here, so it is written and compared.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
         let Counters {
             shards_touched,
             shuffle_records,
@@ -90,6 +101,9 @@ impl Counters {
             map_input_records,
             map_duplicates,
             reduce_features_examined,
+            kernel_candidates,
+            kernel_visited,
+            kernel_distance_checks,
         } = *self;
         [
             ("shards_touched", shards_touched),
@@ -102,6 +116,9 @@ impl Counters {
             ("map_input_records", map_input_records),
             ("map_duplicates", map_duplicates),
             ("reduce_features_examined", reduce_features_examined),
+            ("kernel_candidates", kernel_candidates),
+            ("kernel_visited", kernel_visited),
+            ("kernel_distance_checks", kernel_distance_checks),
         ]
     }
 }
@@ -315,6 +332,9 @@ fn parse_counters(v: &Json) -> Result<Counters, String> {
         map_input_records: field_u64(c, "map_input_records")?,
         map_duplicates: field_u64(c, "map_duplicates")?,
         reduce_features_examined: field_u64(c, "reduce_features_examined")?,
+        kernel_candidates: field_u64(c, "kernel_candidates")?,
+        kernel_visited: field_u64(c, "kernel_visited")?,
+        kernel_distance_checks: field_u64(c, "kernel_distance_checks")?,
     })
 }
 
@@ -376,6 +396,9 @@ pub fn synthetic_fixture() -> MatrixReport {
                 map_input_records: 14_400,
                 map_duplicates: 1_200,
                 reduce_features_examined: 2_400,
+                kernel_candidates: 48_000,
+                kernel_visited: 480,
+                kernel_distance_checks: 9_600,
             },
             mean_ms: est(base, base * 0.9, base * 1.1),
             p50_ms: est(base * 0.95, base * 0.85, base * 1.05),
@@ -480,7 +503,7 @@ mod tests {
     fn wrong_schema_version_is_rejected_with_advice() {
         let text = synthetic_fixture()
             .to_json()
-            .replace("\"schema_version\": 3", "\"schema_version\": 999");
+            .replace("\"schema_version\": 4", "\"schema_version\": 999");
         let err = MatrixReport::from_json(&text).unwrap_err();
         assert!(err.contains("schema version 999"), "{err}");
         assert!(err.contains("regenerate"), "{err}");

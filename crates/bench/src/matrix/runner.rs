@@ -8,9 +8,9 @@
 //! through [`criterion::stats::summarize`] — bootstrap 95% intervals for
 //! mean/p50/p99 plus the Tukey outlier census. Everything data-shaped is
 //! deterministic from the seed — including the [`Counters`] block summed
-//! from every response's `QueryStats` and from the traced reference
-//! pass, which is what `spq-bench compare` gates on; only the latencies
-//! themselves are machine-dependent.
+//! from every response's `QueryStats`, from the traced reference pass and
+//! from the service's kernel counters, which is what `spq-bench compare`
+//! gates on; only the latencies themselves are machine-dependent.
 
 use super::corpus::{Mode, CORPORA};
 use super::record::{Counters, MatrixRecord, MatrixReport, ReportConfig};
@@ -181,7 +181,8 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
                         &backend.to_string(),
                         mode.name(),
                     );
-                    let measured = measure_mode(
+                    let before = service.metrics();
+                    let mut measured = measure_mode(
                         &service,
                         &requests,
                         &reference,
@@ -190,6 +191,14 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
                         cfg,
                         &id,
                     );
+                    // The kernel's work is not on any response: read it as
+                    // the service's counter deltas around the mode's run.
+                    let after = service.metrics();
+                    let c = &mut measured.counters;
+                    c.kernel_candidates = after.kernel_candidates - before.kernel_candidates;
+                    c.kernel_visited = after.kernel_visited - before.kernel_visited;
+                    c.kernel_distance_checks =
+                        after.kernel_distance_checks - before.kernel_distance_checks;
                     records.push(make_record(
                         &id, spec.name, algorithm, backend, mode, objects, measured, cfg,
                     ));

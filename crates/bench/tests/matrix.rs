@@ -49,12 +49,14 @@ fn golden_file_matches_the_committed_fixture() {
 /// regenerate the golden fixture.
 #[test]
 fn schema_fingerprint_is_pinned_to_the_version() {
-    assert_eq!(SCHEMA_VERSION, 3, "update the fingerprint below on bump");
+    assert_eq!(SCHEMA_VERSION, 4, "update the fingerprint below on bump");
     assert_eq!(
         schema_fingerprint(),
         "bench;\
          config.batch;config.filter;config.queries;config.scale;config.seed;config.workers;\
          records[].algorithm;records[].backend;records[].corpus;\
+         records[].counters.kernel_candidates;records[].counters.kernel_distance_checks;\
+         records[].counters.kernel_visited;\
          records[].counters.keyword_terms_matched;records[].counters.keyword_terms_probed;\
          records[].counters.map_duplicates;records[].counters.map_input_records;\
          records[].counters.reduce_features_examined;records[].counters.results;\
@@ -127,6 +129,9 @@ fn arb_record() -> impl Strategy<Value = MatrixRecord> {
                     map_input_records: work.0 / 2,
                     map_duplicates: work.0 / 7,
                     reduce_features_examined: work.1 / 5,
+                    kernel_candidates: work.0 / 3,
+                    kernel_visited: work.2 * 4,
+                    kernel_distance_checks: work.1 / 9,
                 },
                 mean_ms,
                 p50_ms,

@@ -6,24 +6,24 @@
 //! points) re-copies the datasets. A serving system amortizes all of that
 //! across the query stream. [`QueryEngine`] is that system:
 //!
-//! * **Build once** — construction pins the [`SharedDataset`] and builds
-//!   the [`KeywordIndex`] inverted index over the feature keywords; the
-//!   first query at each radius plans the space partition, fossilises the
-//!   full map-side routing into [`CellRouting`] lookup tables and groups
-//!   the data objects by cell (cached per radius, least recently used
-//!   evicted, shared by every later query). That — dataset, index, plan
-//!   cache, counters — is all an engine holds.
+//! * **Build once** — construction pins the [`SharedDataset`], builds
+//!   the [`KeywordIndex`] inverted index over the feature keywords and
+//!   buckets the data objects, once, on one grid that does not depend on
+//!   any radius ([`GridIndex`] over the executor's bounds, √|O| cells per
+//!   axis, locations inline). Nothing a plain request needs is built per
+//!   radius.
 //! * **Serve many** — the engine speaks the typed [`QueryExecutor`]
 //!   surface, and every entry point takes the **same path**
 //!   (`QueryEngine::run`), which answers from that state with the direct
 //!   kernel of `kernel.rs` — **no MapReduce job**: merge the query's
 //!   posting lists into scored candidates (the map-side pruning rule of
 //!   Algorithm 1 line 9, paid once at build time), visit them in
-//!   descending score order, distance-check only the data objects of each
-//!   candidate's Lemma-1 target cells, and stop once one global top-k
-//!   list is full and the next score is strictly below its `τ` —
-//!   eSPQsco's early termination applied across cells instead of per
-//!   reducer. The kernel is single-threaded whatever the worker budget;
+//!   descending score order, distance-check only the data objects of the
+//!   grid cells within `r` of each candidate (Lemma 1's target set, on the
+//!   build-once grid), and stop once one global top-k list is full and
+//!   the next score is strictly below its `τ` — eSPQsco's early
+//!   termination applied across cells instead of per reducer. The kernel
+//!   is single-threaded whatever the worker budget;
 //!   parallelism comes from **inter-query concurrency**
 //!   ([`serve_requests`](crate::service::QueryExecutor::serve_requests),
 //!   the admission queue) — the right shape for high-QPS traffic of many
@@ -45,8 +45,11 @@
 //!   at budget 1, single-threaded. The job pays for
 //!   its own inputs, as [`SpqExecutor::run_dataset`] does: the request
 //!   builds the round-robin reference splits it maps over and drops them
-//!   when it returns. The job stays the paper-faithful reproduction and
-//!   an independent oracle inside every engine.
+//!   when it returns. Only the job plans the paper's per-radius partition
+//!   and fossilises its map-side routing into [`CellRouting`] tables,
+//!   cached per radius (least recently used evicted) for later jobs. The
+//!   job stays the paper-faithful reproduction and an independent oracle
+//!   inside every engine.
 //!
 //! Determinism holds on both: for a fixed engine and query, every entry
 //! point returns the same bytes — kernel, job and
@@ -82,22 +85,27 @@
 //! let batch = engine.execute_batch(&[r1.clone(), r2.clone()]).unwrap();
 //! assert_eq!(batch.len(), 2);
 //!
-//! let served = engine.serve_requests(&[r1, r2], 2).unwrap();
+//! let served = engine.serve_requests(&[r1.clone(), r2], 2).unwrap();
 //! assert_eq!(served[0].results, batch[0].results);
-//! assert_eq!(engine.cached_plans(), 2); // one routing plan per radius
+//! assert_eq!(engine.cached_plans(), 0); // the kernel plans nothing
+//!
+//! // A traced request buys the paper's job, which plans (and caches) the
+//! // partition for its radius.
+//! let traced = engine.execute(&r1.with_trace()).unwrap();
+//! assert_eq!(traced.results, served[0].results);
+//! assert_eq!(engine.cached_plans(), 1);
 //! ```
 
-use crate::algo::Algorithm;
-use crate::executor::{SpqError, SpqExecutor, SpqResult};
-use crate::kernel::{self, CellTable};
-use crate::model::FeatureObject;
+use crate::executor::{SpqError, SpqExecutor};
+use crate::kernel;
+use crate::model::{FeatureObject, ObjectId, RankedObject};
 use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::{ObjectRef, SharedDataset};
 use parking_lot::Mutex;
 use spq_mapreduce::{ClusterConfig, JobStats};
-use spq_spatial::SpacePartition;
+use spq_spatial::{GridIndex, SpacePartition};
 use spq_text::{KeywordSet, Term};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,13 +260,12 @@ pub struct DatasetStats {
     pub max_posting: usize,
 }
 
-/// One cached per-radius plan: the space partition, its prebuilt routing
-/// tables and the kernel's data-by-cell table.
+/// One cached per-radius plan of the job path: the space partition and
+/// its prebuilt routing tables.
 #[derive(Debug)]
 struct PartitionPlan {
     partition: Arc<SpacePartition>,
     routing: CellRouting,
-    cells: CellTable,
 }
 
 /// The per-radius plans with their last-use stamps. `clock` is a
@@ -329,9 +336,12 @@ struct EngineMetrics {
 pub struct MetricsSnapshot {
     /// Queries executed through any entry point.
     pub queries: u64,
-    /// Queries whose per-radius partition plan was served from cache.
+    /// Job requests (a trace, or keyword pruning off) whose per-radius
+    /// partition plan was served from cache. Kernel answers plan nothing
+    /// and count neither here nor in
+    /// [`plan_cache_misses`](Self::plan_cache_misses).
     pub plan_cache_hits: u64,
-    /// Queries that had to build (and cache) their partition plan.
+    /// Job requests that had to build (and cache) their partition plan.
     pub plan_cache_misses: u64,
     /// Cached plans dropped, least recently used first, to keep the
     /// per-radius cache inside its bound.
@@ -380,7 +390,7 @@ impl MetricsSnapshot {
     /// Every field, in declaration order. The destructuring is exhaustive
     /// on purpose: a counter added to the struct does not compile until
     /// it is listed here, so [`merged`](Self::merged) cannot drop it.
-    fn fields_mut(&mut self) -> [&mut u64; 18] {
+    pub(crate) fn fields_mut(&mut self) -> [&mut u64; 18] {
         let MetricsSnapshot {
             queries,
             plan_cache_hits,
@@ -433,23 +443,47 @@ impl MetricsSnapshot {
     }
 }
 
-/// Upper bound on cached per-radius plans. Serving workloads use a small
-/// set of radius classes, so the bound exists purely as a memory safety
-/// valve against adversarial streams of distinct radii: each plan pins an
-/// `O(|O| + |F|·duplication)` routing table plus the kernel's cell table,
-/// and on overflow the least recently used plan is evicted (plans rebuild
+/// Upper bound on cached per-radius job plans. Only job requests plan, and
+/// they use a small set of radius classes, so the bound exists purely as
+/// a memory safety valve against adversarial streams of distinct traced
+/// radii: each plan pins an `O(|O| + |F|·duplication)` routing table, and
+/// on overflow the least recently used plan is evicted (plans rebuild
 /// deterministically, so eviction only costs time, never correctness).
 const MAX_CACHED_PLANS: usize = 64;
 
+/// Whether a request with `options` buys the paper's job rather than a
+/// kernel answer: it asked for a trace, or keyword pruning is off — by the
+/// request's override, else by `exec`'s configuration.
+pub(crate) fn runs_job(exec: &SpqExecutor, options: &QueryOptions) -> bool {
+    options.trace
+        || !options
+            .keyword_pruning
+            .unwrap_or(exec.keyword_pruning_enabled())
+}
+
+/// What the one engine path answers a query with.
+#[derive(Debug)]
+pub(crate) struct EngineAnswer {
+    /// The canonical top-k.
+    pub top_k: Vec<RankedObject>,
+    /// The job's statistics (empty when the kernel answered).
+    pub stats: JobStats,
+    /// Bytes that crossed the job's in-process shuffle (0 for the kernel).
+    pub shuffle_bytes: u64,
+    /// Whether the answer needed no plan build: always for the kernel,
+    /// which plans nothing; on a plan-cache hit for a job.
+    pub plan_hit: bool,
+}
+
 /// A long-lived SPQ serving engine over one dataset.
 ///
-/// See the [module docs](self) for the lifecycle. Construction is cheap
-/// apart from the keyword index (one pass over the feature keywords); the
-/// per-radius partition plans are built lazily by the first query that
-/// needs them and cached (keyed by the exact radius bits — real
-/// workloads use a small set of radius classes; a bound of 64 plans
-/// guards against unbounded-radius streams, evicting the least recently
-/// used).
+/// See the [module docs](self) for the lifecycle. Construction builds
+/// the keyword index (one pass over the feature keywords) and the data
+/// grid (a counting sort of the data objects by cell); a plain request of
+/// any radius reads only those. The per-radius partition plans of the job
+/// path are built lazily by the first job request that needs them and
+/// cached (keyed by the exact radius bits; a bound of 64 plans guards
+/// against unbounded-radius streams, evicting the least recently used).
 ///
 /// The engine is `Sync`:
 /// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
@@ -463,6 +497,9 @@ pub struct QueryEngine {
     /// shards of a sharded engine, the shards a worker hosts) see the same
     /// broadcast feature array and share one index over it.
     keyword_index: Arc<KeywordIndex>,
+    /// The data objects bucketed on one radius-independent grid — all the
+    /// geometry the kernel reads.
+    grid: GridIndex<ObjectId>,
     plans: Mutex<PlanCache>,
     metrics: EngineMetrics,
 }
@@ -494,7 +531,9 @@ impl QueryEngine {
             dataset.features().len(),
             "a shared keyword index must cover the dataset's feature array"
         );
+        let data = dataset.data().iter().map(|o| (o.location, o.id));
         Self {
+            grid: GridIndex::build(executor.bounds(), data),
             exec: executor,
             dataset,
             keyword_index,
@@ -561,12 +600,12 @@ impl QueryEngine {
         &self.keyword_index
     }
 
-    /// Number of per-radius partition plans currently cached.
+    /// Number of per-radius partition plans the job path has cached.
     pub fn cached_plans(&self) -> usize {
         self.plans.lock().plans.len()
     }
 
-    /// The cached plan for this query's radius, built on first use.
+    /// The cached job plan for this query's radius, built on first use.
     /// Returns the plan together with whether it was a cache hit.
     fn plan(&self, query: &SpqQuery) -> (Arc<PartitionPlan>, bool) {
         let key = query.radius.to_bits();
@@ -586,11 +625,9 @@ impl QueryEngine {
             &self.dataset.ref_splits(DEFAULT_NUM_SPLITS),
         );
         let routing = CellRouting::build(&partition, &self.dataset, query.radius);
-        let cells = CellTable::build(&routing, partition.num_cells(), self.dataset.data().len());
         let plan = Arc::new(PartitionPlan {
             partition: Arc::new(partition),
             routing,
-            cells,
         });
         let mut cache = self.plans.lock();
         if let Some(raced) = cache.touch(key) {
@@ -646,23 +683,22 @@ impl QueryEngine {
     /// The one engine path (see the [module docs](self)): every local
     /// request, every sharded scatter and every remote worker query runs
     /// through here. A request that asks for a job — a trace, or keyword
-    /// pruning disabled — runs one: over every data object plus the
-    /// query's candidate features, or over the full splits without
-    /// pruning. Every other request is answered by the
-    /// [kernel](crate::kernel) with an empty [`JobStats`] and zero shuffle.
-    /// Returns the result together with whether the partition plan was
-    /// served from cache.
+    /// pruning disabled — runs one over its radius's cached plan: over
+    /// every data object plus the query's candidate features, or over the
+    /// full splits without pruning. Every other request is answered by the
+    /// [kernel](crate::kernel) with an empty [`JobStats`], zero shuffle and
+    /// no plan.
     pub(crate) fn run(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
-    ) -> Result<(SpqResult, bool), SpqError> {
+    ) -> Result<EngineAnswer, SpqError> {
         self.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        let exec = self.exec_for(options);
-        let (plan, hit) = self.plan(query);
-        if !options.trace && exec.keyword_pruning_enabled() {
-            return Ok((self.run_kernel(query, &plan, exec.algorithm_choice()), hit));
+        if !runs_job(&self.exec, options) {
+            return Ok(self.run_kernel(query));
         }
+        let exec = self.exec_for(options);
+        let (plan, plan_hit) = self.plan(query);
         let result = exec.run_planned(
             &self.dataset,
             &self.job_splits(query, exec.keyword_pruning_enabled()),
@@ -670,25 +706,18 @@ impl QueryEngine {
             Arc::clone(&plan.partition),
             Some(&plan.routing),
         )?;
-        Ok((result, hit))
+        Ok(EngineAnswer {
+            top_k: result.top_k,
+            stats: result.stats,
+            shuffle_bytes: result.shuffle_bytes,
+            plan_hit,
+        })
     }
 
-    /// Answers `query` with the kernel and counts its work. The result
-    /// carries the shape a job's would — the configured algorithm, the
-    /// plan's partition — with no job behind it.
-    fn run_kernel(
-        &self,
-        query: &SpqQuery,
-        plan: &PartitionPlan,
-        algorithm: Algorithm,
-    ) -> SpqResult {
-        let answer = kernel::top_k(
-            &self.dataset,
-            &self.keyword_index,
-            &plan.routing,
-            &plan.cells,
-            query,
-        );
+    /// Answers `query` with the kernel over the build-once grid and counts
+    /// its work.
+    fn run_kernel(&self, query: &SpqQuery) -> EngineAnswer {
+        let answer = kernel::top_k(&self.dataset, &self.keyword_index, &self.grid, query);
         let m = &self.metrics;
         m.kernel_candidates
             .fetch_add(answer.candidates, Ordering::Relaxed);
@@ -696,12 +725,11 @@ impl QueryEngine {
             .fetch_add(answer.visited, Ordering::Relaxed);
         m.kernel_distance_checks
             .fetch_add(answer.distance_checks, Ordering::Relaxed);
-        SpqResult {
+        EngineAnswer {
             top_k: answer.top_k,
             stats: JobStats::default(),
-            algorithm,
-            partition: Arc::clone(&plan.partition),
             shuffle_bytes: 0,
+            plan_hit: true,
         }
     }
 
@@ -724,21 +752,20 @@ impl QueryEngine {
         (probed, matched)
     }
 
-    /// Wraps one executed result into a typed response.
+    /// Wraps one engine answer into a typed response.
     fn respond(
         &self,
         options: &QueryOptions,
-        result: SpqResult,
-        plan_hit: bool,
+        answer: EngineAnswer,
         keywords: (usize, usize),
         started: Instant,
     ) -> QueryResponse {
         let stats = QueryStats {
-            algorithm: result.algorithm,
-            plan_cache_hit: plan_hit,
+            algorithm: options.algorithm.unwrap_or(self.exec.algorithm_choice()),
+            plan_cache_hit: answer.plan_hit,
             shards_touched: 1,
-            shuffle_records: result.stats.shuffle_records,
-            shuffle_bytes: result.shuffle_bytes,
+            shuffle_records: answer.stats.shuffle_records,
+            shuffle_bytes: answer.shuffle_bytes,
             wall_micros: started.elapsed().as_micros() as u64,
             keyword_terms_probed: keywords.0,
             keyword_terms_matched: keywords.1,
@@ -747,9 +774,9 @@ impl QueryEngine {
             cold_reprovisions: 0,
         };
         QueryResponse {
-            results: result.top_k,
+            results: answer.top_k,
             stats,
-            trace: options.trace.then(|| vec![result.stats]),
+            trace: options.trace.then(|| vec![answer.stats]),
         }
     }
 
@@ -783,8 +810,8 @@ impl QueryExecutor for QueryEngine {
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
         let keywords = self.keyword_stats(&query.keywords);
-        let (result, plan_hit) = self.run(query, options)?;
-        Ok(self.respond(options, result, plan_hit, keywords, started))
+        let answer = self.run(query, options)?;
+        Ok(self.respond(options, answer, keywords, started))
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -795,6 +822,8 @@ impl QueryExecutor for QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::centralized::brute_force;
+    use crate::executor::LoadBalancing;
     use crate::model::DataObject;
     use crate::partitioning::COUNTER_MAP_PRUNED;
     use crate::service::QueryRequest;
@@ -1001,15 +1030,16 @@ mod tests {
     #[test]
     fn plan_cache_is_bounded() {
         let engine = QueryEngine::new(executor(), paper_dataset());
-        // An adversarial stream of distinct radii must not grow the cache
-        // past the bound — and eviction must not disturb results, nor
-        // take the one radius that is in use between every insertion.
-        let hot = request(1, 1.5, &[0]);
+        // An adversarial stream of distinct traced radii (only jobs plan)
+        // must not grow the cache past the bound — and eviction must not
+        // disturb results, nor take the one radius that is in use between
+        // every insertion.
+        let hot = request(1, 1.5, &[0]).with_trace();
         let expect = engine.execute(&hot).unwrap().results;
         let distinct = (MAX_CACHED_PLANS + 20) as u64;
         for i in 0..distinct {
             let r = 1.0 + i as f64 * 1e-3;
-            engine.execute(&request(1, r, &[0])).unwrap();
+            engine.execute(&request(1, r, &[0]).with_trace()).unwrap();
             assert!(engine.cached_plans() <= MAX_CACHED_PLANS);
             let served = engine.execute(&hot).unwrap();
             assert!(served.stats.plan_cache_hit, "hot radius evicted at {i}");
@@ -1025,6 +1055,52 @@ mod tests {
             1 + distinct - MAX_CACHED_PLANS as u64
         );
         assert_eq!(engine.cached_plans(), MAX_CACHED_PLANS);
+    }
+
+    #[test]
+    fn plain_requests_plan_nothing_at_any_radius() {
+        let engine = QueryEngine::new(executor(), paper_dataset());
+        for i in 0..1_000 {
+            let r = 0.5 + i as f64 * 2e-3;
+            let served = engine.execute(&request(3, r, &[0, 4])).unwrap();
+            assert!(served.stats.plan_cache_hit, "radius {r} built a plan");
+        }
+        let m = engine.metrics();
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
+        assert_eq!(engine.cached_plans(), 0);
+        // A job still plans its radius, once, and caches the plan.
+        let traced = request(3, 1.5, &[0, 4]).with_trace();
+        let job = engine.execute(&traced).unwrap();
+        assert!(!job.stats.plan_cache_hit);
+        assert_eq!(job.results, engine.execute(&traced).unwrap().results);
+        let m = engine.metrics();
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (1, 1));
+        assert_eq!(engine.cached_plans(), 1);
+    }
+
+    #[test]
+    fn adaptive_auto_sized_engine_answers_plainly_without_a_plan() {
+        let dataset = paper_dataset();
+        let exec = SpqExecutor::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0))
+            .auto_grid(16)
+            .load_balancing(LoadBalancing::AdaptiveQuadtree { sample_size: 4 });
+        let engine = QueryEngine::new(exec, dataset.clone());
+        for (k, r, kw) in [
+            (1, 1.5, vec![0]),
+            (3, 2.5, vec![0, 4]),
+            (5, 9.0, vec![0, 6, 11]),
+        ] {
+            let req = request(k, r, &kw);
+            let expect = brute_force(dataset.data(), dataset.features(), &req.query);
+            assert_eq!(
+                engine.execute(&req).unwrap().results,
+                expect,
+                "{}",
+                req.query
+            );
+        }
+        assert_eq!(engine.metrics().plan_cache_misses, 0);
+        assert_eq!(engine.cached_plans(), 0);
     }
 
     #[test]

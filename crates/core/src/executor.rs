@@ -15,7 +15,10 @@ use spq_spatial::{AdaptiveGrid, Grid, Point, Rect, SpacePartition};
 use std::fmt;
 use std::sync::Arc;
 
-/// How the query-time grid is sized.
+/// How the query-time grid of the paper's job is sized. It shapes only
+/// the job's partition (a [`SpqExecutor`] run, or an engine request that
+/// asks for a job); an engine's kernel reads its own build-once grid
+/// instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridSizing {
     /// A fixed `n × n` grid (the paper's experimental sweeps).
@@ -37,7 +40,9 @@ impl Default for GridSizing {
     }
 }
 
-/// How cells are shaped over the data space.
+/// How the job's cells are shaped over the data space. Like
+/// [`GridSizing`], it shapes only the job's partition, never the kernel's
+/// grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadBalancing {
     /// The paper's uniform grid — every cell the same size.

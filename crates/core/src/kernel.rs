@@ -1,20 +1,19 @@
-//! The direct serving kernel: one query answered from the engine's cached
-//! state, without a MapReduce job.
+//! The direct serving kernel: one query answered from the engine's
+//! build-once state, without a MapReduce job.
 //!
 //! A reducer sees one cell, so the paper's eSPQsco (§5.2, Algorithms 5–6)
 //! can only stop early *per cell*. A persistent engine owns a keyword
-//! index and, per radius, the Lemma-1 routing of every feature — so it can
-//! apply the same rule against **one global `τ`**, keywords before
-//! geometry:
+//! index and its data objects bucketed on one grid — so it can apply the
+//! same rule against **one global `τ`**, keywords before geometry:
 //!
 //! 1. merge the query's posting lists into `(feature, |q.W ∩ f.W|)` and
 //!    score each candidate from the three set sizes
 //!    ([`SetSimilarity::score_from_counts`](spq_text::SetSimilarity::score_from_counts)
 //!    — no feature object is touched);
-//! 2. pop candidates in descending score order; for each, walk its
-//!    precomputed target cells ([`CellRouting::feature_targets`]) and
-//!    distance-check only those cells' data objects ([`CellTable`]) with
-//!    the codebase's one predicate, `dist_sq <= r²`;
+//! 2. pop candidates in descending score order; for each, scan the data
+//!    objects of the grid cells within `r` of it
+//!    ([`GridIndex::for_each_cell_within`]) with the codebase's one
+//!    predicate, `dist_sq <= r²`;
 //! 3. offer every hit to one global [`TopKList`]; stop when it is full and
 //!    the popped score is **strictly below** `τ`.
 //!
@@ -27,62 +26,22 @@
 //! bytes of the job path and of
 //! [`brute_force`](crate::centralized::brute_force).
 //!
-//! Coverage is the job's: a data object is tested against a feature iff
-//! its cell is one of the feature's Lemma-1 targets, the same pairs the
-//! reducers see.
+//! Coverage is Lemma 1's on a grid fixed before any radius is known: a
+//! data object within `r` of a feature lies in a cell whose MINDIST to the
+//! feature is at most `r`, which is exactly the set of cells scanned — the
+//! feature's own cell plus its duplication targets at `r`. No per-radius
+//! partition, routing table or cache is involved, so the answer is the
+//! same whatever grid the job would have planned.
 
 use crate::engine::KeywordIndex;
-use crate::model::RankedObject;
-use crate::partitioning::CellRouting;
+use crate::model::{ObjectId, RankedObject};
 use crate::query::SpqQuery;
 use crate::store::SharedDataset;
 use crate::topk::TopKList;
+use spq_spatial::GridIndex;
 use spq_text::Score;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// The data objects of each cell, CSR-packed: `members[offsets[c]..
-/// offsets[c + 1]]` are the store indices of the data objects whose
-/// enclosing cell is `c`, ascending. Built once per cached
-/// `(partition, radius)` plan beside its [`CellRouting`]; costs 4 bytes
-/// per data object plus 4 per cell.
-#[derive(Debug)]
-pub(crate) struct CellTable {
-    offsets: Box<[u32]>,
-    members: Box<[u32]>,
-}
-
-impl CellTable {
-    /// Groups data objects `0..num_data` by `routing.data_cell(i)` (a
-    /// counting sort, so each cell's members stay in store order).
-    pub(crate) fn build(routing: &CellRouting, num_cells: usize, num_data: usize) -> Self {
-        let mut offsets = vec![0u32; num_cells + 1];
-        for i in 0..num_data as u32 {
-            offsets[routing.data_cell(i).0 as usize + 1] += 1;
-        }
-        for c in 0..num_cells {
-            offsets[c + 1] += offsets[c];
-        }
-        let mut cursor = offsets.clone();
-        let mut members = vec![0u32; num_data];
-        for i in 0..num_data as u32 {
-            let slot = &mut cursor[routing.data_cell(i).0 as usize];
-            members[*slot as usize] = i;
-            *slot += 1;
-        }
-        Self {
-            offsets: offsets.into_boxed_slice(),
-            members: members.into_boxed_slice(),
-        }
-    }
-
-    /// The store indices of the data objects in `cell`.
-    #[inline]
-    fn members(&self, cell: u32) -> &[u32] {
-        let c = cell as usize;
-        &self.members[self.offsets[c] as usize..self.offsets[c + 1] as usize]
-    }
-}
 
 /// One kernel answer: the canonical top-k plus how much work it took.
 #[derive(Debug)]
@@ -113,19 +72,17 @@ fn ranked_candidates(index: &KeywordIndex, query: &SpqQuery) -> BinaryHeap<(Scor
 }
 
 /// Answers `query` from prebuilt state (see the [module docs](self)).
-/// `routing` and `cells` must come from the same plan, built over
-/// `dataset` at `query.radius`; `index` must index `dataset.features()`.
+/// `index` must index `dataset.features()`; `grid` holds the data objects
+/// the query ranks (the engine's, whatever slice of a store it serves).
 pub(crate) fn top_k(
     dataset: &SharedDataset,
     index: &KeywordIndex,
-    routing: &CellRouting,
-    cells: &CellTable,
+    grid: &GridIndex<ObjectId>,
     query: &SpqQuery,
 ) -> KernelAnswer {
-    debug_assert_eq!(routing.radius().to_bits(), query.radius.to_bits());
     let mut heap = ranked_candidates(index, query);
     let candidates = heap.len() as u64;
-    let (data, features) = (dataset.data(), dataset.features());
+    let features = dataset.features();
     let r_sq = query.radius * query.radius;
     let mut list = TopKList::new(query.k);
     let (mut visited, mut distance_checks) = (0u64, 0u64);
@@ -137,16 +94,14 @@ pub(crate) fn top_k(
         }
         visited += 1;
         let location = features[feature as usize].location;
-        for &cell in routing.feature_targets(feature) {
-            let members = cells.members(cell);
-            distance_checks += members.len() as u64;
-            for &i in members {
-                let p = &data[i as usize];
-                if p.location.dist_sq(&location) <= r_sq {
-                    list.update(p.id, p.location, score);
+        grid.for_each_cell_within(&location, query.radius, |cell| {
+            distance_checks += cell.len() as u64;
+            for &(p, id) in cell {
+                if p.dist_sq(&location) <= r_sq {
+                    list.update(id, p, score);
                 }
             }
-        }
+        });
     }
     KernelAnswer {
         top_k: list.into_vec(),
@@ -161,7 +116,7 @@ mod tests {
     use super::*;
     use crate::centralized::brute_force;
     use crate::model::{DataObject, FeatureObject};
-    use spq_spatial::{Grid, Point, Rect, SpacePartition};
+    use spq_spatial::{Point, Rect};
     use spq_text::KeywordSet;
 
     /// Ten co-located (data, feature) pairs along the diagonal; feature
@@ -181,25 +136,12 @@ mod tests {
         )
     }
 
-    fn prebuilt(dataset: &SharedDataset, radius: f64) -> (KeywordIndex, CellRouting, CellTable) {
-        let partition: SpacePartition = Grid::square(Rect::unit(), 4).into();
-        let routing = CellRouting::build(&partition, dataset, radius);
-        let cells = CellTable::build(&routing, partition.num_cells(), dataset.data().len());
-        (KeywordIndex::build(dataset.features()), routing, cells)
-    }
-
-    #[test]
-    fn cell_table_groups_every_data_object_once_in_store_order() {
-        let dataset = diagonal();
-        let (_, routing, cells) = prebuilt(&dataset, 0.01);
-        let mut seen = 0;
-        for cell in 0..16u32 {
-            let members = cells.members(cell);
-            assert!(members.windows(2).all(|w| w[0] < w[1]), "cell {cell}");
-            assert!(members.iter().all(|&i| routing.data_cell(i).0 == cell));
-            seen += members.len();
-        }
-        assert_eq!(seen, dataset.data().len());
+    fn prebuilt(dataset: &SharedDataset) -> (KeywordIndex, GridIndex<ObjectId>) {
+        let data = dataset.data().iter().map(|o| (o.location, o.id));
+        (
+            KeywordIndex::build(dataset.features()),
+            GridIndex::build(Rect::unit(), data),
+        )
     }
 
     #[test]
@@ -223,9 +165,9 @@ mod tests {
     #[test]
     fn global_tau_stops_before_the_candidates_run_out() {
         let dataset = diagonal();
-        let (index, routing, cells) = prebuilt(&dataset, 0.01);
+        let (index, grid) = prebuilt(&dataset);
         let query = SpqQuery::new(3, 0.01, KeywordSet::from_ids([0]));
-        let answer = top_k(&dataset, &index, &routing, &cells, &query);
+        let answer = top_k(&dataset, &index, &grid, &query);
         assert_eq!(
             answer.top_k,
             brute_force(dataset.data(), dataset.features(), &query)
@@ -251,9 +193,9 @@ mod tests {
                 FeatureObject::new(1, Point::new(0.9, 0.9), KeywordSet::from_ids([0])),
             ],
         );
-        let (index, routing, cells) = prebuilt(&dataset, 0.01);
+        let (index, grid) = prebuilt(&dataset);
         let query = SpqQuery::new(1, 0.01, KeywordSet::from_ids([0]));
-        let answer = top_k(&dataset, &index, &routing, &cells, &query);
+        let answer = top_k(&dataset, &index, &grid, &query);
         assert_eq!(answer.visited, 2);
         assert_eq!(answer.top_k[0].object, 1);
         assert_eq!(

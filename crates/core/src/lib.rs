@@ -36,7 +36,7 @@
 //!
 //! [`SpqExecutor`] is the high-level per-query entry point; [`engine`]
 //! holds the persistent [`QueryEngine`] that builds the dataset store,
-//! partition routing and keyword index **once** and then serves an
+//! keyword index and data grid **once** and then serves an
 //! arbitrary query stream (single, batched, or concurrent); [`store`]
 //! holds the shared immutable dataset behind the zero-copy shuffle
 //! (records travel as 8–16-byte handles, never as cloned objects);

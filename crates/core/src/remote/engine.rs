@@ -9,8 +9,9 @@ use super::codec::{
 use super::host::{ShardHost, NOT_PROVISIONED, UNKNOWN_FEATURE_SET};
 use super::membership::{Failover, Membership, MembershipConfig, MembershipView, TickReport};
 use super::{parse_worker_addrs, SPQ_REMOTE_WORKERS};
-use crate::engine::MetricsSnapshot;
+use crate::engine::{runs_job, MetricsSnapshot};
 use crate::executor::{SpqError, SpqExecutor};
+use crate::model::FeatureObject;
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse};
 use crate::sharded::{Layout, Recovery, ShardAnswer};
@@ -22,7 +23,7 @@ use spq_mapreduce::remote::{
     OP_ERROR, OP_FAULT_OK, OP_FEATURES, OP_FEATURES_OK, OP_PROVISION, OP_PROVISION_OK,
     OP_SET_FAULT, OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS, OP_SHARD_STATUS_OK,
 };
-use std::collections::HashSet;
+use spq_text::Term;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -81,6 +82,34 @@ fn bump(counter: &AtomicU64, by: u64) {
     counter.fetch_add(by, Ordering::Relaxed);
 }
 
+/// The terms carried by at least one feature, one bit per term id — the
+/// manager-side keyword probe, the same answer as the engines'
+/// `KeywordIndex::term_frequency(t) > 0` without building postings.
+#[derive(Debug)]
+struct TermPresence(Vec<u64>);
+
+impl TermPresence {
+    /// Sets the bit of every feature keyword, in one pass.
+    fn build(features: &[FeatureObject]) -> Self {
+        let mut words = Vec::new();
+        for t in features.iter().flat_map(|f| f.keywords.iter()) {
+            let word = t.index() / 64;
+            if word >= words.len() {
+                words.resize(word + 1, 0u64);
+            }
+            words[word] |= 1 << (t.index() % 64);
+        }
+        Self(words)
+    }
+
+    /// Whether some feature carries `t` (false past the highest term id).
+    fn contains(&self, t: Term) -> bool {
+        self.0
+            .get(t.index() / 64)
+            .is_some_and(|word| word >> (t.index() % 64) & 1 == 1)
+    }
+}
+
 /// The engine behind [`crate::service::Backend::Remote`]: the sharded
 /// scatter/gather with every shard behind a TCP worker, plus the
 /// membership layer described in the [module docs](super) — retry and
@@ -107,7 +136,7 @@ pub struct RemoteEngine {
     membership: Mutex<Membership>,
     /// Terms carried by at least one feature (the manager-side keyword
     /// probe — same semantics as the engines' build-once keyword index).
-    term_index: HashSet<u32>,
+    terms: TermPresence,
     counters: RemoteCounters,
     /// In-process worker servers under [`self_hosted`](Self::self_hosted);
     /// empty when workers are external. Held so they serve for the
@@ -245,12 +274,7 @@ impl RemoteEngine {
                 )
             })
             .collect();
-        let term_index = layout
-            .dataset
-            .features()
-            .iter()
-            .flat_map(|f| f.keywords.iter().map(|t| t.0))
-            .collect();
+        let terms = TermPresence::build(layout.dataset.features());
         let workers: Vec<Arc<WorkerSlot>> = addrs
             .iter()
             .map(|a| Arc::new(WorkerSlot::new(a.clone(), client_config)))
@@ -262,7 +286,7 @@ impl RemoteEngine {
             features,
             shard_payloads,
             membership: Mutex::new(Membership::new(config, num_workers, num_workers)),
-            term_index,
+            terms,
             counters: RemoteCounters::default(),
             hosts,
         };
@@ -661,7 +685,7 @@ impl RemoteEngine {
 }
 
 impl QueryExecutor for RemoteEngine {
-    /// Probe the manager-side term index (features are broadcast, so one
+    /// Probe the manager-side term set (features are broadcast, so one
     /// set speaks for every shard), then `Layout::scatter_gather` with
     /// every shard asked over TCP through the retry/failover loop.
     fn run_validated(
@@ -673,21 +697,26 @@ impl QueryExecutor for RemoteEngine {
         let matched = query
             .keywords
             .iter()
-            .filter(|t| self.term_index.contains(&t.0))
+            .filter(|&t| self.terms.contains(t))
             .count();
         bump(&self.counters.queries, 1);
         bump(&self.counters.keyword_probes, probed as u64);
         bump(&self.counters.keyword_hits, matched as u64);
+        // Only a job consults a worker's plan cache; a kernel answer counts
+        // as neither a hit nor a miss, as in the in-process engines.
+        let job = runs_job(&self.layout.exec, options);
         self.layout
             .scatter_gather(query, options, (probed, matched), |shard| {
                 let payload = encode_shard_query(shard as u32, query, options);
                 let (answer, recovery) = self.query_shard(shard, &payload)?;
-                let outcome = if answer.plan_hit {
-                    &self.counters.plan_cache_hits
-                } else {
-                    &self.counters.plan_cache_misses
-                };
-                bump(outcome, 1);
+                if job {
+                    let outcome = if answer.plan_hit {
+                        &self.counters.plan_cache_hits
+                    } else {
+                        &self.counters.plan_cache_misses
+                    };
+                    bump(outcome, 1);
+                }
                 Ok((answer, recovery))
             })
     }

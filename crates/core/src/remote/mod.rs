@@ -544,6 +544,40 @@ mod tests {
     }
 
     #[test]
+    fn manager_term_probe_matches_the_keyword_index_past_every_term() {
+        // The paper dataset's terms are 0..=11: 63 and 64 straddle the
+        // bitmap's first word boundary, u32::MAX lies far beyond it.
+        let engine = QueryEngine::new(executor(), paper_dataset());
+        let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 2).unwrap();
+        for (kw, matched) in [
+            (&[u32::MAX][..], 0),
+            (&[0, u32::MAX], 1),
+            (&[11, 63, 64, u32::MAX - 1], 1),
+        ] {
+            let req = request(3, 1.5, kw);
+            let local = engine.execute(&req).unwrap();
+            let got = remote.execute(&req).unwrap();
+            assert_eq!(got.stats.keyword_terms_matched, matched, "{kw:?}");
+            assert_eq!(local.stats.keyword_terms_matched, matched, "{kw:?}");
+            assert_eq!(got.results, local.results, "{kw:?}");
+        }
+    }
+
+    #[test]
+    fn only_job_requests_count_as_plan_lookups() {
+        let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 2).unwrap();
+        let req = request(3, 1.5, &[0]);
+        remote.execute(&req).unwrap();
+        let m = remote.metrics();
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
+        // Each touched shard's job plans once, then hits its cache.
+        remote.execute(&req.clone().with_trace()).unwrap();
+        remote.execute(&req.with_trace()).unwrap();
+        let m = remote.metrics();
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (2, 2));
+    }
+
+    #[test]
     fn killed_worker_fails_over_warm_without_reprovision() {
         let engine = QueryEngine::new(executor(), paper_dataset());
         let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 3).unwrap();

@@ -292,9 +292,11 @@ impl From<SpqQuery> for QueryRequest {
 pub struct QueryStats {
     /// The algorithm that answered the request.
     pub algorithm: Algorithm,
-    /// Whether every consulted engine served this query's partition plan
-    /// from its per-radius cache (`false` when any plan was built, and on
-    /// requests short-circuited before consulting a plan).
+    /// Whether no consulted engine had to build a plan for this query:
+    /// `true` for kernel answers, which plan nothing; for a request that
+    /// asked for a job, whether every engine found the job's per-radius
+    /// partition plan cached. `false` when any plan was built, and on
+    /// requests short-circuited before reaching an engine.
     pub plan_cache_hit: bool,
     /// Shards the query scattered to. Always 1 on the local backend; on
     /// the sharded and remote backends, 0 when the keyword index proved

@@ -7,9 +7,10 @@
 //! placement, PAPERS.md): the data objects are sliced into `N` per-shard
 //! [`SharedDataset`]s at build time — features are **broadcast** to every
 //! shard by cloning the `Arc`, never the array — and each shard runs its
-//! own build-once [`QueryEngine`] (per-radius partition plans and routing
-//! tables local to the shard; the keyword index, a function of the
-//! broadcast features alone, is built once and shared by all of them).
+//! own build-once [`QueryEngine`] (the data grid over the shard's slice,
+//! and the job path's per-radius plans, are local to the shard; the
+//! keyword index, a function of the broadcast features alone, is built
+//! once and shared by all of them).
 //!
 //! A query then runs the one scatter/gather of the distribution layer
 //! (`Layout::scatter_gather` — [`crate::remote`] runs the same function
@@ -154,7 +155,8 @@ pub(crate) struct Shard {
 
 /// What a shard answers a query with.
 pub(crate) struct ShardAnswer {
-    /// Whether the shard's engine served its partition plan from cache.
+    /// Whether the shard's engine built no plan for the answer (always,
+    /// unless the request bought a job whose plan was not cached).
     pub plan_hit: bool,
     /// The shard's local top-k as [`wire`] records.
     pub records: Vec<u8>,
@@ -175,11 +177,11 @@ impl Shard {
             workers: Some(1),
             ..*options
         };
-        let (result, plan_hit) = self.engine.run(query, &options)?;
+        let answer = self.engine.run(query, &options)?;
         Ok(ShardAnswer {
-            plan_hit,
-            records: wire::encode_results(&result.top_k, &self.id_to_index),
-            stats: result.stats,
+            plan_hit: answer.plan_hit,
+            records: wire::encode_results(&answer.top_k, &self.id_to_index),
+            stats: answer.stats,
         })
     }
 }
@@ -346,7 +348,7 @@ pub struct ShardStats {
     pub records_shipped: u64,
     /// Wire bytes behind [`records_shipped`](Self::records_shipped).
     pub bytes_shipped: u64,
-    /// Per-radius partition plans currently cached by the shard's engine.
+    /// Per-radius job plans currently cached by the shard's engine.
     pub cached_plans: usize,
 }
 

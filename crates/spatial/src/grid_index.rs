@@ -1,12 +1,14 @@
 //! A bucketed point index for radius queries.
 //!
-//! Used by the centralized baselines (`spq-core::centralized`) to find the
-//! feature objects within distance `r` of a data object without scanning
-//! the full feature set. This is *not* part of the paper's distributed
-//! algorithms — it exists so the test suite has an independent, obviously
-//! correct oracle that is still fast enough to validate large runs.
+//! Two users, one grid that does not depend on the radius: the
+//! centralized oracle (`spq-core::centralized`) finds the feature objects
+//! within distance `r` of a data object without scanning the full feature
+//! set, and the serving kernel (`spq-core::kernel`) buckets an engine's
+//! data objects once and scans, per visited feature, only the cells
+//! within `r` of it. Neither is part of the paper's MapReduce job, whose
+//! grid is planned per query after `r` is known (Section 4.1).
 
-use crate::grid::Grid;
+use crate::grid::{CellId, Grid};
 use crate::point::Point;
 use crate::rect::Rect;
 
@@ -36,34 +38,46 @@ impl<T> GridIndex<T> {
         Self::build_with_grid(Grid::new(bounds, n_axis, n_axis), items)
     }
 
-    /// Builds an index over an explicit grid: a stable sort by cell id
-    /// groups the items (preserving insertion order within a cell), and a
-    /// counting pass produces the offset table.
+    /// Builds an index over an explicit grid with a counting sort: one
+    /// pass counts the items per cell into the offset table, a second
+    /// gives each item its slot (insertion order preserved within a cell),
+    /// and the items are then permuted into their slots in place.
     pub fn build_with_grid<I>(grid: Grid, items: I) -> Self
     where
         I: IntoIterator<Item = (Point, T)>,
     {
-        let mut keyed: Vec<(u32, (Point, T))> = items
-            .into_iter()
-            .map(|item| (grid.cell_of(&item.0).index() as u32, item))
-            .collect();
+        let mut items: Vec<(Point, T)> = items.into_iter().collect();
         assert!(
-            keyed.len() <= u32::MAX as usize,
+            items.len() <= u32::MAX as usize,
             "grid index offsets are u32"
         );
-        keyed.sort_by_key(|&(c, _)| c);
         let num_cells = grid.num_cells();
         let mut offsets = vec![0u32; num_cells + 1];
-        for &(c, _) in &keyed {
+        let mut slots: Vec<u32> = items.iter().map(|(p, _)| grid.cell_of(p).0).collect();
+        for &c in &slots {
             offsets[c as usize + 1] += 1;
         }
         for c in 0..num_cells {
             offsets[c + 1] += offsets[c];
         }
+        let mut cursor = offsets.clone();
+        for slot in &mut slots {
+            let next = &mut cursor[*slot as usize];
+            *slot = *next;
+            *next += 1;
+        }
+        // Each swap puts one item into its final slot.
+        for i in 0..items.len() {
+            while slots[i] as usize != i {
+                let j = slots[i] as usize;
+                items.swap(i, j);
+                slots.swap(i, j);
+            }
+        }
         Self {
             grid,
             offsets: offsets.into_boxed_slice(),
-            items: keyed.into_iter().map(|(_, item)| item).collect(),
+            items: items.into_boxed_slice(),
         }
     }
 
@@ -77,11 +91,23 @@ impl<T> GridIndex<T> {
         self.items.is_empty()
     }
 
-    /// One cell's contiguous item range.
-    #[inline]
-    fn cell_items(&self, cell: crate::grid::CellId) -> &[(Point, T)] {
-        let c = cell.index();
-        &self.items[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    /// Calls `f` with the items of every cell whose MINDIST to `center` is
+    /// at most `r` — the center's own cell first, then its Lemma-1
+    /// duplication targets — one contiguous slice per cell. Every item
+    /// within distance `r` of `center` is in one of them.
+    pub fn for_each_cell_within<'a, F: FnMut(&'a [(Point, T)])>(
+        &'a self,
+        center: &Point,
+        r: f64,
+        mut f: F,
+    ) {
+        assert!(r >= 0.0 && r.is_finite(), "radius must be finite and >= 0");
+        let mut visit = |cell: CellId| {
+            let c = cell.index();
+            f(&self.items[self.offsets[c] as usize..self.offsets[c + 1] as usize]);
+        };
+        visit(self.grid.cell_of(center));
+        self.grid.for_each_duplication_target(center, r, &mut visit);
     }
 
     /// Calls `f` for every item within distance `r` of `center`.
@@ -91,19 +117,14 @@ impl<T> GridIndex<T> {
         r: f64,
         mut f: F,
     ) {
-        assert!(r >= 0.0 && r.is_finite(), "radius must be finite and >= 0");
         let r_sq = r * r;
-        // Visit the center's own cell plus every Lemma-1 neighbour; that is
-        // exactly the set of cells whose MINDIST to the center is <= r.
-        let mut visit = |cell: crate::grid::CellId| {
-            for (p, item) in self.cell_items(cell) {
+        self.for_each_cell_within(center, r, |cell| {
+            for (p, item) in cell {
                 if p.dist_sq(center) <= r_sq {
                     f(p, item);
                 }
             }
-        };
-        visit(self.grid.cell_of(center));
-        self.grid.for_each_duplication_target(center, r, &mut visit);
+        });
     }
 
     /// Collects the items within distance `r` of `center`.
@@ -171,6 +192,61 @@ mod tests {
             let mut got: Vec<usize> = idx.within(&c, r).into_iter().copied().collect();
             got.sort_unstable();
             assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn build_groups_by_cell_in_insertion_order() {
+        // Eight items over a 2x2 grid, inserted in an order that interleaves
+        // the cells; each cell must come out as one run, in insertion order.
+        let grid = Grid::square(Rect::unit(), 2);
+        let at = [
+            (0.9, 0.9),
+            (0.1, 0.1),
+            (0.9, 0.1),
+            (0.2, 0.2),
+            (0.1, 0.9),
+            (0.8, 0.8),
+            (0.3, 0.1),
+            (0.6, 0.4),
+        ];
+        let items = at
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (Point::new(x, y), i));
+        let idx = GridIndex::build_with_grid(grid.clone(), items);
+        let mut runs = Vec::new();
+        for c in grid.cells() {
+            let mut cell = Vec::new();
+            idx.for_each_cell_within(&grid.cell_rect(c).center(), 0.0, |slice| {
+                cell.extend(slice.iter().map(|&(p, i)| {
+                    assert_eq!(grid.cell_of(&p), c);
+                    i
+                }));
+            });
+            runs.push(cell);
+        }
+        assert_eq!(runs, vec![vec![1, 3, 6], vec![2, 7], vec![4], vec![0, 5]]);
+    }
+
+    #[test]
+    fn cell_visit_is_a_superset_of_the_radius_filter() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let pts: Vec<(Point, usize)> = (0..300)
+            .map(|i| (Point::new(rng.gen(), rng.gen()), i))
+            .collect();
+        let idx = GridIndex::build(Rect::unit(), pts);
+        for _ in 0..40 {
+            let c = Point::new(rng.gen(), rng.gen());
+            let r = rng.gen::<f64>() * 0.4;
+            let mut scanned = Vec::new();
+            idx.for_each_cell_within(&c, r, |cell| scanned.extend(cell.iter().map(|&(_, i)| i)));
+            let mut within: Vec<usize> = idx.within(&c, r).into_iter().copied().collect();
+            within.sort_unstable();
+            scanned.sort_unstable();
+            // No cell is visited twice, and the filter drops only far items.
+            assert!(scanned.windows(2).all(|w| w[0] < w[1]));
+            assert!(within.iter().all(|i| scanned.binary_search(i).is_ok()));
         }
     }
 

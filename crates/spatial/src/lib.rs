@@ -13,8 +13,9 @@
 //! * [`Grid`] — the query-time uniform grid: cell assignment (boundary
 //!   safe), cell rectangles, and enumeration of Lemma-1 duplication
 //!   targets.
-//! * [`GridIndex`] — a bucketed point index used by the centralized
-//!   baselines for `r`-range queries.
+//! * [`GridIndex`] — a radius-independent bucketed point index for
+//!   `r`-range queries, used by the centralized baselines and by the
+//!   serving kernel.
 
 pub mod adaptive;
 pub mod grid;

@@ -67,7 +67,7 @@ fn main() {
         loaded.vocab.len(),
         StreamConfig {
             radius_classes: vec![cell * 0.1, cell * 0.25],
-            hotspot_fraction: 0.7, // hotspot-heavy: plan caches should hit
+            hotspot_fraction: 0.7, // hotspot-heavy, like real traffic
             hotspots: 4,
             seed: 7,
             keywords_per_query: defaults.keywords_per_query.min(loaded.vocab.len().max(1)),
@@ -100,7 +100,7 @@ fn main() {
         .sum::<f64>()
         / responses.len() as f64;
     println!(
-        "  {hits} non-empty answers, {plan_hits}/{} plan-cache hits, \
+        "  {hits} non-empty answers, {plan_hits}/{} built no plan, \
          {mean_shards:.1} shards/query, {wire_bytes} gather wire bytes total",
         responses.len()
     );
@@ -128,8 +128,13 @@ fn main() {
         }
         let m = engine.metrics();
         println!(
-            "aggregate: {} shard queries, {} plan-cache hits / {} misses, {}/{} keyword probes hit",
+            "aggregate: {} shard queries, {} plan-cache hits / {} misses (jobs only), \
+             {}/{} keyword probes hit",
             m.queries, m.plan_cache_hits, m.plan_cache_misses, m.keyword_hits, m.keyword_probes
+        );
+        println!(
+            "kernel: {} candidates scored, {} visited, {} distance checks",
+            m.kernel_candidates, m.kernel_visited, m.kernel_distance_checks
         );
         // The same counters in the scrape-friendly text format — what an
         // HTTP /metrics endpoint would return verbatim.

@@ -210,8 +210,8 @@ proptest! {
 
 /// Deterministic end-to-end check on a bigger-than-proptest world: a
 /// hotspot-heavy stream served concurrently must equal the sequential
-/// pass for every worker count, and plan-cache growth is bounded by the
-/// radius classes.
+/// traced (job) pass for every worker count, and the jobs' plan-cache
+/// growth is bounded by the radius classes.
 #[test]
 fn serve_on_generated_workload_is_worker_invariant() {
     use spq::data::{QueryStream, StreamConfig, UniformGen};
@@ -241,7 +241,7 @@ fn serve_on_generated_workload_is_worker_invariant() {
         let engine = QueryEngine::new(exec, shared.clone());
         let sequential: Vec<_> = requests
             .iter()
-            .map(|r| engine.execute(r).unwrap().results)
+            .map(|r| engine.execute(&r.clone().with_trace()).unwrap().results)
             .collect();
         for workers in WORKER_COUNTS {
             let served = engine.serve_requests(&requests, workers).unwrap();
@@ -251,7 +251,7 @@ fn serve_on_generated_workload_is_worker_invariant() {
         assert_eq!(
             engine.cached_plans(),
             2,
-            "{algo}: one plan per radius class"
+            "{algo}: one job plan per radius class"
         );
     }
 }
