@@ -9,12 +9,12 @@ use crate::service::QueryOptions;
 use crate::sharded::{index_by_id, wire, ShardAnswer};
 use crate::Algorithm;
 use spq_mapreduce::remote::codec::{
-    decode_job_stats, encode_job_stats, put_bytes, put_f64, put_u32, put_u64, put_u8,
+    decode_job_stats, encode_job_stats, put_bytes, put_f64, put_u32, put_u32s, put_u64, put_u8,
 };
-use spq_mapreduce::remote::frame::{fnv1a_extend, FNV_OFFSET_BASIS};
+use spq_mapreduce::remote::frame::WordHasher;
 use spq_mapreduce::remote::{ByteReader, CodecError};
 use spq_mapreduce::ClusterConfig;
-use spq_text::{KeywordSet, SetSimilarity};
+use spq_text::{KeywordSet, SetSimilarity, Term};
 use std::collections::HashMap;
 
 fn algorithm_to_u8(a: Algorithm) -> u8 {
@@ -138,6 +138,14 @@ pub(super) const TERM_BYTES: usize = 4;
 /// Fingerprint, chunk index, chunk total, feature count.
 pub(super) const CHUNK_HEADER_BYTES: usize = 8 + 4 + 4 + 4;
 
+/// One past the largest keyword id a shipped feature set may carry. A
+/// worker's `KeywordIndex::build` sizes its offset table by the largest
+/// id it holds, so this bounds the table at 2²² + 1 `usize` offsets —
+/// 32 MiB, plus as much again for the fill cursor while it is built —
+/// where one id of `u32::MAX` would ask for 32 GiB. It sits 47× above the
+/// largest vocabulary the generators produce (88,706 terms).
+pub(super) const TERM_ID_LIMIT: u32 = 1 << 22;
+
 /// Feature bytes one `OP_FEATURES` chunk carries: whole features are
 /// packed until the next one would cross it, so a chunk only exceeds it
 /// when a single feature does. Small enough that neither side ever holds
@@ -150,8 +158,8 @@ pub(super) const FEATURES_CHUNK_BYTES: usize = 1 << 20;
 /// `OP_FEATURES` payloads, in the order they must be sent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureChunks {
-    /// [`fnv1a`](spq_mapreduce::remote::frame::fnv1a) over the encoded
-    /// features — a function of the content alone, whatever the chunking.
+    /// [`WordHasher`] over the encoded features — a function of the
+    /// content alone, whatever the chunking.
     pub fingerprint: u64,
     /// One payload per chunk; never empty (a feature-less set is one
     /// chunk of zero features).
@@ -179,16 +187,15 @@ pub fn encode_feature_chunks(features: &[FeatureObject], budget: usize) -> Featu
         put_u64(&mut chunk, feature.id);
         put_f64(&mut chunk, feature.location.x);
         put_f64(&mut chunk, feature.location.y);
-        put_u32(&mut chunk, feature.keywords.len() as u32);
-        for term in feature.keywords.iter() {
-            put_u32(&mut chunk, term.0);
-        }
+        put_keywords(&mut chunk, &feature.keywords);
         count += 1;
     }
     sealed.push((chunk, count));
-    let fingerprint = sealed.iter().fold(FNV_OFFSET_BASIS, |hash, (chunk, _)| {
-        fnv1a_extend(hash, &chunk[CHUNK_HEADER_BYTES..])
-    });
+    let mut hasher = WordHasher::default();
+    for (chunk, _) in &sealed {
+        hasher.update(&chunk[CHUNK_HEADER_BYTES..]);
+    }
+    let fingerprint = hasher.finish();
     let total = sealed.len() as u32;
     let chunks = sealed
         .into_iter()
@@ -224,8 +231,28 @@ pub struct FeaturesChunk {
     pub features: Vec<FeatureObject>,
 }
 
+/// Appends a keyword set as a `u32` count and its ids, in one extend.
+fn put_keywords(out: &mut Vec<u8>, keywords: &KeywordSet) {
+    put_u32s(out, keywords.terms().iter().map(|t| t.0));
+}
+
+/// Reads what [`put_keywords`] wrote: the count is checked against the
+/// bytes that remain, the ids are converted in one pass and kept as they
+/// are when strictly increasing (what every encoder writes); otherwise
+/// they are normalised exactly as [`KeywordSet::from_ids`] does.
+fn read_keywords(r: &mut ByteReader<'_>) -> Result<KeywordSet, CodecError> {
+    let terms: Vec<Term> = r.u32s()?.map(Term).collect();
+    Ok(if terms.is_sorted_by(|a, b| a < b) {
+        KeywordSet::from_sorted(terms)
+    } else {
+        KeywordSet::new(terms)
+    })
+}
+
 /// Decodes one `OP_FEATURES` payload. Every shipped count is checked
-/// against the bytes that remain before it sizes an allocation.
+/// against the bytes that remain before it sizes an allocation, and a
+/// keyword id of 2²² or more (past the wire's term-id limit) is rejected
+/// before the worker sizes anything from it.
 pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError> {
     let mut r = ByteReader::new(payload);
     let fingerprint = r.u64()?;
@@ -241,15 +268,18 @@ pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError
     for _ in 0..num_features {
         let id = r.u64()?;
         let (x, y) = (r.f64()?, r.f64()?);
-        let num_terms = r.count(TERM_BYTES)?;
-        let mut terms = Vec::with_capacity(num_terms);
-        for _ in 0..num_terms {
-            terms.push(r.u32()?);
+        let keywords = read_keywords(&mut r)?;
+        // Sorted now: the largest id is the last.
+        if let Some(t) = keywords.terms().last().filter(|t| t.0 >= TERM_ID_LIMIT) {
+            return Err(CodecError::invalid(format!(
+                "keyword id {} of feature {id} is past the {TERM_ID_LIMIT}-term limit",
+                t.0
+            )));
         }
         features.push(FeatureObject::new(
             id,
             spq_spatial::Point::new(x, y),
-            KeywordSet::from_ids(terms),
+            keywords,
         ));
     }
     if !r.is_empty() {
@@ -351,10 +381,7 @@ pub(crate) fn encode_shard_query(
     put_u64(&mut out, query.k as u64);
     put_f64(&mut out, query.radius);
     put_u8(&mut out, similarity_to_u8(query.similarity));
-    put_u32(&mut out, query.keywords.len() as u32);
-    for term in query.keywords.iter() {
-        put_u32(&mut out, term.0);
-    }
+    put_keywords(&mut out, &query.keywords);
     match options.algorithm {
         None => put_u8(&mut out, u8::MAX),
         Some(a) => put_u8(&mut out, algorithm_to_u8(a)),
@@ -380,13 +407,9 @@ pub(crate) fn decode_shard_query(
         )));
     }
     let similarity = similarity_from_u8(r.u8()?)?;
-    let num_terms = r.count(TERM_BYTES)?;
-    if num_terms == 0 {
+    let keywords = read_keywords(&mut r)?;
+    if keywords.is_empty() {
         return Err(CodecError::invalid("shard query with no keywords"));
-    }
-    let mut terms = Vec::with_capacity(num_terms);
-    for _ in 0..num_terms {
-        terms.push(r.u32()?);
     }
     let algorithm = match r.u8()? {
         u8::MAX => None,
@@ -410,7 +433,7 @@ pub(crate) fn decode_shard_query(
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after shard query"));
     }
-    let query = SpqQuery::with_similarity(k, radius, KeywordSet::from_ids(terms), similarity);
+    let query = SpqQuery::with_similarity(k, radius, keywords, similarity);
     let options = QueryOptions {
         algorithm,
         workers: None,
@@ -460,20 +483,13 @@ pub(crate) fn decode_shard_result(payload: &[u8]) -> Result<ShardAnswer, CodecEr
 /// ascending.
 pub(crate) fn encode_shard_status(shard_ids: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + shard_ids.len() * 4);
-    put_u32(&mut out, shard_ids.len() as u32);
-    for &s in shard_ids {
-        put_u32(&mut out, s);
-    }
+    put_u32s(&mut out, shard_ids.iter().copied());
     out
 }
 
 pub(crate) fn decode_shard_status(payload: &[u8]) -> Result<Vec<u32>, CodecError> {
     let mut r = ByteReader::new(payload);
-    let count = r.count(4)?;
-    let mut shards = Vec::with_capacity(count);
-    for _ in 0..count {
-        shards.push(r.u32()?);
-    }
+    let shards = r.u32s()?.collect();
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after shard status"));
     }

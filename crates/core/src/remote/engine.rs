@@ -4,7 +4,7 @@
 
 use super::codec::{
     decode_shard_result, decode_shard_status, encode_feature_chunks, encode_provision,
-    encode_shard_query, FeatureChunks, FEATURES_CHUNK_BYTES,
+    encode_shard_query, FeatureChunks, FEATURES_CHUNK_BYTES, TERM_ID_LIMIT,
 };
 use super::host::{ShardHost, NOT_PROVISIONED, UNKNOWN_FEATURE_SET};
 use super::membership::{Failover, Membership, MembershipConfig, MembershipView, TickReport};
@@ -119,7 +119,10 @@ impl TermPresence {
 /// Build with [`build`](Self::build) (environment-driven),
 /// [`self_hosted`](Self::self_hosted) (in-process workers) or
 /// [`connect`](Self::connect) (external workers), then serve typed
-/// requests exactly like the other engines.
+/// requests exactly like the other engines. Every constructor refuses,
+/// as [`SpqError::InvalidConfig`], a dataset with a feature keyword id of
+/// 2²² or more: a worker would size its keyword index by it, so the wire
+/// does not carry one.
 #[derive(Debug)]
 pub struct RemoteEngine {
     layout: Layout,
@@ -255,6 +258,18 @@ impl RemoteEngine {
             return Err(SpqError::invalid_config(
                 "replication factor must be at least 1",
             ));
+        }
+        // Keyword sets are sorted: a feature's largest id is its last.
+        let largest_term = dataset
+            .features()
+            .iter()
+            .filter_map(|f| f.keywords.terms().last())
+            .max();
+        if let Some(t) = largest_term.filter(|t| t.0 >= TERM_ID_LIMIT) {
+            return Err(SpqError::invalid_config(format!(
+                "keyword id {} is past the {TERM_ID_LIMIT}-term limit of a remote feature set",
+                t.0
+            )));
         }
         // One shard per worker, cut exactly as the in-process engine cuts.
         let num_workers = addrs.len();

@@ -39,9 +39,12 @@
 //!
 //! * The manager encodes `F` once into bounded [`OP_FEATURES`] chunk
 //!   payloads (about 1 MiB of whole features each, so no frame grows with
-//!   the corpus) named by the set's *fingerprint* — FNV-1a over the
-//!   encoded features, a function of the content alone. The same buffers
-//!   serve every worker and every later re-provision.
+//!   the corpus) named by the set's *fingerprint* — the frame checksum's
+//!   word-at-a-time FNV-1a over the encoded features, a function of the
+//!   content alone. The same buffers serve every worker and every later
+//!   re-provision. No feature keyword id may reach 2²²: a worker sizes its
+//!   keyword index by the largest, so the build refuses such a dataset
+//!   and a worker refuses such a chunk.
 //! * A worker appends the chunks of a set, in order, into one feature
 //!   vector; on the last chunk it builds one `Arc<[FeatureObject]>` and
 //!   one `Arc<KeywordIndex>`. An [`OP_PROVISION`] then carries only the
@@ -754,6 +757,30 @@ mod tests {
         assert!(!err.is_retryable(), "bad datasets must not be retried");
         // The offending id is part of the message contract.
         assert!(err.to_string().contains("duplicate data object id 7"));
+        // A keyword id past the wire's limit is refused before anything
+        // is shipped, or sized from it on either side.
+        for term in [TERM_ID_LIMIT, u32::MAX] {
+            let huge = SharedDataset::new(
+                vec![DataObject::new(1, Point::new(1.0, 1.0))],
+                vec![feature(1, 1.0, 1.0, &[3, term])],
+            );
+            let err = RemoteEngine::self_hosted(executor(), huge, 2).unwrap_err();
+            assert!(matches!(err, SpqError::InvalidConfig { .. }), "{err}");
+            assert!(err.to_string().contains(&term.to_string()), "{err}");
+        }
+    }
+
+    #[test]
+    fn shipped_keyword_ids_stop_at_the_limit() {
+        for (term, accepted) in [
+            (TERM_ID_LIMIT - 1, true),
+            (TERM_ID_LIMIT, false),
+            (u32::MAX, false),
+        ] {
+            let set = encode_feature_chunks(&[feature(1, 1.0, 1.0, &[3, term])], usize::MAX);
+            let decoded = decode_features_chunk(&set.chunks[0]);
+            assert_eq!(decoded.is_ok(), accepted, "{term}: {decoded:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! plain `Vec<u8>`; the [`ByteReader`] checks every read against the
 //! remaining buffer and returns [`CodecError::Truncated`] instead of
 //! panicking, so a torn or hostile payload can never take the process
-//! down. (Frame-level FNV checksums catch corruption before decoding; the
+//! down. (Frame-level checksums catch corruption before decoding; the
 //! reader's bounds checks are the second line of defense.)
 
 use crate::counters::Counters;
@@ -56,12 +56,6 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-/// Appends a little-endian `u16`.
-#[inline]
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a little-endian `u32`.
 #[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -72,6 +66,13 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
 #[inline]
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` count and then each value as a little-endian `u32`, in
+/// one extend — the shape [`ByteReader::u32s`] reads.
+pub fn put_u32s(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u32>) {
+    put_u32(out, values.len() as u32);
+    out.extend(values.flat_map(u32::to_le_bytes));
 }
 
 /// Appends an `f64` as its little-endian IEEE-754 bits.
@@ -124,24 +125,27 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.pos += N;
+        Ok(*head)
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64` from its IEEE-754 bits.
@@ -171,6 +175,15 @@ impl<'a> ByteReader<'a> {
             return Err(CodecError::Truncated);
         }
         Ok(count)
+    }
+
+    /// Reads what [`put_u32s`] wrote: the count is checked against the
+    /// bytes left (as [`count`](Self::count) does) before the values are
+    /// taken as one slice and converted in one pass.
+    pub fn u32s(&mut self) -> Result<impl ExactSizeIterator<Item = u32> + 'a, CodecError> {
+        let n = self.count(4)?;
+        let (values, _) = self.take(4 * n)?.as_chunks::<4>();
+        Ok(values.iter().map(|&v| u32::from_le_bytes(v)))
     }
 }
 
@@ -296,20 +309,22 @@ mod tests {
     fn scalar_round_trip() {
         let mut out = Vec::new();
         put_u8(&mut out, 7);
-        put_u16(&mut out, 1025);
         put_u32(&mut out, 70_000);
         put_u64(&mut out, u64::MAX - 1);
         put_f64(&mut out, -0.25);
         put_str(&mut out, "héllo");
         put_bytes(&mut out, &[1, 2, 3]);
+        put_u32s(&mut out, [0, 1, u32::MAX].into_iter());
+        put_u32s(&mut out, std::iter::empty());
         let mut r = ByteReader::new(&out);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 1025);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.f64().unwrap(), -0.25);
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
+        assert_eq!(r.u32s().unwrap().collect::<Vec<_>>(), [0, 1, u32::MAX]);
+        assert_eq!(r.u32s().unwrap().len(), 0);
         assert!(r.is_empty());
     }
 
@@ -331,6 +346,10 @@ mod tests {
             ByteReader::new(&lying).count(1).unwrap_err(),
             CodecError::Truncated
         );
+        // Nor a slice length: 12 bytes hold three values, not four.
+        assert_eq!(ByteReader::new(&out).u32s().unwrap().len(), 3);
+        out[..4].copy_from_slice(&4u32.to_le_bytes());
+        assert!(ByteReader::new(&out).u32s().is_err());
     }
 
     #[test]

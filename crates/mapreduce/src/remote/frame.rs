@@ -6,21 +6,23 @@
 //! ┌────────────┬────────────┬───────────┬──────────┬──────────────┬─────────┐
 //! │ magic: u32 │ opcode: u16│ flags: u16│ len: u32 │ checksum: u64│ payload │
 //! └────────────┴────────────┴───────────┴──────────┴──────────────┴─────────┘
-//!     "SPQF"      dispatch       0        payload     FNV-1a over    len
-//!                                          bytes        payload      bytes
+//!     "SPQ2"      dispatch       0        payload     WordHasher     len
+//!                                          bytes      over payload    bytes
 //! ```
 //!
-//! All header fields are little-endian. The checksum lets the receiver
-//! reject a corrupted payload *before* any structural decoding happens,
-//! and the explicit length (capped at [`MAX_FRAME_LEN`]) bounds the
+//! All header fields are little-endian. The checksum ([`WordHasher`],
+//! FNV-1a a 64-bit word at a time) lets the receiver reject a corrupted
+//! payload *before* any structural decoding happens, and the explicit length (capped at [`MAX_FRAME_LEN`]) bounds the
 //! allocation a frame can demand. A short read anywhere — header or
 //! payload — surfaces as [`FrameError::Truncated`], which is how a peer
 //! hanging up mid-frame is observed.
 
 use std::io::{Read, Write};
 
-/// Frame magic: `"SPQF"` as a little-endian `u32`.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQF");
+/// Frame magic: `"SPQ2"` as a little-endian `u32`. It was `"SPQF"` while
+/// the checksum was FNV-1a a byte at a time; a peer from then fails every
+/// frame as [`FrameError::BadMagic`], not as a checksum mismatch.
+pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ2");
 
 /// Upper bound on a frame payload (64 MiB). A length field above this is
 /// treated as corruption, not as a real allocation request.
@@ -124,26 +126,86 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// 64-bit FNV-1a over a byte slice — tiny, dependency-free, and plenty to
-/// catch torn or bit-flipped payloads (this is an integrity check against
-/// accidents, not an authentication code).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET_BASIS, bytes)
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The frame checksum and the feature-set fingerprint: FNV-1a steps over
+/// 64-bit little-endian words, fed in any number of pieces.
+///
+/// Each full word is one step, `hash = ((hash ^ word) · prime) <<< 29`;
+/// the bytes after the last full word are folded one FNV-1a step each by
+/// [`finish`](Self::finish). A partial word is carried across
+/// [`update`](Self::update) calls, so the result is a function of the
+/// bytes alone, however they were split. Every step is a bijection of
+/// the state, so a change confined to one word (or one tail byte) always
+/// changes the result. The rotation is there because a multiply only
+/// carries upward: without it a word's top bit would only ever reach the
+/// hash's top bit, and flipping it in two words would cancel out. An
+/// integrity check against accidents, not an authentication code.
+#[derive(Debug, Clone)]
+pub struct WordHasher {
+    hash: u64,
+    /// The bytes of a word not yet complete: `pending[..pending_len]`.
+    pending: [u8; 8],
+    pending_len: usize,
 }
 
-/// The FNV-1a hash of the empty string — where [`fnv1a_extend`] starts.
-pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues an FNV-1a hash over more bytes: folding the pieces of a
-/// buffer in order from [`FNV_OFFSET_BASIS`] equals [`fnv1a`] of the
-/// whole, which is how a feature set split into chunk frames keeps one
-/// fingerprint whatever the chunk boundaries.
-pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl Default for WordHasher {
+    fn default() -> Self {
+        Self {
+            hash: FNV_OFFSET_BASIS,
+            pending: [0; 8],
+            pending_len: 0,
+        }
     }
-    hash
+}
+
+impl WordHasher {
+    /// Feeds `bytes`, in order after everything fed so far.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        if self.pending_len > 0 {
+            let take = bytes.len().min(8 - self.pending_len);
+            let (head, rest) = bytes.split_at(take);
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(head);
+            self.pending_len += take;
+            bytes = rest;
+            if self.pending_len < 8 {
+                return;
+            }
+            self.hash = word_step(self.hash, self.pending);
+        }
+        let (words, rest) = bytes.as_chunks::<8>();
+        self.hash = words
+            .iter()
+            .fold(self.hash, |hash, &word| word_step(hash, word));
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.pending[..self.pending_len]
+            .iter()
+            .fold(self.hash, |hash, &b| {
+                (hash ^ b as u64).wrapping_mul(FNV_PRIME)
+            })
+    }
+}
+
+#[inline]
+fn word_step(hash: u64, word: [u8; 8]) -> u64 {
+    (hash ^ u64::from_le_bytes(word))
+        .wrapping_mul(FNV_PRIME)
+        .rotate_left(29)
+}
+
+/// [`WordHasher`] over one buffer.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut hasher = WordHasher::default();
+    hasher.update(bytes);
+    hasher.finish()
 }
 
 /// Writes one frame.
@@ -170,7 +232,7 @@ pub(crate) fn write_frame_with(
     buf.extend_from_slice(&opcode.to_le_bytes());
     buf.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
     buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    buf.extend_from_slice(&checksum(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     if corrupt && !payload.is_empty() {
         // Flip every bit of the payload's first byte; the header (and its
@@ -180,7 +242,7 @@ pub(crate) fn write_frame_with(
     } else if corrupt {
         // An empty payload has no byte to flip; lie in the checksum
         // instead so the receiver still observes corruption.
-        buf[12..20].copy_from_slice(&fnv1a(&[0xab]).to_le_bytes());
+        buf[12..20].copy_from_slice(&checksum(&[0xab]).to_le_bytes());
     }
     w.write_all(&buf)?;
     w.flush()?;
@@ -204,7 +266,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
     let expected = u64::from_le_bytes([c0, c1, c2, c3, c4, c5, c6, c7]);
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    let found = fnv1a(&payload);
+    let found = checksum(&payload);
     if found != expected {
         return Err(FrameError::Corrupt { expected, found });
     }
@@ -304,12 +366,66 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_with_the_old_magic_is_bad_magic() {
+        let old = u32::from_le_bytes(*b"SPQF");
+        let mut buf = Vec::new();
+        write_frame(&mut buf, OP_PING, b"x").unwrap();
+        buf[..4].copy_from_slice(&old.to_le_bytes());
+        assert_eq!(
+            read_frame(&mut Cursor::new(&buf)),
+            Err(FrameError::BadMagic { found: old })
+        );
+    }
+
+    #[test]
     fn fnv_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        // Piecewise hashing equals hashing the whole.
-        let pieces = fnv1a_extend(fnv1a_extend(FNV_OFFSET_BASIS, b"foo"), b"bar");
-        assert_eq!(pieces, fnv1a(b"foobar"));
+        // Under one word the checksum is plain FNV-1a: the published
+        // vectors hold.
+        assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(checksum(b"foobar"), 0x8594_4171_f739_67e8);
+        // Past one word it is the word hasher's own, pinned: it is on the
+        // wire.
+        assert_eq!(checksum(b"spatial preference"), 0xc5a2_f75f_c4d8_e0f9);
+    }
+
+    #[test]
+    fn every_split_folds_to_the_one_shot_hash() {
+        let bytes: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(151)).collect();
+        let whole = checksum(&bytes);
+        for i in 0..=bytes.len() {
+            for j in i..=bytes.len() {
+                let mut hasher = WordHasher::default();
+                for piece in [&bytes[..i], &bytes[i..j], &bytes[j..]] {
+                    hasher.update(piece);
+                }
+                assert_eq!(hasher.finish(), whole, "split at {i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn any_change_to_one_byte_changes_the_checksum() {
+        // 21 bytes: two full words and a five-byte tail.
+        let bytes: Vec<u8> = (0..21u8).collect();
+        let whole = checksum(&bytes);
+        for at in 0..bytes.len() {
+            for mask in 1..=u8::MAX {
+                let mut changed = bytes.clone();
+                changed[at] ^= mask;
+                assert_ne!(checksum(&changed), whole, "byte {at}, mask {mask:#04x}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_two_words_do_not_cancel() {
+        // Without the rotation the multiply never carries a word's top
+        // bit anywhere but the hash's top bit, and two flips cancel.
+        let bytes = [0u8; 32];
+        let mut changed = bytes;
+        changed[7] ^= 0x80;
+        changed[23] ^= 0x80;
+        assert_ne!(checksum(&changed), checksum(&bytes));
     }
 }

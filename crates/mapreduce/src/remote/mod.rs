@@ -9,9 +9,10 @@
 //! wire:
 //!
 //! * [`codec`] — bounds-checked little-endian primitives shared by every
-//!   payload (strings, counters, job statistics).
-//! * [`frame`] — the length-delimited, FNV-checksummed frame around each
-//!   message, plus the opcode space.
+//!   payload (strings, `u32` sequences in bulk, counters, job statistics).
+//! * [`frame`] — the length-delimited, checksummed frame around each
+//!   message, plus the opcode space and the word-at-a-time FNV-1a hasher
+//!   behind the checksum and the feature-set fingerprint.
 //! * [`fault`] — the [`FaultPlan`] a test installs on a worker to trigger
 //!   drops, delays, corruption and kills deterministically.
 //! * [`client`] — the manager side: exponential-backoff connect, per-task

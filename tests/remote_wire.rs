@@ -17,7 +17,7 @@ use spq::core::{DataObject, FeatureObject, SpqExecutor};
 use spq::mapreduce::remote::codec::{
     decode_counters, decode_job_stats, encode_counters, encode_job_stats, ByteReader,
 };
-use spq::mapreduce::remote::frame::{fnv1a, MAGIC};
+use spq::mapreduce::remote::frame::{WordHasher, MAGIC};
 use spq::mapreduce::remote::{
     read_frame, write_frame, ClientConfig, FrameError, FrameHandler, WorkerClient, WorkerServer,
     OP_ERROR, OP_FEATURES, OP_PROVISION,
@@ -44,23 +44,32 @@ proptest! {
         prop_assert_eq!(got_payload, payload);
     }
 
-    /// Flipping a payload byte is always detected by the checksum, a torn
-    /// magic is always detected, and every strict prefix of a frame reads
-    /// as truncated — corruption never decodes as a valid frame.
+    /// Changing any payload byte by any mask is always detected by the
+    /// checksum — in a full word or in the sub-word tail — a torn magic
+    /// is always detected, and every strict prefix of a frame reads as
+    /// truncated: corruption never decodes as a valid frame.
     #[test]
     fn prop_frame_corruption_is_detected(
         opcode in 0u16..=u16::MAX,
         payload in proptest::collection::vec(0u8..=u8::MAX, 1..512),
         position in 0usize..4096,
+        mask in 1u8..=u8::MAX,
+        in_tail in 0u8..2,
     ) {
         let mut stream = Vec::new();
         write_frame(&mut stream, opcode, &payload).unwrap();
         let header_len = stream.len() - payload.len();
 
-        // Corrupt one payload byte.
+        // Corrupt one payload byte; half the cases pick a byte past the
+        // last full word when there is one.
+        let tail = payload.len() % 8;
+        let offset = if in_tail == 1 && tail > 0 {
+            payload.len() - 1 - position % tail
+        } else {
+            position % payload.len()
+        };
         let mut corrupted = stream.clone();
-        let at = header_len + position % payload.len();
-        corrupted[at] ^= 0x01;
+        corrupted[header_len + offset] ^= mask;
         prop_assert!(matches!(
             read_frame(&mut Cursor::new(&corrupted)),
             Err(FrameError::Corrupt { .. })
@@ -96,6 +105,26 @@ proptest! {
             decoded.iter().collect::<Vec<_>>(),
             counters.iter().collect::<Vec<_>>()
         );
+    }
+
+    /// The checksum and fingerprint hasher folds any split of a buffer —
+    /// pieces that end mid-word included — to the one-shot hash.
+    #[test]
+    fn prop_word_hash_is_split_independent(
+        bytes in proptest::collection::vec(0u8..=u8::MAX, 0..300),
+        cuts in proptest::collection::vec(0usize..300, 0..6),
+    ) {
+        let mut whole = WordHasher::default();
+        whole.update(&bytes);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut pieces = WordHasher::default();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            pieces.update(&bytes[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(pieces.finish(), whole.finish());
     }
 }
 
@@ -153,15 +182,18 @@ fn reassemble(chunks: &[Vec<u8>], fingerprint: u64) -> Vec<FeatureObject> {
 }
 
 /// Where the chunk boundaries fall changes neither the features that
-/// come out nor the set's fingerprint, which is the FNV-1a of the encoded
-/// features and of nothing else.
+/// come out nor the set's fingerprint, which is the [`WordHasher`] hash of
+/// the encoded features and of nothing else. A 124-byte feature leaves
+/// most chunk boundaries mid-word.
 #[test]
 fn feature_chunking_is_boundary_independent() {
     let features = uniform_features(23);
     let one = feature_bytes(3);
     let whole = encode_feature_chunks(&features, usize::MAX);
     assert_eq!(whole.chunks.len(), 1);
-    assert_eq!(whole.fingerprint, fnv1a(&whole.chunks[0][20..]));
+    let mut hasher = WordHasher::default();
+    hasher.update(&whole.chunks[0][20..]);
+    assert_eq!(whole.fingerprint, hasher.finish());
     for (budget, chunks) in [(one, 23), (7 * one, 4), (usize::MAX, 1)] {
         let set = encode_feature_chunks(&features, budget);
         assert_eq!(set.chunks.len(), chunks, "budget {budget}");
@@ -183,6 +215,46 @@ fn feature_chunking_is_boundary_independent() {
         encode_feature_chunks(&features[..22], usize::MAX).fingerprint,
         whole.fingerprint
     );
+}
+
+/// Features with no keyword and with one keyword round-trip, beside ones
+/// with several.
+#[test]
+fn features_with_zero_and_one_keywords_round_trip() {
+    let features: Vec<FeatureObject> = [&[][..], &[7], &[], &[0], &[2, 9, 40]]
+        .iter()
+        .enumerate()
+        .map(|(i, ids)| {
+            let at = Point::new(i as f64, -(i as f64));
+            FeatureObject::new(i as u64, at, KeywordSet::from_ids(ids.iter().copied()))
+        })
+        .collect();
+    for budget in [1, usize::MAX] {
+        let set = encode_feature_chunks(&features, budget);
+        assert_eq!(reassemble(&set.chunks, set.fingerprint), features);
+    }
+}
+
+/// A chunk whose ids are not strictly increasing — written by hand, since
+/// no encoder writes one — decodes to exactly what
+/// [`KeywordSet::from_ids`] makes of the same ids.
+#[test]
+fn unsorted_or_repeated_ids_decode_like_from_ids() {
+    for ids in [&[5u32, 1, 3][..], &[2, 2, 7], &[9, 4, 4, 1, 9], &[3, 3]] {
+        let mut chunk = encode_feature_chunks(&uniform_features(1), usize::MAX)
+            .chunks
+            .remove(0);
+        // Replace the one feature's three terms (from byte 44) by `ids`.
+        chunk.truncate(20 + 24);
+        chunk.extend((ids.len() as u32).to_le_bytes());
+        chunk.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
+        let decoded = decode_features_chunk(&chunk).unwrap();
+        assert_eq!(
+            decoded.features[0].keywords,
+            KeywordSet::from_ids(ids.iter().copied()),
+            "{ids:?}"
+        );
+    }
 }
 
 /// The host takes a set's chunks in order, once: anything else is a
@@ -290,6 +362,14 @@ proptest! {
             patch_u32(&mut bad, term_count_at, count);
             // Three extra terms can be read out of the next feature's
             // bytes; what follows then no longer parses.
+            prop_assert!(decode_features_chunk(&bad).is_err());
+            hostile.push((OP_FEATURES, bad));
+        }
+        // A well-formed feature whose keyword id would have the worker
+        // size a 32 GB index: its first, or its last, term set to a lie.
+        for term_at in [term_count_at + 4, term_count_at + 12] {
+            let mut bad = chunk.clone();
+            patch_u32(&mut bad, term_at, lie);
             prop_assert!(decode_features_chunk(&bad).is_err());
             hostile.push((OP_FEATURES, bad));
         }
