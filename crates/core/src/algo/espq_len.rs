@@ -17,7 +17,7 @@
 use crate::algo::ObjectHandle;
 use crate::model::RankedObject;
 use crate::partitioning::{
-    route_data, route_scored_feature, CellRouting, COUNTER_MAP_DATA, COUNTER_MAP_DUPLICATES,
+    route_data, route_scored_feature, COUNTER_MAP_DATA, COUNTER_MAP_DUPLICATES,
     COUNTER_MAP_FEATURES, COUNTER_MAP_PRUNED, COUNTER_REDUCE_DISTANCE_CHECKS,
     COUNTER_REDUCE_EARLY_TERMINATIONS, COUNTER_REDUCE_FEATURES_EXAMINED,
 };
@@ -47,7 +47,6 @@ pub struct ESpqLenTask<'a> {
     grid: &'a SpacePartition,
     query: &'a SpqQuery,
     prune: bool,
-    routing: Option<&'a CellRouting>,
 }
 
 impl<'a> ESpqLenTask<'a> {
@@ -59,7 +58,6 @@ impl<'a> ESpqLenTask<'a> {
             grid,
             query,
             prune: true,
-            routing: None,
         }
     }
 
@@ -67,15 +65,6 @@ impl<'a> ESpqLenTask<'a> {
     /// unchanged, the shuffle just carries every feature object).
     pub fn without_pruning(mut self) -> Self {
         self.prune = false;
-        self
-    }
-
-    /// Routes through prebuilt [`CellRouting`] tables (built for this
-    /// query's radius over `grid`) instead of walking the partition per
-    /// record — the engine's build-once path. Results are byte-identical.
-    pub fn with_routing(mut self, routing: &'a CellRouting) -> Self {
-        debug_assert_eq!(routing.radius().to_bits(), self.query.radius.to_bits());
-        self.routing = Some(routing);
         self
     }
 }
@@ -95,10 +84,7 @@ impl MapReduceTask for ESpqLenTask<'_> {
         match *record {
             ObjectRef::Data(i) => {
                 ctx.counters().inc(COUNTER_MAP_DATA);
-                let cell = match self.routing {
-                    Some(rt) => rt.data_cell(i),
-                    None => route_data(self.grid, &self.dataset.data()[i as usize].location),
-                };
+                let cell = route_data(self.grid, &self.dataset.data()[i as usize].location);
                 ctx.emit(
                     self,
                     LenKey {
@@ -114,14 +100,10 @@ impl MapReduceTask for ESpqLenTask<'_> {
                 // collides with the data-object marker 0.
                 let len = f.keywords.len() as u32;
                 // Scored once per feature; every routed copy reuses it.
-                let mut emit = |c: CellId, w: Score| {
+                let emit = |c: CellId, w: Score| {
                     ctx.emit(self, LenKey { cell: c.0, len }, ObjectHandle::Feature(i, w));
                 };
-                let routed = match self.routing {
-                    Some(rt) => rt.route_scored_feature(self.query, f, i, self.prune, &mut emit),
-                    None => route_scored_feature(self.grid, self.query, f, self.prune, &mut emit),
-                };
-                match routed {
+                match route_scored_feature(self.grid, self.query, f, self.prune, emit) {
                     Some(copies) => {
                         ctx.counters().inc(COUNTER_MAP_FEATURES);
                         ctx.counters().add(COUNTER_MAP_DUPLICATES, copies - 1);

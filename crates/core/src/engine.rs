@@ -28,28 +28,25 @@
 //!   ([`serve_requests`](crate::service::QueryExecutor::serve_requests),
 //!   the admission queue) — the right shape for high-QPS traffic of many
 //!   small queries.
-//! * **A job when the request asks for one** — one rule, on options that
-//!   already exist: a request with
+//! * **A job when the request is traced** — one rule: a request with
 //!   [`with_trace`](crate::service::QueryRequest::with_trace) (its trace
-//!   *is* a job's [`JobStats`]) or with keyword pruning disabled (the
-//!   shuffle ablation) runs the paper's job instead — map over every data
-//!   object plus the candidates (or the full splits without pruning),
-//!   shuffle, reduce — at the request's worker budget
-//!   ([`QueryOptions::workers`]):
+//!   *is* a job's [`JobStats`]) runs the paper's job instead, as the
+//!   engine's executor configures it (its algorithm; its keyword pruning,
+//!   whose absence is the shuffle ablation), at the request's worker
+//!   budget ([`QueryOptions::workers`]):
 //!   [`execute`](crate::service::QueryExecutor::execute) and
 //!   [`execute_batch`](crate::service::QueryExecutor::execute_batch) on
 //!   the executor's worker pool unless the request narrows it,
 //!   [`execute_sequential`](crate::service::QueryExecutor::execute_sequential)
 //!   and
 //!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
-//!   at budget 1, single-threaded. The job pays for
-//!   its own inputs, as [`SpqExecutor::run_dataset`] does: the request
-//!   builds the round-robin reference splits it maps over and drops them
-//!   when it returns. Only the job plans the paper's per-radius partition
-//!   and fossilises its map-side routing into [`CellRouting`] tables,
-//!   cached per radius (least recently used evicted) for later jobs. The
-//!   job stays the paper-faithful reproduction and an independent oracle
-//!   inside every engine.
+//!   at budget 1, single-threaded. The job pays for everything it needs,
+//!   as [`SpqExecutor::run_dataset`] does: the request builds the
+//!   round-robin reference splits, plans the partition for its radius over
+//!   them, maps over every data object plus the query's candidate features
+//!   (the full splits without pruning), and drops all of it when it
+//!   returns. Nothing is cached. The job stays the paper-faithful
+//!   reproduction and an independent oracle inside every engine.
 //!
 //! Determinism holds on both: for a fixed engine and query, every entry
 //! point returns the same bytes — kernel, job and
@@ -87,27 +84,25 @@
 //!
 //! let served = engine.serve_requests(&[r1.clone(), r2], 2).unwrap();
 //! assert_eq!(served[0].results, batch[0].results);
-//! assert_eq!(engine.cached_plans(), 0); // the kernel plans nothing
+//! assert_eq!(engine.metrics().plan_cache_misses, 0); // the kernel plans nothing
 //!
-//! // A traced request buys the paper's job, which plans (and caches) the
-//! // partition for its radius.
+//! // A traced request buys the paper's job, which plans the partition for
+//! // its radius and keeps nothing.
 //! let traced = engine.execute(&r1.with_trace()).unwrap();
 //! assert_eq!(traced.results, served[0].results);
-//! assert_eq!(engine.cached_plans(), 1);
+//! assert_eq!(traced.trace.map(|jobs| jobs.len()), Some(1));
+//! assert_eq!(engine.metrics().plan_cache_misses, 1);
 //! ```
 
-use crate::executor::{SpqError, SpqExecutor};
+use crate::executor::{SpqError, SpqExecutor, JOB_SPLITS};
 use crate::kernel;
 use crate::model::{FeatureObject, ObjectId, RankedObject};
-use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::{ObjectRef, SharedDataset};
-use parking_lot::Mutex;
 use spq_mapreduce::{ClusterConfig, JobStats};
-use spq_spatial::{GridIndex, SpacePartition};
+use spq_spatial::GridIndex;
 use spq_text::{KeywordSet, Term};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -260,59 +255,12 @@ pub struct DatasetStats {
     pub max_posting: usize,
 }
 
-/// One cached per-radius plan of the job path: the space partition and
-/// its prebuilt routing tables.
-#[derive(Debug)]
-struct PartitionPlan {
-    partition: Arc<SpacePartition>,
-    routing: CellRouting,
-}
-
-/// The per-radius plans with their last-use stamps. `clock` is a
-/// per-engine use counter (no wall clock), bumped whenever a plan is
-/// found or inserted; the smallest stamp is the least recently used.
-#[derive(Debug, Default)]
-struct PlanCache {
-    plans: HashMap<u64, (Arc<PartitionPlan>, u64)>,
-    clock: u64,
-}
-
-impl PlanCache {
-    /// The plan cached under `key`, stamped as just used.
-    fn touch(&mut self, key: u64) -> Option<Arc<PartitionPlan>> {
-        let (plan, used) = self.plans.get_mut(&key)?;
-        self.clock += 1;
-        *used = self.clock;
-        Some(Arc::clone(plan))
-    }
-
-    /// Caches `plan` under the absent `key`, stamped as just used, first
-    /// evicting the least recently used plan if the cache is at its
-    /// bound. Returns whether it evicted.
-    fn insert(&mut self, key: u64, plan: Arc<PartitionPlan>) -> bool {
-        let evict = if self.plans.len() >= MAX_CACHED_PLANS {
-            let lru = self.plans.iter().min_by_key(|(_, (_, used))| *used);
-            lru.map(|(&key, _)| key)
-        } else {
-            None
-        };
-        if let Some(evict) = evict {
-            self.plans.remove(&evict);
-        }
-        self.clock += 1;
-        self.plans.insert(key, (plan, self.clock));
-        evict.is_some()
-    }
-}
-
 /// Cumulative engine counters (atomics — the engine is `Sync` and these
 /// are bumped from concurrent serve workers).
 #[derive(Debug, Default)]
 struct EngineMetrics {
     queries: AtomicU64,
-    plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
-    plan_cache_evictions: AtomicU64,
     keyword_probes: AtomicU64,
     keyword_hits: AtomicU64,
     kernel_candidates: AtomicU64,
@@ -330,22 +278,18 @@ struct EngineMetrics {
 /// The remote fields are zero for the in-process backends; the remote
 /// backend fills them from its membership layer (see
 /// [`crate::remote::RemoteEngine::metrics`]) and leaves the engine-side
-/// eviction and kernel counters at zero — those live in its workers'
-/// engines.
+/// plan and kernel counters at zero — those live in its workers' engines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Queries executed through any entry point.
     pub queries: u64,
-    /// Job requests (a trace, or keyword pruning off) whose per-radius
-    /// partition plan was served from cache. Kernel answers plan nothing
-    /// and count neither here nor in
-    /// [`plan_cache_misses`](Self::plan_cache_misses).
+    /// Always 0: no engine caches a plan. Kept, with
+    /// [`plan_cache_misses`](Self::plan_cache_misses), while the benchmark
+    /// harness still reads a plan-cache hit rate.
     pub plan_cache_hits: u64,
-    /// Job requests that had to build (and cache) their partition plan.
+    /// Job partitions planned: one per traced request per engine (per
+    /// touched shard on the sharded backend). Kernel answers plan nothing.
     pub plan_cache_misses: u64,
-    /// Cached plans dropped, least recently used first, to keep the
-    /// per-radius cache inside its bound.
-    pub plan_cache_evictions: u64,
     /// Query keywords probed against the inverted keyword index.
     pub keyword_probes: u64,
     /// Probed keywords that hit a non-empty posting list.
@@ -390,12 +334,11 @@ impl MetricsSnapshot {
     /// Every field, in declaration order. The destructuring is exhaustive
     /// on purpose: a counter added to the struct does not compile until
     /// it is listed here, so [`merged`](Self::merged) cannot drop it.
-    pub(crate) fn fields_mut(&mut self) -> [&mut u64; 18] {
+    pub(crate) fn fields_mut(&mut self) -> [&mut u64; 17] {
         let MetricsSnapshot {
             queries,
             plan_cache_hits,
             plan_cache_misses,
-            plan_cache_evictions,
             keyword_probes,
             keyword_hits,
             kernel_candidates,
@@ -415,7 +358,6 @@ impl MetricsSnapshot {
             queries,
             plan_cache_hits,
             plan_cache_misses,
-            plan_cache_evictions,
             keyword_probes,
             keyword_hits,
             kernel_candidates,
@@ -443,24 +385,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Upper bound on cached per-radius job plans. Only job requests plan, and
-/// they use a small set of radius classes, so the bound exists purely as
-/// a memory safety valve against adversarial streams of distinct traced
-/// radii: each plan pins an `O(|O| + |F|·duplication)` routing table, and
-/// on overflow the least recently used plan is evicted (plans rebuild
-/// deterministically, so eviction only costs time, never correctness).
-const MAX_CACHED_PLANS: usize = 64;
-
-/// Whether a request with `options` buys the paper's job rather than a
-/// kernel answer: it asked for a trace, or keyword pruning is off — by the
-/// request's override, else by `exec`'s configuration.
-pub(crate) fn runs_job(exec: &SpqExecutor, options: &QueryOptions) -> bool {
-    options.trace
-        || !options
-            .keyword_pruning
-            .unwrap_or(exec.keyword_pruning_enabled())
-}
-
 /// What the one engine path answers a query with.
 #[derive(Debug)]
 pub(crate) struct EngineAnswer {
@@ -470,20 +394,15 @@ pub(crate) struct EngineAnswer {
     pub stats: JobStats,
     /// Bytes that crossed the job's in-process shuffle (0 for the kernel).
     pub shuffle_bytes: u64,
-    /// Whether the answer needed no plan build: always for the kernel,
-    /// which plans nothing; on a plan-cache hit for a job.
-    pub plan_hit: bool,
 }
 
 /// A long-lived SPQ serving engine over one dataset.
 ///
 /// See the [module docs](self) for the lifecycle. Construction builds
 /// the keyword index (one pass over the feature keywords) and the data
-/// grid (a counting sort of the data objects by cell); a plain request of
-/// any radius reads only those. The per-radius partition plans of the job
-/// path are built lazily by the first job request that needs them and
-/// cached (keyed by the exact radius bits; a bound of 64 plans guards
-/// against unbounded-radius streams, evicting the least recently used).
+/// grid (a counting sort of the data objects by cell); a request of any
+/// radius reads only those, and a traced request plans its job's
+/// partition for itself.
 ///
 /// The engine is `Sync`:
 /// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
@@ -500,14 +419,8 @@ pub struct QueryEngine {
     /// The data objects bucketed on one radius-independent grid — all the
     /// geometry the kernel reads.
     grid: GridIndex<ObjectId>,
-    plans: Mutex<PlanCache>,
     metrics: EngineMetrics,
 }
-
-/// The split count (= map tasks) of an engine's jobs — matches
-/// [`SpqExecutor::run_dataset`], so a traced job is byte-identical to the
-/// per-query job it stands for.
-pub const DEFAULT_NUM_SPLITS: usize = 8;
 
 impl QueryEngine {
     /// Builds an engine over `dataset`. `executor` supplies the full
@@ -537,7 +450,6 @@ impl QueryEngine {
             exec: executor,
             dataset,
             keyword_index,
-            plans: Mutex::new(PlanCache::default()),
             metrics: EngineMetrics::default(),
         }
     }
@@ -600,117 +512,57 @@ impl QueryEngine {
         &self.keyword_index
     }
 
-    /// Number of per-radius partition plans the job path has cached.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.lock().plans.len()
-    }
-
-    /// The cached job plan for this query's radius, built on first use.
-    /// Returns the plan together with whether it was a cache hit.
-    fn plan(&self, query: &SpqQuery) -> (Arc<PartitionPlan>, bool) {
-        let key = query.radius.to_bits();
-        if let Some(plan) = self.plans.lock().touch(key) {
-            self.metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return (plan, true);
-        }
-        self.metrics
-            .plan_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
-        // Built outside the lock: concurrent builders may race, but the
-        // planning is deterministic so every racer builds the same plan
-        // and the first insert wins.
-        let partition = self.exec.plan_partition_shared(
-            query,
-            &self.dataset,
-            &self.dataset.ref_splits(DEFAULT_NUM_SPLITS),
-        );
-        let routing = CellRouting::build(&partition, &self.dataset, query.radius);
-        let plan = Arc::new(PartitionPlan {
-            partition: Arc::new(partition),
-            routing,
-        });
-        let mut cache = self.plans.lock();
-        if let Some(raced) = cache.touch(key) {
-            return (raced, false);
-        }
-        if cache.insert(key, Arc::clone(&plan)) {
-            self.metrics
-                .plan_cache_evictions
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        (plan, false)
-    }
-
-    /// The map input of a job this engine runs: the round-robin reference
-    /// splits a fresh [`SpqExecutor::run_dataset`] job maps over — whole
-    /// when `pruned` is false; otherwise every data ref plus only the
-    /// query's candidate features, each in the split the full layout puts
-    /// it in (the per-split record order the shuffle depends on for
-    /// byte-identical output).
-    fn job_splits(&self, query: &SpqQuery, pruned: bool) -> Vec<Vec<ObjectRef>> {
-        let mut splits = self.dataset.ref_splits(DEFAULT_NUM_SPLITS);
-        if pruned {
-            for split in &mut splits {
-                split.retain(|r| r.is_data());
-            }
-            self.keyword_index.for_each_match(&query.keywords, |i, _| {
-                splits[i as usize % DEFAULT_NUM_SPLITS].push(ObjectRef::Feature(i));
-            });
-        }
-        splits
-    }
-
-    /// The executor serving a request: the engine's own with the
-    /// request's overrides applied (a few plain-old-data fields; deriving
-    /// is allocation-free). The worker budget is the job's width; the
-    /// callers whose parallelism comes from elsewhere — the serve pool's
-    /// inter-query concurrency, a scatter over shards — hand in budget 1,
-    /// so multi-worker jobs never nest inside them.
-    fn exec_for(&self, options: &QueryOptions) -> SpqExecutor {
-        let mut exec = self.exec.clone();
-        if let Some(algorithm) = options.algorithm {
-            exec = exec.algorithm(algorithm);
-        }
-        if let Some(workers) = options.workers {
-            exec = exec.cluster(ClusterConfig::with_workers(workers));
-        }
-        if let Some(enabled) = options.keyword_pruning {
-            exec = exec.keyword_pruning(enabled);
-        }
-        exec
-    }
-
     /// The one engine path (see the [module docs](self)): every local
     /// request, every sharded scatter and every remote worker query runs
-    /// through here. A request that asks for a job — a trace, or keyword
-    /// pruning disabled — runs one over its radius's cached plan: over
-    /// every data object plus the query's candidate features, or over the
-    /// full splits without pruning. Every other request is answered by the
-    /// [kernel](crate::kernel) with an empty [`JobStats`], zero shuffle and
-    /// no plan.
+    /// through here. A traced request runs the paper's job; every other
+    /// request is answered by the [kernel](crate::kernel) with an empty
+    /// [`JobStats`] and zero shuffle.
     pub(crate) fn run(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
     ) -> Result<EngineAnswer, SpqError> {
         self.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        if !runs_job(&self.exec, options) {
-            return Ok(self.run_kernel(query));
+        if options.trace {
+            self.run_job(query, options.workers)
+        } else {
+            Ok(self.run_kernel(query))
         }
-        let exec = self.exec_for(options);
-        let (plan, plan_hit) = self.plan(query);
-        let result = exec.run_planned(
-            &self.dataset,
-            &self.job_splits(query, exec.keyword_pruning_enabled()),
-            query,
-            Arc::clone(&plan.partition),
-            Some(&plan.routing),
-        )?;
+    }
+
+    /// Runs `query` as the job a fresh [`SpqExecutor::run_dataset`] runs:
+    /// the same round-robin splits, and the partition planned over all of
+    /// them, so the adaptive quadtree samples what the fresh job samples.
+    /// With pruning on, the job then maps over every data ref plus only the
+    /// query's candidate features, each in the split the full layout puts
+    /// it in (the per-split record order the shuffle depends on for
+    /// byte-identical output). `workers` is the job's width; the callers
+    /// whose parallelism comes from elsewhere — the serve pool's
+    /// inter-query concurrency, a scatter over shards — hand in 1, so
+    /// multi-worker jobs never nest inside them.
+    fn run_job(&self, query: &SpqQuery, workers: Option<usize>) -> Result<EngineAnswer, SpqError> {
+        self.metrics
+            .plan_cache_misses
+            .fetch_add(1, Ordering::Relaxed);
+        let mut exec = self.exec.clone();
+        if let Some(workers) = workers {
+            exec = exec.cluster(ClusterConfig::with_workers(workers));
+        }
+        let mut splits = self.dataset.ref_splits(JOB_SPLITS);
+        let partition = exec.plan_partition_shared(query, &self.dataset, &splits);
+        if exec.keyword_pruning_enabled() {
+            for split in &mut splits {
+                split.retain(|r| r.is_data());
+            }
+            self.keyword_index.for_each_match(&query.keywords, |i, _| {
+                splits[i as usize % JOB_SPLITS].push(ObjectRef::Feature(i));
+            });
+        }
+        let result = exec.run_planned(&self.dataset, &splits, query, partition)?;
         Ok(EngineAnswer {
             top_k: result.top_k,
             stats: result.stats,
             shuffle_bytes: result.shuffle_bytes,
-            plan_hit,
         })
     }
 
@@ -729,7 +581,6 @@ impl QueryEngine {
             top_k: answer.top_k,
             stats: JobStats::default(),
             shuffle_bytes: 0,
-            plan_hit: true,
         }
     }
 
@@ -761,8 +612,7 @@ impl QueryEngine {
         started: Instant,
     ) -> QueryResponse {
         let stats = QueryStats {
-            algorithm: options.algorithm.unwrap_or(self.exec.algorithm_choice()),
-            plan_cache_hit: answer.plan_hit,
+            algorithm: self.exec.algorithm_choice(),
             shards_touched: 1,
             shuffle_records: answer.stats.shuffle_records,
             shuffle_bytes: answer.shuffle_bytes,
@@ -781,14 +631,11 @@ impl QueryEngine {
     }
 
     /// A snapshot of the engine's cumulative counters: queries served,
-    /// plan-cache hits/misses/evictions, keyword-index probe outcomes,
-    /// kernel work.
+    /// job partitions planned, keyword-index probe outcomes, kernel work.
     pub fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             queries: self.metrics.queries.load(Ordering::Relaxed),
-            plan_cache_hits: self.metrics.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.metrics.plan_cache_misses.load(Ordering::Relaxed),
-            plan_cache_evictions: self.metrics.plan_cache_evictions.load(Ordering::Relaxed),
             keyword_probes: self.metrics.keyword_probes.load(Ordering::Relaxed),
             keyword_hits: self.metrics.keyword_hits.load(Ordering::Relaxed),
             kernel_candidates: self.metrics.kernel_candidates.load(Ordering::Relaxed),
@@ -977,7 +824,8 @@ mod tests {
             // Replays are stable.
             assert_eq!(engine.execute(&req).unwrap().results, served.results);
         }
-        assert_eq!(engine.cached_plans(), 2); // radii 1.5 and 2.5
+        // Every traced request planned its own partition.
+        assert_eq!(engine.metrics().plan_cache_misses, 6);
     }
 
     #[test]
@@ -1014,47 +862,48 @@ mod tests {
         let exec = executor().keyword_pruning(false);
         let dataset = paper_dataset();
         let engine = QueryEngine::new(exec.clone(), dataset.clone());
-        let req = request(3, 1.5, &[0]).with_trace();
+        let req = request(3, 1.5, &[0]);
         let fresh = exec.run_dataset(&dataset, &req.query).unwrap();
+        let traced = req.clone().with_trace();
         for served in [
-            engine.execute(&req).unwrap(),
-            engine.execute_sequential(&req).unwrap(),
+            engine.execute(&traced).unwrap(),
+            engine.execute_sequential(&traced).unwrap(),
         ] {
             let job = traced_job(&served);
             assert_eq!(served.results, fresh.top_k);
             assert_eq!(job.counters, fresh.stats.counters);
             assert_eq!(job.map_input_records(), fresh.stats.map_input_records());
         }
+        // Pruning steers only the job: a plain request is still the
+        // kernel's, with no shuffle and no trace.
+        assert_eq!(engine.metrics().kernel_candidates, 0);
+        let plain = engine.execute(&req).unwrap();
+        assert_eq!(plain.results, fresh.top_k);
+        assert_eq!(plain.stats.shuffle_records, 0);
+        assert!(plain.trace.is_none());
+        assert_eq!(engine.metrics().kernel_candidates, 3);
     }
 
     #[test]
     fn plan_cache_is_bounded() {
+        // The engine keeps no plans, so an adversarial stream of distinct
+        // traced radii cannot grow it: every traced request plans its own
+        // partition once, nothing is ever a hit, and neither the job nor
+        // the radius in use between insertions drifts from its answer.
         let engine = QueryEngine::new(executor(), paper_dataset());
-        // An adversarial stream of distinct traced radii (only jobs plan)
-        // must not grow the cache past the bound — and eviction must not
-        // disturb results, nor take the one radius that is in use between
-        // every insertion.
         let hot = request(1, 1.5, &[0]).with_trace();
         let expect = engine.execute(&hot).unwrap().results;
-        let distinct = (MAX_CACHED_PLANS + 20) as u64;
+        let distinct = 84;
         for i in 0..distinct {
             let r = 1.0 + i as f64 * 1e-3;
-            engine.execute(&request(1, r, &[0]).with_trace()).unwrap();
-            assert!(engine.cached_plans() <= MAX_CACHED_PLANS);
-            let served = engine.execute(&hot).unwrap();
-            assert!(served.stats.plan_cache_hit, "hot radius evicted at {i}");
-            assert_eq!(served.results, expect);
+            let job = engine.execute(&request(1, r, &[0]).with_trace()).unwrap();
+            let plain = engine.execute(&request(1, r, &[0])).unwrap();
+            assert_eq!(job.results, plain.results, "radius {r}");
+            assert_eq!(engine.execute(&hot).unwrap().results, expect, "at {i}");
         }
         let m = engine.metrics();
-        // The hot radius was planned once; every other miss is a distinct
-        // radius, and each insertion past the bound evicted exactly one.
-        assert_eq!(m.plan_cache_misses, 1 + distinct);
-        assert_eq!(m.plan_cache_hits, distinct);
-        assert_eq!(
-            m.plan_cache_evictions,
-            1 + distinct - MAX_CACHED_PLANS as u64
-        );
-        assert_eq!(engine.cached_plans(), MAX_CACHED_PLANS);
+        assert_eq!(m.plan_cache_hits, 0);
+        assert_eq!(m.plan_cache_misses, 1 + 2 * distinct);
     }
 
     #[test]
@@ -1063,19 +912,16 @@ mod tests {
         for i in 0..1_000 {
             let r = 0.5 + i as f64 * 2e-3;
             let served = engine.execute(&request(3, r, &[0, 4])).unwrap();
-            assert!(served.stats.plan_cache_hit, "radius {r} built a plan");
+            assert!(served.trace.is_none(), "radius {r} ran a job");
         }
         let m = engine.metrics();
         assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
-        assert_eq!(engine.cached_plans(), 0);
-        // A job still plans its radius, once, and caches the plan.
+        // A job plans its radius every time: nothing is cached.
         let traced = request(3, 1.5, &[0, 4]).with_trace();
         let job = engine.execute(&traced).unwrap();
-        assert!(!job.stats.plan_cache_hit);
         assert_eq!(job.results, engine.execute(&traced).unwrap().results);
         let m = engine.metrics();
-        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (1, 1));
-        assert_eq!(engine.cached_plans(), 1);
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 2));
     }
 
     #[test]
@@ -1100,7 +946,6 @@ mod tests {
             );
         }
         assert_eq!(engine.metrics().plan_cache_misses, 0);
-        assert_eq!(engine.cached_plans(), 0);
     }
 
     #[test]
@@ -1128,17 +973,14 @@ mod tests {
     fn kernel_counters_accumulate_only_on_kernel_requests() {
         let engine = QueryEngine::new(executor(), paper_dataset());
         let req = request(1, 1.5, &[0]);
-        // A traced request and a pruning-off request each buy a job.
-        engine.execute(&req.clone().with_trace()).unwrap();
-        let unpruned = engine
-            .execute(&req.clone().with_keyword_pruning(false))
-            .unwrap();
-        assert!(unpruned.stats.shuffle_records > 0);
+        // A traced request buys a job, which the kernel counters never see.
+        let job = engine.execute(&req.clone().with_trace()).unwrap();
+        assert!(job.stats.shuffle_records > 0);
         assert_eq!(engine.metrics().kernel_candidates, 0);
         // Term 0 is on f1, f4, f7; f4 scores 1 and fills k = 1, so the
         // two 0.5-scoring candidates are never visited.
         let served = engine.execute(&req).unwrap();
-        assert_eq!(served.results, unpruned.results);
+        assert_eq!(served.results, job.results);
         let m = engine.metrics();
         assert_eq!((m.kernel_candidates, m.kernel_visited), (3, 1));
         assert!(m.kernel_distance_checks > 0);

@@ -6,19 +6,21 @@ use crate::algo::pspq::PSpqTask;
 use crate::algo::Algorithm;
 use crate::merge::merge_top_k;
 use crate::model::{DataObject, FeatureObject, RankedObject};
-use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
 use crate::store::{ObjectRef, SharedDataset};
 use crate::theory::auto_grid_size;
 use spq_mapreduce::{ClusterConfig, JobError, JobStats, LocalPool};
 use spq_spatial::{AdaptiveGrid, Grid, Point, Rect, SpacePartition};
 use std::fmt;
-use std::sync::Arc;
+
+/// The round-robin split count (= map tasks) of a job over a shared
+/// dataset: [`SpqExecutor::run_dataset`]'s, and a traced engine request's,
+/// which is byte-identical to the fresh job only because both use it.
+pub(crate) const JOB_SPLITS: usize = 8;
 
 /// How the query-time grid of the paper's job is sized. It shapes only
-/// the job's partition (a [`SpqExecutor`] run, or an engine request that
-/// asks for a job); an engine's kernel reads its own build-once grid
-/// instead.
+/// the job's partition (a [`SpqExecutor`] run, or a traced engine
+/// request); an engine's kernel reads its own build-once grid instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridSizing {
     /// A fixed `n × n` grid (the paper's experimental sweeps).
@@ -231,10 +233,8 @@ pub struct SpqResult {
     pub stats: JobStats,
     /// The algorithm that ran.
     pub algorithm: Algorithm,
-    /// The query-time space partition that was used. Shared (`Arc`) so a
-    /// serving engine can hand out its cached partition without cloning
-    /// it per query.
-    pub partition: Arc<SpacePartition>,
+    /// The query-time space partition that was used.
+    pub partition: SpacePartition,
     /// Bytes that crossed the in-process shuffle:
     /// `stats.shuffle_records × size_of::<(Key, Value)>()` of the
     /// algorithm's composite key and handle value — the same accounting
@@ -316,6 +316,8 @@ impl SpqExecutor {
     /// Enables/disables the map-side keyword pruning rule (Algorithm 1
     /// line 9). On by default; disabling it is an ablation that ships
     /// every feature object through the shuffle without changing results.
+    /// Like the algorithm, it shapes only the job — a traced engine
+    /// request's included; an engine's kernel reads neither.
     pub fn keyword_pruning(mut self, enabled: bool) -> Self {
         self.keyword_pruning = enabled;
         self
@@ -410,7 +412,7 @@ impl SpqExecutor {
         dataset: &SharedDataset,
         query: &SpqQuery,
     ) -> Result<SpqResult, SpqError> {
-        self.run_shared(dataset, &dataset.ref_splits(8), query)
+        self.run_shared(dataset, &dataset.ref_splits(JOB_SPLITS), query)
     }
 
     /// The zero-copy entry point: runs the query over reference splits
@@ -424,22 +426,18 @@ impl SpqExecutor {
         query: &SpqQuery,
     ) -> Result<SpqResult, SpqError> {
         let grid = self.plan_partition_shared(query, dataset, splits);
-        self.run_planned(dataset, splits, query, Arc::new(grid), None)
+        self.run_planned(dataset, splits, query, grid)
     }
 
-    /// Runs the query over a **pre-planned** partition — the building
-    /// block behind [`crate::engine::QueryEngine`], which plans (and
-    /// caches) partitions itself. `routing` optionally supplies prebuilt
-    /// [`CellRouting`] tables for the partition at this query's radius — a
-    /// pure optimization: for the same partition the result is
-    /// byte-identical to [`run_shared`](Self::run_shared).
-    pub fn run_planned(
+    /// Runs the query over a partition planned beforehand — what a traced
+    /// engine request does, since it plans over the full splits but maps
+    /// over pruned ones.
+    pub(crate) fn run_planned(
         &self,
         dataset: &SharedDataset,
         splits: &[Vec<ObjectRef>],
         query: &SpqQuery,
-        partition: Arc<SpacePartition>,
-        routing: Option<&CellRouting>,
+        partition: SpacePartition,
     ) -> Result<SpqResult, SpqError> {
         let pool = LocalPool::new(self.cluster);
         /// One shuffle record's in-memory wire size for byte accounting.
@@ -451,9 +449,6 @@ impl SpqExecutor {
                 let mut task = $task_type::new(dataset, &partition, query);
                 if !self.keyword_pruning {
                     task = task.without_pruning();
-                }
-                if let Some(routing) = routing {
-                    task = task.with_routing(routing);
                 }
                 let record_bytes = record_bytes(&task);
                 let out = pool.run(&task, splits)?;

@@ -12,12 +12,11 @@
 //!   duplicated into every cell within `MINDIST <= r` (Lemma 1).
 //!
 //! The routing decisions depend only on the partition, the object
-//! locations and the radius — **not** on the query keywords — so a
-//! long-lived engine serving many queries at the same radius can compute
-//! them once: [`CellRouting`] fossilises the full routing (enclosing cell
-//! per data object, enclosing cell + Lemma-1 targets per feature object)
-//! into flat lookup tables the algorithm tasks consume instead of
-//! re-walking the partition per query.
+//! locations and the radius — **not** on the query keywords — so they
+//! could be computed once per radius: [`CellRouting`] packs the full
+//! routing (enclosing cell per data object, enclosing cell + Lemma-1
+//! targets per feature object) into flat lookup tables. Jobs route live;
+//! the tables price what such a per-radius plan costs to build.
 
 use crate::model::FeatureObject;
 use crate::query::SpqQuery;
@@ -119,22 +118,17 @@ pub fn route_scored_feature<F: FnMut(CellId, Score)>(
     Some(copies)
 }
 
-/// Prebuilt map-side routing for one `(partition, radius)` pair.
-///
-/// Built once by `spq_core::engine::QueryEngine` per distinct query
-/// radius and shared by every query served at that radius: the map phase
-/// then routes a data object with one array load and a feature object by
-/// replaying its precomputed target-cell run (CSR layout — one flat
-/// cell-id slice plus a per-feature offset table), instead of running
-/// point-location and the Lemma-1 MINDIST walk per query.
+/// Prebuilt map-side routing for one `(partition, radius)` pair: a data
+/// object's cell is one array load and a feature's target cells one
+/// precomputed run (CSR layout — one flat cell-id slice plus a
+/// per-feature offset table), instead of point-location and the Lemma-1
+/// MINDIST walk.
 ///
 /// The tables replay **exactly** the live routing — same cells, same
 /// emission order (enclosing cell first, then the duplication targets in
-/// partition order) — so a job driven through a `CellRouting` is
-/// byte-identical to one routed live.
+/// partition order).
 #[derive(Debug, Clone)]
 pub struct CellRouting {
-    radius: f64,
     /// Enclosing cell per data object (same index space as the store).
     data_cells: Box<[u32]>,
     /// `feature_targets[feature_offsets[i]..feature_offsets[i + 1]]` are
@@ -167,16 +161,10 @@ impl CellRouting {
             feature_offsets.push(feature_targets.len());
         }
         Self {
-            radius,
             data_cells,
             feature_offsets: feature_offsets.into_boxed_slice(),
             feature_targets: feature_targets.into_boxed_slice(),
         }
-    }
-
-    /// The radius the feature targets were computed for.
-    pub fn radius(&self) -> f64 {
-        self.radius
     }
 
     /// The precomputed enclosing cell of data object `i`.
@@ -191,41 +179,6 @@ impl CellRouting {
     pub fn feature_targets(&self, i: u32) -> &[u32] {
         let i = i as usize;
         &self.feature_targets[self.feature_offsets[i]..self.feature_offsets[i + 1]]
-    }
-
-    /// Total routed emissions over all features (the shuffle's feature
-    /// record count before keyword pruning).
-    pub fn total_feature_emissions(&self) -> usize {
-        self.feature_targets.len()
-    }
-
-    /// The prebuilt counterpart of [`route_scored_feature`]: applies the
-    /// keyword pruning rule, computes the score once, and replays feature
-    /// `i`'s precomputed target run. Returns the number of emitted copies
-    /// (>= 1), or `None` when the feature was pruned.
-    #[inline]
-    pub fn route_scored_feature<F: FnMut(CellId, Score)>(
-        &self,
-        query: &SpqQuery,
-        feature: &FeatureObject,
-        i: u32,
-        prune: bool,
-        mut emit: F,
-    ) -> Option<u64> {
-        debug_assert_eq!(
-            self.radius.to_bits(),
-            query.radius.to_bits(),
-            "routing tables were built for a different radius"
-        );
-        if prune && !feature_matches(query, feature) {
-            return None;
-        }
-        let score = query.score(&feature.keywords);
-        let targets = self.feature_targets(i);
-        for &c in targets {
-            emit(CellId(c), score);
-        }
-        Some(targets.len() as u64)
     }
 }
 
@@ -316,31 +269,18 @@ mod tests {
         let q = query(1.5);
         let routing = CellRouting::build(&grid, &dataset, q.radius);
 
-        assert_eq!(routing.radius(), 1.5);
         assert_eq!(
             routing.data_cell(0),
             route_data(&grid, &Point::new(1.8, 1.8))
         );
         assert_eq!(routing.data_cell(1), CellId(15));
 
+        // Routing is keyword-independent: the feature q prunes has a
+        // precomputed run too, so every feature is compared unpruned.
         for (i, f) in dataset.features().iter().enumerate() {
-            let mut live: Vec<(CellId, Score)> = vec![];
-            let live_copies = route_scored_feature(&grid, &q, f, true, |c, w| live.push((c, w)));
-            let mut pre: Vec<(CellId, Score)> = vec![];
-            let pre_copies = routing.route_scored_feature(&q, f, i as u32, true, |c, w| {
-                pre.push((c, w));
-            });
-            assert_eq!(live_copies, pre_copies, "feature {i}: copy counts");
-            assert_eq!(live, pre, "feature {i}: cells, scores and order");
+            let mut live = vec![];
+            route_feature_with_pruning(&grid, &q, f, false, |c| live.push(c.0));
+            assert_eq!(routing.feature_targets(i as u32), live, "feature {i}");
         }
-        // The pruned feature still has precomputed targets (routing is
-        // keyword-independent); pruning happens at query time.
-        assert!(!routing.feature_targets(2).is_empty());
-        assert_eq!(
-            routing.total_feature_emissions(),
-            (0..3)
-                .map(|i| routing.feature_targets(i).len())
-                .sum::<usize>()
-        );
     }
 }

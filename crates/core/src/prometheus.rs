@@ -22,21 +22,19 @@ fn push_series(out: &mut String, (name, kind, value, help): Series) {
 /// exhaustive on purpose: a field added to the snapshot does not compile
 /// until it is given a row here, so none is left off the export.
 #[rustfmt::skip]
-fn engine_series(m: &MetricsSnapshot) -> [Series; 18] {
+fn engine_series(m: &MetricsSnapshot) -> [Series; 17] {
     let MetricsSnapshot {
-        queries, plan_cache_hits, plan_cache_misses, plan_cache_evictions, keyword_probes,
-        keyword_hits, kernel_candidates, kernel_visited, kernel_distance_checks, remote_retries,
+        queries, plan_cache_hits, plan_cache_misses, keyword_probes, keyword_hits,
+        kernel_candidates, kernel_visited, kernel_distance_checks, remote_retries,
         excluded_workers, warm_failovers, cold_reprovisions, readmissions, health_probes,
         rebalance_moves, provisions_sent, feature_sets_sent,
     } = *m;
     [
         ("spq_engine_queries_total", COUNTER, queries, "Queries executed through any entry point."),
         ("spq_engine_plan_cache_hits_total", COUNTER, plan_cache_hits,
-            "Job requests (trace or pruning off) whose partition plan was served from cache."),
+            "Always 0: no engine caches a plan."),
         ("spq_engine_plan_cache_misses_total", COUNTER, plan_cache_misses,
-            "Job requests (trace or pruning off) that built (and cached) their partition plan."),
-        ("spq_engine_plan_cache_evictions_total", COUNTER, plan_cache_evictions,
-            "Cached job plans evicted, least recently used first."),
+            "Job partitions planned, one per traced request per engine."),
         ("spq_engine_keyword_probes_total", COUNTER, keyword_probes,
             "Query keywords probed against the keyword index."),
         ("spq_engine_keyword_hits_total", COUNTER, keyword_hits,
@@ -186,6 +184,6 @@ mod tests {
             );
             assert_eq!(lines(format!("# HELP {name} ")), 1, "{name} help line");
         }
-        assert_eq!(text.lines().filter(|l| l.starts_with("# TYPE")).count(), 18);
+        assert_eq!(text.lines().filter(|l| l.starts_with("# TYPE")).count(), 17);
     }
 }

@@ -366,11 +366,11 @@ pub fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
 }
 
 /// Encodes an `OP_SHARD_QUERY` payload: the shard id, the query and the
-/// result-relevant per-request options, the trace flag included (a traced
-/// request is answered by a job on the worker, and its [`JobStats`](spq_mapreduce::JobStats) come
-/// back in the reply). The worker budget is **not** shipped — shard jobs
-/// always run sequentially, exactly as the in-process scatter does (the
-/// scatter width is the parallelism).
+/// trace flag (a traced request is answered by a job on the worker, and
+/// its [`JobStats`](spq_mapreduce::JobStats) come back in the reply). The
+/// worker budget is **not** shipped — shard jobs always run sequentially,
+/// exactly as the in-process scatter does (the scatter width is the
+/// parallelism).
 pub(crate) fn encode_shard_query(
     shard_id: u32,
     query: &SpqQuery,
@@ -382,14 +382,6 @@ pub(crate) fn encode_shard_query(
     put_f64(&mut out, query.radius);
     put_u8(&mut out, similarity_to_u8(query.similarity));
     put_keywords(&mut out, &query.keywords);
-    match options.algorithm {
-        None => put_u8(&mut out, u8::MAX),
-        Some(a) => put_u8(&mut out, algorithm_to_u8(a)),
-    }
-    match options.keyword_pruning {
-        None => put_u8(&mut out, 2),
-        Some(enabled) => put_u8(&mut out, enabled as u8),
-    }
     put_u8(&mut out, options.trace as u8);
     out
 }
@@ -411,20 +403,6 @@ pub(crate) fn decode_shard_query(
     if keywords.is_empty() {
         return Err(CodecError::invalid("shard query with no keywords"));
     }
-    let algorithm = match r.u8()? {
-        u8::MAX => None,
-        tag => Some(algorithm_from_u8(tag)?),
-    };
-    let keyword_pruning = match r.u8()? {
-        0 => Some(false),
-        1 => Some(true),
-        2 => None,
-        other => {
-            return Err(CodecError::invalid(format!(
-                "unknown keyword-pruning tag {other}"
-            )))
-        }
-    };
     let trace = match r.u8()? {
         0 => false,
         1 => true,
@@ -435,20 +413,17 @@ pub(crate) fn decode_shard_query(
     }
     let query = SpqQuery::with_similarity(k, radius, keywords, similarity);
     let options = QueryOptions {
-        algorithm,
         workers: None,
-        keyword_pruning,
         trace,
     };
     Ok((shard_id, query, options))
 }
 
-/// Encodes an `OP_SHARD_RESULT` payload: the plan-cache outcome, the
-/// gather records ([`wire::RECORD_BYTES`]-byte each, global indexes) and
-/// the shard job's [`JobStats`](spq_mapreduce::JobStats).
+/// Encodes an `OP_SHARD_RESULT` payload: the gather records
+/// ([`wire::RECORD_BYTES`]-byte each, global indexes) and the shard job's
+/// [`JobStats`](spq_mapreduce::JobStats).
 pub(crate) fn encode_shard_result(answer: &ShardAnswer) -> Vec<u8> {
     let mut out = Vec::with_capacity(answer.records.len() + 64);
-    put_u8(&mut out, answer.plan_hit as u8);
     put_bytes(&mut out, &answer.records);
     encode_job_stats(&answer.stats, &mut out);
     out
@@ -460,7 +435,6 @@ pub(crate) fn encode_shard_result(answer: &ShardAnswer) -> Vec<u8> {
 /// (`sharded::Layout::scatter_gather`).
 pub(crate) fn decode_shard_result(payload: &[u8]) -> Result<ShardAnswer, CodecError> {
     let mut r = ByteReader::new(payload);
-    let plan_hit = r.u8()? != 0;
     let records = r.bytes()?.to_vec();
     if !records.len().is_multiple_of(wire::RECORD_BYTES) {
         return Err(CodecError::invalid(format!(
@@ -472,11 +446,7 @@ pub(crate) fn decode_shard_result(payload: &[u8]) -> Result<ShardAnswer, CodecEr
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after shard result"));
     }
-    Ok(ShardAnswer {
-        plan_hit,
-        records,
-        stats,
-    })
+    Ok(ShardAnswer { records, stats })
 }
 
 /// Encodes an `OP_SHARD_STATUS_OK` payload: the hosted shard ids,

@@ -9,7 +9,7 @@ use super::codec::{
 use super::host::{ShardHost, NOT_PROVISIONED, UNKNOWN_FEATURE_SET};
 use super::membership::{Failover, Membership, MembershipConfig, MembershipView, TickReport};
 use super::{parse_worker_addrs, SPQ_REMOTE_WORKERS};
-use crate::engine::{runs_job, MetricsSnapshot};
+use crate::engine::MetricsSnapshot;
 use crate::executor::{SpqError, SpqExecutor};
 use crate::model::FeatureObject;
 use crate::query::SpqQuery;
@@ -64,8 +64,6 @@ enum AttemptError {
 #[derive(Debug, Default)]
 struct RemoteCounters {
     queries: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
     keyword_probes: AtomicU64,
     keyword_hits: AtomicU64,
     remote_retries: AtomicU64,
@@ -398,15 +396,13 @@ impl RemoteEngine {
     /// [`MetricsSnapshot`] shape: the query-path counters every backend
     /// keeps plus the membership and provisioning ones
     /// ([`excluded_workers`](MetricsSnapshot::excluded_workers) is a gauge
-    /// read off the membership machine). Evictions and kernel work happen
-    /// in the workers' engines and stay zero here.
+    /// read off the membership machine). Job planning and kernel work
+    /// happen in the workers' engines and stay zero here.
     pub fn metrics(&self) -> MetricsSnapshot {
         let c = &self.counters;
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         MetricsSnapshot {
             queries: load(&c.queries),
-            plan_cache_hits: load(&c.plan_cache_hits),
-            plan_cache_misses: load(&c.plan_cache_misses),
             keyword_probes: load(&c.keyword_probes),
             keyword_hits: load(&c.keyword_hits),
             remote_retries: load(&c.remote_retries),
@@ -717,22 +713,10 @@ impl QueryExecutor for RemoteEngine {
         bump(&self.counters.queries, 1);
         bump(&self.counters.keyword_probes, probed as u64);
         bump(&self.counters.keyword_hits, matched as u64);
-        // Only a job consults a worker's plan cache; a kernel answer counts
-        // as neither a hit nor a miss, as in the in-process engines.
-        let job = runs_job(&self.layout.exec, options);
         self.layout
             .scatter_gather(query, options, (probed, matched), |shard| {
                 let payload = encode_shard_query(shard as u32, query, options);
-                let (answer, recovery) = self.query_shard(shard, &payload)?;
-                if job {
-                    let outcome = if answer.plan_hit {
-                        &self.counters.plan_cache_hits
-                    } else {
-                        &self.counters.plan_cache_misses
-                    };
-                    bump(outcome, 1);
-                }
-                Ok((answer, recovery))
+                self.query_shard(shard, &payload)
             })
     }
 

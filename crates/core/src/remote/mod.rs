@@ -547,6 +547,25 @@ mod tests {
     }
 
     #[test]
+    fn only_job_requests_count_as_plan_lookups() {
+        // Jobs plan in the workers' engines, so the manager counts no plan
+        // lookups for plain or traced requests alike; a traced request
+        // still answers as a plain one, with one job per touched shard.
+        let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 2).unwrap();
+        let req = request(3, 1.5, &[0]);
+        let plain = remote.execute(&req).unwrap();
+        assert!(plain.trace.is_none());
+        for _ in 0..2 {
+            let traced = remote.execute(&req.clone().with_trace()).unwrap();
+            assert_eq!(traced.results, plain.results);
+            let trace = traced.trace.expect("trace requested");
+            assert_eq!(trace.len(), traced.stats.shards_touched as usize);
+        }
+        let m = remote.metrics();
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
+    }
+
+    #[test]
     fn manager_term_probe_matches_the_keyword_index_past_every_term() {
         // The paper dataset's terms are 0..=11: 63 and 64 straddle the
         // bitmap's first word boundary, u32::MAX lies far beyond it.
@@ -564,20 +583,6 @@ mod tests {
             assert_eq!(local.stats.keyword_terms_matched, matched, "{kw:?}");
             assert_eq!(got.results, local.results, "{kw:?}");
         }
-    }
-
-    #[test]
-    fn only_job_requests_count_as_plan_lookups() {
-        let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 2).unwrap();
-        let req = request(3, 1.5, &[0]);
-        remote.execute(&req).unwrap();
-        let m = remote.metrics();
-        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
-        // Each touched shard's job plans once, then hits its cache.
-        remote.execute(&req.clone().with_trace()).unwrap();
-        remote.execute(&req.with_trace()).unwrap();
-        let m = remote.metrics();
-        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (2, 2));
     }
 
     #[test]
@@ -686,7 +691,6 @@ mod tests {
             let mut records = self.index.to_le_bytes().to_vec();
             records.extend(1.0f64.to_bits().to_le_bytes());
             let forged = ShardAnswer {
-                plan_hit: true,
                 records,
                 stats: spq_mapreduce::JobStats::default(),
             };
@@ -795,8 +799,7 @@ mod tests {
         let mut long = good.clone();
         long.push(0);
         assert!(decode_shard_query(&long).is_err());
-        // The trace flag crosses the wire; an unknown tag is rejected
-        // like an unknown pruning tag.
+        // The trace flag crosses the wire; an unknown tag is rejected.
         let options = QueryOptions {
             trace: true,
             ..QueryOptions::default()

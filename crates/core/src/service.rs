@@ -1,20 +1,18 @@
 //! The typed serving facade: requests in, responses with statistics out.
 //!
 //! The engines underneath speak `SpqQuery → SpqResult` — enough for the
-//! paper's experiments, too little for a service: there is nowhere to ask
-//! for a different algorithm on one query, no per-query observability,
-//! and no way to choose the execution backend without changing types.
-//! This module is the public serving API over all of that:
+//! paper's experiments, too little for a service: there is no per-query
+//! observability and no way to choose the execution backend without
+//! changing types. This module is the public serving API over all of
+//! that:
 //!
-//! * [`QueryRequest`] — a query plus [`QueryOptions`]: per-request
-//!   algorithm override, a worker **budget** (all execution is
-//!   worker-count-invariant, so budget knobs never change result bytes —
-//!   there are no timeouts to race against), the keyword-pruning ablation
-//!   toggle and a trace flag.
+//! * [`QueryRequest`] — a query plus [`QueryOptions`]: a worker
+//!   **budget** (all execution is worker-count-invariant, so budget knobs
+//!   never change result bytes — there are no timeouts to race against)
+//!   and a trace flag.
 //! * [`QueryResponse`] — the ranked results plus per-query [`QueryStats`]
-//!   (plan-cache hit, shards touched, shuffle records/bytes, wall micros,
-//!   keyword-index probe outcome) and, when tracing, the full per-job
-//!   [`JobStats`].
+//!   (shards touched, shuffle records/bytes, wall micros, keyword-index
+//!   probe outcome) and, when tracing, the full per-job [`JobStats`].
 //! * [`Backend`] — which engine serves: [`Backend::Local`] (one
 //!   build-once [`QueryEngine`] on the in-process pool),
 //!   [`Backend::Sharded`] (a scatter/gather
@@ -76,7 +74,7 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// One build-once [`QueryEngine`] over the whole dataset: its direct
-    /// kernel, or — for a traced or pruning-off request — a job on the
+    /// kernel, or — for a traced request — a job on the
     /// in-process [`spq_mapreduce::LocalPool`].
     Local,
     /// A [`ShardedEngine`]: the data
@@ -156,12 +154,12 @@ impl FromStr for Backend {
     }
 }
 
-/// Per-request execution options. All knobs are **result-invariant**:
-/// they change where and how fast a query runs, never what it answers.
+/// Per-request execution options. Both are **result-invariant**: they
+/// change how fast a query runs and what it reports, never what it
+/// answers. The job a traced request runs is configured by the engine's
+/// executor (its algorithm, its keyword pruning), never per request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Run this algorithm instead of the engine's configured one.
-    pub algorithm: Option<Algorithm>,
     /// Worker budget for this request — the one width control there is:
     /// intra-job workers on the local backend (when the request runs a
     /// job — the kernel is single-threaded), scatter width on the sharded
@@ -172,13 +170,6 @@ pub struct QueryOptions {
     /// worker-count-invariant, so this is a pure resource knob — the
     /// timeout-free way to bound a query's CPU appetite.
     pub workers: Option<usize>,
-    /// Override the map-side keyword-pruning rule. Disabling it is the
-    /// shuffle ablation, so it asks for a MapReduce job on every engine
-    /// that answers the request: results are unchanged, the shuffle just
-    /// carries every feature. With pruning on (the default) and no
-    /// [`trace`](Self::trace), engines answer from their direct kernel
-    /// and run no job.
-    pub keyword_pruning: Option<bool>,
     /// Attach the full per-job [`JobStats`] to the response (one entry on
     /// the local backend, one per touched shard on the sharded and remote
     /// ones). A trace *is* a job's statistics, so a traced request runs
@@ -235,21 +226,9 @@ impl QueryRequest {
         self
     }
 
-    /// Overrides the algorithm for this request.
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.options.algorithm = Some(algorithm);
-        self
-    }
-
     /// Sets the worker budget for this request.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.options.workers = Some(workers);
-        self
-    }
-
-    /// Overrides the keyword-pruning rule for this request.
-    pub fn with_keyword_pruning(mut self, enabled: bool) -> Self {
-        self.options.keyword_pruning = Some(enabled);
         self
     }
 
@@ -290,22 +269,17 @@ impl From<SpqQuery> for QueryRequest {
 /// Per-query execution statistics, reported on every [`QueryResponse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryStats {
-    /// The algorithm that answered the request.
+    /// The executor's configured algorithm: the one a traced request's
+    /// job ran (a kernel answer runs none).
     pub algorithm: Algorithm,
-    /// Whether no consulted engine had to build a plan for this query:
-    /// `true` for kernel answers, which plan nothing; for a request that
-    /// asked for a job, whether every engine found the job's per-radius
-    /// partition plan cached. `false` when any plan was built, and on
-    /// requests short-circuited before reaching an engine.
-    pub plan_cache_hit: bool,
     /// Shards the query scattered to. Always 1 on the local backend; on
     /// the sharded and remote backends, 0 when the keyword index proved
     /// no feature can match (or no shard holds data).
     pub shards_touched: usize,
     /// Records that crossed the data-movement boundary. Local backend:
     /// the in-process shuffle of the request's MapReduce job — non-zero
-    /// only when the request asked for one ([`QueryOptions::trace`] or
-    /// keyword pruning disabled), `0` when the kernel answered. Sharded
+    /// only when the request was traced ([`QueryOptions::trace`]), `0`
+    /// when the kernel answered. Sharded
     /// and remote backends: the serialized gather, whichever way the
     /// shards computed.
     pub shuffle_records: u64,
@@ -680,14 +654,8 @@ mod tests {
 
     #[test]
     fn request_builders_set_options() {
-        let r = QueryRequest::new(q(3, 1.0))
-            .with_algorithm(Algorithm::PSpq)
-            .with_workers(2)
-            .with_keyword_pruning(false)
-            .with_trace();
-        assert_eq!(r.options.algorithm, Some(Algorithm::PSpq));
+        let r = QueryRequest::new(q(3, 1.0)).with_workers(2).with_trace();
         assert_eq!(r.options.workers, Some(2));
-        assert_eq!(r.options.keyword_pruning, Some(false));
         assert!(r.options.trace);
         let plain: QueryRequest = q(3, 1.0).into();
         assert_eq!(plain.options, QueryOptions::default());

@@ -7,10 +7,9 @@
 //! placement, PAPERS.md): the data objects are sliced into `N` per-shard
 //! [`SharedDataset`]s at build time — features are **broadcast** to every
 //! shard by cloning the `Arc`, never the array — and each shard runs its
-//! own build-once [`QueryEngine`] (the data grid over the shard's slice,
-//! and the job path's per-radius plans, are local to the shard; the
-//! keyword index, a function of the broadcast features alone, is built
-//! once and shared by all of them).
+//! own build-once [`QueryEngine`] (the data grid over the shard's slice is
+//! local to the shard; the keyword index, a function of the broadcast
+//! features alone, is built once and shared by all of them).
 //!
 //! A query then runs the one scatter/gather of the distribution layer
 //! (`Layout::scatter_gather` — [`crate::remote`] runs the same function
@@ -155,9 +154,6 @@ pub(crate) struct Shard {
 
 /// What a shard answers a query with.
 pub(crate) struct ShardAnswer {
-    /// Whether the shard's engine built no plan for the answer (always,
-    /// unless the request bought a job whose plan was not cached).
-    pub plan_hit: bool,
     /// The shard's local top-k as [`wire`] records.
     pub records: Vec<u8>,
     /// The shard job's statistics (empty when the kernel answered).
@@ -179,7 +175,6 @@ impl Shard {
         };
         let answer = self.engine.run(query, &options)?;
         Ok(ShardAnswer {
-            plan_hit: answer.plan_hit,
             records: wire::encode_results(&answer.top_k, &self.id_to_index),
             stats: answer.stats,
         })
@@ -261,8 +256,7 @@ impl Layout {
             .filter(|&s| keywords.1 > 0 && !self.slices[s].is_empty())
             .collect();
         let mut stats = QueryStats {
-            algorithm: options.algorithm.unwrap_or(self.exec.algorithm_choice()),
-            plan_cache_hit: !relevant.is_empty(),
+            algorithm: self.exec.algorithm_choice(),
             shards_touched: relevant.len(),
             shuffle_records: 0,
             shuffle_bytes: 0,
@@ -301,7 +295,6 @@ impl Layout {
                          {slice:?}"
                     )));
                 }
-                stats.plan_cache_hit &= answer.plan_hit;
                 stats.shuffle_records += (answer.records.len() / wire::RECORD_BYTES) as u64;
                 stats.shuffle_bytes += answer.records.len() as u64;
                 stats.retries += recovery.retries;
@@ -348,8 +341,6 @@ pub struct ShardStats {
     pub records_shipped: u64,
     /// Wire bytes behind [`records_shipped`](Self::records_shipped).
     pub bytes_shipped: u64,
-    /// Per-radius job plans currently cached by the shard's engine.
-    pub cached_plans: usize,
 }
 
 /// The scatter/gather engine behind [`crate::service::Backend::Sharded`].
@@ -435,7 +426,6 @@ impl ShardedEngine {
                 queries: counters.queries.load(Ordering::Relaxed),
                 records_shipped: counters.records_shipped.load(Ordering::Relaxed),
                 bytes_shipped: counters.bytes_shipped.load(Ordering::Relaxed),
-                cached_plans: shard.engine.cached_plans(),
             })
             .collect()
     }
@@ -689,5 +679,21 @@ mod tests {
             .unwrap()
             .trace
             .is_none());
+    }
+
+    #[test]
+    fn every_traced_request_plans_once_per_touched_shard() {
+        let sharded = ShardedEngine::new(executor(), paper_dataset(), 2).unwrap();
+        let req = request(3, 1.5, &[0]);
+        sharded.execute(&req).unwrap();
+        let m = sharded.metrics();
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
+        // Nothing is cached: the same traced request plans again, on each
+        // of the two shards, every time.
+        for round in 1..=3 {
+            sharded.execute(&req.clone().with_trace()).unwrap();
+            let m = sharded.metrics();
+            assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 2 * round));
+        }
     }
 }

@@ -137,8 +137,7 @@ pub struct StreamConfig {
     /// search traffic where a few head terms dominate. `0.0` is uniform.
     pub keyword_exponent: f64,
     /// The radius classes queries draw from. Serving traffic uses a small
-    /// set of discrete radii ("walking distance", "short drive", …), which
-    /// is also what makes an engine's per-radius routing cache effective.
+    /// set of discrete radii ("walking distance", "short drive", …).
     pub radius_classes: Vec<f64>,
     /// Fraction of the stream served from the hotspot pool (`0.0..=1.0`).
     pub hotspot_fraction: f64,

@@ -6,7 +6,7 @@
 //! ┌────────────┬────────────┬───────────┬──────────┬──────────────┬─────────┐
 //! │ magic: u32 │ opcode: u16│ flags: u16│ len: u32 │ checksum: u64│ payload │
 //! └────────────┴────────────┴───────────┴──────────┴──────────────┴─────────┘
-//!     "SPQ2"      dispatch       0        payload     WordHasher     len
+//!     "SPQ3"      dispatch       0        payload     WordHasher     len
 //!                                          bytes      over payload    bytes
 //! ```
 //!
@@ -19,10 +19,13 @@
 
 use std::io::{Read, Write};
 
-/// Frame magic: `"SPQ2"` as a little-endian `u32`. It was `"SPQF"` while
-/// the checksum was FNV-1a a byte at a time; a peer from then fails every
-/// frame as [`FrameError::BadMagic`], not as a checksum mismatch.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ2");
+/// Frame magic: `"SPQ3"` as a little-endian `u32`. It was `"SPQF"` while
+/// the checksum was FNV-1a a byte at a time, and `"SPQ2"` while a shard
+/// query carried algorithm and pruning tags and a shard result a
+/// plan-cache byte. A peer from either fails every frame as
+/// [`FrameError::BadMagic`], not as a checksum mismatch or a mis-parsed
+/// payload.
+pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ3");
 
 /// Upper bound on a frame payload (64 MiB). A length field above this is
 /// treated as corruption, not as a real allocation request.
@@ -367,14 +370,15 @@ mod tests {
 
     #[test]
     fn a_frame_with_the_old_magic_is_bad_magic() {
-        let old = u32::from_le_bytes(*b"SPQF");
-        let mut buf = Vec::new();
-        write_frame(&mut buf, OP_PING, b"x").unwrap();
-        buf[..4].copy_from_slice(&old.to_le_bytes());
-        assert_eq!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::BadMagic { found: old })
-        );
+        for old in [*b"SPQF", *b"SPQ2"].map(u32::from_le_bytes) {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, OP_PING, b"x").unwrap();
+            buf[..4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                read_frame(&mut Cursor::new(&buf)),
+                Err(FrameError::BadMagic { found: old })
+            );
+        }
     }
 
     #[test]

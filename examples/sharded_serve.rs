@@ -92,7 +92,6 @@ fn main() {
 
     // 4. Per-query stats from the typed responses…
     let hits = responses.iter().filter(|r| !r.results.is_empty()).count();
-    let plan_hits = responses.iter().filter(|r| r.stats.plan_cache_hit).count();
     let wire_bytes: u64 = responses.iter().map(|r| r.stats.shuffle_bytes).sum();
     let mean_shards = responses
         .iter()
@@ -100,8 +99,8 @@ fn main() {
         .sum::<f64>()
         / responses.len() as f64;
     println!(
-        "  {hits} non-empty answers, {plan_hits}/{} built no plan, \
-         {mean_shards:.1} shards/query, {wire_bytes} gather wire bytes total",
+        "  {hits}/{} non-empty answers, {mean_shards:.1} shards/query, \
+         {wire_bytes} gather wire bytes total",
         responses.len()
     );
     if let Some(response) = responses.iter().find(|r| !r.results.is_empty()) {
@@ -122,15 +121,14 @@ fn main() {
         println!("per-shard stats:");
         for s in engine.shard_stats() {
             println!(
-                "  shard {}: {} data objects, {} queries served, {} records / {} B shipped, {} cached plans",
-                s.shard, s.data_objects, s.queries, s.records_shipped, s.bytes_shipped, s.cached_plans
+                "  shard {}: {} data objects, {} queries served, {} records / {} B shipped",
+                s.shard, s.data_objects, s.queries, s.records_shipped, s.bytes_shipped
             );
         }
         let m = engine.metrics();
         println!(
-            "aggregate: {} shard queries, {} plan-cache hits / {} misses (jobs only), \
-             {}/{} keyword probes hit",
-            m.queries, m.plan_cache_hits, m.plan_cache_misses, m.keyword_hits, m.keyword_probes
+            "aggregate: {} shard queries, {}/{} keyword probes hit",
+            m.queries, m.keyword_hits, m.keyword_probes
         );
         println!(
             "kernel: {} candidates scored, {} visited, {} distance checks",

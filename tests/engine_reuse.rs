@@ -1,10 +1,10 @@
 //! Reuse properties of the persistent `QueryEngine`.
 //!
 //! The engine inverts the job-per-query lifecycle: the shared store,
-//! keyword index and per-radius routing plans are built once and reused
-//! by every query. That reuse must be invisible: for any world,
+//! keyword index and data grid are built once and reused by every query.
+//! That reuse must be invisible: for any world,
 //! any algorithm, either partitioning strategy and cluster workers in
-//! {1, 2, 8}, a sequence of `engine.execute` calls must return results —
+//! {1, 2, 8}, a sequence of traced `engine.execute` calls must return results —
 //! and output-side counters, and shuffle volumes — **byte-identical** to
 //! the same sequence of fresh `SpqExecutor::run_dataset` jobs, with
 //! interleaved replays not disturbing later queries. Only the input side
@@ -23,8 +23,7 @@ use spq::prelude::*;
 use spq::text::Term;
 
 /// Strategy: a small spatio-textual world plus a query stream of three
-/// (keywords, radius, k) draws — radii repeat across a small class set so
-/// the engine's per-radius plan cache actually gets hits.
+/// (keywords, radius, k) draws — radii repeat across a small class set.
 #[allow(clippy::type_complexity)]
 fn world() -> impl Strategy<
     Value = (
@@ -69,8 +68,7 @@ fn world() -> impl Strategy<
     })
 }
 
-/// Three shared radius classes — queries repeating a class share a
-/// cached plan inside the engine.
+/// Three shared radius classes.
 const RADIUS_CLASSES: [f64; 3] = [0.05, 0.15, 0.4];
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 const ALGORITHMS: [Algorithm; 3] = [Algorithm::PSpq, Algorithm::ESpqLen, Algorithm::ESpqSco];
@@ -153,15 +151,6 @@ proptest! {
                     for (request, expect) in requests.iter().zip(&first_pass) {
                         prop_assert_eq!(&engine.execute(request).unwrap().results, expect);
                     }
-                    // The plan cache held one plan per distinct radius.
-                    let distinct_radii = {
-                        let mut bits: Vec<u64> =
-                            queries.iter().map(|q| q.radius.to_bits()).collect();
-                        bits.sort_unstable();
-                        bits.dedup();
-                        bits.len()
-                    };
-                    prop_assert_eq!(engine.cached_plans(), distinct_radii);
                 }
             }
         }
@@ -210,8 +199,7 @@ proptest! {
 
 /// Deterministic end-to-end check on a bigger-than-proptest world: a
 /// hotspot-heavy stream served concurrently must equal the sequential
-/// traced (job) pass for every worker count, and the jobs' plan-cache
-/// growth is bounded by the radius classes.
+/// traced (job) pass for every worker count.
 #[test]
 fn serve_on_generated_workload_is_worker_invariant() {
     use spq::data::{QueryStream, StreamConfig, UniformGen};
@@ -248,11 +236,6 @@ fn serve_on_generated_workload_is_worker_invariant() {
             let got: Vec<_> = served.into_iter().map(|r| r.results).collect();
             assert_eq!(got, sequential, "{algo} workers={workers}");
         }
-        assert_eq!(
-            engine.cached_plans(),
-            2,
-            "{algo}: one job plan per radius class"
-        );
     }
 }
 
@@ -371,10 +354,10 @@ fn entry_points_agree_under(balancing: LoadBalancing) {
     }
 
     let unpruned_exec = exec.keyword_pruning(false);
+    let unpruned = QueryEngine::new(unpruned_exec.clone(), shared.clone());
     for request in &requests {
-        let request = request.clone().with_keyword_pruning(false);
         let fresh = unpruned_exec.run_dataset(&shared, &request.query).unwrap();
-        let response = engine.execute(&request).unwrap();
+        let response = unpruned.execute(request).unwrap();
         let job = &response.trace.as_ref().expect("trace requested")[0];
         assert_eq!(job.map_input_records(), fresh.stats.map_input_records());
         assert_eq!(job.counters, fresh.stats.counters);
