@@ -48,6 +48,7 @@
 
 pub mod algo;
 pub mod centralized;
+mod checker;
 pub mod engine;
 pub mod executor;
 mod kernel;

@@ -421,12 +421,12 @@ impl Membership {
 mod tests {
     //! The machine, enumerated: every event the engine can report, in
     //! every order, over a cluster small enough to visit every reachable
-    //! state (3 workers × 2 shards × replication factor 2) — the way
-    //! `tests/serve_admission.rs` checks the queue against a model, with
-    //! no socket anywhere.
+    //! state (3 workers × 2 shards × replication factor 2), with no
+    //! socket anywhere. `serve::tests` checks the admission machine with
+    //! the same breadth-first [`checker`].
 
     use super::*;
-    use std::collections::HashSet;
+    use crate::checker::{self, Violation};
 
     const WORKERS: usize = 3;
     const SHARDS: usize = 2;
@@ -562,56 +562,36 @@ mod tests {
             .map_err(|e| format!("settled, but {e}"))
     }
 
-    /// A broken invariant and the event sequence that reaches it from
-    /// [`start`].
-    #[derive(Debug)]
-    struct Violation {
-        trace: Vec<Event>,
-        message: String,
+    /// Only a reported status can re-admit a worker, and only once its
+    /// probe streak reached the threshold.
+    fn readmissions_earned(
+        before: &Membership,
+        event: Event,
+        after: &Membership,
+    ) -> Result<(), String> {
+        let hasty = (0..WORKERS).find(|&w| {
+            let readmitted = !before.available(w) && after.available(w);
+            let earned =
+                matches!(event, StatusReported(..)) && before.probe_streak[w] == READMIT_THRESHOLD;
+            readmitted && !earned
+        });
+        match hasty {
+            Some(w) => Err(format!("worker {w} re-admitted without its streak")),
+            None => Ok(()),
+        }
     }
 
-    /// Breadth-first over every state `step` can reach from [`start`],
-    /// checking each new state (so the first violation found has a
-    /// shortest trace) and each re-admission. Returns the number of
-    /// states and the depth of the deepest one.
-    fn explore(step: impl Fn(&mut Membership, Event)) -> Result<(usize, usize), Violation> {
-        let events = all_events();
-        // (state, depth, parent node and the event that led here)
-        let mut nodes = vec![(start(), 0usize, None::<(usize, Event)>)];
-        let mut seen = HashSet::from([key(&nodes[0].0)]);
-        let mut next = 0;
-        while next < nodes.len() {
-            for &event in &events {
-                let (before, depth) = (&nodes[next].0, nodes[next].1);
-                let mut after = before.clone();
-                step(&mut after, event);
-                let hasty = (0..WORKERS).find(|&w| {
-                    let readmitted = !before.available(w) && after.available(w);
-                    let earned = matches!(event, StatusReported(..))
-                        && before.probe_streak[w] == READMIT_THRESHOLD;
-                    readmitted && !earned
-                });
-                let verdict = match hasty {
-                    Some(w) => Err(format!("worker {w} re-admitted without its streak")),
-                    None if seen.insert(key(&after)) => check(&after, &step),
-                    None => continue,
-                };
-                nodes.push((after, depth + 1, Some((next, event))));
-                if let Err(message) = verdict {
-                    let mut trace = Vec::new();
-                    let mut at = nodes.len() - 1;
-                    while let Some((parent, event)) = nodes[at].2 {
-                        trace.push(event);
-                        at = parent;
-                    }
-                    trace.reverse();
-                    return Err(Violation { trace, message });
-                }
-            }
-            next += 1;
-        }
-        let depth = nodes.iter().map(|node| node.1).max().unwrap_or(0);
-        Ok((nodes.len(), depth))
+    /// Every state `step` reaches from [`start`], checked by
+    /// [`checker::explore`].
+    fn explore(step: impl Fn(&mut Membership, Event)) -> Result<(usize, usize), Violation<Event>> {
+        checker::explore(
+            start(),
+            &all_events(),
+            key,
+            &step,
+            readmissions_earned,
+            |m| check(m, &step),
+        )
     }
 
     #[test]

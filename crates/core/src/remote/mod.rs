@@ -559,7 +559,7 @@ mod tests {
             let traced = remote.execute(&req.clone().with_trace()).unwrap();
             assert_eq!(traced.results, plain.results);
             let trace = traced.trace.expect("trace requested");
-            assert_eq!(trace.len(), traced.stats.shards_touched as usize);
+            assert_eq!(trace.len(), traced.stats.shards_touched);
         }
         let m = remote.metrics();
         assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));

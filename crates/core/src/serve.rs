@@ -44,6 +44,17 @@
 //! without starving it into deadline misses — and without ever changing
 //! anyone's result bytes.
 //!
+//! Every decision above — the cap, when a window closes, what is shed
+//! and in which order the rest runs — and every counter belong to one
+//! private, lock-free machine, `Admission`: it is offered items
+//! (`Admitted` or `Full`), hands out a closed window (`due`: the
+//! members to run, each missed deadline to shed) and is told what the
+//! window's execution resolved. [`AdmissionQueue`] holds it behind one
+//! mutex and only delivers: it validates, parks [`OverflowPolicy::Block`]
+//! producers while the machine is full, advances the clock, executes
+//! the window and fills the [`Ticket`]s. The unit tests check the
+//! machine over every reachable state of every small configuration.
+//!
 //! ```
 //! use spq_core::serve::{AdmissionConfig, AdmissionQueue};
 //! use spq_core::{DataObject, FeatureObject, QueryEngine, QueryRequest};
@@ -75,7 +86,8 @@ use crate::engine::MetricsSnapshot;
 use crate::executor::SpqError;
 use crate::service::{QueryExecutor, QueryRequest, QueryResponse};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 
@@ -223,40 +235,131 @@ impl Ticket {
     }
 }
 
-/// One admitted, not-yet-executed request.
+/// One admitted, not-yet-executed request, as the queue stores it.
 #[derive(Debug)]
 struct Pending {
-    /// Arrival order — the tiebreaker within a priority.
-    seq: u64,
     request: QueryRequest,
     ticket: Arc<TicketInner>,
 }
 
-/// Queue state behind one mutex.
-#[derive(Debug, Default)]
-struct QueueState {
-    pending: VecDeque<Pending>,
-    /// Admitted requests not yet resolved (queued + executing + shedding)
-    /// — what the cap bounds.
-    in_flight: usize,
-    next_seq: u64,
-    /// The tick the current coalescing window opened, `None` while the
-    /// queue is empty.
-    window_open: Option<u64>,
-    /// Highest queue depth ever observed at admission.
-    depth_watermark: usize,
+/// What [`Admission::offer`] did with an item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Offered {
+    Admitted,
+    /// At the cap: the item was dropped and counted as rejected.
+    Full,
 }
 
-/// Cumulative admission counters.
-#[derive(Debug, Default)]
-struct AdmissionCounters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    rejected_overload: AtomicU64,
-    shed_deadline: AtomicU64,
-    executed: AtomicU64,
-    failed: AtomicU64,
-    coalesced_batches: AtomicU64,
+/// A closed coalescing window, as [`Admission::due`] hands it out.
+#[derive(Debug, Clone)]
+struct Window<T> {
+    /// The members to execute, in dequeue order.
+    run: Vec<T>,
+    /// Every queued item whose deadline had passed, with that deadline.
+    shed: Vec<(T, u64)>,
+}
+
+/// The admission policy as a pure machine: the cap, the window rule,
+/// deadline shedding, dequeue order and every counter, with no lock,
+/// clock, ticket or executor. [`AdmissionQueue`] keeps one behind its
+/// mutex and delivers what it decides; the tests drive one through
+/// every small configuration. Generic over its payload, so the tests
+/// can queue plain ids.
+#[derive(Debug, Clone)]
+struct Admission<T> {
+    config: AdmissionConfig,
+    /// Queued items in dequeue order — priority descending, then
+    /// arrival — so a window is a prefix.
+    pending: BTreeMap<(Reverse<u8>, u64), (Option<u64>, T)>,
+    /// Admitted items not yet resolved (queued or executing) — what the
+    /// cap bounds.
+    in_flight: usize,
+    next_seq: u64,
+    /// The tick the current window opened, `None` while nothing is
+    /// queued.
+    window_open: Option<u64>,
+    /// The seven counters and the depth watermark, as plain numbers;
+    /// [`AdmissionQueue::stats`] fills in the depth and the clock.
+    stats: AdmissionSnapshot,
+}
+
+impl<T> Admission<T> {
+    fn new(config: AdmissionConfig) -> Self {
+        Self {
+            config,
+            pending: BTreeMap::new(),
+            in_flight: 0,
+            next_seq: 0,
+            window_open: None,
+            stats: AdmissionSnapshot::default(),
+        }
+    }
+
+    /// Whether an offer now would be [`Offered::Full`].
+    fn full(&self) -> bool {
+        self.in_flight >= self.config.max_in_flight
+    }
+
+    /// Counts a request that failed validation: submitted, never offered.
+    fn count_invalid(&mut self) {
+        self.stats.submitted += 1;
+    }
+
+    /// Admits `item` at tick `now` unless the cap is reached.
+    fn offer(&mut self, now: u64, priority: u8, deadline: Option<u64>, item: T) -> Offered {
+        self.stats.submitted += 1;
+        if self.full() {
+            self.stats.rejected_overload += 1;
+            return Offered::Full;
+        }
+        self.in_flight += 1;
+        self.stats.admitted += 1;
+        self.pending
+            .insert((Reverse(priority), self.next_seq), (deadline, item));
+        self.next_seq += 1;
+        self.window_open.get_or_insert(now);
+        self.stats.queue_depth_watermark = self.stats.queue_depth_watermark.max(self.pending.len());
+        Offered::Admitted
+    }
+
+    /// Closes the window if it is due at `now` — `batch_max` items, or
+    /// `batch_ticks` ticks old — and dequeues it: every queued item whose
+    /// deadline is behind `now` is shed wherever it sits (it could only
+    /// be dequeued later, so shedding now frees capacity earliest), and
+    /// the first `batch_max` survivors run. `None` while the window is
+    /// still filling. Shed items are resolved here.
+    fn due(&mut self, now: u64) -> Option<Window<T>> {
+        let opened = self.window_open?;
+        let batch_max = self.config.batch_max;
+        if self.pending.len() < batch_max && now < opened.saturating_add(self.config.batch_ticks) {
+            return None;
+        }
+        let (mut run, mut shed) = (Vec::new(), Vec::new());
+        self.pending = std::mem::take(&mut self.pending)
+            .into_iter()
+            .filter_map(|(key, (deadline, item))| {
+                match deadline {
+                    Some(d) if now > d => shed.push((item, d)),
+                    _ if run.len() < batch_max => run.push(item),
+                    _ => return Some((key, (deadline, item))),
+                }
+                None
+            })
+            .collect();
+        self.window_open = (!self.pending.is_empty()).then_some(now);
+        self.in_flight -= shed.len();
+        self.stats.shed_deadline += shed.len() as u64;
+        self.stats.coalesced_batches += u64::from(!run.is_empty());
+        Some(Window { run, shed })
+    }
+
+    /// Resolves executed window members: `executed` answered, `failed`
+    /// returned an error.
+    fn resolved(&mut self, executed: usize, failed: usize) {
+        self.in_flight -= executed + failed;
+        self.stats.executed += executed as u64;
+        self.stats.failed += failed as u64;
+    }
 }
 
 /// A point-in-time snapshot of an [`AdmissionQueue`]'s counters.
@@ -284,9 +387,9 @@ pub struct AdmissionSnapshot {
     pub clock: u64,
 }
 
-/// Number of latency buckets: bucket `i ≥ 1` counts observations in
-/// `[2^(i-1), 2^i)` microseconds, bucket `0` counts zeros, and the last
-/// bucket absorbs everything ≥ 2^30 µs (~18 minutes).
+/// Number of latency buckets: bucket `0` counts zeros, bucket `i` in
+/// `1..=29` counts observations in `[2^(i-1), 2^i)` microseconds, and
+/// the last bucket (`30`) absorbs everything ≥ 2^29 µs (~9 minutes).
 pub const LATENCY_BUCKETS: usize = 31;
 
 /// A log-bucketed (powers-of-two microseconds) latency histogram.
@@ -332,21 +435,12 @@ impl LatencyHistogram {
 }
 
 /// A point-in-time copy of a [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts (see [`LATENCY_BUCKETS`] for the bounds).
     pub buckets: [u64; LATENCY_BUCKETS],
     /// Sum of all recorded observations, microseconds.
     pub sum_micros: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        Self {
-            buckets: [0; LATENCY_BUCKETS],
-            sum_micros: 0,
-        }
-    }
 }
 
 impl HistogramSnapshot {
@@ -444,10 +538,10 @@ pub struct AdmissionQueue<E: QueryExecutor> {
     executor: E,
     config: AdmissionConfig,
     clock: AtomicU64,
-    state: Mutex<QueueState>,
+    /// The policy and every counter, behind the one lock.
+    state: Mutex<Admission<Pending>>,
     /// Signals blocked producers when capacity frees.
     space: Condvar,
-    counters: AdmissionCounters,
     latency: LatencyHistogram,
 }
 
@@ -459,9 +553,8 @@ impl<E: QueryExecutor> AdmissionQueue<E> {
             executor,
             config,
             clock: AtomicU64::new(0),
-            state: Mutex::new(QueueState::default()),
+            state: Mutex::new(Admission::new(config)),
             space: Condvar::new(),
-            counters: AdmissionCounters::default(),
             latency: LatencyHistogram::new(),
         })
     }
@@ -491,42 +584,29 @@ impl<E: QueryExecutor> AdmissionQueue<E> {
     /// outcome — which may still be [`SpqError::DeadlineExceeded`] if the
     /// request's deadline passes before a serve-loop pump dequeues it.
     pub fn submit(&self, request: QueryRequest) -> Result<Ticket, SpqError> {
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        request.validate()?;
+        if let Err(e) = request.validate() {
+            self.state.lock().count_invalid();
+            return Err(e);
+        }
         let ticket = Arc::new(TicketInner::default());
         let mut state = self.state.lock();
-        while state.in_flight >= self.config.max_in_flight {
-            match self.config.overflow {
-                OverflowPolicy::Reject => {
-                    self.counters
-                        .rejected_overload
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(SpqError::Overloaded {
-                        capacity: self.config.max_in_flight,
-                    });
-                }
-                OverflowPolicy::Block => {
-                    state = self
-                        .space
-                        .wait(state)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-            }
+        while self.config.overflow == OverflowPolicy::Block && state.full() {
+            state = self
+                .space
+                .wait(state)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        state.in_flight += 1;
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        if state.window_open.is_none() {
-            state.window_open = Some(self.now());
-        }
-        state.pending.push_back(Pending {
-            seq,
+        let (priority, deadline) = (request.priority, request.deadline);
+        let pending = Pending {
             request,
             ticket: Arc::clone(&ticket),
-        });
-        state.depth_watermark = state.depth_watermark.max(state.pending.len());
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { inner: ticket })
+        };
+        match state.offer(self.now(), priority, deadline, pending) {
+            Offered::Admitted => Ok(Ticket { inner: ticket }),
+            Offered::Full => Err(SpqError::Overloaded {
+                capacity: self.config.max_in_flight,
+            }),
+        }
     }
 
     /// Advances the manual clock one tick, then [`pump`](Self::pump)s.
@@ -545,93 +625,46 @@ impl<E: QueryExecutor> AdmissionQueue<E> {
     /// the window is still filling.
     pub fn pump(&self) -> PumpReport {
         let now = self.now();
-        let (window, shed) = {
+        let window = {
             let mut state = self.state.lock();
-            let Some(opened) = state.window_open else {
-                return PumpReport::default();
-            };
-            let size_due = state.pending.len() >= self.config.batch_max;
-            let time_due = now >= opened.saturating_add(self.config.batch_ticks);
-            if !size_due && !time_due {
+            let Some(window) = state.due(now) else {
                 return PumpReport {
                     remaining: state.pending.len(),
                     ..PumpReport::default()
                 };
-            }
-
-            // Shed at dequeue time: exactly the queued requests whose
-            // deadline tick is behind the clock, wherever they sit in
-            // the queue (they could only ever be dequeued later, so
-            // shedding now frees capacity earliest).
-            let mut survivors: Vec<Pending> = Vec::with_capacity(state.pending.len());
-            // Shed entries carry the deadline they missed, captured here
-            // where it is known to exist — no later re-extraction.
-            let mut shed: Vec<(Pending, u64)> = Vec::new();
-            for p in state.pending.drain(..) {
-                match p.request.deadline {
-                    Some(d) if now > d => shed.push((p, d)),
-                    _ => survivors.push(p),
-                }
-            }
-
-            // Dequeue order: priority descending, arrival order within a
-            // priority — result bytes are unaffected, only scheduling.
-            survivors.sort_by_key(|p| (std::cmp::Reverse(p.request.priority), p.seq));
-            let take = survivors.len().min(self.config.batch_max);
-            let window: Vec<Pending> = survivors.drain(..take).collect();
-            survivors.sort_by_key(|p| p.seq);
-            state.pending = survivors.into();
-            state.window_open = (!state.pending.is_empty()).then_some(now);
-            (window, shed)
+            };
+            window
         };
 
-        for (p, deadline) in &shed {
-            p.ticket.deliver(Err(SpqError::DeadlineExceeded {
-                deadline: *deadline,
-                now,
-            }));
+        for &(ref p, deadline) in &window.shed {
+            p.ticket
+                .deliver(Err(SpqError::DeadlineExceeded { deadline, now }));
         }
-        self.counters
-            .shed_deadline
-            .fetch_add(shed.len() as u64, Ordering::Relaxed);
-
-        let mut executed = 0usize;
+        // One coalesced window: each member at its own worker budget,
+        // exactly what `QueryExecutor::execute_batch` runs — but
+        // delivered per ticket, so one failing request cannot poison its
+        // window-mates.
         let mut failed = 0usize;
-        if !window.is_empty() {
-            self.counters
-                .coalesced_batches
-                .fetch_add(1, Ordering::Relaxed);
-            // One coalesced window: each member at its own worker budget,
-            // exactly what `QueryExecutor::execute_batch` runs — but
-            // delivered per ticket, so one failing request cannot poison
-            // its window-mates.
-            for p in &window {
-                match self
-                    .executor
-                    .run_validated(&p.request.query, &p.request.options)
-                {
-                    Ok(response) => {
-                        self.latency.record(response.stats.wall_micros);
-                        executed += 1;
-                        p.ticket.deliver(Ok(response));
-                    }
-                    Err(e) => {
-                        failed += 1;
-                        p.ticket.deliver(Err(e));
-                    }
+        for p in &window.run {
+            match self
+                .executor
+                .run_validated(&p.request.query, &p.request.options)
+            {
+                Ok(response) => {
+                    self.latency.record(response.stats.wall_micros);
+                    p.ticket.deliver(Ok(response));
+                }
+                Err(e) => {
+                    failed += 1;
+                    p.ticket.deliver(Err(e));
                 }
             }
-            self.counters
-                .executed
-                .fetch_add(executed as u64, Ordering::Relaxed);
-            self.counters
-                .failed
-                .fetch_add(failed as u64, Ordering::Relaxed);
         }
+        let executed = window.run.len() - failed;
 
         let remaining = {
             let mut state = self.state.lock();
-            state.in_flight -= window.len() + shed.len();
+            state.resolved(executed, failed);
             state.pending.len()
         };
         if self.config.overflow == OverflowPolicy::Block {
@@ -639,7 +672,7 @@ impl<E: QueryExecutor> AdmissionQueue<E> {
         }
         PumpReport {
             executed,
-            shed: shed.len(),
+            shed: window.shed.len(),
             failed,
             remaining,
         }
@@ -665,23 +698,13 @@ impl<E: QueryExecutor> AdmissionQueue<E> {
         self.state.lock().pending.len()
     }
 
-    /// A snapshot of the admission counters.
+    /// A snapshot of the admission counters, read in one lock section.
     pub fn stats(&self) -> AdmissionSnapshot {
-        let (queue_depth, queue_depth_watermark) = {
-            let state = self.state.lock();
-            (state.pending.len(), state.depth_watermark)
-        };
+        let state = self.state.lock();
         AdmissionSnapshot {
-            submitted: self.counters.submitted.load(Ordering::Relaxed),
-            admitted: self.counters.admitted.load(Ordering::Relaxed),
-            rejected_overload: self.counters.rejected_overload.load(Ordering::Relaxed),
-            shed_deadline: self.counters.shed_deadline.load(Ordering::Relaxed),
-            executed: self.counters.executed.load(Ordering::Relaxed),
-            failed: self.counters.failed.load(Ordering::Relaxed),
-            coalesced_batches: self.counters.coalesced_batches.load(Ordering::Relaxed),
-            queue_depth_watermark,
-            queue_depth,
+            queue_depth: state.pending.len(),
             clock: self.now(),
+            ..state.stats
         }
     }
 
@@ -990,6 +1013,18 @@ mod tests {
         merged.merge(&snap);
         assert_eq!(merged.count(), 14);
         assert_eq!(merged.quantile(0.5), 3);
+        // The last bounded bucket ends at 2^29 - 1 µs; the unbounded one
+        // starts at 2^29 µs (~9 minutes).
+        for (micros, bucket, quantile) in [
+            ((1u64 << 29) - 1, 29, (1u64 << 29) - 1),
+            (1 << 29, LATENCY_BUCKETS - 1, u64::MAX),
+        ] {
+            let h = LatencyHistogram::new();
+            h.record(micros);
+            let snap = h.snapshot();
+            assert_eq!(snap.buckets[bucket], 1, "{micros} µs");
+            assert_eq!(snap.quantile(1.0), quantile, "{micros} µs");
+        }
     }
 
     #[test]
@@ -1029,5 +1064,374 @@ mod tests {
         let queue = AdmissionQueue::new(&engine, AdmissionConfig::default()).unwrap();
         assert!(queue.drain().idle());
         assert_eq!(queue.queue_depth(), 0);
+    }
+
+    // The machine, enumerated: every offer, tick, pump and resolution,
+    // in every order, over every configuration with cap ≤ 3,
+    // `batch_max` ≤ 2 and `batch_ticks` ≤ 2 — the exhaustive companion
+    // of the model proptest in `tests/serve_admission.rs`, with no
+    // executor, ticket or thread.
+
+    use crate::checker::{self, Violation};
+
+    /// What the checker queues: an arrival id and what the policy reads.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Item {
+        id: u64,
+        priority: u8,
+        deadline: Option<u64>,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        /// A request with this priority whose deadline is this many ticks
+        /// from now (`None`: no deadline).
+        Offer(u8, Option<u64>),
+        /// The clock advances, then a pump.
+        Tick,
+        /// A pump without a tick, as a serve loop may run after a
+        /// submit: a full window closes without waiting for one.
+        Pump,
+        /// Every dequeued, still-running item answers.
+        Resolve,
+    }
+    use Event::{Offer, Pump, Resolve, Tick};
+
+    fn events() -> Vec<Event> {
+        let mut events = vec![Tick, Pump, Resolve];
+        for priority in 0..2 {
+            events.extend([None, Some(0), Some(1)].map(|after| Offer(priority, after)));
+        }
+        events
+    }
+
+    fn configs() -> impl Iterator<Item = AdmissionConfig> {
+        (1..=3).flat_map(|cap| {
+            (1..=2).flat_map(move |batch_max| {
+                (0..=2).map(move |batch_ticks| {
+                    AdmissionConfig::default()
+                        .with_max_in_flight(cap)
+                        .with_batch_max(batch_max)
+                        .with_batch_ticks(batch_ticks)
+                })
+            })
+        })
+    }
+
+    /// The machine plus what the checker tracks without asking it.
+    #[derive(Debug, Clone)]
+    struct Sim {
+        config: AdmissionConfig,
+        machine: Admission<Item>,
+        now: u64,
+        next_id: u64,
+        /// Admitted and not dequeued, in arrival order.
+        queued: Vec<Item>,
+        /// Dequeued to run and not resolved.
+        running: Vec<Item>,
+        /// When the current window opened, by the documented rule.
+        opened: Option<u64>,
+        /// Windows that ran something, and the deepest queue seen.
+        batches: u64,
+        watermark: usize,
+        /// What the last event's offer or pump returned.
+        offered: Option<Offered>,
+        window: Option<Window<Item>>,
+    }
+
+    impl Sim {
+        fn new(config: AdmissionConfig) -> Self {
+            Self {
+                config,
+                machine: Admission::new(config),
+                now: 0,
+                next_id: 0,
+                queued: Vec::new(),
+                running: Vec::new(),
+                opened: None,
+                batches: 0,
+                watermark: 0,
+                offered: None,
+                window: None,
+            }
+        }
+    }
+
+    type Due = fn(&mut Admission<Item>, u64) -> Option<Window<Item>>;
+
+    /// The transition function, with the machine's `due` passed in so a
+    /// test can hand it a broken one.
+    fn step_with(sim: &mut Sim, event: Event, due: Due) {
+        sim.offered = None;
+        sim.window = None;
+        match event {
+            Offer(priority, after) => {
+                let deadline = after.map(|ticks| sim.now + ticks);
+                let item = Item {
+                    id: sim.next_id,
+                    priority,
+                    deadline,
+                };
+                sim.next_id += 1;
+                let offered = sim.machine.offer(sim.now, priority, deadline, item);
+                if offered == Offered::Admitted {
+                    sim.queued.push(item);
+                    sim.watermark = sim.watermark.max(sim.queued.len());
+                    sim.opened.get_or_insert(sim.now);
+                }
+                sim.offered = Some(offered);
+            }
+            Tick => {
+                sim.now += 1;
+                step_with(sim, Pump, due);
+            }
+            Pump => {
+                if let Some(window) = due(&mut sim.machine, sim.now) {
+                    let shed: Vec<Item> = window.shed.iter().map(|&(item, _)| item).collect();
+                    sim.queued
+                        .retain(|item| !window.run.contains(item) && !shed.contains(item));
+                    sim.running.extend(&window.run);
+                    sim.batches += u64::from(!window.run.is_empty());
+                    sim.opened = (!sim.queued.is_empty()).then_some(sim.now);
+                    sim.window = Some(window);
+                }
+            }
+            Resolve => {
+                sim.machine.resolved(sim.running.len(), 0);
+                sim.running.clear();
+            }
+        }
+    }
+
+    fn apply(sim: &mut Sim, event: Event) {
+        step_with(sim, event, Admission::due)
+    }
+
+    /// A finite key: deadlines and the window's age as offsets from now
+    /// (a missed deadline stays missed; a window at least `batch_ticks`
+    /// old is simply due), ids as positions. Counters only grow and are
+    /// left out, as membership leaves out its tick.
+    #[allow(clippy::type_complexity)]
+    fn key(
+        sim: &Sim,
+    ) -> (
+        Vec<(u8, u8)>,
+        Vec<Option<usize>>,
+        usize,
+        [Option<u64>; 2],
+        usize,
+    ) {
+        let offset = |deadline: Option<u64>| match deadline {
+            None => 3,
+            Some(d) if d < sim.now => 2,
+            Some(d) => (d - sim.now) as u8,
+        };
+        let age = |opened: Option<u64>| {
+            opened.map(|at| sim.now.saturating_sub(at).min(sim.config.batch_ticks))
+        };
+        let position = |item: &Item| sim.queued.iter().position(|q| q == item);
+        (
+            sim.queued
+                .iter()
+                .map(|i| (i.priority, offset(i.deadline)))
+                .collect(),
+            sim.machine
+                .pending
+                .values()
+                .map(|(_, item)| position(item))
+                .collect(),
+            sim.running.len(),
+            [age(sim.opened), age(sim.machine.window_open)],
+            sim.machine.in_flight,
+        )
+    }
+
+    /// The documented dequeue order: priority descending, then arrival.
+    fn dequeue_order<'a>(items: impl IntoIterator<Item = &'a Item>) -> Vec<Item> {
+        let mut items: Vec<Item> = items.into_iter().copied().collect();
+        items.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.id.cmp(&b.id)));
+        items
+    }
+
+    fn ids<'a>(items: impl IntoIterator<Item = &'a Item>) -> Vec<u64> {
+        items.into_iter().map(|item| item.id).collect()
+    }
+
+    /// What every transition must do: offers are refused exactly at the
+    /// cap, and a pump closes the window exactly when it is full or
+    /// `batch_ticks` old, sheds exactly the items whose deadline is
+    /// behind the clock, and runs the first `batch_max` survivors in
+    /// priority-then-arrival order.
+    fn edge(before: &Sim, event: Event, after: &Sim) -> Result<(), String> {
+        let config = before.config;
+        let in_flight = before.queued.len() + before.running.len();
+        if let Some(offered) = after.offered {
+            if (offered == Offered::Full) != (in_flight >= config.max_in_flight) {
+                return Err(format!(
+                    "offer at {in_flight} in flight, cap {}: {offered:?}",
+                    config.max_in_flight
+                ));
+            }
+        }
+        if !matches!(event, Tick | Pump) {
+            return Ok(());
+        }
+        let now = after.now;
+        let due = before.opened.is_some_and(|opened| {
+            before.queued.len() >= config.batch_max || now >= opened + config.batch_ticks
+        });
+        let Some(window) = &after.window else {
+            return match due {
+                true => Err(format!("a due window stayed open at tick {now}")),
+                false => Ok(()),
+            };
+        };
+        if !due {
+            return Err(format!("a filling window closed at tick {now}"));
+        }
+        let missed = |item: &Item| item.deadline.is_some_and(|d| d < now);
+        let mut shed = ids(window.shed.iter().map(|(item, _)| item));
+        shed.sort_unstable();
+        let want = ids(before.queued.iter().filter(|item| missed(item)));
+        if shed != want {
+            return Err(format!(
+                "at tick {now} shed seqs {shed:?}, but the missed deadlines are {want:?}"
+            ));
+        }
+        if let Some((item, d)) = window
+            .shed
+            .iter()
+            .find(|(item, d)| item.deadline != Some(*d))
+        {
+            return Err(format!("seq {} shed as missing {d}", item.id));
+        }
+        let mut survivors = dequeue_order(before.queued.iter().filter(|i| !missed(i)));
+        survivors.truncate(config.batch_max);
+        if window.run != survivors {
+            return Err(format!(
+                "at tick {now} ran seqs {:?}, want {:?}: the first batch_max survivors by priority, then arrival",
+                ids(&window.run),
+                ids(&survivors)
+            ));
+        }
+        Ok(())
+    }
+
+    /// What every reachable state must satisfy, including that ticks and
+    /// resolutions alone empty it within `cap × (batch_ticks + 1)` ticks.
+    fn check(sim: &Sim, step: &impl Fn(&mut Sim, Event)) -> Result<(), String> {
+        let (m, config) = (&sim.machine, sim.config);
+        let in_flight = sim.queued.len() + sim.running.len();
+        if m.in_flight != in_flight || in_flight > config.max_in_flight {
+            return Err(format!(
+                "machine has {} in flight, queued + running = {in_flight}, cap {}",
+                m.in_flight, config.max_in_flight
+            ));
+        }
+        if !m
+            .pending
+            .values()
+            .map(|(_, item)| *item)
+            .eq(dequeue_order(&sim.queued))
+        {
+            return Err(format!(
+                "machine queue {:?} is not the admitted items in dequeue order",
+                m.pending
+            ));
+        }
+        if m.window_open != sim.opened {
+            return Err(format!(
+                "window opened at {:?}, want {:?}",
+                m.window_open, sim.opened
+            ));
+        }
+        let s = m.stats;
+        let completed = s.executed + s.failed;
+        let started = completed + sim.running.len() as u64;
+        let accounted = sim.queued.len() as u64 + s.shed_deadline + started;
+        if s.submitted != s.admitted + s.rejected_overload
+            || s.admitted != accounted
+            || (s.coalesced_batches, s.queue_depth_watermark) != (sim.batches, sim.watermark)
+            || !(s.submitted >= s.admitted && s.admitted >= started && started >= completed)
+        {
+            return Err(format!(
+                "counters {s:?} disagree with {in_flight} in flight"
+            ));
+        }
+        let limit = config.max_in_flight as u64 * (config.batch_ticks + 1);
+        let mut settling = sim.clone();
+        step(&mut settling, Resolve);
+        for _ in 0..limit {
+            step(&mut settling, Tick);
+            step(&mut settling, Resolve);
+        }
+        if settling.machine.in_flight != 0 || !settling.queued.is_empty() {
+            return Err(format!("not empty {limit} ticks after the last offer"));
+        }
+        Ok(())
+    }
+
+    fn explore(
+        config: AdmissionConfig,
+        step: impl Fn(&mut Sim, Event),
+    ) -> Result<(usize, usize), Violation<Event>> {
+        checker::explore(Sim::new(config), &events(), key, &step, edge, |sim| {
+            check(sim, &step)
+        })
+    }
+
+    #[test]
+    fn every_small_configuration_keeps_the_admission_invariants() {
+        let (mut states, mut deepest) = (0, 0);
+        for config in configs() {
+            let (n, depth) = explore(config, apply).unwrap_or_else(|v| panic!("{config:?}: {v:?}"));
+            states += n;
+            deepest = deepest.max(depth);
+        }
+        // Breadth-first to a fixed point covers every event sequence of
+        // every length; the deepest state is six events from the start.
+        assert!(deepest >= 6, "{states} states, deepest at {deepest}");
+    }
+
+    /// `due` with one deliberate bug: an item whose deadline is the
+    /// current tick is shed (`now >= d`) instead of run. It is the real
+    /// `due` one tick ahead (`now + 1 > d`), with one more tick of window
+    /// age so the window rule stays where it was.
+    fn due_shedding_at_ge(m: &mut Admission<Item>, now: u64) -> Option<Window<Item>> {
+        m.config.batch_ticks += 1;
+        let window = m.due(now + 1);
+        m.config.batch_ticks -= 1;
+        if window.is_some() {
+            m.window_open = m.window_open.map(|_| now);
+        }
+        window
+    }
+
+    #[test]
+    fn shedding_at_the_deadline_tick_is_caught_with_its_trace() {
+        let mutant = |sim: &mut Sim, event: Event| step_with(sim, event, due_shedding_at_ge);
+        let config = AdmissionConfig::default()
+            .with_max_in_flight(1)
+            .with_batch_max(1)
+            .with_batch_ticks(0);
+        let violation = explore(config, mutant).expect_err("the injected bug went unnoticed");
+        assert!(
+            violation.message.contains("missed deadlines"),
+            "{violation:?}"
+        );
+        assert_eq!(violation.trace, [Offer(0, Some(0)), Pump]);
+        // The trace is the way there: replayed through the mutant it
+        // reproduces the violation, through the real machine it does not.
+        let replay = |step: &dyn Fn(&mut Sim, Event)| {
+            let mut sim = Sim::new(config);
+            for &event in &violation.trace {
+                let before = sim.clone();
+                step(&mut sim, event);
+                edge(&before, event, &sim)?;
+            }
+            check(&sim, &step)
+        };
+        assert_eq!(replay(&mutant), Err(violation.message.clone()));
+        assert_eq!(replay(&apply), Ok(()));
     }
 }
