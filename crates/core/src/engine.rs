@@ -278,7 +278,8 @@ struct EngineMetrics {
 /// The remote fields are zero for the in-process backends; the remote
 /// backend fills them from its membership layer (see
 /// [`crate::remote::RemoteEngine::metrics`]) and leaves the engine-side
-/// plan and kernel counters at zero — those live in its workers' engines.
+/// kernel counters at zero — those live in its workers' engines — and the
+/// plan counters too, as every scatter/gather backend does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Queries executed through any entry point.
@@ -287,8 +288,10 @@ pub struct MetricsSnapshot {
     /// [`plan_cache_misses`](Self::plan_cache_misses), while the benchmark
     /// harness still reads a plan-cache hit rate.
     pub plan_cache_hits: u64,
-    /// Job partitions planned: one per traced request per engine (per
-    /// touched shard on the sharded backend). Kernel answers plan nothing.
+    /// Job partitions a [`QueryEngine`] planned: one per traced request.
+    /// Kernel answers plan nothing, and neither does a shard's engine, so
+    /// it reads 0 on the sharded and remote backends, whose traced job
+    /// runs through [`SpqExecutor::run_dataset`] outside any engine.
     pub plan_cache_misses: u64,
     /// Query keywords probed against the inverted keyword index.
     pub keyword_probes: u64,
@@ -515,8 +518,9 @@ impl QueryEngine {
     /// The one engine path (see the [module docs](self)): every local
     /// request, every sharded scatter and every remote worker query runs
     /// through here. A traced request runs the paper's job; every other
-    /// request is answered by the [kernel](crate::kernel) with an empty
-    /// [`JobStats`] and zero shuffle.
+    /// request — and every shard's, which is never traced — is answered by
+    /// the [kernel](crate::kernel) with an empty [`JobStats`] and zero
+    /// shuffle.
     pub(crate) fn run(
         &self,
         query: &SpqQuery,
@@ -538,8 +542,8 @@ impl QueryEngine {
     /// it in (the per-split record order the shuffle depends on for
     /// byte-identical output). `workers` is the job's width; the callers
     /// whose parallelism comes from elsewhere — the serve pool's
-    /// inter-query concurrency, a scatter over shards — hand in 1, so
-    /// multi-worker jobs never nest inside them.
+    /// inter-query concurrency — hand in 1, so multi-worker jobs never
+    /// nest inside them.
     fn run_job(&self, query: &SpqQuery, workers: Option<usize>) -> Result<EngineAnswer, SpqError> {
         self.metrics
             .plan_cache_misses

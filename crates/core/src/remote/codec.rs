@@ -2,39 +2,15 @@
 //! the mapreduce byte codec; round-tripped and fed hostile bytes by the
 //! proptests in `tests/remote_wire.rs`.
 
-use crate::executor::{GridSizing, LoadBalancing, SpqExecutor};
 use crate::model::{DataObject, FeatureObject, ObjectId};
 use crate::query::SpqQuery;
-use crate::service::QueryOptions;
-use crate::sharded::{index_by_id, wire, ShardAnswer};
-use crate::Algorithm;
-use spq_mapreduce::remote::codec::{
-    decode_job_stats, encode_job_stats, put_bytes, put_f64, put_u32, put_u32s, put_u64, put_u8,
-};
+use crate::sharded::{index_by_id, wire};
+use spq_mapreduce::remote::codec::{put_f64, put_u32, put_u32s, put_u64, put_u8};
 use spq_mapreduce::remote::frame::WordHasher;
 use spq_mapreduce::remote::{ByteReader, CodecError};
-use spq_mapreduce::ClusterConfig;
+use spq_spatial::{Point, Rect};
 use spq_text::{KeywordSet, SetSimilarity, Term};
 use std::collections::HashMap;
-
-fn algorithm_to_u8(a: Algorithm) -> u8 {
-    match a {
-        Algorithm::PSpq => 0,
-        Algorithm::ESpqLen => 1,
-        Algorithm::ESpqSco => 2,
-    }
-}
-
-fn algorithm_from_u8(v: u8) -> Result<Algorithm, CodecError> {
-    match v {
-        0 => Ok(Algorithm::PSpq),
-        1 => Ok(Algorithm::ESpqLen),
-        2 => Ok(Algorithm::ESpqSco),
-        other => Err(CodecError::invalid(format!(
-            "unknown algorithm tag {other}"
-        ))),
-    }
-}
 
 fn similarity_to_u8(s: SetSimilarity) -> u8 {
     match s {
@@ -55,38 +31,18 @@ fn similarity_from_u8(v: u8) -> Result<SetSimilarity, CodecError> {
     }
 }
 
-pub(super) fn encode_executor(exec: &SpqExecutor, out: &mut Vec<u8>) {
-    let bounds = exec.bounds();
+/// Appends the data-space bounds a shard's kernel grid covers — the one
+/// executor setting a worker needs.
+pub(super) fn put_bounds(out: &mut Vec<u8>, bounds: Rect) {
     put_f64(out, bounds.min().x);
     put_f64(out, bounds.min().y);
     put_f64(out, bounds.max().x);
     put_f64(out, bounds.max().y);
-    put_u8(out, algorithm_to_u8(exec.algorithm_choice()));
-    match exec.grid_sizing() {
-        GridSizing::Fixed(n) => {
-            put_u8(out, 0);
-            put_u32(out, n);
-        }
-        GridSizing::Auto { max_cells_per_axis } => {
-            put_u8(out, 1);
-            put_u32(out, max_cells_per_axis);
-        }
-    }
-    match exec.load_balancing_choice() {
-        LoadBalancing::UniformGrid => {
-            put_u8(out, 0);
-            put_u64(out, 0);
-        }
-        LoadBalancing::AdaptiveQuadtree { sample_size } => {
-            put_u8(out, 1);
-            put_u64(out, sample_size as u64);
-        }
-    }
-    put_u8(out, exec.keyword_pruning_enabled() as u8);
-    put_u64(out, exec.cluster_config().workers as u64);
 }
 
-pub(super) fn decode_executor(r: &mut ByteReader<'_>) -> Result<SpqExecutor, CodecError> {
+/// Reads what [`put_bounds`] wrote. Non-finite or inverted bounds are a
+/// typed error, not `Rect`'s constructor panic.
+pub(super) fn read_bounds(r: &mut ByteReader<'_>) -> Result<Rect, CodecError> {
     let (min_x, min_y, max_x, max_y) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
     if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite()) {
         return Err(CodecError::invalid("non-finite data-space bounds"));
@@ -94,38 +50,7 @@ pub(super) fn decode_executor(r: &mut ByteReader<'_>) -> Result<SpqExecutor, Cod
     if min_x > max_x || min_y > max_y {
         return Err(CodecError::invalid("inverted data-space bounds"));
     }
-    let algorithm = algorithm_from_u8(r.u8()?)?;
-    let sizing_tag = r.u8()?;
-    let sizing_value = r.u32()?;
-    let balancing_tag = r.u8()?;
-    let balancing_value = r.u64()?;
-    let keyword_pruning = r.u8()? != 0;
-    let workers = r.u64()? as usize;
-    let mut exec = SpqExecutor::new(spq_spatial::Rect::from_coords(min_x, min_y, max_x, max_y))
-        .algorithm(algorithm)
-        .keyword_pruning(keyword_pruning)
-        .cluster(ClusterConfig::with_workers(workers.max(1)));
-    exec = match sizing_tag {
-        0 => exec.grid_size(sizing_value),
-        1 => exec.auto_grid(sizing_value),
-        other => {
-            return Err(CodecError::invalid(format!(
-                "unknown grid-sizing tag {other}"
-            )))
-        }
-    };
-    exec = match balancing_tag {
-        0 => exec.load_balancing(LoadBalancing::UniformGrid),
-        1 => exec.load_balancing(LoadBalancing::AdaptiveQuadtree {
-            sample_size: balancing_value as usize,
-        }),
-        other => {
-            return Err(CodecError::invalid(format!(
-                "unknown load-balancing tag {other}"
-            )))
-        }
-    };
-    Ok(exec)
+    Ok(Rect::from_coords(min_x, min_y, max_x, max_y))
 }
 
 /// Encoded size of one data object in an `OP_PROVISION` payload.
@@ -276,11 +201,7 @@ pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError
                 t.0
             )));
         }
-        features.push(FeatureObject::new(
-            id,
-            spq_spatial::Point::new(x, y),
-            keywords,
-        ));
+        features.push(FeatureObject::new(id, Point::new(x, y), keywords));
     }
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after feature chunk"));
@@ -295,21 +216,22 @@ pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError
 
 /// Encodes an `OP_PROVISION` payload: the shard id, the fingerprint of
 /// the feature set the shard is evaluated against (shipped separately,
-/// once per worker, as `OP_FEATURES` chunks), the executor configuration
-/// and the shard's data slice — each object with its **global** store
-/// index, so gather records resolve without any per-shard coordinate
-/// space.
+/// once per worker, as `OP_FEATURES` chunks), the data-space bounds its
+/// kernel grid covers and the shard's data slice — each object with its
+/// **global** store index, so gather records resolve without any
+/// per-shard coordinate space. No job setting is shipped: a worker never
+/// runs a job.
 pub fn encode_provision(
     shard_id: u32,
     fingerprint: u64,
-    exec: &SpqExecutor,
+    bounds: Rect,
     first_global_index: u32,
     data: &[DataObject],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + data.len() * DATA_RECORD_BYTES);
+    let mut out = Vec::with_capacity(48 + data.len() * DATA_RECORD_BYTES);
     put_u32(&mut out, shard_id);
     put_u64(&mut out, fingerprint);
-    encode_executor(exec, &mut out);
+    put_bounds(&mut out, bounds);
     put_u32(&mut out, data.len() as u32);
     for (i, object) in data.iter().enumerate() {
         put_u32(&mut out, first_global_index + i as u32);
@@ -327,8 +249,8 @@ pub struct Provision {
     pub shard_id: u32,
     /// The feature set the shard belongs to.
     pub fingerprint: u64,
-    /// The executor configuration the shard engine is built with.
-    pub exec: SpqExecutor,
+    /// The data-space bounds the shard's kernel grid covers.
+    pub bounds: Rect,
     /// Data-object id → index in the manager's global store.
     pub id_to_index: HashMap<ObjectId, u32>,
     /// The shard's data slice.
@@ -341,7 +263,7 @@ pub fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
     let mut r = ByteReader::new(payload);
     let shard_id = r.u32()?;
     let fingerprint = r.u64()?;
-    let exec = decode_executor(&mut r)?;
+    let bounds = read_bounds(&mut r)?;
     let num_data = r.count(DATA_RECORD_BYTES)?;
     let mut indexes = Vec::with_capacity(num_data);
     let mut data = Vec::with_capacity(num_data);
@@ -349,7 +271,7 @@ pub fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
         indexes.push(r.u32()?);
         let id = r.u64()?;
         let (x, y) = (r.f64()?, r.f64()?);
-        data.push(DataObject::new(id, spq_spatial::Point::new(x, y)));
+        data.push(DataObject::new(id, Point::new(x, y)));
     }
     let id_to_index = index_by_id(data.iter().map(|o| o.id).zip(indexes))
         .map_err(|id| CodecError::invalid(format!("duplicate data object id {id} in provision")))?;
@@ -359,36 +281,26 @@ pub fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
     Ok(Provision {
         shard_id,
         fingerprint,
-        exec,
+        bounds,
         id_to_index,
         data,
     })
 }
 
-/// Encodes an `OP_SHARD_QUERY` payload: the shard id, the query and the
-/// trace flag (a traced request is answered by a job on the worker, and
-/// its [`JobStats`](spq_mapreduce::JobStats) come back in the reply). The
-/// worker budget is **not** shipped — shard jobs always run sequentially,
-/// exactly as the in-process scatter does (the scatter width is the
-/// parallelism).
-pub(crate) fn encode_shard_query(
-    shard_id: u32,
-    query: &SpqQuery,
-    options: &QueryOptions,
-) -> Vec<u8> {
+/// Encodes an `OP_SHARD_QUERY` payload: the shard id and the query.
+/// Nothing else is shipped — a shard answers every request with its
+/// kernel, traced or not, and a trace's job runs on the manager.
+pub(crate) fn encode_shard_query(shard_id: u32, query: &SpqQuery) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, shard_id);
     put_u64(&mut out, query.k as u64);
     put_f64(&mut out, query.radius);
     put_u8(&mut out, similarity_to_u8(query.similarity));
     put_keywords(&mut out, &query.keywords);
-    put_u8(&mut out, options.trace as u8);
     out
 }
 
-pub(crate) fn decode_shard_query(
-    payload: &[u8],
-) -> Result<(u32, SpqQuery, QueryOptions), CodecError> {
+pub(crate) fn decode_shard_query(payload: &[u8]) -> Result<(u32, SpqQuery), CodecError> {
     let mut r = ByteReader::new(payload);
     let shard_id = r.u32()?;
     let k = r.u64()? as usize;
@@ -403,50 +315,27 @@ pub(crate) fn decode_shard_query(
     if keywords.is_empty() {
         return Err(CodecError::invalid("shard query with no keywords"));
     }
-    let trace = match r.u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(CodecError::invalid(format!("unknown trace tag {other}"))),
-    };
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after shard query"));
     }
     let query = SpqQuery::with_similarity(k, radius, keywords, similarity);
-    let options = QueryOptions {
-        workers: None,
-        trace,
-    };
-    Ok((shard_id, query, options))
+    Ok((shard_id, query))
 }
 
-/// Encodes an `OP_SHARD_RESULT` payload: the gather records
-/// ([`wire::RECORD_BYTES`]-byte each, global indexes) and the shard job's
-/// [`JobStats`](spq_mapreduce::JobStats).
-pub(crate) fn encode_shard_result(answer: &ShardAnswer) -> Vec<u8> {
-    let mut out = Vec::with_capacity(answer.records.len() + 64);
-    put_bytes(&mut out, &answer.records);
-    encode_job_stats(&answer.stats, &mut out);
-    out
-}
-
-/// Decodes an `OP_SHARD_RESULT` payload. Only the framing is checked here
-/// — a whole number of records; whether each record's index is one the
-/// answering shard may name is the gather's check
-/// (`sharded::Layout::scatter_gather`).
-pub(crate) fn decode_shard_result(payload: &[u8]) -> Result<ShardAnswer, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let records = r.bytes()?.to_vec();
-    if !records.len().is_multiple_of(wire::RECORD_BYTES) {
+/// Decodes an `OP_SHARD_RESULT` payload, which is the shard's gather
+/// records alone ([`wire::RECORD_BYTES`] bytes each, global indexes —
+/// exactly what `sharded::wire::encode_results` wrote). Only the framing
+/// is checked here: a whole number of records. Whether each record names
+/// an index the answering shard may name, with a score a similarity can
+/// take, is the gather's check (`sharded::Layout::scatter_gather`).
+pub(crate) fn decode_shard_result(payload: Vec<u8>) -> Result<Vec<u8>, CodecError> {
+    if !payload.len().is_multiple_of(wire::RECORD_BYTES) {
         return Err(CodecError::invalid(format!(
             "gather buffer of {} bytes is not a whole number of records",
-            records.len()
+            payload.len()
         )));
     }
-    let stats = decode_job_stats(&mut r)?;
-    if !r.is_empty() {
-        return Err(CodecError::invalid("trailing bytes after shard result"));
-    }
-    Ok(ShardAnswer { records, stats })
+    Ok(payload)
 }
 
 /// Encodes an `OP_SHARD_STATUS_OK` payload: the hosted shard ids,

@@ -14,7 +14,7 @@ use crate::executor::{SpqError, SpqExecutor};
 use crate::model::FeatureObject;
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse};
-use crate::sharded::{Layout, Recovery, ShardAnswer};
+use crate::sharded::{Layout, Recovery};
 use crate::store::SharedDataset;
 use parking_lot::Mutex;
 use spq_mapreduce::pool::run_tasks;
@@ -281,7 +281,7 @@ impl RemoteEngine {
                 encode_provision(
                     s as u32,
                     features.fingerprint,
-                    &layout.exec,
+                    layout.exec.bounds(),
                     slice.start as u32,
                     &layout.dataset.data()[slice.clone()],
                 )
@@ -349,7 +349,8 @@ impl RemoteEngine {
         &self.layout.dataset
     }
 
-    /// The executor configuration the shards were provisioned with.
+    /// The executor configuration a traced request's job runs with (the
+    /// shards were provisioned with its bounds alone).
     pub fn executor(&self) -> &SpqExecutor {
         &self.layout.exec
     }
@@ -396,8 +397,10 @@ impl RemoteEngine {
     /// [`MetricsSnapshot`] shape: the query-path counters every backend
     /// keeps plus the membership and provisioning ones
     /// ([`excluded_workers`](MetricsSnapshot::excluded_workers) is a gauge
-    /// read off the membership machine). Job planning and kernel work
-    /// happen in the workers' engines and stay zero here.
+    /// read off the membership machine). Kernel work happens in the
+    /// workers' engines and stays zero here; so do the plan counters,
+    /// which count what a `QueryEngine` plans — a traced request's job is
+    /// planned by the executor on the manager, outside any engine.
     pub fn metrics(&self) -> MetricsSnapshot {
         let c = &self.counters;
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
@@ -520,11 +523,7 @@ impl RemoteEngine {
     /// membership machine and do what it says — one more try while the
     /// worker is only suspect, a failover once it is excluded. Returns
     /// the shard's answer plus the recovery work it took.
-    fn query_shard(
-        &self,
-        shard: usize,
-        payload: &[u8],
-    ) -> Result<(ShardAnswer, Recovery), SpqError> {
+    fn query_shard(&self, shard: usize, payload: &[u8]) -> Result<(Vec<u8>, Recovery), SpqError> {
         let mut recovery = Recovery::default();
         let mut last_failure: Option<(usize, String)> = None;
         loop {
@@ -535,10 +534,10 @@ impl RemoteEngine {
                         Ok(resp) => {
                             self.membership.lock().call_ok(w);
                             bump(&self.counters.remote_retries, recovery.retries);
-                            let answer = decode_shard_result(&resp).map_err(|e| {
+                            let records = decode_shard_result(resp).map_err(|e| {
                                 SpqError::remote(format!("worker {w} sent a bad shard result: {e}"))
                             })?;
-                            return Ok((answer, recovery));
+                            return Ok((records, recovery));
                         }
                         Err(AttemptError::Fatal(e)) => {
                             let message = e.to_string();
@@ -715,7 +714,7 @@ impl QueryExecutor for RemoteEngine {
         bump(&self.counters.keyword_hits, matched as u64);
         self.layout
             .scatter_gather(query, options, (probed, matched), |shard| {
-                let payload = encode_shard_query(shard as u32, query, options);
+                let payload = encode_shard_query(shard as u32, query);
                 self.query_shard(shard, &payload)
             })
     }

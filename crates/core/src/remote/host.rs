@@ -2,10 +2,10 @@
 //! frames, installs shards over them and answers shard queries.
 
 use super::codec::{
-    decode_features_chunk, decode_provision, decode_shard_query, encode_shard_result,
-    encode_shard_status, FeaturesChunk,
+    decode_features_chunk, decode_provision, decode_shard_query, encode_shard_status, FeaturesChunk,
 };
 use crate::engine::{KeywordIndex, QueryEngine};
+use crate::executor::SpqExecutor;
 use crate::model::FeatureObject;
 use crate::sharded::Shard;
 use crate::store::SharedDataset;
@@ -66,10 +66,11 @@ pub(super) const NOT_PROVISIONED: &str = "is not provisioned";
 /// [`OP_FEATURES`] (assemble a feature set from its chunk frames; on the
 /// last chunk build the one feature array and the one keyword index every
 /// shard of that set will share), [`OP_PROVISION`] (build a shard engine
-/// from a shipped data slice over an assembled set), [`OP_SHARD_QUERY`]
-/// (evaluate a query against a hosted shard and reply with gather
-/// records) and [`OP_SHARD_STATUS`] (report which shards are hosted, so a
-/// re-admitting manager knows which copies are still warm). This is what
+/// from a shipped data slice and the data-space bounds over an assembled
+/// set), [`OP_SHARD_QUERY`] (answer a query with a hosted shard's kernel
+/// and reply with its gather records) and [`OP_SHARD_STATUS`] (report
+/// which shards are hosted, so a re-admitting manager knows which copies
+/// are still warm). This is what
 /// the `spq-worker` binary and the in-process workers of
 /// [`RemoteEngine::self_hosted`](super::RemoteEngine::self_hosted) serve.
 #[derive(Default)]
@@ -149,7 +150,7 @@ impl ShardHost {
             (Arc::clone(&set.features), Arc::clone(&set.index))
         };
         let dataset = SharedDataset::with_shared_features(p.data, features);
-        let engine = QueryEngine::with_shared_index(p.exec, dataset, index);
+        let engine = QueryEngine::with_shared_index(SpqExecutor::new(p.bounds), dataset, index);
         let shard = Arc::new(Shard {
             engine,
             id_to_index: Arc::new(p.id_to_index),
@@ -170,13 +171,11 @@ impl ShardHost {
     }
 
     fn query(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
-        let (shard_id, query, options) =
+        let (shard_id, query) =
             decode_shard_query(payload).map_err(|e| format!("bad shard query payload: {e}"))?;
-        let answer = self
-            .shard(shard_id)?
-            .answer(&query, &options)
-            .map_err(|e| format!("shard {shard_id} query failed: {e}"))?;
-        Ok(encode_shard_result(&answer))
+        self.shard(shard_id)?
+            .answer(&query)
+            .map_err(|e| format!("shard {shard_id} query failed: {e}"))
     }
 
     fn status(&self) -> Vec<u8> {

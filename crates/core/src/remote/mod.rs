@@ -21,9 +21,15 @@
 //! hosted shard through the same `sharded::Shard::answer` an in-process
 //! shard is evaluated through, so the merged top-k is **byte-identical**
 //! to every other backend (`tests/backend_equivalence.rs` proptests it
-//! across worker counts). What comes off a socket is not trusted: a
-//! record naming a data index outside the answering shard's slice is a
-//! typed [`SpqError::Remote`], never resolved.
+//! across worker counts). What comes off a socket is not trusted: a reply
+//! that is not a whole number of records, or a record naming a data index
+//! outside the answering shard's slice or carrying a negative or
+//! non-finite score, is a typed [`SpqError::Remote`], never resolved.
+//!
+//! A worker holds kernel state only and answers with the kernel only:
+//! neither a job setting nor a trace flag reaches it, and its reply is the
+//! records alone. A traced request's trace is one job, run on the manager
+//! over the whole store (see [`crate::sharded`]).
 //!
 //! Four private modules, re-exported here, one concern each: `codec` (the
 //! payload encodings of the shard protocol), `host` (the worker side,
@@ -48,7 +54,8 @@
 //! * A worker appends the chunks of a set, in order, into one feature
 //!   vector; on the last chunk it builds one `Arc<[FeatureObject]>` and
 //!   one `Arc<KeywordIndex>`. An [`OP_PROVISION`] then carries only the
-//!   shard id, the executor, the shard's data slice and the fingerprint;
+//!   shard id, the data-space bounds (all a kernel grid needs), the
+//!   shard's data slice and the fingerprint;
 //!   the shard engine is built over clones of those two `Arc`s. A set is
 //!   dropped when the last shard hosted over it is replaced.
 //! * An [`OP_PROVISION`] naming a set the worker does not hold is refused
@@ -112,7 +119,7 @@
 //! any worker computes the same answer for the same shard
 //! (`tests/remote_faults.rs` and `tests/remote_membership.rs` proptest
 //! this under injected [`FaultPlan`]s). A typed error *reported by* a
-//! worker ([`OP_ERROR`], e.g. a panic inside the algorithm) is **not**
+//! worker ([`OP_ERROR`], e.g. a panic inside the kernel) is **not**
 //! retried: it is deterministic and would fail identically everywhere, so
 //! it surfaces directly as [`SpqError::Remote`], matching the local
 //! backends' error-path behaviour.
@@ -196,24 +203,20 @@ pub fn parse_worker_addrs(list: &str) -> Result<Vec<String>, SpqError> {
 }
 
 #[cfg(test)]
-#[cfg(test)]
 mod tests {
     use super::codec::*;
     use super::*;
     use crate::engine::QueryEngine;
-    use crate::executor::{LoadBalancing, SpqExecutor};
+    use crate::executor::SpqExecutor;
     use crate::model::{DataObject, FeatureObject};
     use crate::query::SpqQuery;
-    use crate::service::{QueryExecutor, QueryOptions, QueryRequest};
-    use crate::sharded::ShardAnswer;
+    use crate::service::{QueryExecutor, QueryRequest};
     use crate::store::SharedDataset;
-    use crate::Algorithm;
     use spq_mapreduce::remote::{
         ByteReader, ClientConfig, FaultPlan, FrameHandler, WorkerClient, WorkerServer, OP_FEATURES,
         OP_FEATURES_OK, OP_PROVISION, OP_PROVISION_OK, OP_SHARD_QUERY, OP_SHARD_RESULT,
         OP_SHARD_STATUS,
     };
-    use spq_mapreduce::ClusterConfig;
     use spq_spatial::{Point, Rect};
     use spq_text::KeywordSet;
     use std::sync::Arc;
@@ -260,41 +263,45 @@ mod tests {
         ))
     }
 
+    /// The bounds are the one executor setting a provision ships, and
+    /// they round-trip bit for bit; bounds `Rect` would refuse, or a grid
+    /// could not be laid over, are a typed error, not a panic.
     #[test]
     fn executor_config_round_trips() {
-        for exec in [
-            executor(),
-            executor()
-                .algorithm(Algorithm::PSpq)
-                .keyword_pruning(false)
-                .cluster(ClusterConfig::with_workers(3)),
-            SpqExecutor::new(Rect::from_coords(-1.0, -2.0, 3.0, 4.0))
-                .auto_grid(32)
-                .algorithm(Algorithm::ESpqLen)
-                .load_balancing(LoadBalancing::AdaptiveQuadtree { sample_size: 100 }),
+        for bounds in [
+            executor().bounds(),
+            Rect::from_coords(-1.0, -2.0, 3.0, 4.0),
+            Rect::from_coords(-0.0, 0.0, 0.0, f64::MAX),
         ] {
             let mut bytes = Vec::new();
-            encode_executor(&exec, &mut bytes);
-            let decoded = decode_executor(&mut ByteReader::new(&bytes)).unwrap();
-            assert_eq!(decoded.bounds(), exec.bounds());
-            assert_eq!(decoded.algorithm_choice(), exec.algorithm_choice());
-            assert_eq!(decoded.grid_sizing(), exec.grid_sizing());
-            assert_eq!(
-                decoded.load_balancing_choice(),
-                exec.load_balancing_choice()
-            );
-            assert_eq!(
-                decoded.keyword_pruning_enabled(),
-                exec.keyword_pruning_enabled()
-            );
-            assert_eq!(decoded.cluster_config(), exec.cluster_config());
+            put_bounds(&mut bytes, bounds);
+            assert_eq!(bytes.len(), 32);
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(read_bounds(&mut r).unwrap(), bounds);
+            assert!(r.is_empty());
         }
-        // Inverted bounds are a typed error, not `Rect`'s constructor
-        // panic: min.x written past max.x.
-        let mut bytes = Vec::new();
-        encode_executor(&executor(), &mut bytes);
-        bytes[..8].copy_from_slice(&11.0f64.to_le_bytes());
-        assert!(decode_executor(&mut ByteReader::new(&bytes)).is_err());
+        let mut good = Vec::new();
+        put_bounds(&mut good, executor().bounds());
+        for cut in 0..good.len() {
+            assert!(read_bounds(&mut ByteReader::new(&good[..cut])).is_err());
+        }
+        // Each coordinate non-finite in turn, then min.x written past
+        // max.x and min.y past max.y.
+        for at in [0, 8, 16, 24] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bytes = good.clone();
+                bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert!(
+                    read_bounds(&mut ByteReader::new(&bytes)).is_err(),
+                    "{at}: {bad}"
+                );
+            }
+        }
+        for at in [0, 8] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&11.0f64.to_le_bytes());
+            assert!(read_bounds(&mut ByteReader::new(&bytes)).is_err(), "{at}");
+        }
     }
 
     #[test]
@@ -434,8 +441,8 @@ mod tests {
         let data = dataset.data();
         let provisions = |fingerprint| {
             vec![
-                encode_provision(0, fingerprint, &executor(), 0, &data[..2]),
-                encode_provision(1, fingerprint, &executor(), 2, &data[2..]),
+                encode_provision(0, fingerprint, executor().bounds(), 0, &data[..2]),
+                encode_provision(1, fingerprint, executor().bounds(), 2, &data[2..]),
             ]
         };
         accept_all(&host, OP_PROVISION, &provisions(set.fingerprint));
@@ -475,7 +482,7 @@ mod tests {
         let set = encode_feature_chunks(dataset.features(), usize::MAX);
         accept_all(&host, OP_FEATURES, &set.chunks);
         let install = |first: u32, slice| {
-            let payload = encode_provision(0, set.fingerprint, &executor(), first, slice);
+            let payload = encode_provision(0, set.fingerprint, executor().bounds(), first, slice);
             accept_all(&host, OP_PROVISION, &[payload]);
         };
         install(0, &data[..2]);
@@ -486,8 +493,8 @@ mod tests {
         install(2, &data[2..]);
         let req = request(5, 2.5, &[0, 4, 11]);
         let answered = |shard: &crate::sharded::Shard| -> Vec<u64> {
-            let answer = shard.answer(&req.query, &req.options).unwrap();
-            let results = crate::sharded::wire::decode_results(&answer.records, data);
+            let records = shard.answer(&req.query).unwrap();
+            let results = crate::sharded::wire::decode_results(&records, data);
             results.iter().map(|r| r.object).collect()
         };
         let own = |slice: &[DataObject], ids: Vec<u64>| {
@@ -516,17 +523,18 @@ mod tests {
         for chunk in &set.chunks {
             assert_eq!(client.call(OP_FEATURES, chunk).unwrap().0, OP_FEATURES_OK);
         }
-        let provision = encode_provision(0, set.fingerprint, &executor(), 0, dataset.data());
+        let provision =
+            encode_provision(0, set.fingerprint, executor().bounds(), 0, dataset.data());
         assert_eq!(
             client.call(OP_PROVISION, &provision).unwrap().0,
             OP_PROVISION_OK
         );
         let engine = QueryEngine::new(executor(), dataset.clone());
         for req in [request(5, 1.5, &[3, 20]), request(3, 0.7, &[14])] {
-            let query = encode_shard_query(0, &req.query, &req.options);
+            let query = encode_shard_query(0, &req.query);
             let (op, reply) = client.call(OP_SHARD_QUERY, &query).unwrap();
             assert_eq!(op, OP_SHARD_RESULT);
-            let ShardAnswer { records, .. } = decode_shard_result(&reply).unwrap();
+            let records = decode_shard_result(reply).unwrap();
             assert_eq!(
                 crate::sharded::wire::decode_results(&records, dataset.data()),
                 engine.execute(&req).unwrap().results
@@ -548,9 +556,11 @@ mod tests {
 
     #[test]
     fn only_job_requests_count_as_plan_lookups() {
-        // Jobs plan in the workers' engines, so the manager counts no plan
-        // lookups for plain or traced requests alike; a traced request
-        // still answers as a plain one, with one job per touched shard.
+        // A traced request's job is planned by the executor on the
+        // manager, not by any `QueryEngine`, so no plan is counted for
+        // plain or traced requests alike; a traced request still answers
+        // as a plain one, with the query's one job as its trace — whatever
+        // the number of touched shards.
         let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 2).unwrap();
         let req = request(3, 1.5, &[0]);
         let plain = remote.execute(&req).unwrap();
@@ -558,8 +568,8 @@ mod tests {
         for _ in 0..2 {
             let traced = remote.execute(&req.clone().with_trace()).unwrap();
             assert_eq!(traced.results, plain.results);
-            let trace = traced.trace.expect("trace requested");
-            assert_eq!(trace.len(), traced.stats.shards_touched);
+            assert_eq!(traced.stats.shards_touched, 2);
+            assert_eq!(traced.trace.expect("trace requested").len(), 1);
         }
         let m = remote.metrics();
         assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
@@ -673,11 +683,11 @@ mod tests {
         assert_eq!(remote.metrics().excluded_workers, 2);
     }
 
-    /// A worker that serves like a [`ShardHost`] but forges its first
-    /// shard-query reply: one record naming data index `index`.
+    /// A worker that serves like a [`ShardHost`] but answers its first
+    /// shard query with the forged payload `reply`.
     struct LyingWorker {
         host: ShardHost,
-        index: u32,
+        reply: Vec<u8>,
         lied: std::sync::atomic::AtomicBool,
     }
 
@@ -688,29 +698,37 @@ mod tests {
                 return self.host.handle(opcode, payload);
             }
             self.lied.store(true, std::sync::atomic::Ordering::SeqCst);
-            let mut records = self.index.to_le_bytes().to_vec();
-            records.extend(1.0f64.to_bits().to_le_bytes());
-            let forged = ShardAnswer {
-                records,
-                stats: spq_mapreduce::JobStats::default(),
-            };
-            Ok(Some((OP_SHARD_RESULT, encode_shard_result(&forged))))
+            Ok(Some((OP_SHARD_RESULT, self.reply.clone())))
         }
     }
 
-    /// A reply naming a data index the answering shard does not own — past
-    /// the end of the store, or inside it but in another shard's slice —
-    /// is a typed worker error: no panic, no retry, and the engine goes on
-    /// serving.
+    /// A reply that is not a whole number of records, or a record naming
+    /// a data index the answering shard does not own — past the end of the
+    /// store, or inside it but in another shard's slice — or carrying a
+    /// score no similarity takes, is a typed worker error: no panic, no
+    /// retry, and the engine goes on serving.
     #[test]
     fn lying_shard_result_is_a_typed_error_not_a_panic() {
         let engine = QueryEngine::new(executor(), paper_dataset());
         let req = request(4, 1.5, &[0]);
+        let record = |index: u32, score: f64| {
+            let mut record = index.to_le_bytes().to_vec();
+            record.extend(score.to_bits().to_le_bytes());
+            record
+        };
         // Two shards over five objects: shard 0 owns indexes 0..2.
-        for index in [u32::MAX, 4] {
+        let mut torn = record(0, 1.0);
+        torn.push(0);
+        for (reply, says) in [
+            (record(u32::MAX, 1.0), "outside its slice"),
+            (record(4, 1.0), "outside its slice"),
+            (record(1, f64::NAN), "score NaN"),
+            (record(1, -0.5), "score -0.5"),
+            (torn, "not a whole number of records"),
+        ] {
             let liar = LyingWorker {
                 host: ShardHost::new(),
-                index,
+                reply,
                 lied: false.into(),
             };
             let servers = [
@@ -721,7 +739,7 @@ mod tests {
             let remote = RemoteEngine::connect(executor(), paper_dataset(), &addrs).unwrap();
             let err = remote.execute(&req).unwrap_err();
             assert!(matches!(err, SpqError::Remote { .. }), "{err:?}");
-            assert!(err.to_string().contains("outside its slice"), "{err}");
+            assert!(err.to_string().contains(says), "{err}");
             let metrics = remote.metrics();
             assert_eq!((metrics.remote_retries, metrics.excluded_workers), (0, 0));
             assert_eq!(
@@ -789,26 +807,19 @@ mod tests {
 
     #[test]
     fn shard_query_decode_rejects_garbage() {
-        let good = encode_shard_query(0, &request(3, 1.5, &[0, 2]).query, &QueryOptions::default());
-        assert!(decode_shard_query(&good).is_ok());
+        let query = request(3, 1.5, &[0, 2]).query;
+        let good = encode_shard_query(0, &query);
+        assert_eq!(decode_shard_query(&good).unwrap(), (0, query));
         // Truncations of a valid payload never panic, they error.
         for cut in 0..good.len() {
             assert!(decode_shard_query(&good[..cut]).is_err(), "cut={cut}");
         }
-        // Trailing garbage is rejected too.
-        let mut long = good.clone();
-        long.push(0);
-        assert!(decode_shard_query(&long).is_err());
-        // The trace flag crosses the wire; an unknown tag is rejected.
-        let options = QueryOptions {
-            trace: true,
-            ..QueryOptions::default()
-        };
-        let traced = encode_shard_query(0, &request(3, 1.5, &[0]).query, &options);
-        assert!(decode_shard_query(&traced).unwrap().2.trace);
-        assert!(!decode_shard_query(&good).unwrap().2.trace);
-        let mut bad_tag = traced.clone();
-        *bad_tag.last_mut().unwrap() = 2;
-        assert!(decode_shard_query(&bad_tag).is_err());
+        // Trailing garbage is rejected too — the trace byte a query
+        // carried before traces left the shard wire among it.
+        for trace in [0, 1] {
+            let mut long = good.clone();
+            long.push(trace);
+            assert!(decode_shard_query(&long).is_err(), "trace byte {trace}");
+        }
     }
 }

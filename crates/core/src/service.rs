@@ -12,7 +12,7 @@
 //!   and a trace flag.
 //! * [`QueryResponse`] — the ranked results plus per-query [`QueryStats`]
 //!   (shards touched, shuffle records/bytes, wall micros, keyword-index
-//!   probe outcome) and, when tracing, the full per-job [`JobStats`].
+//!   probe outcome) and, when tracing, the query's one job's [`JobStats`].
 //! * [`Backend`] — which engine serves: [`Backend::Local`] (one
 //!   build-once [`QueryEngine`] on the in-process pool),
 //!   [`Backend::Sharded`] (a scatter/gather
@@ -161,22 +161,23 @@ impl FromStr for Backend {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Worker budget for this request — the one width control there is:
-    /// intra-job workers on the local backend (when the request runs a
-    /// job — the kernel is single-threaded), scatter width on the sharded
-    /// and remote backends (each shard is always evaluated at budget 1;
-    /// the scatter is the parallelism). `None` is the engine's configured
+    /// intra-job workers when the request runs a job (the kernel is
+    /// single-threaded), and scatter width on the sharded and remote
+    /// backends (each shard answers with its kernel; the scatter is the
+    /// parallelism). `None` is the engine's configured
     /// cluster width; `Some(1)` is single-threaded end to end, which is
     /// all [`QueryExecutor::execute_sequential`] sets. Execution is
     /// worker-count-invariant, so this is a pure resource knob — the
     /// timeout-free way to bound a query's CPU appetite.
     pub workers: Option<usize>,
-    /// Attach the full per-job [`JobStats`] to the response (one entry on
-    /// the local backend, one per touched shard on the sharded and remote
-    /// ones). A trace *is* a job's statistics, so a traced request runs
-    /// the MapReduce job instead of the kernel — same result bytes, a
-    /// job's cost — on the local engine and on every shard, in-process or
-    /// behind a worker: the flag rides on the shard-query frame and the
-    /// worker's [`JobStats`] come back in its reply.
+    /// Attach the query's [`JobStats`] to the response — one entry on
+    /// every backend. A trace *is* the paper's job for the query, so a
+    /// traced request runs the MapReduce job — same result bytes, a job's
+    /// cost, at this request's worker budget. The local engine runs it
+    /// instead of its kernel. The sharded and remote backends keep their
+    /// kernel scatter and run the job beside it, on the manager, as one
+    /// [`SpqExecutor::run_dataset`] over the whole store: the flag never
+    /// reaches a shard or crosses the wire.
     pub trace: bool,
 }
 
@@ -232,7 +233,8 @@ impl QueryRequest {
         self
     }
 
-    /// Requests a full execution trace on the response.
+    /// Requests a trace on the response: the statistics of the query's
+    /// one job (see [`QueryOptions::trace`]).
     pub fn with_trace(mut self) -> Self {
         self.options.trace = true;
         self
@@ -321,9 +323,8 @@ pub struct QueryResponse {
     pub results: Vec<RankedObject>,
     /// Per-query execution statistics.
     pub stats: QueryStats,
-    /// Full per-job statistics, present when the request set
-    /// [`QueryOptions::trace`]: one entry on the local backend, one per
-    /// touched shard, in shard order, on the sharded and remote backends.
+    /// The query's job statistics, present when the request set
+    /// [`QueryOptions::trace`]: exactly one entry, on every backend.
     pub trace: Option<Vec<JobStats>>,
 }
 

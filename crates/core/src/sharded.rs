@@ -34,9 +34,14 @@
 //! sees the complete feature set, each shard's `τ` values are exact and
 //! the gathered merge is **byte-identical** to the single-store engine —
 //! results, scores and order (`tests/backend_equivalence.rs` proptests
-//! this across shard counts, algorithms and partitionings). Only
-//! execution statistics differ: features are routed once per shard, so
-//! map-side counters scale with the shard count.
+//! this across shard counts, algorithms and partitionings).
+//!
+//! A shard answers with the kernel only, traced request or not. A trace is
+//! the paper's job for the query, and the job is cut by grid cell, not by
+//! shard: a traced request runs one [`SpqExecutor::run_dataset`] job over
+//! the whole global store, on the manager, at the request's worker budget,
+//! beside the unchanged scatter. Its [`JobStats`] are the trace's one
+//! entry, exactly as on the local backend.
 
 use crate::engine::{KeywordIndex, MetricsSnapshot, QueryEngine};
 use crate::executor::{SpqError, SpqExecutor};
@@ -46,6 +51,8 @@ use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::SharedDataset;
 use spq_mapreduce::pool::run_tasks;
+use spq_mapreduce::ClusterConfig;
+#[cfg(doc)]
 use spq_mapreduce::JobStats;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -74,6 +81,12 @@ pub mod wire {
         u32::from_le_bytes([record[0], record[1], record[2], record[3]]) as usize
     }
 
+    /// The score a record carries.
+    pub(crate) fn record_score(record: &[u8]) -> f64 {
+        let bits = [4, 5, 6, 7, 8, 9, 10, 11].map(|i| record[i]);
+        f64::from_bits(u64::from_le_bytes(bits))
+    }
+
     /// Serializes a shard's local top-k into wire records. `id_to_index`
     /// maps data-object ids to indices in the *global* store (built once
     /// at engine construction), so the receiver resolves records without
@@ -99,10 +112,11 @@ pub mod wire {
     /// # Panics
     ///
     /// Panics on a malformed buffer (length not a multiple of
-    /// [`RECORD_BYTES`], index out of range) — a bug canary, not an I/O
-    /// error path: the in-process transport cannot truncate, and records
-    /// that came off a socket are checked (whole records, every index
-    /// inside the answering shard's slice) before they get here.
+    /// [`RECORD_BYTES`], index out of range, a negative or non-finite
+    /// score) — a bug canary, not an I/O error path: the in-process
+    /// transport cannot truncate, and records that came off a socket are
+    /// checked (whole records, every index inside the answering shard's
+    /// slice, every score finite and ≥ 0) before they get here.
     pub fn decode_results(bytes: &[u8], data: &[DataObject]) -> Vec<RankedObject> {
         assert!(
             bytes.len().is_multiple_of(RECORD_BYTES),
@@ -112,16 +126,11 @@ pub mod wire {
         bytes
             .chunks_exact(RECORD_BYTES)
             .map(|chunk| {
-                let index = record_index(chunk);
-                let bits = u64::from_le_bytes([
-                    chunk[4], chunk[5], chunk[6], chunk[7], chunk[8], chunk[9], chunk[10],
-                    chunk[11],
-                ]);
-                let object = &data[index];
+                let object = &data[record_index(chunk)];
                 RankedObject::new(
                     object.id,
                     object.location,
-                    Score::from_f64(f64::from_bits(bits)),
+                    Score::from_f64(record_score(chunk)),
                 )
             })
             .collect()
@@ -152,32 +161,12 @@ pub(crate) struct Shard {
     pub id_to_index: Arc<HashMap<ObjectId, u32>>,
 }
 
-/// What a shard answers a query with.
-pub(crate) struct ShardAnswer {
-    /// The shard's local top-k as [`wire`] records.
-    pub records: Vec<u8>,
-    /// The shard job's statistics (empty when the kernel answered).
-    pub stats: JobStats,
-}
-
 impl Shard {
-    /// Evaluates `query` against the shard's slice through the one engine
-    /// path, always at worker budget 1 — the scatter over shards is the
-    /// parallelism — and serializes the local top-k.
-    pub(crate) fn answer(
-        &self,
-        query: &SpqQuery,
-        options: &QueryOptions,
-    ) -> Result<ShardAnswer, SpqError> {
-        let options = QueryOptions {
-            workers: Some(1),
-            ..*options
-        };
-        let answer = self.engine.run(query, &options)?;
-        Ok(ShardAnswer {
-            records: wire::encode_results(&answer.top_k, &self.id_to_index),
-            stats: answer.stats,
-        })
+    /// Answers `query` with the kernel over the shard's slice and
+    /// serializes the local top-k as [`wire`] records.
+    pub(crate) fn answer(&self, query: &SpqQuery) -> Result<Vec<u8>, SpqError> {
+        let answer = self.engine.run(query, &QueryOptions::default())?;
+        Ok(wire::encode_results(&answer.top_k, &self.id_to_index))
     }
 }
 
@@ -241,15 +230,16 @@ impl Layout {
     /// `keywords` is the caller's `(probed, matched)` keyword probe: with
     /// no match no object can score, and no shard is asked. Otherwise
     /// `ask` is called once per shard holding data, on up to
-    /// [`QueryOptions::workers`] threads (results are width-invariant);
-    /// each reply's records are checked against the answering shard's
-    /// slice, resolved against the global store and merged.
+    /// [`QueryOptions::workers`] threads (results are width-invariant),
+    /// and returns the shard's [`wire`] records; each reply is checked
+    /// against the answering shard's slice, resolved against the global
+    /// store and merged. A traced request also runs the query's one job.
     pub(crate) fn scatter_gather(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
         keywords: (usize, usize),
-        ask: impl Fn(usize) -> Result<(ShardAnswer, Recovery), SpqError> + Sync,
+        ask: impl Fn(usize) -> Result<(Vec<u8>, Recovery), SpqError> + Sync,
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
         let relevant: Vec<usize> = (0..self.slices.len())
@@ -268,7 +258,6 @@ impl Layout {
             cold_reprovisions: 0,
         };
         let mut flat = Vec::new();
-        let mut trace = options.trace.then(Vec::new);
         if !relevant.is_empty() {
             let width = options
                 .workers
@@ -280,32 +269,41 @@ impl Layout {
                 }
             })?;
             for (&s, outcome) in relevant.iter().zip(outcomes) {
-                let (answer, recovery) = outcome?;
+                let (records, recovery) = outcome?;
                 // The records may have come off a socket: an index outside
-                // the answering shard's slice is a lie, never resolved.
+                // the answering shard's slice, or a score no similarity
+                // yields, is a lie, never resolved.
                 let slice = &self.slices[s];
-                let stray = answer
-                    .records
-                    .chunks_exact(wire::RECORD_BYTES)
-                    .map(wire::record_index)
-                    .find(|index| !slice.contains(index));
-                if let Some(index) = stray {
-                    return Err(SpqError::remote(format!(
-                        "shard {s} answered with data index {index}, outside its slice \
-                         {slice:?}"
-                    )));
+                let lie = records.chunks_exact(wire::RECORD_BYTES).find_map(|record| {
+                    let (index, score) = (wire::record_index(record), wire::record_score(record));
+                    if !slice.contains(&index) {
+                        Some(format!("data index {index}, outside its slice {slice:?}"))
+                    } else if !(score.is_finite() && score >= 0.0) {
+                        Some(format!("score {score} for data index {index}"))
+                    } else {
+                        None
+                    }
+                });
+                if let Some(lie) = lie {
+                    return Err(SpqError::remote(format!("shard {s} answered with {lie}")));
                 }
-                stats.shuffle_records += (answer.records.len() / wire::RECORD_BYTES) as u64;
-                stats.shuffle_bytes += answer.records.len() as u64;
+                stats.shuffle_records += (records.len() / wire::RECORD_BYTES) as u64;
+                stats.shuffle_bytes += records.len() as u64;
                 stats.retries += recovery.retries;
                 stats.warm_failovers += recovery.warm_failovers;
                 stats.cold_reprovisions += recovery.cold_reprovisions;
-                flat.extend(wire::decode_results(&answer.records, self.dataset.data()));
-                if let Some(t) = &mut trace {
-                    t.push(answer.stats);
-                }
+                flat.extend(wire::decode_results(&records, self.dataset.data()));
             }
         }
+        let trace = if options.trace {
+            let mut exec = self.exec.clone();
+            if let Some(workers) = options.workers {
+                exec = exec.cluster(ClusterConfig::with_workers(workers));
+            }
+            Some(vec![exec.run_dataset(&self.dataset, query)?.stats])
+        } else {
+            None
+        };
         let results = merge_top_k(flat, query.k);
         stats.wall_micros = started.elapsed().as_micros() as u64;
         Ok(QueryResponse {
@@ -452,16 +450,16 @@ impl QueryExecutor for ShardedEngine {
         let keywords = self.shards[0].0.engine.keyword_stats(&query.keywords);
         self.layout.scatter_gather(query, options, keywords, |s| {
             let (shard, counters) = &self.shards[s];
-            let answer = shard.answer(query, options)?;
-            let records = (answer.records.len() / wire::RECORD_BYTES) as u64;
+            let records = shard.answer(query)?;
             counters.queries.fetch_add(1, Ordering::Relaxed);
-            counters
-                .records_shipped
-                .fetch_add(records, Ordering::Relaxed);
+            counters.records_shipped.fetch_add(
+                (records.len() / wire::RECORD_BYTES) as u64,
+                Ordering::Relaxed,
+            );
             counters
                 .bytes_shipped
-                .fetch_add(answer.records.len() as u64, Ordering::Relaxed);
-            Ok((answer, Recovery::default()))
+                .fetch_add(records.len() as u64, Ordering::Relaxed);
+            Ok((records, Recovery::default()))
         })
     }
 
@@ -665,14 +663,26 @@ mod tests {
         assert!(err.to_string().contains("duplicate data object id 7"));
     }
 
+    /// A trace is the query's one job, run over the whole store — not one
+    /// job per touched shard — and equals a fresh `run_dataset` job.
     #[test]
     fn trace_carries_one_job_stats_per_touched_shard() {
         let sharded = ShardedEngine::new(executor(), paper_dataset(), 2).unwrap();
-        let response = sharded
-            .execute(&request(2, 1.5, &[0]).with_trace())
-            .unwrap();
+        let req = request(2, 1.5, &[0]).with_trace();
+        let response = sharded.execute(&req).unwrap();
+        assert_eq!(response.stats.shards_touched, 2);
         let trace = response.trace.expect("trace requested");
-        assert_eq!(trace.len(), 2);
+        let fresh = executor()
+            .run_dataset(&paper_dataset(), &req.query)
+            .unwrap();
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace[0].shuffle_records, fresh.stats.shuffle_records);
+        assert_eq!(
+            trace[0].map_input_records(),
+            fresh.stats.map_input_records()
+        );
+        assert_eq!(trace[0].counters, fresh.stats.counters);
+        assert_eq!(response.results, fresh.top_k);
         // Untraced requests don't pay for it.
         assert!(sharded
             .execute(&request(2, 1.5, &[0]))
@@ -681,19 +691,22 @@ mod tests {
             .is_none());
     }
 
+    /// The job a trace runs is planned by the executor on the manager, not
+    /// by a shard's `QueryEngine`: no shard engine ever plans, traced
+    /// request or not.
     #[test]
     fn every_traced_request_plans_once_per_touched_shard() {
         let sharded = ShardedEngine::new(executor(), paper_dataset(), 2).unwrap();
         let req = request(3, 1.5, &[0]);
-        sharded.execute(&req).unwrap();
-        let m = sharded.metrics();
-        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
-        // Nothing is cached: the same traced request plans again, on each
-        // of the two shards, every time.
+        let plain = sharded.execute(&req).unwrap();
         for round in 1..=3 {
-            sharded.execute(&req.clone().with_trace()).unwrap();
+            let traced = sharded.execute(&req.clone().with_trace()).unwrap();
+            assert_eq!(traced.results, plain.results);
+            assert_eq!(traced.trace.map(|t| t.len()), Some(1));
             let m = sharded.metrics();
-            assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 2 * round));
+            assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
+            // Each shard still answers every request with its kernel.
+            assert_eq!(m.queries, 2 * (round + 1));
         }
     }
 }

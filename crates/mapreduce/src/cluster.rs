@@ -32,10 +32,10 @@ pub struct ClusterConfig {
 /// spec itself (`remote:N`) and the addresses from the
 /// `SPQ_REMOTE_WORKERS` variable (see `spq-core`'s `remote` module).
 /// Setting `SPQ_WORKERS` neither changes how `remote:N` parses nor how
-/// many worker processes serve it; and because the manager ships its full
-/// executor configuration (cluster sizing included) in the provision
-/// payload, a worker process never consults its *own* `SPQ_WORKERS` when
-/// answering shard queries.
+/// many worker processes serve it; and because a worker answers shard
+/// queries with the single-threaded kernel (a traced request's job runs
+/// on the manager), a worker process's *own* `SPQ_WORKERS` never shapes
+/// an answer.
 pub const WORKERS_ENV: &str = "SPQ_WORKERS";
 
 /// Worker count [`ClusterConfig::auto`] falls back to when the host does

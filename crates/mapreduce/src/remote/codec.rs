@@ -9,13 +9,7 @@
 //! down. (Frame-level checksums catch corruption before decoding; the
 //! reader's bounds checks are the second line of defense.)
 
-use crate::counters::Counters;
-use crate::stats::{JobStats, TaskStats};
-use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::fmt;
-use std::sync::OnceLock;
-use std::time::Duration;
 
 /// Decoding failure: the payload was shorter than the structure claims,
 /// or a tag/length field held a value the schema does not allow.
@@ -87,12 +81,6 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Appends a raw byte slice as `u32` length + bytes.
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
 /// A bounds-checked cursor over an encoded payload.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
@@ -159,12 +147,6 @@ impl<'a> ByteReader<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::invalid("string is not UTF-8"))
     }
 
-    /// Reads a `u32`-length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
     /// Reads a `u32` record count and checks it against the bytes left:
     /// a count the rest of the payload cannot hold at `min_record_bytes`
     /// apiece is a lie, rejected as [`CodecError::Truncated`] *before* the
@@ -187,120 +169,6 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Interns a decoded counter name so it satisfies the `&'static str`
-/// contract of [`Counters`].
-///
-/// Counter cardinality is tiny (a few dozen distinct names per process),
-/// so each distinct name is leaked exactly once and served from a global
-/// registry on every later decode.
-pub fn intern_counter_name(name: &str) -> &'static str {
-    static REGISTRY: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut registry = REGISTRY.get_or_init(|| Mutex::new(HashSet::new())).lock();
-    match registry.get(name) {
-        Some(s) => s,
-        None => {
-            let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-            registry.insert(leaked);
-            leaked
-        }
-    }
-}
-
-/// Encodes a counter set as `(name, value)` pairs in name order.
-pub fn encode_counters(counters: &Counters, out: &mut Vec<u8>) {
-    let pairs: Vec<_> = counters.iter().collect();
-    put_u32(out, pairs.len() as u32);
-    for (name, v) in pairs {
-        put_str(out, name);
-        put_u64(out, v);
-    }
-}
-
-/// Encoded size of a counter with an empty name — the floor a shipped
-/// counter count is held to.
-const MIN_COUNTER_BYTES: usize = 4 + 8;
-/// Encoded size of one [`TaskStats`] record.
-const TASK_STATS_BYTES: usize = 8 + 8 + 8;
-
-/// Decodes a counter set, interning each name. The shipped count is
-/// checked against the bytes that remain before anything loops over it.
-pub fn decode_counters(r: &mut ByteReader<'_>) -> Result<Counters, CodecError> {
-    let n = r.count(MIN_COUNTER_BYTES)?;
-    let mut counters = Counters::new();
-    for _ in 0..n {
-        let name = intern_counter_name(r.str()?);
-        let v = r.u64()?;
-        counters.add(name, v);
-    }
-    Ok(counters)
-}
-
-fn put_duration(out: &mut Vec<u8>, d: Duration) {
-    put_u64(out, d.as_micros() as u64);
-}
-
-fn read_duration(r: &mut ByteReader<'_>) -> Result<Duration, CodecError> {
-    Ok(Duration::from_micros(r.u64()?))
-}
-
-fn encode_task_stats(stats: &TaskStats, out: &mut Vec<u8>) {
-    put_duration(out, stats.duration);
-    put_u64(out, stats.records_in);
-    put_u64(out, stats.records_out);
-}
-
-fn decode_task_stats(r: &mut ByteReader<'_>) -> Result<TaskStats, CodecError> {
-    Ok(TaskStats {
-        duration: read_duration(r)?,
-        records_in: r.u64()?,
-        records_out: r.u64()?,
-    })
-}
-
-/// Encodes full job statistics (durations become microseconds).
-pub fn encode_job_stats(stats: &JobStats, out: &mut Vec<u8>) {
-    put_u32(out, stats.map_tasks.len() as u32);
-    for t in &stats.map_tasks {
-        encode_task_stats(t, out);
-    }
-    put_u32(out, stats.reduce_tasks.len() as u32);
-    for t in &stats.reduce_tasks {
-        encode_task_stats(t, out);
-    }
-    put_duration(out, stats.map_wall);
-    put_duration(out, stats.shuffle_wall);
-    put_duration(out, stats.reduce_wall);
-    put_duration(out, stats.total_wall);
-    put_u64(out, stats.shuffle_records);
-    encode_counters(&stats.counters, out);
-}
-
-/// Decodes job statistics produced by [`encode_job_stats`]. Each shipped
-/// task count is checked against the bytes that remain before it sizes an
-/// allocation — the payload comes off a worker's socket.
-pub fn decode_job_stats(r: &mut ByteReader<'_>) -> Result<JobStats, CodecError> {
-    let n_map = r.count(TASK_STATS_BYTES)?;
-    let mut map_tasks = Vec::with_capacity(n_map);
-    for _ in 0..n_map {
-        map_tasks.push(decode_task_stats(r)?);
-    }
-    let n_red = r.count(TASK_STATS_BYTES)?;
-    let mut reduce_tasks = Vec::with_capacity(n_red);
-    for _ in 0..n_red {
-        reduce_tasks.push(decode_task_stats(r)?);
-    }
-    Ok(JobStats {
-        map_tasks,
-        reduce_tasks,
-        map_wall: read_duration(r)?,
-        shuffle_wall: read_duration(r)?,
-        reduce_wall: read_duration(r)?,
-        total_wall: read_duration(r)?,
-        shuffle_records: r.u64()?,
-        counters: decode_counters(r)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,7 +181,6 @@ mod tests {
         put_u64(&mut out, u64::MAX - 1);
         put_f64(&mut out, -0.25);
         put_str(&mut out, "héllo");
-        put_bytes(&mut out, &[1, 2, 3]);
         put_u32s(&mut out, [0, 1, u32::MAX].into_iter());
         put_u32s(&mut out, std::iter::empty());
         let mut r = ByteReader::new(&out);
@@ -322,7 +189,6 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.f64().unwrap(), -0.25);
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(r.u32s().unwrap().collect::<Vec<_>>(), [0, 1, u32::MAX]);
         assert_eq!(r.u32s().unwrap().len(), 0);
         assert!(r.is_empty());
@@ -358,7 +224,7 @@ mod tests {
         put_u32(&mut out, 10); // claims 10 bytes follow
         out.extend_from_slice(&[1, 2]);
         let mut r = ByteReader::new(&out);
-        assert_eq!(r.bytes().unwrap_err(), CodecError::Truncated);
+        assert_eq!(r.str().unwrap_err(), CodecError::Truncated);
         let mut r = ByteReader::new(&[1, 2, 3]);
         assert_eq!(r.u64().unwrap_err(), CodecError::Truncated);
     }
@@ -372,46 +238,38 @@ mod tests {
         assert!(matches!(r.str(), Err(CodecError::Invalid { .. })));
     }
 
+    /// A decoded string borrows the payload it was read from: nothing is
+    /// copied, interned or leaked, whatever a peer sends.
     #[test]
     fn counters_round_trip_and_intern() {
-        let mut c = Counters::new();
-        c.add("map.records", 42);
-        c.add("reduce.groups", 7);
         let mut out = Vec::new();
-        encode_counters(&c, &mut out);
-        let decoded = decode_counters(&mut ByteReader::new(&out)).unwrap();
-        assert_eq!(decoded, c);
-        // Interning returns pointer-identical names across decodes.
-        let a = intern_counter_name("spq.some_counter");
-        let b = intern_counter_name("spq.some_counter");
-        assert!(std::ptr::eq(a, b));
+        put_str(&mut out, "map.records");
+        put_str(&mut out, "");
+        let mut r = ByteReader::new(&out);
+        let name = r.str().unwrap();
+        assert_eq!(name, "map.records");
+        assert!(std::ptr::eq(name.as_ptr(), out[4..].as_ptr()));
+        assert_eq!(r.str().unwrap(), "");
+        assert!(r.is_empty());
     }
 
+    /// The primitives the shard payloads are built from round-trip
+    /// exactly: `u32` sequences in bulk and `f64` bits, the sign of zero
+    /// included.
     #[test]
     fn job_stats_round_trip() {
-        let mut counters = Counters::new();
-        counters.add("x", 3);
-        let stats = JobStats {
-            map_tasks: vec![TaskStats {
-                duration: Duration::from_micros(12),
-                records_in: 4,
-                records_out: 9,
-            }],
-            reduce_tasks: vec![TaskStats::default(), TaskStats::default()],
-            map_wall: Duration::from_micros(100),
-            shuffle_wall: Duration::from_micros(5),
-            reduce_wall: Duration::from_micros(50),
-            total_wall: Duration::from_micros(160),
-            shuffle_records: 9,
-            counters,
-        };
+        let values = [0.0, -0.0, 0.5, -1.25, f64::MAX, f64::MIN_POSITIVE];
+        let ids = [7u32, 0, u32::MAX, 1 << 22];
         let mut out = Vec::new();
-        encode_job_stats(&stats, &mut out);
-        let got = decode_job_stats(&mut ByteReader::new(&out)).unwrap();
-        assert_eq!(got.map_tasks, stats.map_tasks);
-        assert_eq!(got.reduce_tasks, stats.reduce_tasks);
-        assert_eq!(got.total_wall, stats.total_wall);
-        assert_eq!(got.shuffle_records, 9);
-        assert_eq!(got.counters, stats.counters);
+        for v in values {
+            put_f64(&mut out, v);
+        }
+        put_u32s(&mut out, ids.into_iter());
+        let mut r = ByteReader::new(&out);
+        for v in values {
+            assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
+        }
+        assert_eq!(r.u32s().unwrap().collect::<Vec<_>>(), ids);
+        assert!(r.is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! ┌────────────┬────────────┬───────────┬──────────┬──────────────┬─────────┐
 //! │ magic: u32 │ opcode: u16│ flags: u16│ len: u32 │ checksum: u64│ payload │
 //! └────────────┴────────────┴───────────┴──────────┴──────────────┴─────────┘
-//!     "SPQ3"      dispatch       0        payload     WordHasher     len
+//!     "SPQ4"      dispatch       0        payload     WordHasher     len
 //!                                          bytes      over payload    bytes
 //! ```
 //!
@@ -19,13 +19,14 @@
 
 use std::io::{Read, Write};
 
-/// Frame magic: `"SPQ3"` as a little-endian `u32`. It was `"SPQF"` while
-/// the checksum was FNV-1a a byte at a time, and `"SPQ2"` while a shard
-/// query carried algorithm and pruning tags and a shard result a
-/// plan-cache byte. A peer from either fails every frame as
-/// [`FrameError::BadMagic`], not as a checksum mismatch or a mis-parsed
-/// payload.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ3");
+/// Frame magic: `"SPQ4"` as a little-endian `u32`. It was `"SPQF"` while
+/// the checksum was FNV-1a a byte at a time, `"SPQ2"` while a shard query
+/// carried algorithm and pruning tags and a shard result a plan-cache
+/// byte, and `"SPQ3"` while a shard query carried a trace byte, a shard
+/// result a job's statistics and a provision the job's executor settings.
+/// A peer from any of them fails every frame as [`FrameError::BadMagic`],
+/// not as a checksum mismatch or a mis-parsed payload.
+pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ4");
 
 /// Upper bound on a frame payload (64 MiB). A length field above this is
 /// treated as corruption, not as a real allocation request.
@@ -42,14 +43,15 @@ pub const OP_PONG: u16 = 2;
 // unassigned, so a peer from before the removal gets "unknown opcode".
 /// Typed error reply to any request.
 pub const OP_ERROR: u16 = 5;
-/// Installs a query shard: executor config + data slice + the fingerprint
-/// of the feature set ([`OP_FEATURES`]) the shard is evaluated against.
+/// Installs a query shard: data-space bounds + data slice + the
+/// fingerprint of the feature set ([`OP_FEATURES`]) the shard is evaluated
+/// against.
 pub const OP_PROVISION: u16 = 6;
 /// Acknowledges [`OP_PROVISION`].
 pub const OP_PROVISION_OK: u16 = 7;
 /// Runs one SPQ query against a provisioned shard.
 pub const OP_SHARD_QUERY: u16 = 8;
-/// Shard query reply: 12-byte wire records + stats.
+/// Shard query reply: the shard's local top-k as 12-byte wire records.
 pub const OP_SHARD_RESULT: u16 = 9;
 /// Installs a [`FaultPlan`](super::FaultPlan) on the worker.
 pub const OP_SET_FAULT: u16 = 10;
@@ -370,7 +372,7 @@ mod tests {
 
     #[test]
     fn a_frame_with_the_old_magic_is_bad_magic() {
-        for old in [*b"SPQF", *b"SPQ2"].map(u32::from_le_bytes) {
+        for old in [*b"SPQF", *b"SPQ2", *b"SPQ3"].map(u32::from_le_bytes) {
             let mut buf = Vec::new();
             write_frame(&mut buf, OP_PING, b"x").unwrap();
             buf[..4].copy_from_slice(&old.to_le_bytes());

@@ -1,15 +1,14 @@
 //! The worker transport over TCP: framed protocol, worker server,
 //! manager client and fault injection.
 //!
-//! Nothing here runs a map/reduce job. What crosses the wire is decided
+//! Nothing here runs, or names, a map/reduce job: the module imports
+//! nothing from the rest of the crate. What crosses the wire is decided
 //! one layer up: `spq-core`'s `RemoteEngine` provisions shards on
 //! long-lived workers and scatters queries to them through this
-//! transport, and a traced shard reply carries the worker's job
-//! statistics through [`codec`]. The module is layered exactly like the
-//! wire:
+//! transport. The module is layered exactly like the wire:
 //!
 //! * [`codec`] — bounds-checked little-endian primitives shared by every
-//!   payload (strings, `u32` sequences in bulk, counters, job statistics).
+//!   payload (integers, `f64` bits, strings, `u32` sequences in bulk).
 //! * [`frame`] — the length-delimited, checksummed frame around each
 //!   message, plus the opcode space and the word-at-a-time FNV-1a hasher
 //!   behind the checksum and the feature-set fingerprint.

@@ -3,8 +3,9 @@
 //! Listens for framed requests from a `RemoteEngine` manager (the
 //! `remote:N` backend): `OP_FEATURES` chunk frames ship the feature set
 //! (once, shared by every shard hosted here), `OP_PROVISION` installs a
-//! shard — its data slice plus the executor configuration — over that
-//! set, `OP_SHARD_QUERY` evaluates a query against a hosted shard. Fault plans installed via `OP_SET_FAULT` are **fatal**
+//! shard — its data slice plus the data-space bounds — over that set,
+//! `OP_SHARD_QUERY` answers a query with a hosted shard's kernel. Fault
+//! plans installed via `OP_SET_FAULT` are **fatal**
 //! here: a kill fault exits the process with code 86, exactly like a real
 //! crash — which is what the cross-process fault tests exercise.
 //!

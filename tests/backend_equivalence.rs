@@ -312,6 +312,14 @@ fn facade_surfaces_typed_errors() {
         let zero_budget =
             QueryRequest::new(SpqQuery::new(1, 0.2, KeywordSet::from_ids([0]))).with_workers(0);
         assert!(service.execute(&zero_budget).is_err());
+        // A trace is the query's one job on every backend. Only the local
+        // engine plans it; the scatter/gather backends run it through the
+        // executor, outside any `QueryEngine`, and count no plan.
+        let traced =
+            QueryRequest::new(SpqQuery::new(1, 0.2, KeywordSet::from_ids([0]))).with_trace();
+        assert_eq!(service.execute(&traced).unwrap().trace.unwrap().len(), 1);
+        let planned = u64::from(backend == Backend::Local);
+        assert_eq!(service.metrics().plan_cache_misses, planned, "{backend}");
     }
     // Zero shards / zero workers are build-time config errors.
     assert!(matches!(
@@ -378,13 +386,13 @@ fn stats_reflect_backend_shape() {
         response.stats.shuffle_bytes,
         response.stats.shuffle_records * 12
     );
-    // Tracing attaches one JobStats per touched shard.
+    // Tracing attaches the query's one JobStats, whatever the shard count.
     let traced = sharded.execute(&request.clone().with_trace()).unwrap();
-    assert_eq!(traced.trace.unwrap().len(), DEFAULT_SHARDS);
+    assert_eq!(traced.trace.unwrap().len(), 1);
 
     // The remote backend reports the same gather shape — 12-byte wire
-    // records, one JobStats per touched worker — plus a zero retry count
-    // on a healthy fleet.
+    // records, one JobStats for the traced query — plus a zero retry
+    // count on a healthy fleet.
     let remote = SpqService::build(
         SpqExecutor::new(Rect::unit()).grid_size(4),
         dataset,
@@ -400,14 +408,13 @@ fn stats_reflect_backend_shape() {
     );
     assert_eq!(response.stats.retries, 0);
     let traced = remote.execute(&request.with_trace()).unwrap();
-    assert_eq!(traced.trace.unwrap().len(), 3);
+    assert_eq!(traced.trace.unwrap().len(), 1);
 }
 
-/// The trace flag crosses the shard wire: a traced `remote:2` request is
-/// answered by a *job* on each worker — same bytes as the untraced
-/// kernel answer, and per-shard `JobStats` that are the shard's real
-/// shuffle, equal to what `sharded:2` (the same slicing, in-process)
-/// reports.
+/// A trace never reaches a worker: a traced `sharded:2` or `remote:2`
+/// request keeps its kernel scatter — the same result bytes, and on
+/// `remote:2` the same frame bytes, as the untraced request — and its
+/// trace is the one job a fresh `run_dataset` runs for the query.
 #[test]
 fn traced_remote_request_carries_the_workers_job_stats() {
     let dataset = SharedDataset::new(
@@ -426,31 +433,46 @@ fn traced_remote_request_carries_the_workers_job_stats() {
     );
     let exec = SpqExecutor::new(Rect::unit()).grid_size(4);
     let request = QueryRequest::new(SpqQuery::new(5, 0.1, KeywordSet::from_ids([0, 1])));
-    let sharded = SpqService::build(
-        exec.clone(),
-        dataset.clone(),
+    let fresh = exec.run_dataset(&dataset, &request.query).unwrap();
+    assert!(fresh.stats.shuffle_records > 0);
+    for backend in [
         Backend::Sharded { shards: 2 },
-    )
-    .unwrap();
-    let remote = SpqService::build(exec, dataset, Backend::Remote { workers: 2 }).unwrap();
-
-    let plain = remote.execute(&request).unwrap();
-    assert!(plain.trace.is_none());
-    let traced = remote.execute(&request.clone().with_trace()).unwrap();
-    assert_eq!(traced.results, plain.results);
-    let remote_trace = traced.trace.unwrap();
-    let sharded_trace = sharded
-        .execute(&request.with_trace())
-        .unwrap()
-        .trace
-        .unwrap();
-    assert_eq!(remote_trace.len(), 2);
-    for (shard, (over_wire, in_process)) in remote_trace.iter().zip(&sharded_trace).enumerate() {
-        assert!(over_wire.shuffle_records > 0, "shard {shard} ran no job");
-        assert_eq!(over_wire.shuffle_records, in_process.shuffle_records);
+        Backend::Remote { workers: 2 },
+    ] {
+        let service = SpqService::build(exec.clone(), dataset.clone(), backend).unwrap();
+        let before = service.remote_traffic_bytes();
+        let plain = service.execute(&request).unwrap();
+        let between = service.remote_traffic_bytes();
+        let traced = service.execute(&request.clone().with_trace()).unwrap();
+        let after = service.remote_traffic_bytes();
+        assert!(plain.trace.is_none(), "{backend}");
+        assert_eq!(plain.stats.shards_touched, 2, "{backend}");
+        assert_eq!(traced.results, plain.results, "{backend}");
+        assert_eq!(traced.results, fresh.top_k, "{backend}");
+        let [job] = traced.trace.unwrap().try_into().unwrap();
         assert_eq!(
-            over_wire.map_input_records(),
-            in_process.map_input_records()
+            job.shuffle_records, fresh.stats.shuffle_records,
+            "{backend}"
         );
+        assert_eq!(
+            job.map_input_records(),
+            fresh.stats.map_input_records(),
+            "{backend}"
+        );
+        assert_eq!(job.counters, fresh.stats.counters, "{backend}");
+        assert_eq!(
+            job.reduce_tasks.len(),
+            fresh.stats.reduce_tasks.len(),
+            "{backend}"
+        );
+        if let Backend::Remote { .. } = backend {
+            let [before, between, after] = [before, between, after].map(Option::unwrap);
+            assert!(between > before);
+            assert_eq!(
+                after - between,
+                between - before,
+                "a trace reached a worker"
+            );
+        }
     }
 }

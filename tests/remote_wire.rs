@@ -1,5 +1,6 @@
-//! Round-trip properties of the remote frame, counter and provisioning
-//! codecs, and what the provisioning decoders do with hostile bytes.
+//! Round-trip properties of the remote frame and shard codecs, what the
+//! provisioning and shard-result decoders do with hostile bytes, and the
+//! counters a traced response carries on every backend.
 //!
 //! The remote engine's correctness argument leans on exact
 //! serialization: what is shipped to a worker and what is shipped back
@@ -10,21 +11,18 @@
 //! actually speaks.
 
 use proptest::prelude::*;
+use spq::core::merge::merge_top_k;
+use spq::core::partitioning::COUNTER_MAP_PRUNED;
 use spq::core::remote::{
-    decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision, ShardHost,
+    decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision,
 };
-use spq::core::{DataObject, FeatureObject, SpqExecutor};
-use spq::mapreduce::remote::codec::{
-    decode_counters, decode_job_stats, encode_counters, encode_job_stats, ByteReader,
-};
+use spq::core::sharded::wire;
 use spq::mapreduce::remote::frame::{WordHasher, MAGIC};
 use spq::mapreduce::remote::{
     read_frame, write_frame, ClientConfig, FrameError, FrameHandler, WorkerClient, WorkerServer,
-    OP_ERROR, OP_FEATURES, OP_PROVISION,
+    OP_ERROR, OP_FEATURES, OP_PROVISION, OP_SHARD_QUERY, OP_SHARD_RESULT,
 };
-use spq::mapreduce::{Counters, JobStats, TaskStats};
-use spq::spatial::{Point, Rect};
-use spq::text::KeywordSet;
+use spq::prelude::*;
 use std::io::Cursor;
 
 proptest! {
@@ -88,25 +86,6 @@ proptest! {
         prop_assert!(read_frame(&mut Cursor::new(&stream[..cut])).is_err());
     }
 
-    /// Counter sets round-trip exactly.
-    #[test]
-    fn prop_counters_round_trip(
-        values in proptest::collection::vec(0u64..1_000_000, 0..4),
-    ) {
-        static NAMES: [&str; 4] = ["wire.a", "wire.b", "wire.c", "wire.d"];
-        let mut counters = Counters::new();
-        for (i, v) in values.iter().enumerate() {
-            counters.add(NAMES[i], *v);
-        }
-        let mut bytes = Vec::new();
-        encode_counters(&counters, &mut bytes);
-        let decoded = decode_counters(&mut ByteReader::new(&bytes)).unwrap();
-        prop_assert_eq!(
-            decoded.iter().collect::<Vec<_>>(),
-            counters.iter().collect::<Vec<_>>()
-        );
-    }
-
     /// The checksum and fingerprint hasher folds any split of a buffer —
     /// pieces that end mid-word included — to the one-shot hash.
     #[test]
@@ -125,6 +104,69 @@ proptest! {
             from = cut;
         }
         prop_assert_eq!(pieces.finish(), whole.finish());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A traced response's counters are its job's, on every backend: the
+    /// sharded and remote traces equal a fresh `run_dataset` job's
+    /// exactly; so does the local one without keyword pruning, and with
+    /// it in every counter but the pruned-feature count — the engine's job
+    /// never reads a feature it can prune, so never counts one.
+    #[test]
+    fn prop_counters_round_trip(
+        data in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..20),
+        features in proptest::collection::vec(
+            (0.0f64..10.0, 0.0f64..10.0, proptest::collection::vec(0u32..8, 1..4)),
+            0..30,
+        ),
+        keywords in proptest::collection::vec(0u32..8, 1..3),
+        radius in 0.5f64..3.0,
+        k in 1usize..5,
+    ) {
+        let dataset = SharedDataset::new(
+            data.iter()
+                .enumerate()
+                .map(|(i, &(x, y))| DataObject::new(i as u64, Point::new(x, y)))
+                .collect(),
+            features
+                .iter()
+                .enumerate()
+                .map(|(i, (x, y, kw))| {
+                    let keywords = KeywordSet::from_ids(kw.iter().copied());
+                    FeatureObject::new(i as u64, Point::new(*x, *y), keywords)
+                })
+                .collect(),
+        );
+        let query = SpqQuery::new(k, radius, KeywordSet::from_ids(keywords));
+        let request = QueryRequest::new(query).with_trace();
+        for pruning in [true, false] {
+            let exec = unit_executor().keyword_pruning(pruning);
+            let fresh = exec.run_dataset(&dataset, &request.query).unwrap().stats;
+            for backend in [
+                Backend::Local,
+                Backend::Sharded { shards: 3 },
+                Backend::Remote { workers: 2 },
+            ] {
+                let service = SpqService::build(exec.clone(), dataset.clone(), backend).unwrap();
+                let trace = service.execute(&request).unwrap().trace.unwrap();
+                prop_assert_eq!(trace.len(), 1, "{}", backend);
+                let engine_pruned = pruning && backend == Backend::Local;
+                let counters = |stats: &spq::mapreduce::JobStats| -> Vec<(&'static str, u64)> {
+                    stats
+                        .counters
+                        .iter()
+                        .filter(|&(name, _)| !(engine_pruned && name == COUNTER_MAP_PRUNED))
+                        .collect()
+                };
+                prop_assert_eq!(
+                    counters(&trace[0]), counters(&fresh),
+                    "{} pruning={}", backend, pruning
+                );
+            }
+        }
     }
 }
 
@@ -295,11 +337,11 @@ fn shard_host_rejects_out_of_sequence_chunks_and_unknown_sets() {
     // An install over that set is accepted, one over an unknown set is
     // refused by name and hosts nothing.
     let data = [DataObject::new(7, Point::new(1.0, 1.0))];
-    let unknown = encode_provision(1, foreign.fingerprint, &unit_executor(), 0, &data);
+    let unknown = encode_provision(1, foreign.fingerprint, unit_executor().bounds(), 0, &data);
     let error = host.handle(OP_PROVISION, &unknown).unwrap_err();
     assert!(error.contains("unknown feature set"), "{error}");
     assert_eq!(host.hosted_shards(), 0);
-    let known = encode_provision(1, set.fingerprint, &unit_executor(), 0, &data);
+    let known = encode_provision(1, set.fingerprint, unit_executor().bounds(), 0, &data);
     host.handle(OP_PROVISION, &known).unwrap();
     assert_eq!(host.hosted_shards(), 1);
 }
@@ -335,7 +377,7 @@ proptest! {
         let data: Vec<DataObject> = (0..num_features)
             .map(|i| DataObject::new(i, Point::new(i as f64, 1.0)))
             .collect();
-        let provision = encode_provision(0, 1, &unit_executor(), 0, &data);
+        let provision = encode_provision(0, 1, unit_executor().bounds(), 0, &data);
         prop_assert!(decode_features_chunk(&chunk).is_ok());
         prop_assert!(decode_provision(&provision).is_ok());
 
@@ -403,47 +445,82 @@ proptest! {
         prop_assert!(fresh.call(OP_FEATURES, &chunk).is_ok());
     }
 
-    /// The trace of an `OP_SHARD_RESULT` comes off a worker's socket:
-    /// arbitrary bytes decode to an error or a value, and a well-formed
-    /// payload whose map-task, reduce-task or counter count was
-    /// overwritten with a lie decodes to an error — never a panic, never
-    /// an allocation (or a loop) sized by the lie.
+    /// An `OP_SHARD_RESULT` comes off a worker's socket and is the
+    /// shard's 12-byte records alone. Whatever bytes a worker sends, the
+    /// manager does not panic: they decode iff their length is a multiple
+    /// of 12, and decoded records are served only if each names a data
+    /// index of the answering shard with a finite, non-negative score —
+    /// then the answer is exactly their merge.
     #[test]
     fn prop_job_stats_decoder_survives_hostile_input(
-        noise in proptest::collection::vec(0u8..=u8::MAX, 0..256),
-        map_tasks in 0usize..5,
-        reduce_tasks in 0usize..5,
-        lie in (u32::MAX - 2)..=u32::MAX,
+        records in proptest::collection::vec(
+            (0u32..12, 0u8..4, 0.0f64..1.0, 0u64..=u64::MAX).prop_map(|(index, kind, unit, bits)| {
+                let special = [f64::NAN, f64::INFINITY, -1.0, -0.0];
+                let score = match kind {
+                    0 | 1 => unit,
+                    2 => f64::from_bits(bits),
+                    _ => special[bits as usize % special.len()],
+                };
+                (index, score)
+            }),
+            0..5,
+        ),
+        tail in proptest::collection::vec(0u8..=u8::MAX, 0..12),
+        k in 1usize..6,
     ) {
-        let _ = decode_job_stats(&mut ByteReader::new(&noise));
-        let _ = decode_counters(&mut ByteReader::new(&noise));
-
-        let mut counters = Counters::new();
-        counters.add("wire.a", 7);
-        let stats = JobStats {
-            map_tasks: vec![TaskStats::default(); map_tasks],
-            reduce_tasks: vec![TaskStats::default(); reduce_tasks],
-            shuffle_records: 3,
-            counters,
-            ..JobStats::default()
-        };
-        let mut good = Vec::new();
-        encode_job_stats(&stats, &mut good);
-        prop_assert!(decode_job_stats(&mut ByteReader::new(&good)).is_ok());
-
-        // A task-stats record is 24 bytes; four 8-byte walls and the
-        // 8-byte shuffle count sit between the tasks and the counters.
-        let reduce_count_at = 4 + 24 * map_tasks;
-        let counter_count_at = reduce_count_at + 4 + 24 * reduce_tasks + 4 * 8 + 8;
-        for at in [0, reduce_count_at, counter_count_at] {
-            let mut bad = good.clone();
-            patch_u32(&mut bad, at, lie);
-            prop_assert!(
-                decode_job_stats(&mut ByteReader::new(&bad)).is_err(),
-                "count {lie} at byte {at} decoded"
-            );
+        let mut reply: Vec<u8> = records
+            .iter()
+            .flat_map(|&(index, score)| {
+                index.to_le_bytes().into_iter().chain(score.to_bits().to_le_bytes())
+            })
+            .collect();
+        reply.extend(&tail);
+        let data: Vec<DataObject> = (0..8)
+            .map(|i| DataObject::new(100 + i, Point::new(i as f64, 1.0)))
+            .collect();
+        let dataset = SharedDataset::new(
+            data.clone(),
+            vec![FeatureObject::new(1, Point::new(1.0, 1.0), KeywordSet::from_ids([3]))],
+        );
+        let forger = Forger { host: ShardHost::new(), reply: reply.clone() };
+        let server = WorkerServer::bind("127.0.0.1:0", vec![Box::new(forger)], false).unwrap();
+        let remote =
+            RemoteEngine::connect(unit_executor(), dataset, &[server.addr().to_string()]).unwrap();
+        let request = QueryRequest::new(SpqQuery::new(k, 1.0, KeywordSet::from_ids([3])));
+        let whole = reply.len().is_multiple_of(wire::RECORD_BYTES);
+        let honest = records
+            .iter()
+            .all(|&(index, score)| index < 8 && score.is_finite() && score >= 0.0);
+        match remote.execute(&request) {
+            Ok(response) => {
+                prop_assert!(whole && honest);
+                prop_assert_eq!(
+                    response.results,
+                    merge_top_k(wire::decode_results(&reply, &data), k)
+                );
+            }
+            Err(err) => {
+                prop_assert!(matches!(err, SpqError::Remote { .. }), "{:?}", err);
+                let undecoded = err.to_string().contains("bad shard result");
+                prop_assert_eq!(undecoded, !whole, "{}", err);
+                prop_assert!(!(whole && honest), "{}", err);
+            }
         }
-        let cut = noise.len() % good.len();
-        prop_assert!(decode_job_stats(&mut ByteReader::new(&good[..cut])).is_err());
+    }
+}
+
+/// A worker that serves like a [`ShardHost`] but answers every shard
+/// query with the forged payload `reply`.
+struct Forger {
+    host: ShardHost,
+    reply: Vec<u8>,
+}
+
+impl FrameHandler for Forger {
+    fn handle(&self, opcode: u16, payload: &[u8]) -> Result<Option<(u16, Vec<u8>)>, String> {
+        if opcode == OP_SHARD_QUERY {
+            return Ok(Some((OP_SHARD_RESULT, self.reply.clone())));
+        }
+        self.host.handle(opcode, payload)
     }
 }
