@@ -9,11 +9,35 @@ use std::hint::black_box;
 
 fn bench_jaccard(c: &mut Criterion) {
     let mut group = c.benchmark_group("jaccard");
+    // f{n} holds the first n multiples of 7 (f100: 0..=693).
+    let feature_of = |flen: u32| KeywordSet::from_ids((0..flen).map(|i| i * 7 % 1000));
+    let mut cases = Vec::new();
+    // q3 shares no term with any f{n}: the all-miss cases.
     let query = KeywordSet::from_ids([3, 250, 777]);
-    for flen in [5usize, 20, 100] {
-        let feature = KeywordSet::from_ids((0..flen as u32).map(|i| i * 7 % 1000));
-        group.bench_function(format!("q3_f{flen}"), |b| {
-            b.iter(|| SetSimilarity::Jaccard.score(black_box(&query), black_box(&feature)))
+    for flen in [5u32, 20, 100] {
+        cases.push((format!("q3_f{flen}"), query.clone(), feature_of(flen)));
+    }
+    cases.extend([
+        (
+            "q1_f100".to_owned(),
+            KeywordSet::from_ids([252]),
+            feature_of(100),
+        ),
+        (
+            "q5_f100".to_owned(),
+            KeywordSet::from_ids([3, 252, 500, 602, 693]),
+            feature_of(100),
+        ),
+        // Equal sizes, every other term shared.
+        (
+            "q50_f50".to_owned(),
+            KeywordSet::from_ids((0..50).map(|i| i * 7 + i % 2)),
+            feature_of(50),
+        ),
+    ]);
+    for (name, q, f) in &cases {
+        group.bench_function(name.as_str(), |b| {
+            b.iter(|| SetSimilarity::Jaccard.score(black_box(q), black_box(f)))
         });
     }
     group.finish();

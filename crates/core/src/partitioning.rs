@@ -50,9 +50,11 @@ pub fn route_data(grid: &SpacePartition, location: &Point) -> CellId {
 }
 
 /// The keyword pruning rule of Algorithm 1 line 9: a feature with no
-/// common keyword with `q.W` cannot contribute to any score. The map
-/// tasks apply this *before* scoring a feature, so pruned features cost
-/// neither a Jaccard computation nor a shuffle record.
+/// common keyword with `q.W` cannot contribute to any score. This is the
+/// yes/no form that [`route_feature`] applies; the map tasks route through
+/// [`route_scored_feature`], whose one count of `|q.W ∩ f.W|` decides both
+/// the pruning and the score, so a pruned feature costs neither a score
+/// nor a shuffle record and a kept one reads `f.W` once.
 #[inline]
 pub fn feature_matches(query: &SpqQuery, feature: &FeatureObject) -> bool {
     query.keywords.intersects(&feature.keywords)
@@ -93,11 +95,14 @@ pub fn route_feature_with_pruning<F: FnMut(CellId)>(
     true
 }
 
-/// The shared map-side feature skeleton of Algorithms 1, 3 and 5: applies
-/// the keyword pruning rule, computes the feature's score **once**, and
-/// calls `emit(cell, score)` for the enclosing cell and every Lemma-1
-/// duplication target. Returns the number of emitted copies (>= 1), or
-/// `None` when the feature was pruned.
+/// The shared map-side feature skeleton of Algorithms 1, 3 and 5: counts
+/// `|q.W ∩ f.W|` **once**, and that one count decides both the pruning
+/// (a count of 0 drops the feature when `prune` is set) and the score
+/// ([`SetSimilarity::score_from_counts`](spq_text::SetSimilarity::score_from_counts),
+/// the same `f64` bits as [`SpqQuery::score`]). Calls `emit(cell, score)`
+/// for the enclosing cell and every Lemma-1 duplication target. Returns
+/// the number of emitted copies (>= 1), or `None` when the feature was
+/// pruned.
 #[inline]
 pub fn route_scored_feature<F: FnMut(CellId, Score)>(
     grid: &SpacePartition,
@@ -106,10 +111,14 @@ pub fn route_scored_feature<F: FnMut(CellId, Score)>(
     prune: bool,
     mut emit: F,
 ) -> Option<u64> {
-    if prune && !feature_matches(query, feature) {
+    let common = query.keywords.intersection_len(&feature.keywords);
+    if prune && common == 0 {
         return None;
     }
-    let score = query.score(&feature.keywords);
+    let score =
+        query
+            .similarity
+            .score_from_counts(common, query.keywords.len(), feature.keywords.len());
     let mut copies = 0u64;
     route_feature_with_pruning(grid, query, feature, false, |c| {
         copies += 1;
@@ -281,6 +290,47 @@ mod tests {
             let mut live = vec![];
             route_feature_with_pruning(&grid, &q, f, false, |c| live.push(c.0));
             assert_eq!(routing.feature_targets(i as u32), live, "feature {i}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// One count decides pruning and score: with `prune` on, a feature
+        /// sharing no term is dropped, and any other gets `query.score`'s
+        /// bits on exactly `route_feature`'s cells, in its order; with
+        /// `prune` off, a zero-count feature is routed at `Score::ZERO`.
+        #[test]
+        fn prop_scored_routing_matches_score_and_route(
+            q in proptest::collection::vec(0u32..24, 1..6),
+            f in proptest::collection::vec(0u32..24, 0..30),
+            (x, y, r) in (0.0f64..10.0, 0.0f64..10.0, 0.0f64..4.0),
+            sim in 0usize..3,
+        ) {
+            use spq_text::SetSimilarity;
+            let sim = [SetSimilarity::Jaccard, SetSimilarity::Dice, SetSimilarity::Overlap][sim];
+            let query = SpqQuery::with_similarity(1, r, KeywordSet::from_ids(q), sim);
+            let feature = feat(x, y, &f);
+            let shared = query.keywords.iter().any(|t| feature.keywords.contains(t));
+            let grid = grid();
+            let mut live = vec![];
+            route_feature_with_pruning(&grid, &query, &feature, false, |c| live.push(c));
+            let want = if shared { query.score(&feature.keywords) } else { Score::ZERO };
+
+            for prune in [true, false] {
+                let mut scored = vec![];
+                let copies = route_scored_feature(&grid, &query, &feature, prune, |c, s| {
+                    scored.push((c, s.value().to_bits()));
+                });
+                if prune && !shared {
+                    proptest::prop_assert_eq!(copies, None);
+                    proptest::prop_assert!(scored.is_empty());
+                    continue;
+                }
+                proptest::prop_assert_eq!(copies, Some(live.len() as u64));
+                let expect: Vec<_> = live.iter().map(|&c| (c, want.value().to_bits())).collect();
+                proptest::prop_assert_eq!(scored, expect);
+            }
         }
     }
 }

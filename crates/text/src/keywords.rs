@@ -1,10 +1,11 @@
-//! Sorted keyword sets and merge-based set arithmetic.
+//! Sorted keyword sets and their set arithmetic.
 //!
 //! Feature objects carry a set of keywords `f.W`; queries carry `q.W`
 //! (Table 1 of the paper). Both are represented as sorted, deduplicated
 //! slices of interned [`Term`] ids so that intersection and union sizes —
-//! the only operations the scoring functions need — are a single linear
-//! merge without hashing or allocation.
+//! the only operations the scoring functions need — are one binary search
+//! of each term of the shorter set in the longer one, without hashing or
+//! allocation.
 
 use std::fmt;
 
@@ -97,26 +98,29 @@ impl KeywordSet {
         self.terms.binary_search(&t).is_ok()
     }
 
-    /// Size of the intersection `|A ∩ B|` via a linear merge.
+    /// Size of the intersection `|A ∩ B|`: each term of the shorter set
+    /// is binary-searched in the longer one.
+    ///
+    /// That is `|A|·log2|B|` probes instead of a merge's `|A| + |B|` steps,
+    /// and the searches of different terms do not wait on each other: a
+    /// 3-keyword query against a 55-keyword feature takes 18 probes where
+    /// a merge walks up to 58 terms. Two sets of about one size count
+    /// slower than by a merge (`micro` bench `q50_f50`); scoring compares
+    /// a few query keywords with a longer `f.W`.
     pub fn intersection_len(&self, other: &KeywordSet) -> usize {
-        let (mut a, mut b) = (self.terms.iter(), other.terms.iter());
-        let (mut x, mut y) = (a.next(), b.next());
-        let mut n = 0;
-        while let (Some(&ta), Some(&tb)) = (x, y) {
-            match ta.cmp(&tb) {
-                std::cmp::Ordering::Less => x = a.next(),
-                std::cmp::Ordering::Greater => y = b.next(),
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    x = a.next();
-                    y = b.next();
-                }
-            }
-        }
-        n
+        let (short, long) = if self.len() <= other.len() {
+            (&self.terms, &other.terms)
+        } else {
+            (&other.terms, &self.terms)
+        };
+        short
+            .iter()
+            .filter(|t| long.binary_search(t).is_ok())
+            .count()
     }
 
-    /// Size of the union `|A ∪ B|` (inclusion–exclusion over the merge).
+    /// Size of the union `|A ∪ B|` (inclusion–exclusion over
+    /// [`intersection_len`](Self::intersection_len)).
     pub fn union_len(&self, other: &KeywordSet) -> usize {
         self.len() + other.len() - self.intersection_len(other)
     }
@@ -125,19 +129,9 @@ impl KeywordSet {
     ///
     /// This is the Map-phase pruning rule of Algorithm 1 (line 9): feature
     /// objects with `q.W ∩ f.W = ∅` cannot contribute to any score and are
-    /// dropped before the shuffle. The merge exits on the first hit, so this
-    /// is cheaper than `intersection_len() > 0` in the common miss case.
+    /// dropped before the shuffle.
     pub fn intersects(&self, other: &KeywordSet) -> bool {
-        let (mut a, mut b) = (self.terms.iter(), other.terms.iter());
-        let (mut x, mut y) = (a.next(), b.next());
-        while let (Some(&ta), Some(&tb)) = (x, y) {
-            match ta.cmp(&tb) {
-                std::cmp::Ordering::Less => x = a.next(),
-                std::cmp::Ordering::Greater => y = b.next(),
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
+        self.intersection_len(other) != 0
     }
 
     /// Iterates over the terms.
@@ -255,5 +249,82 @@ mod tests {
     fn from_iterator_collects() {
         let s: KeywordSet = [Term(3), Term(1), Term(3)].into_iter().collect();
         assert_eq!(s.terms(), &[Term(1), Term(3)]);
+    }
+
+    /// A strictly increasing set from its gaps (each >= 1), starting at 0.
+    fn from_gaps(gaps: &[u32]) -> KeywordSet {
+        let mut next = 0;
+        KeywordSet::from_sorted(
+            gaps.iter()
+                .map(|g| {
+                    next += g;
+                    Term(next)
+                })
+                .collect(),
+        )
+    }
+
+    /// `|A ∩ B|` by the plain linear merge the counts must equal.
+    fn merge_count(a: &KeywordSet, b: &KeywordSet) -> usize {
+        use std::cmp::Ordering;
+        let (a, b) = (a.terms(), b.terms());
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    n += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        n
+    }
+
+    fn assert_counts_match_merge(a: &KeywordSet, b: &KeywordSet) {
+        use crate::SetSimilarity;
+        let n = merge_count(a, b);
+        for (x, y) in [(a, b), (b, a)] {
+            assert_eq!(x.intersection_len(y), n, "{x} vs {y}");
+            assert_eq!(x.intersects(y), n > 0, "{x} vs {y}");
+            for sim in [
+                SetSimilarity::Jaccard,
+                SetSimilarity::Dice,
+                SetSimilarity::Overlap,
+            ] {
+                let want = sim.score_from_counts(n, x.len(), y.len());
+                assert_eq!(
+                    sim.score(x, y).value().to_bits(),
+                    want.value().to_bits(),
+                    "{sim:?} of {x} vs {y}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// A short set (0–5 terms, sparse) against a long one (0–200
+        /// terms, dense).
+        #[test]
+        fn prop_skewed_counts_match_merge(
+            short in proptest::collection::vec(1u32..80, 0..6),
+            long in proptest::collection::vec(1u32..4, 0..201),
+        ) {
+            assert_counts_match_merge(&from_gaps(&short), &from_gaps(&long));
+        }
+
+        /// Two sets of one size (0–59 terms).
+        #[test]
+        fn prop_equal_size_counts_match_merge(
+            gaps in proptest::collection::vec((1u32..4, 1u32..4), 0..60),
+        ) {
+            let a: Vec<u32> = gaps.iter().map(|g| g.0).collect();
+            let b: Vec<u32> = gaps.iter().map(|g| g.1).collect();
+            assert_counts_match_merge(&from_gaps(&a), &from_gaps(&b));
+        }
     }
 }

@@ -476,3 +476,67 @@ fn traced_remote_request_carries_the_workers_job_stats() {
         }
     }
 }
+
+/// Every answer holds exactly its entries (`len() == capacity() <= k`):
+/// the job's merge sizes its result to fit, so a caller that keeps answers
+/// keeps k entries each, not every cell's or shard's list. The local
+/// engine's untraced answer is the kernel's top-k list, allocated at k,
+/// so it is checked on a query that fills k.
+#[test]
+fn answers_hold_only_their_entries() {
+    let data: Vec<DataObject> = (0..400)
+        .map(|i| {
+            DataObject::new(
+                i,
+                Point::new((i % 20) as f64 / 20.0, (i / 20) as f64 / 20.0),
+            )
+        })
+        .collect();
+    let features: Vec<FeatureObject> = (0..300u64)
+        .map(|i| {
+            let p = Point::new((i * 37 % 300) as f64 / 300.0, (i * 91 % 300) as f64 / 300.0);
+            // Term 7 is rare: a query on it fills fewer than k slots.
+            let rare = if i % 150 == 0 { 7 } else { 6 };
+            FeatureObject::new(i, p, KeywordSet::from_ids([(i % 5) as u32, rare]))
+        })
+        .collect();
+    let dataset = SharedDataset::new(data, features);
+    let exec = SpqExecutor::new(Rect::unit()).grid_size(6);
+    let full = SpqQuery::new(10, 0.1, KeywordSet::from_ids([0, 1, 2]));
+    let sparse = SpqQuery::new(30, 0.02, KeywordSet::from_ids([7]));
+    let holds_only_its_entries = |results: &Vec<RankedObject>, k: usize| {
+        results.len() == results.capacity() && results.len() <= k
+    };
+
+    for algorithm in Algorithm::ALL {
+        let exec = exec.clone().algorithm(algorithm);
+        for query in [&full, &sparse] {
+            let top_k = exec.run_dataset(&dataset, query).unwrap().top_k;
+            assert!(holds_only_its_entries(&top_k, query.k), "{algorithm}");
+        }
+    }
+    let full_len = exec.run_dataset(&dataset, &full).unwrap().top_k.len();
+    let sparse_len = exec.run_dataset(&dataset, &sparse).unwrap().top_k.len();
+    assert_eq!(full_len, full.k);
+    assert!(0 < sparse_len && sparse_len < sparse.k);
+
+    for backend in [
+        Backend::Local,
+        Backend::Sharded { shards: 2 },
+        Backend::Remote { workers: 2 },
+    ] {
+        let service = SpqService::build(exec.clone(), dataset.clone(), backend).unwrap();
+        for query in [&full, &sparse] {
+            let request = QueryRequest::new(query.clone());
+            let traced = service.execute(&request.clone().with_trace()).unwrap();
+            assert!(
+                holds_only_its_entries(&traced.results, query.k),
+                "{backend}"
+            );
+            let plain = service.execute(&request).unwrap();
+            if backend != Backend::Local || plain.results.len() == query.k {
+                assert!(holds_only_its_entries(&plain.results, query.k), "{backend}");
+            }
+        }
+    }
+}
