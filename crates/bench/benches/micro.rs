@@ -1,8 +1,10 @@
 //! Microbenchmarks of the hot primitives: Jaccard scoring, grid routing
-//! with Lemma-1 duplication, and the top-k list.
+//! with Lemma-1 duplication, the top-k list, and the fixed cost of one
+//! job phase on the worker pool.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spq_core::TopKList;
+use spq_mapreduce::pool::run_tasks;
 use spq_spatial::{Grid, Point, Rect};
 use spq_text::{KeywordSet, Score, SetSimilarity};
 use std::hint::black_box;
@@ -94,5 +96,21 @@ fn bench_topk(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_jaccard, bench_grid_routing, bench_topk);
+/// One job phase's fixed cost: a job runs 8 map tasks (`JOB_SPLITS`) on
+/// its pool, here with 2 workers and nothing to do in each task.
+fn bench_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool");
+    group.bench_function("run_tasks_w2_t8_empty", |b| {
+        b.iter(|| run_tasks(2, 8, black_box).map(|v| v.len()))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_jaccard,
+    bench_grid_routing,
+    bench_topk,
+    bench_pool
+);
 criterion_main!(benches);

@@ -42,11 +42,12 @@
 //!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
 //!   at budget 1, single-threaded. The job pays for everything it needs,
 //!   as [`SpqExecutor::run_dataset`] does: the request builds the
-//!   round-robin reference splits, plans the partition for its radius over
-//!   them, maps over every data object plus the query's candidate features
-//!   (the full splits without pruning), and drops all of it when it
-//!   returns. Nothing is cached. The job stays the paper-faithful
-//!   reproduction and an independent oracle inside every engine.
+//!   contiguous-block reference splits, plans the partition for its
+//!   radius over them, maps over every data object plus the query's
+//!   candidate features (the full splits without pruning), and drops all
+//!   of it when it returns. Nothing is cached. The job stays the
+//!   paper-faithful reproduction and an independent oracle inside every
+//!   engine.
 //!
 //! Determinism holds on both: for a fixed engine and query, every entry
 //! point returns the same bytes — kernel, job and
@@ -99,7 +100,7 @@ use crate::kernel;
 use crate::model::{FeatureObject, ObjectId, RankedObject};
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
-use crate::store::{ObjectRef, SharedDataset};
+use crate::store::{split_of, ObjectRef, SharedDataset};
 use spq_mapreduce::{ClusterConfig, JobStats};
 use spq_spatial::GridIndex;
 use spq_text::{KeywordSet, Term};
@@ -213,6 +214,10 @@ impl KeywordIndex {
     /// one keyword, in ascending feature order. A [`KeywordSet`] holds
     /// each term once, so the number of lists a feature heads is exactly
     /// its intersection size.
+    // Inline: the serving kernel's per-query merge. Without the hint,
+    // whether it is inlined into `kernel::top_k` depends on how rustc
+    // splits this crate into codegen units, which any edit can move.
+    #[inline]
     pub(crate) fn for_each_match(&self, keywords: &KeywordSet, mut emit: impl FnMut(u32, usize)) {
         let mut lists: Vec<&[u32]> = keywords.iter().map(|t| self.postings(t)).collect();
         while let Some(next) = lists.iter().filter_map(|l| l.first().copied()).min() {
@@ -535,15 +540,15 @@ impl QueryEngine {
     }
 
     /// Runs `query` as the job a fresh [`SpqExecutor::run_dataset`] runs:
-    /// the same round-robin splits, and the partition planned over all of
-    /// them, so the adaptive quadtree samples what the fresh job samples.
+    /// the same contiguous-block splits, and the partition planned over all
+    /// of them, so the adaptive quadtree samples what the fresh job samples.
     /// With pruning on, the job then maps over every data ref plus only the
     /// query's candidate features, each in the split the full layout puts
-    /// it in (the per-split record order the shuffle depends on for
-    /// byte-identical output). `workers` is the job's width; the callers
-    /// whose parallelism comes from elsewhere — the serve pool's
-    /// inter-query concurrency — hand in 1, so multi-worker jobs never
-    /// nest inside them.
+    /// it in ([`split_of`], which `ref_splits` also uses: the per-split
+    /// record order the shuffle depends on for byte-identical output).
+    /// `workers` is the job's width; the callers whose parallelism comes
+    /// from elsewhere — the serve pool's inter-query concurrency — hand in
+    /// 1, so multi-worker jobs never nest inside them.
     fn run_job(&self, query: &SpqQuery, workers: Option<usize>) -> Result<EngineAnswer, SpqError> {
         self.metrics
             .plan_cache_misses
@@ -558,8 +563,9 @@ impl QueryEngine {
             for split in &mut splits {
                 split.retain(|r| r.is_data());
             }
+            let n = self.dataset.features().len();
             self.keyword_index.for_each_match(&query.keywords, |i, _| {
-                splits[i as usize % JOB_SPLITS].push(ObjectRef::Feature(i));
+                splits[split_of(i as usize, n, JOB_SPLITS)].push(ObjectRef::Feature(i));
             });
         }
         let result = exec.run_planned(&self.dataset, &splits, query, partition)?;
@@ -673,10 +679,11 @@ impl QueryExecutor for QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::Algorithm;
     use crate::centralized::brute_force;
     use crate::executor::LoadBalancing;
     use crate::model::DataObject;
-    use crate::partitioning::COUNTER_MAP_PRUNED;
+    use crate::partitioning::{COUNTER_MAP_PRUNED, COUNTER_REDUCE_DISTANCE_CHECKS};
     use crate::service::QueryRequest;
     use spq_spatial::{Point, Rect};
 
@@ -830,6 +837,44 @@ mod tests {
         }
         // Every traced request planned its own partition.
         assert_eq!(engine.metrics().plan_cache_misses, 6);
+    }
+
+    #[test]
+    fn traced_job_puts_each_candidate_in_its_block() {
+        // 40 features over 8 splits, one in five not a candidate. The
+        // candidates' scores rise with their store index, so a pSPQ
+        // reducer that reads them in store order raises τ at every
+        // feature and checks distance for each; a layout that reorders
+        // them (e.g. index % 8) raises τ early and skips some.
+        let data = vec![DataObject::new(1, Point::new(1.0, 1.0))];
+        let features: Vec<FeatureObject> = (0..40u32)
+            .map(|i| {
+                let kw: Vec<u32> = if i % 5 == 4 {
+                    vec![9]
+                } else {
+                    (0..=i / 10).collect()
+                };
+                feature(i.into(), 1.0 + 0.01 * f64::from(i), 1.2, &kw)
+            })
+            .collect();
+        let dataset = SharedDataset::new(data, features);
+        let req = request(1, 1.0, &[0, 1, 2, 3]).with_trace();
+        for algo in Algorithm::ALL {
+            let exec = executor().algorithm(algo);
+            let engine = QueryEngine::new(exec.clone(), dataset.clone());
+            let fresh = exec.run_dataset(&dataset, &req.query).unwrap();
+            let served = engine.execute(&req).unwrap();
+            let job = traced_job(&served);
+            assert_eq!(served.results, fresh.top_k, "{algo:?}");
+            assert_eq!(
+                output_counters(job),
+                output_counters(&fresh.stats),
+                "{algo:?}"
+            );
+            if algo == Algorithm::PSpq {
+                assert_eq!(job.counters.get(COUNTER_REDUCE_DISTANCE_CHECKS), 32);
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use spq_mapreduce::{ClusterConfig, JobError, JobStats, LocalPool};
 use spq_spatial::{AdaptiveGrid, Grid, Point, Rect, SpacePartition};
 use std::fmt;
 
-/// The round-robin split count (= map tasks) of a job over a shared
+/// The contiguous-block split count (= map tasks) of a job over a shared
 /// dataset: [`SpqExecutor::run_dataset`]'s, and a traced engine request's,
 /// which is byte-identical to the fresh job only because both use it.
 pub(crate) const JOB_SPLITS: usize = 8;
@@ -405,8 +405,8 @@ impl SpqExecutor {
         self.run_shared(&dataset, &splits, query)
     }
 
-    /// Runs the query over a shared dataset with automatic round-robin
-    /// splitting (8 splits).
+    /// Runs the query over a shared dataset split automatically into 8
+    /// contiguous store-order blocks ([`SharedDataset::ref_splits`]).
     pub fn run_dataset(
         &self,
         dataset: &SharedDataset,

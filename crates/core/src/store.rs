@@ -135,25 +135,44 @@ impl SharedDataset {
         }
     }
 
-    /// Round-robin horizontal partitioning into `num_splits` mixed
-    /// reference splits (data objects first, then features).
+    /// Horizontal partitioning into `num_splits` mixed reference splits
+    /// of contiguous store-order blocks: split `s` holds the `s`-th block
+    /// of data objects, then the `s`-th block of features, each block
+    /// `⌊n / num_splits⌋` or `⌈n / num_splits⌉` objects long — "no
+    /// assumption on the partitioning method" (Section 3.1) — so each map
+    /// task reads its input sequentially.
     ///
     /// # Panics
     ///
     /// Panics if `num_splits == 0`.
     pub fn ref_splits(&self, num_splits: usize) -> Vec<Vec<ObjectRef>> {
         assert!(num_splits > 0, "need at least one split");
-        let mut splits: Vec<Vec<ObjectRef>> = (0..num_splits)
-            .map(|_| Vec::with_capacity(self.total() / num_splits + 1))
-            .collect();
-        for i in 0..self.data.len() {
-            splits[i % num_splits].push(ObjectRef::Data(i as u32));
-        }
-        for i in 0..self.features.len() {
-            splits[i % num_splits].push(ObjectRef::Feature(i as u32));
-        }
-        splits
+        let (n_data, n_features) = (self.data.len(), self.features.len());
+        (0..num_splits)
+            .map(|s| {
+                let data = block(s, n_data, num_splits);
+                let features = block(s, n_features, num_splits);
+                let mut split = Vec::with_capacity(data.len() + features.len());
+                split.extend(data.map(|i| ObjectRef::Data(i as u32)));
+                split.extend(features.map(|i| ObjectRef::Feature(i as u32)));
+                split
+            })
+            .collect()
     }
+}
+
+/// The split that [`SharedDataset::ref_splits`] puts object `i` of `n`
+/// in (data objects and features are counted separately).
+#[inline]
+pub(crate) fn split_of(i: usize, n: usize, num_splits: usize) -> usize {
+    (i as u64 * num_splits as u64 / n as u64) as usize
+}
+
+/// The indices of the `s`-th of `num_splits` blocks of `0..n`: exactly
+/// the `i` with `split_of(i, n, num_splits) == s`.
+fn block(s: usize, n: usize, num_splits: usize) -> std::ops::Range<usize> {
+    let start = |s: usize| (s as u64 * n as u64).div_ceil(num_splits as u64) as usize;
+    start(s)..start(s + 1)
 }
 
 #[cfg(test)]
@@ -230,16 +249,84 @@ mod tests {
     }
 
     #[test]
-    fn ref_splits_round_robin() {
-        let ds = sample();
-        let splits = ds.ref_splits(2);
-        assert_eq!(splits.len(), 2);
-        assert_eq!(
-            splits[0],
-            vec![ObjectRef::Data(0), ObjectRef::Feature(0)],
-            "even indices land in split 0"
+    fn ref_splits_contiguous_blocks() {
+        // 5 data and 3 features over 2 splits: a round-robin layout would
+        // put D0 D2 D4 F0 F2 in split 0.
+        let ds = SharedDataset::new(
+            (0..5)
+                .map(|i| DataObject::new(i, Point::new(i as f64, 0.0)))
+                .collect(),
+            (0..3)
+                .map(|i| FeatureObject::new(i, Point::new(0.0, i as f64), KeywordSet::empty()))
+                .collect(),
         );
-        assert_eq!(splits[1], vec![ObjectRef::Data(1)]);
+        let splits = ds.ref_splits(2);
+        assert_eq!(
+            splits,
+            vec![
+                vec![
+                    ObjectRef::Data(0),
+                    ObjectRef::Data(1),
+                    ObjectRef::Data(2),
+                    ObjectRef::Feature(0),
+                    ObjectRef::Feature(1),
+                ],
+                vec![
+                    ObjectRef::Data(3),
+                    ObjectRef::Data(4),
+                    ObjectRef::Feature(2)
+                ],
+            ]
+        );
+    }
+
+    proptest::proptest! {
+        /// Every object lands in exactly one split, at the place
+        /// `split_of` names, each split reads its block in store order,
+        /// and no block is longer than `⌈n / s⌉`.
+        #[test]
+        fn prop_ref_splits_are_store_order_blocks(
+            n_data in 0usize..=200,
+            n_features in 0usize..=200,
+            num_splits in 1usize..=12,
+        ) {
+            let ds = SharedDataset::new(
+                (0..n_data as u64).map(|i| DataObject::new(i, Point::new(0.0, 0.0))).collect(),
+                (0..n_features as u64)
+                    .map(|i| FeatureObject::new(i, Point::new(0.0, 0.0), KeywordSet::empty()))
+                    .collect(),
+            );
+            let splits = ds.ref_splits(num_splits);
+            proptest::prop_assert_eq!(splits.len(), num_splits);
+            let mut data_seen = Vec::new();
+            let mut features_seen = Vec::new();
+            for (s, split) in splits.iter().enumerate() {
+                let data: Vec<usize> = split
+                    .iter()
+                    .filter_map(|r| match *r {
+                        ObjectRef::Data(i) => Some(i as usize),
+                        ObjectRef::Feature(_) => None,
+                    })
+                    .collect();
+                let features: Vec<usize> = split[data.len()..]
+                    .iter()
+                    .filter_map(|r| match *r {
+                        ObjectRef::Feature(i) => Some(i as usize),
+                        ObjectRef::Data(_) => None,
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(data.len() + features.len(), split.len(), "data first");
+                for (ids, n) in [(&data, n_data), (&features, n_features)] {
+                    proptest::prop_assert!(ids.len() <= n.div_ceil(num_splits));
+                    proptest::prop_assert!(ids.windows(2).all(|w| w[1] == w[0] + 1));
+                    proptest::prop_assert!(ids.iter().all(|&i| split_of(i, n, num_splits) == s));
+                }
+                data_seen.extend(data);
+                features_seen.extend(features);
+            }
+            proptest::prop_assert_eq!(data_seen, (0..n_data).collect::<Vec<_>>());
+            proptest::prop_assert_eq!(features_seen, (0..n_features).collect::<Vec<_>>());
+        }
     }
 
     #[test]

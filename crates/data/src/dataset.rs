@@ -33,8 +33,8 @@ impl Dataset {
     }
 
     /// Horizontally partitions the dataset into `num_splits` mixed splits
-    /// (round-robin over data then feature objects — "no assumption on
-    /// the partitioning method", Section 3.1): copies the objects
+    /// (contiguous blocks of data then feature objects — "no assumption
+    /// on the partitioning method", Section 3.1): copies the objects
     /// **once** into a [`SharedDataset`] (held behind `Arc`s; this
     /// `Dataset` is untouched) and returns reference splits into it.
     /// Queries run through `SpqExecutor::run_shared` then shuffle 8–16
