@@ -1,9 +1,10 @@
 //! Microbenchmarks of the hot primitives: Jaccard scoring, grid routing
-//! with Lemma-1 duplication, the top-k list, and the fixed cost of one
-//! job phase on the worker pool.
+//! with Lemma-1 duplication, the top-k list, the fixed cost of one job
+//! phase on the worker pool, and one served query on each matrix corpus.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use spq_core::TopKList;
+use spq_bench::matrix::CORPORA;
+use spq_core::{QueryEngine, QueryExecutor, QueryRequest, SpqExecutor, TopKList};
 use spq_mapreduce::pool::run_tasks;
 use spq_spatial::{Grid, Point, Rect};
 use spq_text::{KeywordSet, Score, SetSimilarity};
@@ -106,11 +107,37 @@ fn bench_pool(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `QueryEngine::execute` (the serving kernel plus the request's
+/// validation and response) per iteration, cycling through 512 queries of
+/// the matrix stream, on each matrix corpus at its full (`--scale 1`)
+/// size and the matrix's seed.
+fn bench_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel");
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for spec in &CORPORA {
+        let dataset = spec.generate(1.0, 2017);
+        let requests: Vec<QueryRequest> = spec
+            .query_stream(&dataset, 2017)
+            .batch(512)
+            .into_iter()
+            .map(QueryRequest::new)
+            .collect();
+        let exec = SpqExecutor::new(dataset.bounds).grid_size(spec.grid);
+        let engine = QueryEngine::new(exec, dataset.to_shared_splits(8).0);
+        let mut next = requests.iter().cycle();
+        group.bench_function(format!("execute_{}", spec.name), |b| {
+            b.iter(|| engine.execute(black_box(next.next().unwrap())))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_jaccard,
     bench_grid_routing,
     bench_topk,
-    bench_pool
+    bench_pool,
+    bench_kernel
 );
 criterion_main!(benches);

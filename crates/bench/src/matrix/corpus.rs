@@ -2,7 +2,9 @@
 //! facade serving modes.
 
 use crate::params::{scaled, DEFAULT_GRID_REAL, DEFAULT_GRID_SYNTH};
-use spq_data::{ClusteredGen, Dataset, DatasetGenerator, FlickrLike, UniformGen};
+use spq_data::{
+    ClusteredGen, Dataset, DatasetGenerator, FlickrLike, QueryStream, StreamConfig, UniformGen,
+};
 
 /// Distribution family of a corpus, mapping onto the paper's dataset
 /// shapes (Table 3: synthetic UN/CL, real FL).
@@ -63,6 +65,28 @@ impl CorpusSpec {
             CorpusShape::Clustered => ClusteredGen.generate(size, seed),
             CorpusShape::Flickr => FlickrLike.generate(size, seed),
         }
+    }
+
+    /// The matrix's query stream over `dataset` (this corpus, generated
+    /// from `seed`): radius classes at 5, 10 and 25 % of one grid cell,
+    /// the stream's default keyword count capped at the vocabulary.
+    pub fn query_stream(&self, dataset: &Dataset, seed: u64) -> QueryStream {
+        let bounds = dataset.bounds;
+        let cell = bounds.width().max(bounds.height()) / self.grid as f64;
+        let vocab_size = dataset.vocab_size.max(1);
+        let defaults = StreamConfig::default();
+        QueryStream::new(
+            vocab_size,
+            StreamConfig {
+                radius_classes: [5.0, 10.0, 25.0]
+                    .iter()
+                    .map(|pct| cell * pct / 100.0)
+                    .collect(),
+                seed: seed ^ 13,
+                keywords_per_query: defaults.keywords_per_query.min(vocab_size),
+                ..defaults
+            },
+        )
     }
 
     /// Looks a corpus up by id segment.

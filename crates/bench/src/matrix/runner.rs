@@ -22,7 +22,6 @@ use spq_core::{
     QueryExecutor, QueryRequest, QueryResponse, RankedObject, SpqError, SpqExecutor, SpqService,
     Ticket,
 };
-use spq_data::{QueryStream, StreamConfig};
 use spq_mapreduce::ClusterConfig;
 use std::time::{Duration, Instant};
 
@@ -116,22 +115,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
             wanted.len()
         );
         let bounds = dataset.bounds;
-        let cell = bounds.width().max(bounds.height()) / spec.grid as f64;
-        let vocab_size = dataset.vocab_size.max(1);
-        let defaults = StreamConfig::default();
-        let mut stream = QueryStream::new(
-            vocab_size,
-            StreamConfig {
-                radius_classes: [5.0, 10.0, 25.0]
-                    .iter()
-                    .map(|pct| cell * pct / 100.0)
-                    .collect(),
-                seed: cfg.seed ^ 13,
-                keywords_per_query: defaults.keywords_per_query.min(vocab_size),
-                ..defaults
-            },
-        );
-        let queries = stream.batch(cfg.queries);
+        let queries = spec.query_stream(&dataset, cfg.seed).batch(cfg.queries);
         let requests: Vec<QueryRequest> = queries.iter().cloned().map(QueryRequest::new).collect();
         let (shared, _) = dataset.to_shared_splits(8);
 

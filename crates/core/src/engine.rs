@@ -302,11 +302,13 @@ pub struct MetricsSnapshot {
     pub keyword_probes: u64,
     /// Probed keywords that hit a non-empty posting list.
     pub keyword_hits: u64,
-    /// Candidate features the serving kernel scored (features sharing a
-    /// keyword with the query), over all kernel-answered queries.
+    /// Candidate features the serving kernel sorted into score classes
+    /// (features sharing a keyword with the query), over all
+    /// kernel-answered queries. The kernel scores one
+    /// `(|q.W ∩ f.W|, |f.W|)` class at a time, not each candidate.
     pub kernel_candidates: u64,
     /// Of those, candidates the kernel visited — scanned the target cells
-    /// of — before its global-τ stop.
+    /// of — before its global-τ stop, which it tests once per class.
     pub kernel_visited: u64,
     /// `d(p, f) <= r` evaluations the kernel made.
     pub kernel_distance_checks: u64,

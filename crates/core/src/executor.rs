@@ -101,7 +101,8 @@ pub enum SpqError {
     },
     /// An engine or backend was configured in a way that cannot serve
     /// (zero shards, duplicate data-object ids under a sharded wire
-    /// format, …). Raised at build time, never per query.
+    /// format, …). Raised at build time; per query only by a shard whose
+    /// id map does not cover its own data slice.
     InvalidConfig {
         /// What was wrong with the configuration.
         message: String,

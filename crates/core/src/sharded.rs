@@ -87,21 +87,48 @@ pub mod wire {
         f64::from_bits(u64::from_le_bytes(bits))
     }
 
+    /// A result names a data object the id → store-index map does not
+    /// hold, so it has no wire record.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct UnknownObject(pub ObjectId);
+
+    impl std::fmt::Display for UnknownObject {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "data object {} is not in the id map", self.0)
+        }
+    }
+
+    /// [`encode_results`], failing on the first result `id_to_index` does
+    /// not hold instead of leaving it out.
+    pub(crate) fn try_encode_results(
+        results: &[RankedObject],
+        id_to_index: &HashMap<ObjectId, u32>,
+    ) -> Result<Vec<u8>, UnknownObject> {
+        match results
+            .iter()
+            .find(|r| !id_to_index.contains_key(&r.object))
+        {
+            Some(r) => Err(UnknownObject(r.object)),
+            None => Ok(encode_results(results, id_to_index)),
+        }
+    }
+
     /// Serializes a shard's local top-k into wire records. `id_to_index`
     /// maps data-object ids to indices in the *global* store (built once
     /// at engine construction), so the receiver resolves records without
-    /// any per-shard coordinate space.
+    /// any per-shard coordinate space. A result whose id `id_to_index`
+    /// does not hold is left out; a shard's own answer is checked for
+    /// that first and fails instead.
     pub fn encode_results(
         results: &[RankedObject],
         id_to_index: &HashMap<ObjectId, u32>,
     ) -> Vec<u8> {
         let mut out = Vec::with_capacity(results.len() * RECORD_BYTES);
         for r in results {
-            let index = id_to_index
-                .get(&r.object)
-                .expect("shard result resolves to a known data object");
-            out.extend_from_slice(&index.to_le_bytes());
-            out.extend_from_slice(&r.score.value().to_bits().to_le_bytes());
+            if let Some(index) = id_to_index.get(&r.object) {
+                out.extend_from_slice(&index.to_le_bytes());
+                out.extend_from_slice(&r.score.value().to_bits().to_le_bytes());
+            }
         }
         out
     }
@@ -164,9 +191,16 @@ pub(crate) struct Shard {
 impl Shard {
     /// Answers `query` with the kernel over the shard's slice and
     /// serializes the local top-k as [`wire`] records.
+    ///
+    /// # Errors
+    ///
+    /// The engine's, or [`SpqError::InvalidConfig`] when a result is not
+    /// in the shard's id map — a shard built over a slice its map does not
+    /// cover.
     pub(crate) fn answer(&self, query: &SpqQuery) -> Result<Vec<u8>, SpqError> {
         let answer = self.engine.run(query, &QueryOptions::default())?;
-        Ok(wire::encode_results(&answer.top_k, &self.id_to_index))
+        wire::try_encode_results(&answer.top_k, &self.id_to_index)
+            .map_err(|e| SpqError::invalid_config(format!("shard gather: {e}")))
     }
 }
 
@@ -535,6 +569,32 @@ mod tests {
         assert_eq!(bytes.len(), 2 * wire::RECORD_BYTES);
         assert_eq!(wire::decode_results(&bytes, ds.data()), results);
         assert!(wire::decode_results(&[], ds.data()).is_empty());
+    }
+
+    #[test]
+    fn a_result_outside_the_id_map_is_a_typed_error() {
+        let ds = paper_dataset();
+        // Object 4 (store index 3) is missing from the map.
+        let id_to_index: HashMap<ObjectId, u32> = [(1, 0), (2, 1), (3, 2), (5, 4)].into();
+        let results = vec![
+            RankedObject::new(1, Point::new(4.6, 4.8), Score::ONE),
+            RankedObject::new(4, Point::new(1.8, 1.8), Score::ratio(1, 3)),
+        ];
+        assert_eq!(
+            wire::try_encode_results(&results, &id_to_index),
+            Err(wire::UnknownObject(4))
+        );
+        let kept = wire::encode_results(&results, &id_to_index);
+        assert_eq!(wire::decode_results(&kept, ds.data()), results[..1]);
+
+        let shard = Shard {
+            engine: QueryEngine::new(executor(), ds),
+            id_to_index: Arc::new(id_to_index),
+        };
+        // Object 4 is the only data object within 1.5 of feature 1.
+        let err = shard.answer(&request(1, 1.5, &[0, 1]).query).unwrap_err();
+        assert!(matches!(err, SpqError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("data object 4"), "{err}");
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! closed unit square, so objects also sit on the outer bounds. The radii
 //! run from `0` to wider than the space, and every query is asked under
 //! all three similarities.
+//!
+//! The kernel tests its stop once per score class — candidates sharing
+//! `(|q.W ∩ f.W|, |f.W|)` — and distinct classes can tie on score. So a
+//! second family of worlds draws every feature from a few classes that
+//! tie against the query `{0, 1, 2}` under one similarity, padded with
+//! filler terms up to `|f.W| = 11`.
 
 use proptest::prelude::*;
 use spq::core::centralized::brute_force;
@@ -93,6 +99,79 @@ fn lattice_world() -> impl Strategy<
     })
 }
 
+/// Distinct `(|q.W ∩ f.W|, |f.W|)` classes that score the same against a
+/// three-keyword query, per similarity — Jaccard (1, 4) and (2, 11) are
+/// both 1/6, Dice (1, 1) and (2, 5) both 1/2, Overlap (1, 1), (2, 2) and
+/// (3, 5) all 1 — followed by classes scoring above or below the tie. The
+/// last one shares more keywords than a class that outscores it, so
+/// walking classes by intersection size instead of by score shows.
+const CLASS_TIES: [(SetSimilarity, &[(usize, usize)]); 3] = [
+    (
+        SetSimilarity::Jaccard,
+        &[(1, 4), (2, 11), (3, 3), (1, 11), (1, 2)],
+    ),
+    (
+        SetSimilarity::Dice,
+        &[(1, 1), (2, 5), (3, 3), (1, 11), (2, 11)],
+    ),
+    (
+        SetSimilarity::Overlap,
+        &[(1, 1), (2, 2), (3, 5), (3, 3), (1, 11), (2, 5)],
+    ),
+];
+/// Terms a class-tied feature pads its keywords with; the query's are
+/// 0, 1 and 2, so the vocabulary has 19 terms, enough for `|f.W| = 11`.
+const FILLERS: u32 = 16;
+
+/// Strategy: one similarity of [`CLASS_TIES`]; 0–64 data objects and 0–60
+/// features on the `i/8` lattice, each feature drawn from the similarity's
+/// classes with its shared and filler terms rotated; four (radius class,
+/// k) draws for the query `{0, 1, 2}`; a grid size.
+#[allow(clippy::type_complexity)]
+fn class_tied_world() -> impl Strategy<
+    Value = (
+        SetSimilarity,
+        Vec<DataObject>,
+        Vec<FeatureObject>,
+        Vec<(usize, usize)>,
+        u32,
+    ),
+> {
+    let data = (
+        proptest::collection::vec((0u8..=8, 0u8..=8), 64),
+        0usize..65,
+        0..=ALIGNED_COUNTS.len(),
+    );
+    let features =
+        proptest::collection::vec((0u8..=8, 0u8..=8, 0usize..6, 0u32..3, 0u32..FILLERS), 0..61);
+    let queries = proptest::collection::vec((0usize..RADII.len(), 1usize..=7), 4);
+    (0..CLASS_TIES.len(), data, features, queries, 1u32..8).prop_map(
+        |(which, (d, random, class), f, queries, grid)| {
+            let (similarity, classes) = CLASS_TIES[which];
+            let at = |x: u8, y: u8| Point::new(x as f64 / 8.0, y as f64 / 8.0);
+            let count = ALIGNED_COUNTS.get(class).copied().unwrap_or(random);
+            let data = d
+                .into_iter()
+                .take(count)
+                .enumerate()
+                .map(|(i, (x, y))| DataObject::new(i as u64, at(x, y)))
+                .collect();
+            let features = f
+                .into_iter()
+                .enumerate()
+                .map(|(i, (x, y, pick, shared, filler))| {
+                    let (inter, len) = classes[pick % classes.len()];
+                    let shared = (0..inter as u32).map(|t| (shared + t) % 3);
+                    let fillers = (0..(len - inter) as u32).map(|t| 3 + (filler + t) % FILLERS);
+                    let keywords = KeywordSet::from_ids(shared.chain(fillers));
+                    FeatureObject::new(i as u64, at(x, y), keywords)
+                })
+                .collect();
+            (similarity, data, features, queries, grid)
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -134,6 +213,34 @@ proptest! {
                     prop_assert_eq!(job.trace.map(|t| t.len()), Some(1));
                 }
             }
+        }
+    }
+
+    /// Ties *between* score classes: the kernel walks classes that tie on
+    /// score as one run, in whatever order its sort leaves them, and its
+    /// answer is still the job's and `brute_force`'s, byte for byte.
+    #[test]
+    fn prop_kernel_agrees_when_distinct_classes_tie(
+        (similarity, data, features, query_specs, grid) in class_tied_world()
+    ) {
+        let dataset = SharedDataset::new(data, features);
+        let exec = SpqExecutor::new(Rect::unit())
+            .grid_size(grid)
+            .cluster(ClusterConfig::sequential());
+        let engine = QueryEngine::new(exec, dataset.clone());
+        for (radius, k) in &query_specs {
+            let query = SpqQuery::with_similarity(
+                *k,
+                RADII[*radius],
+                KeywordSet::from_ids([0, 1, 2]),
+                similarity,
+            );
+            let expect = brute_force(dataset.data(), dataset.features(), &query);
+            let request = QueryRequest::new(query.clone());
+            let kernel = engine.execute(&request).unwrap();
+            let job = engine.execute(&request.with_trace()).unwrap();
+            prop_assert_eq!(&kernel.results, &expect, "kernel, {}", query);
+            prop_assert_eq!(&job.results, &expect, "job, {}", query);
         }
     }
 }
