@@ -47,7 +47,7 @@ fn run_matrix_mode(matrix: &MatrixCli) {
         );
     }
     if !report.records.is_empty() {
-        println!("\nall records byte-identical to the single-store engine");
+        println!("\nall records byte-identical to the reference job");
     }
 }
 

@@ -18,7 +18,7 @@
 //! → `BENCH_MATRIX.json`), each record carrying a block of deterministic
 //! work counters, bootstrap 95% confidence intervals and Tukey outlier
 //! counts from [`criterion::stats`], and the byte-identity assertion
-//! against the single-store engine. Two reports from different commits
+//! against the paper's job. Two reports from different commits
 //! are compared by [`compare::compare_reports`] — the CI regression
 //! gate, an exact match on the counters.
 

@@ -61,14 +61,14 @@ pub struct Counters {
     pub retries: u64,
     /// Ranked objects returned, over all responses.
     pub results: u64,
-    /// Σ `JobStats::map_input_records` over the traced single-store
-    /// reference pass (the same for every backend and mode of one
-    /// corpus/algorithm).
+    /// Σ `JobStats::map_input_records` over the reference jobs, one
+    /// `run_dataset` per query and `|O| + |F|` records each (the same for
+    /// every backend and mode of one corpus/algorithm).
     pub map_input_records: u64,
-    /// Σ `COUNTER_MAP_DUPLICATES` over the reference pass: Lemma-1 routed
+    /// Σ `COUNTER_MAP_DUPLICATES` over the reference jobs: Lemma-1 routed
     /// feature copies beyond the enclosing cell.
     pub map_duplicates: u64,
-    /// Σ `COUNTER_REDUCE_FEATURES_EXAMINED` over the reference pass:
+    /// Σ `COUNTER_REDUCE_FEATURES_EXAMINED` over the reference jobs:
     /// features the reducers looked at before early termination.
     pub reduce_features_examined: u64,
     /// Candidate features the serving kernel scored during the mode's run
@@ -149,9 +149,9 @@ pub struct MatrixRecord {
     /// deterministic and nonzero by construction. Gated with the
     /// [`counters`](Self::counters).
     pub shed_rate: f64,
-    /// `true` iff every response matched the single-store reference
-    /// byte for byte (the runner asserts it, so a written record always
-    /// says `true` — the field exists so a reader need not know that).
+    /// `true` iff every response matched the reference job byte for byte
+    /// (the runner asserts it, so a written record always says `true` —
+    /// the field exists so a reader need not know that).
     pub identical_to_reference: bool,
     /// The gated deterministic counters.
     pub counters: Counters,

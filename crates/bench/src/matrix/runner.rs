@@ -4,11 +4,12 @@
 //! Per benchmark id the runner collects one latency observation per
 //! query (amortized batch wall for `execute-batch`, the response's own
 //! `wall_micros` for `serve`), asserts every response byte-identical to
-//! the plain single-store [`QueryEngine`], and summarizes the sample
+//! the paper's job ([`SpqExecutor::run_dataset`] over the whole store),
+//! and summarizes the sample
 //! through [`criterion::stats::summarize`] — bootstrap 95% intervals for
 //! mean/p50/p99 plus the Tukey outlier census. Everything data-shaped is
 //! deterministic from the seed — including the [`Counters`] block summed
-//! from every response's `QueryStats`, from the traced reference pass and
+//! from every response's `QueryStats`, from the reference jobs and
 //! from the service's kernel counters, which is what `spq-bench compare`
 //! gates on; only the latencies themselves are machine-dependent.
 
@@ -18,9 +19,8 @@ use super::{bench_id, glob_match};
 use criterion::stats::{summarize, BootstrapConfig, Sample};
 use spq_core::partitioning::{COUNTER_MAP_DUPLICATES, COUNTER_REDUCE_FEATURES_EXAMINED};
 use spq_core::{
-    AdmissionConfig, AdmissionQueue, Algorithm, Backend, OverflowPolicy, QueryEngine,
-    QueryExecutor, QueryRequest, QueryResponse, RankedObject, SpqError, SpqExecutor, SpqService,
-    Ticket,
+    AdmissionConfig, AdmissionQueue, Algorithm, Backend, OverflowPolicy, QueryExecutor,
+    QueryRequest, QueryResponse, RankedObject, SpqError, SpqExecutor, SpqService, Ticket,
 };
 use spq_mapreduce::ClusterConfig;
 use std::time::{Duration, Instant};
@@ -73,8 +73,8 @@ fn selected(filter: &Option<String>, id: &str) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if any backend/mode response diverges from the single-store
-/// reference — the byte-identity gate every record attests to.
+/// Panics if any backend/mode response diverges from the reference job —
+/// the byte-identity gate every record attests to.
 pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
     assert!(!cfg.backends.is_empty(), "need at least one backend");
     let mut records = Vec::new();
@@ -127,23 +127,20 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
                 .algorithm(algorithm)
                 .grid_size(spec.grid)
                 .cluster(ClusterConfig::with_workers(cfg.workers));
-            let reference_engine = QueryEngine::new(exec.clone(), shared.clone());
-            // Traced, so the job-level counters no `QueryStats` carries
-            // (map input, Lemma-1 copies, reducer work) are gated too.
+            // The reference is the paper's job, not the kernel every
+            // backend answers with, and the job-level counters no
+            // `QueryStats` carries (map input, Lemma-1 copies, reducer
+            // work) are gated too.
             let mut job_counters = Counters::default();
-            let reference: Vec<Vec<RankedObject>> = requests
+            let reference: Vec<Vec<RankedObject>> = queries
                 .iter()
-                .map(|r| {
-                    let response = reference_engine
-                        .execute(&r.clone().with_trace())
-                        .expect("reference job");
-                    for job in response.trace.iter().flatten() {
-                        job_counters.map_input_records += job.map_input_records();
-                        job_counters.map_duplicates += job.counters.get(COUNTER_MAP_DUPLICATES);
-                        job_counters.reduce_features_examined +=
-                            job.counters.get(COUNTER_REDUCE_FEATURES_EXAMINED);
-                    }
-                    response.results
+                .map(|q| {
+                    let job = exec.run_dataset(&shared, q).expect("reference job");
+                    job_counters.map_input_records += job.stats.map_input_records();
+                    job_counters.map_duplicates += job.stats.counters.get(COUNTER_MAP_DUPLICATES);
+                    job_counters.reduce_features_examined +=
+                        job.stats.counters.get(COUNTER_REDUCE_FEATURES_EXAMINED);
+                    job.top_k
                 })
                 .collect();
 
@@ -234,7 +231,7 @@ fn check_and_tally(
     counters.results += response.results.len() as u64;
 }
 
-/// Measures one mode. `counters` arrives holding the reference pass's
+/// Measures one mode. `counters` arrives holding the reference jobs'
 /// job-level sums; the mode's own `QueryStats` sums are added to it.
 fn measure_mode(
     service: &SpqService,
@@ -321,7 +318,7 @@ fn measure_mode(
 ///   the first pump sheds every one of them with `DeadlineExceeded`;
 /// * the originals carry no deadline and a higher priority, execute in
 ///   coalesced windows, and are asserted byte-identical to the
-///   single-store reference.
+///   reference job.
 ///
 /// The latency sample is the executed originals' own `wall_micros`; the
 /// shed rate is `(rejected + shed) / offered = 0.5` by construction.

@@ -28,9 +28,10 @@
 //!   ([`serve_requests`](crate::service::QueryExecutor::serve_requests),
 //!   the admission queue) — the right shape for high-QPS traffic of many
 //!   small queries.
-//! * **A job when the request is traced** — one rule: a request with
-//!   [`with_trace`](crate::service::QueryRequest::with_trace) (its trace
-//!   *is* a job's [`JobStats`]) runs the paper's job instead, as the
+//! * **A trace is the paper's job, beside the kernel** — a request with
+//!   [`with_trace`](crate::service::QueryRequest::with_trace) is answered
+//!   by the kernel like any other. Its trace is the [`JobStats`] of one
+//!   [`SpqExecutor::run_dataset`] job over the engine's dataset, as the
 //!   engine's executor configures it (its algorithm; its keyword pruning,
 //!   whose absence is the shuffle ablation), at the request's worker
 //!   budget ([`QueryOptions::workers`]):
@@ -40,23 +41,18 @@
 //!   [`execute_sequential`](crate::service::QueryExecutor::execute_sequential)
 //!   and
 //!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
-//!   at budget 1, single-threaded. The job pays for everything it needs,
-//!   as [`SpqExecutor::run_dataset`] does: the request builds the
-//!   contiguous-block reference splits, plans the partition for its
-//!   radius over them, maps over every data object plus the query's
-//!   candidate features (the full splits without pruning), and drops all
-//!   of it when it returns. Nothing is cached. The job stays the
-//!   paper-faithful reproduction and an independent oracle inside every
-//!   engine.
+//!   at budget 1, single-threaded. The sharded and remote backends trace
+//!   the same way, so one rule holds on every backend: the kernel answers,
+//!   and a trace is `run_dataset` at the request's width. The job pays for
+//!   everything it needs and keeps nothing; it stays the paper-faithful
+//!   reproduction, and an oracle the kernel does not share.
 //!
-//! Determinism holds on both: for a fixed engine and query, every entry
-//! point returns the same bytes — kernel, job and
-//! [`brute_force`](crate::centralized::brute_force) alike
-//! (`tests/kernel_ties.rs`) — and a traced job's `top_k`, shuffle volume
-//! and reduce-side counters match a fresh [`SpqExecutor::run_dataset`]
-//! job exactly, regardless of worker counts; only the input-side
-//! statistics differ, because pruned features are never read at all
-//! (`tests/engine_reuse.rs` proves these properties with proptests).
+//! Determinism holds throughout: for a fixed engine and query, every entry
+//! point returns the same bytes — the kernel's, which equal a fresh job's
+//! and [`brute_force`](crate::centralized::brute_force)'s
+//! (`tests/kernel_ties.rs`, `tests/engine_reuse.rs`) — and a trace holds
+//! exactly the statistics of a fresh `run_dataset` job, regardless of
+//! worker counts.
 //!
 //! ```
 //! use spq_core::{Algorithm, DataObject, FeatureObject, QueryEngine, SpqExecutor, SpqQuery};
@@ -85,23 +81,23 @@
 //!
 //! let served = engine.serve_requests(&[r1.clone(), r2], 2).unwrap();
 //! assert_eq!(served[0].results, batch[0].results);
-//! assert_eq!(engine.metrics().plan_cache_misses, 0); // the kernel plans nothing
 //!
-//! // A traced request buys the paper's job, which plans the partition for
-//! // its radius and keeps nothing.
+//! // A traced request is answered the same way; its trace is the paper's
+//! // job for the query, run beside the kernel and kept by nobody.
 //! let traced = engine.execute(&r1.with_trace()).unwrap();
 //! assert_eq!(traced.results, served[0].results);
 //! assert_eq!(traced.trace.map(|jobs| jobs.len()), Some(1));
-//! assert_eq!(engine.metrics().plan_cache_misses, 1);
+//! assert_eq!(engine.metrics().queries, 6); // every request ran the kernel
 //! ```
 
-use crate::executor::{SpqError, SpqExecutor, JOB_SPLITS};
+use crate::executor::{SpqError, SpqExecutor};
 use crate::kernel;
 use crate::model::{FeatureObject, ObjectId, RankedObject};
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
-use crate::store::{split_of, ObjectRef, SharedDataset};
-use spq_mapreduce::{ClusterConfig, JobStats};
+use crate::store::SharedDataset;
+#[cfg(doc)]
+use spq_mapreduce::JobStats;
 use spq_spatial::GridIndex;
 use spq_text::{KeywordSet, Term};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -265,7 +261,6 @@ pub struct DatasetStats {
 #[derive(Debug, Default)]
 struct EngineMetrics {
     queries: AtomicU64,
-    plan_cache_misses: AtomicU64,
     keyword_probes: AtomicU64,
     keyword_hits: AtomicU64,
     kernel_candidates: AtomicU64,
@@ -283,8 +278,7 @@ struct EngineMetrics {
 /// The remote fields are zero for the in-process backends; the remote
 /// backend fills them from its membership layer (see
 /// [`crate::remote::RemoteEngine::metrics`]) and leaves the engine-side
-/// kernel counters at zero — those live in its workers' engines — and the
-/// plan counters too, as every scatter/gather backend does.
+/// kernel counters at zero — those live in its workers' engines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Queries executed through any entry point.
@@ -293,10 +287,11 @@ pub struct MetricsSnapshot {
     /// [`plan_cache_misses`](Self::plan_cache_misses), while the benchmark
     /// harness still reads a plan-cache hit rate.
     pub plan_cache_hits: u64,
-    /// Job partitions a [`QueryEngine`] planned: one per traced request.
-    /// Kernel answers plan nothing, and neither does a shard's engine, so
-    /// it reads 0 on the sharded and remote backends, whose traced job
-    /// runs through [`SpqExecutor::run_dataset`] outside any engine.
+    /// Always 0: no engine plans a partition. The kernel reads its
+    /// build-once grid, and a trace's job plans its own partition inside
+    /// [`SpqExecutor::run_dataset`], outside any engine. Kept, with
+    /// [`plan_cache_hits`](Self::plan_cache_hits), while the benchmark
+    /// harness still reads it.
     pub plan_cache_misses: u64,
     /// Query keywords probed against the inverted keyword index.
     pub keyword_probes: u64,
@@ -395,24 +390,13 @@ impl MetricsSnapshot {
     }
 }
 
-/// What the one engine path answers a query with.
-#[derive(Debug)]
-pub(crate) struct EngineAnswer {
-    /// The canonical top-k.
-    pub top_k: Vec<RankedObject>,
-    /// The job's statistics (empty when the kernel answered).
-    pub stats: JobStats,
-    /// Bytes that crossed the job's in-process shuffle (0 for the kernel).
-    pub shuffle_bytes: u64,
-}
-
 /// A long-lived SPQ serving engine over one dataset.
 ///
 /// See the [module docs](self) for the lifecycle. Construction builds
 /// the keyword index (one pass over the feature keywords) and the data
 /// grid (a counting sort of the data objects by cell); a request of any
-/// radius reads only those, and a traced request plans its job's
-/// partition for itself.
+/// radius reads only those, and a traced request's job is a fresh
+/// [`SpqExecutor::run_dataset`] beside them.
 ///
 /// The engine is `Sync`:
 /// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
@@ -523,77 +507,20 @@ impl QueryEngine {
     }
 
     /// The one engine path (see the [module docs](self)): every local
-    /// request, every sharded scatter and every remote worker query runs
-    /// through here. A traced request runs the paper's job; every other
-    /// request — and every shard's, which is never traced — is answered by
-    /// the [kernel](crate::kernel) with an empty [`JobStats`] and zero
-    /// shuffle.
-    pub(crate) fn run(
-        &self,
-        query: &SpqQuery,
-        options: &QueryOptions,
-    ) -> Result<EngineAnswer, SpqError> {
-        self.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        if options.trace {
-            self.run_job(query, options.workers)
-        } else {
-            Ok(self.run_kernel(query))
-        }
-    }
-
-    /// Runs `query` as the job a fresh [`SpqExecutor::run_dataset`] runs:
-    /// the same contiguous-block splits, and the partition planned over all
-    /// of them, so the adaptive quadtree samples what the fresh job samples.
-    /// With pruning on, the job then maps over every data ref plus only the
-    /// query's candidate features, each in the split the full layout puts
-    /// it in ([`split_of`], which `ref_splits` also uses: the per-split
-    /// record order the shuffle depends on for byte-identical output).
-    /// `workers` is the job's width; the callers whose parallelism comes
-    /// from elsewhere — the serve pool's inter-query concurrency — hand in
-    /// 1, so multi-worker jobs never nest inside them.
-    fn run_job(&self, query: &SpqQuery, workers: Option<usize>) -> Result<EngineAnswer, SpqError> {
-        self.metrics
-            .plan_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
-        let mut exec = self.exec.clone();
-        if let Some(workers) = workers {
-            exec = exec.cluster(ClusterConfig::with_workers(workers));
-        }
-        let mut splits = self.dataset.ref_splits(JOB_SPLITS);
-        let partition = exec.plan_partition_shared(query, &self.dataset, &splits);
-        if exec.keyword_pruning_enabled() {
-            for split in &mut splits {
-                split.retain(|r| r.is_data());
-            }
-            let n = self.dataset.features().len();
-            self.keyword_index.for_each_match(&query.keywords, |i, _| {
-                splits[split_of(i as usize, n, JOB_SPLITS)].push(ObjectRef::Feature(i));
-            });
-        }
-        let result = exec.run_planned(&self.dataset, &splits, query, partition)?;
-        Ok(EngineAnswer {
-            top_k: result.top_k,
-            stats: result.stats,
-            shuffle_bytes: result.shuffle_bytes,
-        })
-    }
-
-    /// Answers `query` with the kernel over the build-once grid and counts
-    /// its work.
-    fn run_kernel(&self, query: &SpqQuery) -> EngineAnswer {
+    /// request, traced or not, every sharded scatter and every remote
+    /// worker query is answered here, by the [kernel](crate::kernel) over
+    /// the build-once grid, and its work is counted.
+    pub(crate) fn run(&self, query: &SpqQuery) -> Vec<RankedObject> {
         let answer = kernel::top_k(&self.dataset, &self.keyword_index, &self.grid, query);
         let m = &self.metrics;
+        m.queries.fetch_add(1, Ordering::Relaxed);
         m.kernel_candidates
             .fetch_add(answer.candidates, Ordering::Relaxed);
         m.kernel_visited
             .fetch_add(answer.visited, Ordering::Relaxed);
         m.kernel_distance_checks
             .fetch_add(answer.distance_checks, Ordering::Relaxed);
-        EngineAnswer {
-            top_k: answer.top_k,
-            stats: JobStats::default(),
-            shuffle_bytes: 0,
-        }
+        answer.top_k
     }
 
     /// Probes each query keyword against the build-once keyword index,
@@ -615,39 +542,11 @@ impl QueryEngine {
         (probed, matched)
     }
 
-    /// Wraps one engine answer into a typed response.
-    fn respond(
-        &self,
-        options: &QueryOptions,
-        answer: EngineAnswer,
-        keywords: (usize, usize),
-        started: Instant,
-    ) -> QueryResponse {
-        let stats = QueryStats {
-            algorithm: self.exec.algorithm_choice(),
-            shards_touched: 1,
-            shuffle_records: answer.stats.shuffle_records,
-            shuffle_bytes: answer.shuffle_bytes,
-            wall_micros: started.elapsed().as_micros() as u64,
-            keyword_terms_probed: keywords.0,
-            keyword_terms_matched: keywords.1,
-            retries: 0,
-            warm_failovers: 0,
-            cold_reprovisions: 0,
-        };
-        QueryResponse {
-            results: answer.top_k,
-            stats,
-            trace: options.trace.then(|| vec![answer.stats]),
-        }
-    }
-
     /// A snapshot of the engine's cumulative counters: queries served,
-    /// job partitions planned, keyword-index probe outcomes, kernel work.
+    /// keyword-index probe outcomes, kernel work.
     pub fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             queries: self.metrics.queries.load(Ordering::Relaxed),
-            plan_cache_misses: self.metrics.plan_cache_misses.load(Ordering::Relaxed),
             keyword_probes: self.metrics.keyword_probes.load(Ordering::Relaxed),
             keyword_hits: self.metrics.keyword_hits.load(Ordering::Relaxed),
             kernel_candidates: self.metrics.kernel_candidates.load(Ordering::Relaxed),
@@ -659,18 +558,36 @@ impl QueryEngine {
 }
 
 impl QueryExecutor for QueryEngine {
-    /// The single-store request lifecycle: probe the keyword index → run
-    /// the one engine path at the options' worker budget → wrap stats.
-    /// Validation already happened on the trait's entry points.
+    /// The single-store request lifecycle: probe the keyword index →
+    /// answer with the one engine path → run the trace's job, if asked
+    /// for, at the options' worker budget → wrap stats. Validation already
+    /// happened on the trait's entry points.
     fn run_validated(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
-        let keywords = self.keyword_stats(&query.keywords);
-        let answer = self.run(query, options)?;
-        Ok(self.respond(options, answer, keywords, started))
+        let (probed, matched) = self.keyword_stats(&query.keywords);
+        let results = self.run(query);
+        let job = self.exec.trace_job(&self.dataset, query, options)?;
+        let stats = QueryStats {
+            algorithm: self.exec.algorithm_choice(),
+            shards_touched: 1,
+            shuffle_records: job.as_ref().map_or(0, |job| job.stats.shuffle_records),
+            shuffle_bytes: job.as_ref().map_or(0, |job| job.shuffle_bytes),
+            wall_micros: started.elapsed().as_micros() as u64,
+            keyword_terms_probed: probed,
+            keyword_terms_matched: matched,
+            retries: 0,
+            warm_failovers: 0,
+            cold_reprovisions: 0,
+        };
+        Ok(QueryResponse {
+            results,
+            stats,
+            trace: job.map(|job| vec![job.stats]),
+        })
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -685,8 +602,9 @@ mod tests {
     use crate::centralized::brute_force;
     use crate::executor::LoadBalancing;
     use crate::model::DataObject;
-    use crate::partitioning::{COUNTER_MAP_PRUNED, COUNTER_REDUCE_DISTANCE_CHECKS};
+    use crate::partitioning::COUNTER_REDUCE_DISTANCE_CHECKS;
     use crate::service::QueryRequest;
+    use spq_mapreduce::JobStats;
     use spq_spatial::{Point, Rect};
 
     fn feature(id: u64, x: f64, y: f64, kw: &[u32]) -> FeatureObject {
@@ -734,16 +652,6 @@ mod tests {
     /// The single traced job of a local response.
     fn traced_job(response: &QueryResponse) -> &JobStats {
         &response.trace.as_ref().expect("trace requested")[0]
-    }
-
-    /// Every counter except the one the engine path cannot have: pruned
-    /// features are never read, so never counted.
-    fn output_counters(stats: &JobStats) -> Vec<(&'static str, u64)> {
-        stats
-            .counters
-            .iter()
-            .filter(|&(name, _)| name != COUNTER_MAP_PRUNED)
-            .collect()
     }
 
     #[test]
@@ -820,25 +728,27 @@ mod tests {
         let exec = executor();
         let dataset = paper_dataset();
         let engine = QueryEngine::new(exec.clone(), dataset.clone());
+        let mut candidates = 0;
         for (k, r, kw) in [(1, 1.5, vec![0]), (3, 1.5, vec![0]), (2, 2.5, vec![0, 4])] {
             let req = request(k, r, &kw).with_trace();
             let fresh = exec.run_dataset(&dataset, &req.query).unwrap();
             let served = engine.execute(&req).unwrap();
             let job = traced_job(&served);
             assert_eq!(served.results, fresh.top_k);
-            assert_eq!(output_counters(job), output_counters(&fresh.stats));
+            // The trace is the fresh job, input side included: the map
+            // reads every data object and every feature.
+            assert_eq!(job.counters, fresh.stats.counters);
             assert_eq!(job.shuffle_records, fresh.stats.shuffle_records);
-            // The one input-side difference: pruned features are not read.
-            let candidates = engine.keyword_index().candidates(&req.query.keywords);
-            assert_eq!(
-                job.map_input_records(),
-                (dataset.data().len() + candidates.len()) as u64
-            );
+            assert_eq!(job.map_input_records(), fresh.stats.map_input_records());
+            assert_eq!(job.map_input_records(), dataset.total() as u64);
             // Replays are stable.
             assert_eq!(engine.execute(&req).unwrap().results, served.results);
+            candidates += 2 * engine.keyword_index().candidates(&req.query.keywords).len();
         }
-        // Every traced request planned its own partition.
-        assert_eq!(engine.metrics().plan_cache_misses, 6);
+        // The kernel answered every traced request, and nothing planned.
+        let m = engine.metrics();
+        assert_eq!((m.queries, m.kernel_candidates), (6, candidates as u64));
+        assert_eq!(m.plan_cache_misses, 0);
     }
 
     #[test]
@@ -846,8 +756,8 @@ mod tests {
         // 40 features over 8 splits, one in five not a candidate. The
         // candidates' scores rise with their store index, so a pSPQ
         // reducer that reads them in store order raises τ at every
-        // feature and checks distance for each; a layout that reorders
-        // them (e.g. index % 8) raises τ early and skips some.
+        // feature and checks distance for each; a split layout that
+        // reorders them (e.g. index % 8) raises τ early and skips some.
         let data = vec![DataObject::new(1, Point::new(1.0, 1.0))];
         let features: Vec<FeatureObject> = (0..40u32)
             .map(|i| {
@@ -868,11 +778,7 @@ mod tests {
             let served = engine.execute(&req).unwrap();
             let job = traced_job(&served);
             assert_eq!(served.results, fresh.top_k, "{algo:?}");
-            assert_eq!(
-                output_counters(job),
-                output_counters(&fresh.stats),
-                "{algo:?}"
-            );
+            assert_eq!(job.counters, fresh.stats.counters, "{algo:?}");
             if algo == Algorithm::PSpq {
                 assert_eq!(job.counters.get(COUNTER_REDUCE_DISTANCE_CHECKS), 32);
             }
@@ -925,21 +831,22 @@ mod tests {
             assert_eq!(job.counters, fresh.stats.counters);
             assert_eq!(job.map_input_records(), fresh.stats.map_input_records());
         }
-        // Pruning steers only the job: a plain request is still the
-        // kernel's, with no shuffle and no trace.
-        assert_eq!(engine.metrics().kernel_candidates, 0);
+        // Pruning steers only the job: both traced requests and a plain
+        // one are the kernel's, and only the plain one has no shuffle and
+        // no trace.
+        assert_eq!(engine.metrics().kernel_candidates, 6);
         let plain = engine.execute(&req).unwrap();
         assert_eq!(plain.results, fresh.top_k);
         assert_eq!(plain.stats.shuffle_records, 0);
         assert!(plain.trace.is_none());
-        assert_eq!(engine.metrics().kernel_candidates, 3);
+        assert_eq!(engine.metrics().kernel_candidates, 9);
     }
 
     #[test]
     fn plan_cache_is_bounded() {
         // The engine keeps no plans, so an adversarial stream of distinct
-        // traced radii cannot grow it: every traced request plans its own
-        // partition once, nothing is ever a hit, and neither the job nor
+        // traced radii cannot grow it: no request plans anything in the
+        // engine, nothing is ever a hit, and neither the traced answer nor
         // the radius in use between insertions drifts from its answer.
         let engine = QueryEngine::new(executor(), paper_dataset());
         let hot = request(1, 1.5, &[0]).with_trace();
@@ -953,8 +860,8 @@ mod tests {
             assert_eq!(engine.execute(&hot).unwrap().results, expect, "at {i}");
         }
         let m = engine.metrics();
-        assert_eq!(m.plan_cache_hits, 0);
-        assert_eq!(m.plan_cache_misses, 1 + 2 * distinct);
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
+        assert_eq!(m.queries, 1 + 3 * distinct);
     }
 
     #[test]
@@ -967,12 +874,13 @@ mod tests {
         }
         let m = engine.metrics();
         assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
-        // A job plans its radius every time: nothing is cached.
+        // A trace's job plans its radius inside `run_dataset`, every
+        // time, and the engine counts no plan for it either.
         let traced = request(3, 1.5, &[0, 4]).with_trace();
         let job = engine.execute(&traced).unwrap();
         assert_eq!(job.results, engine.execute(&traced).unwrap().results);
         let m = engine.metrics();
-        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 2));
+        assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
     }
 
     #[test]
@@ -1024,19 +932,22 @@ mod tests {
     fn kernel_counters_accumulate_only_on_kernel_requests() {
         let engine = QueryEngine::new(executor(), paper_dataset());
         let req = request(1, 1.5, &[0]);
-        // A traced request buys a job, which the kernel counters never see.
+        // A traced request buys a job beside the kernel: the job's work is
+        // in its trace, the kernel's in the counters. Term 0 is on f1, f4,
+        // f7; f4 scores 1 and fills k = 1, so the two 0.5-scoring
+        // candidates are never visited.
         let job = engine.execute(&req.clone().with_trace()).unwrap();
         assert!(job.stats.shuffle_records > 0);
-        assert_eq!(engine.metrics().kernel_candidates, 0);
-        // Term 0 is on f1, f4, f7; f4 scores 1 and fills k = 1, so the
-        // two 0.5-scoring candidates are never visited.
-        let served = engine.execute(&req).unwrap();
-        assert_eq!(served.results, job.results);
         let m = engine.metrics();
         assert_eq!((m.kernel_candidates, m.kernel_visited), (3, 1));
         assert!(m.kernel_distance_checks > 0);
-        let twice = engine.metrics().merged(m);
+        // A plain request does the same kernel work and no job.
+        let served = engine.execute(&req).unwrap();
+        assert_eq!(served.results, job.results);
+        let twice = engine.metrics();
         assert_eq!((twice.kernel_candidates, twice.kernel_visited), (6, 2));
         assert_eq!(twice.kernel_distance_checks, 2 * m.kernel_distance_checks);
+        let merged = twice.merged(m);
+        assert_eq!((merged.kernel_candidates, merged.kernel_visited), (9, 3));
     }
 }

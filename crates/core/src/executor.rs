@@ -7,20 +7,20 @@ use crate::algo::Algorithm;
 use crate::merge::merge_top_k;
 use crate::model::{DataObject, FeatureObject, RankedObject};
 use crate::query::SpqQuery;
+use crate::service::QueryOptions;
 use crate::store::{ObjectRef, SharedDataset};
 use crate::theory::auto_grid_size;
 use spq_mapreduce::{ClusterConfig, JobError, JobStats, LocalPool};
 use spq_spatial::{AdaptiveGrid, Grid, Point, Rect, SpacePartition};
 use std::fmt;
 
-/// The contiguous-block split count (= map tasks) of a job over a shared
-/// dataset: [`SpqExecutor::run_dataset`]'s, and a traced engine request's,
-/// which is byte-identical to the fresh job only because both use it.
-pub(crate) const JOB_SPLITS: usize = 8;
+/// The contiguous-block split count (= map tasks) of
+/// [`SpqExecutor::run_dataset`]'s job, and so of every trace's.
+const JOB_SPLITS: usize = 8;
 
 /// How the query-time grid of the paper's job is sized. It shapes only
-/// the job's partition (a [`SpqExecutor`] run, or a traced engine
-/// request); an engine's kernel reads its own build-once grid instead.
+/// the job's partition (a [`SpqExecutor`] run, every trace's included);
+/// an engine's kernel reads its own build-once grid instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridSizing {
     /// A fixed `n × n` grid (the paper's experimental sweeps).
@@ -317,8 +317,8 @@ impl SpqExecutor {
     /// Enables/disables the map-side keyword pruning rule (Algorithm 1
     /// line 9). On by default; disabling it is an ablation that ships
     /// every feature object through the shuffle without changing results.
-    /// Like the algorithm, it shapes only the job — a traced engine
-    /// request's included; an engine's kernel reads neither.
+    /// Like the algorithm, it shapes only the job — every trace's
+    /// included; an engine's kernel reads neither.
     pub fn keyword_pruning(mut self, enabled: bool) -> Self {
         self.keyword_pruning = enabled;
         self
@@ -416,6 +416,28 @@ impl SpqExecutor {
         self.run_shared(dataset, &dataset.ref_splits(JOB_SPLITS), query)
     }
 
+    /// The trace of a request on any backend: `None` when `options` asks
+    /// for none, otherwise the query's one [`run_dataset`](Self::run_dataset)
+    /// job at the request's worker budget ([`QueryOptions::workers`], or
+    /// this executor's cluster when it sets none).
+    pub(crate) fn trace_job(
+        &self,
+        dataset: &SharedDataset,
+        query: &SpqQuery,
+        options: &QueryOptions,
+    ) -> Result<Option<SpqResult>, SpqError> {
+        if !options.trace {
+            return Ok(None);
+        }
+        let cluster = options
+            .workers
+            .map_or(self.cluster, ClusterConfig::with_workers);
+        self.clone()
+            .cluster(cluster)
+            .run_dataset(dataset, query)
+            .map(Some)
+    }
+
     /// The zero-copy entry point: runs the query over reference splits
     /// into a shared dataset. No object is cloned anywhere in the
     /// pipeline — map tasks read through the store, the shuffle moves
@@ -426,20 +448,7 @@ impl SpqExecutor {
         splits: &[Vec<ObjectRef>],
         query: &SpqQuery,
     ) -> Result<SpqResult, SpqError> {
-        let grid = self.plan_partition_shared(query, dataset, splits);
-        self.run_planned(dataset, splits, query, grid)
-    }
-
-    /// Runs the query over a partition planned beforehand — what a traced
-    /// engine request does, since it plans over the full splits but maps
-    /// over pruned ones.
-    pub(crate) fn run_planned(
-        &self,
-        dataset: &SharedDataset,
-        splits: &[Vec<ObjectRef>],
-        query: &SpqQuery,
-        partition: SpacePartition,
-    ) -> Result<SpqResult, SpqError> {
+        let partition = self.plan_partition_shared(query, dataset, splits);
         let pool = LocalPool::new(self.cluster);
         /// One shuffle record's in-memory wire size for byte accounting.
         fn record_bytes<T: spq_mapreduce::MapReduceTask>(_: &T) -> u64 {

@@ -556,11 +556,10 @@ mod tests {
 
     #[test]
     fn only_job_requests_count_as_plan_lookups() {
-        // A traced request's job is planned by the executor on the
-        // manager, not by any `QueryEngine`, so no plan is counted for
-        // plain or traced requests alike; a traced request still answers
-        // as a plain one, with the query's one job as its trace — whatever
-        // the number of touched shards.
+        // No engine plans anything, so no plan is counted for plain or
+        // traced requests alike; a traced request still answers as a plain
+        // one, with the query's one job (run on the manager) as its trace —
+        // whatever the number of touched shards.
         let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 2).unwrap();
         let req = request(3, 1.5, &[0]);
         let plain = remote.execute(&req).unwrap();

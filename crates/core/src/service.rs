@@ -73,9 +73,9 @@ use std::str::FromStr;
 /// single-store simplicity against shard-per-node scale-out shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// One build-once [`QueryEngine`] over the whole dataset: its direct
-    /// kernel, or — for a traced request — a job on the
-    /// in-process [`spq_mapreduce::LocalPool`].
+    /// One build-once [`QueryEngine`] over the whole dataset, answering
+    /// with its direct kernel; a traced request also runs the query's job
+    /// on the in-process [`spq_mapreduce::LocalPool`].
     Local,
     /// A [`ShardedEngine`]: the data
     /// objects are sliced into `shards` per-shard stores (features are
@@ -172,12 +172,11 @@ pub struct QueryOptions {
     pub workers: Option<usize>,
     /// Attach the query's [`JobStats`] to the response — one entry on
     /// every backend. A trace *is* the paper's job for the query, so a
-    /// traced request runs the MapReduce job — same result bytes, a job's
-    /// cost, at this request's worker budget. The local engine runs it
-    /// instead of its kernel. The sharded and remote backends keep their
-    /// kernel scatter and run the job beside it, on the manager, as one
-    /// [`SpqExecutor::run_dataset`] over the whole store: the flag never
-    /// reaches a shard or crosses the wire.
+    /// traced request runs the MapReduce job — a job's cost, at this
+    /// request's worker budget — beside its unchanged kernel answer: one
+    /// [`SpqExecutor::run_dataset`] over the whole store, in the local
+    /// engine or on the sharded and remote backends' manager. The flag
+    /// never reaches a kernel or a shard, nor crosses the wire.
     pub trace: bool,
 }
 
@@ -279,15 +278,14 @@ pub struct QueryStats {
     /// no feature can match (or no shard holds data).
     pub shards_touched: usize,
     /// Records that crossed the data-movement boundary. Local backend:
-    /// the in-process shuffle of the request's MapReduce job — non-zero
-    /// only when the request was traced ([`QueryOptions::trace`]), `0`
-    /// when the kernel answered. Sharded
-    /// and remote backends: the serialized gather, whichever way the
-    /// shards computed.
+    /// the in-process shuffle of the trace's MapReduce job — `0` unless
+    /// the request was traced ([`QueryOptions::trace`]), as the kernel
+    /// moves nothing. Sharded and remote backends: the serialized gather
+    /// of the shards' kernel answers, traced or not.
     pub shuffle_records: u64,
     /// Bytes behind [`shuffle_records`](Self::shuffle_records) — actual
     /// wire bytes for the sharded gather, `records × record size` for the
-    /// in-process shuffle (`0` when the kernel answered).
+    /// trace's in-process shuffle (`0` on an untraced local request).
     pub shuffle_bytes: u64,
     /// End-to-end wall time of the request, microseconds.
     pub wall_micros: u64,

@@ -51,7 +51,6 @@ use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::SharedDataset;
 use spq_mapreduce::pool::run_tasks;
-use spq_mapreduce::ClusterConfig;
 #[cfg(doc)]
 use spq_mapreduce::JobStats;
 use std::collections::HashMap;
@@ -194,12 +193,11 @@ impl Shard {
     ///
     /// # Errors
     ///
-    /// The engine's, or [`SpqError::InvalidConfig`] when a result is not
-    /// in the shard's id map — a shard built over a slice its map does not
-    /// cover.
+    /// [`SpqError::InvalidConfig`] when a result is not in the shard's id
+    /// map — a shard built over a slice its map does not cover.
     pub(crate) fn answer(&self, query: &SpqQuery) -> Result<Vec<u8>, SpqError> {
-        let answer = self.engine.run(query, &QueryOptions::default())?;
-        wire::try_encode_results(&answer.top_k, &self.id_to_index)
+        let top_k = self.engine.run(query);
+        wire::try_encode_results(&top_k, &self.id_to_index)
             .map_err(|e| SpqError::invalid_config(format!("shard gather: {e}")))
     }
 }
@@ -329,15 +327,10 @@ impl Layout {
                 flat.extend(wire::decode_results(&records, self.dataset.data()));
             }
         }
-        let trace = if options.trace {
-            let mut exec = self.exec.clone();
-            if let Some(workers) = options.workers {
-                exec = exec.cluster(ClusterConfig::with_workers(workers));
-            }
-            Some(vec![exec.run_dataset(&self.dataset, query)?.stats])
-        } else {
-            None
-        };
+        let trace = self
+            .exec
+            .trace_job(&self.dataset, query, options)?
+            .map(|job| vec![job.stats]);
         let results = merge_top_k(flat, query.k);
         stats.wall_micros = started.elapsed().as_micros() as u64;
         Ok(QueryResponse {

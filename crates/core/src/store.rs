@@ -161,15 +161,9 @@ impl SharedDataset {
     }
 }
 
-/// The split that [`SharedDataset::ref_splits`] puts object `i` of `n`
-/// in (data objects and features are counted separately).
-#[inline]
-pub(crate) fn split_of(i: usize, n: usize, num_splits: usize) -> usize {
-    (i as u64 * num_splits as u64 / n as u64) as usize
-}
-
-/// The indices of the `s`-th of `num_splits` blocks of `0..n`: exactly
-/// the `i` with `split_of(i, n, num_splits) == s`.
+/// The indices of the `s`-th of `num_splits` blocks of `0..n`, the first
+/// of them `⌈s · n / num_splits⌉`: exactly the `i` with
+/// `⌊i · num_splits / n⌋ == s`.
 fn block(s: usize, n: usize, num_splits: usize) -> std::ops::Range<usize> {
     let start = |s: usize| (s as u64 * n as u64).div_ceil(num_splits as u64) as usize;
     start(s)..start(s + 1)
@@ -212,6 +206,13 @@ impl SharedDataset {
 mod tests {
     use super::*;
     use spq_text::KeywordSet;
+
+    /// The split that [`SharedDataset::ref_splits`] puts object `i` of `n`
+    /// in (data objects and features are counted separately): the
+    /// reference formula `block` is checked against.
+    fn split_of(i: usize, n: usize, num_splits: usize) -> usize {
+        (i as u64 * num_splits as u64 / n as u64) as usize
+    }
 
     fn sample() -> SharedDataset {
         SharedDataset::new(

@@ -75,14 +75,15 @@ type MapTaskResult<T> = (
 );
 
 /// One reducer's shuffled input — the concatenated records plus the start
-/// offset of each sort run — handed off to its reduce task exactly once.
+/// offset of each sort run — handed off to its reduce task exactly once
+/// (the task takes it, leaving an empty input behind).
 type ReduceInput<T> = (
     Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>,
     Vec<usize>,
 );
 
 /// See [`ReduceInput`].
-type ReduceSlot<T> = Mutex<Option<ReduceInput<T>>>;
+type ReduceSlot<T> = Mutex<ReduceInput<T>>;
 
 /// One map task's emitted buckets, indexed `reducer * num_subs + sub`.
 type MapBuckets<T> = Vec<Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>>;
@@ -213,15 +214,11 @@ impl LocalPool {
         // pre-group on the map side are sorted — for a fully sub-bucketed
         // task this phase is comparison-free.
         let reduce_start = Instant::now();
-        let slots: Vec<ReduceSlot<T>> = reducer_inputs
-            .into_iter()
-            .map(|v| Mutex::new(Some(v)))
-            .collect();
+        let slots: Vec<ReduceSlot<T>> = reducer_inputs.into_iter().map(Mutex::new).collect();
         let reduce_results: Vec<(Vec<T::Output>, TaskStats, Counters)> =
             run_tasks(self.config.workers, num_reducers, |r| {
                 let t0 = Instant::now();
-                let (mut buffer, run_starts) =
-                    slots[r].lock().take().expect("reduce input taken once");
+                let (mut buffer, run_starts) = std::mem::take(&mut *slots[r].lock());
                 let records_in = buffer.len() as u64;
                 // Unstable sort: Hadoop's merge likewise leaves the order
                 // of equal composite keys unspecified; pdqsort is

@@ -187,11 +187,8 @@ impl SimulatedCluster {
         for &d in durations {
             // Earliest-free slot; ties resolved by lowest index, so the
             // schedule is deterministic.
-            let (idx, _) = slots
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &t)| (t, i))
-                .expect("slots is non-empty");
+            let idx =
+                (1..slots.len()).fold(0, |best, i| if slots[i] < slots[best] { i } else { best });
             slots[idx] += d;
         }
         slots.into_iter().max().unwrap_or(Duration::ZERO)

@@ -191,7 +191,7 @@ impl WorkerClient {
         self.bytes_received
     }
 
-    fn connect(&mut self) -> Result<(), RemoteError> {
+    fn connect(&self) -> Result<TcpStream, RemoteError> {
         let mut backoff = Backoff::new(
             self.config.backoff_base,
             self.config.backoff_cap,
@@ -201,10 +201,7 @@ impl WorkerClient {
         loop {
             attempts += 1;
             let error = match self.try_connect_once() {
-                Ok(stream) => {
-                    self.stream = Some(stream);
-                    return Ok(());
-                }
+                Ok(stream) => return Ok(stream),
                 Err(e) => e,
             };
             match backoff.next() {
@@ -249,10 +246,11 @@ impl WorkerClient {
     /// On any failure the stream is dropped, so the next call starts from
     /// a fresh connection.
     pub fn call(&mut self, opcode: u16, payload: &[u8]) -> Result<(u16, Vec<u8>), RemoteError> {
-        if self.stream.is_none() {
-            self.connect()?;
-        }
-        let stream = self.stream.as_mut().expect("connected above");
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => self.connect()?,
+        };
+        let stream = self.stream.insert(stream);
         let result = (|| {
             write_frame(stream, opcode, payload)?;
             read_frame(stream)

@@ -312,14 +312,12 @@ fn facade_surfaces_typed_errors() {
         let zero_budget =
             QueryRequest::new(SpqQuery::new(1, 0.2, KeywordSet::from_ids([0]))).with_workers(0);
         assert!(service.execute(&zero_budget).is_err());
-        // A trace is the query's one job on every backend. Only the local
-        // engine plans it; the scatter/gather backends run it through the
-        // executor, outside any `QueryEngine`, and count no plan.
+        // A trace is the query's one job on every backend, run through
+        // the executor outside any `QueryEngine`: no backend counts a plan.
         let traced =
             QueryRequest::new(SpqQuery::new(1, 0.2, KeywordSet::from_ids([0]))).with_trace();
         assert_eq!(service.execute(&traced).unwrap().trace.unwrap().len(), 1);
-        let planned = u64::from(backend == Backend::Local);
-        assert_eq!(service.metrics().plan_cache_misses, planned, "{backend}");
+        assert_eq!(service.metrics().plan_cache_misses, 0, "{backend}");
     }
     // Zero shards / zero workers are build-time config errors.
     assert!(matches!(
@@ -411,10 +409,11 @@ fn stats_reflect_backend_shape() {
     assert_eq!(traced.trace.unwrap().len(), 1);
 }
 
-/// A trace never reaches a worker: a traced `sharded:2` or `remote:2`
-/// request keeps its kernel scatter — the same result bytes, and on
-/// `remote:2` the same frame bytes, as the untraced request — and its
-/// trace is the one job a fresh `run_dataset` runs for the query.
+/// A trace never reaches a kernel or a worker: a traced `local`,
+/// `sharded:2` or `remote:2` request keeps its kernel answer — the same
+/// result bytes, and on `remote:2` the same frame bytes, as the untraced
+/// request — and its trace is the one job a fresh `run_dataset` runs for
+/// the query.
 #[test]
 fn traced_remote_request_carries_the_workers_job_stats() {
     let dataset = SharedDataset::new(
@@ -435,9 +434,10 @@ fn traced_remote_request_carries_the_workers_job_stats() {
     let request = QueryRequest::new(SpqQuery::new(5, 0.1, KeywordSet::from_ids([0, 1])));
     let fresh = exec.run_dataset(&dataset, &request.query).unwrap();
     assert!(fresh.stats.shuffle_records > 0);
-    for backend in [
-        Backend::Sharded { shards: 2 },
-        Backend::Remote { workers: 2 },
+    for (backend, shards) in [
+        (Backend::Local, 1),
+        (Backend::Sharded { shards: 2 }, 2),
+        (Backend::Remote { workers: 2 }, 2),
     ] {
         let service = SpqService::build(exec.clone(), dataset.clone(), backend).unwrap();
         let before = service.remote_traffic_bytes();
@@ -446,7 +446,8 @@ fn traced_remote_request_carries_the_workers_job_stats() {
         let traced = service.execute(&request.clone().with_trace()).unwrap();
         let after = service.remote_traffic_bytes();
         assert!(plain.trace.is_none(), "{backend}");
-        assert_eq!(plain.stats.shards_touched, 2, "{backend}");
+        assert_eq!(plain.stats.shards_touched, shards, "{backend}");
+        assert_eq!(traced.stats.shards_touched, shards, "{backend}");
         assert_eq!(traced.results, plain.results, "{backend}");
         assert_eq!(traced.results, fresh.top_k, "{backend}");
         let [job] = traced.trace.unwrap().try_into().unwrap();
@@ -480,8 +481,8 @@ fn traced_remote_request_carries_the_workers_job_stats() {
 /// Every answer holds exactly its entries (`len() == capacity() <= k`):
 /// the job's merge sizes its result to fit, so a caller that keeps answers
 /// keeps k entries each, not every cell's or shard's list. The local
-/// engine's untraced answer is the kernel's top-k list, allocated at k,
-/// so it is checked on a query that fills k.
+/// engine's answer, traced or not, is the kernel's top-k list, allocated
+/// at k, so it is checked on a query that fills k.
 #[test]
 fn answers_hold_only_their_entries() {
     let data: Vec<DataObject> = (0..400)
@@ -529,13 +530,14 @@ fn answers_hold_only_their_entries() {
         for query in [&full, &sparse] {
             let request = QueryRequest::new(query.clone());
             let traced = service.execute(&request.clone().with_trace()).unwrap();
-            assert!(
-                holds_only_its_entries(&traced.results, query.k),
-                "{backend}"
-            );
             let plain = service.execute(&request).unwrap();
             if backend != Backend::Local || plain.results.len() == query.k {
-                assert!(holds_only_its_entries(&plain.results, query.k), "{backend}");
+                for answer in [&traced, &plain] {
+                    assert!(
+                        holds_only_its_entries(&answer.results, query.k),
+                        "{backend}"
+                    );
+                }
             }
         }
     }

@@ -4,21 +4,18 @@
 //! keyword index and data grid are built once and reused by every query.
 //! That reuse must be invisible: for any world,
 //! any algorithm, either partitioning strategy and cluster workers in
-//! {1, 2, 8}, a sequence of traced `engine.execute` calls must return results —
-//! and output-side counters, and shuffle volumes — **byte-identical** to
-//! the same sequence of fresh `SpqExecutor::run_dataset` jobs, with
-//! interleaved replays not disturbing later queries. Only the input side
-//! differs: the engine resolves candidate features through its keyword
-//! index, so pruned features are never read (nor counted as pruned).
-//! `execute_batch` must match request-for-request, `serve_requests` must
-//! reproduce the sequential results in request order for any worker
-//! count, and every entry point must report the same traced counters.
+//! {1, 2, 8}, a sequence of traced `engine.execute` calls must return the
+//! kernel's results **byte-identical** to the same sequence of fresh
+//! `SpqExecutor::run_dataset` jobs, with interleaved replays not
+//! disturbing later queries, and each trace must be that fresh job's
+//! statistics — every counter and the shuffle volume. `execute_batch`
+//! must match request-for-request, `serve_requests` must reproduce the
+//! sequential results in request order for any worker count, and every
+//! entry point must report the same traced counters.
 
 use proptest::prelude::*;
 use spq::core::centralized::brute_force;
-use spq::core::partitioning::COUNTER_MAP_PRUNED;
 use spq::core::{QueryEngine, SharedDataset};
-use spq::mapreduce::JobStats;
 use spq::prelude::*;
 use spq::text::Term;
 
@@ -77,16 +74,6 @@ const BALANCERS: [LoadBalancing; 2] = [
     LoadBalancing::AdaptiveQuadtree { sample_size: 16 },
 ];
 
-/// Every job counter except the input-side one the engine path cannot
-/// have: pruned features are never read, so never counted.
-fn output_counters(stats: &JobStats) -> Vec<(&'static str, u64)> {
-    stats
-        .counters
-        .iter()
-        .filter(|&(name, _)| name != COUNTER_MAP_PRUNED)
-        .collect()
-}
-
 fn build_queries(specs: &[(Vec<u32>, u8, u8)]) -> Vec<SpqQuery> {
     specs
         .iter()
@@ -105,7 +92,7 @@ proptest! {
 
     /// N sequential `engine.execute` calls are byte-identical to N fresh
     /// `Executor::run_dataset` jobs, for every algorithm × partitioning ×
-    /// worker count, including output-side counters and shuffle volume;
+    /// worker count, including every counter and the shuffle volume;
     /// replaying a query after serving others returns the same bytes
     /// again.
     #[test]
@@ -138,11 +125,14 @@ proptest! {
                             algo, workers, balancing, q
                         );
                         prop_assert_eq!(
-                            output_counters(job), output_counters(&fresh.stats),
+                            &job.counters, &fresh.stats.counters,
                             "{} workers={} {}: counters diverged", algo, workers, q
                         );
                         prop_assert_eq!(job.shuffle_records, fresh.stats.shuffle_records);
-                        // One reduce task per cell of the cached partition.
+                        prop_assert_eq!(
+                            job.map_input_records(), fresh.stats.map_input_records()
+                        );
+                        // One reduce task per cell of the job's partition.
                         prop_assert_eq!(job.reduce_tasks.len(), fresh.stats.reduce_tasks.len());
                         first_pass.push(served.results);
                     }
@@ -239,16 +229,13 @@ fn serve_on_generated_workload_is_worker_invariant() {
     }
 }
 
-/// One engine path: on a local engine every entry point reports the same
-/// traced job counters, reads exactly `|O| + |candidates(q.W)|` map
-/// records (the keyword index resolved the candidates; pruned features
-/// are never read), and still answers the bytes of a fresh job and of the
-/// centralized brute force. The same requests without a trace are
-/// answered by the kernel through every entry point: the same bytes, no
-/// shuffle. Under the adaptive quadtree the plan is sampled from splits
-/// the engine builds at plan time and the job maps over splits the request
-/// builds, so the row also pins both to a fresh job's: the same reducers,
-/// and without pruning the same map input.
+/// One engine path: on a local engine every entry point answers with the
+/// kernel, traced or not, and those bytes are a fresh job's and the
+/// centralized brute force's. Every traced response carries the fresh
+/// job's counters whole — `|O| + |F|` map records, the pruned features
+/// counted — and its shuffle and reducers, under either partitioning and
+/// with pruning off. The same requests without a trace move no shuffle
+/// and carry no trace.
 #[test]
 fn every_entry_point_takes_the_same_engine_path() {
     for balancing in BALANCERS {
@@ -318,18 +305,13 @@ fn entry_points_agree_under(balancing: LoadBalancing) {
         for ((request, response), fresh) in requests.iter().zip(&responses).zip(&fresh) {
             let q = &request.query;
             let job = &response.trace.as_ref().expect("trace requested")[0];
-            let candidates = engine.keyword_index().candidates(&q.keywords).len();
             assert_eq!(
                 job.map_input_records(),
-                (shared.data().len() + candidates) as u64,
+                fresh.stats.map_input_records(),
                 "{name}: {q}"
             );
-            assert_eq!(job.counters.get(COUNTER_MAP_PRUNED), 0, "{name}: {q}");
-            assert_eq!(
-                output_counters(job),
-                output_counters(&fresh.stats),
-                "{name}: {q}"
-            );
+            assert_eq!(job.map_input_records(), shared.total() as u64, "{name}");
+            assert_eq!(job.counters, fresh.stats.counters, "{name}: {q}");
             assert_eq!(job.shuffle_records, fresh.stats.shuffle_records, "{name}");
             assert_eq!(
                 job.reduce_tasks.len(),
@@ -346,7 +328,7 @@ fn entry_points_agree_under(balancing: LoadBalancing) {
         let plain = run(&engine, &untraced);
         assert_eq!(plain.len(), responses.len(), "{name}");
         for (plain, traced) in plain.iter().zip(&responses) {
-            assert_eq!(plain.results, traced.results, "{name}: kernel vs job");
+            assert_eq!(plain.results, traced.results, "{name}: plain vs traced");
             assert_eq!(plain.stats.shuffle_records, 0, "{name}");
             assert_eq!(plain.stats.shuffle_bytes, 0, "{name}");
             assert!(plain.trace.is_none(), "{name}");

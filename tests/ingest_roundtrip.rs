@@ -10,7 +10,6 @@
 //!   in-memory path over the same objects.
 
 use proptest::prelude::*;
-use spq::core::partitioning::COUNTER_MAP_PRUNED;
 use spq::data::ingest::{self, synthesize_dump_with, LineErrorKind};
 use spq::data::{tsv, UniformGen};
 use spq::prelude::*;
@@ -36,16 +35,6 @@ impl Drop for TempFiles {
             std::fs::remove_file(p).ok();
         }
     }
-}
-
-/// Every job counter except the input-side one the engine path cannot
-/// have: pruned features are never read, so never counted.
-fn output_counters(stats: &spq::mapreduce::JobStats) -> Vec<(&'static str, u64)> {
-    stats
-        .counters
-        .iter()
-        .filter(|&(name, _)| name != COUNTER_MAP_PRUNED)
-        .collect()
 }
 
 proptest! {
@@ -189,8 +178,7 @@ fn crlf_dumps_ingest_like_unix_dumps() {
 /// A loaded dump must answer queries byte-identically to the in-memory
 /// path (a fresh executor job over the same objects), for all three
 /// algorithms — the property the CI ingest gate asserts at 100k+ objects.
-/// The engine never reads pruned features, so the one counter that
-/// differs from the fresh job is `COUNTER_MAP_PRUNED`.
+/// The engine's trace is the fresh job itself, so every counter matches.
 #[test]
 fn loaded_dump_serves_all_algorithms_byte_identically() {
     let mut files = TempFiles(Vec::new());
@@ -240,8 +228,7 @@ fn loaded_dump_serves_all_algorithms_byte_identically() {
             );
             let job = &from_engine.trace.expect("trace requested")[0];
             assert_eq!(
-                output_counters(job),
-                output_counters(&in_memory.stats),
+                job.counters, in_memory.stats.counters,
                 "{algorithm}: counters diverged on {q}"
             );
             assert_eq!(job.shuffle_records, in_memory.stats.shuffle_records);

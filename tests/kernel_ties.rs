@@ -1,10 +1,12 @@
 //! The serving kernel's early stop under ties: kernel ≡ job ≡ centralized.
 //!
-//! An untraced request is answered by the engine's direct kernel, which
+//! Every request is answered by the engine's direct kernel, which
 //! visits candidate features in descending score order against one
 //! global `τ` and stops at the first candidate scoring *strictly* below
-//! it. A traced request runs the MapReduce job. Both must return the
-//! bytes of `brute_force` — in particular when several data objects tie
+//! it. The MapReduce job (a fresh `run_dataset`, which is also what a
+//! traced request carries as its trace) is the oracle beside it. Both
+//! must return the bytes of `brute_force` — in particular when several
+//! data objects tie
 //! at the k-th place, where stopping at `== τ` would keep whichever tied
 //! object was reached first instead of the one with the smallest id.
 //!
@@ -175,10 +177,11 @@ fn class_tied_world() -> impl Strategy<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `execute(req)` (kernel), `execute(req.with_trace())` (the engine's
-    /// job), a fresh `run_dataset` job and `brute_force` agree byte for
-    /// byte on tie-heavy worlds, over both partition shapes and all three
-    /// similarities; only the untraced answer moved no shuffle record.
+    /// `execute(req)` and `execute(req.with_trace())` (the kernel, the
+    /// second with the job as its trace), a fresh `run_dataset` job and
+    /// `brute_force` agree byte for byte on tie-heavy worlds, over both
+    /// partition shapes and all three similarities; only the untraced
+    /// answer moved no shuffle record.
     #[test]
     fn prop_kernel_job_and_brute_force_agree_under_ties(
         (data, features, query_specs, grid) in lattice_world()
@@ -202,15 +205,15 @@ proptest! {
                     let fresh = exec.run_dataset(&dataset, &query).unwrap();
                     let request = QueryRequest::new(query.clone());
                     let kernel = engine.execute(&request).unwrap();
-                    let job = engine.execute(&request.with_trace()).unwrap();
+                    let traced = engine.execute(&request.with_trace()).unwrap();
                     prop_assert_eq!(&kernel.results, &expect, "kernel, {:?} {}", balancing, query);
                     prop_assert_eq!(&fresh.top_k, &expect, "fresh job, {:?} {}", balancing, query);
-                    prop_assert_eq!(&job.results, &expect, "job, {:?} {}", balancing, query);
+                    prop_assert_eq!(&traced.results, &expect, "traced, {:?} {}", balancing, query);
                     prop_assert_eq!(kernel.stats.shuffle_records, 0);
                     prop_assert!(kernel.trace.is_none());
-                    // The job shuffles at least every data object.
-                    prop_assert!(job.stats.shuffle_records >= dataset.data().len() as u64);
-                    prop_assert_eq!(job.trace.map(|t| t.len()), Some(1));
+                    // The traced job shuffles at least every data object.
+                    prop_assert!(traced.stats.shuffle_records >= dataset.data().len() as u64);
+                    prop_assert_eq!(traced.trace.map(|t| t.len()), Some(1));
                 }
             }
         }
@@ -218,7 +221,7 @@ proptest! {
 
     /// Ties *between* score classes: the kernel walks classes that tie on
     /// score as one run, in whatever order its sort leaves them, and its
-    /// answer is still the job's and `brute_force`'s, byte for byte.
+    /// answer is still a fresh job's and `brute_force`'s, byte for byte.
     #[test]
     fn prop_kernel_agrees_when_distinct_classes_tie(
         (similarity, data, features, query_specs, grid) in class_tied_world()
@@ -227,7 +230,7 @@ proptest! {
         let exec = SpqExecutor::new(Rect::unit())
             .grid_size(grid)
             .cluster(ClusterConfig::sequential());
-        let engine = QueryEngine::new(exec, dataset.clone());
+        let engine = QueryEngine::new(exec.clone(), dataset.clone());
         for (radius, k) in &query_specs {
             let query = SpqQuery::with_similarity(
                 *k,
@@ -236,11 +239,10 @@ proptest! {
                 similarity,
             );
             let expect = brute_force(dataset.data(), dataset.features(), &query);
-            let request = QueryRequest::new(query.clone());
-            let kernel = engine.execute(&request).unwrap();
-            let job = engine.execute(&request.with_trace()).unwrap();
+            let kernel = engine.execute(&QueryRequest::new(query.clone())).unwrap();
+            let fresh = exec.run_dataset(&dataset, &query).unwrap();
             prop_assert_eq!(&kernel.results, &expect, "kernel, {}", query);
-            prop_assert_eq!(&job.results, &expect, "job, {}", query);
+            prop_assert_eq!(&fresh.top_k, &expect, "job, {}", query);
         }
     }
 }

@@ -12,7 +12,6 @@
 
 use proptest::prelude::*;
 use spq::core::merge::merge_top_k;
-use spq::core::partitioning::COUNTER_MAP_PRUNED;
 use spq::core::remote::{
     decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision,
 };
@@ -110,11 +109,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A traced response's counters are its job's, on every backend: the
-    /// sharded and remote traces equal a fresh `run_dataset` job's
-    /// exactly; so does the local one without keyword pruning, and with
-    /// it in every counter but the pruned-feature count — the engine's job
-    /// never reads a feature it can prune, so never counts one.
+    /// A traced response's counters are its job's, on every backend: each
+    /// trace equals a fresh `run_dataset` job's exactly, with keyword
+    /// pruning on or off.
     #[test]
     fn prop_counters_round_trip(
         data in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..20),
@@ -153,16 +150,8 @@ proptest! {
                 let service = SpqService::build(exec.clone(), dataset.clone(), backend).unwrap();
                 let trace = service.execute(&request).unwrap().trace.unwrap();
                 prop_assert_eq!(trace.len(), 1, "{}", backend);
-                let engine_pruned = pruning && backend == Backend::Local;
-                let counters = |stats: &spq::mapreduce::JobStats| -> Vec<(&'static str, u64)> {
-                    stats
-                        .counters
-                        .iter()
-                        .filter(|&(name, _)| !(engine_pruned && name == COUNTER_MAP_PRUNED))
-                        .collect()
-                };
                 prop_assert_eq!(
-                    counters(&trace[0]), counters(&fresh),
+                    &trace[0].counters, &fresh.counters,
                     "{} pruning={}", backend, pruning
                 );
             }
