@@ -32,6 +32,62 @@ pub struct Mismatch {
     pub candidate: String,
 }
 
+/// How much kernel work one corpus's `sharded:N` backend does per unit
+/// of the local engine's, summed over the corpus's `execute` ids (the
+/// kernel is the same whatever the algorithm axis says). A ratio is NaN
+/// when the local engine did none of that work.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelRatios {
+    /// The corpus axis.
+    pub corpus: String,
+    /// The sharded backend, e.g. `sharded:4`.
+    pub backend: String,
+    /// `kernel_candidates`, sharded over local.
+    pub candidates: f64,
+    /// `kernel_visited`, sharded over local.
+    pub visited: f64,
+    /// `kernel_distance_checks`, sharded over local.
+    pub distance_checks: f64,
+}
+
+/// Every corpus's [`KernelRatios`], one per sharded backend, in the
+/// order the report first names each corpus and backend.
+pub fn kernel_ratios(report: &MatrixReport) -> Vec<KernelRatios> {
+    let execute = || report.records.iter().filter(|r| r.mode == "execute");
+    let sum = |corpus: &str, backend: &str| {
+        execute()
+            .filter(|r| r.corpus == corpus && r.backend == backend)
+            .fold([0u64; 3], |[c, v, d], r| {
+                let k = &r.counters;
+                [
+                    c + k.kernel_candidates,
+                    v + k.kernel_visited,
+                    d + k.kernel_distance_checks,
+                ]
+            })
+    };
+    let mut pairs: Vec<(&str, &str)> = Vec::new();
+    for r in execute().filter(|r| r.backend.starts_with("sharded:")) {
+        if !pairs.contains(&(r.corpus.as_str(), r.backend.as_str())) {
+            pairs.push((&r.corpus, &r.backend));
+        }
+    }
+    pairs
+        .into_iter()
+        .map(|(corpus, backend)| {
+            let (local, sharded) = (sum(corpus, "local"), sum(corpus, backend));
+            let ratio = |i: usize| sharded[i] as f64 / local[i] as f64;
+            KernelRatios {
+                corpus: corpus.to_owned(),
+                backend: backend.to_owned(),
+                candidates: ratio(0),
+                visited: ratio(1),
+                distance_checks: ratio(2),
+            }
+        })
+        .collect()
+}
+
 /// The full comparison of two reports.
 #[derive(Debug, Clone)]
 pub struct Comparison {
@@ -43,6 +99,10 @@ pub struct Comparison {
     pub added: Vec<String>,
     /// Ids only in the baseline (a failure: coverage was lost).
     pub removed: Vec<String>,
+    /// The candidate's kernel work ratios, each beside the baseline's for
+    /// the same corpus and backend when it has one. Information only:
+    /// the counters behind them are what the gate compares.
+    pub kernel_ratios: Vec<(Option<KernelRatios>, KernelRatios)>,
 }
 
 impl Comparison {
@@ -65,6 +125,20 @@ impl Comparison {
         }
         for id in &self.added {
             out.push_str(&format!("ADDED    {id}: in the candidate only\n"));
+        }
+        for (baseline, candidate) in &self.kernel_ratios {
+            let ratio = |pick: fn(&KernelRatios) -> f64| match baseline {
+                Some(b) => format!("{:.2}x -> {:.2}x", pick(b), pick(candidate)),
+                None => format!("{:.2}x", pick(candidate)),
+            };
+            out.push_str(&format!(
+                "kernel {} {} / local (execute ids): candidates {}, visited {}, distance checks {}\n",
+                candidate.corpus,
+                candidate.backend,
+                ratio(|r| r.candidates),
+                ratio(|r| r.visited),
+                ratio(|r| r.distance_checks),
+            ));
         }
         out.push_str(&format!(
             "counter gate: {} ids compared, {} differing counters, {} removed, {} added — {}\n",
@@ -105,11 +179,21 @@ pub fn compare_reports(
     if let Some(message) = config_mismatch(&baseline.config, &candidate.config) {
         return Err(format!("documents are not like-for-like: {message}"));
     }
+    let baseline_ratios = kernel_ratios(baseline);
     let mut comparison = Comparison {
         compared: 0,
         mismatches: Vec::new(),
         added: Vec::new(),
         removed: Vec::new(),
+        kernel_ratios: kernel_ratios(candidate)
+            .into_iter()
+            .map(|c| {
+                let b = baseline_ratios
+                    .iter()
+                    .find(|b| (&b.corpus, &b.backend) == (&c.corpus, &c.backend));
+                (b.cloned(), c)
+            })
+            .collect(),
     };
     for base in &baseline.records {
         let Some(cand) = candidate.records.iter().find(|c| c.id == base.id) else {
@@ -213,6 +297,45 @@ mod tests {
         assert!(text.contains(&format!("REMOVED  {}", dropped.id)), "{text}");
         assert!(text.contains(&format!("ADDED    {}", renamed.id)), "{text}");
         assert_eq!(compare_reports(&cand, &cand).unwrap().failures(), 0);
+    }
+
+    #[test]
+    fn kernel_ratios_are_printed_per_corpus_before_the_verdict() {
+        let mut base = synthetic_fixture();
+        let local = base.records[0].clone();
+        assert_eq!(
+            (local.backend.as_str(), local.mode.as_str()),
+            ("local", "execute")
+        );
+        let mut sharded = local.clone();
+        sharded.id = "uniform-120k/pSPQ/sharded:4/execute".to_owned();
+        sharded.backend = "sharded:4".to_owned();
+        sharded.counters.kernel_candidates *= 4;
+        sharded.counters.kernel_visited *= 20;
+        base.records.push(sharded);
+        let mut cand = base.clone();
+        let moved = &mut cand.records.last_mut().unwrap().counters;
+        moved.kernel_candidates = local.counters.kernel_candidates;
+        moved.kernel_visited = 5 * local.counters.kernel_visited;
+        let ratios = kernel_ratios(&cand);
+        assert_eq!(ratios.len(), 1);
+        assert_eq!(
+            (
+                ratios[0].candidates,
+                ratios[0].visited,
+                ratios[0].distance_checks
+            ),
+            (1.0, 5.0, 1.0)
+        );
+        let text = compare_reports(&base, &cand).unwrap().render();
+        let line = "kernel uniform-120k sharded:4 / local (execute ids): \
+                    candidates 4.00x -> 1.00x, visited 20.00x -> 5.00x, \
+                    distance checks 1.00x -> 1.00x\n";
+        assert!(text.contains(line), "{text}");
+        assert!(text.ends_with("— FAILED\n"), "{text}");
+        // A report with no sharded execute id has nothing to print.
+        let plain = synthetic_fixture();
+        assert!(kernel_ratios(&plain).is_empty());
     }
 
     #[test]

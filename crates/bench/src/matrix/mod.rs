@@ -28,7 +28,9 @@ pub mod json;
 pub mod record;
 pub mod runner;
 
-pub use compare::{compare_files, compare_reports, Comparison, Mismatch};
+pub use compare::{
+    compare_files, compare_reports, kernel_ratios, Comparison, KernelRatios, Mismatch,
+};
 pub use corpus::{CorpusShape, CorpusSpec, Mode, CORPORA};
 pub use record::{Counters, MatrixRecord, MatrixReport, SCHEMA_VERSION};
 pub use runner::{run_matrix, MatrixConfig};

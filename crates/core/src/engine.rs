@@ -91,8 +91,8 @@
 //! ```
 
 use crate::executor::{SpqError, SpqExecutor};
-use crate::kernel;
-use crate::model::{FeatureObject, ObjectId, RankedObject};
+use crate::kernel::{self, FeatureSide, KernelState, KernelWork};
+use crate::model::{FeatureObject, RankedObject};
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::SharedDataset;
@@ -130,15 +130,21 @@ impl KeywordIndex {
     /// Builds the index over a feature set (one pass to count, one pass
     /// to fill).
     pub fn build(features: &[FeatureObject]) -> Self {
-        let num_terms = features
-            .iter()
-            .flat_map(|f| f.keywords.iter())
+        Self::from_lists(features.iter().map(|f| f.keywords.terms()))
+    }
+
+    /// [`build`](Self::build) over each feature's keyword list, in
+    /// feature order; every list is read twice.
+    pub(crate) fn from_lists<'a>(lists: impl Iterator<Item = &'a [Term]> + Clone) -> Self {
+        let num_terms = lists
+            .clone()
+            .flat_map(|terms| terms.iter())
             .map(|t| t.index() + 1)
             .max()
             .unwrap_or(0);
         let mut offsets = vec![0usize; num_terms + 1];
-        for f in features {
-            for t in f.keywords.iter() {
+        for terms in lists.clone() {
+            for t in terms {
                 offsets[t.index() + 1] += 1;
             }
         }
@@ -147,16 +153,18 @@ impl KeywordIndex {
         }
         let mut postings = vec![0u32; offsets[num_terms]];
         let mut cursor = offsets.clone();
-        for (i, f) in features.iter().enumerate() {
-            for t in f.keywords.iter() {
+        let mut feature_lens = Vec::with_capacity(lists.size_hint().0);
+        for (i, terms) in lists.enumerate() {
+            for t in terms {
                 postings[cursor[t.index()]] = i as u32;
                 cursor[t.index()] += 1;
             }
+            feature_lens.push(terms.len() as u32);
         }
         Self {
             offsets: offsets.into_boxed_slice(),
             postings: postings.into_boxed_slice(),
-            feature_lens: features.iter().map(|f| f.keywords.len() as u32).collect(),
+            feature_lens: feature_lens.into_boxed_slice(),
         }
     }
 
@@ -256,16 +264,53 @@ pub struct DatasetStats {
     pub max_posting: usize,
 }
 
-/// Cumulative engine counters (atomics — the engine is `Sync` and these
-/// are bumped from concurrent serve workers).
+/// Cumulative engine counters (atomics — an engine is `Sync` and these
+/// are bumped from concurrent serve workers): one request and its keyword
+/// probe per request, and the kernel work of every kernel that answered
+/// it — one on the local backend, one per touched shard on `sharded:N`.
 #[derive(Debug, Default)]
-struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     queries: AtomicU64,
     keyword_probes: AtomicU64,
     keyword_hits: AtomicU64,
     kernel_candidates: AtomicU64,
     kernel_visited: AtomicU64,
     kernel_distance_checks: AtomicU64,
+}
+
+impl EngineMetrics {
+    /// Counts one request whose keyword probe was `(probed, matched)`.
+    pub(crate) fn request(&self, (probed, matched): (usize, usize)) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.keyword_probes
+            .fetch_add(probed as u64, Ordering::Relaxed);
+        self.keyword_hits
+            .fetch_add(matched as u64, Ordering::Relaxed);
+    }
+
+    /// Counts one kernel answer's work.
+    pub(crate) fn kernel(&self, work: KernelWork) {
+        self.kernel_candidates
+            .fetch_add(work.candidates, Ordering::Relaxed);
+        self.kernel_visited
+            .fetch_add(work.visited, Ordering::Relaxed);
+        self.kernel_distance_checks
+            .fetch_add(work.distance_checks, Ordering::Relaxed);
+    }
+
+    /// The counters, every other field zero.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        MetricsSnapshot {
+            queries: load(&self.queries),
+            keyword_probes: load(&self.keyword_probes),
+            keyword_hits: load(&self.keyword_hits),
+            kernel_candidates: load(&self.kernel_candidates),
+            kernel_visited: load(&self.kernel_visited),
+            kernel_distance_checks: load(&self.kernel_distance_checks),
+            ..MetricsSnapshot::default()
+        }
+    }
 }
 
 /// A point-in-time snapshot of an engine's cumulative counters — the
@@ -277,11 +322,12 @@ struct EngineMetrics {
 ///
 /// The remote fields are zero for the in-process backends; the remote
 /// backend fills them from its membership layer (see
-/// [`crate::remote::RemoteEngine::metrics`]) and leaves the engine-side
-/// kernel counters at zero — those live in its workers' engines.
+/// [`crate::remote::RemoteEngine::metrics`]) and leaves the kernel
+/// counters at zero — those kernels run in its workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Queries executed through any entry point.
+    /// Requests answered through any entry point: one per request on
+    /// every backend, however many shards it touched.
     pub queries: u64,
     /// Always 0: no engine caches a plan. Kept, with
     /// [`plan_cache_misses`](Self::plan_cache_misses), while the benchmark
@@ -297,10 +343,12 @@ pub struct MetricsSnapshot {
     pub keyword_probes: u64,
     /// Probed keywords that hit a non-empty posting list.
     pub keyword_hits: u64,
-    /// Candidate features the serving kernel sorted into score classes
+    /// Candidate features the serving kernels sorted into score classes
     /// (features sharing a keyword with the query), over all
-    /// kernel-answered queries. The kernel scores one
-    /// `(|q.W ∩ f.W|, |f.W|)` class at a time, not each candidate.
+    /// kernel-answered queries and, on `sharded:N`, summed over the
+    /// shards, each of which holds a disjoint slice of the features. A
+    /// kernel scores one `(|q.W ∩ f.W|, |f.W|)` class at a time, not each
+    /// candidate.
     pub kernel_candidates: u64,
     /// Of those, candidates the kernel visited — scanned the target cells
     /// of — before its global-τ stop, which it tests once per class.
@@ -335,61 +383,6 @@ pub struct MetricsSnapshot {
     pub feature_sets_sent: u64,
 }
 
-impl MetricsSnapshot {
-    /// Every field, in declaration order. The destructuring is exhaustive
-    /// on purpose: a counter added to the struct does not compile until
-    /// it is listed here, so [`merged`](Self::merged) cannot drop it.
-    pub(crate) fn fields_mut(&mut self) -> [&mut u64; 17] {
-        let MetricsSnapshot {
-            queries,
-            plan_cache_hits,
-            plan_cache_misses,
-            keyword_probes,
-            keyword_hits,
-            kernel_candidates,
-            kernel_visited,
-            kernel_distance_checks,
-            remote_retries,
-            excluded_workers,
-            warm_failovers,
-            cold_reprovisions,
-            readmissions,
-            health_probes,
-            rebalance_moves,
-            provisions_sent,
-            feature_sets_sent,
-        } = self;
-        [
-            queries,
-            plan_cache_hits,
-            plan_cache_misses,
-            keyword_probes,
-            keyword_hits,
-            kernel_candidates,
-            kernel_visited,
-            kernel_distance_checks,
-            remote_retries,
-            excluded_workers,
-            warm_failovers,
-            cold_reprovisions,
-            readmissions,
-            health_probes,
-            rebalance_moves,
-            provisions_sent,
-            feature_sets_sent,
-        ]
-    }
-
-    /// Merges two snapshots field by field (used by the sharded engine to
-    /// aggregate its per-shard engines).
-    pub fn merged(mut self, mut other: MetricsSnapshot) -> MetricsSnapshot {
-        for (mine, theirs) in self.fields_mut().into_iter().zip(other.fields_mut()) {
-            *mine += *theirs;
-        }
-        self
-    }
-}
-
 /// A long-lived SPQ serving engine over one dataset.
 ///
 /// See the [module docs](self) for the lifecycle. Construction builds
@@ -405,14 +398,11 @@ impl MetricsSnapshot {
 #[derive(Debug)]
 pub struct QueryEngine {
     exec: SpqExecutor,
+    /// Read by a traced request's job and by callers, never by the kernel.
     dataset: SharedDataset,
-    /// Behind an `Arc` because engines over slices of one dataset (the
-    /// shards of a sharded engine, the shards a worker hosts) see the same
-    /// broadcast feature array and share one index over it.
-    keyword_index: Arc<KeywordIndex>,
-    /// The data objects bucketed on one radius-independent grid — all the
-    /// geometry the kernel reads.
-    grid: GridIndex<ObjectId>,
+    /// All of `F` as the kernel reads it, and the data objects on one
+    /// radius-independent grid — all the state a request is answered from.
+    kernel: KernelState,
     metrics: EngineMetrics,
 }
 
@@ -421,29 +411,16 @@ impl QueryEngine {
     /// query configuration (bounds, algorithm, grid sizing, load
     /// balancing, pruning, cluster).
     pub fn new(executor: SpqExecutor, dataset: SharedDataset) -> Self {
-        let keyword_index = Arc::new(KeywordIndex::build(dataset.features()));
-        Self::with_shared_index(executor, dataset, keyword_index)
-    }
-
-    /// [`new`](Self::new) over an index some other engine already built
-    /// for the **same feature array** — `N` shard engines then cost one
-    /// index build and one index's memory instead of `N`.
-    pub(crate) fn with_shared_index(
-        executor: SpqExecutor,
-        dataset: SharedDataset,
-        keyword_index: Arc<KeywordIndex>,
-    ) -> Self {
-        debug_assert_eq!(
-            keyword_index.feature_lens.len(),
-            dataset.features().len(),
-            "a shared keyword index must cover the dataset's feature array"
-        );
+        let features = dataset.features();
         let data = dataset.data().iter().map(|o| (o.location, o.id));
+        let kernel = KernelState {
+            features: Arc::new(feature_side(features)),
+            grid: Arc::new(GridIndex::build(executor.bounds(), data)),
+        };
         Self {
-            grid: GridIndex::build(executor.bounds(), data),
             exec: executor,
             dataset,
-            keyword_index,
+            kernel,
             metrics: EngineMetrics::default(),
         }
     }
@@ -471,7 +448,7 @@ impl QueryEngine {
     /// Aggregate statistics of the served dataset, computed from the
     /// build-once keyword index (no extra pass over the features).
     pub fn dataset_stats(&self) -> DatasetStats {
-        let idx = &self.keyword_index;
+        let idx = self.keyword_index();
         let total_keywords = idx.postings.len() as u64;
         let distinct_terms = (0..idx.num_terms())
             .filter(|&t| idx.offsets[t + 1] > idx.offsets[t])
@@ -503,57 +480,32 @@ impl QueryEngine {
 
     /// The build-once inverted keyword index.
     pub fn keyword_index(&self) -> &KeywordIndex {
-        &self.keyword_index
+        &self.kernel.features.index
     }
 
     /// The one engine path (see the [module docs](self)): every local
-    /// request, traced or not, every sharded scatter and every remote
-    /// worker query is answered here, by the [kernel](crate::kernel) over
-    /// the build-once grid, and its work is counted.
-    pub(crate) fn run(&self, query: &SpqQuery) -> Vec<RankedObject> {
-        let answer = kernel::top_k(&self.dataset, &self.keyword_index, &self.grid, query);
-        let m = &self.metrics;
-        m.queries.fetch_add(1, Ordering::Relaxed);
-        m.kernel_candidates
-            .fetch_add(answer.candidates, Ordering::Relaxed);
-        m.kernel_visited
-            .fetch_add(answer.visited, Ordering::Relaxed);
-        m.kernel_distance_checks
-            .fetch_add(answer.distance_checks, Ordering::Relaxed);
+    /// request, traced or not, is answered here, by the
+    /// [kernel](crate::kernel) over the build-once state, and its work is
+    /// counted.
+    fn run(&self, query: &SpqQuery) -> Vec<RankedObject> {
+        let answer = kernel::top_k(&self.kernel, query);
+        self.metrics.kernel(answer.work);
         answer.top_k
-    }
-
-    /// Probes each query keyword against the build-once keyword index,
-    /// returning `(terms probed, terms matched)` and bumping the
-    /// cumulative metrics. `matched == 0` proves the query cannot score
-    /// any object.
-    pub(crate) fn keyword_stats(&self, keywords: &KeywordSet) -> (usize, usize) {
-        let probed = keywords.len();
-        let matched = keywords
-            .iter()
-            .filter(|&t| self.keyword_index.term_frequency(t) > 0)
-            .count();
-        self.metrics
-            .keyword_probes
-            .fetch_add(probed as u64, Ordering::Relaxed);
-        self.metrics
-            .keyword_hits
-            .fetch_add(matched as u64, Ordering::Relaxed);
-        (probed, matched)
     }
 
     /// A snapshot of the engine's cumulative counters: queries served,
     /// keyword-index probe outcomes, kernel work.
     pub fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queries: self.metrics.queries.load(Ordering::Relaxed),
-            keyword_probes: self.metrics.keyword_probes.load(Ordering::Relaxed),
-            keyword_hits: self.metrics.keyword_hits.load(Ordering::Relaxed),
-            kernel_candidates: self.metrics.kernel_candidates.load(Ordering::Relaxed),
-            kernel_visited: self.metrics.kernel_visited.load(Ordering::Relaxed),
-            kernel_distance_checks: self.metrics.kernel_distance_checks.load(Ordering::Relaxed),
-            ..MetricsSnapshot::default()
-        }
+        self.metrics.snapshot()
+    }
+}
+
+/// All of `features` as a kernel reads them: their keyword index and
+/// their locations.
+pub(crate) fn feature_side(features: &[FeatureObject]) -> FeatureSide {
+    FeatureSide {
+        locations: features.iter().map(|f| f.location).collect(),
+        index: KeywordIndex::build(features),
     }
 }
 
@@ -568,7 +520,14 @@ impl QueryExecutor for QueryEngine {
         options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
-        let (probed, matched) = self.keyword_stats(&query.keywords);
+        let index = self.keyword_index();
+        let probed = query.keywords.len();
+        let matched = query
+            .keywords
+            .iter()
+            .filter(|&t| index.term_frequency(t) > 0)
+            .count();
+        self.metrics.request((probed, matched));
         let results = self.run(query);
         let job = self.exec.trace_job(&self.dataset, query, options)?;
         let stats = QueryStats {
@@ -947,7 +906,5 @@ mod tests {
         let twice = engine.metrics();
         assert_eq!((twice.kernel_candidates, twice.kernel_visited), (6, 2));
         assert_eq!(twice.kernel_distance_checks, 2 * m.kernel_distance_checks);
-        let merged = twice.merged(m);
-        assert_eq!((merged.kernel_candidates, merged.kernel_visited), (9, 3));
     }
 }

@@ -34,6 +34,13 @@
 //! either entirely below `τ` or visited whole. The order inside a run
 //! therefore moves neither a result byte nor a work counter.
 //!
+//! The kernel reads one [`KernelState`] and nothing else: a slice of `F`
+//! as its keyword index and feature locations (no feature object), and
+//! the data objects on one grid. The local engine's slice is all of `F`;
+//! a shard's is its block of `F` ([`crate::sharded`]), and the answer is
+//! then the canonical top-k of every data object scored over that slice
+//! alone — the partial scores the shards' gather combines.
+//!
 //! Coverage is Lemma 1's on a grid fixed before any radius is known: a
 //! data object within `r` of a feature lies in a cell whose MINDIST to the
 //! feature is at most `r`, which is exactly the set of cells scanned — the
@@ -44,16 +51,66 @@
 use crate::engine::KeywordIndex;
 use crate::model::{ObjectId, RankedObject};
 use crate::query::SpqQuery;
-use crate::store::SharedDataset;
 use crate::topk::TopKList;
-use spq_spatial::GridIndex;
-use spq_text::Score;
+use spq_spatial::{GridIndex, Point};
+use spq_text::{Score, Term};
 use std::cmp::Reverse;
+use std::sync::Arc;
 
-/// One kernel answer: the canonical top-k plus how much work it took.
+/// One slice of `F` as the kernel reads it: the keyword index over the
+/// slice and each feature's location, feature `i` of the index at
+/// `locations[i]`. No keyword list is kept beside the index.
 #[derive(Debug)]
-pub(crate) struct KernelAnswer {
-    pub(crate) top_k: Vec<RankedObject>,
+pub(crate) struct FeatureSide {
+    pub(crate) locations: Box<[Point]>,
+    pub(crate) index: KeywordIndex,
+}
+
+/// A feature slice as it arrives, in store order, packed flat: what a
+/// worker assembles from its chunk frames, one feature at a time, and
+/// turns into a [`FeatureSide`] once the last one is in.
+#[derive(Debug, Default)]
+pub(crate) struct FeatureSideBuilder {
+    locations: Vec<Point>,
+    /// `terms[ends[i - 1]..ends[i]]` are feature `i`'s keywords.
+    ends: Vec<usize>,
+    terms: Vec<Term>,
+}
+
+impl FeatureSideBuilder {
+    /// Appends one feature.
+    pub(crate) fn push(&mut self, location: Point, keywords: &[Term]) {
+        self.locations.push(location);
+        self.terms.extend_from_slice(keywords);
+        self.ends.push(self.terms.len());
+    }
+
+    /// Indexes the slice; the packed keyword lists are dropped.
+    pub(crate) fn build(self) -> FeatureSide {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let lists = starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.terms[start..end]);
+        FeatureSide {
+            index: KeywordIndex::from_lists(lists),
+            locations: self.locations.into_boxed_slice(),
+        }
+    }
+}
+
+/// The serving state one kernel answers from: a slice of `F` and the data
+/// objects it ranks, bucketed on one radius-independent grid. The local
+/// engine's slice is all of `F`; a shard's is its contiguous block, and
+/// every shard of a process shares one grid over all of `O`.
+#[derive(Debug, Clone)]
+pub(crate) struct KernelState {
+    pub(crate) features: Arc<FeatureSide>,
+    pub(crate) grid: Arc<GridIndex<ObjectId>>,
+}
+
+/// How much work one kernel answer took.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KernelWork {
     /// Candidate features (= features sharing a keyword with the query),
     /// each placed in its score class.
     pub(crate) candidates: u64,
@@ -61,6 +118,13 @@ pub(crate) struct KernelAnswer {
     pub(crate) visited: u64,
     /// `dist_sq <= r²` evaluations.
     pub(crate) distance_checks: u64,
+}
+
+/// One kernel answer: the canonical top-k plus how much work it took.
+#[derive(Debug)]
+pub(crate) struct KernelAnswer {
+    pub(crate) top_k: Vec<RankedObject>,
+    pub(crate) work: KernelWork,
 }
 
 /// One score class: the candidates sharing `(|q.W ∩ f.W|, |f.W|)`, which
@@ -139,17 +203,13 @@ impl ScoreClasses {
     }
 }
 
-/// Answers `query` from prebuilt state (see the [module docs](self)).
-/// `index` must index `dataset.features()`; `grid` holds the data objects
-/// the query ranks (the engine's, whatever slice of a store it serves).
-pub(crate) fn top_k(
-    dataset: &SharedDataset,
-    index: &KeywordIndex,
-    grid: &GridIndex<ObjectId>,
-    query: &SpqQuery,
-) -> KernelAnswer {
-    let ranked = ScoreClasses::build(index, query);
-    let features = dataset.features();
+/// Answers `query` from prebuilt state (see the [module docs](self)): the
+/// canonical top-k of the state's data objects, each scored over the
+/// state's features only.
+pub(crate) fn top_k(state: &KernelState, query: &SpqQuery) -> KernelAnswer {
+    let ranked = ScoreClasses::build(&state.features.index, query);
+    let locations = &state.features.locations;
+    let grid = &state.grid;
     let r_sq = query.radius * query.radius;
     let mut list = TopKList::new(query.k);
     let (mut visited, mut distance_checks) = (0u64, 0u64);
@@ -162,7 +222,7 @@ pub(crate) fn top_k(
         }
         for &feature in ranked.features(class) {
             visited += 1;
-            let location = features[feature as usize].location;
+            let location = locations[feature as usize];
             grid.for_each_cell_within(&location, query.radius, |cell| {
                 distance_checks += cell.len() as u64;
                 for &(p, id) in cell {
@@ -175,9 +235,11 @@ pub(crate) fn top_k(
     }
     KernelAnswer {
         top_k: list.into_vec(),
-        candidates: ranked.order.len() as u64,
-        visited,
-        distance_checks,
+        work: KernelWork {
+            candidates: ranked.order.len() as u64,
+            visited,
+            distance_checks,
+        },
     }
 }
 
@@ -185,7 +247,9 @@ pub(crate) fn top_k(
 mod tests {
     use super::*;
     use crate::centralized::brute_force;
+    use crate::engine::feature_side;
     use crate::model::{DataObject, FeatureObject};
+    use crate::store::SharedDataset;
     use spq_spatial::{Point, Rect};
     use spq_text::KeywordSet;
 
@@ -206,12 +270,13 @@ mod tests {
         )
     }
 
-    fn prebuilt(dataset: &SharedDataset) -> (KeywordIndex, GridIndex<ObjectId>) {
+    /// The local engine's kernel state over `dataset`.
+    fn prebuilt(dataset: &SharedDataset) -> KernelState {
         let data = dataset.data().iter().map(|o| (o.location, o.id));
-        (
-            KeywordIndex::build(dataset.features()),
-            GridIndex::build(Rect::unit(), data),
-        )
+        KernelState {
+            features: Arc::new(feature_side(dataset.features())),
+            grid: Arc::new(GridIndex::build(Rect::unit(), data)),
+        }
     }
 
     #[test]
@@ -265,9 +330,9 @@ mod tests {
     #[test]
     fn tied_classes_walk_as_one_run_and_are_visited_at_tau() {
         let dataset = class_tied();
-        let (index, grid) = prebuilt(&dataset);
+        let state = prebuilt(&dataset);
         let query = SpqQuery::new(1, 0.01, KeywordSet::from_ids([0, 1, 2]));
-        let ranked = ScoreClasses::build(&index, &query);
+        let ranked = ScoreClasses::build(&state.features.index, &query);
         let scores: Vec<Score> = ranked.classes.iter().map(|c| c.score).collect();
         assert_eq!(
             scores,
@@ -282,8 +347,8 @@ mod tests {
         // Whichever tied class walks first fills the list at τ = 1/6; the
         // other is still visited and its object 1 displaces object 5. The
         // 1/12 class is below τ and stays unvisited.
-        let answer = top_k(&dataset, &index, &grid, &query);
-        assert_eq!((answer.candidates, answer.visited), (3, 2));
+        let answer = top_k(&state, &query);
+        assert_eq!((answer.work.candidates, answer.work.visited), (3, 2));
         assert_eq!(answer.top_k[0].object, 1);
         assert_eq!(
             answer.top_k,
@@ -294,18 +359,19 @@ mod tests {
     #[test]
     fn global_tau_stops_before_the_candidates_run_out() {
         let dataset = diagonal();
-        let (index, grid) = prebuilt(&dataset);
+        let state = prebuilt(&dataset);
         let query = SpqQuery::new(3, 0.01, KeywordSet::from_ids([0]));
-        let answer = top_k(&dataset, &index, &grid, &query);
+        let answer = top_k(&state, &query);
         assert_eq!(
             answer.top_k,
             brute_force(dataset.data(), dataset.features(), &query)
         );
-        assert_eq!(answer.candidates, 10);
+        let work = answer.work;
+        assert_eq!(work.candidates, 10);
         // Three visits fill the list; the fourth candidate scores below τ.
-        assert_eq!(answer.visited, 3);
-        assert!(answer.visited < answer.candidates);
-        assert!(answer.distance_checks >= answer.visited);
+        assert_eq!(work.visited, 3);
+        assert!(work.visited < work.candidates);
+        assert!(work.distance_checks >= work.visited);
     }
 
     #[test]
@@ -322,10 +388,10 @@ mod tests {
                 FeatureObject::new(1, Point::new(0.9, 0.9), KeywordSet::from_ids([0])),
             ],
         );
-        let (index, grid) = prebuilt(&dataset);
+        let state = prebuilt(&dataset);
         let query = SpqQuery::new(1, 0.01, KeywordSet::from_ids([0]));
-        let answer = top_k(&dataset, &index, &grid, &query);
-        assert_eq!(answer.visited, 2);
+        let answer = top_k(&state, &query);
+        assert_eq!(answer.work.visited, 2);
         assert_eq!(answer.top_k[0].object, 1);
         assert_eq!(
             answer.top_k,

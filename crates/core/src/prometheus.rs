@@ -165,11 +165,55 @@ pub fn export_metrics(
 mod tests {
     use super::*;
 
+    /// Every field of `snapshot`, in declaration order. The destructuring
+    /// is exhaustive on purpose: a counter added to the struct does not
+    /// compile until it is listed here, so the export test cannot miss it.
+    fn fields_mut(snapshot: &mut MetricsSnapshot) -> [&mut u64; 17] {
+        let MetricsSnapshot {
+            queries,
+            plan_cache_hits,
+            plan_cache_misses,
+            keyword_probes,
+            keyword_hits,
+            kernel_candidates,
+            kernel_visited,
+            kernel_distance_checks,
+            remote_retries,
+            excluded_workers,
+            warm_failovers,
+            cold_reprovisions,
+            readmissions,
+            health_probes,
+            rebalance_moves,
+            provisions_sent,
+            feature_sets_sent,
+        } = snapshot;
+        [
+            queries,
+            plan_cache_hits,
+            plan_cache_misses,
+            keyword_probes,
+            keyword_hits,
+            kernel_candidates,
+            kernel_visited,
+            kernel_distance_checks,
+            remote_retries,
+            excluded_workers,
+            warm_failovers,
+            cold_reprovisions,
+            readmissions,
+            health_probes,
+            rebalance_moves,
+            provisions_sent,
+            feature_sets_sent,
+        ]
+    }
+
     #[test]
     fn every_snapshot_field_is_exported_exactly_once() {
         // Distinct values, so a series reading the wrong field shows too.
         let mut snapshot = MetricsSnapshot::default();
-        for (i, value) in snapshot.fields_mut().into_iter().enumerate() {
+        for (i, value) in fields_mut(&mut snapshot).into_iter().enumerate() {
             *value = 100 + i as u64;
         }
         let text = export_metrics(&snapshot, &[], None, None);

@@ -2,15 +2,14 @@
 //! the mapreduce byte codec; round-tripped and fed hostile bytes by the
 //! proptests in `tests/remote_wire.rs`.
 
-use crate::model::{DataObject, FeatureObject, ObjectId};
+use crate::model::{DataObject, FeatureObject};
 use crate::query::SpqQuery;
-use crate::sharded::{index_by_id, wire};
+use crate::sharded::wire;
 use spq_mapreduce::remote::codec::{put_f64, put_u32, put_u32s, put_u64, put_u8};
 use spq_mapreduce::remote::frame::WordHasher;
 use spq_mapreduce::remote::{ByteReader, CodecError};
 use spq_spatial::{Point, Rect};
 use spq_text::{KeywordSet, SetSimilarity, Term};
-use std::collections::HashMap;
 
 fn similarity_to_u8(s: SetSimilarity) -> u8 {
     match s {
@@ -54,7 +53,10 @@ pub(super) fn read_bounds(r: &mut ByteReader<'_>) -> Result<Rect, CodecError> {
 }
 
 /// Encoded size of one data object in an `OP_PROVISION` payload.
-const DATA_RECORD_BYTES: usize = 4 + 8 + 8 + 8;
+const DATA_RECORD_BYTES: usize = 8 + 8 + 8;
+/// Shard id and feature-set fingerprint: what precedes an
+/// `OP_PROVISION`'s data block.
+const PROVISION_HEADER_BYTES: usize = 4 + 8;
 /// Encoded size of a feature with no keywords — the floor a shipped
 /// feature count is held to before anything is allocated for it.
 pub(super) const MIN_FEATURE_BYTES: usize = 8 + 8 + 8 + 4;
@@ -64,8 +66,8 @@ pub(super) const TERM_BYTES: usize = 4;
 pub(super) const CHUNK_HEADER_BYTES: usize = 8 + 4 + 4 + 4;
 
 /// One past the largest keyword id a shipped feature set may carry. A
-/// worker's `KeywordIndex::build` sizes its offset table by the largest
-/// id it holds, so this bounds the table at 2²² + 1 `usize` offsets —
+/// worker's keyword index sizes its offset table by the largest id it
+/// holds, so this bounds the table at 2²² + 1 `usize` offsets —
 /// 32 MiB, plus as much again for the fill cursor while it is built —
 /// where one id of `u32::MAX` would ask for 32 GiB. It sits 47× above the
 /// largest vocabulary the generators produce (88,706 terms).
@@ -215,17 +217,15 @@ pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError
 }
 
 /// Encodes an `OP_PROVISION` payload: the shard id, the fingerprint of
-/// the feature set the shard is evaluated against (shipped separately,
-/// once per worker, as `OP_FEATURES` chunks), the data-space bounds its
-/// kernel grid covers and the shard's data slice — each object with its
-/// **global** store index, so gather records resolve without any
-/// per-shard coordinate space. No job setting is shipped: a worker never
-/// runs a job.
+/// the shard's feature slice (shipped separately as `OP_FEATURES`
+/// chunks), then the data block — the data-space bounds the kernel grid
+/// covers and **all** of `O` in store order, so a record's position is
+/// the global store index gather records name. No job setting is
+/// shipped: a worker never runs a job.
 pub fn encode_provision(
     shard_id: u32,
     fingerprint: u64,
     bounds: Rect,
-    first_global_index: u32,
     data: &[DataObject],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(48 + data.len() * DATA_RECORD_BYTES);
@@ -233,8 +233,7 @@ pub fn encode_provision(
     put_u64(&mut out, fingerprint);
     put_bounds(&mut out, bounds);
     put_u32(&mut out, data.len() as u32);
-    for (i, object) in data.iter().enumerate() {
-        put_u32(&mut out, first_global_index + i as u32);
+    for object in data {
         put_u64(&mut out, object.id);
         put_f64(&mut out, object.location.x);
         put_f64(&mut out, object.location.y);
@@ -247,13 +246,15 @@ pub fn encode_provision(
 pub struct Provision {
     /// The shard to install.
     pub shard_id: u32,
-    /// The feature set the shard belongs to.
+    /// The feature slice the shard is evaluated against.
     pub fingerprint: u64,
-    /// The data-space bounds the shard's kernel grid covers.
+    /// [`WordHasher`] over the data block as shipped (bounds and data
+    /// objects) — a function of the content alone, so every shard of one
+    /// store names the same data side.
+    pub data_fingerprint: u64,
+    /// The data-space bounds the kernel grid covers.
     pub bounds: Rect,
-    /// Data-object id → index in the manager's global store.
-    pub id_to_index: HashMap<ObjectId, u32>,
-    /// The shard's data slice.
+    /// The data objects, in the manager's store order.
     pub data: Vec<DataObject>,
 }
 
@@ -263,26 +264,24 @@ pub fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
     let mut r = ByteReader::new(payload);
     let shard_id = r.u32()?;
     let fingerprint = r.u64()?;
+    let mut hasher = WordHasher::default();
+    hasher.update(&payload[PROVISION_HEADER_BYTES..]);
     let bounds = read_bounds(&mut r)?;
     let num_data = r.count(DATA_RECORD_BYTES)?;
-    let mut indexes = Vec::with_capacity(num_data);
     let mut data = Vec::with_capacity(num_data);
     for _ in 0..num_data {
-        indexes.push(r.u32()?);
         let id = r.u64()?;
         let (x, y) = (r.f64()?, r.f64()?);
         data.push(DataObject::new(id, Point::new(x, y)));
     }
-    let id_to_index = index_by_id(data.iter().map(|o| o.id).zip(indexes))
-        .map_err(|id| CodecError::invalid(format!("duplicate data object id {id} in provision")))?;
     if !r.is_empty() {
         return Err(CodecError::invalid("trailing bytes after provision"));
     }
     Ok(Provision {
         shard_id,
         fingerprint,
+        data_fingerprint: hasher.finish(),
         bounds,
-        id_to_index,
         data,
     })
 }
@@ -325,9 +324,10 @@ pub(crate) fn decode_shard_query(payload: &[u8]) -> Result<(u32, SpqQuery), Code
 /// Decodes an `OP_SHARD_RESULT` payload, which is the shard's gather
 /// records alone ([`wire::RECORD_BYTES`] bytes each, global indexes —
 /// exactly what `sharded::wire::encode_results` wrote). Only the framing
-/// is checked here: a whole number of records. Whether each record names
-/// an index the answering shard may name, with a score a similarity can
-/// take, is the gather's check (`sharded::Layout::scatter_gather`).
+/// is checked here: a whole number of records. Whether the records are
+/// ones a kernel writes — at most `k`, each index inside the store and
+/// named once, each score one a similarity can take — is the gather's
+/// check (`sharded::Layout::scatter_gather`).
 pub(crate) fn decode_shard_result(payload: Vec<u8>) -> Result<Vec<u8>, CodecError> {
     if !payload.len().is_multiple_of(wire::RECORD_BYTES) {
         return Err(CodecError::invalid(format!(

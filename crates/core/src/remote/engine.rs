@@ -9,9 +9,8 @@ use super::codec::{
 use super::host::{ShardHost, NOT_PROVISIONED, UNKNOWN_FEATURE_SET};
 use super::membership::{Failover, Membership, MembershipConfig, MembershipView, TickReport};
 use super::{parse_worker_addrs, SPQ_REMOTE_WORKERS};
-use crate::engine::MetricsSnapshot;
+use crate::engine::{EngineMetrics, MetricsSnapshot};
 use crate::executor::{SpqError, SpqExecutor};
-use crate::model::FeatureObject;
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse};
 use crate::sharded::{Layout, Recovery};
@@ -23,7 +22,6 @@ use spq_mapreduce::remote::{
     OP_ERROR, OP_FAULT_OK, OP_FEATURES, OP_FEATURES_OK, OP_PROVISION, OP_PROVISION_OK,
     OP_SET_FAULT, OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS, OP_SHARD_STATUS_OK,
 };
-use spq_text::Term;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,9 +61,9 @@ enum AttemptError {
 /// fields they are read into.
 #[derive(Debug, Default)]
 struct RemoteCounters {
-    queries: AtomicU64,
-    keyword_probes: AtomicU64,
-    keyword_hits: AtomicU64,
+    /// Requests and their keyword probes, counted as every backend counts
+    /// them (the kernel counters stay zero: the kernels run in workers).
+    requests: EngineMetrics,
     remote_retries: AtomicU64,
     warm_failovers: AtomicU64,
     cold_reprovisions: AtomicU64,
@@ -78,34 +76,6 @@ struct RemoteCounters {
 
 fn bump(counter: &AtomicU64, by: u64) {
     counter.fetch_add(by, Ordering::Relaxed);
-}
-
-/// The terms carried by at least one feature, one bit per term id — the
-/// manager-side keyword probe, the same answer as the engines'
-/// `KeywordIndex::term_frequency(t) > 0` without building postings.
-#[derive(Debug)]
-struct TermPresence(Vec<u64>);
-
-impl TermPresence {
-    /// Sets the bit of every feature keyword, in one pass.
-    fn build(features: &[FeatureObject]) -> Self {
-        let mut words = Vec::new();
-        for t in features.iter().flat_map(|f| f.keywords.iter()) {
-            let word = t.index() / 64;
-            if word >= words.len() {
-                words.resize(word + 1, 0u64);
-            }
-            words[word] |= 1 << (t.index() % 64);
-        }
-        Self(words)
-    }
-
-    /// Whether some feature carries `t` (false past the highest term id).
-    fn contains(&self, t: Term) -> bool {
-        self.0
-            .get(t.index() / 64)
-            .is_some_and(|word| word >> (t.index() % 64) & 1 == 1)
-    }
 }
 
 /// The engine behind [`crate::service::Backend::Remote`]: the sharded
@@ -126,18 +96,13 @@ pub struct RemoteEngine {
     layout: Layout,
     client_config: ClientConfig,
     workers: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// The feature set, encoded once: every worker — and every later cold
-    /// re-provision — is sent these same chunk buffers.
-    pub(super) features: FeatureChunks,
-    /// Per-shard [`OP_PROVISION`] payload (the shard's data slice; no
-    /// features), kept for failover re-provisioning.
-    pub(super) shard_payloads: Vec<Vec<u8>>,
+    /// Each shard's feature slice, encoded once: every worker — and every
+    /// later cold re-provision — is sent these same chunk buffers. A
+    /// shard's [`OP_PROVISION`] payload is encoded when it is sent.
+    pub(super) features: Vec<FeatureChunks>,
     /// Every membership decision is asked of this machine; the engine
     /// holds the lock for the question only, never across I/O.
     membership: Mutex<Membership>,
-    /// Terms carried by at least one feature (the manager-side keyword
-    /// probe — same semantics as the engines' build-once keyword index).
-    terms: TermPresence,
     counters: RemoteCounters,
     /// In-process worker servers under [`self_hosted`](Self::self_hosted);
     /// empty when workers are external. Held so they serve for the
@@ -272,22 +237,14 @@ impl RemoteEngine {
         // One shard per worker, cut exactly as the in-process engine cuts.
         let num_workers = addrs.len();
         let (layout, _) = Layout::new(executor, dataset, num_workers)?;
-        let features = encode_feature_chunks(layout.dataset.features(), FEATURES_CHUNK_BYTES);
-        let shard_payloads = layout
+        let features = layout
             .slices
             .iter()
-            .enumerate()
-            .map(|(s, slice)| {
-                encode_provision(
-                    s as u32,
-                    features.fingerprint,
-                    layout.exec.bounds(),
-                    slice.start as u32,
-                    &layout.dataset.data()[slice.clone()],
-                )
+            .map(|slice| {
+                let slice = &layout.dataset.features()[slice.clone()];
+                encode_feature_chunks(slice, FEATURES_CHUNK_BYTES)
             })
             .collect();
-        let terms = TermPresence::build(layout.dataset.features());
         let workers: Vec<Arc<WorkerSlot>> = addrs
             .iter()
             .map(|a| Arc::new(WorkerSlot::new(a.clone(), client_config)))
@@ -297,16 +254,14 @@ impl RemoteEngine {
             client_config,
             workers: Mutex::new(workers),
             features,
-            shard_payloads,
             membership: Mutex::new(Membership::new(config, num_workers, num_workers)),
-            terms,
             counters: RemoteCounters::default(),
             hosts,
         };
         // Initial placement: shard s primary on worker s, warm replicas
         // on the next replication_factor − 1 workers. Every worker is
         // provisioned at the same time, on a thread of its own: the
-        // feature set once, then the shards it hosts, in shard order.
+        // shards it hosts in shard order, each one's feature slice first.
         // Build is strict — a worker that cannot be provisioned fails the
         // build instead of starting life on the exclusion list.
         let replicas_per_shard = config.replication_factor.min(num_workers);
@@ -317,9 +272,13 @@ impl RemoteEngine {
             }
         }
         run_tasks(num_workers, num_workers, |w| {
-            engine
-                .ship_features(w)
-                .and_then(|()| hosted[w].iter().try_for_each(|&s| engine.install(s, w)))
+            hosted[w]
+                .iter()
+                .try_for_each(|&s| {
+                    engine
+                        .ship_features(s, w)
+                        .and_then(|()| engine.install(s, w))
+                })
                 .map_err(|e| match e {
                     AttemptError::Transport(message) => SpqError::WorkerLost { worker: w, message },
                     AttemptError::Fatal(e) => e,
@@ -341,7 +300,7 @@ impl RemoteEngine {
 
     /// Number of shards (fixed at build time).
     pub fn num_shards(&self) -> usize {
-        self.shard_payloads.len()
+        self.features.len()
     }
 
     /// The global store the gather resolves against.
@@ -398,16 +357,13 @@ impl RemoteEngine {
     /// keeps plus the membership and provisioning ones
     /// ([`excluded_workers`](MetricsSnapshot::excluded_workers) is a gauge
     /// read off the membership machine). Kernel work happens in the
-    /// workers' engines and stays zero here; so do the plan counters,
+    /// workers and stays zero here; so do the plan counters,
     /// which count what a `QueryEngine` plans — a traced request's job is
     /// planned by the executor on the manager, outside any engine.
     pub fn metrics(&self) -> MetricsSnapshot {
         let c = &self.counters;
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         MetricsSnapshot {
-            queries: load(&c.queries),
-            keyword_probes: load(&c.keyword_probes),
-            keyword_hits: load(&c.keyword_hits),
             remote_retries: load(&c.remote_retries),
             excluded_workers: self.membership.lock().unavailable_workers().len() as u64,
             warm_failovers: load(&c.warm_failovers),
@@ -417,7 +373,7 @@ impl RemoteEngine {
             rebalance_moves: load(&c.rebalance_moves),
             provisions_sent: load(&c.provisions_sent),
             feature_sets_sent: load(&c.feature_sets_sent),
-            ..MetricsSnapshot::default()
+            ..c.requests.snapshot()
         }
     }
 
@@ -485,32 +441,39 @@ impl RemoteEngine {
         }
     }
 
-    /// Ships the feature set to worker `w`, chunk by chunk. The worker's
-    /// connection is held for the whole sequence, so two shipments to one
-    /// worker cannot interleave their chunks.
-    fn ship_features(&self, w: usize) -> Result<(), AttemptError> {
+    /// Ships shard `shard`'s feature slice to worker `w`, chunk by chunk.
+    /// The worker's connection is held for the whole sequence, so two
+    /// shipments to one worker cannot interleave their chunks.
+    fn ship_features(&self, shard: usize, w: usize) -> Result<(), AttemptError> {
         bump(&self.counters.feature_sets_sent, 1);
         let slot = self.slot(w);
         let mut client = slot.client.lock();
-        for chunk in &self.features.chunks {
+        for chunk in &self.features[shard].chunks {
             Self::classify_reply(w, client.call(OP_FEATURES, chunk), OP_FEATURES_OK)?;
         }
         Ok(())
     }
 
     /// Installs shard `shard` on worker `w` and reports the warm copy to
-    /// the membership machine. A worker that does not hold the shard's
-    /// feature set says so; it is sent the set and asked once more — the
-    /// one path by which a survivor of a failover, a rebalance target and
-    /// a restarted or newly admitted process all come to hold it. Does
-    /// **not** move the primary pointer — callers decide that.
+    /// the membership machine. The payload — the shard's slice
+    /// fingerprint, the bounds and all of `O` — is encoded here, for this
+    /// call. A worker that does not hold the shard's feature slice says
+    /// so; it is sent the slice and asked once more — the one path by
+    /// which a survivor of a failover, a rebalance target and a restarted
+    /// or newly admitted process all come to hold it. Does **not** move
+    /// the primary pointer — callers decide that.
     fn install(&self, shard: usize, w: usize) -> Result<(), AttemptError> {
         bump(&self.counters.provisions_sent, 1);
-        let payload = &self.shard_payloads[shard];
+        let payload = &encode_provision(
+            shard as u32,
+            self.features[shard].fingerprint,
+            self.layout.exec.bounds(),
+            self.layout.dataset.data(),
+        );
         let mut reply = self.call_worker(w, OP_PROVISION, payload, OP_PROVISION_OK);
         if matches!(&reply, Err(AttemptError::Fatal(e)) if e.to_string().contains(UNKNOWN_FEATURE_SET))
         {
-            self.ship_features(w)?;
+            self.ship_features(shard, w)?;
             reply = self.call_worker(w, OP_PROVISION, payload, OP_PROVISION_OK);
         }
         reply?;
@@ -695,25 +658,17 @@ impl RemoteEngine {
 }
 
 impl QueryExecutor for RemoteEngine {
-    /// Probe the manager-side term set (features are broadcast, so one
-    /// set speaks for every shard), then `Layout::scatter_gather` with
-    /// every shard asked over TCP through the retry/failover loop.
+    /// Probe the term set over all of `F`, then `Layout::scatter_gather`
+    /// with every shard asked over TCP through the retry/failover loop.
     fn run_validated(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
-        let probed = query.keywords.len();
-        let matched = query
-            .keywords
-            .iter()
-            .filter(|&t| self.terms.contains(t))
-            .count();
-        bump(&self.counters.queries, 1);
-        bump(&self.counters.keyword_probes, probed as u64);
-        bump(&self.counters.keyword_hits, matched as u64);
+        let keywords = self.layout.probe(&query.keywords);
+        self.counters.requests.request(keywords);
         self.layout
-            .scatter_gather(query, options, (probed, matched), |shard| {
+            .scatter_gather(query, options, keywords, |shard| {
                 let payload = encode_shard_query(shard as u32, query);
                 self.query_shard(shard, &payload)
             })

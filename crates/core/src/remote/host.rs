@@ -1,14 +1,12 @@
-//! The worker side: a [`ShardHost`] assembles feature sets from chunk
-//! frames, installs shards over them and answers shard queries.
+//! The worker side: a [`ShardHost`] assembles feature slices from chunk
+//! frames into kernel state, installs shards over them and answers shard
+//! queries.
 
 use super::codec::{
     decode_features_chunk, decode_provision, decode_shard_query, encode_shard_status, FeaturesChunk,
 };
-use crate::engine::{KeywordIndex, QueryEngine};
-use crate::executor::SpqExecutor;
-use crate::model::FeatureObject;
-use crate::sharded::Shard;
-use crate::store::SharedDataset;
+use crate::kernel::{FeatureSide, FeatureSideBuilder};
+use crate::sharded::{index_by_id, DataSide, Shard};
 use parking_lot::Mutex;
 use spq_mapreduce::remote::{
     FrameHandler, OP_FEATURES, OP_FEATURES_OK, OP_PROVISION, OP_PROVISION_OK, OP_SHARD_QUERY,
@@ -17,20 +15,13 @@ use spq_mapreduce::remote::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One assembled feature set: the array and the keyword index every
-/// shard of the set hosted here shares.
-struct FeatureSet {
-    features: Arc<[FeatureObject]>,
-    index: Arc<KeywordIndex>,
-}
-
-/// A feature set whose chunks are still arriving.
+/// A feature slice whose chunks are still arriving.
 struct IncomingSet {
     fingerprint: u64,
     total: u32,
     /// Chunks appended so far (= the index of the chunk expected next).
     received: u32,
-    features: Vec<FeatureObject>,
+    features: FeatureSideBuilder,
 }
 
 #[derive(Default)]
@@ -40,17 +31,22 @@ struct HostState {
     // (enforced by spq-lint's determinism/unordered-iter).
     // Behind `Arc`s so a query evaluates its shard outside the lock.
     shards: BTreeMap<u32, Arc<Shard>>,
-    /// Assembled sets by fingerprint. The engines of `shards` hold clones
-    /// of a set's two `Arc`s, so a set whose index has no other holder
+    /// Assembled feature slices, as kernel state, by fingerprint. The
+    /// shards hold clones of these `Arc`s, so a slice with no other holder
     /// serves no shard (nor a query still running on a replaced one).
-    sets: BTreeMap<u64, FeatureSet>,
+    sets: BTreeMap<u64, Arc<FeatureSide>>,
+    /// Data sides by the content fingerprint of their provision's data
+    /// block: every shard installed with the same data shares one.
+    data: BTreeMap<u64, DataSide>,
     incoming: Option<IncomingSet>,
 }
 
 impl HostState {
-    /// Drops every set no hosted engine holds a clone of.
-    fn drop_unreferenced_sets(&mut self) {
-        self.sets.retain(|_, set| Arc::strong_count(&set.index) > 1);
+    /// Drops every feature slice and data side no hosted shard holds.
+    fn drop_unreferenced(&mut self) {
+        self.sets.retain(|_, set| Arc::strong_count(set) > 1);
+        self.data
+            .retain(|_, side| Arc::strong_count(&side.grid) > 1);
     }
 }
 
@@ -63,11 +59,12 @@ pub(super) const UNKNOWN_FEATURE_SET: &str = "unknown feature set";
 pub(super) const NOT_PROVISIONED: &str = "is not provisioned";
 
 /// The worker-side shard host: a [`FrameHandler`] answering
-/// [`OP_FEATURES`] (assemble a feature set from its chunk frames; on the
-/// last chunk build the one feature array and the one keyword index every
-/// shard of that set will share), [`OP_PROVISION`] (build a shard engine
-/// from a shipped data slice and the data-space bounds over an assembled
-/// set), [`OP_SHARD_QUERY`] (answer a query with a hosted shard's kernel
+/// [`OP_FEATURES`] (assemble a feature slice from its chunk frames; on
+/// the last chunk turn it into kernel state — its keyword index and
+/// feature locations — and drop the decoded features), [`OP_PROVISION`]
+/// (install a shard over an assembled slice and the shipped data objects,
+/// which every shard with the same data block shares as one grid and id
+/// map), [`OP_SHARD_QUERY`] (answer a query with a hosted shard's kernel
 /// and reply with its gather records) and [`OP_SHARD_STATUS`] (report
 /// which shards are hosted, so a re-admitting manager knows which copies
 /// are still warm). This is what
@@ -79,7 +76,7 @@ pub struct ShardHost {
 }
 
 impl ShardHost {
-    /// Creates an empty host; feature sets arrive via [`OP_FEATURES`]
+    /// Creates an empty host; feature slices arrive via [`OP_FEATURES`]
     /// frames, shards via [`OP_PROVISION`] frames.
     pub fn new() -> Self {
         Self::default()
@@ -89,24 +86,21 @@ impl ShardHost {
         let chunk =
             decode_features_chunk(payload).map_err(|e| format!("bad features payload: {e}"))?;
         if let Some(set) = self.append_chunk(chunk)? {
-            // Last chunk: build the shared array and index outside the
-            // lock, so shards already hosted keep answering meanwhile.
-            let features: Arc<[FeatureObject]> = set.features.into();
-            let index = Arc::new(KeywordIndex::build(&features));
+            // Last chunk: index the slice outside the lock, so shards
+            // already hosted keep answering meanwhile.
+            let side = Arc::new(set.features.build());
             let mut state = self.state.lock();
-            // At most one set waits for its first shard.
-            state.drop_unreferenced_sets();
-            state
-                .sets
-                .insert(set.fingerprint, FeatureSet { features, index });
+            // At most one slice waits for its first shard.
+            state.drop_unreferenced();
+            state.sets.insert(set.fingerprint, side);
         }
         Ok(Vec::new())
     }
 
-    /// Appends `chunk` to the set being assembled and returns the set
-    /// once its last chunk is in. Chunk 0 opens a set (abandoning one
+    /// Appends `chunk` to the slice being assembled and returns the slice
+    /// once its last chunk is in. Chunk 0 opens a slice (abandoning one
     /// left half-shipped); any other chunk must be the next of the open
-    /// set, or the assembly is abandoned with a typed error.
+    /// slice, or the assembly is abandoned with a typed error.
     fn append_chunk(&self, chunk: FeaturesChunk) -> Result<Option<IncomingSet>, String> {
         let mut state = self.state.lock();
         if chunk.index == 0 {
@@ -114,7 +108,7 @@ impl ShardHost {
                 fingerprint: chunk.fingerprint,
                 total: chunk.total,
                 received: 0,
-                features: Vec::new(),
+                features: FeatureSideBuilder::default(),
             });
         }
         let expected = state.incoming.as_mut().filter(|set| {
@@ -128,7 +122,10 @@ impl ShardHost {
                 chunk.index, chunk.total, chunk.fingerprint
             ));
         };
-        set.features.extend(chunk.features);
+        for feature in &chunk.features {
+            set.features
+                .push(feature.location, feature.keywords.terms());
+        }
         set.received += 1;
         Ok(if set.received == set.total {
             state.incoming.take()
@@ -139,26 +136,34 @@ impl ShardHost {
 
     fn provision(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
         let p = decode_provision(payload).map_err(|e| format!("bad provision payload: {e}"))?;
-        let (features, index) = {
+        let (features, data) = {
             let state = self.state.lock();
-            let set = state.sets.get(&p.fingerprint).ok_or_else(|| {
+            let features = state.sets.get(&p.fingerprint).cloned().ok_or_else(|| {
                 format!(
                     "{UNKNOWN_FEATURE_SET} {:#018x} for shard {}",
                     p.fingerprint, p.shard_id
                 )
             })?;
-            (Arc::clone(&set.features), Arc::clone(&set.index))
+            (features, state.data.get(&p.data_fingerprint).cloned())
         };
-        let dataset = SharedDataset::with_shared_features(p.data, features);
-        let engine = QueryEngine::with_shared_index(SpqExecutor::new(p.bounds), dataset, index);
-        let shard = Arc::new(Shard {
-            engine,
-            id_to_index: Arc::new(p.id_to_index),
-        });
+        // A data block this host has not seen is bucketed outside the
+        // lock.
+        let data = match data {
+            Some(data) => data,
+            None => {
+                let ids = p.data.iter().enumerate().map(|(i, o)| (o.id, i as u32));
+                let id_to_index = index_by_id(ids)
+                    .map_err(|id| format!("duplicate data object id {id} in provision"))?;
+                DataSide::new(p.bounds, &p.data, id_to_index)
+            }
+        };
         let mut state = self.state.lock();
+        let data = state.data.entry(p.data_fingerprint).or_insert(data);
+        let shard = Arc::new(Shard::new(features, data));
         state.shards.insert(p.shard_id, shard);
-        // A set goes when the last shard hosted over it was just replaced.
-        state.drop_unreferenced_sets();
+        // A slice or data side goes when the last shard hosted over it was
+        // just replaced.
+        state.drop_unreferenced();
         Ok(Vec::new())
     }
 
@@ -173,9 +178,11 @@ impl ShardHost {
     fn query(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
         let (shard_id, query) =
             decode_shard_query(payload).map_err(|e| format!("bad shard query payload: {e}"))?;
-        self.shard(shard_id)?
+        let (records, _) = self
+            .shard(shard_id)?
             .answer(&query)
-            .map_err(|e| format!("shard {shard_id} query failed: {e}"))
+            .map_err(|e| format!("shard {shard_id} query failed: {e}"))?;
+        Ok(records)
     }
 
     fn status(&self) -> Vec<u8> {
@@ -190,7 +197,7 @@ impl ShardHost {
         self.state.lock().shards.len()
     }
 
-    /// Number of assembled feature sets currently held (for tests and
+    /// Number of assembled feature slices currently held (for tests and
     /// diagnostics): one per distinct fingerprint among the hosted
     /// shards, plus at most one shipped ahead of its first shard.
     pub fn feature_sets(&self) -> usize {

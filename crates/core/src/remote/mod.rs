@@ -2,10 +2,11 @@
 //! behind TCP, with fault recovery and dynamic membership.
 //!
 //! [`crate::sharded`] proves the scatter/gather shape inside one process;
-//! this module moves each shard behind a socket. A [`RemoteEngine`] slices
-//! the data objects exactly like [`crate::sharded::ShardedEngine`] — same
-//! contiguous chunks, features broadcast to every shard — but instead of
-//! building shard engines in-process it **provisions** each shard onto
+//! this module moves each shard behind a socket. A [`RemoteEngine`] cuts
+//! the feature objects exactly like [`crate::sharded::ShardedEngine`] —
+//! same contiguous slices, every shard ranking every data object — but
+//! instead of building shard kernels in-process it **provisions** each
+//! shard onto
 //! [`MembershipConfig::replication_factor`] workers over the
 //! [`spq_mapreduce::remote`] frame protocol (see *Provisioning* below).
 //! Workers are either spawned
@@ -22,9 +23,10 @@
 //! shard is evaluated through, so the merged top-k is **byte-identical**
 //! to every other backend (`tests/backend_equivalence.rs` proptests it
 //! across worker counts). What comes off a socket is not trusted: a reply
-//! that is not a whole number of records, or a record naming a data index
-//! outside the answering shard's slice or carrying a negative or
-//! non-finite score, is a typed [`SpqError::Remote`], never resolved.
+//! that is not a whole number of records, holds more than `k` of them,
+//! names a data index past the store or one index twice, or carries a
+//! negative or non-finite score, is a typed [`SpqError::Remote`], never
+//! resolved.
 //!
 //! A worker holds kernel state only and answers with the kernel only:
 //! neither a job setting nor a trace flag reaches it, and its reply is the
@@ -40,31 +42,38 @@
 //!
 //! ## Provisioning
 //!
-//! The feature set crosses the wire **once per worker** and lives **once
-//! per worker process**, however many shards the worker hosts:
+//! Each shard's feature slice crosses the wire **once per install** and
+//! lives on a worker **as kernel state only**; all of `O` lives once per
+//! worker process, however many shards the worker hosts:
 //!
-//! * The manager encodes `F` once into bounded [`OP_FEATURES`] chunk
-//!   payloads (about 1 MiB of whole features each, so no frame grows with
-//!   the corpus) named by the set's *fingerprint* — the frame checksum's
-//!   word-at-a-time FNV-1a over the encoded features, a function of the
-//!   content alone. The same buffers serve every worker and every later
-//!   re-provision. No feature keyword id may reach 2²²: a worker sizes its
-//!   keyword index by the largest, so the build refuses such a dataset
-//!   and a worker refuses such a chunk.
-//! * A worker appends the chunks of a set, in order, into one feature
-//!   vector; on the last chunk it builds one `Arc<[FeatureObject]>` and
-//!   one `Arc<KeywordIndex>`. An [`OP_PROVISION`] then carries only the
-//!   shard id, the data-space bounds (all a kernel grid needs), the
-//!   shard's data slice and the fingerprint;
-//!   the shard engine is built over clones of those two `Arc`s. A set is
-//!   dropped when the last shard hosted over it is replaced.
-//! * An [`OP_PROVISION`] naming a set the worker does not hold is refused
-//!   with a typed "unknown feature set" error; the manager ships the set
-//!   and retries the install once. Cold failover, rebalancing and the
-//!   re-admission of a restarted (hence empty) process all take that one
-//!   path. Only the initial build ships ahead of asking — to every worker
-//!   at the same time, one thread per worker: the set, then the worker's
-//!   shards in shard order.
+//! * The manager encodes each shard's slice of `F` once into bounded
+//!   [`OP_FEATURES`] chunk payloads (about 1 MiB of whole features each,
+//!   so no frame grows with the corpus) named by the slice's
+//!   *fingerprint* — the frame checksum's word-at-a-time FNV-1a over the
+//!   encoded features, a function of the content alone. The same buffers
+//!   serve every worker and every later re-provision. No feature keyword
+//!   id may reach 2²²: a worker sizes its keyword index by the largest,
+//!   so the build refuses such a dataset and a worker refuses such a
+//!   chunk.
+//! * A worker packs the chunks of a slice, in order, into flat locations
+//!   and keyword lists, dropping each chunk's decoded features as it goes;
+//!   on the last chunk it builds the slice's `KeywordIndex` and keeps only
+//!   that index and the locations. An [`OP_PROVISION`] then carries the
+//!   shard id, the slice's fingerprint and a data block: the data-space
+//!   bounds (all a kernel grid needs) and every data object in store
+//!   order, so a record's position is the global index gather records
+//!   name. It is encoded when it is sent, never kept. The worker keys the
+//!   data block by content: the first install builds one grid and one id
+//!   map over `O`, and every later shard with the same block shares them.
+//!   A slice or data side is dropped when the last shard holding it is
+//!   replaced.
+//! * An [`OP_PROVISION`] naming a slice the worker does not hold is
+//!   refused with a typed "unknown feature set" error; the manager ships
+//!   the slice and retries the install once. Cold failover, rebalancing
+//!   and the re-admission of a restarted (hence empty) process all take
+//!   that one path. Only the initial build ships ahead of asking — to
+//!   every worker at the same time, one thread per worker: for each shard
+//!   the worker hosts, in shard order, its slice and then its install.
 //!
 //! ## Membership
 //!
@@ -94,8 +103,8 @@
 //!   exponential backoff, which rides out a blip; a second failure
 //!   excludes it and the shard **fails over**. With a warm replica alive
 //!   the failover is a placement-pointer flip (no data crosses the wire);
-//!   otherwise the shard's kept data slice is re-installed on a survivor
-//!   (a *cold* re-provision; the survivor is sent the feature set first
+//!   otherwise the shard is re-installed on a survivor (a *cold*
+//!   re-provision; the survivor is sent the shard's feature slice first
 //!   only if it does not already hold it). Both are visible per query in
 //!   [`QueryStats::warm_failovers`] / [`QueryStats::cold_reprovisions`].
 //! * **Ticks** drive the way back: every [`RemoteEngine::tick`] probes
@@ -392,27 +401,33 @@ mod tests {
         )
     }
 
+    /// Each shard's feature slice crosses the wire once per install, and
+    /// the slices together are `F` once: a worker hosting every shard is
+    /// sent exactly the bytes of the whole set, however it is cut.
     #[test]
-    fn build_ships_the_feature_set_once_per_worker() {
+    fn build_ships_each_feature_slice_once_per_install() {
         let dataset = feature_heavy_dataset();
         let remote = RemoteEngine::self_hosted(executor(), dataset.clone(), 2).unwrap();
         assert_eq!(remote.metrics().provisions_sent, 4); // 2 shards × replication 2
-        assert_eq!(remote.metrics().feature_sets_sent, 2);
-        // What one payload per install — features and data slice together,
-        // the scheme this replaced — would have put on the wire.
-        let features: usize = remote
-            .features
-            .chunks
-            .iter()
-            .map(|chunk| chunk.len() - CHUNK_HEADER_BYTES)
-            .sum();
-        let slices: usize = remote.shard_payloads.iter().map(Vec::len).sum();
-        let per_install = 2 * (2 * features + slices);
+        assert_eq!(remote.metrics().feature_sets_sent, 4);
+        let body = |set: &FeatureChunks| -> usize {
+            set.chunks
+                .iter()
+                .map(|chunk| chunk.len() - CHUNK_HEADER_BYTES)
+                .sum()
+        };
+        let slices: usize = remote.features.iter().map(body).sum();
+        let whole = encode_feature_chunks(dataset.features(), usize::MAX);
+        assert_eq!(slices, body(&whole));
+        // Both workers hold both shards: every slice twice, and one
+        // provision of all of O per install.
+        let provision =
+            encode_provision(0, whole.fingerprint, executor().bounds(), dataset.data()).len();
         let sent = remote.traffic_bytes() as usize;
-        assert!(sent >= 2 * features + 2 * slices);
+        assert!(sent >= 2 * slices + 4 * provision);
         assert!(
-            sent * 100 <= per_install * 55,
-            "build sent {sent} B, one payload per install would send {per_install} B"
+            sent * 100 <= (2 * slices + 4 * provision) * 102,
+            "build sent {sent} B for {slices} B of slices and {provision} B provisions"
         );
         // And what was provisioned answers like the single-store engine.
         let engine = QueryEngine::new(executor(), dataset);
@@ -431,44 +446,59 @@ mod tests {
         }
     }
 
+    /// The shards a host installs with one data block share one grid and
+    /// id map, each over its own feature slice; a slice or data side goes
+    /// when the last shard holding it is replaced.
     #[test]
-    fn hosted_shards_share_one_feature_array_and_one_index() {
+    fn hosted_shards_share_one_data_side() {
         let dataset = paper_dataset();
+        let (data, features) = (dataset.data(), dataset.features());
         let host = ShardHost::new();
-        let set = encode_feature_chunks(dataset.features(), 64);
-        assert!(set.chunks.len() > 1);
-        accept_all(&host, OP_FEATURES, &set.chunks);
-        let data = dataset.data();
-        let provisions = |fingerprint| {
-            vec![
-                encode_provision(0, fingerprint, executor().bounds(), 0, &data[..2]),
-                encode_provision(1, fingerprint, executor().bounds(), 2, &data[2..]),
-            ]
+        let slices = [
+            encode_feature_chunks(&features[..4], 64),
+            encode_feature_chunks(&features[4..], 64),
+        ];
+        assert!(slices[0].chunks.len() > 1);
+        let bounds = executor().bounds();
+        let install = |shard: u32, slice: &FeatureChunks, data: &[DataObject]| {
+            let payload = encode_provision(shard, slice.fingerprint, bounds, data);
+            accept_all(&host, OP_PROVISION, &[payload]);
         };
-        accept_all(&host, OP_PROVISION, &provisions(set.fingerprint));
-        assert_eq!((host.hosted_shards(), host.feature_sets()), (2, 1));
-        let first_set = {
+        for (s, slice) in slices.iter().enumerate() {
+            accept_all(&host, OP_FEATURES, &slice.chunks);
+            install(s as u32, slice, data);
+        }
+        assert_eq!((host.hosted_shards(), host.feature_sets()), (2, 2));
+        let (first_slice, first_data) = {
             let (a, b) = (host.shard(0).unwrap(), host.shard(1).unwrap());
-            let (a, b) = (&a.engine, &b.engine);
-            let features = a.dataset().features_arc();
-            assert!(Arc::ptr_eq(&features, &b.dataset().features_arc()));
-            assert!(std::ptr::eq(a.keyword_index(), b.keyword_index()));
-            assert_eq!(&features[..], dataset.features());
-            Arc::downgrade(&features)
+            assert!(Arc::ptr_eq(&a.kernel.grid, &b.kernel.grid));
+            assert!(Arc::ptr_eq(&a.id_to_index, &b.id_to_index));
+            assert_eq!(a.kernel.grid.len(), data.len());
+            assert_eq!(a.kernel.features.locations.len(), 4);
+            assert!(!Arc::ptr_eq(&a.kernel.features, &b.kernel.features));
+            (
+                Arc::downgrade(&a.kernel.features),
+                Arc::downgrade(&a.kernel.grid),
+            )
         };
 
-        // Replacing one shard with one over a different set keeps the
-        // first set alive for the other; replacing both frees it.
-        let other = encode_feature_chunks(&dataset.features()[..5], usize::MAX);
-        assert_ne!(other.fingerprint, set.fingerprint);
-        accept_all(&host, OP_FEATURES, &other.chunks);
-        let replacements = provisions(other.fingerprint);
-        accept_all(&host, OP_PROVISION, &replacements[..1]);
-        assert_eq!(host.feature_sets(), 2);
-        assert!(first_set.upgrade().is_some());
-        accept_all(&host, OP_PROVISION, &replacements[1..]);
-        assert_eq!((host.hosted_shards(), host.feature_sets()), (2, 1));
-        assert!(first_set.upgrade().is_none());
+        // Shard 0 re-installed over shard 1's slice: the first slice has
+        // no holder left and goes; the data side stays.
+        install(0, &slices[1], data);
+        assert_eq!(host.feature_sets(), 1);
+        assert!(first_slice.upgrade().is_none());
+        assert!(first_data.upgrade().is_some());
+        // Other data: a second side while shard 1 still holds the first;
+        // the first goes with shard 1's re-install, which shares shard 0's
+        // new side.
+        install(0, &slices[1], &data[..3]);
+        assert!(first_data.upgrade().is_some());
+        install(1, &slices[1], &data[..3]);
+        assert!(first_data.upgrade().is_none());
+        let (a, b) = (host.shard(0).unwrap(), host.shard(1).unwrap());
+        assert!(Arc::ptr_eq(&a.kernel.grid, &b.kernel.grid));
+        assert_eq!(b.kernel.grid.len(), 3);
+        assert_eq!(host.feature_sets(), 1);
     }
 
     /// A query holds a clone of its shard while it evaluates, not the
@@ -481,27 +511,31 @@ mod tests {
         let host = ShardHost::new();
         let set = encode_feature_chunks(dataset.features(), usize::MAX);
         accept_all(&host, OP_FEATURES, &set.chunks);
-        let install = |first: u32, slice| {
-            let payload = encode_provision(0, set.fingerprint, executor().bounds(), first, slice);
+        let install = |slice| {
+            let payload = encode_provision(0, set.fingerprint, executor().bounds(), slice);
             accept_all(&host, OP_PROVISION, &[payload]);
         };
-        install(0, &data[..2]);
+        install(&data[..2]);
         // What `query` holds from decode to reply.
         let in_flight = host.shard(0).unwrap();
         assert!(host.handle(OP_SHARD_STATUS, &[]).unwrap().is_some());
         accept_all(&host, OP_FEATURES, &set.chunks);
-        install(2, &data[2..]);
+        install(&data[2..]);
         let req = request(5, 2.5, &[0, 4, 11]);
-        let answered = |shard: &crate::sharded::Shard| -> Vec<u64> {
-            let records = shard.answer(&req.query).unwrap();
-            let results = crate::sharded::wire::decode_results(&records, data);
+        // Records name positions in the data the shard was installed with.
+        let answered = |shard: &crate::sharded::Shard, slice: &[DataObject]| -> Vec<u64> {
+            let (records, _) = shard.answer(&req.query).unwrap();
+            let results = crate::sharded::wire::decode_results(&records, slice);
             results.iter().map(|r| r.object).collect()
         };
         let own = |slice: &[DataObject], ids: Vec<u64>| {
             !ids.is_empty() && ids.iter().all(|id| slice.iter().any(|o| o.id == *id))
         };
-        assert!(own(&data[..2], answered(&in_flight)));
-        assert!(own(&data[2..], answered(&host.shard(0).unwrap())));
+        assert!(own(&data[..2], answered(&in_flight, &data[..2])));
+        assert!(own(
+            &data[2..],
+            answered(&host.shard(0).unwrap(), &data[2..])
+        ));
     }
 
     /// A feature set too large for one frame's budget crosses a real
@@ -523,8 +557,7 @@ mod tests {
         for chunk in &set.chunks {
             assert_eq!(client.call(OP_FEATURES, chunk).unwrap().0, OP_FEATURES_OK);
         }
-        let provision =
-            encode_provision(0, set.fingerprint, executor().bounds(), 0, dataset.data());
+        let provision = encode_provision(0, set.fingerprint, executor().bounds(), dataset.data());
         assert_eq!(
             client.call(OP_PROVISION, &provision).unwrap().0,
             OP_PROVISION_OK
@@ -701,11 +734,12 @@ mod tests {
         }
     }
 
-    /// A reply that is not a whole number of records, or a record naming
-    /// a data index the answering shard does not own — past the end of the
-    /// store, or inside it but in another shard's slice — or carrying a
-    /// score no similarity takes, is a typed worker error: no panic, no
-    /// retry, and the engine goes on serving.
+    /// A reply no kernel writes is a typed worker error — no panic, no
+    /// retry, and the engine goes on serving: not a whole number of
+    /// records, more than k of them, a data index past the end of the
+    /// store or named twice, or a score no similarity takes. Every shard
+    /// ranks every data object, so any index inside the store is one a
+    /// shard may name.
     #[test]
     fn lying_shard_result_is_a_typed_error_not_a_panic() {
         let engine = QueryEngine::new(executor(), paper_dataset());
@@ -715,12 +749,15 @@ mod tests {
             record.extend(score.to_bits().to_le_bytes());
             record
         };
-        // Two shards over five objects: shard 0 owns indexes 0..2.
+        let records =
+            |indexes: &[u32]| -> Vec<u8> { indexes.iter().flat_map(|&i| record(i, 0.5)).collect() };
         let mut torn = record(0, 1.0);
         torn.push(0);
         for (reply, says) in [
-            (record(u32::MAX, 1.0), "outside its slice"),
-            (record(4, 1.0), "outside its slice"),
+            (record(u32::MAX, 1.0), "past the store's 5 objects"),
+            (record(5, 1.0), "past the store's 5 objects"),
+            (records(&[0, 1, 2, 3, 4]), "5 records for k = 4"),
+            (records(&[3, 1, 3]), "data index 3 twice"),
             (record(1, f64::NAN), "score NaN"),
             (record(1, -0.5), "score -0.5"),
             (torn, "not a whole number of records"),

@@ -77,10 +77,11 @@ pub enum Backend {
     /// with its direct kernel; a traced request also runs the query's job
     /// on the in-process [`spq_mapreduce::LocalPool`].
     Local,
-    /// A [`ShardedEngine`]: the data
-    /// objects are sliced into `shards` per-shard stores (features are
-    /// broadcast by `Arc`), each shard runs its own build-once engine,
-    /// and queries scatter/gather with a top-k merge.
+    /// A [`ShardedEngine`]: the feature objects are cut into `shards`
+    /// contiguous slices, each shard holds its slice's kernel state and
+    /// ranks every data object over one shared grid, and queries
+    /// scatter/gather with each object's best partial score kept before
+    /// the top-k merge.
     Sharded {
         /// Number of shards (≥ 1).
         shards: usize,

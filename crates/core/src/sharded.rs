@@ -1,24 +1,27 @@
-//! Shard-per-node serving: scatter a query to per-shard engines, gather
-//! serialized top-k records, merge.
+//! Shard-per-node serving: scatter a query to per-shard kernels, gather
+//! serialized top-k records, combine, merge.
 //!
-//! The paper's cells are independent work units *within* one job; this
-//! module lifts the same idea one level up, to the shape a cluster
-//! deployment would take (cf. Tornado's separation of query routing from
-//! placement, PAPERS.md): the data objects are sliced into `N` per-shard
-//! [`SharedDataset`]s at build time — features are **broadcast** to every
-//! shard by cloning the `Arc`, never the array — and each shard runs its
-//! own build-once [`QueryEngine`] (the data grid over the shard's slice is
-//! local to the shard; the keyword index, a function of the broadcast
-//! features alone, is built once and shared by all of them).
+//! The paper's first contribution is re-partitioning the input so that
+//! each server does part of the work; this module applies it one level
+//! up, to the shape a cluster deployment would take (cf. Tornado's
+//! separation of query routing from placement, PAPERS.md): the **feature
+//! objects** are cut into `N` contiguous store-order slices at build time
+//! (the block rule of [`SharedDataset::ref_splits`]), and each shard holds
+//! only the kernel state of its slice — the slice's keyword index and
+//! feature locations — beside one data side shared by every shard of the
+//! process: all of `O` on the kernel's grid and the id → store-index map
+//! its gather records are written with. A shard holds no feature object,
+//! executor or engine.
 //!
 //! A query then runs the one scatter/gather of the distribution layer
 //! (`Layout::scatter_gather` — [`crate::remote`] runs the same function
 //! with each shard asked over a socket instead of by a call):
 //!
-//! 1. **probes** the keyword index once — if no feature carries any query
-//!    keyword, no object can score and the query touches zero shards;
-//! 2. **scatters** to every relevant shard (shards holding data), each
-//!    evaluating the query against its slice at worker budget 1
+//! 1. **probes** one term set over all of `F` — if no feature carries any
+//!    query keyword, no object can score and the query touches zero
+//!    shards;
+//! 2. **scatters** to every shard whose slice is non-empty, each ranking
+//!    every data object against its own slice with the kernel
 //!    (`Shard::answer`, the step a remote worker runs too) —
 //!    inter-shard concurrency is the parallelism, exactly the
 //!    shard-per-node serving shape;
@@ -26,15 +29,29 @@
 //!    [`wire::RECORD_BYTES`]-byte `(data index, score bits)` pairs, the
 //!    cross-shard counterpart of the 8–16-byte handles that cross the
 //!    in-process shuffle — and re-resolves them against the global store;
-//! 4. **merges** with the same [`merge_top_k`] the single-store engine
-//!    uses.
+//! 4. **combines** the records naming one object into its best partial
+//!    score and **merges** with the same [`merge_top_k`] the single-store
+//!    engine uses.
 //!
-//! Because data objects are never duplicated across shards (the paper's
-//! Section 4.2 invariant, applied at shard granularity) and every shard
-//! sees the complete feature set, each shard's `τ` values are exact and
-//! the gathered merge is **byte-identical** to the single-store engine —
-//! results, scores and order (`tests/backend_equivalence.rs` proptests
-//! this across shard counts, algorithms and partitionings).
+//! ## Why the combined merge is the canonical top-k
+//!
+//! An object's score `τ(p)` is a *max* over the features within `r`, so
+//! over a partition of `F` it is the max of its per-slice partial scores,
+//! and no partial score exceeds it. Take an object `p` of the global
+//! top-k and the shard holding the feature that attains `τ(p)`: there `p`
+//! scores exactly `τ(p)`, and every object ranked above it in that shard's
+//! canonical order (score desc, id asc) ranks above it globally too,
+//! since a partial score is a lower bound of the true one. Fewer than `k`
+//! objects rank above `p` globally, so `p` is in that shard's top-k, with
+//! its exact score. After the combine every global top-k object carries
+//! `τ(p)`, and every other object a lower bound of a score that ranks
+//! below all of them — the `k` best combined entries are exactly the
+//! canonical top-k, for every radius, with no halo or radius bound. The
+//! merge is **byte-identical** to the single-store engine — results,
+//! scores and order (`tests/backend_equivalence.rs` proptests this across
+//! shard counts, algorithms and partitionings). Keeping an object's
+//! *first* partial score instead of its best would not be:
+//! `prop_best_feature_in_another_slice` fails on it.
 //!
 //! A shard answers with the kernel only, traced request or not. A trace is
 //! the paper's job for the query, and the job is cut by grid cell, not by
@@ -43,16 +60,19 @@
 //! beside the unchanged scatter. Its [`JobStats`] are the trace's one
 //! entry, exactly as on the local backend.
 
-use crate::engine::{KeywordIndex, MetricsSnapshot, QueryEngine};
+use crate::engine::{feature_side, EngineMetrics, MetricsSnapshot};
 use crate::executor::{SpqError, SpqExecutor};
+use crate::kernel::{self, FeatureSide, KernelState, KernelWork};
 use crate::merge::merge_top_k;
-use crate::model::{DataObject, ObjectId, RankedObject};
+use crate::model::{DataObject, FeatureObject, ObjectId, RankedObject};
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
-use crate::store::SharedDataset;
+use crate::store::{block, SharedDataset};
 use spq_mapreduce::pool::run_tasks;
 #[cfg(doc)]
 use spq_mapreduce::JobStats;
+use spq_spatial::{GridIndex, Rect};
+use spq_text::{KeywordSet, Term};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,6 +152,33 @@ pub mod wire {
         out
     }
 
+    /// What is wrong with a shard's reply, if anything: more than `k`
+    /// records, an index past the store's `objects`, one index twice, or a
+    /// score no similarity takes (negative or not finite). The reply is a
+    /// whole number of records.
+    pub(crate) fn lie(records: &[u8], objects: usize, k: usize) -> Option<String> {
+        let count = records.len() / RECORD_BYTES;
+        if count > k {
+            return Some(format!("{count} records for k = {k}"));
+        }
+        let mut indexes = Vec::with_capacity(count);
+        for record in records.chunks_exact(RECORD_BYTES) {
+            let (index, score) = (record_index(record), record_score(record));
+            if index >= objects {
+                return Some(format!(
+                    "data index {index}, past the store's {objects} objects"
+                ));
+            }
+            if !(score.is_finite() && score >= 0.0) {
+                return Some(format!("score {score} for data index {index}"));
+            }
+            indexes.push(index);
+        }
+        indexes.sort_unstable();
+        let twice = indexes.windows(2).find(|pair| pair[0] == pair[1]);
+        twice.map(|pair| format!("data index {} twice", pair[0]))
+    }
+
     /// Deserializes wire records, resolving each index against the global
     /// data store.
     ///
@@ -141,8 +188,9 @@ pub mod wire {
     /// [`RECORD_BYTES`], index out of range, a negative or non-finite
     /// score) — a bug canary, not an I/O error path: the in-process
     /// transport cannot truncate, and records that came off a socket are
-    /// checked (whole records, every index inside the answering shard's
-    /// slice, every score finite and ≥ 0) before they get here.
+    /// checked (whole records, at most `k` of them, every index inside the
+    /// store and named once, every score finite and ≥ 0) before they get
+    /// here.
     pub fn decode_results(bytes: &[u8], data: &[DataObject]) -> Vec<RankedObject> {
         assert!(
             bytes.len().is_multiple_of(RECORD_BYTES),
@@ -177,28 +225,95 @@ pub(crate) fn index_by_id(
     Ok(id_to_index)
 }
 
+/// All of `O` as the shards of one process read it: bucketed on the
+/// kernel's grid, and the id → global-store-index map their gather
+/// records are written with. Built once per process and shared by every
+/// shard in it.
+#[derive(Debug, Clone)]
+pub(crate) struct DataSide {
+    pub grid: Arc<GridIndex<ObjectId>>,
+    pub id_to_index: Arc<HashMap<ObjectId, u32>>,
+}
+
+impl DataSide {
+    /// Buckets `data` on the kernel grid over `bounds`; `id_to_index`
+    /// maps each of `data`'s ids to its position.
+    pub(crate) fn new(
+        bounds: Rect,
+        data: &[DataObject],
+        id_to_index: HashMap<ObjectId, u32>,
+    ) -> Self {
+        let items = data.iter().map(|o| (o.location, o.id));
+        Self {
+            grid: Arc::new(GridIndex::build(bounds, items)),
+            id_to_index: Arc::new(id_to_index),
+        }
+    }
+}
+
 /// One shard, wherever it lives — inside a [`ShardedEngine`] or behind a
-/// worker's socket ([`crate::remote::ShardHost`]): a build-once engine
-/// over the shard's data slice, plus the id → global-store-index map its
-/// gather records are written with.
+/// worker's socket ([`crate::remote::ShardHost`]): the kernel state of its
+/// feature slice over the process's data side, plus the id →
+/// global-store-index map its gather records are written with.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    pub engine: QueryEngine,
+    pub kernel: KernelState,
     pub id_to_index: Arc<HashMap<ObjectId, u32>>,
 }
 
 impl Shard {
+    /// A shard over `features`, ranking `data`'s objects.
+    pub(crate) fn new(features: Arc<FeatureSide>, data: &DataSide) -> Self {
+        Self {
+            kernel: KernelState {
+                features,
+                grid: Arc::clone(&data.grid),
+            },
+            id_to_index: Arc::clone(&data.id_to_index),
+        }
+    }
+
     /// Answers `query` with the kernel over the shard's slice and
     /// serializes the local top-k as [`wire`] records.
     ///
     /// # Errors
     ///
     /// [`SpqError::InvalidConfig`] when a result is not in the shard's id
-    /// map — a shard built over a slice its map does not cover.
-    pub(crate) fn answer(&self, query: &SpqQuery) -> Result<Vec<u8>, SpqError> {
-        let top_k = self.engine.run(query);
-        wire::try_encode_results(&top_k, &self.id_to_index)
-            .map_err(|e| SpqError::invalid_config(format!("shard gather: {e}")))
+    /// map — a shard built over a grid its map does not cover.
+    pub(crate) fn answer(&self, query: &SpqQuery) -> Result<(Vec<u8>, KernelWork), SpqError> {
+        let answer = kernel::top_k(&self.kernel, query);
+        let records = wire::try_encode_results(&answer.top_k, &self.id_to_index)
+            .map_err(|e| SpqError::invalid_config(format!("shard gather: {e}")))?;
+        Ok((records, answer.work))
+    }
+}
+
+/// The terms carried by at least one feature, one bit per term id — the
+/// scatter/gather backends' keyword probe, the same answer as
+/// `KeywordIndex::term_frequency(t) > 0` over all of `F` without building
+/// postings.
+#[derive(Debug)]
+struct TermPresence(Vec<u64>);
+
+impl TermPresence {
+    /// Sets the bit of every feature keyword, in one pass.
+    fn build(features: &[FeatureObject]) -> Self {
+        let mut words = Vec::new();
+        for t in features.iter().flat_map(|f| f.keywords.iter()) {
+            let word = t.index() / 64;
+            if word >= words.len() {
+                words.resize(word + 1, 0u64);
+            }
+            words[word] |= 1 << (t.index() % 64);
+        }
+        Self(words)
+    }
+
+    /// Whether some feature carries `t` (false past the highest term id).
+    fn contains(&self, t: Term) -> bool {
+        self.0
+            .get(t.index() / 64)
+            .is_some_and(|word| word >> (t.index() % 64) & 1 == 1)
     }
 }
 
@@ -212,19 +327,21 @@ pub(crate) struct Recovery {
 }
 
 /// What both scatter/gather engines know about how the store is cut: the
-/// global store the gather resolves against, the executor every shard was
-/// built with, and each shard's contiguous `[start, end)` data slice.
+/// global store the gather resolves against, the executor whose bounds
+/// every shard's grid covers, each shard's contiguous `[start, end)`
+/// slice of the features, and the probe over all of them.
 #[derive(Debug)]
 pub(crate) struct Layout {
     pub dataset: SharedDataset,
     pub exec: SpqExecutor,
     pub slices: Vec<Range<usize>>,
+    terms: TermPresence,
 }
 
 impl Layout {
-    /// Cuts `dataset`'s data objects into `num_shards` contiguous slices
-    /// (features are broadcast, never sliced). Also returns the id →
-    /// store-index map the uniqueness check builds.
+    /// Cuts `dataset`'s features into `num_shards` contiguous slices (every
+    /// shard ranks every data object). Also returns the id → store-index
+    /// map the uniqueness check builds.
     ///
     /// # Errors
     ///
@@ -240,32 +357,44 @@ impl Layout {
                 "a scatter/gather backend needs at least one shard",
             ));
         }
-        let data = dataset.data();
-        let ids = data.iter().enumerate().map(|(i, o)| (o.id, i as u32));
+        let ids = dataset
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (o.id, i as u32));
         let id_to_index = index_by_id(ids).map_err(|id| {
             SpqError::invalid_config(format!(
                 "duplicate data object id {id} — gather records resolve by id"
             ))
         })?;
-        let slices = (0..num_shards)
-            .map(|s| s * data.len() / num_shards..(s + 1) * data.len() / num_shards)
-            .collect();
+        let features = dataset.features();
         let layout = Self {
+            slices: (0..num_shards)
+                .map(|s| block(s, features.len(), num_shards))
+                .collect(),
+            terms: TermPresence::build(features),
             dataset,
             exec,
-            slices,
         };
         Ok((layout, id_to_index))
     }
 
+    /// The keyword probe, `(terms probed, terms matched)` over all of `F`:
+    /// `matched == 0` proves the query cannot score any object.
+    pub(crate) fn probe(&self, keywords: &KeywordSet) -> (usize, usize) {
+        let matched = keywords.iter().filter(|&t| self.terms.contains(t)).count();
+        (keywords.len(), matched)
+    }
+
     /// The one scatter/gather lifecycle (see the [module docs](self)).
-    /// `keywords` is the caller's `(probed, matched)` keyword probe: with
-    /// no match no object can score, and no shard is asked. Otherwise
-    /// `ask` is called once per shard holding data, on up to
+    /// `keywords` is the caller's [`probe`](Self::probe): with no match no
+    /// object can score, and no shard is asked. Otherwise `ask` is called
+    /// once per shard with a non-empty feature slice, on up to
     /// [`QueryOptions::workers`] threads (results are width-invariant),
-    /// and returns the shard's [`wire`] records; each reply is checked
-    /// against the answering shard's slice, resolved against the global
-    /// store and merged. A traced request also runs the query's one job.
+    /// and returns the shard's [`wire`] records; each reply is checked,
+    /// resolved against the global store, combined by each object's best
+    /// partial score and merged. A traced request also runs the query's
+    /// one job.
     pub(crate) fn scatter_gather(
         &self,
         query: &SpqQuery,
@@ -289,7 +418,8 @@ impl Layout {
             warm_failovers: 0,
             cold_reprovisions: 0,
         };
-        let mut flat = Vec::new();
+        let data = self.dataset.data();
+        let mut partials = Vec::new();
         if !relevant.is_empty() {
             let width = options
                 .workers
@@ -302,21 +432,9 @@ impl Layout {
             })?;
             for (&s, outcome) in relevant.iter().zip(outcomes) {
                 let (records, recovery) = outcome?;
-                // The records may have come off a socket: an index outside
-                // the answering shard's slice, or a score no similarity
-                // yields, is a lie, never resolved.
-                let slice = &self.slices[s];
-                let lie = records.chunks_exact(wire::RECORD_BYTES).find_map(|record| {
-                    let (index, score) = (wire::record_index(record), wire::record_score(record));
-                    if !slice.contains(&index) {
-                        Some(format!("data index {index}, outside its slice {slice:?}"))
-                    } else if !(score.is_finite() && score >= 0.0) {
-                        Some(format!("score {score} for data index {index}"))
-                    } else {
-                        None
-                    }
-                });
-                if let Some(lie) = lie {
+                // The records may have come off a socket: a reply no
+                // kernel writes is a lie, never resolved.
+                if let Some(lie) = wire::lie(&records, data.len(), query.k) {
                     return Err(SpqError::remote(format!("shard {s} answered with {lie}")));
                 }
                 stats.shuffle_records += (records.len() / wire::RECORD_BYTES) as u64;
@@ -324,14 +442,14 @@ impl Layout {
                 stats.retries += recovery.retries;
                 stats.warm_failovers += recovery.warm_failovers;
                 stats.cold_reprovisions += recovery.cold_reprovisions;
-                flat.extend(wire::decode_results(&records, self.dataset.data()));
+                partials.extend(wire::decode_results(&records, data));
             }
         }
         let trace = self
             .exec
             .trace_job(&self.dataset, query, options)?
             .map(|job| vec![job.stats]);
-        let results = merge_top_k(flat, query.k);
+        let results = merge_top_k(best_partials(partials), query.k);
         stats.wall_micros = started.elapsed().as_micros() as u64;
         Ok(QueryResponse {
             results,
@@ -339,6 +457,15 @@ impl Layout {
             trace,
         })
     }
+}
+
+/// Keeps, of the gathered records naming one object, the one with the
+/// highest score: its best partial score over the slices, which is its
+/// exact score if it belongs in the top-k (see the [module docs](self)).
+fn best_partials(mut partials: Vec<RankedObject>) -> Vec<RankedObject> {
+    partials.sort_unstable_by(|a, b| a.object.cmp(&b.object).then(b.score.cmp(&a.score)));
+    partials.dedup_by_key(|r| r.object);
+    partials
 }
 
 /// Cumulative per-shard traffic counters.
@@ -355,10 +482,10 @@ struct ShardCounters {
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// Data objects this shard owns.
+    /// Data objects this shard ranks: all of `O`, on every shard.
     pub data_objects: usize,
-    /// Feature objects visible to the shard (the broadcast set — equal
-    /// across shards).
+    /// Feature objects in this shard's slice of `F` (the slices are
+    /// disjoint and cover `F`).
     pub feature_objects: usize,
     /// Queries this shard has served.
     pub queries: u64,
@@ -380,11 +507,13 @@ pub struct ShardStats {
 pub struct ShardedEngine {
     layout: Layout,
     shards: Vec<(Shard, ShardCounters)>,
+    metrics: EngineMetrics,
 }
 
 impl ShardedEngine {
-    /// Slices `dataset` into `num_shards` contiguous data chunks (features
-    /// broadcast by `Arc`) and builds one engine per shard.
+    /// Cuts `dataset`'s features into `num_shards` contiguous slices and
+    /// builds each shard's kernel state over its slice, every shard
+    /// sharing one grid over all data objects.
     ///
     /// # Errors
     ///
@@ -398,30 +527,21 @@ impl ShardedEngine {
         num_shards: usize,
     ) -> Result<Self, SpqError> {
         let (layout, id_to_index) = Layout::new(executor, dataset, num_shards)?;
-        let id_to_index = Arc::new(id_to_index);
-        // Features are broadcast, so one index speaks for every shard.
-        let keyword_index = Arc::new(KeywordIndex::build(layout.dataset.features()));
+        let data = DataSide::new(layout.exec.bounds(), layout.dataset.data(), id_to_index);
+        let features = layout.dataset.features();
         let shards = layout
             .slices
             .iter()
             .map(|slice| {
-                let data = SharedDataset::with_shared_features(
-                    layout.dataset.data()[slice.clone()].to_vec(),
-                    layout.dataset.features_arc(),
-                );
-                let engine = QueryEngine::with_shared_index(
-                    layout.exec.clone(),
-                    data,
-                    Arc::clone(&keyword_index),
-                );
-                let shard = Shard {
-                    engine,
-                    id_to_index: Arc::clone(&id_to_index),
-                };
-                (shard, ShardCounters::default())
+                let side = Arc::new(feature_side(&features[slice.clone()]));
+                (Shard::new(side, &data), ShardCounters::default())
             })
             .collect();
-        Ok(Self { layout, shards })
+        Ok(Self {
+            layout,
+            shards,
+            metrics: EngineMetrics::default(),
+        })
     }
 
     /// Number of shards.
@@ -434,7 +554,8 @@ impl ShardedEngine {
         &self.layout.dataset
     }
 
-    /// The executor configuration every shard engine was built from.
+    /// The executor configuration a traced request's job runs with (the
+    /// shards' grids cover its bounds).
     pub fn executor(&self) -> &SpqExecutor {
         &self.layout.exec
     }
@@ -443,11 +564,12 @@ impl ShardedEngine {
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
+            .zip(&self.layout.slices)
             .enumerate()
-            .map(|(i, (shard, counters))| ShardStats {
+            .map(|(i, ((_, counters), slice))| ShardStats {
                 shard: i,
-                data_objects: shard.engine.dataset().data().len(),
-                feature_objects: shard.engine.dataset().features().len(),
+                data_objects: self.layout.dataset.data().len(),
+                feature_objects: slice.len(),
                 queries: counters.queries.load(Ordering::Relaxed),
                 records_shipped: counters.records_shipped.load(Ordering::Relaxed),
                 bytes_shipped: counters.bytes_shipped.load(Ordering::Relaxed),
@@ -455,29 +577,28 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Cumulative engine counters aggregated over all shard engines.
+    /// Cumulative engine counters: one query and one keyword probe per
+    /// request, and the kernel work summed over the shards.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shards
-            .iter()
-            .map(|(shard, _)| shard.engine.metrics())
-            .fold(MetricsSnapshot::default(), MetricsSnapshot::merged)
+        self.metrics.snapshot()
     }
 }
 
 impl QueryExecutor for ShardedEngine {
-    /// Probe once — features are broadcast, so shard 0's index speaks for
-    /// all — then `Layout::scatter_gather` with every shard asked
-    /// in-process. The ship is a real encode/decode round-trip, so the
-    /// wire format is exercised on every query.
+    /// Probe the term set over all of `F`, then `Layout::scatter_gather`
+    /// with every shard asked in-process. The ship is a real encode/decode
+    /// round-trip, so the wire format is exercised on every query.
     fn run_validated(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
-        let keywords = self.shards[0].0.engine.keyword_stats(&query.keywords);
+        let keywords = self.layout.probe(&query.keywords);
+        self.metrics.request(keywords);
         self.layout.scatter_gather(query, options, keywords, |s| {
             let (shard, counters) = &self.shards[s];
-            let records = shard.answer(query)?;
+            let (records, work) = shard.answer(query)?;
+            self.metrics.kernel(work);
             counters.queries.fetch_add(1, Ordering::Relaxed);
             counters.records_shipped.fetch_add(
                 (records.len() / wire::RECORD_BYTES) as u64,
@@ -498,8 +619,10 @@ impl QueryExecutor for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FeatureObject;
+    use crate::centralized::brute_force;
+    use crate::engine::QueryEngine;
     use crate::service::QueryRequest;
+    use proptest::prelude::*;
     use spq_spatial::{Point, Rect};
     use spq_text::{KeywordSet, Score};
 
@@ -580,10 +703,8 @@ mod tests {
         let kept = wire::encode_results(&results, &id_to_index);
         assert_eq!(wire::decode_results(&kept, ds.data()), results[..1]);
 
-        let shard = Shard {
-            engine: QueryEngine::new(executor(), ds),
-            id_to_index: Arc::new(id_to_index),
-        };
+        let data = DataSide::new(executor().bounds(), ds.data(), id_to_index);
+        let shard = Shard::new(Arc::new(feature_side(ds.features())), &data);
         // Object 4 is the only data object within 1.5 of feature 1.
         let err = shard.answer(&request(1, 1.5, &[0, 1]).query).unwrap_err();
         assert!(matches!(err, SpqError::InvalidConfig { .. }), "{err}");
@@ -613,19 +734,40 @@ mod tests {
         }
     }
 
+    /// The feature slices are the contiguous store-order blocks of
+    /// `ref_splits`: disjoint, covering `F`, in shard order. Each shard
+    /// indexes its own slice only, every shard ranks all of `O` over one
+    /// shared grid and id map, and the shards' kernels together merge each
+    /// candidate once — exactly the local engine's candidates.
     #[test]
-    fn shards_share_one_feature_array_and_one_keyword_index() {
-        let sharded = ShardedEngine::new(executor(), paper_dataset(), 4).unwrap();
-        let first = &sharded.shards[0].0.engine;
-        for (shard, _) in &sharded.shards[1..] {
-            assert!(std::ptr::eq(
-                first.keyword_index(),
-                shard.engine.keyword_index()
-            ));
-            assert!(Arc::ptr_eq(
-                &first.dataset().features_arc(),
-                &shard.engine.dataset().features_arc()
-            ));
+    fn feature_slices_partition_f_over_one_shared_data_side() {
+        let local = QueryEngine::new(executor(), paper_dataset());
+        let req = request(3, 2.5, &[0, 4, 11]);
+        local.execute(&req).unwrap();
+        for n in 1..=10 {
+            let sharded = ShardedEngine::new(executor(), paper_dataset(), n).unwrap();
+            let slices = &sharded.layout.slices;
+            assert_eq!(slices.len(), n);
+            assert_eq!((slices[0].start, slices[n - 1].end), (0, 8));
+            assert!(slices.windows(2).all(|w| w[0].end == w[1].start));
+            let first = &sharded.shards[0].0;
+            for ((shard, _), slice) in sharded.shards.iter().zip(slices) {
+                assert_eq!(shard.kernel.features.locations.len(), slice.len());
+                let located: Vec<Point> = paper_dataset().features()[slice.clone()]
+                    .iter()
+                    .map(|f| f.location)
+                    .collect();
+                assert_eq!(&shard.kernel.features.locations[..], &located[..]);
+                assert!(Arc::ptr_eq(&first.kernel.grid, &shard.kernel.grid));
+                assert!(Arc::ptr_eq(&first.id_to_index, &shard.id_to_index));
+                assert_eq!(shard.kernel.grid.len(), 5);
+            }
+            sharded.execute(&req).unwrap();
+            assert_eq!(
+                sharded.metrics().kernel_candidates,
+                local.metrics().kernel_candidates,
+                "shards={n}"
+            );
         }
     }
 
@@ -651,29 +793,85 @@ mod tests {
         );
         let stats = sharded.shard_stats();
         assert_eq!(stats.len(), 2);
-        assert_eq!(stats.iter().map(|s| s.data_objects).sum::<usize>(), 5);
-        assert!(stats.iter().all(|s| s.feature_objects == 8));
+        // Every shard ranks all five data objects over its own half of
+        // the eight features.
+        assert!(stats.iter().all(|s| s.data_objects == 5));
+        assert_eq!(
+            stats.iter().map(|s| s.feature_objects).collect::<Vec<_>>(),
+            [4, 4]
+        );
         assert!(stats.iter().all(|s| s.queries == 1));
         assert_eq!(
             stats.iter().map(|s| s.bytes_shipped).sum::<u64>(),
             response.stats.shuffle_bytes
         );
-        // Aggregated metrics counted the scatter: 2 shard queries + the
-        // probe on shard 0.
+        // The metrics count the request once, as the local engine does,
+        // and sum the kernels' work: term 0 is on f1 and f4 (shard 0) and
+        // f7 (shard 1), three candidates in all.
         let metrics = sharded.metrics();
-        assert_eq!(metrics.queries, 2);
-        assert_eq!(metrics.keyword_probes, 1);
+        assert_eq!((metrics.queries, metrics.keyword_probes), (1, 1));
+        assert_eq!(metrics.kernel_candidates, 3);
+        let none = sharded.execute(&request(3, 1.5, &[77])).unwrap();
+        assert_eq!(none.stats.shards_touched, 0);
+        let metrics = sharded.metrics();
+        assert_eq!((metrics.queries, metrics.keyword_hits), (2, 1));
+        assert_eq!(metrics.kernel_candidates, 3);
     }
 
     #[test]
     fn more_shards_than_data_objects() {
+        // Sixteen shards over five data objects and eight features: eight
+        // slices are empty, and only the shards holding a feature are
+        // asked.
         let sharded = ShardedEngine::new(executor(), paper_dataset(), 16).unwrap();
         let engine = QueryEngine::new(executor(), paper_dataset());
         let req = request(5, 1.5, &[0]);
         let got = sharded.execute(&req).unwrap();
         assert_eq!(got.results, engine.execute(&req).unwrap().results);
-        // Only shards that own data are touched.
-        assert_eq!(got.stats.shards_touched, 5);
+        assert_eq!(got.stats.shards_touched, 8);
+        for stats in sharded.shard_stats() {
+            assert_eq!(stats.queries, stats.feature_objects as u64, "{stats:?}");
+        }
+        assert_eq!(
+            sharded.metrics().kernel_candidates,
+            engine.metrics().kernel_candidates
+        );
+    }
+
+    /// A gathered object keeps its best partial score, not the first one
+    /// a shard reported: object 1 sits within range of feature 0 (slice
+    /// 0, score 1/3 against `{0}`) and feature 2 (slice 1, score 1), and
+    /// object 2 only of feature 1 (slice 0, score 1/2). Shard 0 reports
+    /// object 1 at 1/3, shard 1 at 1: only the max ranks it first.
+    #[test]
+    fn the_gather_keeps_each_objects_best_partial_score() {
+        let dataset = SharedDataset::new(
+            vec![
+                DataObject::new(1, Point::new(1.0, 1.0)),
+                DataObject::new(2, Point::new(8.0, 8.0)),
+            ],
+            vec![
+                feature(10, 1.0, 1.5, &[0, 1, 2]),
+                feature(11, 8.0, 8.5, &[0, 1]),
+                feature(12, 1.5, 1.0, &[0]),
+            ],
+        );
+        let local = QueryEngine::new(executor(), dataset.clone());
+        let sharded = ShardedEngine::new(executor(), dataset.clone(), 2).unwrap();
+        assert_eq!(sharded.layout.slices, [0..2, 2..3]);
+        for k in [1, 2] {
+            let req = request(k, 1.0, &[0]);
+            let got = sharded.execute(&req).unwrap();
+            assert_eq!(got.results, local.execute(&req).unwrap().results);
+            assert_eq!(
+                got.results,
+                brute_force(dataset.data(), dataset.features(), &req.query)
+            );
+            assert_eq!(
+                (got.results[0].object, got.results[0].score),
+                (1, Score::ONE)
+            );
+        }
     }
 
     #[test]
@@ -744,9 +942,9 @@ mod tests {
             .is_none());
     }
 
-    /// The job a trace runs is planned by the executor on the manager, not
-    /// by a shard's `QueryEngine`: no shard engine ever plans, traced
-    /// request or not.
+    /// The job a trace runs is planned by the executor on the manager; a
+    /// shard holds only kernel state and never plans, traced request or
+    /// not.
     #[test]
     fn every_traced_request_plans_once_per_touched_shard() {
         let sharded = ShardedEngine::new(executor(), paper_dataset(), 2).unwrap();
@@ -758,8 +956,65 @@ mod tests {
             assert_eq!(traced.trace.map(|t| t.len()), Some(1));
             let m = sharded.metrics();
             assert_eq!((m.plan_cache_hits, m.plan_cache_misses), (0, 0));
-            // Each shard still answers every request with its kernel.
-            assert_eq!(m.queries, 2 * (round + 1));
+            // Every request counts once, and each shard still answers it
+            // with its kernel.
+            assert_eq!(m.queries, round + 1);
+            assert!(sharded.shard_stats().iter().all(|s| s.queries == round + 1));
+        }
+    }
+
+    /// Worlds on a coarse lattice over a three-term vocabulary, so scores
+    /// tie at the k-th place and most data objects have features of
+    /// different scores in range, spread over different slices.
+    #[allow(clippy::type_complexity)]
+    fn lattice_world() -> impl Strategy<Value = (Vec<(u8, u8)>, Vec<(u8, u8, u8)>, u8, usize, u8)> {
+        (
+            proptest::collection::vec((0u8..5, 0u8..5), 1..12),
+            proptest::collection::vec((0u8..5, 0u8..5, 1u8..8), 1..24),
+            1u8..8,
+            1usize..6,
+            0u8..4,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `sharded:N` == local == `brute_force` for N ∈ {1, 2, 3, 5, 8},
+        /// N past |F| included, under k-boundary score ties and objects
+        /// whose best feature lies in another slice than their others.
+        #[test]
+        fn prop_best_feature_in_another_slice(world in lattice_world()) {
+            let (data, features, keywords, k, radius) = world;
+            let at = |x: u8, y: u8| Point::new(2.0 * f64::from(x) + 0.5, 2.0 * f64::from(y) + 0.5);
+            let bits = |mask: u8| (0..3u32).filter(move |b| mask >> b & 1 == 1);
+            let dataset = SharedDataset::new(
+                data.iter()
+                    .enumerate()
+                    .map(|(i, &(x, y))| DataObject::new(i as u64, at(x, y)))
+                    .collect(),
+                features
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(x, y, mask))| {
+                        FeatureObject::new(i as u64, at(x, y), KeywordSet::from_ids(bits(mask)))
+                    })
+                    .collect(),
+            );
+            let query = SpqQuery::new(
+                k,
+                [0.0, 2.0, 2.0 * std::f64::consts::SQRT_2, 4.0][radius as usize],
+                KeywordSet::from_ids(bits(keywords)),
+            );
+            let expect = brute_force(dataset.data(), dataset.features(), &query);
+            let req = QueryRequest::new(query);
+            let local = QueryEngine::new(executor(), dataset.clone());
+            prop_assert_eq!(&local.execute(&req).unwrap().results, &expect);
+            for n in [1, 2, 3, 5, 8] {
+                let sharded = ShardedEngine::new(executor(), dataset.clone(), n).unwrap();
+                let got = sharded.execute(&req).unwrap();
+                prop_assert_eq!(&got.results, &expect, "shards={}", n);
+            }
         }
     }
 }

@@ -83,10 +83,9 @@ impl SharedDataset {
     }
 
     /// Wraps an owned data slice around an **already shared** feature
-    /// array. This is the shard constructor: a sharded engine slices the
-    /// data objects into per-shard chunks but broadcasts one feature
-    /// array to every shard — cloning the `Arc`, never the features —
-    /// so `N` shards cost `N` data chunks plus exactly one copy of `F`.
+    /// array — cloning the `Arc`, never the features — so `N` datasets
+    /// over slices of one store's data objects cost `N` data chunks plus
+    /// exactly one copy of `F`.
     pub fn with_shared_features(data: Vec<DataObject>, features: Arc<[FeatureObject]>) -> Self {
         assert!(
             data.len() <= u32::MAX as usize && features.len() <= u32::MAX as usize,
@@ -164,7 +163,7 @@ impl SharedDataset {
 /// The indices of the `s`-th of `num_splits` blocks of `0..n`, the first
 /// of them `⌈s · n / num_splits⌉`: exactly the `i` with
 /// `⌊i · num_splits / n⌋ == s`.
-fn block(s: usize, n: usize, num_splits: usize) -> std::ops::Range<usize> {
+pub(crate) fn block(s: usize, n: usize, num_splits: usize) -> std::ops::Range<usize> {
     let start = |s: usize| (s as u64 * n as u64).div_ceil(num_splits as u64) as usize;
     start(s)..start(s + 1)
 }

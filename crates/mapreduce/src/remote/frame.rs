@@ -6,7 +6,7 @@
 //! ┌────────────┬────────────┬───────────┬──────────┬──────────────┬─────────┐
 //! │ magic: u32 │ opcode: u16│ flags: u16│ len: u32 │ checksum: u64│ payload │
 //! └────────────┴────────────┴───────────┴──────────┴──────────────┴─────────┘
-//!     "SPQ4"      dispatch       0        payload     WordHasher     len
+//!     "SPQ5"      dispatch       0        payload     WordHasher     len
 //!                                          bytes      over payload    bytes
 //! ```
 //!
@@ -19,14 +19,16 @@
 
 use std::io::{Read, Write};
 
-/// Frame magic: `"SPQ4"` as a little-endian `u32`. It was `"SPQF"` while
+/// Frame magic: `"SPQ5"` as a little-endian `u32`. It was `"SPQF"` while
 /// the checksum was FNV-1a a byte at a time, `"SPQ2"` while a shard query
 /// carried algorithm and pruning tags and a shard result a plan-cache
-/// byte, and `"SPQ3"` while a shard query carried a trace byte, a shard
-/// result a job's statistics and a provision the job's executor settings.
+/// byte, `"SPQ3"` while a shard query carried a trace byte, a shard
+/// result a job's statistics and a provision the job's executor settings,
+/// and `"SPQ4"` while a shard held a slice of the data objects and every
+/// feature, and a provision carried its data slice with explicit indexes.
 /// A peer from any of them fails every frame as [`FrameError::BadMagic`],
 /// not as a checksum mismatch or a mis-parsed payload.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ4");
+pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ5");
 
 /// Upper bound on a frame payload (64 MiB). A length field above this is
 /// treated as corruption, not as a real allocation request.
@@ -43,9 +45,9 @@ pub const OP_PONG: u16 = 2;
 // unassigned, so a peer from before the removal gets "unknown opcode".
 /// Typed error reply to any request.
 pub const OP_ERROR: u16 = 5;
-/// Installs a query shard: data-space bounds + data slice + the
-/// fingerprint of the feature set ([`OP_FEATURES`]) the shard is evaluated
-/// against.
+/// Installs a query shard: the fingerprint of the feature slice
+/// ([`OP_FEATURES`]) the shard is evaluated against, then the data-space
+/// bounds and the data objects it ranks.
 pub const OP_PROVISION: u16 = 6;
 /// Acknowledges [`OP_PROVISION`].
 pub const OP_PROVISION_OK: u16 = 7;
@@ -65,10 +67,9 @@ pub const OP_SHUTDOWN: u16 = 12;
 pub const OP_SHARD_STATUS: u16 = 13;
 /// Reply to [`OP_SHARD_STATUS`]: the hosted shard ids.
 pub const OP_SHARD_STATUS_OK: u16 = 14;
-/// One bounded chunk of a feature set, named by the set's fingerprint and
-/// carrying its chunk index and the chunk total; the chunks of a set
-/// arrive in order, once per worker, and every shard the worker hosts
-/// shares the assembled set.
+/// One bounded chunk of a feature slice, named by the slice's fingerprint
+/// and carrying its chunk index and the chunk total; the chunks of a
+/// slice arrive in order, before the first install of a shard over it.
 pub const OP_FEATURES: u16 = 15;
 /// Acknowledges one [`OP_FEATURES`] chunk.
 pub const OP_FEATURES_OK: u16 = 16;
@@ -372,7 +373,7 @@ mod tests {
 
     #[test]
     fn a_frame_with_the_old_magic_is_bad_magic() {
-        for old in [*b"SPQF", *b"SPQ2", *b"SPQ3"].map(u32::from_le_bytes) {
+        for old in [*b"SPQF", *b"SPQ2", *b"SPQ3", *b"SPQ4"].map(u32::from_le_bytes) {
             let mut buf = Vec::new();
             write_frame(&mut buf, OP_PING, b"x").unwrap();
             buf[..4].copy_from_slice(&old.to_le_bytes());

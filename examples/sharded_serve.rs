@@ -3,13 +3,13 @@
 //! shape end to end:
 //!
 //! 1. fabricate and ingest a Flickr-shaped TSV dump,
-//! 2. build an `SpqService` on the `sharded` backend: data objects sliced
-//!    into per-shard stores (features broadcast by `Arc`), one build-once
-//!    engine per shard,
+//! 2. build an `SpqService` on the `sharded` backend: the feature objects
+//!    cut into per-shard slices, each shard holding its slice's kernel
+//!    state over one grid of every data object shared by all shards,
 //! 3. serve a hotspot query stream as typed `QueryRequest`s — every query
 //!    scatters to the relevant shards and gathers serialized 12-byte wire
-//!    records into a top-k merge that is byte-identical to a single-store
-//!    engine,
+//!    records, keeps each object's best partial score and merges them into
+//!    a top-k that is byte-identical to a single-store engine,
 //! 4. print the per-query stats and the per-shard traffic counters.
 //!
 //! ```text
@@ -121,13 +121,19 @@ fn main() {
         println!("per-shard stats:");
         for s in engine.shard_stats() {
             println!(
-                "  shard {}: {} data objects, {} queries served, {} records / {} B shipped",
-                s.shard, s.data_objects, s.queries, s.records_shipped, s.bytes_shipped
+                "  shard {}: {} feature objects over {} data objects, {} queries served, \
+                 {} records / {} B shipped",
+                s.shard,
+                s.feature_objects,
+                s.data_objects,
+                s.queries,
+                s.records_shipped,
+                s.bytes_shipped
             );
         }
         let m = engine.metrics();
         println!(
-            "aggregate: {} shard queries, {}/{} keyword probes hit",
+            "aggregate: {} queries, {}/{} keyword probes hit",
             m.queries, m.keyword_hits, m.keyword_probes
         );
         println!(

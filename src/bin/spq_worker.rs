@@ -1,9 +1,10 @@
 //! `spq-worker` — a standalone shard worker process.
 //!
 //! Listens for framed requests from a `RemoteEngine` manager (the
-//! `remote:N` backend): `OP_FEATURES` chunk frames ship the feature set
-//! (once, shared by every shard hosted here), `OP_PROVISION` installs a
-//! shard — its data slice plus the data-space bounds — over that set,
+//! `remote:N` backend): `OP_FEATURES` chunk frames ship a shard's feature
+//! slice, kept as its keyword index and locations only; `OP_PROVISION`
+//! installs the shard over that slice with the data-space bounds and the
+//! data objects, one grid over which every shard hosted here shares;
 //! `OP_SHARD_QUERY` answers a query with a hosted shard's kernel. Fault
 //! plans installed via `OP_SET_FAULT` are **fatal**
 //! here: a kill fault exits the process with code 86, exactly like a real

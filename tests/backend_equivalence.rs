@@ -1,14 +1,15 @@
 //! Backend equivalence: the sharded scatter/gather engine and the remote
 //! TCP engine must be byte-identical to the single-store local engine.
 //!
-//! The sharded backend slices the data objects into per-shard stores,
-//! evaluates each shard with its own build-once engine, ships serialized
-//! 12-byte wire records across the shard boundary and merges. Because no
-//! data object lives in two shards and every shard sees the complete
-//! feature set, each shard's τ values are exact — so for **any** world,
-//! shard count, algorithm and partitioning, the merged results (objects,
-//! scores *and* order) must equal the single-store engine's, and the
-//! typed facade must return the same bytes as the bare engine. The
+//! The sharded backend cuts the feature objects into per-shard slices,
+//! ranks every data object on each shard against its slice with the
+//! kernel, ships serialized 12-byte wire records across the shard
+//! boundary, keeps each object's best partial score and merges. Because
+//! an object's score is the max of its per-slice partial scores, the
+//! shard holding its best feature reports it exactly — so for **any**
+//! world, shard count, algorithm and partitioning, the merged results
+//! (objects, scores *and* order) must equal the single-store engine's,
+//! and the typed facade must return the same bytes as the bare engine. The
 //! remote backend (`remote:N`) places the same shard layout on worker
 //! processes behind real localhost sockets — provisioning, queries and
 //! gather records all cross the frame codec — and must answer the same

@@ -254,7 +254,8 @@ fn killed_and_restarted_worker_is_readmitted() {
     let local = QueryEngine::new(executor(), dataset());
     let provisions_after_build = remote.metrics().provisions_sent;
     assert_eq!(provisions_after_build, 6); // 3 shards × replication 2
-    assert_eq!(remote.metrics().feature_sets_sent, 3); // once per worker
+                                           // Each install ships its shard's feature slice: once per install.
+    assert_eq!(remote.metrics().feature_sets_sent, 6);
 
     let req = request(4, 1.8, &[0]);
     assert_eq!(
@@ -305,11 +306,15 @@ fn killed_and_restarted_worker_is_readmitted() {
     // The restarted process reported an empty shard status, so the
     // rebalancer had to ship its shards again — and the canonical layout
     // is back: worker 0 is the primary for shard 0 and serves queries.
-    // The new process holds no feature set either: its first install is
-    // refused with "unknown feature set", the set is shipped — once, for
-    // both shards it hosts — and the install retried.
-    assert!(remote.metrics().provisions_sent > provisions_after_build);
-    assert_eq!(remote.metrics().feature_sets_sent, 4);
+    // The new process holds no feature slice either: each of its
+    // installs is refused with "unknown feature set", that shard's slice
+    // is shipped, and the install retried. No install here lands on a
+    // worker already holding its shard's slice — the rebalancer's moves
+    // while worker 0 was out included — so every install shipped one.
+    let metrics = remote.metrics();
+    assert!(metrics.provisions_sent > provisions_after_build);
+    assert_eq!(metrics.rebalance_moves, 4);
+    assert_eq!(metrics.feature_sets_sent, metrics.provisions_sent);
     let view = remote.membership();
     assert_eq!(view.states, vec![WorkerState::Live; 3]);
     assert_eq!(view.primaries[0], 0);

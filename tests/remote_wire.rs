@@ -326,11 +326,11 @@ fn shard_host_rejects_out_of_sequence_chunks_and_unknown_sets() {
     // An install over that set is accepted, one over an unknown set is
     // refused by name and hosts nothing.
     let data = [DataObject::new(7, Point::new(1.0, 1.0))];
-    let unknown = encode_provision(1, foreign.fingerprint, unit_executor().bounds(), 0, &data);
+    let unknown = encode_provision(1, foreign.fingerprint, unit_executor().bounds(), &data);
     let error = host.handle(OP_PROVISION, &unknown).unwrap_err();
     assert!(error.contains("unknown feature set"), "{error}");
     assert_eq!(host.hosted_shards(), 0);
-    let known = encode_provision(1, set.fingerprint, unit_executor().bounds(), 0, &data);
+    let known = encode_provision(1, set.fingerprint, unit_executor().bounds(), &data);
     host.handle(OP_PROVISION, &known).unwrap();
     assert_eq!(host.hosted_shards(), 1);
 }
@@ -366,17 +366,17 @@ proptest! {
         let data: Vec<DataObject> = (0..num_features)
             .map(|i| DataObject::new(i, Point::new(i as f64, 1.0)))
             .collect();
-        let provision = encode_provision(0, 1, unit_executor().bounds(), 0, &data);
+        let provision = encode_provision(0, 1, unit_executor().bounds(), &data);
         prop_assert!(decode_features_chunk(&chunk).is_ok());
         prop_assert!(decode_provision(&provision).is_ok());
 
         // Lying counts: absurd ones, and ones just past the truth. The
         // feature count sits at byte 16 of a chunk, the first feature's
         // term count 24 bytes into it; the data count is the last field
-        // before the 28-byte data records.
+        // before the 24-byte data records.
         let feature_count_at = 16;
         let term_count_at = 20 + 24;
-        let data_count_at = provision.len() - 28 * data.len() - 4;
+        let data_count_at = provision.len() - 24 * data.len() - 4;
         let mut hostile = Vec::new();
         for count in [lie, num_features as u32 + 1 + near_lie] {
             let mut bad = chunk.clone();
@@ -437,9 +437,10 @@ proptest! {
     /// An `OP_SHARD_RESULT` comes off a worker's socket and is the
     /// shard's 12-byte records alone. Whatever bytes a worker sends, the
     /// manager does not panic: they decode iff their length is a multiple
-    /// of 12, and decoded records are served only if each names a data
-    /// index of the answering shard with a finite, non-negative score —
-    /// then the answer is exactly their merge.
+    /// of 12, and decoded records are served only if there are at most k
+    /// of them and each names a distinct data index of the store with a
+    /// finite, non-negative score — then the answer is exactly their
+    /// merge.
     #[test]
     fn prop_job_stats_decoder_survives_hostile_input(
         records in proptest::collection::vec(
@@ -477,9 +478,14 @@ proptest! {
             RemoteEngine::connect(unit_executor(), dataset, &[server.addr().to_string()]).unwrap();
         let request = QueryRequest::new(SpqQuery::new(k, 1.0, KeywordSet::from_ids([3])));
         let whole = reply.len().is_multiple_of(wire::RECORD_BYTES);
-        let honest = records
-            .iter()
-            .all(|&(index, score)| index < 8 && score.is_finite() && score >= 0.0);
+        let mut indexes: Vec<u32> = records.iter().map(|&(index, _)| index).collect();
+        indexes.sort_unstable();
+        indexes.dedup();
+        let honest = records.len() <= k
+            && indexes.len() == records.len()
+            && records
+                .iter()
+                .all(|&(index, score)| index < 8 && score.is_finite() && score >= 0.0);
         match remote.execute(&request) {
             Ok(response) => {
                 prop_assert!(whole && honest);
