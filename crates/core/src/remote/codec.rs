@@ -176,38 +176,93 @@ fn read_keywords(r: &mut ByteReader<'_>) -> Result<KeywordSet, CodecError> {
     })
 }
 
-/// Decodes one `OP_FEATURES` payload. Every shipped count is checked
-/// against the bytes that remain before it sizes an allocation, and a
-/// keyword id of 2²² or more (past the wire's term-id limit) is rejected
-/// before the worker sizes anything from it.
-pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let fingerprint = r.u64()?;
-    let index = r.u32()?;
-    let total = r.u32()?;
-    if index >= total {
-        return Err(CodecError::invalid(format!(
-            "feature chunk {index} of a set of {total}"
-        )));
-    }
-    let num_features = r.count(MIN_FEATURE_BYTES)?;
-    let mut features = Vec::with_capacity(num_features);
-    for _ in 0..num_features {
-        let id = r.u64()?;
-        let (x, y) = (r.f64()?, r.f64()?);
-        let keywords = read_keywords(&mut r)?;
-        // Sorted now: the largest id is the last.
-        if let Some(t) = keywords.terms().last().filter(|t| t.0 >= TERM_ID_LIMIT) {
+/// An `OP_FEATURES` payload whose header has been read: which chunk of
+/// which set it is. [`read_features`](Self::read_features) then decodes
+/// the features with no allocation per feature — how a worker packs a
+/// chunk straight into its slice's kernel state.
+pub(crate) struct FeaturesChunkReader<'a> {
+    /// The set this chunk belongs to.
+    pub(crate) fingerprint: u64,
+    /// Position of this chunk in the set (`< total`).
+    pub(crate) index: u32,
+    /// Chunks in the set (≥ 1).
+    pub(crate) total: u32,
+    r: ByteReader<'a>,
+}
+
+impl<'a> FeaturesChunkReader<'a> {
+    /// Reads the header of one `OP_FEATURES` payload.
+    pub(crate) fn new(payload: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = ByteReader::new(payload);
+        let fingerprint = r.u64()?;
+        let index = r.u32()?;
+        let total = r.u32()?;
+        if index >= total {
             return Err(CodecError::invalid(format!(
-                "keyword id {} of feature {id} is past the {TERM_ID_LIMIT}-term limit",
-                t.0
+                "feature chunk {index} of a set of {total}"
             )));
         }
-        features.push(FeatureObject::new(id, Point::new(x, y), keywords));
+        Ok(Self {
+            fingerprint,
+            index,
+            total,
+            r,
+        })
     }
-    if !r.is_empty() {
-        return Err(CodecError::invalid("trailing bytes after feature chunk"));
+
+    /// Decodes the chunk's features in store order, handing each to
+    /// `push` as its id, its location and its keyword ids, strictly
+    /// increasing: kept as they are when they were shipped so (what every
+    /// encoder writes), normalised exactly as [`KeywordSet::from_ids`]
+    /// does otherwise. Every shipped count is checked against the bytes
+    /// that remain before it sizes an allocation, and a keyword id of 2²²
+    /// or more (past the wire's term-id limit) is rejected before the
+    /// worker sizes anything from it. On an error, `push` may already
+    /// have been handed the features before the fault.
+    pub(crate) fn read_features(
+        mut self,
+        mut push: impl FnMut(u64, Point, &[Term]),
+    ) -> Result<(), CodecError> {
+        let r = &mut self.r;
+        let num_features = r.count(MIN_FEATURE_BYTES)?;
+        let mut terms = Vec::new();
+        for _ in 0..num_features {
+            let id = r.u64()?;
+            let (x, y) = (r.f64()?, r.f64()?);
+            terms.clear();
+            terms.extend(r.u32s()?.map(Term));
+            if !terms.is_sorted_by(|a, b| a < b) {
+                terms.sort_unstable();
+                terms.dedup();
+            }
+            // Sorted now: the largest id is the last.
+            if let Some(t) = terms.last().filter(|t| t.0 >= TERM_ID_LIMIT) {
+                return Err(CodecError::invalid(format!(
+                    "keyword id {} of feature {id} is past the {TERM_ID_LIMIT}-term limit",
+                    t.0
+                )));
+            }
+            push(id, Point::new(x, y), &terms);
+        }
+        if !r.is_empty() {
+            return Err(CodecError::invalid("trailing bytes after feature chunk"));
+        }
+        Ok(())
     }
+}
+
+/// Decodes one `OP_FEATURES` payload into feature objects, through the
+/// decoder a worker packs its slices with. Every shipped count is checked
+/// against the bytes that remain before it sizes an allocation, and a
+/// keyword id of 2²² or more (past the wire's term-id limit) is rejected.
+pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError> {
+    let chunk = FeaturesChunkReader::new(payload)?;
+    let (fingerprint, index, total) = (chunk.fingerprint, chunk.index, chunk.total);
+    let mut features = Vec::new();
+    chunk.read_features(|id, location, terms| {
+        let keywords = KeywordSet::from_sorted(terms.to_vec());
+        features.push(FeatureObject::new(id, location, keywords));
+    })?;
     Ok(FeaturesChunk {
         fingerprint,
         index,

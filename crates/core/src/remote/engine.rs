@@ -13,7 +13,7 @@ use crate::engine::{EngineMetrics, MetricsSnapshot};
 use crate::executor::{SpqError, SpqExecutor};
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse};
-use crate::sharded::{Layout, Recovery};
+use crate::sharded::{unique_ids, Layout, Recovery, ShardOutcome};
 use crate::store::SharedDataset;
 use parking_lot::Mutex;
 use spq_mapreduce::pool::run_tasks;
@@ -22,6 +22,7 @@ use spq_mapreduce::remote::{
     OP_ERROR, OP_FAULT_OK, OP_FEATURES, OP_FEATURES_OK, OP_PROVISION, OP_PROVISION_OK,
     OP_SET_FAULT, OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS, OP_SHARD_STATUS_OK,
 };
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -46,6 +47,10 @@ impl std::fmt::Debug for WorkerSlot {
             .finish()
     }
 }
+
+/// One shard query exchanged with worker `.0` outside the retry loop: its
+/// reply, or how the exchange failed.
+type Exchange = (usize, Result<(u16, Vec<u8>), RemoteError>);
 
 /// How one attempt at a worker failed, from the retry loop's viewpoint.
 enum AttemptError {
@@ -236,7 +241,8 @@ impl RemoteEngine {
         }
         // One shard per worker, cut exactly as the in-process engine cuts.
         let num_workers = addrs.len();
-        let (layout, _) = Layout::new(executor, dataset, num_workers)?;
+        let layout = Layout::new(executor, dataset, num_workers)?;
+        unique_ids(layout.dataset.data())?;
         let features = layout
             .slices
             .iter()
@@ -481,19 +487,90 @@ impl RemoteEngine {
         Ok(())
     }
 
+    /// The steady path of a scatter, on the calling thread: every shard's
+    /// [`OP_SHARD_QUERY`] frame is written to its primary, then every
+    /// reply is read. Shards that share a primary are pipelined on its one
+    /// connection, in shard order — a worker answers a connection's frames
+    /// in order. Worker clients are locked in ascending index and each
+    /// lock is held from its first write to its last read, so concurrent
+    /// scatters neither interleave frames on a connection nor wait on each
+    /// other in a cycle.
+    ///
+    /// Returns each shard's exchange. A failure (a write or a read) cuts
+    /// its connection's queue: it is the exchange of the first shard still
+    /// waiting there, and the shards behind it get `None`, as does a shard
+    /// whose primary is out of rotation — they never had an exchange, and
+    /// [`query_shard`](Self::query_shard) asks them afresh. A failed
+    /// connection is dropped with the replies it still owed, so when this
+    /// returns no live connection holds an unread reply: a retry or a
+    /// warm failover can never read another shard's `OP_SHARD_RESULT`,
+    /// which carries no shard id.
+    fn exchange(&self, shards: &[usize], payloads: &[Vec<u8>]) -> Vec<Option<Exchange>> {
+        let mut queues: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        {
+            let membership = self.membership.lock();
+            for (i, &s) in shards.iter().enumerate() {
+                if let Some(w) = membership.primary(s) {
+                    queues.entry(w).or_default().push(i);
+                }
+            }
+        }
+        let slots: Vec<Arc<WorkerSlot>> = {
+            let workers = self.workers.lock();
+            queues.keys().map(|&w| Arc::clone(&workers[w])).collect()
+        };
+        let mut clients: Vec<_> = slots.iter().map(|slot| slot.client.lock()).collect();
+        let mut exchanges: Vec<Option<Exchange>> = shards.iter().map(|_| None).collect();
+        for ((&w, queue), client) in queues.iter_mut().zip(&mut clients) {
+            let failed = queue
+                .iter()
+                .find_map(|&i| client.send(OP_SHARD_QUERY, &payloads[i]).err());
+            if let Some(e) = failed {
+                exchanges[queue[0]] = Some((w, Err(e)));
+                queue.clear();
+            }
+        }
+        for ((&w, queue), client) in queues.iter().zip(&mut clients) {
+            for &i in queue {
+                let reply = client.receive();
+                let failed = reply.is_err();
+                exchanges[i] = Some((w, reply));
+                if failed {
+                    break;
+                }
+            }
+        }
+        exchanges
+    }
+
     /// The per-shard retry/failover loop (see the [module docs](super)):
     /// ask the shard's primary; on a transport failure report it to the
     /// membership machine and do what it says — one more try while the
-    /// worker is only suspect, a failover once it is excluded. Returns
-    /// the shard's answer plus the recovery work it took.
-    fn query_shard(&self, shard: usize, payload: &[u8]) -> Result<(Vec<u8>, Recovery), SpqError> {
+    /// worker is only suspect, a failover once it is excluded. `first` is
+    /// the shard's [`exchange`](Self::exchange), if it had one: the loop's
+    /// first attempt, recovered from and counted exactly as one the loop
+    /// made itself. Returns the shard's answer plus the recovery work it
+    /// took.
+    fn query_shard(
+        &self,
+        shard: usize,
+        payload: &[u8],
+        mut first: Option<Exchange>,
+    ) -> ShardOutcome {
         let mut recovery = Recovery::default();
         let mut last_failure: Option<(usize, String)> = None;
         loop {
-            let primary = self.membership.lock().primary(shard);
+            let primary = match &first {
+                Some((w, _)) => Some(*w),
+                None => self.membership.lock().primary(shard),
+            };
             if let Some(w) = primary {
                 loop {
-                    match self.call_worker(w, OP_SHARD_QUERY, payload, OP_SHARD_RESULT) {
+                    let attempt = match first.take() {
+                        Some((_, reply)) => Self::classify_reply(w, reply, OP_SHARD_RESULT),
+                        None => self.call_worker(w, OP_SHARD_QUERY, payload, OP_SHARD_RESULT),
+                    };
+                    match attempt {
                         Ok(resp) => {
                             self.membership.lock().call_ok(w);
                             bump(&self.counters.remote_retries, recovery.retries);
@@ -659,7 +736,11 @@ impl RemoteEngine {
 
 impl QueryExecutor for RemoteEngine {
     /// Probe the term set over all of `F`, then `Layout::scatter_gather`
-    /// with every shard asked over TCP through the retry/failover loop.
+    /// with every shard asked over TCP from the calling thread: one
+    /// pipelined `exchange` for all of them, then each
+    /// shard, in shard order, through the retry/failover loop with its
+    /// exchange as the first attempt. No thread is spawned, and the worker
+    /// budget bounds only a traced request's job.
     fn run_validated(
         &self,
         query: &SpqQuery,
@@ -668,9 +749,18 @@ impl QueryExecutor for RemoteEngine {
         let keywords = self.layout.probe(&query.keywords);
         self.counters.requests.request(keywords);
         self.layout
-            .scatter_gather(query, options, keywords, |shard| {
-                let payload = encode_shard_query(shard as u32, query);
-                self.query_shard(shard, &payload)
+            .scatter_gather(query, options, keywords, |shards| {
+                let payloads: Vec<Vec<u8>> = shards
+                    .iter()
+                    .map(|&s| encode_shard_query(s as u32, query))
+                    .collect();
+                let exchanges = self.exchange(shards, &payloads);
+                Ok(shards
+                    .iter()
+                    .zip(&payloads)
+                    .zip(exchanges)
+                    .map(|((&s, payload), first)| self.query_shard(s, payload, first))
+                    .collect())
             })
     }
 

@@ -3,7 +3,7 @@
 //! queries.
 
 use super::codec::{
-    decode_features_chunk, decode_provision, decode_shard_query, encode_shard_status, FeaturesChunk,
+    decode_provision, decode_shard_query, encode_shard_status, FeaturesChunkReader,
 };
 use crate::kernel::{FeatureSide, FeatureSideBuilder};
 use crate::sharded::{index_by_id, DataSide, Shard};
@@ -59,9 +59,10 @@ pub(super) const UNKNOWN_FEATURE_SET: &str = "unknown feature set";
 pub(super) const NOT_PROVISIONED: &str = "is not provisioned";
 
 /// The worker-side shard host: a [`FrameHandler`] answering
-/// [`OP_FEATURES`] (assemble a feature slice from its chunk frames; on
-/// the last chunk turn it into kernel state — its keyword index and
-/// feature locations — and drop the decoded features), [`OP_PROVISION`]
+/// [`OP_FEATURES`] (assemble a feature slice from its chunk frames,
+/// each decoded straight into flat locations and keyword lists; on the
+/// last chunk turn them into kernel state — its keyword index and
+/// feature locations), [`OP_PROVISION`]
 /// (install a shard over an assembled slice and the shipped data objects,
 /// which every shard with the same data block shares as one grid and id
 /// map), [`OP_SHARD_QUERY`] (answer a query with a hosted shard's kernel
@@ -83,54 +84,54 @@ impl ShardHost {
     }
 
     fn features(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
-        let chunk =
-            decode_features_chunk(payload).map_err(|e| format!("bad features payload: {e}"))?;
-        if let Some(set) = self.append_chunk(chunk)? {
-            // Last chunk: index the slice outside the lock, so shards
-            // already hosted keep answering meanwhile.
-            let side = Arc::new(set.features.build());
-            let mut state = self.state.lock();
-            // At most one slice waits for its first shard.
-            state.drop_unreferenced();
-            state.sets.insert(set.fingerprint, side);
+        let bad = |e| format!("bad features payload: {e}");
+        let chunk = FeaturesChunkReader::new(payload).map_err(bad)?;
+        let mut set = self.take_incoming(&chunk)?;
+        // Decoded straight into the slice, outside the lock; a chunk that
+        // does not decode abandons the assembly, as one out of sequence
+        // does.
+        chunk
+            .read_features(|_, location, terms| set.features.push(location, terms))
+            .map_err(bad)?;
+        set.received += 1;
+        if set.received < set.total {
+            self.state.lock().incoming = Some(set);
+            return Ok(Vec::new());
         }
+        // Last chunk: index the slice outside the lock, so shards already
+        // hosted keep answering meanwhile.
+        let side = Arc::new(set.features.build());
+        let mut state = self.state.lock();
+        // At most one slice waits for its first shard.
+        state.drop_unreferenced();
+        state.sets.insert(set.fingerprint, side);
         Ok(Vec::new())
     }
 
-    /// Appends `chunk` to the slice being assembled and returns the slice
-    /// once its last chunk is in. Chunk 0 opens a slice (abandoning one
-    /// left half-shipped); any other chunk must be the next of the open
-    /// slice, or the assembly is abandoned with a typed error.
-    fn append_chunk(&self, chunk: FeaturesChunk) -> Result<Option<IncomingSet>, String> {
-        let mut state = self.state.lock();
+    /// Takes the slice `chunk` continues out of the state, for the chunk
+    /// to be appended to; [`features`](Self::features) puts it back unless
+    /// the chunk was its last. Chunk 0 opens a slice (abandoning one left
+    /// half-shipped); any other chunk must be the next of the open slice,
+    /// or the assembly is abandoned with a typed error.
+    fn take_incoming(&self, chunk: &FeaturesChunkReader) -> Result<IncomingSet, String> {
+        let open = self.state.lock().incoming.take();
         if chunk.index == 0 {
-            state.incoming = Some(IncomingSet {
+            return Ok(IncomingSet {
                 fingerprint: chunk.fingerprint,
                 total: chunk.total,
                 received: 0,
                 features: FeatureSideBuilder::default(),
             });
         }
-        let expected = state.incoming.as_mut().filter(|set| {
+        open.filter(|set| {
             (set.fingerprint, set.total, set.received)
                 == (chunk.fingerprint, chunk.total, chunk.index)
-        });
-        let Some(set) = expected else {
-            state.incoming = None;
-            return Err(format!(
+        })
+        .ok_or_else(|| {
+            format!(
                 "feature chunk {}/{} of set {:#018x} is out of sequence",
                 chunk.index, chunk.total, chunk.fingerprint
-            ));
-        };
-        for feature in &chunk.features {
-            set.features
-                .push(feature.location, feature.keywords.terms());
-        }
-        set.received += 1;
-        Ok(if set.received == set.total {
-            state.incoming.take()
-        } else {
-            None
+            )
         })
     }
 

@@ -15,10 +15,24 @@
 //!
 //! A query then runs the **same scatter/gather as the in-process engine**
 //! — one function, `sharded::Layout::scatter_gather`, owns the probe
-//! short-circuit, the scatter width, the gather, the merge and the
-//! statistics for both — with each shard asked by an [`OP_SHARD_QUERY`]
-//! frame instead of a call, and answering with an [`OP_SHARD_RESULT`]
-//! frame carrying the same 12-byte [`wire`] records. A worker evaluates a
+//! short-circuit, the gather, the merge and the statistics for both —
+//! with each shard asked by an [`OP_SHARD_QUERY`] frame instead of a
+//! call, and answering with an [`OP_SHARD_RESULT`] frame carrying the same
+//! 12-byte [`wire`] records. The scatter is **frame-pipelined on the
+//! calling thread**: the manager writes every relevant shard's query frame
+//! to that shard's primary, then reads the replies, so every shard is in
+//! flight at once and a request spawns no thread. Two shards with one
+//! primary share its connection — a worker answers a connection's frames
+//! in order — and the worker clients are locked in ascending index, each
+//! from its first write to its last read. Only once every reply has been
+//! read (or its connection dropped) do the shards whose exchange failed
+//! enter the retry/failover loop below, that exchange counted as the
+//! loop's first attempt: a warm failover can land on a worker whose
+//! connection would otherwise still hold another shard's unread reply,
+//! and a reply carries no shard id. The worker budget
+//! ([`QueryOptions::workers`](crate::service::QueryOptions::workers))
+//! bounds only the in-process backends' shard threads and a traced
+//! request's job. A worker evaluates a
 //! hosted shard through the same `sharded::Shard::answer` an in-process
 //! shard is evaluated through, so the merged top-k is **byte-identical**
 //! to every other backend (`tests/backend_equivalence.rs` proptests it
@@ -55,10 +69,10 @@
 //!   id may reach 2²²: a worker sizes its keyword index by the largest,
 //!   so the build refuses such a dataset and a worker refuses such a
 //!   chunk.
-//! * A worker packs the chunks of a slice, in order, into flat locations
-//!   and keyword lists, dropping each chunk's decoded features as it goes;
-//!   on the last chunk it builds the slice's `KeywordIndex` and keeps only
-//!   that index and the locations. An [`OP_PROVISION`] then carries the
+//! * A worker decodes the chunks of a slice, in order, straight into flat
+//!   locations and keyword lists — no feature object is built on the
+//!   way; on the last chunk it builds the slice's
+//!   `KeywordIndex` and keeps only that index and the locations. An [`OP_PROVISION`] then carries the
 //!   shard id, the slice's fingerprint and a data block: the data-space
 //!   bounds (all a kernel grid needs) and every data object in store
 //!   order, so a record's position is the global index gather records
@@ -169,8 +183,9 @@ use {
 /// in-process workers on ephemeral localhost ports. This is independent of
 /// `SPQ_WORKERS` ([`spq_mapreduce::cluster::WORKERS_ENV`]), which sizes
 /// the *thread* pool inside each process: `SPQ_REMOTE_WORKERS` places
-/// shards across processes, `SPQ_WORKERS` sizes the scatter width and
-/// per-job parallelism within one.
+/// shards across processes, `SPQ_WORKERS` sizes the in-process scatter
+/// width and per-job parallelism within one (a remote scatter has every
+/// shard in flight at once, whatever it says).
 pub const SPQ_REMOTE_WORKERS: &str = "SPQ_REMOTE_WORKERS";
 
 /// Parses a [`SPQ_REMOTE_WORKERS`]-style list into validated

@@ -163,11 +163,14 @@ impl FromStr for Backend {
 pub struct QueryOptions {
     /// Worker budget for this request — the one width control there is:
     /// intra-job workers when the request runs a job (the kernel is
-    /// single-threaded), and scatter width on the sharded and remote
-    /// backends (each shard answers with its kernel; the scatter is the
-    /// parallelism). `None` is the engine's configured
-    /// cluster width; `Some(1)` is single-threaded end to end, which is
-    /// all [`QueryExecutor::execute_sequential`] sets. Execution is
+    /// single-threaded), and the number of threads the sharded backend
+    /// runs its shards on (each shard answers with its kernel; the
+    /// scatter is the parallelism). It does not bound the remote
+    /// backend's scatter: that one is frame-pipelined on the calling
+    /// thread, every shard in flight at once, its kernels running in the
+    /// workers. `None` is the engine's configured cluster width; `Some(1)`
+    /// is single-threaded end to end on the manager, which is all
+    /// [`QueryExecutor::execute_sequential`] sets. Execution is
     /// worker-count-invariant, so this is a pure resource knob — the
     /// timeout-free way to bound a query's CPU appetite.
     pub workers: Option<usize>,
@@ -370,7 +373,8 @@ pub trait QueryExecutor: Sync {
 
     /// Validates and executes one request at worker budget 1, whatever
     /// budget it carries: a single-threaded job on the local backend, a
-    /// width-1 scatter on the sharded and remote ones — same bytes as
+    /// width-1 scatter on the sharded one (the remote scatter is on the
+    /// calling thread at any budget) — same bytes as
     /// [`execute`](Self::execute); execution is worker-count-invariant.
     fn execute_sequential(&self, request: &QueryRequest) -> Result<QueryResponse, SpqError> {
         request.validate()?;

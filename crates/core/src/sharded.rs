@@ -24,7 +24,12 @@
 //!    every data object against its own slice with the kernel
 //!    (`Shard::answer`, the step a remote worker runs too) —
 //!    inter-shard concurrency is the parallelism, exactly the
-//!    shard-per-node serving shape;
+//!    shard-per-node serving shape. In process the shards are CPU work,
+//!    run on up to [`QueryOptions::workers`] threads; a remote scatter is
+//!    frame-pipelined on the calling thread instead — every shard's query
+//!    frame is written before any reply is read, so every remote shard is
+//!    in flight at once whatever the worker budget, and no thread is
+//!    spawned for it;
 //! 3. **gathers** each shard's local top-k as *serialized wire records* —
 //!    [`wire::RECORD_BYTES`]-byte `(data index, score bits)` pairs, the
 //!    cross-shard counterpart of the 8–16-byte handles that cross the
@@ -213,6 +218,7 @@ pub mod wire {
 
 /// Maps each `(id, global store index)` pair, or returns the first id that
 /// occurs twice — gather records resolve by id, so ids must be unique.
+/// [`unique_ids`] is the same check for a caller with no use for the map.
 pub(crate) fn index_by_id(
     pairs: impl ExactSizeIterator<Item = (ObjectId, u32)>,
 ) -> Result<HashMap<ObjectId, u32>, ObjectId> {
@@ -223,6 +229,25 @@ pub(crate) fn index_by_id(
         }
     }
     Ok(id_to_index)
+}
+
+/// Refuses `data` when two of its objects share an id — the check
+/// [`index_by_id`] makes, over a sorted copy of the ids instead of a map.
+pub(crate) fn unique_ids(data: &[DataObject]) -> Result<(), SpqError> {
+    let mut ids: Vec<ObjectId> = data.iter().map(|o| o.id).collect();
+    ids.sort_unstable();
+    match ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        Some(pair) => Err(duplicate_id(pair[0])),
+        None => Ok(()),
+    }
+}
+
+/// What a scatter/gather engine answers a store whose data objects share
+/// an id.
+fn duplicate_id(id: ObjectId) -> SpqError {
+    SpqError::invalid_config(format!(
+        "duplicate data object id {id} — gather records resolve by id"
+    ))
 }
 
 /// All of `O` as the shards of one process read it: bucketed on the
@@ -326,6 +351,10 @@ pub(crate) struct Recovery {
     pub cold_reprovisions: u64,
 }
 
+/// One shard's answer to a scatter: its [`wire`] records and the recovery
+/// they took.
+pub(crate) type ShardOutcome = Result<(Vec<u8>, Recovery), SpqError>;
+
 /// What both scatter/gather engines know about how the store is cut: the
 /// global store the gather resolves against, the executor whose bounds
 /// every shard's grid covers, each shard's contiguous `[start, end)`
@@ -340,43 +369,33 @@ pub(crate) struct Layout {
 
 impl Layout {
     /// Cuts `dataset`'s features into `num_shards` contiguous slices (every
-    /// shard ranks every data object). Also returns the id → store-index
-    /// map the uniqueness check builds.
+    /// shard ranks every data object). The data objects' ids are the
+    /// caller's to check: an engine that builds the id → store-index map
+    /// checks them as it builds it ([`index_by_id`]), one that does not
+    /// calls [`unique_ids`].
     ///
     /// # Errors
     ///
-    /// [`SpqError::InvalidConfig`] when `num_shards == 0` or two data
-    /// objects share an id.
+    /// [`SpqError::InvalidConfig`] when `num_shards == 0`.
     pub(crate) fn new(
         exec: SpqExecutor,
         dataset: SharedDataset,
         num_shards: usize,
-    ) -> Result<(Self, HashMap<ObjectId, u32>), SpqError> {
+    ) -> Result<Self, SpqError> {
         if num_shards == 0 {
             return Err(SpqError::invalid_config(
                 "a scatter/gather backend needs at least one shard",
             ));
         }
-        let ids = dataset
-            .data()
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.id, i as u32));
-        let id_to_index = index_by_id(ids).map_err(|id| {
-            SpqError::invalid_config(format!(
-                "duplicate data object id {id} — gather records resolve by id"
-            ))
-        })?;
         let features = dataset.features();
-        let layout = Self {
+        Ok(Self {
             slices: (0..num_shards)
                 .map(|s| block(s, features.len(), num_shards))
                 .collect(),
             terms: TermPresence::build(features),
             dataset,
             exec,
-        };
-        Ok((layout, id_to_index))
+        })
     }
 
     /// The keyword probe, `(terms probed, terms matched)` over all of `F`:
@@ -389,18 +408,20 @@ impl Layout {
     /// The one scatter/gather lifecycle (see the [module docs](self)).
     /// `keywords` is the caller's [`probe`](Self::probe): with no match no
     /// object can score, and no shard is asked. Otherwise `ask` is called
-    /// once per shard with a non-empty feature slice, on up to
-    /// [`QueryOptions::workers`] threads (results are width-invariant),
-    /// and returns the shard's [`wire`] records; each reply is checked,
-    /// resolved against the global store, combined by each object's best
-    /// partial score and merged. A traced request also runs the query's
-    /// one job.
+    /// once with every shard whose feature slice is non-empty, ascending,
+    /// and returns each one's outcome in that order — the engine decides
+    /// how the shards are asked: [`ShardedEngine`] on threads, the remote
+    /// engine by pipelined frames from the calling thread. Each reply is
+    /// checked, resolved against the global store, combined by each
+    /// object's best partial score and merged; the first failed shard, in
+    /// shard order, fails the request. A traced request also runs the
+    /// query's one job.
     pub(crate) fn scatter_gather(
         &self,
         query: &SpqQuery,
         options: &QueryOptions,
         keywords: (usize, usize),
-        ask: impl Fn(usize) -> Result<(Vec<u8>, Recovery), SpqError> + Sync,
+        ask: impl FnOnce(&[usize]) -> Result<Vec<ShardOutcome>, SpqError>,
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
         let relevant: Vec<usize> = (0..self.slices.len())
@@ -421,15 +442,8 @@ impl Layout {
         let data = self.dataset.data();
         let mut partials = Vec::new();
         if !relevant.is_empty() {
-            let width = options
-                .workers
-                .unwrap_or(self.exec.cluster_config().workers)
-                .clamp(1, relevant.len());
-            let outcomes = run_tasks(width, relevant.len(), |i| ask(relevant[i])).map_err(|p| {
-                SpqError::Worker {
-                    message: format!("shard {}: {}", relevant[p.task_index], p.message),
-                }
-            })?;
+            let outcomes = ask(&relevant)?;
+            debug_assert_eq!(outcomes.len(), relevant.len());
             for (&s, outcome) in relevant.iter().zip(outcomes) {
                 let (records, recovery) = outcome?;
                 // The records may have come off a socket: a reply no
@@ -526,7 +540,9 @@ impl ShardedEngine {
         dataset: SharedDataset,
         num_shards: usize,
     ) -> Result<Self, SpqError> {
-        let (layout, id_to_index) = Layout::new(executor, dataset, num_shards)?;
+        let layout = Layout::new(executor, dataset, num_shards)?;
+        let ids = layout.dataset.data().iter().enumerate();
+        let id_to_index = index_by_id(ids.map(|(i, o)| (o.id, i as u32))).map_err(duplicate_id)?;
         let data = DataSide::new(layout.exec.bounds(), layout.dataset.data(), id_to_index);
         let features = layout.dataset.features();
         let shards = layout
@@ -582,12 +598,30 @@ impl ShardedEngine {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
+
+    /// Shard `s`'s answer to `query`, counted. The ship is a real
+    /// encode/decode round-trip, so the wire format is exercised on every
+    /// query.
+    fn answer(&self, s: usize, query: &SpqQuery) -> ShardOutcome {
+        let (shard, counters) = &self.shards[s];
+        let (records, work) = shard.answer(query)?;
+        self.metrics.kernel(work);
+        counters.queries.fetch_add(1, Ordering::Relaxed);
+        counters.records_shipped.fetch_add(
+            (records.len() / wire::RECORD_BYTES) as u64,
+            Ordering::Relaxed,
+        );
+        counters
+            .bytes_shipped
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        Ok((records, Recovery::default()))
+    }
 }
 
 impl QueryExecutor for ShardedEngine {
     /// Probe the term set over all of `F`, then `Layout::scatter_gather`
-    /// with every shard asked in-process. The ship is a real encode/decode
-    /// round-trip, so the wire format is exercised on every query.
+    /// with every shard asked in-process, on up to
+    /// [`QueryOptions::workers`] threads (results are width-invariant).
     fn run_validated(
         &self,
         query: &SpqQuery,
@@ -595,20 +629,18 @@ impl QueryExecutor for ShardedEngine {
     ) -> Result<QueryResponse, SpqError> {
         let keywords = self.layout.probe(&query.keywords);
         self.metrics.request(keywords);
-        self.layout.scatter_gather(query, options, keywords, |s| {
-            let (shard, counters) = &self.shards[s];
-            let (records, work) = shard.answer(query)?;
-            self.metrics.kernel(work);
-            counters.queries.fetch_add(1, Ordering::Relaxed);
-            counters.records_shipped.fetch_add(
-                (records.len() / wire::RECORD_BYTES) as u64,
-                Ordering::Relaxed,
-            );
-            counters
-                .bytes_shipped
-                .fetch_add(records.len() as u64, Ordering::Relaxed);
-            Ok((records, Recovery::default()))
-        })
+        self.layout
+            .scatter_gather(query, options, keywords, |shards| {
+                let width = options
+                    .workers
+                    .unwrap_or(self.layout.exec.cluster_config().workers)
+                    .clamp(1, shards.len());
+                run_tasks(width, shards.len(), |i| self.answer(shards[i], query)).map_err(|p| {
+                    SpqError::Worker {
+                        message: format!("shard {}: {}", shards[p.task_index], p.message),
+                    }
+                })
+            })
     }
 
     fn metrics(&self) -> MetricsSnapshot {

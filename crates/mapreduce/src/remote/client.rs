@@ -1,5 +1,5 @@
-//! Manager-side worker client: backoff connect, deadlines, one
-//! request/response call at a time.
+//! Manager-side worker client: backoff connect, deadlines, and request
+//! frames that may be pipelined ahead of their replies.
 
 use super::frame::{read_frame, write_frame, FrameError, HEADER_LEN};
 use std::io::ErrorKind;
@@ -153,7 +153,9 @@ impl From<FrameError> for RemoteError {
 /// The stream is established lazily (with exponential backoff) on the
 /// first call and re-established after any failure — a `WorkerClient`
 /// held across a worker restart heals by itself. One call is one
-/// request frame followed by one response frame.
+/// request frame followed by one response frame; [`send`](Self::send)
+/// and [`receive`](Self::receive) split it, so several requests can be in
+/// flight on the one connection.
 #[derive(Debug)]
 pub struct WorkerClient {
     addr: String,
@@ -241,23 +243,44 @@ impl WorkerClient {
         Err(last)
     }
 
-    /// Sends one request frame and reads the response frame.
+    /// Writes one request frame, connecting first if there is no
+    /// connection. Frames may be sent back to back before their replies
+    /// are read: a worker answers the frames of one connection one at a
+    /// time, in order, so [`receive`](Self::receive) returns the replies
+    /// in the order the requests were sent.
     ///
-    /// On any failure the stream is dropped, so the next call starts from
-    /// a fresh connection.
-    pub fn call(&mut self, opcode: u16, payload: &[u8]) -> Result<(u16, Vec<u8>), RemoteError> {
+    /// On failure the connection is dropped — with the replies to every
+    /// frame sent on it and not yet received.
+    pub fn send(&mut self, opcode: u16, payload: &[u8]) -> Result<(), RemoteError> {
         let stream = match self.stream.take() {
             Some(stream) => stream,
             None => self.connect()?,
         };
         let stream = self.stream.insert(stream);
-        let result = (|| {
-            write_frame(stream, opcode, payload)?;
-            read_frame(stream)
-        })();
-        match result {
-            Ok((op, response)) => {
+        match write_frame(stream, opcode, payload) {
+            Ok(()) => {
                 self.bytes_sent += (HEADER_LEN + payload.len()) as u64;
+                Ok(())
+            }
+            Err(e) => {
+                self.stream = None;
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Reads the reply to the oldest frame [`send`](Self::send) wrote and
+    /// no call has read yet. With no connection — none was made, or a
+    /// failure dropped it — there is nothing to read: the error is
+    /// [`ErrorKind::NotConnected`], and no connection is made.
+    ///
+    /// On failure the connection is dropped, as by `send`.
+    pub fn receive(&mut self) -> Result<(u16, Vec<u8>), RemoteError> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Err(FrameError::Io(ErrorKind::NotConnected).into());
+        };
+        match read_frame(stream) {
+            Ok((op, response)) => {
                 self.bytes_received += (HEADER_LEN + response.len()) as u64;
                 Ok((op, response))
             }
@@ -266,6 +289,15 @@ impl WorkerClient {
                 Err(e.into())
             }
         }
+    }
+
+    /// Sends one request frame and reads its response frame.
+    ///
+    /// On any failure the stream is dropped, so the next call starts from
+    /// a fresh connection.
+    pub fn call(&mut self, opcode: u16, payload: &[u8]) -> Result<(u16, Vec<u8>), RemoteError> {
+        self.send(opcode, payload)?;
+        self.receive()
     }
 
     /// Drops the current connection (the next call reconnects).
@@ -341,6 +373,45 @@ mod tests {
             client.call(super::super::frame::OP_PING, b""),
             Err(RemoteError::Connect { .. })
         ));
+    }
+
+    /// Frames sent back to back are answered in order; a failure drops the
+    /// replies the connection still owed, and a read with no connection
+    /// fails at once instead of connecting or waiting. The next call
+    /// reconnects.
+    #[test]
+    fn a_failure_drops_the_replies_still_owed() {
+        use super::super::fault::FaultPlan;
+        use super::super::frame::{OP_FAULT_OK, OP_PING, OP_PONG, OP_SET_FAULT};
+        use super::super::worker::WorkerServer;
+        let not_connected = |got: Result<(u16, Vec<u8>), RemoteError>| {
+            matches!(
+                got,
+                Err(RemoteError::Frame(FrameError::Io(ErrorKind::NotConnected)))
+            )
+        };
+        let server = WorkerServer::bind("127.0.0.1:0", Vec::new(), false).unwrap();
+        let mut client = WorkerClient::new(server.addr().to_string(), ClientConfig::fast());
+        assert!(not_connected(client.receive()));
+
+        let mut plan = Vec::new();
+        FaultPlan {
+            drop_after_responses: Some(1),
+            ..FaultPlan::none()
+        }
+        .encode(&mut plan);
+        assert_eq!(client.call(OP_SET_FAULT, &plan).unwrap().0, OP_FAULT_OK);
+        for token in [b"one", b"two", b"six"] {
+            client.send(OP_PING, token).unwrap();
+        }
+        assert_eq!(client.receive().unwrap(), (OP_PONG, b"one".to_vec()));
+        assert!(client.receive().is_err(), "the second reply was dropped");
+        assert!(not_connected(client.receive()));
+        assert_eq!(
+            client.call(OP_PING, b"new").unwrap(),
+            (OP_PONG, b"new".to_vec())
+        );
+        server.shutdown();
     }
 
     #[test]

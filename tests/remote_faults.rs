@@ -12,6 +12,7 @@
 //! worker death.
 
 use proptest::prelude::*;
+use spq::core::centralized::brute_force;
 use spq::mapreduce::remote::{
     read_frame, write_frame, ClientConfig, FaultPlan, FrameError, RemoteError, WorkerClient,
     WorkerServer, MAX_FRAME_LEN, OP_PING, OP_PONG,
@@ -19,7 +20,7 @@ use spq::mapreduce::remote::{
 use spq::prelude::*;
 use std::io::{Cursor, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn feature(id: u64, x: f64, y: f64, kw: &[u32]) -> FeatureObject {
     FeatureObject::new(
@@ -138,6 +139,135 @@ proptest! {
         prop_assert_eq!(&settled.results, &local.execute(&req).unwrap().results);
         prop_assert_eq!(settled.stats.retries, 0);
     }
+}
+
+/// Two shards pipelined on one connection, and the connection dies
+/// between their two replies. Worker 0 dies first, so its shard 0 fails
+/// over warm onto worker 1 — shard 1's primary, which holds shard 0's
+/// replica — and from then on one scatter writes both shards' frames to
+/// worker 1 before it reads either reply. Worker 1 then drops the
+/// connection instead of sending its second reply (then, once more,
+/// instead of its first). A reply that arrived is served, the shard whose
+/// exchange failed retries on a fresh connection, and the answers stay
+/// byte-identical to the brute force. Every count is the one the per-shard
+/// loop would take asking the shards one after the other.
+#[test]
+fn a_connection_lost_between_pipelined_replies_retries_only_the_unanswered_shard() {
+    let dataset = dataset();
+    let remote = RemoteEngine::self_hosted(executor(), dataset.clone(), WORKERS).unwrap();
+    // Keyword 0 is carried in every shard's slice: every query touches
+    // all three shards.
+    let req = request(4, 3.0, &[0]);
+    let oracle = brute_force(dataset.data(), dataset.features(), &req.query);
+    let kill = FaultPlan {
+        kill_after_responses: Some(0),
+        ..FaultPlan::none()
+    };
+    remote.inject_fault(0, &kill).unwrap();
+
+    // Shard 0: its exchange with worker 0 fails (suspect, one re-ask),
+    // the re-ask cannot connect (excluded), and the shard flips warm to
+    // worker 1 (a second re-ask). Shards 1 and 2 answer first time.
+    let got = remote.execute(&req).unwrap();
+    assert_eq!(got.results, oracle);
+    assert_eq!(got.stats.shards_touched, 3);
+    assert_eq!(
+        (
+            got.stats.retries,
+            got.stats.warm_failovers,
+            got.stats.cold_reprovisions
+        ),
+        (2, 1, 0)
+    );
+    assert_eq!(remote.membership().primaries, vec![1, 1, 2]);
+
+    // Worker 1 now answers shards 0 and 1 on one connection, and loses
+    // it instead of sending its second reply (one-shot). Shard 0's reply
+    // is served; shard 1's exchange failed: suspect, one re-ask on a
+    // fresh connection, answered. Nothing fails over.
+    let drop = FaultPlan {
+        drop_after_responses: Some(1),
+        ..FaultPlan::none()
+    };
+    remote.inject_fault(1, &drop).unwrap();
+    let got = remote.execute_sequential(&req).unwrap();
+    assert_eq!(got.results, oracle);
+    assert_eq!(
+        (
+            got.stats.retries,
+            got.stats.warm_failovers,
+            got.stats.cold_reprovisions
+        ),
+        (1, 0, 0)
+    );
+
+    // The connection dies at the first of the two replies instead: shard
+    // 0's exchange failed (one re-ask, answered), and shard 1's frame went
+    // down with the connection unanswered — it never had an exchange and
+    // is asked afresh, with no strike against the worker and no re-ask.
+    let drop = FaultPlan {
+        drop_after_responses: Some(0),
+        ..FaultPlan::none()
+    };
+    remote.inject_fault(1, &drop).unwrap();
+    let got = remote.execute(&req).unwrap();
+    assert_eq!(got.results, oracle);
+    assert_eq!(
+        (
+            got.stats.retries,
+            got.stats.warm_failovers,
+            got.stats.cold_reprovisions
+        ),
+        (1, 0, 0)
+    );
+
+    let metrics = remote.metrics();
+    assert_eq!(metrics.remote_retries, 4);
+    assert_eq!(metrics.warm_failovers, 1);
+    assert_eq!(metrics.excluded_workers, 1);
+    let view = remote.membership();
+    assert_eq!(view.primaries, vec![1, 1, 2]);
+    assert_eq!(
+        view.states[1],
+        WorkerState::Live,
+        "the re-ask vindicated worker 1"
+    );
+
+    // Settled: the next scatter pipelines the same two shards cleanly.
+    let again = remote.execute(&req).unwrap();
+    assert_eq!(again.results, oracle);
+    assert_eq!(again.stats.retries, 0);
+}
+
+/// A remote scatter puts every shard in flight at once, whatever the
+/// request's worker budget: at budget 1, three workers that each take
+/// 200 ms to answer answer one query in about 200 ms. Asking the shards one
+/// at a time could not take less than 600 ms.
+#[test]
+fn every_remote_shard_is_in_flight_at_worker_budget_one() {
+    let dataset = dataset();
+    let remote = RemoteEngine::self_hosted(executor(), dataset.clone(), WORKERS).unwrap();
+    let slow = FaultPlan {
+        delay_response_ms: Some(200),
+        ..FaultPlan::none()
+    };
+    for w in 0..WORKERS {
+        remote.inject_fault(w, &slow).unwrap();
+    }
+    let req = request(4, 3.0, &[0]);
+    let started = Instant::now();
+    let got = remote.execute_sequential(&req).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(got.stats.shards_touched, WORKERS);
+    assert_eq!(got.stats.retries, 0);
+    assert_eq!(
+        got.results,
+        brute_force(dataset.data(), dataset.features(), &req.query)
+    );
+    assert!(
+        elapsed < Duration::from_millis(600),
+        "the shards were asked one at a time: {elapsed:?}"
+    );
 }
 
 fn bind_test_server() -> WorkerServer {

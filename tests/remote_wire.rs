@@ -1,6 +1,7 @@
 //! Round-trip properties of the remote frame and shard codecs, what the
-//! provisioning and shard-result decoders do with hostile bytes, and the
-//! counters a traced response carries on every backend.
+//! provisioning and shard-result decoders do with hostile bytes, the order
+//! a worker answers pipelined frames in, and the counters a traced
+//! response carries on every backend.
 //!
 //! The remote engine's correctness argument leans on exact
 //! serialization: what is shipped to a worker and what is shipped back
@@ -19,10 +20,13 @@ use spq::core::sharded::wire;
 use spq::mapreduce::remote::frame::{WordHasher, MAGIC};
 use spq::mapreduce::remote::{
     read_frame, write_frame, ClientConfig, FrameError, FrameHandler, WorkerClient, WorkerServer,
-    OP_ERROR, OP_FEATURES, OP_PROVISION, OP_SHARD_QUERY, OP_SHARD_RESULT,
+    OP_ERROR, OP_FEATURES, OP_FEATURES_OK, OP_PING, OP_PONG, OP_PROVISION, OP_PROVISION_OK,
+    OP_SHARD_QUERY, OP_SHARD_RESULT,
 };
 use spq::prelude::*;
-use std::io::Cursor;
+use std::io::{Cursor, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -335,6 +339,88 @@ fn shard_host_rejects_out_of_sequence_chunks_and_unknown_sets() {
     assert_eq!(host.hosted_shards(), 1);
 }
 
+/// An `OP_SHARD_QUERY` payload as the manager writes it: shard id, `k`,
+/// radius, similarity tag (0 = Jaccard) and the keyword ids.
+fn shard_query(shard: u32, k: u64, radius: f64, ids: &[u32]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend(shard.to_le_bytes());
+    out.extend(k.to_le_bytes());
+    out.extend(radius.to_bits().to_le_bytes());
+    out.push(0);
+    out.extend((ids.len() as u32).to_le_bytes());
+    out.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
+    out
+}
+
+/// A worker answers the frames of one connection one at a time, in the
+/// order they were sent — the contract a pipelined scatter rests on, since
+/// an `OP_SHARD_RESULT` names no shard. Pings with distinct tokens and
+/// queries for two hosted shards go out back to back, in one write; the
+/// replies come back in the same order, each what the frame gets alone.
+/// The client's split `send`/`receive` sees the same.
+#[test]
+fn a_worker_answers_back_to_back_frames_in_order() {
+    let features = uniform_features(12);
+    // Term 16 is carried by features 0 and 3 (shard 0) and 6 and 9
+    // (shard 1); each shard has one data object within 1 of one of them.
+    let data = [
+        DataObject::new(1, Point::new(0.5, 9.8)),
+        DataObject::new(2, Point::new(2.0, 9.0)),
+    ];
+    let server =
+        WorkerServer::bind("127.0.0.1:0", vec![Box::new(ShardHost::new())], false).unwrap();
+    let mut client = WorkerClient::new(server.addr().to_string(), ClientConfig::fast());
+    for (shard, slice) in [&features[..6], &features[6..]].into_iter().enumerate() {
+        let set = encode_feature_chunks(slice, usize::MAX);
+        for chunk in &set.chunks {
+            assert_eq!(client.call(OP_FEATURES, chunk).unwrap().0, OP_FEATURES_OK);
+        }
+        let bounds = unit_executor().bounds();
+        let install = encode_provision(shard as u32, set.fingerprint, bounds, &data);
+        assert_eq!(
+            client.call(OP_PROVISION, &install).unwrap().0,
+            OP_PROVISION_OK
+        );
+    }
+    let frames = [
+        (OP_PING, b"first".to_vec()),
+        (OP_SHARD_QUERY, shard_query(0, 2, 1.0, &[16])),
+        (OP_PING, b"second".to_vec()),
+        (OP_SHARD_QUERY, shard_query(1, 2, 1.0, &[16])),
+        (OP_PING, b"third".to_vec()),
+    ];
+    let alone: Vec<(u16, Vec<u8>)> = frames
+        .iter()
+        .map(|(opcode, payload)| client.call(*opcode, payload).unwrap())
+        .collect();
+    assert_eq!(alone[0], (OP_PONG, b"first".to_vec()));
+    assert_eq!(alone[1].0, OP_SHARD_RESULT);
+    assert_eq!(alone[1].1.len(), wire::RECORD_BYTES);
+    assert_eq!(alone[3].0, OP_SHARD_RESULT);
+    assert_ne!(alone[1], alone[3], "the two shards must answer differently");
+
+    let mut bytes = Vec::new();
+    for (opcode, payload) in &frames {
+        write_frame(&mut bytes, *opcode, payload).unwrap();
+    }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&bytes).unwrap();
+    let replies: Vec<(u16, Vec<u8>)> = frames
+        .iter()
+        .map(|_| read_frame(&mut stream).unwrap())
+        .collect();
+    assert_eq!(replies, alone);
+
+    for (opcode, payload) in &frames {
+        client.send(*opcode, payload).unwrap();
+    }
+    let replies: Vec<(u16, Vec<u8>)> = frames.iter().map(|_| client.receive().unwrap()).collect();
+    assert_eq!(replies, alone);
+}
+
 /// Overwrites the little-endian `u32` at `at` with `value`.
 fn patch_u32(payload: &mut [u8], at: usize, value: u32) {
     payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
@@ -347,9 +433,11 @@ proptest! {
     /// data-object count was overwritten with a lie, decode to a typed
     /// error or a valid value — never a panic, never an allocation sized
     /// by the lie (every count is held to what the remaining bytes can
-    /// carry before anything is reserved for it). A worker that was sent
-    /// such a frame says so with a typed error and serves the next
-    /// connection.
+    /// carry before anything is reserved for it). A worker's host, which
+    /// decodes a chunk straight into the slice it assembles, refuses each
+    /// such chunk and still assembles a well-formed slice afterwards; a
+    /// worker that was sent such a frame says so with a typed error and
+    /// serves the next connection.
     #[test]
     fn prop_provisioning_decoders_survive_hostile_input(
         noise in proptest::collection::vec(0u8..=u8::MAX, 0..256),
@@ -411,6 +499,22 @@ proptest! {
         prop_assert!(decode_provision(&provision[..cut]).is_err());
         hostile.push((OP_FEATURES, noise.clone()));
         hostile.push((OP_PROVISION, noise));
+
+        // In process: a host refuses each hostile chunk that does not
+        // decode, and still assembles a well-formed slice afterwards.
+        let host = ShardHost::new();
+        for (opcode, payload) in &hostile {
+            if opcode == &OP_FEATURES && decode_features_chunk(payload).is_err() {
+                prop_assert!(host.handle(OP_FEATURES, payload).is_err());
+                prop_assert_eq!(host.feature_sets(), 0);
+            }
+        }
+        prop_assert!(host.handle(OP_FEATURES, &chunk).is_ok());
+        prop_assert_eq!(host.feature_sets(), 1);
+        let fingerprint = encode_feature_chunks(&features, usize::MAX).fingerprint;
+        let install = encode_provision(0, fingerprint, unit_executor().bounds(), &data);
+        prop_assert!(host.handle(OP_PROVISION, &install).is_ok());
+        prop_assert_eq!(host.hosted_shards(), 1);
 
         // Through a real worker: each hostile frame is answered with a
         // typed error, and a new connection is served afterwards.
