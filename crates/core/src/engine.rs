@@ -116,7 +116,7 @@ use std::time::Instant;
 /// This is the engine's build-once replacement for the per-query keyword
 /// pruning scan: instead of testing `q.W ∩ f.W` for every feature on
 /// every query, each query probes `|q.W|` posting lists.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeywordIndex {
     /// `postings[offsets[t]..offsets[t + 1]]` are the features carrying
     /// term `t`, ascending.
@@ -130,15 +130,10 @@ impl KeywordIndex {
     /// Builds the index over a feature set (one pass to count, one pass
     /// to fill).
     pub fn build(features: &[FeatureObject]) -> Self {
-        Self::from_lists(features.iter().map(|f| f.keywords.terms()))
-    }
-
-    /// [`build`](Self::build) over each feature's keyword list, in
-    /// feature order; every list is read twice.
-    pub(crate) fn from_lists<'a>(lists: impl Iterator<Item = &'a [Term]> + Clone) -> Self {
+        let lists = features.iter().map(|f| f.keywords.terms());
         let num_terms = lists
             .clone()
-            .flat_map(|terms| terms.iter())
+            .filter_map(|terms| terms.last())
             .map(|t| t.index() + 1)
             .max()
             .unwrap_or(0);
@@ -153,7 +148,7 @@ impl KeywordIndex {
         }
         let mut postings = vec![0u32; offsets[num_terms]];
         let mut cursor = offsets.clone();
-        let mut feature_lens = Vec::with_capacity(lists.size_hint().0);
+        let mut feature_lens = Vec::with_capacity(features.len());
         for (i, terms) in lists.enumerate() {
             for t in terms {
                 postings[cursor[t.index()]] = i as u32;
@@ -166,6 +161,54 @@ impl KeywordIndex {
             postings: postings.into_boxed_slice(),
             feature_lens: feature_lens.into_boxed_slice(),
         }
+    }
+
+    /// An index from its three columns as [`columns`](Self::columns)
+    /// returns them, checked to be one [`build`](Self::build) can make:
+    /// the offsets run from 0 to the postings length without decreasing,
+    /// each term's postings strictly increase (the kernel's merge relies
+    /// on it) and name a feature below `feature_lens.len()`, and each
+    /// feature's length is its number of postings. The columns are kept
+    /// as they are; only a feature count is allocated beside them.
+    pub(crate) fn from_columns(
+        offsets: Vec<usize>,
+        postings: Vec<u32>,
+        feature_lens: Vec<u32>,
+    ) -> Result<Self, String> {
+        if offsets.first() != Some(&0) || offsets.last() != Some(&postings.len()) {
+            return Err("the term offsets do not run from 0 to the postings length".to_owned());
+        }
+        let mut counts = vec![0u32; feature_lens.len()];
+        for (t, range) in offsets.windows(2).enumerate() {
+            // `None` when the offsets decrease here or pass the postings.
+            let Some(list) = postings.get(range[0]..range[1]) else {
+                return Err(format!("term {t}'s offsets decrease"));
+            };
+            if !list.is_sorted_by(|a, b| a < b) {
+                return Err(format!("term {t}'s postings do not strictly increase"));
+            }
+            if let Some(&last) = list.last().filter(|&&f| f as usize >= counts.len()) {
+                return Err(format!("term {t} names feature {last} of {}", counts.len()));
+            }
+            for &f in list {
+                counts[f as usize] += 1;
+            }
+        }
+        if counts != feature_lens {
+            return Err("feature lengths disagree with the postings".to_owned());
+        }
+        Ok(Self {
+            offsets: offsets.into_boxed_slice(),
+            postings: postings.into_boxed_slice(),
+            feature_lens: feature_lens.into_boxed_slice(),
+        })
+    }
+
+    /// The term offset table, the postings and the feature lengths —
+    /// everything the index is, as [`from_columns`](Self::from_columns)
+    /// takes it back.
+    pub(crate) fn columns(&self) -> (&[usize], &[u32], &[u32]) {
+        (&self.offsets, &self.postings, &self.feature_lens)
     }
 
     /// Number of distinct term slots (= highest indexed term id + 1).

@@ -53,49 +53,19 @@ use crate::model::{ObjectId, RankedObject};
 use crate::query::SpqQuery;
 use crate::topk::TopKList;
 use spq_spatial::{GridIndex, Point};
-use spq_text::{Score, Term};
+use spq_text::Score;
 use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// One slice of `F` as the kernel reads it: the keyword index over the
 /// slice and each feature's location, feature `i` of the index at
-/// `locations[i]`. No keyword list is kept beside the index.
+/// `locations[i]`. No keyword list is kept beside the index. A remote
+/// worker receives these columns as the manager built them and keeps
+/// them as they arrive.
 #[derive(Debug)]
 pub(crate) struct FeatureSide {
     pub(crate) locations: Box<[Point]>,
     pub(crate) index: KeywordIndex,
-}
-
-/// A feature slice as it arrives, in store order, packed flat: what a
-/// worker assembles from its chunk frames, one feature at a time, and
-/// turns into a [`FeatureSide`] once the last one is in.
-#[derive(Debug, Default)]
-pub(crate) struct FeatureSideBuilder {
-    locations: Vec<Point>,
-    /// `terms[ends[i - 1]..ends[i]]` are feature `i`'s keywords.
-    ends: Vec<usize>,
-    terms: Vec<Term>,
-}
-
-impl FeatureSideBuilder {
-    /// Appends one feature.
-    pub(crate) fn push(&mut self, location: Point, keywords: &[Term]) {
-        self.locations.push(location);
-        self.terms.extend_from_slice(keywords);
-        self.ends.push(self.terms.len());
-    }
-
-    /// Indexes the slice; the packed keyword lists are dropped.
-    pub(crate) fn build(self) -> FeatureSide {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        let lists = starts
-            .zip(&self.ends)
-            .map(|(start, &end)| &self.terms[start..end]);
-        FeatureSide {
-            index: KeywordIndex::from_lists(lists),
-            locations: self.locations.into_boxed_slice(),
-        }
-    }
 }
 
 /// The serving state one kernel answers from: a slice of `F` and the data

@@ -2,6 +2,8 @@
 //! the mapreduce byte codec; round-tripped and fed hostile bytes by the
 //! proptests in `tests/remote_wire.rs`.
 
+use crate::engine::{feature_side, KeywordIndex};
+use crate::kernel::FeatureSide;
 use crate::model::{DataObject, FeatureObject};
 use crate::query::SpqQuery;
 use crate::sharded::wire;
@@ -57,26 +59,21 @@ const DATA_RECORD_BYTES: usize = 8 + 8 + 8;
 /// Shard id and feature-set fingerprint: what precedes an
 /// `OP_PROVISION`'s data block.
 const PROVISION_HEADER_BYTES: usize = 4 + 8;
-/// Encoded size of a feature with no keywords — the floor a shipped
-/// feature count is held to before anything is allocated for it.
-pub(super) const MIN_FEATURE_BYTES: usize = 8 + 8 + 8 + 4;
-/// Encoded size of one keyword id.
-pub(super) const TERM_BYTES: usize = 4;
-/// Fingerprint, chunk index, chunk total, feature count.
-pub(super) const CHUNK_HEADER_BYTES: usize = 8 + 4 + 4 + 4;
+/// Fingerprint, chunk index, chunk total.
+pub(super) const CHUNK_HEADER_BYTES: usize = 8 + 4 + 4;
 
-/// One past the largest keyword id a shipped feature set may carry. A
-/// worker's keyword index sizes its offset table by the largest id it
-/// holds, so this bounds the table at 2²² + 1 `usize` offsets —
-/// 32 MiB, plus as much again for the fill cursor while it is built —
-/// where one id of `u32::MAX` would ask for 32 GiB. It sits 47× above the
-/// largest vocabulary the generators produce (88,706 terms).
+/// One past the largest keyword id a shipped feature set may carry, and
+/// so the bound on a shipped term offset table's length (one entry per
+/// term id, plus one). A worker holds that table as `usize` offsets, so
+/// this bounds it at 32 MiB, where one id of `u32::MAX` would ask for
+/// 32 GiB. It sits 47× above the largest vocabulary the generators
+/// produce (88,706 terms).
 pub(super) const TERM_ID_LIMIT: u32 = 1 << 22;
 
-/// Feature bytes one `OP_FEATURES` chunk carries: whole features are
-/// packed until the next one would cross it, so a chunk only exceeds it
-/// when a single feature does. Small enough that neither side ever holds
-/// a feature set as one buffer, far enough under
+/// Column bytes one `OP_FEATURES` chunk carries: the columns are cut
+/// between elements, each chunk as full as this allows (and never empty
+/// of elements). Small enough that neither side ever holds a feature
+/// set as one buffer, far enough under
 /// [`MAX_FRAME_LEN`](spq_mapreduce::remote::MAX_FRAME_LEN) that no corpus
 /// size brings a provisioning frame near the cap.
 pub(super) const FEATURES_CHUNK_BYTES: usize = 1 << 20;
@@ -85,77 +82,92 @@ pub(super) const FEATURES_CHUNK_BYTES: usize = 1 << 20;
 /// `OP_FEATURES` payloads, in the order they must be sent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureChunks {
-    /// [`WordHasher`] over the encoded features — a function of the
-    /// content alone, whatever the chunking.
+    /// [`WordHasher`] over the four columns' word counts (`u64` each) and
+    /// then their bytes — a function of the content alone, whatever the
+    /// chunking.
     pub fingerprint: u64,
     /// One payload per chunk; never empty (a feature-less set is one
-    /// chunk of zero features).
+    /// chunk carrying a one-entry term offset table).
     pub chunks: Vec<Vec<u8>>,
 }
 
-/// Encodes a feature set into `OP_FEATURES` chunk payloads of at most
-/// `budget` feature bytes each (one feature per chunk when a feature is
-/// larger than the budget).
-pub fn encode_feature_chunks(features: &[FeatureObject], budget: usize) -> FeatureChunks {
+/// Encodes `features` as the manager ships it: the slice's kernel state,
+/// built exactly as an in-process shard builds it, cut into
+/// `OP_FEATURES` chunk payloads of at most `budget` column bytes each.
+pub fn encode_feature_slice(features: &[FeatureObject], budget: usize) -> FeatureChunks {
+    encode_feature_side(&feature_side(features), budget)
+}
+
+/// Encodes a slice's kernel state into `OP_FEATURES` chunk payloads. Each
+/// payload is the chunk header — fingerprint `u64`, chunk index `u32`,
+/// chunk total `u32` — then one run per column, in wire order: the term
+/// offset table, the postings, the feature lengths and the locations,
+/// each run a `u32` word count and the words. A location is four words,
+/// the little-endian bytes of its two `f64`s. The columns are cut between
+/// elements into chunks of at most `budget` column bytes (at least one
+/// element each); a column starts only once the one before it is
+/// complete. No feature id and no keyword list is shipped.
+pub(crate) fn encode_feature_side(side: &FeatureSide, budget: usize) -> FeatureChunks {
+    let (offsets, postings, lens) = side.index.columns();
+    // An offset is at most the postings length, which is far below 2³²
+    // for any slice that fits in memory on both sides.
+    let offsets: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
+    let locations: Vec<u32> = side
+        .locations
+        .iter()
+        .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+        .flat_map(|bits| [bits as u32, (bits >> 32) as u32])
+        .collect();
+    // Each column with its element width in words.
+    let columns = [
+        (&offsets[..], 1),
+        (postings, 1),
+        (lens, 1),
+        (&locations[..], 4),
+    ];
+    let mut hasher = WordHasher::default();
+    for (words, _) in columns {
+        hasher.update(&(words.len() as u64).to_le_bytes());
+    }
     // Headers are patched at the end, once the fingerprint and the chunk
     // total are known.
-    let mut sealed: Vec<(Vec<u8>, u32)> = Vec::new();
-    let mut chunk = vec![0; CHUNK_HEADER_BYTES];
-    let mut count = 0u32;
-    for feature in features {
-        let len = MIN_FEATURE_BYTES + TERM_BYTES * feature.keywords.len();
-        if count > 0 && chunk.len() - CHUNK_HEADER_BYTES + len > budget {
-            sealed.push((
-                std::mem::replace(&mut chunk, vec![0; CHUNK_HEADER_BYTES]),
-                count,
-            ));
-            count = 0;
+    let mut chunks = Vec::new();
+    let mut next = [0usize; 4];
+    loop {
+        let mut chunk = vec![0; CHUNK_HEADER_BYTES];
+        // Room for one location at least, so every chunk moves on.
+        let mut room = budget.max(16) / 4;
+        for ((words, width), next) in columns.into_iter().zip(&mut next) {
+            let take = (words.len() - *next).min(room / width * width);
+            let at = chunk.len() + 4;
+            put_u32s(&mut chunk, words[*next..*next + take].iter().copied());
+            hasher.update(&chunk[at..]);
+            *next += take;
+            // A column starts only once the one before it is complete.
+            room = if *next == words.len() { room - take } else { 0 };
         }
-        put_u64(&mut chunk, feature.id);
-        put_f64(&mut chunk, feature.location.x);
-        put_f64(&mut chunk, feature.location.y);
-        put_keywords(&mut chunk, &feature.keywords);
-        count += 1;
-    }
-    sealed.push((chunk, count));
-    let mut hasher = WordHasher::default();
-    for (chunk, _) in &sealed {
-        hasher.update(&chunk[CHUNK_HEADER_BYTES..]);
+        chunks.push(chunk);
+        if columns
+            .iter()
+            .zip(next)
+            .all(|((words, _), n)| n == words.len())
+        {
+            break;
+        }
     }
     let fingerprint = hasher.finish();
-    let total = sealed.len() as u32;
-    let chunks = sealed
-        .into_iter()
-        .enumerate()
-        .map(|(index, (mut chunk, count))| {
-            let mut header = Vec::with_capacity(CHUNK_HEADER_BYTES);
-            put_u64(&mut header, fingerprint);
-            put_u32(&mut header, index as u32);
-            put_u32(&mut header, total);
-            put_u32(&mut header, count);
-            chunk[..CHUNK_HEADER_BYTES].copy_from_slice(&header);
-            // The chunks live as long as the engine; drop growth slack.
-            chunk.shrink_to_fit();
-            chunk
-        })
-        .collect();
+    let total = chunks.len() as u32;
+    for (index, chunk) in chunks.iter_mut().enumerate() {
+        chunk[..8].copy_from_slice(&fingerprint.to_le_bytes());
+        chunk[8..12].copy_from_slice(&(index as u32).to_le_bytes());
+        chunk[12..16].copy_from_slice(&total.to_le_bytes());
+        // The chunks live as long as the engine; drop growth slack.
+        chunk.shrink_to_fit();
+    }
     FeatureChunks {
         fingerprint,
         chunks,
     }
-}
-
-/// One decoded `OP_FEATURES` chunk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeaturesChunk {
-    /// The set this chunk belongs to.
-    pub fingerprint: u64,
-    /// Position of this chunk in the set (`< total`).
-    pub index: u32,
-    /// Chunks in the set (≥ 1).
-    pub total: u32,
-    /// The chunk's features, in store order.
-    pub features: Vec<FeatureObject>,
 }
 
 /// Appends a keyword set as a `u32` count and its ids, in one extend.
@@ -176,10 +188,40 @@ fn read_keywords(r: &mut ByteReader<'_>) -> Result<KeywordSet, CodecError> {
     })
 }
 
+/// A feature slice's columns as a worker assembles them from its chunks,
+/// each run appended as it arrives (the locations as their words);
+/// [`install`](Self::install) checks them and makes them kernel state.
+#[derive(Debug, Default)]
+pub(crate) struct FeatureColumns {
+    offsets: Vec<usize>,
+    postings: Vec<u32>,
+    lens: Vec<u32>,
+    locations: Vec<u32>,
+}
+
+impl FeatureColumns {
+    /// Checks the assembled columns (see [`KeywordIndex::from_columns`];
+    /// and one location per feature) and keeps them as the slice's kernel
+    /// state: nothing is built per term.
+    pub(crate) fn install(self) -> Result<FeatureSide, CodecError> {
+        if self.locations.len() != 4 * self.lens.len() {
+            return Err(CodecError::invalid("not one location per feature"));
+        }
+        let (words, _) = self.locations.as_chunks::<4>();
+        let f64_at = |lo: u32, hi: u32| f64::from_bits(lo as u64 | (hi as u64) << 32);
+        let locations = words
+            .iter()
+            .map(|&[x_lo, x_hi, y_lo, y_hi]| Point::new(f64_at(x_lo, x_hi), f64_at(y_lo, y_hi)))
+            .collect();
+        let index = KeywordIndex::from_columns(self.offsets, self.postings, self.lens)
+            .map_err(CodecError::invalid)?;
+        Ok(FeatureSide { locations, index })
+    }
+}
+
 /// An `OP_FEATURES` payload whose header has been read: which chunk of
-/// which set it is. [`read_features`](Self::read_features) then decodes
-/// the features with no allocation per feature — how a worker packs a
-/// chunk straight into its slice's kernel state.
+/// which set it is. [`read_into`](Self::read_into) then appends its runs
+/// to the slice being assembled.
 pub(crate) struct FeaturesChunkReader<'a> {
     /// The set this chunk belongs to.
     pub(crate) fingerprint: u64,
@@ -210,65 +252,28 @@ impl<'a> FeaturesChunkReader<'a> {
         })
     }
 
-    /// Decodes the chunk's features in store order, handing each to
-    /// `push` as its id, its location and its keyword ids, strictly
-    /// increasing: kept as they are when they were shipped so (what every
-    /// encoder writes), normalised exactly as [`KeywordSet::from_ids`]
-    /// does otherwise. Every shipped count is checked against the bytes
-    /// that remain before it sizes an allocation, and a keyword id of 2²²
-    /// or more (past the wire's term-id limit) is rejected before the
-    /// worker sizes anything from it. On an error, `push` may already
-    /// have been handed the features before the fault.
-    pub(crate) fn read_features(
-        mut self,
-        mut push: impl FnMut(u64, Point, &[Term]),
-    ) -> Result<(), CodecError> {
+    /// Appends the chunk's four runs to `columns` by bulk copy. Every run
+    /// count is checked against the bytes that remain before anything is
+    /// reserved for it, and a term offset table growing past
+    /// [`TERM_ID_LIMIT`]` + 1` entries is refused before it is extended.
+    /// On an error, `columns` may hold part of the chunk.
+    pub(crate) fn read_into(mut self, columns: &mut FeatureColumns) -> Result<(), CodecError> {
         let r = &mut self.r;
-        let num_features = r.count(MIN_FEATURE_BYTES)?;
-        let mut terms = Vec::new();
-        for _ in 0..num_features {
-            let id = r.u64()?;
-            let (x, y) = (r.f64()?, r.f64()?);
-            terms.clear();
-            terms.extend(r.u32s()?.map(Term));
-            if !terms.is_sorted_by(|a, b| a < b) {
-                terms.sort_unstable();
-                terms.dedup();
-            }
-            // Sorted now: the largest id is the last.
-            if let Some(t) = terms.last().filter(|t| t.0 >= TERM_ID_LIMIT) {
-                return Err(CodecError::invalid(format!(
-                    "keyword id {} of feature {id} is past the {TERM_ID_LIMIT}-term limit",
-                    t.0
-                )));
-            }
-            push(id, Point::new(x, y), &terms);
+        let offsets = r.u32s()?;
+        if columns.offsets.len() + offsets.len() > TERM_ID_LIMIT as usize + 1 {
+            return Err(CodecError::invalid(format!(
+                "a term offset table past the {TERM_ID_LIMIT}-term limit"
+            )));
         }
+        columns.offsets.extend(offsets.map(|o| o as usize));
+        columns.postings.extend(r.u32s()?);
+        columns.lens.extend(r.u32s()?);
+        columns.locations.extend(r.u32s()?);
         if !r.is_empty() {
             return Err(CodecError::invalid("trailing bytes after feature chunk"));
         }
         Ok(())
     }
-}
-
-/// Decodes one `OP_FEATURES` payload into feature objects, through the
-/// decoder a worker packs its slices with. Every shipped count is checked
-/// against the bytes that remain before it sizes an allocation, and a
-/// keyword id of 2²² or more (past the wire's term-id limit) is rejected.
-pub fn decode_features_chunk(payload: &[u8]) -> Result<FeaturesChunk, CodecError> {
-    let chunk = FeaturesChunkReader::new(payload)?;
-    let (fingerprint, index, total) = (chunk.fingerprint, chunk.index, chunk.total);
-    let mut features = Vec::new();
-    chunk.read_features(|id, location, terms| {
-        let keywords = KeywordSet::from_sorted(terms.to_vec());
-        features.push(FeatureObject::new(id, location, keywords));
-    })?;
-    Ok(FeaturesChunk {
-        fingerprint,
-        index,
-        total,
-        features,
-    })
 }
 
 /// Encodes an `OP_PROVISION` payload: the shard id, the fingerprint of

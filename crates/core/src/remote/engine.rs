@@ -3,7 +3,7 @@
 //! the membership machine from query outcomes and ticks.
 
 use super::codec::{
-    decode_shard_result, decode_shard_status, encode_feature_chunks, encode_provision,
+    decode_shard_result, decode_shard_status, encode_feature_side, encode_provision,
     encode_shard_query, FeatureChunks, FEATURES_CHUNK_BYTES, TERM_ID_LIMIT,
 };
 use super::host::{ShardHost, NOT_PROVISIONED, UNKNOWN_FEATURE_SET};
@@ -101,8 +101,9 @@ pub struct RemoteEngine {
     layout: Layout,
     client_config: ClientConfig,
     workers: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// Each shard's feature slice, encoded once: every worker — and every
-    /// later cold re-provision — is sent these same chunk buffers. A
+    /// Each shard's feature slice as kernel state columns, encoded once:
+    /// every worker — and every later cold re-provision — is sent these
+    /// same chunk buffers. A
     /// shard's [`OP_PROVISION`] payload is encoded when it is sent.
     pub(super) features: Vec<FeatureChunks>,
     /// Every membership decision is asked of this machine; the engine
@@ -239,18 +240,14 @@ impl RemoteEngine {
                 t.0
             )));
         }
-        // One shard per worker, cut exactly as the in-process engine cuts.
+        // One shard per worker, cut and built exactly as the in-process
+        // engine cuts and builds them: every slice's kernel state at once,
+        // each encoded on its own thread and then dropped.
         let num_workers = addrs.len();
-        let layout = Layout::new(executor, dataset, num_workers)?;
+        let (layout, features) = Layout::new(executor, dataset, num_workers, |side| {
+            encode_feature_side(&side, FEATURES_CHUNK_BYTES)
+        })?;
         unique_ids(layout.dataset.data())?;
-        let features = layout
-            .slices
-            .iter()
-            .map(|slice| {
-                let slice = &layout.dataset.features()[slice.clone()];
-                encode_feature_chunks(slice, FEATURES_CHUNK_BYTES)
-            })
-            .collect();
         let workers: Vec<Arc<WorkerSlot>> = addrs
             .iter()
             .map(|a| Arc::new(WorkerSlot::new(a.clone(), client_config)))
@@ -735,7 +732,7 @@ impl RemoteEngine {
 }
 
 impl QueryExecutor for RemoteEngine {
-    /// Probe the term set over all of `F`, then `Layout::scatter_gather`
+    /// Probe the slices' term tables, then `Layout::scatter_gather`
     /// with every shard asked over TCP from the calling thread: one
     /// pipelined `exchange` for all of them, then each
     /// shard, in shard order, through the retry/failover loop with its

@@ -1,11 +1,11 @@
-//! The worker side: a [`ShardHost`] assembles feature slices from chunk
-//! frames into kernel state, installs shards over them and answers shard
+//! The worker side: a [`ShardHost`] assembles feature slices' kernel
+//! state from chunk frames, installs shards over them and answers shard
 //! queries.
 
 use super::codec::{
-    decode_provision, decode_shard_query, encode_shard_status, FeaturesChunkReader,
+    decode_provision, decode_shard_query, encode_shard_status, FeatureColumns, FeaturesChunkReader,
 };
-use crate::kernel::{FeatureSide, FeatureSideBuilder};
+use crate::kernel::FeatureSide;
 use crate::sharded::{index_by_id, DataSide, Shard};
 use parking_lot::Mutex;
 use spq_mapreduce::remote::{
@@ -21,7 +21,7 @@ struct IncomingSet {
     total: u32,
     /// Chunks appended so far (= the index of the chunk expected next).
     received: u32,
-    features: FeatureSideBuilder,
+    columns: FeatureColumns,
 }
 
 #[derive(Default)]
@@ -59,10 +59,10 @@ pub(super) const UNKNOWN_FEATURE_SET: &str = "unknown feature set";
 pub(super) const NOT_PROVISIONED: &str = "is not provisioned";
 
 /// The worker-side shard host: a [`FrameHandler`] answering
-/// [`OP_FEATURES`] (assemble a feature slice from its chunk frames,
-/// each decoded straight into flat locations and keyword lists; on the
-/// last chunk turn them into kernel state — its keyword index and
-/// feature locations), [`OP_PROVISION`]
+/// [`OP_FEATURES`] (assemble a feature slice's kernel state — its
+/// keyword index's columns and its feature locations — from its chunk
+/// frames by bulk copy; on the last chunk check the columns and keep them
+/// as they are, building nothing), [`OP_PROVISION`]
 /// (install a shard over an assembled slice and the shipped data objects,
 /// which every shard with the same data block shares as one grid and id
 /// map), [`OP_SHARD_QUERY`] (answer a query with a hosted shard's kernel
@@ -87,20 +87,18 @@ impl ShardHost {
         let bad = |e| format!("bad features payload: {e}");
         let chunk = FeaturesChunkReader::new(payload).map_err(bad)?;
         let mut set = self.take_incoming(&chunk)?;
-        // Decoded straight into the slice, outside the lock; a chunk that
-        // does not decode abandons the assembly, as one out of sequence
-        // does.
-        chunk
-            .read_features(|_, location, terms| set.features.push(location, terms))
-            .map_err(bad)?;
+        // Appended to the slice outside the lock; a chunk that does not
+        // decode abandons the assembly, as one out of sequence does.
+        chunk.read_into(&mut set.columns).map_err(bad)?;
         set.received += 1;
         if set.received < set.total {
             self.state.lock().incoming = Some(set);
             return Ok(Vec::new());
         }
-        // Last chunk: index the slice outside the lock, so shards already
-        // hosted keep answering meanwhile.
-        let side = Arc::new(set.features.build());
+        // Last chunk: check the columns outside the lock, so shards
+        // already hosted keep answering meanwhile. Refused columns are
+        // dropped with the assembly.
+        let side = Arc::new(set.columns.install().map_err(bad)?);
         let mut state = self.state.lock();
         // At most one slice waits for its first shard.
         state.drop_unreferenced();
@@ -120,7 +118,7 @@ impl ShardHost {
                 fingerprint: chunk.fingerprint,
                 total: chunk.total,
                 received: 0,
-                features: FeatureSideBuilder::default(),
+                columns: FeatureColumns::default(),
             });
         }
         open.filter(|set| {

@@ -60,19 +60,27 @@
 //! lives on a worker **as kernel state only**; all of `O` lives once per
 //! worker process, however many shards the worker hosts:
 //!
-//! * The manager encodes each shard's slice of `F` once into bounded
-//!   [`OP_FEATURES`] chunk payloads (about 1 MiB of whole features each,
-//!   so no frame grows with the corpus) named by the slice's
+//! * The manager builds each shard's slice of `F` into kernel state once
+//!   — the same keyword index and location column an in-process shard
+//!   builds, every slice at once on a thread of its own — and encodes
+//!   its columns (the term offset table, the postings, the `|f.W|`
+//!   lengths and the locations; no feature id, no keyword list) into
+//!   bounded [`OP_FEATURES`] chunk payloads (about 1 MiB of column bytes
+//!   each, so no frame grows with the corpus) named by the slice's
 //!   *fingerprint* — the frame checksum's word-at-a-time FNV-1a over the
-//!   encoded features, a function of the content alone. The same buffers
-//!   serve every worker and every later re-provision. No feature keyword
-//!   id may reach 2²²: a worker sizes its keyword index by the largest,
-//!   so the build refuses such a dataset and a worker refuses such a
-//!   chunk.
-//! * A worker decodes the chunks of a slice, in order, straight into flat
-//!   locations and keyword lists — no feature object is built on the
-//!   way; on the last chunk it builds the slice's
-//!   `KeywordIndex` and keeps only that index and the locations. An [`OP_PROVISION`] then carries the
+//!   column lengths and bytes, a function of the content alone. The same
+//!   buffers serve every worker and every later re-provision; the built
+//!   state is dropped once encoded. No feature keyword id may reach
+//!   2²²: the build refuses such a dataset, and a worker refuses a term
+//!   offset table longer than the ids below that limit need.
+//! * A worker appends the chunks of a slice, in order, to its columns by
+//!   bulk copy; on the last chunk it checks them — offsets from 0 to the
+//!   postings length without decreasing, each term's postings strictly
+//!   increasing and below the feature count, each length its feature's
+//!   posting count, one location per feature — and keeps them as the
+//!   slice's kernel state. Nothing is built per term, and a slice that
+//!   fails a check is refused with a typed error and not held. An
+//!   [`OP_PROVISION`] then carries the
 //!   shard id, the slice's fingerprint and a data block: the data-space
 //!   bounds (all a kernel grid needs) and every data object in store
 //!   order, so a record's position is the global index gather records
@@ -153,8 +161,7 @@ mod host;
 mod membership;
 
 pub use codec::{
-    decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision,
-    FeatureChunks, FeaturesChunk, Provision,
+    decode_provision, encode_feature_slice, encode_provision, FeatureChunks, Provision,
 };
 pub use engine::RemoteEngine;
 pub use host::ShardHost;
@@ -230,11 +237,13 @@ pub fn parse_worker_addrs(list: &str) -> Result<Vec<String>, SpqError> {
 mod tests {
     use super::codec::*;
     use super::*;
-    use crate::engine::QueryEngine;
+    use crate::engine::{feature_side, QueryEngine};
     use crate::executor::SpqExecutor;
+    use crate::kernel::FeatureSide;
     use crate::model::{DataObject, FeatureObject};
     use crate::query::SpqQuery;
     use crate::service::{QueryExecutor, QueryRequest};
+    use crate::store::block;
     use crate::store::SharedDataset;
     use spq_mapreduce::remote::{
         ByteReader, ClientConfig, FaultPlan, FrameHandler, WorkerClient, WorkerServer, OP_FEATURES,
@@ -416,28 +425,35 @@ mod tests {
         )
     }
 
-    /// Each shard's feature slice crosses the wire once per install, and
-    /// the slices together are `F` once: a worker hosting every shard is
-    /// sent exactly the bytes of the whole set, however it is cut.
+    /// Each shard's feature slice crosses the wire once per install, as
+    /// the columns of the kernel state an in-process shard builds over the
+    /// same slice; a worker hosting every shard is sent every slice once.
     #[test]
     fn build_ships_each_feature_slice_once_per_install() {
         let dataset = feature_heavy_dataset();
         let remote = RemoteEngine::self_hosted(executor(), dataset.clone(), 2).unwrap();
         assert_eq!(remote.metrics().provisions_sent, 4); // 2 shards × replication 2
         assert_eq!(remote.metrics().feature_sets_sent, 4);
-        let body = |set: &FeatureChunks| -> usize {
-            set.chunks
-                .iter()
-                .map(|chunk| chunk.len() - CHUNK_HEADER_BYTES)
-                .sum()
-        };
-        let slices: usize = remote.features.iter().map(body).sum();
-        let whole = encode_feature_chunks(dataset.features(), usize::MAX);
-        assert_eq!(slices, body(&whole));
+        let features = dataset.features();
+        for (s, shipped) in remote.features.iter().enumerate() {
+            let slice = &features[block(s, features.len(), 2)];
+            assert_eq!(shipped, &encode_feature_slice(slice, FEATURES_CHUNK_BYTES));
+        }
+        let slices: usize = remote
+            .features
+            .iter()
+            .flat_map(|set| &set.chunks)
+            .map(Vec::len)
+            .sum();
         // Both workers hold both shards: every slice twice, and one
         // provision of all of O per install.
-        let provision =
-            encode_provision(0, whole.fingerprint, executor().bounds(), dataset.data()).len();
+        let provision = encode_provision(
+            0,
+            remote.features[0].fingerprint,
+            executor().bounds(),
+            dataset.data(),
+        )
+        .len();
         let sent = remote.traffic_bytes() as usize;
         assert!(sent >= 2 * slices + 4 * provision);
         assert!(
@@ -451,6 +467,46 @@ mod tests {
             remote.execute(&req).unwrap().results,
             engine.execute(&req).unwrap().results
         );
+    }
+
+    /// What a worker installs from the manager's chunks is the kernel
+    /// state an in-process shard builds over the same slice, bit for bit
+    /// — for one shard, for more shards than features (empty slices), and
+    /// with features carrying no keyword.
+    #[test]
+    fn installed_slices_equal_the_in_process_shards_bit_for_bit() {
+        // Six features, two with no keyword: eight shards leave two
+        // slices empty.
+        let mut features = paper_dataset().features()[..4].to_vec();
+        features.insert(2, feature(20, 1.0, 9.0, &[]));
+        features.push(feature(21, -0.0, 0.5, &[]));
+        let dataset = SharedDataset::new(paper_dataset().data().to_vec(), features);
+        let features = dataset.features();
+        for n in [1, 2, 3, 5, 8] {
+            let remote = RemoteEngine::self_hosted(executor(), dataset.clone(), n).unwrap();
+            let host = ShardHost::new();
+            for (s, set) in remote.features.iter().enumerate() {
+                accept_all(&host, OP_FEATURES, &set.chunks);
+                let install = encode_provision(
+                    s as u32,
+                    set.fingerprint,
+                    executor().bounds(),
+                    dataset.data(),
+                );
+                accept_all(&host, OP_PROVISION, &[install]);
+                let installed = &host.shard(s as u32).unwrap().kernel.features;
+                let built = feature_side(&features[block(s, features.len(), n)]);
+                assert_eq!(installed.index, built.index, "shard {s} of {n}");
+                let bits = |side: &FeatureSide| -> Vec<(u64, u64)> {
+                    side.locations
+                        .iter()
+                        .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(installed), bits(&built), "shard {s} of {n}");
+            }
+            assert_eq!(host.hosted_shards(), n);
+        }
     }
 
     /// Sends `payloads` to `host` as frames of `opcode`, all of which
@@ -470,8 +526,8 @@ mod tests {
         let (data, features) = (dataset.data(), dataset.features());
         let host = ShardHost::new();
         let slices = [
-            encode_feature_chunks(&features[..4], 64),
-            encode_feature_chunks(&features[4..], 64),
+            encode_feature_slice(&features[..4], 64),
+            encode_feature_slice(&features[4..], 64),
         ];
         assert!(slices[0].chunks.len() > 1);
         let bounds = executor().bounds();
@@ -524,7 +580,7 @@ mod tests {
         let dataset = paper_dataset();
         let data = dataset.data();
         let host = ShardHost::new();
-        let set = encode_feature_chunks(dataset.features(), usize::MAX);
+        let set = encode_feature_slice(dataset.features(), usize::MAX);
         accept_all(&host, OP_FEATURES, &set.chunks);
         let install = |slice| {
             let payload = encode_provision(0, set.fingerprint, executor().bounds(), slice);
@@ -560,11 +616,11 @@ mod tests {
     fn multi_chunk_set_provisions_through_a_worker_server() {
         let dataset = feature_heavy_dataset();
         let budget = 4096;
-        let set = encode_feature_chunks(dataset.features(), budget);
+        let set = encode_feature_slice(dataset.features(), budget);
         assert!(set.chunks.len() > 10);
-        let largest_feature = MIN_FEATURE_BYTES + 4 * TERM_BYTES;
+        // A header, four run counts and at most `budget` column bytes.
         for chunk in &set.chunks {
-            assert!(chunk.len() <= CHUNK_HEADER_BYTES + budget + largest_feature);
+            assert!(chunk.len() <= CHUNK_HEADER_BYTES + 4 * 4 + budget);
         }
         let server =
             WorkerServer::bind("127.0.0.1:0", vec![Box::new(ShardHost::new())], false).unwrap();
@@ -624,8 +680,9 @@ mod tests {
 
     #[test]
     fn manager_term_probe_matches_the_keyword_index_past_every_term() {
-        // The paper dataset's terms are 0..=11: 63 and 64 straddle the
-        // bitmap's first word boundary, u32::MAX lies far beyond it.
+        // At two shards the first slice's term table ends at term 5 and
+        // the second's at 11: 11 lies past the first table only, 63 and
+        // 64 past both, u32::MAX far beyond.
         let engine = QueryEngine::new(executor(), paper_dataset());
         let remote = RemoteEngine::self_hosted(executor(), paper_dataset(), 2).unwrap();
         for (kw, matched) in [
@@ -843,17 +900,44 @@ mod tests {
         }
     }
 
+    /// A one-chunk `OP_FEATURES` payload of set 1 carrying the given
+    /// columns and no location, written by hand as the wire lays them
+    /// out.
+    fn column_chunk(offsets: &[u32], postings: &[u32], lens: &[u32]) -> Vec<u8> {
+        let mut out = 1u64.to_le_bytes().to_vec();
+        out.extend([0u32, 1].iter().flat_map(|v| v.to_le_bytes()));
+        for column in [offsets, postings, lens, &[]] {
+            spq_mapreduce::remote::codec::put_u32s(&mut out, column.iter().copied());
+        }
+        out
+    }
+
+    /// A shipped term offset table is held to [`TERM_ID_LIMIT`]` + 1`
+    /// entries — one per term id below the limit, plus one — in one chunk
+    /// or over several, and refused before it grows past that.
     #[test]
     fn shipped_keyword_ids_stop_at_the_limit() {
-        for (term, accepted) in [
-            (TERM_ID_LIMIT - 1, true),
-            (TERM_ID_LIMIT, false),
-            (u32::MAX, false),
-        ] {
-            let set = encode_feature_chunks(&[feature(1, 1.0, 1.0, &[3, term])], usize::MAX);
-            let decoded = decode_features_chunk(&set.chunks[0]);
-            assert_eq!(decoded.is_ok(), accepted, "{term}: {decoded:?}");
+        let limit = TERM_ID_LIMIT as usize + 1;
+        for (entries, accepted) in [(limit, true), (limit + 1, false)] {
+            let host = ShardHost::new();
+            let table = column_chunk(&vec![0; entries], &[], &[]);
+            assert_eq!(
+                host.handle(OP_FEATURES, &table).is_ok(),
+                accepted,
+                "{entries}"
+            );
+            assert_eq!(host.feature_sets(), usize::from(accepted));
         }
+        // Two chunks that each fit but together do not.
+        let host = ShardHost::new();
+        let mut head = column_chunk(&vec![0; limit - 1], &[], &[]);
+        head[12..16].copy_from_slice(&2u32.to_le_bytes());
+        let mut tail = column_chunk(&[0, 0], &[], &[]);
+        tail[8..16].copy_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);
+        host.handle(OP_FEATURES, &head).unwrap();
+        let refused = host.handle(OP_FEATURES, &tail).unwrap_err();
+        assert!(refused.contains("limit"), "{refused}");
+        assert_eq!(host.feature_sets(), 0);
     }
 
     #[test]

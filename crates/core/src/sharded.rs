@@ -17,9 +17,9 @@
 //! (`Layout::scatter_gather` — [`crate::remote`] runs the same function
 //! with each shard asked over a socket instead of by a call):
 //!
-//! 1. **probes** one term set over all of `F` — if no feature carries any
-//!    query keyword, no object can score and the query touches zero
-//!    shards;
+//! 1. **probes** the slices' term offset tables, which together cover all
+//!    of `F` — if no feature carries any query keyword, no object can
+//!    score and the query touches zero shards;
 //! 2. **scatters** to every shard whose slice is non-empty, each ranking
 //!    every data object against its own slice with the kernel
 //!    (`Shard::answer`, the step a remote worker runs too) —
@@ -69,7 +69,7 @@ use crate::engine::{feature_side, EngineMetrics, MetricsSnapshot};
 use crate::executor::{SpqError, SpqExecutor};
 use crate::kernel::{self, FeatureSide, KernelState, KernelWork};
 use crate::merge::merge_top_k;
-use crate::model::{DataObject, FeatureObject, ObjectId, RankedObject};
+use crate::model::{DataObject, ObjectId, RankedObject};
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse, QueryStats};
 use crate::store::{block, SharedDataset};
@@ -313,35 +313,6 @@ impl Shard {
     }
 }
 
-/// The terms carried by at least one feature, one bit per term id — the
-/// scatter/gather backends' keyword probe, the same answer as
-/// `KeywordIndex::term_frequency(t) > 0` over all of `F` without building
-/// postings.
-#[derive(Debug)]
-struct TermPresence(Vec<u64>);
-
-impl TermPresence {
-    /// Sets the bit of every feature keyword, in one pass.
-    fn build(features: &[FeatureObject]) -> Self {
-        let mut words = Vec::new();
-        for t in features.iter().flat_map(|f| f.keywords.iter()) {
-            let word = t.index() / 64;
-            if word >= words.len() {
-                words.resize(word + 1, 0u64);
-            }
-            words[word] |= 1 << (t.index() % 64);
-        }
-        Self(words)
-    }
-
-    /// Whether some feature carries `t` (false past the highest term id).
-    fn contains(&self, t: Term) -> bool {
-        self.0
-            .get(t.index() / 64)
-            .is_some_and(|word| word >> (t.index() % 64) & 1 == 1)
-    }
-}
-
 /// The recovery work one scatter leg took (remote workers only; an
 /// in-process shard never needs any).
 #[derive(Default)]
@@ -358,50 +329,75 @@ pub(crate) type ShardOutcome = Result<(Vec<u8>, Recovery), SpqError>;
 /// What both scatter/gather engines know about how the store is cut: the
 /// global store the gather resolves against, the executor whose bounds
 /// every shard's grid covers, each shard's contiguous `[start, end)`
-/// slice of the features, and the probe over all of them.
+/// slice of the features, and each slice's term offset table, which the
+/// probe over all of `F` reads.
 #[derive(Debug)]
 pub(crate) struct Layout {
     pub dataset: SharedDataset,
     pub exec: SpqExecutor,
     pub slices: Vec<Range<usize>>,
-    terms: TermPresence,
+    terms: Vec<Box<[usize]>>,
 }
 
 impl Layout {
     /// Cuts `dataset`'s features into `num_shards` contiguous slices (every
-    /// shard ranks every data object). The data objects' ids are the
+    /// shard ranks every data object) and builds each slice's kernel
+    /// state, one task per slice, all at once; `keep` makes what the
+    /// engine holds of a slice's state, on the slice's task, and the
+    /// results come back in shard order. The data objects' ids are the
     /// caller's to check: an engine that builds the id → store-index map
     /// checks them as it builds it ([`index_by_id`]), one that does not
     /// calls [`unique_ids`].
     ///
     /// # Errors
     ///
-    /// [`SpqError::InvalidConfig`] when `num_shards == 0`.
-    pub(crate) fn new(
+    /// [`SpqError::InvalidConfig`] when `num_shards == 0`;
+    /// [`SpqError::Worker`] when a slice's task panics.
+    pub(crate) fn new<T: Send>(
         exec: SpqExecutor,
         dataset: SharedDataset,
         num_shards: usize,
-    ) -> Result<Self, SpqError> {
+        keep: impl Fn(FeatureSide) -> T + Sync,
+    ) -> Result<(Self, Vec<T>), SpqError> {
         if num_shards == 0 {
             return Err(SpqError::invalid_config(
                 "a scatter/gather backend needs at least one shard",
             ));
         }
         let features = dataset.features();
-        Ok(Self {
-            slices: (0..num_shards)
-                .map(|s| block(s, features.len(), num_shards))
-                .collect(),
-            terms: TermPresence::build(features),
+        let slices: Vec<Range<usize>> = (0..num_shards)
+            .map(|s| block(s, features.len(), num_shards))
+            .collect();
+        let built = run_tasks(num_shards, num_shards, |s| {
+            let side = feature_side(&features[slices[s].clone()]);
+            let terms = Box::from(side.index.columns().0);
+            (terms, keep(side))
+        })
+        .map_err(|p| SpqError::Worker {
+            message: format!("building shard {}: {}", p.task_index, p.message),
+        })?;
+        let (terms, kept) = built.into_iter().unzip();
+        let layout = Self {
             dataset,
             exec,
-        })
+            slices,
+            terms,
+        };
+        Ok((layout, kept))
     }
 
     /// The keyword probe, `(terms probed, terms matched)` over all of `F`:
-    /// `matched == 0` proves the query cannot score any object.
+    /// a term matches when some slice's offset table gives it postings,
+    /// and `matched == 0` proves the query cannot score any object.
     pub(crate) fn probe(&self, keywords: &KeywordSet) -> (usize, usize) {
-        let matched = keywords.iter().filter(|&t| self.terms.contains(t)).count();
+        let carried = |t: Term| {
+            self.terms.iter().any(|offsets| {
+                offsets
+                    .get(t.index()..t.index() + 2)
+                    .is_some_and(|range| range[1] > range[0])
+            })
+        };
+        let matched = keywords.iter().filter(|&t| carried(t)).count();
         (keywords.len(), matched)
     }
 
@@ -526,8 +522,8 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Cuts `dataset`'s features into `num_shards` contiguous slices and
-    /// builds each shard's kernel state over its slice, every shard
-    /// sharing one grid over all data objects.
+    /// builds each shard's kernel state over its slice, one thread per
+    /// slice, every shard sharing one grid over all data objects.
     ///
     /// # Errors
     ///
@@ -540,18 +536,13 @@ impl ShardedEngine {
         dataset: SharedDataset,
         num_shards: usize,
     ) -> Result<Self, SpqError> {
-        let layout = Layout::new(executor, dataset, num_shards)?;
+        let (layout, sides) = Layout::new(executor, dataset, num_shards, Arc::new)?;
         let ids = layout.dataset.data().iter().enumerate();
         let id_to_index = index_by_id(ids.map(|(i, o)| (o.id, i as u32))).map_err(duplicate_id)?;
         let data = DataSide::new(layout.exec.bounds(), layout.dataset.data(), id_to_index);
-        let features = layout.dataset.features();
-        let shards = layout
-            .slices
-            .iter()
-            .map(|slice| {
-                let side = Arc::new(feature_side(&features[slice.clone()]));
-                (Shard::new(side, &data), ShardCounters::default())
-            })
+        let shards = sides
+            .into_iter()
+            .map(|side| (Shard::new(side, &data), ShardCounters::default()))
             .collect();
         Ok(Self {
             layout,
@@ -619,7 +610,7 @@ impl ShardedEngine {
 }
 
 impl QueryExecutor for ShardedEngine {
-    /// Probe the term set over all of `F`, then `Layout::scatter_gather`
+    /// Probe the slices' term tables, then `Layout::scatter_gather`
     /// with every shard asked in-process, on up to
     /// [`QueryOptions::workers`] threads (results are width-invariant).
     fn run_validated(
@@ -653,6 +644,7 @@ mod tests {
     use super::*;
     use crate::centralized::brute_force;
     use crate::engine::QueryEngine;
+    use crate::model::FeatureObject;
     use crate::service::QueryRequest;
     use proptest::prelude::*;
     use spq_spatial::{Point, Rect};

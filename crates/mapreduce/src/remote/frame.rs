@@ -6,7 +6,7 @@
 //! ┌────────────┬────────────┬───────────┬──────────┬──────────────┬─────────┐
 //! │ magic: u32 │ opcode: u16│ flags: u16│ len: u32 │ checksum: u64│ payload │
 //! └────────────┴────────────┴───────────┴──────────┴──────────────┴─────────┘
-//!     "SPQ5"      dispatch       0        payload     WordHasher     len
+//!     "SPQ6"      dispatch       0        payload     WordHasher     len
 //!                                          bytes      over payload    bytes
 //! ```
 //!
@@ -19,16 +19,18 @@
 
 use std::io::{Read, Write};
 
-/// Frame magic: `"SPQ5"` as a little-endian `u32`. It was `"SPQF"` while
+/// Frame magic: `"SPQ6"` as a little-endian `u32`. It was `"SPQF"` while
 /// the checksum was FNV-1a a byte at a time, `"SPQ2"` while a shard query
 /// carried algorithm and pruning tags and a shard result a plan-cache
 /// byte, `"SPQ3"` while a shard query carried a trace byte, a shard
 /// result a job's statistics and a provision the job's executor settings,
-/// and `"SPQ4"` while a shard held a slice of the data objects and every
-/// feature, and a provision carried its data slice with explicit indexes.
+/// `"SPQ4"` while a shard held a slice of the data objects and every
+/// feature, and a provision carried its data slice with explicit indexes,
+/// and `"SPQ5"` while a feature slice crossed the wire as keyword lists
+/// rather than as its keyword index's columns.
 /// A peer from any of them fails every frame as [`FrameError::BadMagic`],
 /// not as a checksum mismatch or a mis-parsed payload.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ5");
+pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ6");
 
 /// Upper bound on a frame payload (64 MiB). A length field above this is
 /// treated as corruption, not as a real allocation request.
@@ -67,9 +69,11 @@ pub const OP_SHUTDOWN: u16 = 12;
 pub const OP_SHARD_STATUS: u16 = 13;
 /// Reply to [`OP_SHARD_STATUS`]: the hosted shard ids.
 pub const OP_SHARD_STATUS_OK: u16 = 14;
-/// One bounded chunk of a feature slice, named by the slice's fingerprint
-/// and carrying its chunk index and the chunk total; the chunks of a
-/// slice arrive in order, before the first install of a shard over it.
+/// One bounded chunk of a feature slice's kernel state — runs of its
+/// keyword index's columns and of its locations — named by the slice's
+/// fingerprint and carrying its chunk index and the chunk total; the
+/// chunks of a slice arrive in order, before the first install of a shard
+/// over it.
 pub const OP_FEATURES: u16 = 15;
 /// Acknowledges one [`OP_FEATURES`] chunk.
 pub const OP_FEATURES_OK: u16 = 16;
@@ -373,7 +377,7 @@ mod tests {
 
     #[test]
     fn a_frame_with_the_old_magic_is_bad_magic() {
-        for old in [*b"SPQF", *b"SPQ2", *b"SPQ3", *b"SPQ4"].map(u32::from_le_bytes) {
+        for old in [*b"SPQF", *b"SPQ2", *b"SPQ3", *b"SPQ4", *b"SPQ5"].map(u32::from_le_bytes) {
             let mut buf = Vec::new();
             write_frame(&mut buf, OP_PING, b"x").unwrap();
             buf[..4].copy_from_slice(&old.to_le_bytes());

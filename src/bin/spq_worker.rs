@@ -2,7 +2,9 @@
 //!
 //! Listens for framed requests from a `RemoteEngine` manager (the
 //! `remote:N` backend): `OP_FEATURES` chunk frames ship a shard's feature
-//! slice, kept as its keyword index and locations only; `OP_PROVISION`
+//! slice as the manager built it — its keyword index's columns and its
+//! locations — which is checked and kept as it arrived, with no index
+//! built here; `OP_PROVISION`
 //! installs the shard over that slice with the data-space bounds and the
 //! data objects, one grid over which every shard hosted here shares;
 //! `OP_SHARD_QUERY` answers a query with a hosted shard's kernel. Fault

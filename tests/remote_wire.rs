@@ -13,15 +13,14 @@
 
 use proptest::prelude::*;
 use spq::core::merge::merge_top_k;
-use spq::core::remote::{
-    decode_features_chunk, decode_provision, encode_feature_chunks, encode_provision,
-};
+use spq::core::remote::{decode_provision, encode_feature_slice, encode_provision};
 use spq::core::sharded::wire;
+use spq::mapreduce::remote::codec::put_u32s;
 use spq::mapreduce::remote::frame::{WordHasher, MAGIC};
 use spq::mapreduce::remote::{
-    read_frame, write_frame, ClientConfig, FrameError, FrameHandler, WorkerClient, WorkerServer,
-    OP_ERROR, OP_FEATURES, OP_FEATURES_OK, OP_PING, OP_PONG, OP_PROVISION, OP_PROVISION_OK,
-    OP_SHARD_QUERY, OP_SHARD_RESULT,
+    read_frame, write_frame, ByteReader, ClientConfig, FrameError, FrameHandler, WorkerClient,
+    WorkerServer, OP_ERROR, OP_FEATURES, OP_FEATURES_OK, OP_PING, OP_PONG, OP_PROVISION,
+    OP_PROVISION_OK, OP_SHARD_QUERY, OP_SHARD_RESULT,
 };
 use spq::prelude::*;
 use std::io::{Cursor, Write};
@@ -179,13 +178,8 @@ fn max_size_records_round_trip() {
 // Provisioning: feature-set chunk frames and the shard install
 // ---------------------------------------------------------------------
 
-/// Encoded size of a feature carrying `terms` keywords.
-fn feature_bytes(terms: usize) -> usize {
-    8 + 8 + 8 + 4 + 4 * terms
-}
-
-/// `n` features of three keywords each — one encoded size, so a chunk
-/// budget can be stated in features.
+/// `n` features of three keywords each; from the fourth on, term 16 +
+/// i mod 3 is shared with an earlier feature.
 fn uniform_features(n: u64) -> Vec<FeatureObject> {
     (0..n)
         .map(|i| {
@@ -203,57 +197,128 @@ fn unit_executor() -> SpqExecutor {
     SpqExecutor::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0)).grid_size(4)
 }
 
-/// Decodes a chunk sequence back into one feature vector, checking the
-/// chunk headers on the way.
-fn reassemble(chunks: &[Vec<u8>], fingerprint: u64) -> Vec<FeatureObject> {
-    let mut features = Vec::new();
+/// Bytes per element of the four shipped columns, in wire order: term
+/// offsets, postings, feature lengths (one `u32` word each) and locations
+/// (four words: two `f64`s).
+const WIDTHS: [usize; 4] = [4, 4, 4, 16];
+
+/// A feature slice's shipped columns, as bytes.
+type Columns = [Vec<u8>; 4];
+
+/// Reads a chunk sequence back into its four columns, checking the chunk
+/// headers and the run framing on the way: a chunk is its fingerprint,
+/// index and total, then one word-count-prefixed run per column.
+fn reassemble(chunks: &[Vec<u8>], fingerprint: u64) -> Columns {
+    let mut columns = Columns::default();
     for (i, payload) in chunks.iter().enumerate() {
-        let chunk = decode_features_chunk(payload).unwrap();
-        assert_eq!(chunk.fingerprint, fingerprint);
-        assert_eq!((chunk.index, chunk.total), (i as u32, chunks.len() as u32));
-        features.extend(chunk.features);
+        let mut r = ByteReader::new(payload);
+        assert_eq!(r.u64().unwrap(), fingerprint);
+        assert_eq!(
+            (r.u32().unwrap(), r.u32().unwrap()),
+            (i as u32, chunks.len() as u32)
+        );
+        for column in &mut columns {
+            column.extend(r.u32s().unwrap().flat_map(u32::to_le_bytes));
+        }
+        assert!(r.is_empty());
     }
-    features
+    columns
 }
 
-/// Where the chunk boundaries fall changes neither the features that
-/// come out nor the set's fingerprint, which is the [`WordHasher`] hash of
-/// the encoded features and of nothing else. A 124-byte feature leaves
-/// most chunk boundaries mid-word.
+/// What a set's fingerprint is: [`WordHasher`] over the four columns'
+/// word counts and then their bytes.
+fn content_hash(columns: &Columns) -> u64 {
+    let mut hasher = WordHasher::default();
+    for column in columns {
+        hasher.update(&((column.len() / 4) as u64).to_le_bytes());
+    }
+    for column in columns {
+        hasher.update(column);
+    }
+    hasher.finish()
+}
+
+/// A column's elements as `u32`s.
+fn u32s(column: &[u8]) -> Vec<u32> {
+    let (words, _) = column.as_chunks::<4>();
+    words.iter().map(|&w| u32::from_le_bytes(w)).collect()
+}
+
+/// A one-chunk `OP_FEATURES` payload of set 1 carrying the given columns,
+/// written by hand as the wire lays them out — so it can say anything.
+fn column_chunk(offsets: &[u32], postings: &[u32], lens: &[u32], locations: &[u8]) -> Vec<u8> {
+    let mut out = 1u64.to_le_bytes().to_vec();
+    out.extend([0u32, 1].iter().flat_map(|v| v.to_le_bytes()));
+    for column in [offsets, postings, lens, &u32s(locations)] {
+        put_u32s(&mut out, column.iter().copied());
+    }
+    out
+}
+
+/// A well-formed slice of two features at (0, 0) and (1, 1), both
+/// carrying term 0, in the layout [`column_chunk`] writes.
+fn two_feature_slice() -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u8>) {
+    let locations = [0.0f64, 0.0, 1.0, 1.0]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    (vec![0, 2], vec![0, 1], vec![1, 1], locations)
+}
+
+/// Where the chunk boundaries fall changes neither the columns that come
+/// out nor the set's fingerprint, which is the hash of the content and of
+/// nothing else. No chunk carries more than its budget of column bytes,
+/// and every chunk carries at least one element.
 #[test]
 fn feature_chunking_is_boundary_independent() {
     let features = uniform_features(23);
-    let one = feature_bytes(3);
-    let whole = encode_feature_chunks(&features, usize::MAX);
+    let whole = encode_feature_slice(&features, usize::MAX);
     assert_eq!(whole.chunks.len(), 1);
-    let mut hasher = WordHasher::default();
-    hasher.update(&whole.chunks[0][20..]);
-    assert_eq!(whole.fingerprint, hasher.finish());
-    for (budget, chunks) in [(one, 23), (7 * one, 4), (usize::MAX, 1)] {
-        let set = encode_feature_chunks(&features, budget);
+    let columns = reassemble(&whole.chunks, whole.fingerprint);
+    assert_eq!(whole.fingerprint, content_hash(&columns));
+    // Terms 0..=18: 20 offsets; 69 postings; 23 lengths; 23 locations —
+    // 448 bytes of one-word elements, then 368 of locations.
+    let elements: Vec<usize> = columns
+        .iter()
+        .zip(WIDTHS)
+        .map(|(c, w)| c.len() / w)
+        .collect();
+    assert_eq!(elements, [20, 69, 23, 23]);
+    // A budget below one location still moves on, one location (or four
+    // u32s) per chunk. 20 bytes leave 8 of them unused before the first
+    // location: 5 u32s a chunk, then one location a chunk.
+    for (budget, chunks) in [(1, 51), (16, 51), (20, 23 + 23), (112, 8), (usize::MAX, 1)] {
+        let set = encode_feature_slice(&features, budget);
         assert_eq!(set.chunks.len(), chunks, "budget {budget}");
         assert_eq!(set.fingerprint, whole.fingerprint, "budget {budget}");
-        assert_eq!(reassemble(&set.chunks, set.fingerprint), features);
-        // No chunk carries more than its budget of whole features.
+        assert_eq!(reassemble(&set.chunks, set.fingerprint), columns);
         for chunk in &set.chunks {
-            assert!(chunk.len() - 20 <= budget);
+            let column_bytes = chunk.len() - 16 - 4 * 4;
+            assert!(
+                (1..=budget.max(16)).contains(&column_bytes),
+                "budget {budget}"
+            );
         }
     }
-    // A budget below one feature still makes progress, one per chunk.
-    assert_eq!(encode_feature_chunks(&features, 1).chunks.len(), 23);
-    // A feature-less set is one empty chunk: the set exists.
-    let empty = encode_feature_chunks(&[], one);
+    // A feature-less set is one chunk with a one-entry offset table: the
+    // set exists.
+    let empty = encode_feature_slice(&[], 16);
     assert_eq!(empty.chunks.len(), 1);
-    assert!(reassemble(&empty.chunks, empty.fingerprint).is_empty());
+    let nothing = reassemble(&empty.chunks, empty.fingerprint);
+    assert_eq!(u32s(&nothing[0]), [0]);
+    assert!(nothing[1..].iter().all(Vec::is_empty));
+    assert_eq!(empty.fingerprint, content_hash(&nothing));
     // Different content, different name.
     assert_ne!(
-        encode_feature_chunks(&features[..22], usize::MAX).fingerprint,
+        encode_feature_slice(&features[..22], usize::MAX).fingerprint,
         whole.fingerprint
     );
 }
 
-/// Features with no keyword and with one keyword round-trip, beside ones
-/// with several.
+/// Features with no keyword and with one keyword cross the wire beside
+/// ones with several: a length of 0 and 1, postings only where there are
+/// keywords, every location bit for bit — and a worker installs the slice
+/// and answers over it.
 #[test]
 fn features_with_zero_and_one_keywords_round_trip() {
     let features: Vec<FeatureObject> = [&[][..], &[7], &[], &[0], &[2, 9, 40]]
@@ -265,30 +330,56 @@ fn features_with_zero_and_one_keywords_round_trip() {
         })
         .collect();
     for budget in [1, usize::MAX] {
-        let set = encode_feature_chunks(&features, budget);
-        assert_eq!(reassemble(&set.chunks, set.fingerprint), features);
+        let set = encode_feature_slice(&features, budget);
+        let [offsets, postings, lens, locations] = reassemble(&set.chunks, set.fingerprint);
+        assert_eq!(u32s(&offsets).len(), 42);
+        assert_eq!(u32s(&postings), [3, 4, 1, 4, 4]);
+        assert_eq!(u32s(&lens), [0, 1, 0, 1, 3]);
+        let shipped: Vec<u8> = features
+            .iter()
+            .flat_map(|f| [f.location.x, f.location.y])
+            .flat_map(f64::to_le_bytes)
+            .collect();
+        assert_eq!(locations, shipped);
+
+        let host = ShardHost::new();
+        for chunk in &set.chunks {
+            host.handle(OP_FEATURES, chunk).unwrap();
+        }
+        let data = [DataObject::new(9, Point::new(4.0, -4.0))];
+        let install = encode_provision(0, set.fingerprint, unit_executor().bounds(), &data);
+        host.handle(OP_PROVISION, &install).unwrap();
+        let (op, reply) = host
+            .handle(OP_SHARD_QUERY, &shard_query(0, 1, 0.5, &[40]))
+            .unwrap()
+            .unwrap();
+        assert_eq!((op, reply.len()), (OP_SHARD_RESULT, wire::RECORD_BYTES));
     }
 }
 
-/// A chunk whose ids are not strictly increasing — written by hand, since
-/// no encoder writes one — decodes to exactly what
-/// [`KeywordSet::from_ids`] makes of the same ids.
+/// Each term's postings must strictly increase — the kernel's merge
+/// relies on it. A term listing a feature twice, or two features in
+/// descending order, is refused even when the lengths agree with the
+/// postings, and the host holds no set; the ordered slice installs.
 #[test]
-fn unsorted_or_repeated_ids_decode_like_from_ids() {
-    for ids in [&[5u32, 1, 3][..], &[2, 2, 7], &[9, 4, 4, 1, 9], &[3, 3]] {
-        let mut chunk = encode_feature_chunks(&uniform_features(1), usize::MAX)
-            .chunks
-            .remove(0);
-        // Replace the one feature's three terms (from byte 44) by `ids`.
-        chunk.truncate(20 + 24);
-        chunk.extend((ids.len() as u32).to_le_bytes());
-        chunk.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
-        let decoded = decode_features_chunk(&chunk).unwrap();
-        assert_eq!(
-            decoded.features[0].keywords,
-            KeywordSet::from_ids(ids.iter().copied()),
-            "{ids:?}"
+fn unsorted_or_repeated_postings_are_refused() {
+    let (offsets, _, _, locations) = two_feature_slice();
+    for (postings, lens) in [([1, 0], [1, 1]), ([1, 1], [0, 2]), ([0, 0], [2, 0])] {
+        let host = ShardHost::new();
+        let chunk = column_chunk(&offsets, &postings, &lens, &locations);
+        let refused = host.handle(OP_FEATURES, &chunk).unwrap_err();
+        assert!(
+            refused.contains("strictly increase"),
+            "{postings:?}: {refused}"
         );
+        assert_eq!(host.feature_sets(), 0);
+        let (offsets, postings, lens, locations) = two_feature_slice();
+        host.handle(
+            OP_FEATURES,
+            &column_chunk(&offsets, &postings, &lens, &locations),
+        )
+        .unwrap();
+        assert_eq!(host.feature_sets(), 1);
     }
 }
 
@@ -298,9 +389,10 @@ fn unsorted_or_repeated_ids_decode_like_from_ids() {
 #[test]
 fn shard_host_rejects_out_of_sequence_chunks_and_unknown_sets() {
     let features = uniform_features(12);
-    let set = encode_feature_chunks(&features, 4 * feature_bytes(3));
+    let set = encode_feature_slice(&features, 160);
     assert_eq!(set.chunks.len(), 3);
-    let foreign = encode_feature_chunks(&features[..8], 4 * feature_bytes(3));
+    let foreign = encode_feature_slice(&features[..8], 160);
+    assert!(foreign.chunks.len() > 1);
     let refused = |host: &ShardHost, payload: &[u8]| host.handle(OP_FEATURES, payload).unwrap_err();
 
     // Out of order: chunk 1 before chunk 0, and chunk 2 right after 0.
@@ -326,6 +418,22 @@ fn shard_host_rejects_out_of_sequence_chunks_and_unknown_sets() {
         host.handle(OP_FEATURES, chunk).unwrap();
     }
     assert_eq!(host.feature_sets(), 1);
+
+    // Well-framed chunks whose columns lie are refused on the last chunk,
+    // and the set they would have made is not held; the set already held
+    // stays.
+    let (offsets, postings, lens, locations) = two_feature_slice();
+    for bad in [
+        column_chunk(&[0, 2, 1, 2], &postings, &lens, &locations),
+        column_chunk(&[0, 1], &postings, &lens, &locations),
+        column_chunk(&offsets, &[0, 2], &lens, &locations),
+        column_chunk(&offsets, &[1, 0], &lens, &locations),
+        column_chunk(&offsets, &postings, &[2, 0], &locations),
+        column_chunk(&offsets, &postings, &lens, &locations[..16]),
+    ] {
+        assert!(refused(&host, &bad).contains("bad features payload"));
+        assert_eq!(host.feature_sets(), 1);
+    }
 
     // An install over that set is accepted, one over an unknown set is
     // refused by name and hosts nothing.
@@ -371,7 +479,7 @@ fn a_worker_answers_back_to_back_frames_in_order() {
         WorkerServer::bind("127.0.0.1:0", vec![Box::new(ShardHost::new())], false).unwrap();
     let mut client = WorkerClient::new(server.addr().to_string(), ClientConfig::fast());
     for (shard, slice) in [&features[..6], &features[6..]].into_iter().enumerate() {
-        let set = encode_feature_chunks(slice, usize::MAX);
+        let set = encode_feature_slice(slice, usize::MAX);
         for chunk in &set.chunks {
             assert_eq!(client.call(OP_FEATURES, chunk).unwrap().0, OP_FEATURES_OK);
         }
@@ -429,90 +537,112 @@ fn patch_u32(payload: &mut [u8], at: usize, value: u32) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary bytes, and well-formed payloads whose feature, term or
-    /// data-object count was overwritten with a lie, decode to a typed
-    /// error or a valid value — never a panic, never an allocation sized
-    /// by the lie (every count is held to what the remaining bytes can
-    /// carry before anything is reserved for it). A worker's host, which
-    /// decodes a chunk straight into the slice it assembles, refuses each
-    /// such chunk and still assembles a well-formed slice afterwards; a
-    /// worker that was sent such a frame says so with a typed error and
-    /// serves the next connection.
+    /// Arbitrary bytes, well-formed payloads whose run or data-object
+    /// count was overwritten with a lie, and well-framed feature chunks
+    /// whose columns lie are refused with a typed error — never a panic,
+    /// never an allocation sized by the lie (every count is held to what
+    /// the remaining bytes can carry before anything is reserved for it).
+    /// The column lies: offsets that decrease, or do not end at the
+    /// postings length; a posting naming a feature past the count; a term
+    /// listing a feature twice, or two in descending order (with lengths
+    /// that agree); lengths that disagree with the postings; a location
+    /// missing. A worker's host refuses each such chunk, holds no set
+    /// after it, and still assembles and installs a well-formed slice
+    /// afterwards; a worker that was sent such a frame says so with a
+    /// typed error and serves the next connection.
     #[test]
     fn prop_provisioning_decoders_survive_hostile_input(
         noise in proptest::collection::vec(0u8..=u8::MAX, 0..256),
-        num_features in 1u64..12,
+        num_features in 4u64..12,
         lie in (u32::MAX - 2)..=u32::MAX,
         near_lie in 0u32..4,
     ) {
         // Arbitrary bytes.
-        let _ = decode_features_chunk(&noise);
+        let _ = ShardHost::new().handle(OP_FEATURES, &noise);
         let _ = decode_provision(&noise);
 
         let features = uniform_features(num_features);
-        let chunk = encode_feature_chunks(&features, usize::MAX).chunks.remove(0);
+        let set = encode_feature_slice(&features, usize::MAX);
+        let chunk = set.chunks[0].clone();
         let data: Vec<DataObject> = (0..num_features)
             .map(|i| DataObject::new(i, Point::new(i as f64, 1.0)))
             .collect();
         let provision = encode_provision(0, 1, unit_executor().bounds(), &data);
-        prop_assert!(decode_features_chunk(&chunk).is_ok());
         prop_assert!(decode_provision(&provision).is_ok());
 
-        // Lying counts: absurd ones, and ones just past the truth. The
-        // feature count sits at byte 16 of a chunk, the first feature's
-        // term count 24 bytes into it; the data count is the last field
-        // before the 24-byte data records.
-        let feature_count_at = 16;
-        let term_count_at = 20 + 24;
-        let data_count_at = provision.len() - 24 * data.len() - 4;
+        // Lying counts: absurd ones, and ones just past the truth. Each
+        // column's run count follows the 16-byte header and the runs before
+        // it; the data count is the last field before the 24-byte data
+        // records.
+        let columns = reassemble(&set.chunks, set.fingerprint);
         let mut hostile = Vec::new();
+        let mut run_at = 16;
+        for column in &columns {
+            let truth = (column.len() / 4) as u32;
+            for count in [lie, truth + 1 + near_lie] {
+                let mut bad = chunk.clone();
+                patch_u32(&mut bad, run_at, count);
+                hostile.push((OP_FEATURES, bad));
+            }
+            run_at += 4 + column.len();
+        }
+        let data_count_at = provision.len() - 24 * data.len() - 4;
         for count in [lie, num_features as u32 + 1 + near_lie] {
-            let mut bad = chunk.clone();
-            patch_u32(&mut bad, feature_count_at, count);
-            prop_assert!(decode_features_chunk(&bad).is_err());
-            hostile.push((OP_FEATURES, bad));
             let mut bad = provision.clone();
             patch_u32(&mut bad, data_count_at, count);
             prop_assert!(decode_provision(&bad).is_err());
             hostile.push((OP_PROVISION, bad));
         }
-        for count in [lie, 4 + near_lie] {
-            let mut bad = chunk.clone();
-            patch_u32(&mut bad, term_count_at, count);
-            // Three extra terms can be read out of the next feature's
-            // bytes; what follows then no longer parses.
-            prop_assert!(decode_features_chunk(&bad).is_err());
-            hostile.push((OP_FEATURES, bad));
-        }
-        // A well-formed feature whose keyword id would have the worker
-        // size a 32 GB index: its first, or its last, term set to a lie.
-        for term_at in [term_count_at + 4, term_count_at + 12] {
-            let mut bad = chunk.clone();
-            patch_u32(&mut bad, term_at, lie);
-            prop_assert!(decode_features_chunk(&bad).is_err());
+
+        // Well-framed lies about the columns, each one change to the true
+        // columns. Term 16 is carried by features 0 and 3 at least.
+        let [offsets, postings, lens, locations] = columns.clone();
+        let (offsets, postings, lens) = (u32s(&offsets), u32s(&postings), u32s(&lens));
+        let shared = offsets[16] as usize;
+        prop_assert_eq!(&postings[shared..shared + 2], &[0, 3]);
+        let lies = |change: &dyn Fn(&mut [Vec<u32>; 3])| {
+            let mut lie = [offsets.clone(), postings.clone(), lens.clone()];
+            change(&mut lie);
+            column_chunk(&lie[0], &lie[1], &lie[2], &locations)
+        };
+        let past = num_features as u32 + near_lie;
+        for bad in [
+            lies(&|[o, _, _]| o[16] = o[17] + 1),
+            lies(&|[o, _, _]| *o.last_mut().unwrap() += 1 + near_lie),
+            lies(&|[_, p, _]| p.push(0)),
+            lies(&|[_, p, _]| p[shared + 1] = past),
+            lies(&|[_, p, l]| {
+                p[shared + 1] = 0;
+                l[0] += 1;
+                l[3] -= 1;
+            }),
+            lies(&|[_, p, _]| p.swap(shared, shared + 1)),
+            lies(&|[_, _, l]| l[near_lie as usize] += 1),
+            column_chunk(&offsets, &postings, &lens, &locations[16..]),
+            column_chunk(&offsets, &postings, &lens, &locations[4..]),
+        ] {
             hostile.push((OP_FEATURES, bad));
         }
         // Truncations anywhere are errors too.
         let cut = noise.len() % chunk.len();
-        prop_assert!(decode_features_chunk(&chunk[..cut]).is_err());
+        hostile.push((OP_FEATURES, chunk[..cut].to_vec()));
         let cut = noise.len() % provision.len();
         prop_assert!(decode_provision(&provision[..cut]).is_err());
         hostile.push((OP_FEATURES, noise.clone()));
-        hostile.push((OP_PROVISION, noise));
+        hostile.push((OP_PROVISION, noise.clone()));
 
-        // In process: a host refuses each hostile chunk that does not
-        // decode, and still assembles a well-formed slice afterwards.
+        // In process: a host refuses each hostile chunk and holds no set
+        // after it, and still assembles a well-formed slice afterwards.
         let host = ShardHost::new();
         for (opcode, payload) in &hostile {
-            if opcode == &OP_FEATURES && decode_features_chunk(payload).is_err() {
+            if opcode == &OP_FEATURES && payload != &noise {
                 prop_assert!(host.handle(OP_FEATURES, payload).is_err());
                 prop_assert_eq!(host.feature_sets(), 0);
             }
         }
         prop_assert!(host.handle(OP_FEATURES, &chunk).is_ok());
         prop_assert_eq!(host.feature_sets(), 1);
-        let fingerprint = encode_feature_chunks(&features, usize::MAX).fingerprint;
-        let install = encode_provision(0, fingerprint, unit_executor().bounds(), &data);
+        let install = encode_provision(0, set.fingerprint, unit_executor().bounds(), &data);
         prop_assert!(host.handle(OP_PROVISION, &install).is_ok());
         prop_assert_eq!(host.hosted_shards(), 1);
 
@@ -524,11 +654,8 @@ proptest! {
         let mut client = WorkerClient::new(addr.clone(), ClientConfig::fast());
         for (opcode, payload) in &hostile {
             let outcome = client.call(*opcode, payload);
-            if opcode == &OP_PROVISION && decode_provision(payload).is_ok() {
-                continue; // noise that happens to parse: refused for its unknown set
-            }
-            if opcode == &OP_FEATURES && decode_features_chunk(payload).is_ok() {
-                continue;
+            if payload == &noise && ShardHost::new().handle(*opcode, payload).is_ok() {
+                continue; // noise that happens to parse
             }
             let (op, _) = outcome.unwrap();
             prop_assert_eq!(op, OP_ERROR);
