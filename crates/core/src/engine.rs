@@ -106,13 +106,17 @@ use std::time::Instant;
 
 /// An inverted index from keyword to the feature objects carrying it.
 ///
+/// The index numbers its features by `(|f.W|, store order)`: feature `k`
+/// of the index is the `k`-th shortest, ties kept in store order (the
+/// length order of eSPQlen, §5.1). A run table holds one `(first
+/// feature, |f.W|)` entry per distinct length, so a feature's length is
+/// the run it falls in and every range of equal length is one run.
 /// Postings are CSR-packed (one flat, term-grouped slice of feature
-/// indices plus a per-term offset table) and each term's posting list is
-/// ascending, so merging a query's lists yields the candidate features in
-/// store order — exactly the order the map phase would have visited them —
-/// together with each candidate's `|q.W ∩ f.W|`. With the flat `|f.W|`
-/// array beside the postings that is everything a score needs, so the
-/// kernel scores candidates without touching a feature object.
+/// numbers plus a per-term offset table) and each term's posting list is
+/// ascending, so merging a query's lists yields the candidate features by
+/// ascending length, in store order within a length, together with each
+/// candidate's `|q.W ∩ f.W|` — everything a score needs, without touching
+/// a feature object.
 /// This is the engine's build-once replacement for the per-query keyword
 /// pruning scan: instead of testing `q.W ∩ f.W` for every feature on
 /// every query, each query probes `|q.W|` posting lists.
@@ -122,63 +126,108 @@ pub struct KeywordIndex {
     /// term `t`, ascending.
     offsets: Box<[usize]>,
     postings: Box<[u32]>,
-    /// `|f.W|` per feature, so a score needs no feature object.
-    feature_lens: Box<[u32]>,
+    /// `[first feature, |f.W|]` per distinct length, both strictly
+    /// ascending: a run lasts until the next one's first feature, the
+    /// last one until `num_features`.
+    runs: Box<[[u32; 2]]>,
+    num_features: u32,
 }
 
 impl KeywordIndex {
-    /// Builds the index over a feature set (one pass to count, one pass
-    /// to fill).
+    /// Builds the index over a feature set, numbering the features by
+    /// `(|f.W|, store order)` (see the [type docs](Self)).
     pub fn build(features: &[FeatureObject]) -> Self {
+        Self::numbered(features).0
+    }
+
+    /// [`build`](Self::build), returning beside the index its numbering:
+    /// feature `k` of the index is `features[order[k]]`. One pass finds
+    /// the term and length ranges and one counts terms and lengths, both
+    /// in store order; the stable counting sort by length is O(|F|); one
+    /// pass in index order fills the postings.
+    pub(crate) fn numbered(features: &[FeatureObject]) -> (Self, Vec<u32>) {
         let lists = features.iter().map(|f| f.keywords.terms());
-        let num_terms = lists
-            .clone()
-            .filter_map(|terms| terms.last())
-            .map(|t| t.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let (num_terms, max_len) = lists.clone().fold((0, 0), |(terms, len), list| {
+            let last = list.last().map_or(0, |t| t.index() + 1);
+            (terms.max(last), len.max(list.len()))
+        });
         let mut offsets = vec![0usize; num_terms + 1];
+        // `starts[l + 1]` counts the features of length `l`, then
+        // `starts[l]` becomes the first number of that length.
+        let mut starts = vec![0u32; max_len + 2];
         for terms in lists.clone() {
             for t in terms {
                 offsets[t.index() + 1] += 1;
             }
+            starts[terms.len() + 1] += 1;
         }
         for t in 0..num_terms {
             offsets[t + 1] += offsets[t];
         }
+        for l in 0..=max_len {
+            starts[l + 1] += starts[l];
+        }
+        let runs = (0..=max_len)
+            .filter(|&l| starts[l + 1] > starts[l])
+            .map(|l| [starts[l], l as u32])
+            .collect();
+        // Each feature's keywords in index order, so that the fill reads
+        // no feature object out of store order.
+        let (mut order, mut sorted) = (vec![0u32; features.len()], vec![&[][..]; features.len()]);
+        for (i, terms) in lists.enumerate() {
+            let k = starts[terms.len()] as usize;
+            (order[k], sorted[k]) = (i as u32, terms);
+            starts[terms.len()] += 1;
+        }
         let mut postings = vec![0u32; offsets[num_terms]];
         let mut cursor = offsets.clone();
-        let mut feature_lens = Vec::with_capacity(features.len());
-        for (i, terms) in lists.enumerate() {
+        for (k, terms) in sorted.into_iter().enumerate() {
             for t in terms {
-                postings[cursor[t.index()]] = i as u32;
+                postings[cursor[t.index()]] = k as u32;
                 cursor[t.index()] += 1;
             }
-            feature_lens.push(terms.len() as u32);
         }
-        Self {
+        let index = Self {
             offsets: offsets.into_boxed_slice(),
             postings: postings.into_boxed_slice(),
-            feature_lens: feature_lens.into_boxed_slice(),
-        }
+            runs,
+            num_features: features.len() as u32,
+        };
+        (index, order)
     }
 
-    /// An index from its three columns as [`columns`](Self::columns)
-    /// returns them, checked to be one [`build`](Self::build) can make:
-    /// the offsets run from 0 to the postings length without decreasing,
-    /// each term's postings strictly increase (the kernel's merge relies
-    /// on it) and name a feature below `feature_lens.len()`, and each
-    /// feature's length is its number of postings. The columns are kept
-    /// as they are; only a feature count is allocated beside them.
+    /// An index of `num_features` features from its columns as
+    /// [`columns`](Self::columns) returns them, checked to be one
+    /// [`build`](Self::build) can make: the offsets run from 0 to the
+    /// postings length without decreasing, each term's postings strictly
+    /// increase (the kernel's merge relies on it) and name a feature
+    /// below `num_features`; the runs are whole `[first feature, |f.W|]`
+    /// pairs whose first features strictly increase from 0 (no run when
+    /// there is no feature) and stay below `num_features`, whose lengths
+    /// strictly increase, and each feature's number of postings is its
+    /// run's length. The columns are kept as they are; only a per-feature
+    /// count is allocated while they are checked.
     pub(crate) fn from_columns(
         offsets: Vec<usize>,
         postings: Vec<u32>,
-        feature_lens: Vec<u32>,
+        runs: Vec<u32>,
+        num_features: usize,
     ) -> Result<Self, String> {
         if offsets.first() != Some(&0) || offsets.last() != Some(&postings.len()) {
             return Err("the term offsets do not run from 0 to the postings length".to_owned());
         }
-        let mut counts = vec![0u32; feature_lens.len()];
+        let (runs, []) = runs.as_chunks::<2>() else {
+            return Err("the runs are not (first feature, length) pairs".to_owned());
+        };
+        // Each run's first feature, then the feature count: strictly
+        // increasing from 0 when the runs cut the features into ranges.
+        let mut bounds: Vec<usize> = runs.iter().map(|run| run[0] as usize).collect();
+        bounds.push(num_features);
+        let lengths_rise = runs.is_sorted_by(|a, b| a[1] < b[1]);
+        if bounds[0] != 0 || !bounds.is_sorted_by(|a, b| a < b) || !lengths_rise {
+            return Err("the runs do not cut the features from 0 by rising length".to_owned());
+        }
+        let mut counts = vec![0u32; num_features];
         for (t, range) in offsets.windows(2).enumerate() {
             // `None` when the offsets decrease here or pass the postings.
             let Some(list) = postings.get(range[0]..range[1]) else {
@@ -187,28 +236,31 @@ impl KeywordIndex {
             if !list.is_sorted_by(|a, b| a < b) {
                 return Err(format!("term {t}'s postings do not strictly increase"));
             }
-            if let Some(&last) = list.last().filter(|&&f| f as usize >= counts.len()) {
-                return Err(format!("term {t} names feature {last} of {}", counts.len()));
+            if let Some(&last) = list.last().filter(|&&f| f as usize >= num_features) {
+                return Err(format!("term {t} names feature {last} of {num_features}"));
             }
             for &f in list {
                 counts[f as usize] += 1;
             }
         }
-        if counts != feature_lens {
-            return Err("feature lengths disagree with the postings".to_owned());
+        for (&[_, len], range) in runs.iter().zip(bounds.windows(2)) {
+            if counts[range[0]..range[1]].iter().any(|&c| c != len) {
+                return Err(format!("postings disagree with the run of length {len}"));
+            }
         }
         Ok(Self {
             offsets: offsets.into_boxed_slice(),
             postings: postings.into_boxed_slice(),
-            feature_lens: feature_lens.into_boxed_slice(),
+            runs: runs.into(),
+            num_features: num_features as u32,
         })
     }
 
-    /// The term offset table, the postings and the feature lengths —
-    /// everything the index is, as [`from_columns`](Self::from_columns)
-    /// takes it back.
+    /// The term offset table, the postings and the run table (flattened)
+    /// — everything the index is but its feature count, as
+    /// [`from_columns`](Self::from_columns) takes it back.
     pub(crate) fn columns(&self) -> (&[usize], &[u32], &[u32]) {
-        (&self.offsets, &self.postings, &self.feature_lens)
+        (&self.offsets, &self.postings, self.runs.as_flattened())
     }
 
     /// Number of distinct term slots (= highest indexed term id + 1).
@@ -216,8 +268,9 @@ impl KeywordIndex {
         self.offsets.len() - 1
     }
 
-    /// The ascending feature indices carrying `term` (empty for terms no
-    /// feature carries).
+    /// The features carrying `term` (empty for terms no feature carries),
+    /// as ascending index numbers — by `(|f.W|, store order)`, not store
+    /// indices (see the [type docs](Self)).
     pub fn postings(&self, term: Term) -> &[u32] {
         if term.index() + 1 >= self.offsets.len() {
             return &[];
@@ -249,7 +302,9 @@ impl KeywordIndex {
 
     /// The features sharing at least one keyword with `keywords` —
     /// exactly the set the map-side pruning rule of Algorithm 1 line 9
-    /// would keep — ascending and deduplicated.
+    /// would keep — deduplicated, as ascending index numbers: by
+    /// `(|f.W|, store order)`, not store indices (see the
+    /// [type docs](Self)).
     pub fn candidates(&self, keywords: &KeywordSet) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
         self.for_each_match(keywords, |feature, _| out.push(feature));
@@ -258,9 +313,9 @@ impl KeywordIndex {
 
     /// Merges the posting lists of `keywords`, calling
     /// `emit(feature, |keywords ∩ f.W|)` once per feature sharing at least
-    /// one keyword, in ascending feature order. A [`KeywordSet`] holds
-    /// each term once, so the number of lists a feature heads is exactly
-    /// its intersection size.
+    /// one keyword, in ascending index order (by length, then store
+    /// order). A [`KeywordSet`] holds each term once, so the number of
+    /// lists a feature heads is exactly its intersection size.
     // Inline: the serving kernel's per-query merge. Without the hint,
     // whether it is inlined into `kernel::top_k` depends on how rustc
     // splits this crate into codegen units, which any edit can move.
@@ -279,10 +334,13 @@ impl KeywordIndex {
         }
     }
 
-    /// `|f.W|` of feature `i`.
+    /// The length run `feature` falls in: one past its last feature, and
+    /// its `|f.W|`.
     #[inline]
-    pub(crate) fn feature_len(&self, i: u32) -> usize {
-        self.feature_lens[i as usize] as usize
+    pub(crate) fn run_of(&self, feature: u32) -> (u32, usize) {
+        let next = self.runs.partition_point(|run| run[0] <= feature);
+        let end = self.runs.get(next).map_or(self.num_features, |run| run[0]);
+        (end, self.runs[next - 1][1] as usize)
     }
 }
 
@@ -324,21 +382,16 @@ pub(crate) struct EngineMetrics {
 impl EngineMetrics {
     /// Counts one request whose keyword probe was `(probed, matched)`.
     pub(crate) fn request(&self, (probed, matched): (usize, usize)) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.keyword_probes
-            .fetch_add(probed as u64, Ordering::Relaxed);
-        self.keyword_hits
-            .fetch_add(matched as u64, Ordering::Relaxed);
+        bump(&self.queries, 1);
+        bump(&self.keyword_probes, probed as u64);
+        bump(&self.keyword_hits, matched as u64);
     }
 
     /// Counts one kernel answer's work.
     pub(crate) fn kernel(&self, work: KernelWork) {
-        self.kernel_candidates
-            .fetch_add(work.candidates, Ordering::Relaxed);
-        self.kernel_visited
-            .fetch_add(work.visited, Ordering::Relaxed);
-        self.kernel_distance_checks
-            .fetch_add(work.distance_checks, Ordering::Relaxed);
+        bump(&self.kernel_candidates, work.candidates);
+        bump(&self.kernel_visited, work.visited);
+        bump(&self.kernel_distance_checks, work.distance_checks);
     }
 
     /// The counters, every other field zero.
@@ -386,7 +439,7 @@ pub struct MetricsSnapshot {
     pub keyword_probes: u64,
     /// Probed keywords that hit a non-empty posting list.
     pub keyword_hits: u64,
-    /// Candidate features the serving kernels sorted into score classes
+    /// Candidate features the serving kernels bucketed into score classes
     /// (features sharing a keyword with the query), over all
     /// kernel-answered queries and, on `sharded:N`, summed over the
     /// shards, each of which holds a disjoint slice of the features. A
@@ -493,13 +546,9 @@ impl QueryEngine {
     pub fn dataset_stats(&self) -> DatasetStats {
         let idx = self.keyword_index();
         let total_keywords = idx.postings.len() as u64;
-        let distinct_terms = (0..idx.num_terms())
-            .filter(|&t| idx.offsets[t + 1] > idx.offsets[t])
-            .count();
-        let max_posting = (0..idx.num_terms())
-            .map(|t| idx.offsets[t + 1] - idx.offsets[t])
-            .max()
-            .unwrap_or(0);
+        let posting_lens = idx.offsets.windows(2).map(|range| range[1] - range[0]);
+        let distinct_terms = posting_lens.clone().filter(|&len| len > 0).count();
+        let max_posting = posting_lens.max().unwrap_or(0);
         let feature_objects = self.dataset.features().len();
         DatasetStats {
             data_objects: self.dataset.data().len(),
@@ -507,11 +556,8 @@ impl QueryEngine {
             term_slots: idx.num_terms(),
             distinct_terms,
             total_keywords,
-            mean_keywords: if feature_objects == 0 {
-                0.0
-            } else {
-                total_keywords as f64 / feature_objects as f64
-            },
+            // With no feature there is no keyword: 0 / 1.
+            mean_keywords: total_keywords as f64 / feature_objects.max(1) as f64,
             max_posting,
         }
     }
@@ -543,12 +589,28 @@ impl QueryEngine {
     }
 }
 
+/// Adds `by` to a monotonic counter.
+pub(crate) fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
+/// The keyword probe, `(terms probed, terms matched)` over all of `F`: a
+/// term matches when `carried` says some slice of `F` gives it postings,
+/// and `matched == 0` proves the query cannot score any object.
+pub(crate) fn probe(keywords: &KeywordSet, carried: impl Fn(Term) -> bool) -> (usize, usize) {
+    let matched = keywords.iter().filter(|&t| carried(t)).count();
+    (keywords.len(), matched)
+}
+
 /// All of `features` as a kernel reads them: their keyword index and
-/// their locations.
+/// their locations, both numbered by `(|f.W|, store order)` — location
+/// `k` is the index's feature `k`. No feature object is cloned.
 pub(crate) fn feature_side(features: &[FeatureObject]) -> FeatureSide {
+    let (index, order) = KeywordIndex::numbered(features);
+    let locations = order.iter().map(|&i| features[i as usize].location);
     FeatureSide {
-        locations: features.iter().map(|f| f.location).collect(),
-        index: KeywordIndex::build(features),
+        locations: locations.collect(),
+        index,
     }
 }
 
@@ -564,12 +626,7 @@ impl QueryExecutor for QueryEngine {
     ) -> Result<QueryResponse, SpqError> {
         let started = Instant::now();
         let index = self.keyword_index();
-        let probed = query.keywords.len();
-        let matched = query
-            .keywords
-            .iter()
-            .filter(|&t| index.term_frequency(t) > 0)
-            .count();
+        let (probed, matched) = probe(&query.keywords, |t| index.term_frequency(t) > 0);
         self.metrics.request((probed, matched));
         let results = self.run(query);
         let job = self.exec.trace_job(&self.dataset, query, options)?;
@@ -661,15 +718,50 @@ mod tests {
         let ds = paper_dataset();
         let idx = KeywordIndex::build(ds.features());
         assert_eq!(idx.num_terms(), 12);
-        // Term 0 appears on features f1, f4, f7 (indices 0, 3, 6).
-        assert_eq!(idx.postings(Term(0)), &[0, 3, 6]);
-        assert_eq!(idx.postings(Term(11)), &[7]);
+        // Numbered by (|f.W|, store order): the one-keyword f4 and f8 are
+        // features 0 and 1, then f1–f3 and f5–f7 are 2–7. Term 0 appears
+        // on f1, f4 and f7; term 11 on f8.
+        assert_eq!(idx.postings(Term(0)), &[0, 2, 7]);
+        assert_eq!(idx.postings(Term(11)), &[1]);
         assert_eq!(idx.postings(Term(999)), &[] as &[u32]);
         assert_eq!(
             idx.candidates(&KeywordSet::from_ids([0, 11, 500])),
-            vec![0, 3, 6, 7]
+            vec![0, 1, 2, 7]
         );
         assert!(idx.candidates(&KeywordSet::from_ids([77])).is_empty());
+    }
+
+    /// `feature_side` numbers a slice's features by `(|f.W|, store
+    /// order)` — a stable sort by length — and carries each feature's
+    /// location with it; the index's runs and postings follow the same
+    /// numbering.
+    #[test]
+    fn feature_side_numbers_features_by_length_then_store_order() {
+        // Stored longest first, with ties at every length.
+        let lens: [usize; 9] = [3, 0, 2, 3, 1, 0, 2, 1, 3];
+        let features: Vec<FeatureObject> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let ids: Vec<u32> = (0..len as u32).map(|t| 10 * i as u32 + t).collect();
+                feature(i as u64, i as f64, -(i as f64), &ids)
+            })
+            .collect();
+        let side = feature_side(&features);
+        let order = [1, 5, 4, 7, 2, 6, 0, 3, 8];
+        let located: Vec<Point> = order.iter().map(|&i| features[i].location).collect();
+        assert_eq!(&side.locations[..], &located[..]);
+        let (_, _, runs) = side.index.columns();
+        assert_eq!(runs, [0, 0, 2, 1, 4, 2, 6, 3]);
+        for (k, &i) in order.iter().enumerate() {
+            let (end, len) = side.index.run_of(k as u32);
+            assert_eq!(len, lens[i], "feature {k}");
+            assert_eq!(end, [2, 2, 4, 4, 6, 6, 9, 9, 9][k], "feature {k}");
+            for &t in features[i].keywords.terms() {
+                assert_eq!(side.index.postings(t), [k as u32], "term {t:?}");
+            }
+        }
+        assert_eq!(side.index, KeywordIndex::build(&features));
     }
 
     #[test]

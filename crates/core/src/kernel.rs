@@ -9,12 +9,19 @@
 //! 1. merge the query's posting lists into `(feature, |q.W ∩ f.W|)`; with
 //!    `|f.W|` from the index, that pair is all a score depends on
 //!    ([`SetSimilarity::score_from_counts`](spq_text::SetSimilarity::score_from_counts)
-//!    — no feature object is touched);
-//! 2. walk score classes: counting-sort the candidates into classes of
-//!    equal `(|q.W ∩ f.W|, |f.W|)`, score each class once, and take the
-//!    classes in descending score order — a few hundred classes sorted
-//!    instead of every candidate heapified. For each candidate of a class,
-//!    scan the data objects of the grid cells within `r` of it
+//!    — no feature object is touched). The merge puts each candidate in
+//!    the bucket of its `|q.W ∩ f.W|`;
+//! 2. walk score classes. The index numbers a slice's features by
+//!    `(|f.W|, store order)` once, at build time, so each bucket arrives
+//!    ascending by `|f.W|` and a class of equal `(|q.W ∩ f.W|, |f.W|)` is
+//!    one range of it: the bucket is cut where the index's length runs end
+//!    (a binary search per class, no counting sort and no per-candidate
+//!    length lookup). By ascending length a bucket's classes come by
+//!    non-increasing score, so the walk takes the best of the buckets'
+//!    next classes, scoring each class once as it is cut — the classes
+//!    come in descending score order, nothing is sorted, and a class past
+//!    the stop is never cut. For each candidate of a class, scan the data
+//!    objects of the grid cells within `r` of it
 //!    ([`GridIndex::for_each_cell_within`]) with the codebase's one
 //!    predicate, `dist_sq <= r²`;
 //! 3. offer every hit to one global [`TopKList`]; stop before a class when
@@ -54,14 +61,13 @@ use crate::query::SpqQuery;
 use crate::topk::TopKList;
 use spq_spatial::{GridIndex, Point};
 use spq_text::Score;
-use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// One slice of `F` as the kernel reads it: the keyword index over the
 /// slice and each feature's location, feature `i` of the index at
-/// `locations[i]`. No keyword list is kept beside the index. A remote
-/// worker receives these columns as the manager built them and keeps
-/// them as they arrive.
+/// `locations[i]` — both numbered by `(|f.W|, store order)`. No keyword
+/// list is kept beside the index. A remote worker receives these columns
+/// as the manager built them and keeps them as they arrive.
 #[derive(Debug)]
 pub(crate) struct FeatureSide {
     pub(crate) locations: Box<[Point]>,
@@ -97,107 +103,73 @@ pub(crate) struct KernelAnswer {
     pub(crate) work: KernelWork,
 }
 
-/// One score class: the candidates sharing `(|q.W ∩ f.W|, |f.W|)`, which
-/// therefore share a score, as a range of [`ScoreClasses::order`].
-#[derive(Debug)]
-struct Class {
-    score: Score,
-    start: u32,
-    end: u32,
+/// Merges the query's posting lists into one bucket per `|q.W ∩ f.W|`:
+/// `buckets[c]` holds the candidates sharing `c` keywords with the query,
+/// ascending by index number — so by `|f.W|`, each length one contiguous
+/// class, in store order inside it. Scratch is O(candidates + |q.W|),
+/// however many keywords a query carries.
+fn buckets(index: &KeywordIndex, query: &SpqQuery) -> Vec<Vec<u32>> {
+    let mut buckets = vec![Vec::new(); query.keywords.len() + 1];
+    index.for_each_match(&query.keywords, |feature, inter| {
+        buckets[inter].push(feature)
+    });
+    buckets
 }
 
-/// Every feature sharing a keyword with the query, grouped into score
-/// classes.
-#[derive(Debug)]
-struct ScoreClasses {
-    /// The candidates, each class contiguous and ascending by feature
-    /// index inside it.
-    order: Vec<u32>,
-    /// The non-empty classes by descending score; classes of equal score
-    /// are adjacent, in no particular order.
-    classes: Vec<Class>,
-}
-
-impl ScoreClasses {
-    /// Merges the query's posting lists, bucketing each candidate by
-    /// `|q.W ∩ f.W|` as the merge emits it, then counting-sorts each
-    /// bucket by `|f.W|` into one order array, scoring each non-empty
-    /// class once. Scratch is O(candidates + |q.W| + max |f.W|), however
-    /// many keywords a query carries.
-    fn build(index: &KeywordIndex, query: &SpqQuery) -> Self {
-        let query_len = query.keywords.len();
-        // `by_inter[c]`: the `(feature, |f.W|)` sharing `c` keywords.
-        let mut by_inter: Vec<Vec<(u32, u32)>> = vec![Vec::new(); query_len + 1];
-        let (mut candidates, mut max_len) = (0, 0);
-        index.for_each_match(&query.keywords, |feature, inter| {
-            let len = index.feature_len(feature);
-            max_len = max_len.max(len);
-            candidates += 1;
-            by_inter[inter].push((feature, len as u32));
+/// A query's score classes — candidates sharing `(|q.W ∩ f.W|, |f.W|)`,
+/// and so a score — each a range of its bucket, yielded by descending
+/// score as the walk asks for them; classes of equal score come in no
+/// particular order. A bucket's classes are cut off its front where the
+/// index's length runs end. By ascending length they come by
+/// non-increasing score under all three similarities, so the next class
+/// overall is the best of the buckets' next ones: a class the walk never
+/// reaches is never cut, and nothing is sorted.
+fn score_classes<'a>(
+    index: &'a KeywordIndex,
+    query: &'a SpqQuery,
+    buckets: &'a [Vec<u32>],
+) -> impl Iterator<Item = (Score, &'a [u32])> {
+    let query_len = query.keywords.len();
+    // What is left of each bucket, by intersection size.
+    let mut rests: Vec<&[u32]> = buckets.iter().map(Vec::as_slice).collect();
+    std::iter::from_fn(move || {
+        let fronts = rests.iter().enumerate().filter_map(|(inter, rest)| {
+            let (run_end, len) = index.run_of(*rest.first()?);
+            let score = query.similarity.score_from_counts(inter, query_len, len);
+            Some((score, inter, run_end))
         });
-        let mut order = vec![0u32; candidates];
-        let mut classes = Vec::new();
-        let mut len_next = vec![0u32; max_len + 1];
-        let mut at = 0u32;
-        for (inter, bucket) in by_inter.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            len_next.fill(0);
-            for &(_, len) in bucket {
-                len_next[len as usize] += 1;
-            }
-            for (len, next) in len_next.iter_mut().enumerate() {
-                if *next > 0 {
-                    let (start, end) = (at, at + *next);
-                    let score = query.similarity.score_from_counts(inter, query_len, len);
-                    classes.push(Class { score, start, end });
-                    (*next, at) = (start, end);
-                }
-            }
-            for &(feature, len) in bucket {
-                order[len_next[len as usize] as usize] = feature;
-                len_next[len as usize] += 1;
-            }
-        }
-        // Within one intersection size the classes came out by ascending
-        // length, which is non-increasing score under all three
-        // similarities, so this stable sort merges `|q.W|` sorted runs.
-        classes.sort_by_key(|class| Reverse(class.score));
-        Self { order, classes }
-    }
-
-    /// The class's candidates.
-    fn features(&self, class: &Class) -> &[u32] {
-        &self.order[class.start as usize..class.end as usize]
-    }
+        let (score, inter, run_end) = fronts.max_by_key(|&(score, ..)| score)?;
+        let (class, after) = rests[inter].split_at(rests[inter].partition_point(|&f| f < run_end));
+        rests[inter] = after;
+        Some((score, class))
+    })
 }
 
 /// Answers `query` from prebuilt state (see the [module docs](self)): the
 /// canonical top-k of the state's data objects, each scored over the
 /// state's features only.
 pub(crate) fn top_k(state: &KernelState, query: &SpqQuery) -> KernelAnswer {
-    let ranked = ScoreClasses::build(&state.features.index, query);
+    let buckets = buckets(&state.features.index, query);
     let locations = &state.features.locations;
     let grid = &state.grid;
     let r_sq = query.radius * query.radius;
     let mut list = TopKList::new(query.k);
     let (mut visited, mut distance_checks) = (0u64, 0u64);
-    for class in &ranked.classes {
+    for (score, features) in score_classes(&state.features.index, query, &buckets) {
         // Strictly below: a candidate scoring exactly τ can still reach a
         // smaller id than the k-th entry's. Offers of this class's score
         // cannot lift τ above it, so testing once per class is exact.
-        if list.is_full() && class.score < list.tau() {
+        if list.is_full() && score < list.tau() {
             break;
         }
-        for &feature in ranked.features(class) {
+        for &feature in features {
             visited += 1;
             let location = locations[feature as usize];
             grid.for_each_cell_within(&location, query.radius, |cell| {
                 distance_checks += cell.len() as u64;
                 for &(p, id) in cell {
                     if p.dist_sq(&location) <= r_sq {
-                        list.update(id, p, class.score);
+                        list.update(id, p, score);
                     }
                 }
             });
@@ -206,7 +178,7 @@ pub(crate) fn top_k(state: &KernelState, query: &SpqQuery) -> KernelAnswer {
     KernelAnswer {
         top_k: list.into_vec(),
         work: KernelWork {
-            candidates: ranked.order.len() as u64,
+            candidates: buckets.iter().map(Vec::len).sum::<usize>() as u64,
             visited,
             distance_checks,
         },
@@ -254,15 +226,17 @@ mod tests {
         let dataset = diagonal();
         let index = KeywordIndex::build(dataset.features());
         let query = SpqQuery::new(3, 0.01, KeywordSet::from_ids([0]));
-        let ranked = ScoreClasses::build(&index, &query);
+        let buckets = buckets(&index, &query);
         let mut popped = Vec::new();
-        for class in &ranked.classes {
-            for &feature in ranked.features(class) {
+        for (score, features) in score_classes(&index, &query, &buckets) {
+            for &feature in features {
+                // Every feature carries a distinct number of keywords, so
+                // the numbering is store order.
                 assert_eq!(
-                    class.score,
+                    score,
                     query.score(&dataset.features()[feature as usize].keywords)
                 );
-                popped.push(class.score);
+                popped.push(score);
             }
         }
         assert_eq!(popped.len(), 10);
@@ -302,18 +276,22 @@ mod tests {
         let dataset = class_tied();
         let state = prebuilt(&dataset);
         let query = SpqQuery::new(1, 0.01, KeywordSet::from_ids([0, 1, 2]));
-        let ranked = ScoreClasses::build(&state.features.index, &query);
-        let scores: Vec<Score> = ranked.classes.iter().map(|c| c.score).collect();
+        let index = &state.features.index;
+        let buckets = buckets(index, &query);
+        let classes: Vec<_> = score_classes(index, &query, &buckets).collect();
+        let scores: Vec<Score> = classes.iter().map(|&(score, _)| score).collect();
         assert_eq!(
             scores,
             [Score::ratio(1, 6), Score::ratio(1, 6), Score::ratio(1, 12)]
         );
-        let mut tied: Vec<u32> = ranked.classes[..2]
+        let mut tied: Vec<u32> = classes[..2]
             .iter()
-            .flat_map(|c| ranked.features(c).to_vec())
+            .flat_map(|&(_, features)| features.to_vec())
             .collect();
         tied.sort_unstable();
-        assert_eq!(tied, [0, 1], "one feature per tied class");
+        // Numbered by length: features 0, 2 and 1 in store order are 4, 11
+        // and 10 keywords long.
+        assert_eq!(tied, [0, 2], "one feature per tied class");
         // Whichever tied class walks first fills the list at τ = 1/6; the
         // other is still visited and its object 1 displaces object 5. The
         // 1/12 class is below τ and stays unvisited.

@@ -101,14 +101,17 @@ pub fn encode_feature_slice(features: &[FeatureObject], budget: usize) -> Featur
 /// Encodes a slice's kernel state into `OP_FEATURES` chunk payloads. Each
 /// payload is the chunk header — fingerprint `u64`, chunk index `u32`,
 /// chunk total `u32` — then one run per column, in wire order: the term
-/// offset table, the postings, the feature lengths and the locations,
-/// each run a `u32` word count and the words. A location is four words,
-/// the little-endian bytes of its two `f64`s. The columns are cut between
-/// elements into chunks of at most `budget` column bytes (at least one
-/// element each); a column starts only once the one before it is
-/// complete. No feature id and no keyword list is shipped.
+/// offset table, the postings, the length-run table and the locations,
+/// each run a `u32` word count and the words. A length run is two words,
+/// its first feature and its `|f.W|`; a location is four words, the
+/// little-endian bytes of its two `f64`s, and the locations give the
+/// feature count. Every column is in the index's numbering, by
+/// `(|f.W|, store order)`. The columns are cut between elements (a length
+/// run never splits) into chunks of at most `budget` column bytes (at
+/// least one element each); a column starts only once the one before it
+/// is complete. No feature id and no keyword list is shipped.
 pub(crate) fn encode_feature_side(side: &FeatureSide, budget: usize) -> FeatureChunks {
-    let (offsets, postings, lens) = side.index.columns();
+    let (offsets, postings, runs) = side.index.columns();
     // An offset is at most the postings length, which is far below 2³²
     // for any slice that fits in memory on both sides.
     let offsets: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
@@ -122,7 +125,7 @@ pub(crate) fn encode_feature_side(side: &FeatureSide, budget: usize) -> FeatureC
     let columns = [
         (&offsets[..], 1),
         (postings, 1),
-        (lens, 1),
+        (runs, 2),
         (&locations[..], 4),
     ];
     let mut hasher = WordHasher::default();
@@ -189,31 +192,31 @@ fn read_keywords(r: &mut ByteReader<'_>) -> Result<KeywordSet, CodecError> {
 }
 
 /// A feature slice's columns as a worker assembles them from its chunks,
-/// each run appended as it arrives (the locations as their words);
+/// each run appended as it arrives (the length runs and the locations as
+/// their words);
 /// [`install`](Self::install) checks them and makes them kernel state.
 #[derive(Debug, Default)]
 pub(crate) struct FeatureColumns {
     offsets: Vec<usize>,
     postings: Vec<u32>,
-    lens: Vec<u32>,
+    runs: Vec<u32>,
     locations: Vec<u32>,
 }
 
 impl FeatureColumns {
-    /// Checks the assembled columns (see [`KeywordIndex::from_columns`];
-    /// and one location per feature) and keeps them as the slice's kernel
-    /// state: nothing is built per term.
+    /// Checks the assembled columns (whole locations, one per feature;
+    /// the rest as [`KeywordIndex::from_columns`] does) and keeps them as
+    /// the slice's kernel state: nothing is built per term.
     pub(crate) fn install(self) -> Result<FeatureSide, CodecError> {
-        if self.locations.len() != 4 * self.lens.len() {
-            return Err(CodecError::invalid("not one location per feature"));
-        }
-        let (words, _) = self.locations.as_chunks::<4>();
+        let (words, []) = self.locations.as_chunks::<4>() else {
+            return Err(CodecError::invalid("a location is not four words"));
+        };
         let f64_at = |lo: u32, hi: u32| f64::from_bits(lo as u64 | (hi as u64) << 32);
         let locations = words
             .iter()
             .map(|&[x_lo, x_hi, y_lo, y_hi]| Point::new(f64_at(x_lo, x_hi), f64_at(y_lo, y_hi)))
             .collect();
-        let index = KeywordIndex::from_columns(self.offsets, self.postings, self.lens)
+        let index = KeywordIndex::from_columns(self.offsets, self.postings, self.runs, words.len())
             .map_err(CodecError::invalid)?;
         Ok(FeatureSide { locations, index })
     }
@@ -267,7 +270,7 @@ impl<'a> FeaturesChunkReader<'a> {
         }
         columns.offsets.extend(offsets.map(|o| o as usize));
         columns.postings.extend(r.u32s()?);
-        columns.lens.extend(r.u32s()?);
+        columns.runs.extend(r.u32s()?);
         columns.locations.extend(r.u32s()?);
         if !r.is_empty() {
             return Err(CodecError::invalid("trailing bytes after feature chunk"));

@@ -9,7 +9,7 @@ use super::codec::{
 use super::host::{ShardHost, NOT_PROVISIONED, UNKNOWN_FEATURE_SET};
 use super::membership::{Failover, Membership, MembershipConfig, MembershipView, TickReport};
 use super::{parse_worker_addrs, SPQ_REMOTE_WORKERS};
-use crate::engine::{EngineMetrics, MetricsSnapshot};
+use crate::engine::{bump, probe, EngineMetrics, KeywordIndex, MetricsSnapshot};
 use crate::executor::{SpqError, SpqExecutor};
 use crate::query::SpqQuery;
 use crate::service::{QueryExecutor, QueryOptions, QueryResponse};
@@ -22,6 +22,7 @@ use spq_mapreduce::remote::{
     OP_ERROR, OP_FAULT_OK, OP_FEATURES, OP_FEATURES_OK, OP_PROVISION, OP_PROVISION_OK,
     OP_SET_FAULT, OP_SHARD_QUERY, OP_SHARD_RESULT, OP_SHARD_STATUS, OP_SHARD_STATUS_OK,
 };
+use spq_text::Term;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,8 +80,15 @@ struct RemoteCounters {
     feature_sets_sent: AtomicU64,
 }
 
-fn bump(counter: &AtomicU64, by: u64) {
-    counter.fetch_add(by, Ordering::Relaxed);
+/// Which terms a feature slice carries, one bit per term id up to its
+/// largest: what the keyword probe reads of a slice the manager does not
+/// hold.
+fn carried_terms(index: &KeywordIndex) -> Box<[u64]> {
+    let mut bits = vec![0u64; index.num_terms().div_ceil(64)];
+    for t in 0..index.num_terms() {
+        bits[t / 64] |= u64::from(index.term_frequency(Term(t as u32)) > 0) << (t % 64);
+    }
+    bits.into()
 }
 
 /// The engine behind [`crate::service::Backend::Remote`]: the sharded
@@ -106,6 +114,8 @@ pub struct RemoteEngine {
     /// same chunk buffers. A
     /// shard's [`OP_PROVISION`] payload is encoded when it is sent.
     pub(super) features: Vec<FeatureChunks>,
+    /// Each shard's [`carried_terms`].
+    carried: Vec<Box<[u64]>>,
     /// Every membership decision is asked of this machine; the engine
     /// holds the lock for the question only, never across I/O.
     membership: Mutex<Membership>,
@@ -244,9 +254,11 @@ impl RemoteEngine {
         // engine cuts and builds them: every slice's kernel state at once,
         // each encoded on its own thread and then dropped.
         let num_workers = addrs.len();
-        let (layout, features) = Layout::new(executor, dataset, num_workers, |side| {
-            encode_feature_side(&side, FEATURES_CHUNK_BYTES)
+        let (layout, built) = Layout::new(executor, dataset, num_workers, |side| {
+            let carried = carried_terms(&side.index);
+            (encode_feature_side(&side, FEATURES_CHUNK_BYTES), carried)
         })?;
+        let (features, carried) = built.into_iter().unzip();
         unique_ids(layout.dataset.data())?;
         let workers: Vec<Arc<WorkerSlot>> = addrs
             .iter()
@@ -257,6 +269,7 @@ impl RemoteEngine {
             client_config,
             workers: Mutex::new(workers),
             features,
+            carried,
             membership: Mutex::new(Membership::new(config, num_workers, num_workers)),
             counters: RemoteCounters::default(),
             hosts,
@@ -732,7 +745,7 @@ impl RemoteEngine {
 }
 
 impl QueryExecutor for RemoteEngine {
-    /// Probe the slices' term tables, then `Layout::scatter_gather`
+    /// Probe the slices' term bitmaps, then `Layout::scatter_gather`
     /// with every shard asked over TCP from the calling thread: one
     /// pipelined `exchange` for all of them, then each
     /// shard, in shard order, through the retry/failover loop with its
@@ -743,7 +756,12 @@ impl QueryExecutor for RemoteEngine {
         query: &SpqQuery,
         options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
-        let keywords = self.layout.probe(&query.keywords);
+        let keywords = probe(&query.keywords, |t| {
+            let (word, bit) = (t.index() / 64, t.index() % 64);
+            self.carried
+                .iter()
+                .any(|bits| bits.get(word).is_some_and(|w| w >> bit & 1 == 1))
+        });
         self.counters.requests.request(keywords);
         self.layout
             .scatter_gather(query, options, keywords, |shards| {

@@ -63,21 +63,25 @@
 //! * The manager builds each shard's slice of `F` into kernel state once
 //!   — the same keyword index and location column an in-process shard
 //!   builds, every slice at once on a thread of its own — and encodes
-//!   its columns (the term offset table, the postings, the `|f.W|`
-//!   lengths and the locations; no feature id, no keyword list) into
+//!   its columns (the term offset table, the postings, the table of
+//!   `|f.W|` runs and the locations, all numbered by `(|f.W|, store
+//!   order)`; no feature id, no keyword list) into
 //!   bounded [`OP_FEATURES`] chunk payloads (about 1 MiB of column bytes
 //!   each, so no frame grows with the corpus) named by the slice's
 //!   *fingerprint* — the frame checksum's word-at-a-time FNV-1a over the
 //!   column lengths and bytes, a function of the content alone. The same
-//!   buffers serve every worker and every later re-provision; the built
-//!   state is dropped once encoded. No feature keyword id may reach
+//!   buffers serve every worker and every later re-provision; of the
+//!   built state only a term bitmap per slice, for the keyword probe, is
+//!   kept once encoded. No feature keyword id may reach
 //!   2²²: the build refuses such a dataset, and a worker refuses a term
 //!   offset table longer than the ids below that limit need.
 //! * A worker appends the chunks of a slice, in order, to its columns by
 //!   bulk copy; on the last chunk it checks them — offsets from 0 to the
 //!   postings length without decreasing, each term's postings strictly
-//!   increasing and below the feature count, each length its feature's
-//!   posting count, one location per feature — and keeps them as the
+//!   increasing and below the feature count, length runs that cut the
+//!   features into ranges from feature 0 by strictly increasing length,
+//!   each feature's posting count its run's length, whole locations (one
+//!   per feature gives the count) — and keeps them as the
 //!   slice's kernel state. Nothing is built per term, and a slice that
 //!   fails a check is refused with a typed error and not held. An
 //!   [`OP_PROVISION`] then carries the
@@ -239,7 +243,6 @@ mod tests {
     use super::*;
     use crate::engine::{feature_side, QueryEngine};
     use crate::executor::SpqExecutor;
-    use crate::kernel::FeatureSide;
     use crate::model::{DataObject, FeatureObject};
     use crate::query::SpqQuery;
     use crate::service::{QueryExecutor, QueryRequest};
@@ -495,15 +498,25 @@ mod tests {
                 );
                 accept_all(&host, OP_PROVISION, &[install]);
                 let installed = &host.shard(s as u32).unwrap().kernel.features;
-                let built = feature_side(&features[block(s, features.len(), n)]);
+                let slice = &features[block(s, features.len(), n)];
+                let built = feature_side(slice);
                 assert_eq!(installed.index, built.index, "shard {s} of {n}");
-                let bits = |side: &FeatureSide| -> Vec<(u64, u64)> {
-                    side.locations
+                let bits = |locations: &[Point]| -> Vec<(u64, u64)> {
+                    locations
                         .iter()
                         .map(|p| (p.x.to_bits(), p.y.to_bits()))
                         .collect()
                 };
-                assert_eq!(bits(installed), bits(&built), "shard {s} of {n}");
+                assert_eq!(bits(&installed.locations), bits(&built.locations));
+                // Both in the slice's numbering, by (|f.W|, store order).
+                let mut numbered = slice.to_vec();
+                numbered.sort_by_key(|f| f.keywords.len());
+                let located: Vec<Point> = numbered.iter().map(|f| f.location).collect();
+                assert_eq!(
+                    bits(&installed.locations),
+                    bits(&located),
+                    "shard {s} of {n}"
+                );
             }
             assert_eq!(host.hosted_shards(), n);
         }

@@ -17,9 +17,11 @@
 //! (`Layout::scatter_gather` — [`crate::remote`] runs the same function
 //! with each shard asked over a socket instead of by a call):
 //!
-//! 1. **probes** the slices' term offset tables, which together cover all
-//!    of `F` — if no feature carries any query keyword, no object can
-//!    score and the query touches zero shards;
+//! 1. **probes** whether each query keyword is carried by some slice —
+//!    in process by the shards' own keyword indexes, on a remote manager
+//!    by one term bitmap per slice — which together cover all of `F`: if
+//!    no feature carries any query keyword, no object can score and the
+//!    query touches zero shards;
 //! 2. **scatters** to every shard whose slice is non-empty, each ranking
 //!    every data object against its own slice with the kernel
 //!    (`Shard::answer`, the step a remote worker runs too) —
@@ -65,7 +67,7 @@
 //! beside the unchanged scatter. Its [`JobStats`] are the trace's one
 //! entry, exactly as on the local backend.
 
-use crate::engine::{feature_side, EngineMetrics, MetricsSnapshot};
+use crate::engine::{bump, feature_side, probe, EngineMetrics, MetricsSnapshot};
 use crate::executor::{SpqError, SpqExecutor};
 use crate::kernel::{self, FeatureSide, KernelState, KernelWork};
 use crate::merge::merge_top_k;
@@ -77,7 +79,6 @@ use spq_mapreduce::pool::run_tasks;
 #[cfg(doc)]
 use spq_mapreduce::JobStats;
 use spq_spatial::{GridIndex, Rect};
-use spq_text::{KeywordSet, Term};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -328,15 +329,13 @@ pub(crate) type ShardOutcome = Result<(Vec<u8>, Recovery), SpqError>;
 
 /// What both scatter/gather engines know about how the store is cut: the
 /// global store the gather resolves against, the executor whose bounds
-/// every shard's grid covers, each shard's contiguous `[start, end)`
-/// slice of the features, and each slice's term offset table, which the
-/// probe over all of `F` reads.
+/// every shard's grid covers, and each shard's contiguous `[start, end)`
+/// slice of the features.
 #[derive(Debug)]
 pub(crate) struct Layout {
     pub dataset: SharedDataset,
     pub exec: SpqExecutor,
     pub slices: Vec<Range<usize>>,
-    terms: Vec<Box<[usize]>>,
 }
 
 impl Layout {
@@ -368,41 +367,22 @@ impl Layout {
         let slices: Vec<Range<usize>> = (0..num_shards)
             .map(|s| block(s, features.len(), num_shards))
             .collect();
-        let built = run_tasks(num_shards, num_shards, |s| {
-            let side = feature_side(&features[slices[s].clone()]);
-            let terms = Box::from(side.index.columns().0);
-            (terms, keep(side))
+        let kept = run_tasks(num_shards, num_shards, |s| {
+            keep(feature_side(&features[slices[s].clone()]))
         })
         .map_err(|p| SpqError::Worker {
             message: format!("building shard {}: {}", p.task_index, p.message),
         })?;
-        let (terms, kept) = built.into_iter().unzip();
         let layout = Self {
             dataset,
             exec,
             slices,
-            terms,
         };
         Ok((layout, kept))
     }
 
-    /// The keyword probe, `(terms probed, terms matched)` over all of `F`:
-    /// a term matches when some slice's offset table gives it postings,
-    /// and `matched == 0` proves the query cannot score any object.
-    pub(crate) fn probe(&self, keywords: &KeywordSet) -> (usize, usize) {
-        let carried = |t: Term| {
-            self.terms.iter().any(|offsets| {
-                offsets
-                    .get(t.index()..t.index() + 2)
-                    .is_some_and(|range| range[1] > range[0])
-            })
-        };
-        let matched = keywords.iter().filter(|&t| carried(t)).count();
-        (keywords.len(), matched)
-    }
-
     /// The one scatter/gather lifecycle (see the [module docs](self)).
-    /// `keywords` is the caller's [`probe`](Self::probe): with no match no
+    /// `keywords` is the caller's [`probe`]: with no match no
     /// object can score, and no shard is asked. Otherwise `ask` is called
     /// once with every shard whose feature slice is non-empty, ascending,
     /// and returns each one's outcome in that order — the engine decides
@@ -597,20 +577,18 @@ impl ShardedEngine {
         let (shard, counters) = &self.shards[s];
         let (records, work) = shard.answer(query)?;
         self.metrics.kernel(work);
-        counters.queries.fetch_add(1, Ordering::Relaxed);
-        counters.records_shipped.fetch_add(
+        bump(&counters.queries, 1);
+        bump(
+            &counters.records_shipped,
             (records.len() / wire::RECORD_BYTES) as u64,
-            Ordering::Relaxed,
         );
-        counters
-            .bytes_shipped
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        bump(&counters.bytes_shipped, records.len() as u64);
         Ok((records, Recovery::default()))
     }
 }
 
 impl QueryExecutor for ShardedEngine {
-    /// Probe the slices' term tables, then `Layout::scatter_gather`
+    /// Probe the shards' keyword indexes, then `Layout::scatter_gather`
     /// with every shard asked in-process, on up to
     /// [`QueryOptions::workers`] threads (results are width-invariant).
     fn run_validated(
@@ -618,7 +596,11 @@ impl QueryExecutor for ShardedEngine {
         query: &SpqQuery,
         options: &QueryOptions,
     ) -> Result<QueryResponse, SpqError> {
-        let keywords = self.layout.probe(&query.keywords);
+        let keywords = probe(&query.keywords, |t| {
+            self.shards
+                .iter()
+                .any(|(shard, _)| shard.kernel.features.index.term_frequency(t) > 0)
+        });
         self.metrics.request(keywords);
         self.layout
             .scatter_gather(query, options, keywords, |shards| {
@@ -777,10 +759,10 @@ mod tests {
             let first = &sharded.shards[0].0;
             for ((shard, _), slice) in sharded.shards.iter().zip(slices) {
                 assert_eq!(shard.kernel.features.locations.len(), slice.len());
-                let located: Vec<Point> = paper_dataset().features()[slice.clone()]
-                    .iter()
-                    .map(|f| f.location)
-                    .collect();
+                // Numbered by (|f.W|, store order): a stable sort by length.
+                let mut numbered = paper_dataset().features()[slice.clone()].to_vec();
+                numbered.sort_by_key(|f| f.keywords.len());
+                let located: Vec<Point> = numbered.iter().map(|f| f.location).collect();
                 assert_eq!(&shard.kernel.features.locations[..], &located[..]);
                 assert!(Arc::ptr_eq(&first.kernel.grid, &shard.kernel.grid));
                 assert!(Arc::ptr_eq(&first.id_to_index, &shard.id_to_index));

@@ -6,7 +6,7 @@
 //! ┌────────────┬────────────┬───────────┬──────────┬──────────────┬─────────┐
 //! │ magic: u32 │ opcode: u16│ flags: u16│ len: u32 │ checksum: u64│ payload │
 //! └────────────┴────────────┴───────────┴──────────┴──────────────┴─────────┘
-//!     "SPQ6"      dispatch       0        payload     WordHasher     len
+//!     "SPQ7"      dispatch       0        payload     WordHasher     len
 //!                                          bytes      over payload    bytes
 //! ```
 //!
@@ -19,18 +19,20 @@
 
 use std::io::{Read, Write};
 
-/// Frame magic: `"SPQ6"` as a little-endian `u32`. It was `"SPQF"` while
+/// Frame magic: `"SPQ7"` as a little-endian `u32`. It was `"SPQF"` while
 /// the checksum was FNV-1a a byte at a time, `"SPQ2"` while a shard query
 /// carried algorithm and pruning tags and a shard result a plan-cache
 /// byte, `"SPQ3"` while a shard query carried a trace byte, a shard
 /// result a job's statistics and a provision the job's executor settings,
 /// `"SPQ4"` while a shard held a slice of the data objects and every
 /// feature, and a provision carried its data slice with explicit indexes,
-/// and `"SPQ5"` while a feature slice crossed the wire as keyword lists
-/// rather than as its keyword index's columns.
+/// `"SPQ5"` while a feature slice crossed the wire as keyword lists
+/// rather than as its keyword index's columns, and `"SPQ6"` while those
+/// columns numbered features in store order and carried one length per
+/// feature rather than a table of length runs.
 /// A peer from any of them fails every frame as [`FrameError::BadMagic`],
 /// not as a checksum mismatch or a mis-parsed payload.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ6");
+pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ7");
 
 /// Upper bound on a frame payload (64 MiB). A length field above this is
 /// treated as corruption, not as a real allocation request.
@@ -377,7 +379,9 @@ mod tests {
 
     #[test]
     fn a_frame_with_the_old_magic_is_bad_magic() {
-        for old in [*b"SPQF", *b"SPQ2", *b"SPQ3", *b"SPQ4", *b"SPQ5"].map(u32::from_le_bytes) {
+        for old in
+            [*b"SPQF", *b"SPQ2", *b"SPQ3", *b"SPQ4", *b"SPQ5", *b"SPQ6"].map(u32::from_le_bytes)
+        {
             let mut buf = Vec::new();
             write_frame(&mut buf, OP_PING, b"x").unwrap();
             buf[..4].copy_from_slice(&old.to_le_bytes());

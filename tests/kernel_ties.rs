@@ -30,10 +30,18 @@
 //! second family of worlds draws every feature from a few classes that
 //! tie against the query `{0, 1, 2}` under one similarity, padded with
 //! filler terms up to `|f.W| = 11`.
+//!
+//! The kernel numbers each feature slice by `(|f.W|, store order)` and
+//! cuts a class where a length run ends. A third family stores its
+//! features longest first, so that numbering reverses store order across
+//! lengths, with lengths 0–12: every similarity's tied classes beside
+//! classes drawn at random, so tied runs sit on both sides of other
+//! runs. The local engine and `sharded:1`–`sharded:3`, whose slices each
+//! number their own features, must all return `brute_force`'s bytes.
 
 use proptest::prelude::*;
 use spq::core::centralized::brute_force;
-use spq::core::{QueryEngine, SharedDataset};
+use spq::core::{QueryEngine, ShardedEngine, SharedDataset};
 use spq::prelude::*;
 use spq::text::SetSimilarity;
 
@@ -174,6 +182,70 @@ fn class_tied_world() -> impl Strategy<
     )
 }
 
+/// The longest feature a length-run world draws.
+const MAX_LEN: usize = 12;
+
+/// Strategy: 0–64 data objects and 0–60 features on the `i/8` lattice;
+/// each feature is one of every similarity's tied [`CLASS_TIES`] classes
+/// or a random `(|q.W ∩ f.W|, |f.W|)` with `|f.W|` in 0–12, with its
+/// shared and filler terms rotated. The features are stored longest
+/// first (ids in that order), draw order kept within a length. Four
+/// (radius class, k) draws for the query `{0, 1, 2}`; a grid size.
+#[allow(clippy::type_complexity)]
+fn length_run_world() -> impl Strategy<
+    Value = (
+        Vec<DataObject>,
+        Vec<FeatureObject>,
+        Vec<(usize, usize)>,
+        u32,
+    ),
+> {
+    let data = (
+        proptest::collection::vec((0u8..=8, 0u8..=8), 64),
+        0usize..65,
+        0..=ALIGNED_COUNTS.len(),
+    );
+    let tied: Vec<(usize, usize)> = CLASS_TIES
+        .iter()
+        .flat_map(|(_, classes)| classes.iter().copied())
+        .collect();
+    // Two draws in three a tied class, else a random one.
+    let class = (0u8..3, 0..tied.len(), 0..=MAX_LEN, 0usize..=3).prop_map(
+        move |(kind, pick, len, inter)| match kind {
+            0 => (inter.min(len), len),
+            _ => tied[pick],
+        },
+    );
+    let features =
+        proptest::collection::vec((0u8..=8, 0u8..=8, class, 0u32..3, 0u32..FILLERS), 0..61);
+    let queries = proptest::collection::vec((0usize..RADII.len(), 1usize..=7), 4);
+    (data, features, queries, 1u32..8).prop_map(|((d, random, class), f, queries, grid)| {
+        let at = |x: u8, y: u8| Point::new(x as f64 / 8.0, y as f64 / 8.0);
+        let count = ALIGNED_COUNTS.get(class).copied().unwrap_or(random);
+        let data = d
+            .into_iter()
+            .take(count)
+            .enumerate()
+            .map(|(i, (x, y))| DataObject::new(i as u64, at(x, y)))
+            .collect();
+        let mut drawn: Vec<(Point, KeywordSet)> = f
+            .into_iter()
+            .map(|(x, y, (inter, len), shared, filler)| {
+                let shared = (0..inter as u32).map(|t| (shared + t) % 3);
+                let fillers = (0..(len - inter) as u32).map(|t| 3 + (filler + t) % FILLERS);
+                (at(x, y), KeywordSet::from_ids(shared.chain(fillers)))
+            })
+            .collect();
+        drawn.sort_by_key(|(_, keywords)| std::cmp::Reverse(keywords.len()));
+        let features = drawn
+            .into_iter()
+            .enumerate()
+            .map(|(i, (location, keywords))| FeatureObject::new(i as u64, location, keywords))
+            .collect();
+        (data, features, queries, grid)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -243,6 +315,48 @@ proptest! {
             let fresh = exec.run_dataset(&dataset, &query).unwrap();
             prop_assert_eq!(&kernel.results, &expect, "kernel, {}", query);
             prop_assert_eq!(&fresh.top_k, &expect, "job, {}", query);
+        }
+    }
+
+    /// Length runs: on worlds stored longest first, with tied classes on
+    /// both sides of other lengths' runs, the local kernel and every
+    /// shard count's gather return `brute_force`'s bytes under all three
+    /// similarities.
+    #[test]
+    fn prop_kernel_agrees_across_length_runs(
+        (data, features, query_specs, grid) in length_run_world()
+    ) {
+        let dataset = SharedDataset::new(data, features);
+        let exec = SpqExecutor::new(Rect::unit())
+            .grid_size(grid)
+            .cluster(ClusterConfig::sequential());
+        let local = QueryEngine::new(exec.clone(), dataset.clone());
+        let sharded: Vec<ShardedEngine> = (1..=3)
+            .map(|n| ShardedEngine::new(exec.clone(), dataset.clone(), n).unwrap())
+            .collect();
+        for (radius, k) in &query_specs {
+            for similarity in SIMILARITIES {
+                let query = SpqQuery::with_similarity(
+                    *k,
+                    RADII[*radius],
+                    KeywordSet::from_ids([0, 1, 2]),
+                    similarity,
+                );
+                let expect = brute_force(dataset.data(), dataset.features(), &query);
+                let request = QueryRequest::new(query.clone());
+                let got = local.execute(&request).unwrap();
+                prop_assert_eq!(&got.results, &expect, "local, {}", query);
+                for engine in &sharded {
+                    let got = engine.execute(&request).unwrap();
+                    prop_assert_eq!(
+                        &got.results,
+                        &expect,
+                        "sharded:{}, {}",
+                        engine.num_shards(),
+                        query
+                    );
+                }
+            }
         }
     }
 }

@@ -198,9 +198,9 @@ fn unit_executor() -> SpqExecutor {
 }
 
 /// Bytes per element of the four shipped columns, in wire order: term
-/// offsets, postings, feature lengths (one `u32` word each) and locations
-/// (four words: two `f64`s).
-const WIDTHS: [usize; 4] = [4, 4, 4, 16];
+/// offsets and postings (one `u32` word each), length runs (two words:
+/// first feature and `|f.W|`) and locations (four words: two `f64`s).
+const WIDTHS: [usize; 4] = [4, 4, 8, 16];
 
 /// A feature slice's shipped columns, as bytes.
 type Columns = [Vec<u8>; 4];
@@ -246,23 +246,24 @@ fn u32s(column: &[u8]) -> Vec<u32> {
 
 /// A one-chunk `OP_FEATURES` payload of set 1 carrying the given columns,
 /// written by hand as the wire lays them out — so it can say anything.
-fn column_chunk(offsets: &[u32], postings: &[u32], lens: &[u32], locations: &[u8]) -> Vec<u8> {
+fn column_chunk(offsets: &[u32], postings: &[u32], runs: &[u32], locations: &[u8]) -> Vec<u8> {
     let mut out = 1u64.to_le_bytes().to_vec();
     out.extend([0u32, 1].iter().flat_map(|v| v.to_le_bytes()));
-    for column in [offsets, postings, lens, &u32s(locations)] {
+    for column in [offsets, postings, runs, &u32s(locations)] {
         put_u32s(&mut out, column.iter().copied());
     }
     out
 }
 
 /// A well-formed slice of two features at (0, 0) and (1, 1), both
-/// carrying term 0, in the layout [`column_chunk`] writes.
+/// carrying term 0 — one run, of length 1 from feature 0 — in the layout
+/// [`column_chunk`] writes.
 fn two_feature_slice() -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u8>) {
     let locations = [0.0f64, 0.0, 1.0, 1.0]
         .iter()
         .flat_map(|v| v.to_le_bytes())
         .collect();
-    (vec![0, 2], vec![0, 1], vec![1, 1], locations)
+    (vec![0, 2], vec![0, 1], vec![0, 1], locations)
 }
 
 /// Where the chunk boundaries fall changes neither the columns that come
@@ -276,18 +277,20 @@ fn feature_chunking_is_boundary_independent() {
     assert_eq!(whole.chunks.len(), 1);
     let columns = reassemble(&whole.chunks, whole.fingerprint);
     assert_eq!(whole.fingerprint, content_hash(&columns));
-    // Terms 0..=18: 20 offsets; 69 postings; 23 lengths; 23 locations —
-    // 448 bytes of one-word elements, then 368 of locations.
+    // Terms 0..=18: 20 offsets; 69 postings; one run, every feature
+    // carrying three keywords; 23 locations — 364 bytes of one- and
+    // two-word elements, then 368 of locations.
     let elements: Vec<usize> = columns
         .iter()
         .zip(WIDTHS)
         .map(|(c, w)| c.len() / w)
         .collect();
-    assert_eq!(elements, [20, 69, 23, 23]);
+    assert_eq!(elements, [20, 69, 1, 23]);
     // A budget below one location still moves on, one location (or four
     // u32s) per chunk. 20 bytes leave 8 of them unused before the first
-    // location: 5 u32s a chunk, then one location a chunk.
-    for (budget, chunks) in [(1, 51), (16, 51), (20, 23 + 23), (112, 8), (usize::MAX, 1)] {
+    // location: 5 u32s a chunk — the run pair never splits, so it rides
+    // in a chunk of its own — then one location a chunk.
+    for (budget, chunks) in [(1, 46), (16, 46), (20, 19 + 23), (112, 7), (usize::MAX, 1)] {
         let set = encode_feature_slice(&features, budget);
         assert_eq!(set.chunks.len(), chunks, "budget {budget}");
         assert_eq!(set.fingerprint, whole.fingerprint, "budget {budget}");
@@ -316,9 +319,10 @@ fn feature_chunking_is_boundary_independent() {
 }
 
 /// Features with no keyword and with one keyword cross the wire beside
-/// ones with several: a length of 0 and 1, postings only where there are
-/// keywords, every location bit for bit — and a worker installs the slice
-/// and answers over it.
+/// ones with several: numbered by `(|f.W|, store order)`, a run each for
+/// lengths 0, 1 and 3, postings only where there are keywords, every
+/// location bit for bit in that numbering — and a worker installs the
+/// slice and answers over it.
 #[test]
 fn features_with_zero_and_one_keywords_round_trip() {
     let features: Vec<FeatureObject> = [&[][..], &[7], &[], &[0], &[2, 9, 40]]
@@ -331,12 +335,15 @@ fn features_with_zero_and_one_keywords_round_trip() {
         .collect();
     for budget in [1, usize::MAX] {
         let set = encode_feature_slice(&features, budget);
-        let [offsets, postings, lens, locations] = reassemble(&set.chunks, set.fingerprint);
+        let [offsets, postings, runs, locations] = reassemble(&set.chunks, set.fingerprint);
         assert_eq!(u32s(&offsets).len(), 42);
-        assert_eq!(u32s(&postings), [3, 4, 1, 4, 4]);
-        assert_eq!(u32s(&lens), [0, 1, 0, 1, 3]);
-        let shipped: Vec<u8> = features
+        // Stored features 0, 2, 1, 3, 4 are numbered 0–4: term 0 is on
+        // feature 3, terms 2, 9 and 40 on 4, term 7 on 2.
+        assert_eq!(u32s(&postings), [3, 4, 2, 4, 4]);
+        assert_eq!(u32s(&runs), [0, 0, 2, 1, 4, 3]);
+        let shipped: Vec<u8> = [0, 2, 1, 3, 4]
             .iter()
+            .map(|&i| &features[i])
             .flat_map(|f| [f.location.x, f.location.y])
             .flat_map(f64::to_le_bytes)
             .collect();
@@ -359,24 +366,29 @@ fn features_with_zero_and_one_keywords_round_trip() {
 
 /// Each term's postings must strictly increase — the kernel's merge
 /// relies on it. A term listing a feature twice, or two features in
-/// descending order, is refused even when the lengths agree with the
-/// postings, and the host holds no set; the ordered slice installs.
+/// descending order, is refused even when the runs agree with the
+/// postings (the last pair cannot: feature 0 would be the longer), and
+/// the host holds no set; the ordered slice installs.
 #[test]
 fn unsorted_or_repeated_postings_are_refused() {
     let (offsets, _, _, locations) = two_feature_slice();
-    for (postings, lens) in [([1, 0], [1, 1]), ([1, 1], [0, 2]), ([0, 0], [2, 0])] {
+    for (postings, runs) in [
+        ([1, 0], &[0, 1][..]),
+        ([1, 1], &[0, 0, 1, 2]),
+        ([0, 0], &[0, 1]),
+    ] {
         let host = ShardHost::new();
-        let chunk = column_chunk(&offsets, &postings, &lens, &locations);
+        let chunk = column_chunk(&offsets, &postings, runs, &locations);
         let refused = host.handle(OP_FEATURES, &chunk).unwrap_err();
         assert!(
             refused.contains("strictly increase"),
             "{postings:?}: {refused}"
         );
         assert_eq!(host.feature_sets(), 0);
-        let (offsets, postings, lens, locations) = two_feature_slice();
+        let (offsets, postings, runs, locations) = two_feature_slice();
         host.handle(
             OP_FEATURES,
-            &column_chunk(&offsets, &postings, &lens, &locations),
+            &column_chunk(&offsets, &postings, &runs, &locations),
         )
         .unwrap();
         assert_eq!(host.feature_sets(), 1);
@@ -422,16 +434,49 @@ fn shard_host_rejects_out_of_sequence_chunks_and_unknown_sets() {
     // Well-framed chunks whose columns lie are refused on the last chunk,
     // and the set they would have made is not held; the set already held
     // stays.
-    let (offsets, postings, lens, locations) = two_feature_slice();
+    let (offsets, postings, runs, locations) = two_feature_slice();
     for bad in [
-        column_chunk(&[0, 2, 1, 2], &postings, &lens, &locations),
-        column_chunk(&[0, 1], &postings, &lens, &locations),
-        column_chunk(&offsets, &[0, 2], &lens, &locations),
-        column_chunk(&offsets, &[1, 0], &lens, &locations),
-        column_chunk(&offsets, &postings, &[2, 0], &locations),
-        column_chunk(&offsets, &postings, &lens, &locations[..16]),
+        column_chunk(&[0, 2, 1, 2], &postings, &runs, &locations),
+        column_chunk(&[0, 1], &postings, &runs, &locations),
+        column_chunk(&offsets, &[0, 2], &runs, &locations),
+        column_chunk(&offsets, &[1, 0], &runs, &locations),
+        column_chunk(&offsets, &postings, &runs, &locations[..16]),
+        column_chunk(&offsets, &postings, &runs, &locations[..20]),
     ] {
         assert!(refused(&host, &bad).contains("bad features payload"));
+        assert_eq!(host.feature_sets(), 1);
+    }
+    // Run tables that lie, each refused by the check it breaks: lengths
+    // that descend or repeat, a run past the feature count, a gap at
+    // feature 0 (or no run at all), runs that disagree with the posting
+    // counts, half a run.
+    for (bad_runs, why) in [
+        (
+            &[0, 1, 1, 0][..],
+            "do not cut the features from 0 by rising length",
+        ),
+        (
+            &[0, 1, 1, 1],
+            "do not cut the features from 0 by rising length",
+        ),
+        (
+            &[0, 1, 2, 2],
+            "do not cut the features from 0 by rising length",
+        ),
+        (&[1, 1], "do not cut the features from 0 by rising length"),
+        (&[], "do not cut the features from 0 by rising length"),
+        (&[0, 0, 1, 1], "disagree with the run of length 0"),
+        (&[0, 2], "disagree with the run of length 2"),
+        (&[0], "pairs"),
+    ] {
+        let refusal = refused(
+            &host,
+            &column_chunk(&offsets, &postings, bad_runs, &locations),
+        );
+        assert!(
+            refusal.contains("bad features payload") && refusal.contains(why),
+            "{bad_runs:?}: {refusal}"
+        );
         assert_eq!(host.feature_sets(), 1);
     }
 
@@ -544,8 +589,9 @@ proptest! {
     /// the remaining bytes can carry before anything is reserved for it).
     /// The column lies: offsets that decrease, or do not end at the
     /// postings length; a posting naming a feature past the count; a term
-    /// listing a feature twice, or two in descending order (with lengths
-    /// that agree); lengths that disagree with the postings; a location
+    /// listing a feature twice, or two in descending order; length runs
+    /// that descend, repeat a length, start past the feature count, leave
+    /// a gap at feature 0 or disagree with the posting counts; a location
     /// missing. A worker's host refuses each such chunk, holds no set
     /// after it, and still assembles and installs a well-formed slice
     /// afterwards; a worker that was sent such a frame says so with a
@@ -596,30 +642,36 @@ proptest! {
 
         // Well-framed lies about the columns, each one change to the true
         // columns. Term 16 is carried by features 0 and 3 at least.
-        let [offsets, postings, lens, locations] = columns.clone();
-        let (offsets, postings, lens) = (u32s(&offsets), u32s(&postings), u32s(&lens));
+        // Every feature carries three keywords: one run, `[0, 3]`.
+        let [offsets, postings, runs, locations] = columns.clone();
+        let (offsets, postings, runs) = (u32s(&offsets), u32s(&postings), u32s(&runs));
         let shared = offsets[16] as usize;
         prop_assert_eq!(&postings[shared..shared + 2], &[0, 3]);
+        prop_assert_eq!(&runs, &[0, 3]);
         let lies = |change: &dyn Fn(&mut [Vec<u32>; 3])| {
-            let mut lie = [offsets.clone(), postings.clone(), lens.clone()];
+            let mut lie = [offsets.clone(), postings.clone(), runs.clone()];
             change(&mut lie);
             column_chunk(&lie[0], &lie[1], &lie[2], &locations)
         };
         let past = num_features as u32 + near_lie;
+        let inside = 1 + near_lie;
         for bad in [
             lies(&|[o, _, _]| o[16] = o[17] + 1),
             lies(&|[o, _, _]| *o.last_mut().unwrap() += 1 + near_lie),
             lies(&|[_, p, _]| p.push(0)),
             lies(&|[_, p, _]| p[shared + 1] = past),
-            lies(&|[_, p, l]| {
-                p[shared + 1] = 0;
-                l[0] += 1;
-                l[3] -= 1;
-            }),
+            lies(&|[_, p, _]| p[shared + 1] = 0),
             lies(&|[_, p, _]| p.swap(shared, shared + 1)),
-            lies(&|[_, _, l]| l[near_lie as usize] += 1),
-            column_chunk(&offsets, &postings, &lens, &locations[16..]),
-            column_chunk(&offsets, &postings, &lens, &locations[4..]),
+            lies(&|[_, _, r]| r.extend([inside, 2])),
+            lies(&|[_, _, r]| r.extend([inside, 3])),
+            lies(&|[_, _, r]| r.extend([past, 4])),
+            lies(&|[_, _, r]| r[0] = inside),
+            lies(&|[_, _, r]| r.clear()),
+            lies(&|[_, _, r]| r.extend([inside, 4])),
+            lies(&|[_, _, r]| r[1] += 1 + near_lie),
+            lies(&|[_, _, r]| r.push(inside)),
+            column_chunk(&offsets, &postings, &runs, &locations[16..]),
+            column_chunk(&offsets, &postings, &runs, &locations[4..]),
         ] {
             hostile.push((OP_FEATURES, bad));
         }
