@@ -1,11 +1,17 @@
 //! Microbenchmarks of the hot primitives: Jaccard scoring, grid routing
 //! with Lemma-1 duplication, the top-k list, the fixed cost of one job
-//! phase on the worker pool, and one served query on each matrix corpus.
+//! phase on the worker pool, one whole job per algorithm, and one served
+//! query on each matrix corpus.
+//!
+//! `cargo bench --bench micro -- NAME` runs only the benchmarks whose
+//! `group/id` contains `NAME` (e.g. `-- job`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use spq_bench::matrix::CORPORA;
-use spq_core::{QueryEngine, QueryExecutor, QueryRequest, SpqExecutor, TopKList};
+use spq_bench::matrix::{CorpusSpec, CORPORA};
+use spq_core::{Algorithm, QueryEngine, QueryExecutor, QueryRequest, SpqExecutor, TopKList};
+use spq_data::{KeywordSelection, QueryGenerator};
 use spq_mapreduce::pool::run_tasks;
+use spq_mapreduce::ClusterConfig;
 use spq_spatial::{Grid, Point, Rect};
 use spq_text::{KeywordSet, Score, SetSimilarity};
 use std::hint::black_box;
@@ -107,6 +113,42 @@ fn bench_pool(c: &mut Criterion) {
     group.finish();
 }
 
+/// One whole job per iteration — `SpqExecutor::run_dataset`, the paper's
+/// map → shuffle → reduce — for each algorithm, on the `clustered-60k`
+/// matrix corpus (seed 2017, grid 15) with 2 workers, cycling through 64
+/// paper-style queries (Section 7.1: 3 uniformly random keywords, k = 10,
+/// radius 10 % of a cell). This is one step of `benchmark/run.sh`'s
+/// `batch-job` workload.
+fn bench_job(c: &mut Criterion) {
+    let mut group = c.benchmark_group("job");
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let Some(spec) = CorpusSpec::by_name("clustered-60k") else {
+        return;
+    };
+    let dataset = spec.generate(1.0, 2017);
+    let bounds = dataset.bounds;
+    let cell = bounds.width().max(bounds.height()) / spec.grid as f64;
+    let queries = QueryGenerator::new(dataset.vocab_size.max(1), KeywordSelection::Random, 2017)
+        .batch(
+            64,
+            10,
+            QueryGenerator::radius_from_cell_pct(cell, 10.0),
+            3.min(dataset.vocab_size.max(1)),
+        );
+    let shared = dataset.to_shared_splits(8).0;
+    for algorithm in Algorithm::ALL {
+        let exec = SpqExecutor::new(bounds)
+            .algorithm(algorithm)
+            .grid_size(spec.grid)
+            .cluster(ClusterConfig::with_workers(2));
+        let mut next = queries.iter().cycle();
+        group.bench_function(format!("run_dataset_{algorithm}_{}", spec.name), |b| {
+            b.iter(|| exec.run_dataset(&shared, black_box(next.next().unwrap())))
+        });
+    }
+    group.finish();
+}
+
 /// One `QueryEngine::execute` (the serving kernel plus the request's
 /// validation and response) per iteration, cycling through 512 queries of
 /// the matrix stream, on each matrix corpus at its full (`--scale 1`)
@@ -138,6 +180,7 @@ criterion_group!(
     bench_grid_routing,
     bench_topk,
     bench_pool,
+    bench_job,
     bench_kernel
 );
 criterion_main!(benches);

@@ -1,14 +1,31 @@
 //! [`LocalPool`]: the bounded in-process worker pool that runs a job.
 //!
 //! A job is one [`MapReduceTask`] over horizontally partitioned input:
-//! every split becomes a map task, the shuffle regroups map output by the
-//! task's partitioner (concatenating pre-grouped sub-bucket runs, sorting
-//! only the runs the task asks for), and each of the task's
-//! `num_reducers()` partitions becomes a reduce task. There is one place a
-//! job runs — this pool, in this process. Distribution happens one layer
-//! up and by *partition*, not by job: `spq-core`'s sharded and remote
-//! engines keep data shards on long-lived workers, and each shard runs
-//! its own jobs on its own pool.
+//! every split becomes a map task and each of the task's `num_reducers()`
+//! partitions a reduce task. Records move between them the way Hadoop
+//! moves them:
+//!
+//! * **Spill.** A map task appends every record it emits to one buffer,
+//!   tagged with its *slot* — `reducer * num_subbuckets + sub`, so one
+//!   reducer's sort runs are adjacent. When the task ends it
+//!   counting-sorts the buffer's indices by slot (stably, so emission
+//!   order survives within a slot) and keeps the slot boundaries: its
+//!   output is one partition-indexed buffer, as a Hadoop map task's is.
+//! * **Hand-off.** Between the phases the submitting thread only merges
+//!   counters and task statistics; it touches no record.
+//! * **Fetch.** Reduce task `r` sizes its input exactly from the slot
+//!   boundaries, then copies, for each of its sub-buckets in order and
+//!   each map task in order within it, that task's run for the slot.
+//!   Its input is thus sub-bucket order, map-task order within a run,
+//!   emission order within a task — fixed by the data, not by which
+//!   worker ran what. It sorts only the runs the task asks for
+//!   ([`MapReduceTask::subbucket_needs_sort`]), groups, and reduces.
+//!
+//! There is one place a job runs — this pool, in this process. Jobs run
+//! where the paper runs them, one per query (`spq-core`'s
+//! `SpqExecutor::run_dataset`), and beside a traced request; no serving
+//! path runs one, since `spq-core`'s engines (local, sharded and remote)
+//! answer every query with their kernel.
 //!
 //! ```
 //! use spq_mapreduce::backend::LocalPool;
@@ -53,40 +70,61 @@ use crate::counters::Counters;
 use crate::job::{JobContext, JobError, JobOutput, COUNTER_REDUCE_GROUPS, COUNTER_REDUCE_SKIPPED};
 use crate::pool::run_tasks;
 use crate::stats::{JobStats, Phase, TaskStats};
-use crate::task::{GroupValues, MapContext, MapReduceTask, ReduceContext};
-use parking_lot::Mutex;
+use crate::task::{GroupValues, MapContext, MapReduceTask, ReduceContext, Slotted};
 use std::time::Instant;
 
 /// The in-process thread pool every job runs on.
 ///
-/// Map tasks run on at most [`ClusterConfig::workers`] threads, the
-/// shuffle concatenates pre-grouped sub-bucket runs into exactly-sized
-/// buffers on the submitting thread, and reduce tasks run on the pool
-/// again.
+/// Map tasks run on at most [`ClusterConfig::workers`] threads, each
+/// spilling one slot-sorted buffer; reduce tasks run on the pool again,
+/// each fetching its own runs out of every map task's spill (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalPool {
     config: ClusterConfig,
 }
 
-type MapTaskResult<T> = (
-    Vec<Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>>,
-    TaskStats,
-    Counters,
-);
+/// One map task's output: every record it emitted, in emission order and
+/// tagged with its slot, plus a stable counting sort of the records by
+/// slot — `order[starts[s]..starts[s + 1]]` indexes slot `s`'s records,
+/// in emission order.
+struct MapSpill<K, V> {
+    records: Vec<Slotted<K, V>>,
+    order: Vec<u32>,
+    starts: Vec<usize>,
+}
 
-/// One reducer's shuffled input — the concatenated records plus the start
-/// offset of each sort run — handed off to its reduce task exactly once
-/// (the task takes it, leaving an empty input behind).
-type ReduceInput<T> = (
-    Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>,
-    Vec<usize>,
-);
-
-/// See [`ReduceInput`].
-type ReduceSlot<T> = Mutex<ReduceInput<T>>;
-
-/// One map task's emitted buckets, indexed `reducer * num_subs + sub`.
-type MapBuckets<T> = Vec<Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>>;
+impl<K, V> MapSpill<K, V> {
+    /// Sorts `records` by slot. A record with a slot outside
+    /// `0..num_slots` (a partition out of range) fails the map task here.
+    fn sort(records: Vec<Slotted<K, V>>, num_slots: usize) -> Self {
+        // Count each slot into the entry after it, so the prefix sum
+        // leaves `starts[s]` at slot `s`'s first position.
+        let mut starts = vec![0usize; num_slots + 1];
+        for &(slot, _) in &records {
+            starts[slot + 1] += 1;
+        }
+        for s in 1..=num_slots {
+            starts[s] += starts[s - 1];
+        }
+        // Place each index at its slot's cursor. Afterwards `starts[s]`
+        // has advanced to slot `s + 1`'s first position, so shifting the
+        // table one entry right restores it. A map task emits fewer than
+        // 2³² records: its buffer alone would be over 32 GiB.
+        let mut order = vec![0u32; records.len()];
+        for (i, &(slot, _)) in records.iter().enumerate() {
+            order[starts[slot]] = i as u32;
+            starts[slot] += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Self {
+            records,
+            order,
+            starts,
+        }
+    }
+}
 
 impl LocalPool {
     /// Creates a pool over the given cluster configuration.
@@ -134,147 +172,128 @@ impl LocalPool {
         assert!(num_subs > 0, "job needs at least one subbucket");
         let job_start = Instant::now();
 
-        // ---- Map phase -------------------------------------------------
+        // ---- Map phase: each task spills one slot-sorted buffer --------
+        // The spill's counting sort is part of the map task, as Hadoop's
+        // sort-and-spill is.
         let map_start = Instant::now();
-        let map_results: Vec<MapTaskResult<T>> =
-            run_tasks(self.config.workers, splits.len(), |i| {
-                let t0 = Instant::now();
-                let mut buckets: Vec<Vec<(T::Key, T::Value)>> =
-                    (0..num_reducers * num_subs).map(|_| Vec::new()).collect();
-                let mut counters = ctx.checkout_counters();
-                let mut records_out = 0u64;
-                let mut ctx = MapContext {
-                    buckets: &mut buckets,
-                    num_subbuckets: num_subs,
-                    counters: &mut counters,
-                    records_out: &mut records_out,
-                };
-                for record in &splits[i] {
-                    task.map(record, &mut ctx);
-                }
-                let stats = TaskStats {
-                    duration: t0.elapsed(),
-                    records_in: splits[i].len() as u64,
-                    records_out,
-                };
-                (buckets, stats, counters)
-            })
-            .map_err(|p| JobError::TaskPanicked {
-                phase: Phase::Map,
-                task_index: p.task_index,
-                message: p.message,
-            })?;
+        let map_results = run_tasks(self.config.workers, splits.len(), |i| {
+            let t0 = Instant::now();
+            let mut records = Vec::with_capacity(splits[i].len());
+            let mut counters = ctx.checkout_counters();
+            let mut ctx = MapContext {
+                records: &mut records,
+                num_subbuckets: num_subs,
+                counters: &mut counters,
+            };
+            for record in &splits[i] {
+                task.map(record, &mut ctx);
+            }
+            let spill = MapSpill::sort(records, num_reducers * num_subs);
+            let stats = TaskStats {
+                duration: t0.elapsed(),
+                records_in: splits[i].len() as u64,
+                records_out: spill.records.len() as u64,
+            };
+            (spill, stats, counters)
+        })
+        .map_err(|p| JobError::TaskPanicked {
+            phase: Phase::Map,
+            task_index: p.task_index,
+            message: p.message,
+        })?;
         let map_wall = map_start.elapsed();
 
-        // ---- Shuffle: regroup map buckets by reducer --------------------
-        // Each reducer's input is assembled run by run (sub-bucket order,
-        // map-task order within a run) into one exactly-sized buffer, so
-        // the runs arrive pre-grouped and nothing is re-allocated mid-way.
-        // The deterministic concatenation order, together with the
-        // deterministic per-run sort, makes the job deterministic under
-        // any worker count.
+        // ---- Hand-off: counters and statistics only ---------------------
         let shuffle_start = Instant::now();
         let mut counters = Counters::new();
         let mut map_tasks = Vec::with_capacity(map_results.len());
-        let mut all_buckets: Vec<MapBuckets<T>> = Vec::with_capacity(map_results.len());
+        let mut spills = Vec::with_capacity(map_results.len());
         let mut shuffle_records = 0u64;
-        for (buckets, stats, task_counters) in map_results {
+        for (spill, stats, task_counters) in map_results {
             counters.merge(&task_counters);
             ctx.recycle_counters(task_counters);
             shuffle_records += stats.records_out;
             map_tasks.push(stats);
-            all_buckets.push(buckets);
-        }
-        let mut reducer_inputs: Vec<ReduceInput<T>> = Vec::with_capacity(num_reducers);
-        for r in 0..num_reducers {
-            let total: usize = all_buckets
-                .iter()
-                .map(|b| {
-                    (0..num_subs)
-                        .map(|s| b[r * num_subs + s].len())
-                        .sum::<usize>()
-                })
-                .sum();
-            let mut input = Vec::with_capacity(total);
-            let mut run_starts = Vec::with_capacity(num_subs + 1);
-            for sub in 0..num_subs {
-                run_starts.push(input.len());
-                for buckets in &mut all_buckets {
-                    input.append(&mut buckets[r * num_subs + sub]);
-                }
-            }
-            run_starts.push(input.len());
-            reducer_inputs.push((input, run_starts));
+            spills.push(spill);
         }
         let shuffle_wall = shuffle_start.elapsed();
 
-        // ---- Reduce phase ----------------------------------------------
-        // The reducer-side sort (Hadoop's merge) is attributed to the
-        // reduce task's duration, as in Hadoop. Only runs the task did not
-        // pre-group on the map side are sorted — for a fully sub-bucketed
-        // task this phase is comparison-free.
+        // ---- Reduce phase: fetch, sort, group, reduce -------------------
+        // The fetch and the reducer-side sort (Hadoop's copy and merge)
+        // are attributed to the reduce task's duration, as in Hadoop.
+        // Only runs the task did not pre-group on the map side are sorted
+        // — for a fully sub-bucketed task this phase is comparison-free.
         let reduce_start = Instant::now();
-        let slots: Vec<ReduceSlot<T>> = reducer_inputs.into_iter().map(Mutex::new).collect();
-        let reduce_results: Vec<(Vec<T::Output>, TaskStats, Counters)> =
-            run_tasks(self.config.workers, num_reducers, |r| {
-                let t0 = Instant::now();
-                let (mut buffer, run_starts) = std::mem::take(&mut *slots[r].lock());
-                let records_in = buffer.len() as u64;
-                // Unstable sort: Hadoop's merge likewise leaves the order
-                // of equal composite keys unspecified; pdqsort is
-                // deterministic for a given input order, which the
-                // map-task-ordered concatenation above fixes.
-                for sub in 0..num_subs {
-                    if task.subbucket_needs_sort(sub) {
-                        buffer[run_starts[sub]..run_starts[sub + 1]]
-                            .sort_unstable_by(|a, b| task.sort_cmp(&a.0, &b.0));
-                    }
+        let reduce_results = run_tasks(self.config.workers, num_reducers, |r| {
+            let t0 = Instant::now();
+            let (lo, hi) = (r * num_subs, (r + 1) * num_subs);
+            let total = spills.iter().map(|m| m.starts[hi] - m.starts[lo]).sum();
+            let mut buffer: Vec<(T::Key, T::Value)> = Vec::with_capacity(total);
+            let mut run_starts = Vec::with_capacity(num_subs + 1);
+            for slot in lo..hi {
+                run_starts.push(buffer.len());
+                for m in &spills {
+                    let run = &m.order[m.starts[slot]..m.starts[slot + 1]];
+                    buffer.extend(run.iter().map(|&i| m.records[i as usize].1.clone()));
                 }
-                // Canary for the sub-bucket contract (task.rs): sort
-                // order must never go backwards across a run boundary,
-                // or grouping would split a group across runs and
-                // reduce() would run on partial values. (Order *inside*
-                // a run the task declared unsorted is the task's own
-                // responsibility — it promised order-insensitivity.)
-                #[cfg(debug_assertions)]
-                for &b in run_starts.iter().take(num_subs).skip(1) {
-                    if b > 0 && b < buffer.len() {
-                        debug_assert!(
-                            task.sort_cmp(&buffer[b - 1].0, &buffer[b].0)
-                                != std::cmp::Ordering::Greater,
-                            "sub-bucket contract violated: subbucket() disagrees with \
+            }
+            run_starts.push(buffer.len());
+            let records_in = buffer.len() as u64;
+            // Unstable sort: Hadoop's merge likewise leaves the order
+            // of equal composite keys unspecified; pdqsort is
+            // deterministic for a given input order, which the fetch
+            // order above fixes.
+            for sub in 0..num_subs {
+                if task.subbucket_needs_sort(sub) {
+                    buffer[run_starts[sub]..run_starts[sub + 1]]
+                        .sort_unstable_by(|a, b| task.sort_cmp(&a.0, &b.0));
+                }
+            }
+            // Canary for the sub-bucket contract (task.rs): sort
+            // order must never go backwards across a run boundary,
+            // or grouping would split a group across runs and
+            // reduce() would run on partial values. (Order *inside*
+            // a run the task declared unsorted is the task's own
+            // responsibility — it promised order-insensitivity.)
+            #[cfg(debug_assertions)]
+            for &b in run_starts.iter().take(num_subs).skip(1) {
+                if b > 0 && b < buffer.len() {
+                    debug_assert!(
+                        task.sort_cmp(&buffer[b - 1].0, &buffer[b].0)
+                            != std::cmp::Ordering::Greater,
+                        "sub-bucket contract violated: subbucket() disagrees with \
                              sort_cmp() for keys routed to reducer {r}"
-                        );
-                    }
+                    );
                 }
+            }
 
-                let mut out = Vec::new();
-                let mut task_counters = ctx.checkout_counters();
-                let mut source = buffer.into_iter().peekable();
-                while let Some((group_key, _)) = source.peek() {
-                    let group_key = group_key.clone();
-                    let mut values = GroupValues::new(task, &group_key, &mut source);
-                    let mut ctx = ReduceContext {
-                        out: &mut out,
-                        counters: &mut task_counters,
-                    };
-                    task.reduce(&group_key, &mut values, &mut ctx);
-                    let skipped = values.drain_remaining();
-                    task_counters.add(COUNTER_REDUCE_SKIPPED, skipped);
-                    task_counters.inc(COUNTER_REDUCE_GROUPS);
-                }
-                let stats = TaskStats {
-                    duration: t0.elapsed(),
-                    records_in,
-                    records_out: out.len() as u64,
+            let mut out = Vec::new();
+            let mut task_counters = ctx.checkout_counters();
+            let mut source = buffer.into_iter().peekable();
+            while let Some((group_key, _)) = source.peek() {
+                let group_key = group_key.clone();
+                let mut values = GroupValues::new(task, &group_key, &mut source);
+                let mut ctx = ReduceContext {
+                    out: &mut out,
+                    counters: &mut task_counters,
                 };
-                (out, stats, task_counters)
-            })
-            .map_err(|p| JobError::TaskPanicked {
-                phase: Phase::Reduce,
-                task_index: p.task_index,
-                message: p.message,
-            })?;
+                task.reduce(&group_key, &mut values, &mut ctx);
+                let skipped = values.drain_remaining();
+                task_counters.add(COUNTER_REDUCE_SKIPPED, skipped);
+                task_counters.inc(COUNTER_REDUCE_GROUPS);
+            }
+            let stats = TaskStats {
+                duration: t0.elapsed(),
+                records_in,
+                records_out: out.len() as u64,
+            };
+            (out, stats, task_counters)
+        })
+        .map_err(|p| JobError::TaskPanicked {
+            phase: Phase::Reduce,
+            task_index: p.task_index,
+            message: p.message,
+        })?;
         let reduce_wall = reduce_start.elapsed();
 
         let mut per_reducer = Vec::with_capacity(num_reducers);

@@ -195,8 +195,9 @@ impl SimulatedCluster {
     }
 
     /// Estimated job execution time on this virtual cluster: map-phase
-    /// makespan + shuffle + reduce-phase makespan, using the real measured
-    /// per-task durations recorded in `stats`.
+    /// makespan + the hand-off between the phases + reduce-phase
+    /// makespan, using the real measured per-task durations recorded in
+    /// `stats` (a reduce task's duration includes fetching its input).
     ///
     /// The paper sets the number of reducers equal to the number of grid
     /// cells and lets the cluster's ~100 cores process them in waves

@@ -42,7 +42,11 @@ pub struct JobStats {
     pub reduce_tasks: Vec<TaskStats>,
     /// Wall-clock time of the map phase (tasks run on the real pool).
     pub map_wall: Duration,
-    /// Wall-clock time of the shuffle (partition + sort).
+    /// Wall-clock time of the hand-off between the map and reduce
+    /// phases: merging the map tasks' counters and statistics. No record
+    /// moves in it, so it reads ≈ 0. Each reduce task copies its own
+    /// input out of the map tasks' spills, and that copy counts in its
+    /// duration, as Hadoop's copy phase counts in its reduce task.
     pub shuffle_wall: Duration,
     /// Wall-clock time of the reduce phase.
     pub reduce_wall: Duration,

@@ -25,9 +25,9 @@ use std::vec::IntoIter;
 /// can opt out of the full reducer-side comparison sort: override
 /// [`num_subbuckets`](MapReduceTask::num_subbuckets) and
 /// [`subbucket`](MapReduceTask::subbucket) so the map side buckets each
-/// record into its *sort run* directly. The shuffle concatenates the runs
-/// in sub-bucket order (map-task order within a run), and the reducer
-/// sorts only the runs for which
+/// record into its *sort run* directly. Each reducer fetches its runs in
+/// sub-bucket order (map-task order within a run), and sorts only the
+/// runs for which
 /// [`subbucket_needs_sort`](MapReduceTask::subbucket_needs_sort) still
 /// returns `true` — shrinking the sorted range from "all records" to one
 /// run, or to nothing.
@@ -37,13 +37,23 @@ use std::vec::IntoIter;
 /// SPQ tasks satisfy this trivially — with one reducer per grid cell, all
 /// keys of a reducer share the cell and the sub-bucket is exactly the
 /// data-before-features tag.
+///
+/// ## Why keys and values are `Sync + Clone`
+///
+/// A map task's output stays where the task left it, shared read-only
+/// with every reduce task, and each reducer *copies* its records out of
+/// it into its own input — the way Hadoop serializes map output and each
+/// reducer fetches its segments. So [`Key`](MapReduceTask::Key) and
+/// [`Value`](MapReduceTask::Value) must be `Sync` (read from the reduce
+/// threads) and `Clone` (copied once per record); the SPQ tasks' keys and
+/// handles are small `Copy` structs.
 pub trait MapReduceTask: Sync {
     /// One input record (the paper's data or feature object).
     type Input: Sync;
     /// The composite key emitted by the map function.
-    type Key: Send + Clone;
+    type Key: Send + Sync + Clone;
     /// The value emitted by the map function.
-    type Value: Send;
+    type Value: Send + Sync + Clone;
     /// One output record of the reduce function.
     type Output: Send;
 
@@ -101,15 +111,20 @@ pub trait MapReduceTask: Sync {
     );
 }
 
-/// Map-side emit context: partitions records into per-reducer, per-run
-/// buckets as they are emitted and carries the task-local counters.
+/// One map output record and its slot (see [`MapContext`]).
+pub(crate) type Slotted<K, V> = (usize, (K, V));
+
+/// Map-side emit context: appends each record to the map task's one
+/// output buffer, tagged with its slot, and carries the task-local
+/// counters.
 ///
-/// Buckets are laid out flat as `reducer * num_subbuckets + subbucket`.
+/// A record's slot is `reducer * num_subbuckets + subbucket`: the
+/// partition and sort run it belongs to, numbered so that one reducer's
+/// runs are adjacent.
 pub struct MapContext<'a, T: MapReduceTask + ?Sized> {
-    pub(crate) buckets: &'a mut Vec<Vec<(T::Key, T::Value)>>,
+    pub(crate) records: &'a mut Vec<Slotted<T::Key, T::Value>>,
     pub(crate) num_subbuckets: usize,
     pub(crate) counters: &'a mut Counters,
-    pub(crate) records_out: &'a mut u64,
 }
 
 impl<T: MapReduceTask + ?Sized> MapContext<'_, T> {
@@ -119,10 +134,8 @@ impl<T: MapReduceTask + ?Sized> MapContext<'_, T> {
         let r = task.partition(&key);
         let sub = task.subbucket(&key);
         debug_assert!(sub < self.num_subbuckets, "subbucket {} out of range", sub);
-        let slot = r * self.num_subbuckets + sub;
-        debug_assert!(slot < self.buckets.len(), "partition {} out of range", r);
-        self.buckets[slot].push((key, value));
-        *self.records_out += 1;
+        self.records
+            .push((r * self.num_subbuckets + sub, (key, value)));
     }
 
     /// Task-local counters.
