@@ -1,16 +1,20 @@
 //! Microbenchmarks of the hot primitives: Jaccard scoring, grid routing
 //! with Lemma-1 duplication, the top-k list, the fixed cost of one job
-//! phase on the worker pool, one whole job per algorithm, and one served
-//! query on each matrix corpus.
+//! phase on the worker pool, one whole job per algorithm, one served
+//! query on each matrix corpus, and the byte work of provisioning a
+//! remote worker.
 //!
 //! `cargo bench --bench micro -- NAME` runs only the benchmarks whose
 //! `group/id` contains `NAME` (e.g. `-- job`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spq_bench::matrix::{CorpusSpec, CORPORA};
+use spq_core::remote::encode_feature_slice;
 use spq_core::{Algorithm, QueryEngine, QueryExecutor, QueryRequest, SpqExecutor, TopKList};
 use spq_data::{KeywordSelection, QueryGenerator};
 use spq_mapreduce::pool::run_tasks;
+use spq_mapreduce::remote::frame::{WordHasher, HEADER_LEN};
+use spq_mapreduce::remote::{read_frame, write_frame, OP_FEATURES};
 use spq_mapreduce::ClusterConfig;
 use spq_spatial::{Grid, Point, Rect};
 use spq_text::{KeywordSet, Score, SetSimilarity};
@@ -174,6 +178,41 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The byte work of provisioning a remote worker, one step each: the
+/// frame checksum over 1 MiB, one 1 MiB frame written and read back
+/// through a `Vec` (checksummed on both sides), and the encoding of one
+/// `remote:2` feature slice — the first half of `uniform-120k`'s features
+/// at `--scale 1`, seed 2017 — into `OP_FEATURES` chunk payloads of
+/// 1 MiB, the size the remote engine ships.
+fn bench_frame(c: &mut Criterion) {
+    let mut group = c.benchmark_group("frame");
+    let payload: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
+    group.bench_function("word_hasher_1mib", |b| {
+        b.iter(|| {
+            let mut hasher = WordHasher::default();
+            hasher.update(black_box(&payload));
+            hasher.finish()
+        })
+    });
+    let mut wire = Vec::with_capacity(HEADER_LEN + payload.len());
+    group.bench_function("write_read_1mib", |b| {
+        b.iter(|| {
+            wire.clear();
+            write_frame(&mut wire, OP_FEATURES, black_box(&payload))
+                .and_then(|()| read_frame(&mut wire.as_slice()))
+        })
+    });
+    let Some(spec) = CorpusSpec::by_name("uniform-120k") else {
+        return;
+    };
+    let dataset = spec.generate(1.0, 2017);
+    let slice = &dataset.features[..dataset.features.len() / 2];
+    group.bench_function("encode_feature_slice_uniform-120k_half", |b| {
+        b.iter(|| encode_feature_slice(black_box(slice), 1 << 20))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_jaccard,
@@ -181,6 +220,7 @@ criterion_group!(
     bench_topk,
     bench_pool,
     bench_job,
-    bench_kernel
+    bench_kernel,
+    bench_frame
 );
 criterion_main!(benches);

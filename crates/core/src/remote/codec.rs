@@ -56,6 +56,8 @@ pub(super) fn read_bounds(r: &mut ByteReader<'_>) -> Result<Rect, CodecError> {
 
 /// Encoded size of one data object in an `OP_PROVISION` payload.
 const DATA_RECORD_BYTES: usize = 8 + 8 + 8;
+/// Encoded size of the data-space bounds: four `f64`s.
+const BOUNDS_BYTES: usize = 4 * 8;
 /// Shard id and feature-set fingerprint: what precedes an
 /// `OP_PROVISION`'s data block.
 const PROVISION_HEADER_BYTES: usize = 4 + 8;
@@ -115,12 +117,12 @@ pub(crate) fn encode_feature_side(side: &FeatureSide, budget: usize) -> FeatureC
     // An offset is at most the postings length, which is far below 2³²
     // for any slice that fits in memory on both sides.
     let offsets: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
-    let locations: Vec<u32> = side
-        .locations
-        .iter()
-        .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
-        .flat_map(|bits| [bits as u32, (bits >> 32) as u32])
-        .collect();
+    let mut locations = Vec::with_capacity(4 * side.locations.len());
+    for p in &side.locations {
+        for bits in [p.x.to_bits(), p.y.to_bits()] {
+            locations.extend([bits as u32, (bits >> 32) as u32]);
+        }
+    }
     // Each column with its element width in words.
     let columns = [
         (&offsets[..], 1),
@@ -137,17 +139,29 @@ pub(crate) fn encode_feature_side(side: &FeatureSide, budget: usize) -> FeatureC
     let mut chunks = Vec::new();
     let mut next = [0usize; 4];
     loop {
-        let mut chunk = vec![0; CHUNK_HEADER_BYTES];
-        // Room for one location at least, so every chunk moves on.
+        // How many words of each column the chunk takes: a column starts
+        // only once the one before it is complete, and there is room for
+        // one location at least, so every chunk moves on.
+        let mut takes = [0usize; 4];
         let mut room = budget.max(16) / 4;
-        for ((words, width), next) in columns.into_iter().zip(&mut next) {
-            let take = (words.len() - *next).min(room / width * width);
+        for (((words, width), &next), take) in columns.iter().zip(&next).zip(&mut takes) {
+            *take = (words.len() - next).min(room / width * width);
+            room = if next + *take == words.len() {
+                room - *take
+            } else {
+                0
+            };
+        }
+        // The chunk is sized before it is written: it lives as long as
+        // the engine, with no growth slack and no copy to shed it.
+        let runs_bytes: usize = takes.iter().map(|take| 4 + 4 * take).sum();
+        let mut chunk = Vec::with_capacity(CHUNK_HEADER_BYTES + runs_bytes);
+        chunk.resize(CHUNK_HEADER_BYTES, 0);
+        for (((words, _), next), take) in columns.into_iter().zip(&mut next).zip(takes) {
             let at = chunk.len() + 4;
             put_u32s(&mut chunk, words[*next..*next + take].iter().copied());
             hasher.update(&chunk[at..]);
             *next += take;
-            // A column starts only once the one before it is complete.
-            room = if *next == words.len() { room - take } else { 0 };
         }
         chunks.push(chunk);
         if columns
@@ -164,8 +178,6 @@ pub(crate) fn encode_feature_side(side: &FeatureSide, budget: usize) -> FeatureC
         chunk[..8].copy_from_slice(&fingerprint.to_le_bytes());
         chunk[8..12].copy_from_slice(&(index as u32).to_le_bytes());
         chunk[12..16].copy_from_slice(&total.to_le_bytes());
-        // The chunks live as long as the engine; drop growth slack.
-        chunk.shrink_to_fit();
     }
     FeatureChunks {
         fingerprint,
@@ -279,21 +291,39 @@ impl<'a> FeaturesChunkReader<'a> {
     }
 }
 
-/// Encodes an `OP_PROVISION` payload: the shard id, the fingerprint of
-/// the shard's feature slice (shipped separately as `OP_FEATURES`
-/// chunks), then the data block — the data-space bounds the kernel grid
-/// covers and **all** of `O` in store order, so a record's position is
-/// the global store index gather records name. No job setting is
-/// shipped: a worker never runs a job.
+/// Encodes an `OP_PROVISION` payload: a 12-byte header — the shard id
+/// and the fingerprint of the shard's feature slice (shipped separately
+/// as `OP_FEATURES` chunks) — then the data block: the data-space bounds
+/// the kernel grid covers, a `u32` count and **all** of `O` in store
+/// order as 24-byte records (id `u64`, then `x` and `y` as `f64` bits),
+/// so a record's position is the global store index gather records name.
+/// No job setting is shipped: a worker never runs a job. A manager sends
+/// header and data block as the two parts of one frame, the data block
+/// encoded once for every install.
 pub fn encode_provision(
     shard_id: u32,
     fingerprint: u64,
     bounds: Rect,
     data: &[DataObject],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48 + data.len() * DATA_RECORD_BYTES);
-    put_u32(&mut out, shard_id);
-    put_u64(&mut out, fingerprint);
+    [
+        &provision_header(shard_id, fingerprint)[..],
+        &encode_data_block(bounds, data),
+    ]
+    .concat()
+}
+
+/// An [`encode_provision`] payload's header.
+pub(super) fn provision_header(shard_id: u32, fingerprint: u64) -> [u8; PROVISION_HEADER_BYTES] {
+    let mut header = [0; PROVISION_HEADER_BYTES];
+    header[..4].copy_from_slice(&shard_id.to_le_bytes());
+    header[4..].copy_from_slice(&fingerprint.to_le_bytes());
+    header
+}
+
+/// An [`encode_provision`] payload's data block.
+pub(super) fn encode_data_block(bounds: Rect, data: &[DataObject]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(BOUNDS_BYTES + 4 + data.len() * DATA_RECORD_BYTES);
     put_bounds(&mut out, bounds);
     put_u32(&mut out, data.len() as u32);
     for object in data {
@@ -304,48 +334,62 @@ pub fn encode_provision(
     out
 }
 
-/// One decoded `OP_PROVISION` payload.
+/// One checked `OP_PROVISION` payload, its data records not yet decoded.
 #[derive(Debug)]
-pub struct Provision {
+pub struct Provision<'a> {
     /// The shard to install.
     pub shard_id: u32,
     /// The feature slice the shard is evaluated against.
     pub fingerprint: u64,
-    /// [`WordHasher`] over the data block as shipped (bounds and data
-    /// objects) — a function of the content alone, so every shard of one
-    /// store names the same data side.
+    /// [`WordHasher`] over the data block as shipped (bounds, count and
+    /// data objects) — a function of the content alone, so every shard of
+    /// one store names the same data side.
     pub data_fingerprint: u64,
     /// The data-space bounds the kernel grid covers.
     pub bounds: Rect,
-    /// The data objects, in the manager's store order.
-    pub data: Vec<DataObject>,
+    /// The data records, 24 bytes each.
+    records: &'a [u8],
 }
 
-/// Decodes an `OP_PROVISION` payload. The shipped object count is
-/// checked against the bytes that remain before it sizes an allocation.
-pub fn decode_provision(payload: &[u8]) -> Result<Provision, CodecError> {
+impl Provision<'_> {
+    /// The data objects, in the manager's store order. Every record
+    /// decodes: the payload's length was checked against their count.
+    pub fn data(&self) -> Vec<DataObject> {
+        let (words, _) = self.records.as_chunks::<8>();
+        let (records, _) = words.as_chunks::<3>();
+        records
+            .iter()
+            .map(|&[id, x, y]| {
+                let (x, y) = (f64::from_le_bytes(x), f64::from_le_bytes(y));
+                DataObject::new(u64::from_le_bytes(id), Point::new(x, y))
+            })
+            .collect()
+    }
+}
+
+/// Checks an `OP_PROVISION` payload and fingerprints its data block,
+/// decoding only the header and the bounds: the length must be exactly
+/// the header, the bounds and the count's 24-byte records (a count the
+/// payload cannot hold is [`CodecError::Truncated`], bytes past the
+/// records are invalid). [`Provision::data`] decodes the records — which
+/// a worker that already holds the data side never does.
+pub fn decode_provision(payload: &[u8]) -> Result<Provision<'_>, CodecError> {
     let mut r = ByteReader::new(payload);
     let shard_id = r.u32()?;
     let fingerprint = r.u64()?;
-    let mut hasher = WordHasher::default();
-    hasher.update(&payload[PROVISION_HEADER_BYTES..]);
     let bounds = read_bounds(&mut r)?;
     let num_data = r.count(DATA_RECORD_BYTES)?;
-    let mut data = Vec::with_capacity(num_data);
-    for _ in 0..num_data {
-        let id = r.u64()?;
-        let (x, y) = (r.f64()?, r.f64()?);
-        data.push(DataObject::new(id, Point::new(x, y)));
-    }
-    if !r.is_empty() {
+    if r.remaining() != num_data * DATA_RECORD_BYTES {
         return Err(CodecError::invalid("trailing bytes after provision"));
     }
+    let mut hasher = WordHasher::default();
+    hasher.update(&payload[PROVISION_HEADER_BYTES..]);
     Ok(Provision {
         shard_id,
         fingerprint,
         data_fingerprint: hasher.finish(),
         bounds,
-        data,
+        records: &payload[payload.len() - r.remaining()..],
     })
 }
 

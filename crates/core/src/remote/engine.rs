@@ -3,8 +3,8 @@
 //! the membership machine from query outcomes and ticks.
 
 use super::codec::{
-    decode_shard_result, decode_shard_status, encode_feature_side, encode_provision,
-    encode_shard_query, FeatureChunks, FEATURES_CHUNK_BYTES, TERM_ID_LIMIT,
+    decode_shard_result, decode_shard_status, encode_data_block, encode_feature_side,
+    encode_shard_query, provision_header, FeatureChunks, FEATURES_CHUNK_BYTES, TERM_ID_LIMIT,
 };
 use super::host::{ShardHost, NOT_PROVISIONED, UNKNOWN_FEATURE_SET};
 use super::membership::{Failover, Membership, MembershipConfig, MembershipView, TickReport};
@@ -111,9 +111,12 @@ pub struct RemoteEngine {
     workers: Mutex<Vec<Arc<WorkerSlot>>>,
     /// Each shard's feature slice as kernel state columns, encoded once:
     /// every worker — and every later cold re-provision — is sent these
-    /// same chunk buffers. A
-    /// shard's [`OP_PROVISION`] payload is encoded when it is sent.
+    /// same chunk buffers.
     pub(super) features: Vec<FeatureChunks>,
+    /// The data block of every [`OP_PROVISION`] — the bounds and all of
+    /// `O` — encoded once: each install sends it as it is, after its own
+    /// shard id and slice fingerprint.
+    data_block: Vec<u8>,
     /// Each shard's [`carried_terms`].
     carried: Vec<Box<[u64]>>,
     /// Every membership decision is asked of this machine; the engine
@@ -260,6 +263,7 @@ impl RemoteEngine {
         })?;
         let (features, carried) = built.into_iter().unzip();
         unique_ids(layout.dataset.data())?;
+        let data_block = encode_data_block(layout.exec.bounds(), layout.dataset.data());
         let workers: Vec<Arc<WorkerSlot>> = addrs
             .iter()
             .map(|a| Arc::new(WorkerSlot::new(a.clone(), client_config)))
@@ -269,6 +273,7 @@ impl RemoteEngine {
             client_config,
             workers: Mutex::new(workers),
             features,
+            data_block,
             carried,
             membership: Mutex::new(Membership::new(config, num_workers, num_workers)),
             counters: RemoteCounters::default(),
@@ -410,7 +415,7 @@ impl RemoteEngine {
     pub fn inject_fault(&self, worker: usize, plan: &FaultPlan) -> Result<(), SpqError> {
         let mut payload = Vec::new();
         plan.encode(&mut payload);
-        match self.call_worker(worker, OP_SET_FAULT, &payload, OP_FAULT_OK) {
+        match self.call_worker(worker, OP_SET_FAULT, &[&payload], OP_FAULT_OK) {
             Ok(_) => Ok(()),
             Err(AttemptError::Fatal(e)) => Err(e),
             Err(AttemptError::Transport(message)) => {
@@ -423,16 +428,17 @@ impl RemoteEngine {
         Arc::clone(&self.workers.lock()[w])
     }
 
-    /// One framed call to worker `w`; see [`classify_reply`](Self::classify_reply).
+    /// One framed call to worker `w`, its payload the concatenation of
+    /// `payload`'s parts; see [`classify_reply`](Self::classify_reply).
     fn call_worker(
         &self,
         w: usize,
         opcode: u16,
-        payload: &[u8],
+        payload: &[&[u8]],
         ok_opcode: u16,
     ) -> Result<Vec<u8>, AttemptError> {
         let slot = self.slot(w);
-        let reply = slot.client.lock().call(opcode, payload);
+        let reply = slot.client.lock().call_parts(opcode, payload);
         Self::classify_reply(w, reply, ok_opcode)
     }
 
@@ -471,26 +477,22 @@ impl RemoteEngine {
     }
 
     /// Installs shard `shard` on worker `w` and reports the warm copy to
-    /// the membership machine. The payload — the shard's slice
-    /// fingerprint, the bounds and all of `O` — is encoded here, for this
-    /// call. A worker that does not hold the shard's feature slice says
-    /// so; it is sent the slice and asked once more — the one path by
+    /// the membership machine. The payload is the shard id and its slice
+    /// fingerprint, encoded here, then the engine's data block, sent from
+    /// where it lies. A worker that does not hold the shard's feature
+    /// slice says so; it is sent the slice and asked once more — the one path by
     /// which a survivor of a failover, a rebalance target and a restarted
     /// or newly admitted process all come to hold it. Does **not** move
     /// the primary pointer — callers decide that.
     fn install(&self, shard: usize, w: usize) -> Result<(), AttemptError> {
         bump(&self.counters.provisions_sent, 1);
-        let payload = &encode_provision(
-            shard as u32,
-            self.features[shard].fingerprint,
-            self.layout.exec.bounds(),
-            self.layout.dataset.data(),
-        );
-        let mut reply = self.call_worker(w, OP_PROVISION, payload, OP_PROVISION_OK);
+        let header = provision_header(shard as u32, self.features[shard].fingerprint);
+        let payload = [&header[..], &self.data_block];
+        let mut reply = self.call_worker(w, OP_PROVISION, &payload, OP_PROVISION_OK);
         if matches!(&reply, Err(AttemptError::Fatal(e)) if e.to_string().contains(UNKNOWN_FEATURE_SET))
         {
             self.ship_features(shard, w)?;
-            reply = self.call_worker(w, OP_PROVISION, payload, OP_PROVISION_OK);
+            reply = self.call_worker(w, OP_PROVISION, &payload, OP_PROVISION_OK);
         }
         reply?;
         self.membership.lock().installed(shard, w);
@@ -578,7 +580,7 @@ impl RemoteEngine {
                 loop {
                     let attempt = match first.take() {
                         Some((_, reply)) => Self::classify_reply(w, reply, OP_SHARD_RESULT),
-                        None => self.call_worker(w, OP_SHARD_QUERY, payload, OP_SHARD_RESULT),
+                        None => self.call_worker(w, OP_SHARD_QUERY, &[payload], OP_SHARD_RESULT),
                     };
                     match attempt {
                         Ok(resp) => {

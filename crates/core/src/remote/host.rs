@@ -133,6 +133,9 @@ impl ShardHost {
         })
     }
 
+    /// Installs a shard. The payload is checked and its data block
+    /// fingerprinted first; the block's records are decoded only when
+    /// this host holds no data side with that fingerprint.
     fn provision(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
         let p = decode_provision(payload).map_err(|e| format!("bad provision payload: {e}"))?;
         let (features, data) = {
@@ -145,15 +148,16 @@ impl ShardHost {
             })?;
             (features, state.data.get(&p.data_fingerprint).cloned())
         };
-        // A data block this host has not seen is bucketed outside the
-        // lock.
+        // A data block this host has not seen is decoded and bucketed
+        // outside the lock.
         let data = match data {
             Some(data) => data,
             None => {
-                let ids = p.data.iter().enumerate().map(|(i, o)| (o.id, i as u32));
+                let objects = p.data();
+                let ids = objects.iter().enumerate().map(|(i, o)| (o.id, i as u32));
                 let id_to_index = index_by_id(ids)
                     .map_err(|id| format!("duplicate data object id {id} in provision"))?;
-                DataSide::new(p.bounds, &p.data, id_to_index)
+                DataSide::new(p.bounds, &objects, id_to_index)
             }
         };
         let mut state = self.state.lock();
@@ -202,6 +206,12 @@ impl ShardHost {
     pub fn feature_sets(&self) -> usize {
         self.state.lock().sets.len()
     }
+
+    /// Number of data sides currently held (for tests and diagnostics):
+    /// one per distinct data block among the hosted shards' provisions.
+    pub fn data_sides(&self) -> usize {
+        self.state.lock().data.len()
+    }
 }
 
 impl std::fmt::Debug for ShardHost {
@@ -209,6 +219,7 @@ impl std::fmt::Debug for ShardHost {
         f.debug_struct("ShardHost")
             .field("hosted_shards", &self.hosted_shards())
             .field("feature_sets", &self.feature_sets())
+            .field("data_sides", &self.data_sides())
             .finish()
     }
 }

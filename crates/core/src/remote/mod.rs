@@ -68,8 +68,9 @@
 //!   order)`; no feature id, no keyword list) into
 //!   bounded [`OP_FEATURES`] chunk payloads (about 1 MiB of column bytes
 //!   each, so no frame grows with the corpus) named by the slice's
-//!   *fingerprint* — the frame checksum's word-at-a-time FNV-1a over the
-//!   column lengths and bytes, a function of the content alone. The same
+//!   *fingerprint* — the frame checksum's hasher (four FNV-style lanes
+//!   over 64-bit words) over the column lengths and bytes, a function of
+//!   the content alone. Each chunk is sized before it is written. The same
 //!   buffers serve every worker and every later re-provision; of the
 //!   built state only a term bitmap per slice, for the keyword probe, is
 //!   kept once encoded. No feature keyword id may reach
@@ -88,9 +89,14 @@
 //!   shard id, the slice's fingerprint and a data block: the data-space
 //!   bounds (all a kernel grid needs) and every data object in store
 //!   order, so a record's position is the global index gather records
-//!   name. It is encoded when it is sent, never kept. The worker keys the
-//!   data block by content: the first install builds one grid and one id
-//!   map over `O`, and every later shard with the same block shares them.
+//!   name. `O` is **encoded once per engine**: the data block is kept,
+//!   and each install sends its own 12-byte shard id + fingerprint header
+//!   and then that block, as two parts of one frame, copied into no
+//!   joint buffer. `O` is **decoded once per worker**: the worker checks
+//!   the payload's length against its record count, fingerprints the data
+//!   block and only then looks it up — the first install decodes it and
+//!   builds one grid and one id map over `O`, and every later shard with
+//!   the same block shares them without decoding it again.
 //!   A slice or data side is dropped when the last shard holding it is
 //!   replaced.
 //! * An [`OP_PROVISION`] naming a slice the worker does not hold is

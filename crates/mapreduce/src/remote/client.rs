@@ -1,7 +1,7 @@
 //! Manager-side worker client: backoff connect, deadlines, and request
 //! frames that may be pipelined ahead of their replies.
 
-use super::frame::{read_frame, write_frame, FrameError, HEADER_LEN};
+use super::frame::{read_frame, write_frame_with, FrameError, HEADER_LEN};
 use std::io::ErrorKind;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -252,14 +252,22 @@ impl WorkerClient {
     /// On failure the connection is dropped — with the replies to every
     /// frame sent on it and not yet received.
     pub fn send(&mut self, opcode: u16, payload: &[u8]) -> Result<(), RemoteError> {
+        self.send_parts(opcode, &[payload])
+    }
+
+    /// [`send`](Self::send) for a payload held in pieces: the frame
+    /// carries the concatenation of `parts`, written from them as they
+    /// are — no buffer joins them first.
+    fn send_parts(&mut self, opcode: u16, parts: &[&[u8]]) -> Result<(), RemoteError> {
         let stream = match self.stream.take() {
             Some(stream) => stream,
             None => self.connect()?,
         };
         let stream = self.stream.insert(stream);
-        match write_frame(stream, opcode, payload) {
+        match write_frame_with(stream, opcode, parts, false) {
             Ok(()) => {
-                self.bytes_sent += (HEADER_LEN + payload.len()) as u64;
+                let len: usize = parts.iter().map(|part| part.len()).sum();
+                self.bytes_sent += (HEADER_LEN + len) as u64;
                 Ok(())
             }
             Err(e) => {
@@ -296,7 +304,18 @@ impl WorkerClient {
     /// On any failure the stream is dropped, so the next call starts from
     /// a fresh connection.
     pub fn call(&mut self, opcode: u16, payload: &[u8]) -> Result<(u16, Vec<u8>), RemoteError> {
-        self.send(opcode, payload)?;
+        self.call_parts(opcode, &[payload])
+    }
+
+    /// [`call`](Self::call) for a payload held in pieces: the request
+    /// frame carries the concatenation of `parts`, written from them as
+    /// they are — no buffer joins them first.
+    pub fn call_parts(
+        &mut self,
+        opcode: u16,
+        parts: &[&[u8]],
+    ) -> Result<(u16, Vec<u8>), RemoteError> {
+        self.send_parts(opcode, parts)?;
         self.receive()
     }
 

@@ -62,11 +62,18 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends a `u32` count and then each value as a little-endian `u32`, in
-/// one extend — the shape [`ByteReader::u32s`] reads.
+/// Appends a `u32` count and then each value as a little-endian `u32` —
+/// the shape [`ByteReader::u32s`] reads. The room for all of them is made
+/// at once and the values are written into it in one pass.
 pub fn put_u32s(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u32>) {
-    put_u32(out, values.len() as u32);
-    out.extend(values.flat_map(u32::to_le_bytes));
+    let count = values.len();
+    put_u32(out, count as u32);
+    let start = out.len();
+    out.resize(start + 4 * count, 0);
+    let (slots, _) = out[start..].as_chunks_mut::<4>();
+    for (slot, value) in slots.iter_mut().zip(values) {
+        *slot = value.to_le_bytes();
+    }
 }
 
 /// Appends an `f64` as its little-endian IEEE-754 bits.

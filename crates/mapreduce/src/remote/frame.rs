@@ -6,20 +6,24 @@
 //! ┌────────────┬────────────┬───────────┬──────────┬──────────────┬─────────┐
 //! │ magic: u32 │ opcode: u16│ flags: u16│ len: u32 │ checksum: u64│ payload │
 //! └────────────┴────────────┴───────────┴──────────┴──────────────┴─────────┘
-//!     "SPQ7"      dispatch       0        payload     WordHasher     len
+//!     "SPQ8"      dispatch       0        payload     WordHasher     len
 //!                                          bytes      over payload    bytes
 //! ```
 //!
 //! All header fields are little-endian. The checksum ([`WordHasher`],
-//! FNV-1a a 64-bit word at a time) lets the receiver reject a corrupted
-//! payload *before* any structural decoding happens, and the explicit length (capped at [`MAX_FRAME_LEN`]) bounds the
-//! allocation a frame can demand. A short read anywhere — header or
+//! FNV-style steps over 64-bit words in four independent lanes) lets the
+//! receiver reject a corrupted payload *before* any structural decoding
+//! happens, and the explicit length (capped at [`MAX_FRAME_LEN`]) bounds
+//! the allocation a frame can demand. A short read anywhere — header or
 //! payload — surfaces as [`FrameError::Truncated`], which is how a peer
-//! hanging up mid-frame is observed.
+//! hanging up mid-frame is observed. [`write_frame`] sends the header and
+//! the payload by vectored writes from the caller's buffers, copying no
+//! payload byte; [`read_frame`] reads the payload once into the buffer it
+//! returns and hashes it there.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
-/// Frame magic: `"SPQ7"` as a little-endian `u32`. It was `"SPQF"` while
+/// Frame magic: `"SPQ8"` as a little-endian `u32`. It was `"SPQF"` while
 /// the checksum was FNV-1a a byte at a time, `"SPQ2"` while a shard query
 /// carried algorithm and pruning tags and a shard result a plan-cache
 /// byte, `"SPQ3"` while a shard query carried a trace byte, a shard
@@ -27,12 +31,15 @@ use std::io::{Read, Write};
 /// `"SPQ4"` while a shard held a slice of the data objects and every
 /// feature, and a provision carried its data slice with explicit indexes,
 /// `"SPQ5"` while a feature slice crossed the wire as keyword lists
-/// rather than as its keyword index's columns, and `"SPQ6"` while those
+/// rather than as its keyword index's columns, `"SPQ6"` while those
 /// columns numbered features in store order and carried one length per
-/// feature rather than a table of length runs.
+/// feature rather than a table of length runs, and `"SPQ7"` while
+/// [`WordHasher`] ran one serial chain over every word rather than four
+/// lanes over 32-byte blocks (checksums and fingerprints of 32 bytes or
+/// more differ).
 /// A peer from any of them fails every frame as [`FrameError::BadMagic`],
 /// not as a checksum mismatch or a mis-parsed payload.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ7");
+pub const MAGIC: u32 = u32::from_le_bytes(*b"SPQ8");
 
 /// Upper bound on a frame payload (64 MiB). A length field above this is
 /// treated as corruption, not as a real allocation request.
@@ -142,33 +149,49 @@ impl From<std::io::Error> for FrameError {
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// FNV-1a's 64-bit offset basis: the hash of no bytes.
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// Independent word chains in [`WordHasher`]: word `i` of every block
+/// goes to lane `i`.
+const LANES: usize = 4;
+/// Bytes in one [`WordHasher`] block: one 64-bit word per lane.
+const BLOCK_BYTES: usize = 8 * LANES;
 
-/// The frame checksum and the feature-set fingerprint: FNV-1a steps over
-/// 64-bit little-endian words, fed in any number of pieces.
+/// The frame checksum and the feature-set fingerprint: FNV-style steps
+/// over 64-bit little-endian words in four independent lanes, fed in any
+/// number of pieces.
 ///
-/// Each full word is one step, `hash = ((hash ^ word) · prime) <<< 29`;
-/// the bytes after the last full word are folded one FNV-1a step each by
-/// [`finish`](Self::finish). A partial word is carried across
-/// [`update`](Self::update) calls, so the result is a function of the
-/// bytes alone, however they were split. Every step is a bijection of
-/// the state, so a change confined to one word (or one tail byte) always
-/// changes the result. The rotation is there because a multiply only
-/// carries upward: without it a word's top bit would only ever reach the
-/// hash's top bit, and flipping it in two words would cancel out. An
-/// integrity check against accidents, not an authentication code.
+/// Each step is `hash = ((hash ^ word) · prime) <<< 29`. The input is
+/// cut into 32-byte blocks, and word `i` of every block is one step of
+/// lane `i`, so four multiply chains run side by side instead of one.
+/// [`finish`](Self::finish) folds the four lanes, in order, as four steps
+/// of one chain from the FNV offset basis (no fold when no whole block
+/// was fed), then takes the whole words after the last block one step
+/// each and the bytes after the last whole word one FNV-1a step each. An
+/// input shorter than one block is thus one serial chain over its words,
+/// as the hasher was before it had lanes. A partial block is carried
+/// across [`update`](Self::update) calls, so the result is a function of
+/// the bytes alone, however they were split. Every step is a bijection
+/// of the state it updates and, for a fixed state, of its word, so a
+/// change confined to one word (or one tail byte) always changes the
+/// result. The rotation is there because a multiply only carries upward:
+/// without it a word's top bit would only ever reach the lane's top bit,
+/// and flipping it in two words would cancel out. An integrity check
+/// against accidents, not an authentication code.
 #[derive(Debug, Clone)]
 pub struct WordHasher {
-    hash: u64,
-    /// The bytes of a word not yet complete: `pending[..pending_len]`.
-    pending: [u8; 8],
+    lanes: [u64; LANES],
+    /// True once a whole block has been stepped into the lanes.
+    folds: bool,
+    /// The bytes of a block not yet complete: `pending[..pending_len]`.
+    pending: [u8; BLOCK_BYTES],
     pending_len: usize,
 }
 
 impl Default for WordHasher {
     fn default() -> Self {
         Self {
-            hash: FNV_OFFSET_BASIS,
-            pending: [0; 8],
+            lanes: [FNV_OFFSET_BASIS; LANES],
+            folds: false,
+            pending: [0; BLOCK_BYTES],
             pending_len: 0,
         }
     }
@@ -178,31 +201,39 @@ impl WordHasher {
     /// Feeds `bytes`, in order after everything fed so far.
     pub fn update(&mut self, mut bytes: &[u8]) {
         if self.pending_len > 0 {
-            let take = bytes.len().min(8 - self.pending_len);
+            let take = bytes.len().min(BLOCK_BYTES - self.pending_len);
             let (head, rest) = bytes.split_at(take);
             self.pending[self.pending_len..self.pending_len + take].copy_from_slice(head);
             self.pending_len += take;
             bytes = rest;
-            if self.pending_len < 8 {
+            if self.pending_len < BLOCK_BYTES {
                 return;
             }
-            self.hash = word_step(self.hash, self.pending);
+            self.lanes = block_step(self.lanes, &self.pending);
+            self.folds = true;
         }
-        let (words, rest) = bytes.as_chunks::<8>();
-        self.hash = words
-            .iter()
-            .fold(self.hash, |hash, &word| word_step(hash, word));
+        let (blocks, rest) = bytes.as_chunks::<BLOCK_BYTES>();
+        self.folds |= !blocks.is_empty();
+        self.lanes = blocks.iter().fold(self.lanes, block_step);
         self.pending[..rest.len()].copy_from_slice(rest);
         self.pending_len = rest.len();
     }
 
     /// The hash of everything fed so far.
     pub fn finish(&self) -> u64 {
-        self.pending[..self.pending_len]
-            .iter()
-            .fold(self.hash, |hash, &b| {
-                (hash ^ b as u64).wrapping_mul(FNV_PRIME)
+        let folded = if self.folds {
+            self.lanes.iter().fold(FNV_OFFSET_BASIS, |hash, lane| {
+                word_step(hash, lane.to_le_bytes())
             })
+        } else {
+            FNV_OFFSET_BASIS
+        };
+        let (words, tail) = self.pending[..self.pending_len].as_chunks::<8>();
+        let hash = words
+            .iter()
+            .fold(folded, |hash, &word| word_step(hash, word));
+        tail.iter()
+            .fold(hash, |hash, &b| (hash ^ b as u64).wrapping_mul(FNV_PRIME))
     }
 }
 
@@ -211,6 +242,13 @@ fn word_step(hash: u64, word: [u8; 8]) -> u64 {
     (hash ^ u64::from_le_bytes(word))
         .wrapping_mul(FNV_PRIME)
         .rotate_left(29)
+}
+
+/// One block: word `i` is one step of lane `i`.
+#[inline]
+fn block_step(lanes: [u64; LANES], block: &[u8; BLOCK_BYTES]) -> [u64; LANES] {
+    let (words, _) = block.as_chunks::<8>();
+    std::array::from_fn(|i| word_step(lanes[i], words[i]))
 }
 
 /// [`WordHasher`] over one buffer.
@@ -222,41 +260,65 @@ fn checksum(bytes: &[u8]) -> u64 {
 
 /// Writes one frame.
 pub fn write_frame(w: &mut impl Write, opcode: u16, payload: &[u8]) -> Result<(), FrameError> {
-    write_frame_with(w, opcode, payload, false)
+    write_frame_with(w, opcode, &[payload], false)
 }
 
-/// Writes one frame, optionally corrupting the payload *after* the
-/// checksum is computed — the fault-injection seam behind
+/// Writes one frame whose payload is the concatenation of `parts`, and,
+/// when `corrupt` is set, corrupts it *after* the checksum is computed —
+/// the fault-injection seam behind
 /// [`FaultPlan::corrupt_response`](super::FaultPlan::corrupt_response).
+///
+/// The header and the parts go out by vectored writes straight from the
+/// caller's buffers: no payload byte is copied on the way, except on the
+/// corrupting path, which flips a byte of a copy.
 pub(crate) fn write_frame_with(
     w: &mut impl Write,
     opcode: u16,
-    payload: &[u8],
+    parts: &[&[u8]],
     corrupt: bool,
 ) -> Result<(), FrameError> {
     // A payload past `u32` saturates: it is over the cap either way.
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    let len = u32::try_from(parts.iter().map(|p| p.len()).sum::<usize>()).unwrap_or(u32::MAX);
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversize { len });
     }
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&opcode.to_le_bytes());
-    buf.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    if corrupt && !payload.is_empty() {
-        // Flip every bit of the payload's first byte; the header (and its
-        // checksum field) still describe the original bytes.
-        let first = HEADER_LEN;
-        buf[first] = !buf[first];
-    } else if corrupt {
-        // An empty payload has no byte to flip; lie in the checksum
-        // instead so the receiver still observes corruption.
-        buf[12..20].copy_from_slice(&checksum(&[0xab]).to_le_bytes());
+    let mut hasher = WordHasher::default();
+    for part in parts {
+        hasher.update(part);
     }
-    w.write_all(&buf)?;
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4..6].copy_from_slice(&opcode.to_le_bytes());
+    // Bytes 6..8 are the flags, reserved and zero.
+    header[8..12].copy_from_slice(&len.to_le_bytes());
+    header[12..20].copy_from_slice(&hasher.finish().to_le_bytes());
+    let corrupted;
+    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(1 + parts.len());
+    if corrupt {
+        // Flip every bit of the payload's first byte; the header (and its
+        // checksum field) still describe the original bytes. An empty
+        // payload has no byte to flip; lie in the checksum instead so the
+        // receiver still observes corruption.
+        let mut payload = parts.concat();
+        match payload.first_mut() {
+            Some(first) => *first = !*first,
+            None => header[12..20].copy_from_slice(&checksum(&[0xab]).to_le_bytes()),
+        }
+        corrupted = payload;
+        slices.extend([IoSlice::new(&header), IoSlice::new(&corrupted)]);
+    } else {
+        slices.push(IoSlice::new(&header));
+        slices.extend(parts.iter().map(|part| IoSlice::new(part)));
+    }
+    let mut unwritten = &mut slices[..];
+    while !unwritten.is_empty() {
+        match w.write_vectored(unwritten) {
+            Ok(0) => return Err(FrameError::Io(ErrorKind::WriteZero)),
+            Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -363,7 +425,7 @@ mod tests {
     #[test]
     fn corruption_is_detected_by_checksum() {
         let mut buf = Vec::new();
-        write_frame_with(&mut buf, OP_PONG, b"payload", true).unwrap();
+        write_frame_with(&mut buf, OP_PONG, &[b"pay", b"load"], true).unwrap();
         assert!(matches!(
             read_frame(&mut Cursor::new(&buf)),
             Err(FrameError::Corrupt { .. })
@@ -379,8 +441,10 @@ mod tests {
 
     #[test]
     fn a_frame_with_the_old_magic_is_bad_magic() {
-        for old in
-            [*b"SPQF", *b"SPQ2", *b"SPQ3", *b"SPQ4", *b"SPQ5", *b"SPQ6"].map(u32::from_le_bytes)
+        for old in [
+            *b"SPQF", *b"SPQ2", *b"SPQ3", *b"SPQ4", *b"SPQ5", *b"SPQ6", *b"SPQ7",
+        ]
+        .map(u32::from_le_bytes)
         {
             let mut buf = Vec::new();
             write_frame(&mut buf, OP_PING, b"x").unwrap();
@@ -406,7 +470,9 @@ mod tests {
 
     #[test]
     fn every_split_folds_to_the_one_shot_hash() {
-        let bytes: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(151)).collect();
+        // Two blocks, a word and a three-byte tail: splits land inside
+        // and on the edges of blocks, words and the tail.
+        let bytes: Vec<u8> = (0..75u8).map(|i| i.wrapping_mul(151)).collect();
         let whole = checksum(&bytes);
         for i in 0..=bytes.len() {
             for j in i..=bytes.len() {
@@ -421,8 +487,9 @@ mod tests {
 
     #[test]
     fn any_change_to_one_byte_changes_the_checksum() {
-        // 21 bytes: two full words and a five-byte tail.
-        let bytes: Vec<u8> = (0..21u8).collect();
+        // 77 bytes: two blocks (every lane stepped twice), a word after
+        // them and a five-byte tail.
+        let bytes: Vec<u8> = (0..77u8).collect();
         let whole = checksum(&bytes);
         for at in 0..bytes.len() {
             for mask in 1..=u8::MAX {
@@ -436,11 +503,97 @@ mod tests {
     #[test]
     fn top_bit_flips_in_two_words_do_not_cancel() {
         // Without the rotation the multiply never carries a word's top
-        // bit anywhere but the hash's top bit, and two flips cancel.
-        let bytes = [0u8; 32];
-        let mut changed = bytes;
-        changed[7] ^= 0x80;
-        changed[23] ^= 0x80;
-        assert_ne!(checksum(&changed), checksum(&bytes));
+        // bit anywhere but the lane's top bit, and two flips cancel.
+        // Words 0 and 4 both go to lane 0; words 0 and 2 of an input
+        // under one block go to the one serial chain.
+        for (len, a, b) in [(64, 7, 39), (24, 7, 23)] {
+            let bytes = vec![0u8; len];
+            let mut changed = bytes.clone();
+            changed[a] ^= 0x80;
+            changed[b] ^= 0x80;
+            assert_ne!(checksum(&changed), checksum(&bytes), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_words_of_different_lanes_do_not_cancel() {
+        // The fold is one chain over the lanes in order, not an xor of
+        // them: a change in one lane is not undone by the same change in
+        // another, nor by swapping two lanes' words.
+        let bytes = [0u8; 64];
+        for (a, b) in [(0, 1), (0, 3), (1, 2), (2, 7), (3, 4)] {
+            let mut changed = bytes;
+            changed[8 * a + 7] ^= 0x80;
+            changed[8 * b + 7] ^= 0x80;
+            assert_ne!(checksum(&changed), checksum(&bytes), "words {a} and {b}");
+        }
+        let mut swapped: Vec<u8> = (0..32u8).collect();
+        let whole = checksum(&swapped);
+        swapped[..16].rotate_left(8);
+        assert_ne!(checksum(&swapped), whole);
+    }
+
+    /// A writer that takes at most `max` bytes per call and fails the
+    /// first call with `Interrupted` when `interrupt` is set.
+    struct Trickle {
+        out: Vec<u8>,
+        max: usize,
+        interrupt: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.interrupt) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.max);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_survives_short_and_interrupted_writes() {
+        let payload: Vec<u8> = (0..3 << 20).map(|i: u32| (i * 7 + i / 251) as u8).collect();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, OP_FEATURES, &payload).unwrap();
+        for (max, interrupt) in [(7, false), (usize::MAX, true), (7, true)] {
+            let mut trickle = Trickle {
+                out: Vec::new(),
+                max,
+                interrupt,
+            };
+            write_frame(&mut trickle, OP_FEATURES, &payload).unwrap();
+            assert!(trickle.out == whole, "max {max}, interrupt {interrupt}");
+            let (op, got) = read_frame(&mut Cursor::new(&trickle.out)).unwrap();
+            assert_eq!(op, OP_FEATURES);
+            assert!(got == payload);
+        }
+        // A payload in parts is the frame of their concatenation.
+        let mut parts = Trickle {
+            out: Vec::new(),
+            max: 7,
+            interrupt: true,
+        };
+        let (head, body) = payload.split_at(12);
+        write_frame_with(&mut parts, OP_FEATURES, &[head, &[], body], false).unwrap();
+        assert!(parts.out == whole);
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error() {
+        let mut stuck = Trickle {
+            out: Vec::new(),
+            max: 0,
+            interrupt: false,
+        };
+        assert_eq!(
+            write_frame(&mut stuck, OP_PING, b"x"),
+            Err(FrameError::Io(ErrorKind::WriteZero))
+        );
     }
 }

@@ -320,7 +320,7 @@ fn respond_with_faults(
             if let Some(ms) = delay_ms {
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            write_frame_with(stream, opcode, payload, corrupt).map_err(|_| ())
+            write_frame_with(stream, opcode, &[payload], corrupt).map_err(|_| ())
         }
     }
 }

@@ -434,6 +434,18 @@ fn corrupt_response_is_a_checksum_mismatch() {
     }
     // One-shot: the retry goes through clean.
     assert!(client.call(OP_PING, b"checksummed").is_ok());
+
+    // A payload of many checksum blocks, corrupted as it is written, reads
+    // as `Corrupt` too.
+    client
+        .call(spq::mapreduce::remote::OP_SET_FAULT, &plan)
+        .unwrap();
+    let token: Vec<u8> = (0..100_003u32).map(|i| (i % 253) as u8).collect();
+    assert!(matches!(
+        client.call(OP_PING, &token),
+        Err(RemoteError::Frame(FrameError::Corrupt { .. }))
+    ));
+    assert_eq!(client.call(OP_PING, &token).unwrap(), (OP_PONG, token));
     server.shutdown();
 }
 

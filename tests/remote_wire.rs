@@ -574,6 +574,96 @@ fn a_worker_answers_back_to_back_frames_in_order() {
     assert_eq!(replies, alone);
 }
 
+/// A worker keys a provision's data block by content: a second install
+/// carrying the block it already holds shares that data side, decoding
+/// nothing, and the shard it installs answers byte-identically to the
+/// same shard on a host that decoded the block for it. A provision whose
+/// block length disagrees with its record count is refused before that
+/// lookup, with the installed shards left as they were; through a worker
+/// the refusal is an `OP_ERROR`, and the next connection is served.
+#[test]
+fn a_held_data_side_serves_a_second_shard_and_a_lying_block_is_refused() {
+    let features = uniform_features(12);
+    let data: Vec<DataObject> = (0..20)
+        .map(|i| DataObject::new(i, Point::new(i as f64 * 0.5, 10.0 - i as f64 * 0.375)))
+        .collect();
+    let bounds = unit_executor().bounds();
+    let sets = [&features[..6], &features[6..]].map(|slice| encode_feature_slice(slice, 160));
+    let installs: Vec<Vec<u8>> = sets
+        .iter()
+        .enumerate()
+        .map(|(shard, set)| encode_provision(shard as u32, set.fingerprint, bounds, &data))
+        .collect();
+    let query = shard_query(1, 5, 3.0, &[16, 17]);
+    let ship = |host: &ShardHost, shard: usize| {
+        for chunk in &sets[shard].chunks {
+            host.handle(OP_FEATURES, chunk).unwrap();
+        }
+        host.handle(OP_PROVISION, &installs[shard]).unwrap();
+    };
+
+    // Shard 1 alone: its host decodes the data block.
+    let alone = ShardHost::new();
+    ship(&alone, 1);
+    let expected = alone.handle(OP_SHARD_QUERY, &query).unwrap().unwrap();
+    assert_eq!(expected.0, OP_SHARD_RESULT);
+    assert_eq!(expected.1.len(), 5 * wire::RECORD_BYTES);
+
+    // Shard 1 after shard 0: one data side serves both.
+    let host = ShardHost::new();
+    ship(&host, 0);
+    ship(&host, 1);
+    assert_eq!((host.hosted_shards(), host.data_sides()), (2, 1));
+    assert_eq!(
+        host.handle(OP_SHARD_QUERY, &query).unwrap().unwrap(),
+        expected
+    );
+
+    // The data count sits after the 12-byte header and the 32-byte bounds.
+    let count_at = 12 + 32;
+    let lies = {
+        let mut lies = Vec::new();
+        for count in [data.len() + 1, data.len() - 1, 0] {
+            let mut lie = installs[1].clone();
+            patch_u32(&mut lie, count_at, count as u32);
+            lies.push(lie);
+        }
+        let mut longer = installs[1].clone();
+        longer.push(0);
+        lies.push(longer);
+        lies.push(installs[1][..installs[1].len() - 1].to_vec());
+        lies
+    };
+    for lie in &lies {
+        let error = host.handle(OP_PROVISION, lie).unwrap_err();
+        assert!(error.contains("bad provision payload"), "{error}");
+        assert_eq!((host.hosted_shards(), host.data_sides()), (2, 1));
+    }
+    assert_eq!(
+        host.handle(OP_SHARD_QUERY, &query).unwrap().unwrap(),
+        expected
+    );
+
+    let server =
+        WorkerServer::bind("127.0.0.1:0", vec![Box::new(ShardHost::new())], false).unwrap();
+    let addr = server.addr().to_string();
+    let mut client = WorkerClient::new(addr.clone(), ClientConfig::fast());
+    for shard in 0..2 {
+        for chunk in &sets[shard].chunks {
+            assert_eq!(client.call(OP_FEATURES, chunk).unwrap().0, OP_FEATURES_OK);
+        }
+        let (op, _) = client.call(OP_PROVISION, &installs[shard]).unwrap();
+        assert_eq!(op, OP_PROVISION_OK);
+    }
+    for lie in &lies {
+        assert_eq!(client.call(OP_PROVISION, lie).unwrap().0, OP_ERROR);
+    }
+    let mut fresh = WorkerClient::new(addr, ClientConfig::fast());
+    assert!(fresh.ping(b"still here").is_ok());
+    assert_eq!(fresh.call(OP_SHARD_QUERY, &query).unwrap(), expected);
+    server.shutdown();
+}
+
 /// Overwrites the little-endian `u32` at `at` with `value`.
 fn patch_u32(payload: &mut [u8], at: usize, value: u32) {
     payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
