@@ -30,7 +30,7 @@ fn run_matrix_mode(matrix: &MatrixCli) {
     println!("wrote {} ({} records)", matrix.out, report.records.len());
     println!(
         "\n{:<52}{:>9}{:>24}{:>24}{:>10}",
-        "benchmark", "qps", "mean ms [95% CI]", "p99 ms [95% CI]", "outliers"
+        "row", "qps", "mean ms [95% CI]", "p99 ms [95% CI]", "outliers"
     );
     for r in &report.records {
         println!(
@@ -47,7 +47,7 @@ fn run_matrix_mode(matrix: &MatrixCli) {
         );
     }
     if !report.records.is_empty() {
-        println!("\nall records byte-identical to the reference job");
+        println!("\nall records byte-identical to the reference answers");
     }
 }
 

@@ -17,15 +17,18 @@ pub const USAGE: &str = "usage: spq-bench matrix|compare ...\n\
 spq-bench matrix [--filter GLOB] [--backend local|sharded:N|remote:N]... \
      [--scale F] [--seed N] [--workers N] [--queries N] [--batch N] \
      [--out FILE]\n\
-    Runs the declarative benchmark matrix (corpus x algorithm x backend x \
-mode; ids like uniform-120k/pSPQ/remote:4/execute-batch, selected by a \
-'*'-glob over full ids) and writes the versioned record document \
-(default BENCH_MATRIX.json): deterministic work counters, bootstrap 95% \
-CIs, Tukey outlier counts, byte-identity attestation per record.\n\
+    Runs the declarative benchmark matrix, a job table (corpus x \
+algorithm; ids like job/uniform-120k/eSPQsco) and a serving table \
+(corpus x backend x mode; ids like \
+serve/uniform-120k/remote:2/execute-batch), selected by a '*'-glob over \
+full ids, and writes the versioned record document (default \
+BENCH_MATRIX.json): deterministic work counters, bootstrap 95% CIs, \
+Tukey outlier counts, byte-identity to one exact reference per corpus \
+attested per record. The defaults are the CI gate's preset.\n\
 spq-bench compare BASELINE.json CANDIDATE.json\n\
-    Exact-matches the deterministic counters of every baseline id \
+    Exact-matches the deterministic counters of every baseline row \
 against the candidate and exits 1 on any differing counter or any \
-baseline id missing from the candidate, 2 on unreadable documents or \
+baseline row missing from the candidate, 2 on unreadable documents or \
 documents run with a different seed/scale/queries/batch/filter \
 (timings are carried as information and never compared) — the CI \
 regression gate.";
@@ -223,6 +226,11 @@ mod tests {
         let m = matrix(&["matrix"]);
         assert_eq!(m.out, "BENCH_MATRIX.json");
         assert!(m.config.filter.is_none());
+        // The defaults are CI's gate preset, the committed baseline's.
+        assert_eq!(
+            (m.config.scale, m.config.queries, m.config.batch),
+            (1.0, 16, 8)
+        );
         assert_eq!(
             m.config.backends,
             vec![

@@ -1,11 +1,11 @@
 //! `spq-bench compare`: the CI regression gate over two matrix reports.
 //!
 //! The gate is an **exact match on deterministic counters**. For every
-//! benchmark id of the baseline, the candidate must carry the same id
-//! with an identical [`Counters`](super::record::Counters) block and
-//! `shed_rate`; any differing counter, and any baseline id missing from
-//! the candidate, fails it. Ids only the candidate has are listed and
-//! pass (a new benchmark is not a regression). Timings (`qps`, `mean_ms`,
+//! row of the baseline, job or serving, the candidate must carry the
+//! same id with an identical [`Counters`] block; any differing counter,
+//! and any baseline id missing from the candidate, fails it. Ids only
+//! the candidate has are listed and pass (a new row is not a
+//! regression). Timings (`qps`, `mean_ms`,
 //! `p50_ms`, `p99_ms`) are never looked at: the counters are a pure
 //! function of the run configuration, so the gate cannot flake, needs no
 //! threshold, and means the same thing on any runner — wall-clock claims
@@ -16,13 +16,14 @@
 //! `filter` are refused outright (`workers` is excluded: the counters are
 //! worker-invariant).
 
-use super::record::{MatrixReport, ReportConfig};
+use super::record::{Counters, MatrixRecord, MatrixReport, ReportConfig};
+use super::serve_id;
 use std::path::Path;
 
 /// One counter of one shared id that differs between the documents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mismatch {
-    /// The benchmark id.
+    /// The row's id.
     pub id: String,
     /// The counter's document key (`shuffle_records`, `shed_rate`, …).
     pub counter: &'static str,
@@ -33,9 +34,8 @@ pub struct Mismatch {
 }
 
 /// How much kernel work one corpus's `sharded:N` backend does per unit
-/// of the local engine's, summed over the corpus's `execute` ids (the
-/// kernel is the same whatever the algorithm axis says). A ratio is NaN
-/// when the local engine did none of that work.
+/// of the local engine's, read from the two `serve/<corpus>/…/execute`
+/// rows. A ratio is NaN when the local engine did none of that work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRatios {
     /// The corpus axis.
@@ -50,32 +50,31 @@ pub struct KernelRatios {
     pub distance_checks: f64,
 }
 
-/// Every corpus's [`KernelRatios`], one per sharded backend, in the
-/// order the report first names each corpus and backend.
-pub fn kernel_ratios(report: &MatrixReport) -> Vec<KernelRatios> {
-    let execute = || report.records.iter().filter(|r| r.mode == "execute");
-    let sum = |corpus: &str, backend: &str| {
-        execute()
-            .filter(|r| r.corpus == corpus && r.backend == backend)
-            .fold([0u64; 3], |[c, v, d], r| {
-                let k = &r.counters;
-                [
-                    c + k.kernel_candidates,
-                    v + k.kernel_visited,
-                    d + k.kernel_distance_checks,
-                ]
-            })
+/// Every corpus's [`KernelRatios`], one per sharded `execute` row, in
+/// report order.
+pub(crate) fn kernel_ratios(report: &MatrixReport) -> Vec<KernelRatios> {
+    let kernel = |r: &MatrixRecord| match r.counters {
+        Counters::Serve(c) => [
+            c.kernel_candidates,
+            c.kernel_visited,
+            c.kernel_distance_checks,
+        ],
+        Counters::Job(_) => [0; 3],
     };
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    for r in execute().filter(|r| r.backend.starts_with("sharded:")) {
-        if !pairs.contains(&(r.corpus.as_str(), r.backend.as_str())) {
-            pairs.push((&r.corpus, &r.backend));
-        }
-    }
-    pairs
-        .into_iter()
-        .map(|(corpus, backend)| {
-            let (local, sharded) = (sum(corpus, "local"), sum(corpus, backend));
+    report
+        .records
+        .iter()
+        .filter_map(|r| {
+            let axes = r.id.strip_prefix("serve/")?.strip_suffix("/execute")?;
+            let (corpus, backend) = axes.split_once('/')?;
+            backend
+                .starts_with("sharded:")
+                .then_some((corpus, backend, r))
+        })
+        .map(|(corpus, backend, sharded)| {
+            let local_id = serve_id(corpus, "local", "execute");
+            let local = report.records.iter().find(|r| r.id == local_id);
+            let (local, sharded) = (local.map_or([0; 3], kernel), kernel(sharded));
             let ratio = |i: usize| sharded[i] as f64 / local[i] as f64;
             KernelRatios {
                 corpus: corpus.to_owned(),
@@ -132,7 +131,7 @@ impl Comparison {
                 None => format!("{:.2}x", pick(candidate)),
             };
             out.push_str(&format!(
-                "kernel {} {} / local (execute ids): candidates {}, visited {}, distance checks {}\n",
+                "kernel {} {} / local (execute rows): candidates {}, visited {}, distance checks {}\n",
                 candidate.corpus,
                 candidate.backend,
                 ratio(|r| r.candidates),
@@ -201,23 +200,20 @@ pub fn compare_reports(
             continue;
         };
         comparison.compared += 1;
-        for ((counter, b), (_, c)) in base.counters.fields().iter().zip(cand.counters.fields()) {
-            if *b != c {
+        for ((counter, baseline), (_, candidate)) in base
+            .counters
+            .fields()
+            .into_iter()
+            .zip(cand.counters.fields())
+        {
+            if baseline != candidate {
                 comparison.mismatches.push(Mismatch {
                     id: base.id.clone(),
                     counter,
-                    baseline: b.to_string(),
-                    candidate: c.to_string(),
+                    baseline,
+                    candidate,
                 });
             }
-        }
-        if base.shed_rate != cand.shed_rate {
-            comparison.mismatches.push(Mismatch {
-                id: base.id.clone(),
-                counter: "shed_rate",
-                baseline: format!("{:?}", base.shed_rate),
-                candidate: format!("{:?}", cand.shed_rate),
-            });
         }
     }
     comparison.added = candidate
@@ -239,7 +235,7 @@ pub fn compare_files(baseline: &Path, candidate: &Path) -> Result<Comparison, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::record::synthetic_fixture;
+    use crate::matrix::record::{synthetic_fixture, ServeCounters};
 
     #[test]
     fn identical_reports_are_all_unchanged() {
@@ -255,8 +251,14 @@ mod tests {
     fn a_differing_counter_fails_and_is_named_but_timings_never_are() {
         let base = synthetic_fixture();
         let mut cand = base.clone();
-        cand.records[1].counters.map_duplicates += 1;
-        cand.records[3].shed_rate = 0.25;
+        let Counters::Job(job) = &mut cand.records[1].counters else {
+            panic!("record 1 is a job row")
+        };
+        job.map_duplicates += 1;
+        let Counters::Serve(admission) = &mut cand.records[5].counters else {
+            panic!("record 5 is a serving row")
+        };
+        admission.shed_rate = 0.25;
         for r in &mut cand.records {
             r.qps /= 3.0;
             r.mean_ms.point *= 3.0;
@@ -272,7 +274,7 @@ mod tests {
             found,
             vec![
                 (base.records[1].id.as_str(), "map_duplicates"),
-                (base.records[3].id.as_str(), "shed_rate")
+                (base.records[5].id.as_str(), "shed_rate")
             ]
         );
         assert_eq!(cmp.failures(), 2);
@@ -285,7 +287,7 @@ mod tests {
         let mut cand = base.clone();
         let dropped = cand.records.remove(0);
         let mut renamed = cand.records[0].clone();
-        renamed.id = "clustered-60k/pSPQ/local/execute".to_owned();
+        renamed.id = "job/clustered-60k/pSPQ".to_owned();
         cand.records.push(renamed.clone());
         let cmp = compare_reports(&base, &cand).unwrap();
         assert_eq!(cmp.removed, vec![dropped.id.clone()]);
@@ -302,21 +304,30 @@ mod tests {
     #[test]
     fn kernel_ratios_are_printed_per_corpus_before_the_verdict() {
         let mut base = synthetic_fixture();
-        let local = base.records[0].clone();
-        assert_eq!(
-            (local.backend.as_str(), local.mode.as_str()),
-            ("local", "execute")
-        );
-        let mut sharded = local.clone();
-        sharded.id = "uniform-120k/pSPQ/sharded:4/execute".to_owned();
-        sharded.backend = "sharded:4".to_owned();
-        sharded.counters.kernel_candidates *= 4;
-        sharded.counters.kernel_visited *= 20;
-        base.records.push(sharded);
+        let local = base.records[2].clone();
+        assert_eq!(local.id, "serve/uniform-120k/local/execute");
+        let Counters::Serve(local_kernel) = local.counters else {
+            panic!("the local execute row is a serving row")
+        };
+        let with_kernel = |candidates, visited| {
+            let mut row = local.clone();
+            row.id = "serve/uniform-120k/sharded:4/execute".to_owned();
+            row.counters = Counters::Serve(ServeCounters {
+                kernel_candidates: candidates,
+                kernel_visited: visited,
+                ..local_kernel
+            });
+            row
+        };
+        base.records.push(with_kernel(
+            4 * local_kernel.kernel_candidates,
+            20 * local_kernel.kernel_visited,
+        ));
         let mut cand = base.clone();
-        let moved = &mut cand.records.last_mut().unwrap().counters;
-        moved.kernel_candidates = local.counters.kernel_candidates;
-        moved.kernel_visited = 5 * local.counters.kernel_visited;
+        *cand.records.last_mut().unwrap() = with_kernel(
+            local_kernel.kernel_candidates,
+            5 * local_kernel.kernel_visited,
+        );
         let ratios = kernel_ratios(&cand);
         assert_eq!(ratios.len(), 1);
         assert_eq!(
@@ -328,12 +339,12 @@ mod tests {
             (1.0, 5.0, 1.0)
         );
         let text = compare_reports(&base, &cand).unwrap().render();
-        let line = "kernel uniform-120k sharded:4 / local (execute ids): \
+        let line = "kernel uniform-120k sharded:4 / local (execute rows): \
                     candidates 4.00x -> 1.00x, visited 20.00x -> 5.00x, \
                     distance checks 1.00x -> 1.00x\n";
         assert!(text.contains(line), "{text}");
         assert!(text.ends_with("— FAILED\n"), "{text}");
-        // A report with no sharded execute id has nothing to print.
+        // A report with no sharded execute row has nothing to print.
         let plain = synthetic_fixture();
         assert!(kernel_ratios(&plain).is_empty());
     }

@@ -1,26 +1,30 @@
 //! Benchmarks-as-data: the declarative workload matrix behind
 //! `spq-bench matrix` and `spq-bench compare`.
 //!
-//! Every benchmark in the matrix has a stable, filterable id of the form
+//! The matrix is two tables, and every row has a stable, filterable id:
 //!
 //! ```text
-//! {corpus}/{algorithm}/{backend}/{mode}
-//! e.g.  uniform-120k/pSPQ/remote:4/execute-batch
+//! job/{corpus}/{algorithm}             e.g.  job/uniform-120k/eSPQsco
+//! serve/{corpus}/{backend}/{mode}      e.g.  serve/uniform-120k/remote:2/execute-batch
 //! ```
 //!
-//! where the four axes are data, not code: [`corpus::CORPORA`] names the
-//! dataset shapes (uniform / clustered / Flickr-shaped), the algorithms
-//! are [`spq_core::Algorithm::ALL`], the backends any parseable
-//! [`spq_core::Backend`] (`local`, `sharded:N`, `remote:N`), and the
-//! modes the four facade lifecycles ([`corpus::Mode`]). One runner
-//! ([`runner::run_matrix`]) executes any glob-selected slice of the
-//! product and emits one versioned record format ([`record::MatrixReport`]
-//! → `BENCH_MATRIX.json`), each record carrying a block of deterministic
-//! work counters, bootstrap 95% confidence intervals and Tukey outlier
-//! counts from [`criterion::stats`], and the byte-identity assertion
-//! against the paper's job. Two reports from different commits
-//! are compared by [`compare::compare_reports`] — the CI regression
-//! gate, an exact match on the counters.
+//! The paper's algorithms differ only in the MapReduce job, so the job
+//! table has one row per corpus and [`spq_core::Algorithm`]: one
+//! [`spq_core::SpqExecutor::run_dataset`] per stream query. Every serving
+//! backend answers with the same kernel whatever the algorithm, so the
+//! serving table has one row per corpus, backend (any parseable
+//! [`spq_core::Backend`]: `local`, `sharded:N`, `remote:N`) and facade
+//! lifecycle ([`corpus::Mode`]). [`corpus::CORPORA`] names the dataset
+//! shapes (uniform / clustered / Flickr-shaped). One runner
+//! ([`runner::run_matrix`]) executes any glob-selected slice of both
+//! tables and emits one versioned record format
+//! ([`record::MatrixReport`] → `BENCH_MATRIX.json`), each record carrying
+//! its table's deterministic work counters, bootstrap 95% confidence
+//! intervals and Tukey outlier counts from [`criterion::stats`], and the
+//! byte-identity assertion against one exact per-corpus reference
+//! ([`spq_core::centralized::grid_index_topk`]). Two reports from
+//! different commits are compared by [`compare::compare_reports`] — the
+//! CI regression gate, an exact match on the counters.
 
 pub mod compare;
 pub mod corpus;
@@ -28,21 +32,26 @@ pub mod json;
 pub mod record;
 pub mod runner;
 
-pub use compare::{
-    compare_files, compare_reports, kernel_ratios, Comparison, KernelRatios, Mismatch,
-};
+pub use compare::{compare_files, compare_reports, Comparison, KernelRatios, Mismatch};
 pub use corpus::{CorpusShape, CorpusSpec, Mode, CORPORA};
-pub use record::{Counters, MatrixRecord, MatrixReport, SCHEMA_VERSION};
+pub use record::{
+    Counters, JobCounters, MatrixRecord, MatrixReport, ServeCounters, SCHEMA_VERSION,
+};
 pub use runner::{run_matrix, MatrixConfig};
 
-/// Builds the canonical benchmark id from its four axes.
-pub fn bench_id(corpus: &str, algorithm: &str, backend: &str, mode: &str) -> String {
-    format!("{corpus}/{algorithm}/{backend}/{mode}")
+/// The id of a job-table row.
+pub(crate) fn job_id(corpus: &str, algorithm: &str) -> String {
+    format!("job/{corpus}/{algorithm}")
+}
+
+/// The id of a serving-table row.
+pub(crate) fn serve_id(corpus: &str, backend: &str, mode: &str) -> String {
+    format!("serve/{corpus}/{backend}/{mode}")
 }
 
 /// Matches a benchmark id against a shell-style glob where `*` matches
-/// any run of characters **including** `/` — so `remote:*` selects every
-/// remote backend and `*/pSPQ/*` every pSPQ row. No other metacharacters.
+/// any run of characters **including** `/` — so `*remote:*` selects every
+/// remote row and `job/*` the job table. No other metacharacters.
 pub fn glob_match(pattern: &str, id: &str) -> bool {
     let parts: Vec<&str> = pattern.split('*').collect();
     if parts.len() == 1 {
@@ -74,26 +83,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_compose_the_four_axes() {
+    fn ids_name_their_table() {
+        assert_eq!(job_id("uniform-120k", "pSPQ"), "job/uniform-120k/pSPQ");
         assert_eq!(
-            bench_id("uniform-120k", "pSPQ", "remote:4", "execute-batch"),
-            "uniform-120k/pSPQ/remote:4/execute-batch"
+            serve_id("uniform-120k", "remote:4", "execute-batch"),
+            "serve/uniform-120k/remote:4/execute-batch"
         );
     }
 
     #[test]
     fn globs_match_shell_style() {
-        let id = "uniform-120k/pSPQ/remote:4/execute-batch";
+        let id = "serve/uniform-120k/remote:4/execute-batch";
         assert!(glob_match(id, id)); // literal
         assert!(glob_match("*", id));
-        assert!(glob_match("uniform-120k/*", id));
+        assert!(glob_match("serve/uniform-120k/*", id));
+        assert!(glob_match("*/uniform-120k/*", id));
         assert!(glob_match("*/execute-batch", id));
         assert!(glob_match("*remote:*", id));
-        assert!(glob_match("*/pSPQ/*", id));
-        assert!(glob_match("uniform-*/pSPQ/*/execute-batch", id));
-        assert!(!glob_match("clustered-60k/*", id));
+        assert!(glob_match("serve/uniform-*/*/execute-batch", id));
+        assert!(!glob_match("job/*", id));
+        assert!(!glob_match("*/clustered-60k/*", id));
         assert!(!glob_match("*/serve", id));
-        assert!(!glob_match("uniform-120k", id)); // literal, no star
+        assert!(!glob_match("serve/uniform-120k", id)); // literal, no star
 
         // A `*` crosses `/` by design: backend filters don't need to
         // know how many axes precede them.

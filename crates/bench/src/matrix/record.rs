@@ -1,7 +1,8 @@
 //! The versioned `BENCH_MATRIX.json` record format.
 //!
 //! One [`MatrixReport`] holds the run configuration and one
-//! [`MatrixRecord`] per benchmark id. The shape is guarded two ways:
+//! [`MatrixRecord`] per row of the job and serving tables. The shape is
+//! guarded two ways:
 //!
 //! * [`SCHEMA_VERSION`] is embedded in every document and checked on
 //!   read — `compare` refuses to diff documents of different versions.
@@ -20,7 +21,7 @@ use criterion::stats::{Estimate, Outliers};
 /// Version of the record shape. **Bump this whenever any field of
 /// [`MatrixReport`]/[`MatrixRecord`] changes**, and regenerate the golden
 /// fixture; the schema-fingerprint test enforces the coupling.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The run configuration echoed into the document, so a stored report is
 /// self-describing and comparable runs are recognizable.
@@ -30,23 +31,35 @@ pub struct ReportConfig {
     pub seed: u64,
     /// Corpus size multiplier.
     pub scale: f64,
-    /// Measured queries per benchmark id.
+    /// Measured queries per row.
     pub queries: usize,
     /// `execute-batch` chunk size.
     pub batch: usize,
-    /// Worker threads (serve concurrency, scatter width).
+    /// Worker threads (job cluster, serve concurrency, scatter width).
     pub workers: usize,
     /// The id glob this run was restricted to, if any.
     pub filter: Option<String>,
 }
 
-/// The deterministic work counters of one benchmark id — with
-/// [`MatrixRecord::shed_rate`], everything `spq-bench compare` gates on.
-/// Each is a sum over the id's measured stream and a pure function of
-/// `(seed, scale, queries, batch, filter)`: the same on any host, at any
-/// worker count, on every run.
+/// The gated counters of one `job/…` row: sums over one
+/// [`spq_core::SpqExecutor::run_dataset`] per stream query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
+pub struct JobCounters {
+    /// Σ `JobStats::map_input_records`, `|O| + |F|` records per job.
+    pub map_input_records: u64,
+    /// Σ `COUNTER_MAP_DUPLICATES`: Lemma-1 routed feature copies beyond
+    /// the enclosing cell.
+    pub map_duplicates: u64,
+    /// Σ `COUNTER_REDUCE_FEATURES_EXAMINED`: features the reducers looked
+    /// at before early termination.
+    pub reduce_features_examined: u64,
+}
+
+/// The gated values of one `serve/…` row: sums over the answered
+/// responses of the mode's run, the service's kernel counter deltas
+/// around it, and its shed rate.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ServeCounters {
     /// Σ `QueryStats::shards_touched`.
     pub shards_touched: u64,
     /// Σ `QueryStats::shuffle_records`.
@@ -61,97 +74,103 @@ pub struct Counters {
     pub retries: u64,
     /// Ranked objects returned, over all responses.
     pub results: u64,
-    /// Σ `JobStats::map_input_records` over the reference jobs, one
-    /// `run_dataset` per query and `|O| + |F|` records each (the same for
-    /// every backend and mode of one corpus/algorithm).
-    pub map_input_records: u64,
-    /// Σ `COUNTER_MAP_DUPLICATES` over the reference jobs: Lemma-1 routed
-    /// feature copies beyond the enclosing cell.
-    pub map_duplicates: u64,
-    /// Σ `COUNTER_REDUCE_FEATURES_EXAMINED` over the reference jobs:
-    /// features the reducers looked at before early termination.
-    pub reduce_features_examined: u64,
     /// Candidate features the serving kernel scored during the mode's run
     /// (the `MetricsSnapshot::kernel_candidates` delta around it). Remote
-    /// ids record 0: the manager's snapshot carries no worker kernel
+    /// rows record 0: the manager's snapshot carries no worker kernel
     /// counters.
     pub kernel_candidates: u64,
     /// Candidates the kernel visited before its global-τ stop (the
-    /// `kernel_visited` delta; 0 on remote ids, as above).
+    /// `kernel_visited` delta; 0 on remote rows, as above).
     pub kernel_visited: u64,
     /// `d(p, f) <= r` evaluations the kernel made (the
-    /// `kernel_distance_checks` delta; 0 on remote ids, as above).
+    /// `kernel_distance_checks` delta; 0 on remote rows, as above).
     pub kernel_distance_checks: u64,
+    /// Fraction of offered requests not answered — overload rejections
+    /// plus deadline sheds over total offered. `0.0` for every mode but
+    /// `serve-admission`, where the 2×-overload harness makes it
+    /// deterministic and nonzero by construction.
+    pub shed_rate: f64,
+}
+
+/// Everything `spq-bench compare` gates on for one row. Each value is a
+/// pure function of `(seed, scale, queries, batch, filter)`: the same on
+/// any host, at any worker count, on every run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Counters {
+    /// A `job/…` row's counters.
+    Job(JobCounters),
+    /// A `serve/…` row's counters.
+    Serve(ServeCounters),
 }
 
 impl Counters {
-    /// Every counter with its document key, in document order — the one
-    /// list the writer and the gate both walk. The destructuring is
-    /// exhaustive on purpose: a field added to the struct does not
-    /// compile until it is listed here, so it is written and compared.
-    pub fn fields(&self) -> [(&'static str, u64); 13] {
-        let Counters {
-            shards_touched,
-            shuffle_records,
-            shuffle_bytes,
-            keyword_terms_probed,
-            keyword_terms_matched,
-            retries,
-            results,
-            map_input_records,
-            map_duplicates,
-            reduce_features_examined,
-            kernel_candidates,
-            kernel_visited,
-            kernel_distance_checks,
-        } = *self;
-        [
-            ("shards_touched", shards_touched),
-            ("shuffle_records", shuffle_records),
-            ("shuffle_bytes", shuffle_bytes),
-            ("keyword_terms_probed", keyword_terms_probed),
-            ("keyword_terms_matched", keyword_terms_matched),
-            ("retries", retries),
-            ("results", results),
-            ("map_input_records", map_input_records),
-            ("map_duplicates", map_duplicates),
-            ("reduce_features_examined", reduce_features_examined),
-            ("kernel_candidates", kernel_candidates),
-            ("kernel_visited", kernel_visited),
-            ("kernel_distance_checks", kernel_distance_checks),
-        ]
+    /// Every gated value with its document key, rendered as the document
+    /// writes it, in document order — the one list the writer and the
+    /// gate both walk. The destructuring is exhaustive on purpose: a
+    /// field added to either struct does not compile until it is listed
+    /// here, so it is written and compared.
+    pub fn fields(&self) -> Vec<(&'static str, String)> {
+        match *self {
+            Counters::Job(JobCounters {
+                map_input_records,
+                map_duplicates,
+                reduce_features_examined,
+            }) => vec![
+                ("map_input_records", map_input_records.to_string()),
+                ("map_duplicates", map_duplicates.to_string()),
+                (
+                    "reduce_features_examined",
+                    reduce_features_examined.to_string(),
+                ),
+            ],
+            Counters::Serve(ServeCounters {
+                shards_touched,
+                shuffle_records,
+                shuffle_bytes,
+                keyword_terms_probed,
+                keyword_terms_matched,
+                retries,
+                results,
+                kernel_candidates,
+                kernel_visited,
+                kernel_distance_checks,
+                shed_rate,
+            }) => [
+                ("shards_touched", shards_touched),
+                ("shuffle_records", shuffle_records),
+                ("shuffle_bytes", shuffle_bytes),
+                ("keyword_terms_probed", keyword_terms_probed),
+                ("keyword_terms_matched", keyword_terms_matched),
+                ("retries", retries),
+                ("results", results),
+                ("kernel_candidates", kernel_candidates),
+                ("kernel_visited", kernel_visited),
+                ("kernel_distance_checks", kernel_distance_checks),
+            ]
+            .into_iter()
+            .map(|(key, value)| (key, value.to_string()))
+            .chain([("shed_rate", format!("{shed_rate:?}"))])
+            .collect(),
+        }
     }
 }
 
-/// One benchmark id's measurement.
+/// One row's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixRecord {
-    /// The full id, `{corpus}/{algorithm}/{backend}/{mode}`.
+    /// The row's id, `job/{corpus}/{algorithm}` or
+    /// `serve/{corpus}/{backend}/{mode}`; its first segment names the
+    /// table and so the kind of [`counters`](Self::counters).
     pub id: String,
-    /// First id segment.
-    pub corpus: String,
-    /// Second id segment (`pSPQ`, `eSPQlen`, `eSPQsco`).
-    pub algorithm: String,
-    /// Third id segment (`local`, `sharded:N`, `remote:N`).
-    pub backend: String,
-    /// Fourth id segment (`execute`, `execute-batch`, `serve`,
-    /// `serve-admission`).
-    pub mode: String,
     /// Objects actually served (after scaling).
     pub objects: usize,
     /// Latency observations behind the estimates.
     pub samples: usize,
-    /// Queries per second over the mode's wall clock.
+    /// Queries per second over the row's wall clock.
     pub qps: f64,
-    /// Fraction of offered requests not answered — overload rejections
-    /// plus deadline sheds over total offered. `0.0` for every mode but
-    /// `serve-admission`, where the 2×-overload harness makes it
-    /// deterministic and nonzero by construction. Gated with the
-    /// [`counters`](Self::counters).
-    pub shed_rate: f64,
-    /// `true` iff every response matched the reference job byte for byte
-    /// (the runner asserts it, so a written record always says `true` —
-    /// the field exists so a reader need not know that).
+    /// `true` iff every answer matched the corpus's reference byte for
+    /// byte (the runner asserts it, so a written record always says
+    /// `true` — the field exists so a reader need not know that).
     pub identical_to_reference: bool,
     /// The gated deterministic counters.
     pub counters: Counters,
@@ -173,8 +192,8 @@ pub struct MatrixReport {
     pub schema_version: u32,
     /// Run configuration echo.
     pub config: ReportConfig,
-    /// One record per benchmark id, in corpus/algorithm/backend/mode
-    /// order.
+    /// One record per row: per corpus, its job rows in algorithm order,
+    /// then its serving rows in backend/mode order.
     pub records: Vec<MatrixRecord>,
 }
 
@@ -205,12 +224,8 @@ impl MatrixReport {
         out.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\n      \"id\": {:?},\n      \"corpus\": {:?},\n      \"algorithm\": {:?},\n      \"backend\": {:?},\n      \"mode\": {:?},\n",
-                r.id, r.corpus, r.algorithm, r.backend, r.mode
-            ));
-            out.push_str(&format!(
-                "      \"objects\": {}, \"samples\": {}, \"qps\": {:?}, \"shed_rate\": {:?}, \"identical_to_reference\": {},\n",
-                r.objects, r.samples, r.qps, r.shed_rate, r.identical_to_reference
+                "    {{\n      \"id\": {:?},\n      \"objects\": {}, \"samples\": {}, \"qps\": {:?}, \"identical_to_reference\": {},\n",
+                r.id, r.objects, r.samples, r.qps, r.identical_to_reference
             ));
             let counters: Vec<String> = r
                 .counters
@@ -319,42 +334,45 @@ fn parse_estimate(v: &Json, key: &str) -> Result<Estimate, String> {
     })
 }
 
-fn parse_counters(v: &Json) -> Result<Counters, String> {
+/// Reads row `id`'s counters block; the id's table decides its keys.
+fn parse_counters(id: &str, v: &Json) -> Result<Counters, String> {
     let c = v.get("counters").ok_or("missing counters")?;
-    Ok(Counters {
-        shards_touched: field_u64(c, "shards_touched")?,
-        shuffle_records: field_u64(c, "shuffle_records")?,
-        shuffle_bytes: field_u64(c, "shuffle_bytes")?,
-        keyword_terms_probed: field_u64(c, "keyword_terms_probed")?,
-        keyword_terms_matched: field_u64(c, "keyword_terms_matched")?,
-        retries: field_u64(c, "retries")?,
-        results: field_u64(c, "results")?,
-        map_input_records: field_u64(c, "map_input_records")?,
-        map_duplicates: field_u64(c, "map_duplicates")?,
-        reduce_features_examined: field_u64(c, "reduce_features_examined")?,
-        kernel_candidates: field_u64(c, "kernel_candidates")?,
-        kernel_visited: field_u64(c, "kernel_visited")?,
-        kernel_distance_checks: field_u64(c, "kernel_distance_checks")?,
-    })
+    let u = |key| field_u64(c, key);
+    match id.split('/').next() {
+        Some("job") => Ok(Counters::Job(JobCounters {
+            map_input_records: u("map_input_records")?,
+            map_duplicates: u("map_duplicates")?,
+            reduce_features_examined: u("reduce_features_examined")?,
+        })),
+        Some("serve") => Ok(Counters::Serve(ServeCounters {
+            shards_touched: u("shards_touched")?,
+            shuffle_records: u("shuffle_records")?,
+            shuffle_bytes: u("shuffle_bytes")?,
+            keyword_terms_probed: u("keyword_terms_probed")?,
+            keyword_terms_matched: u("keyword_terms_matched")?,
+            retries: u("retries")?,
+            results: u("results")?,
+            kernel_candidates: u("kernel_candidates")?,
+            kernel_visited: u("kernel_visited")?,
+            kernel_distance_checks: u("kernel_distance_checks")?,
+            shed_rate: field_f64(c, "shed_rate")?,
+        })),
+        _ => Err(format!("id {id:?} names no table (job/… or serve/…)")),
+    }
 }
 
 fn parse_record(v: &Json) -> Result<MatrixRecord, String> {
+    let id = field_str(v, "id")?;
     let outliers = v.get("outliers").ok_or("missing outliers")?;
     Ok(MatrixRecord {
-        id: field_str(v, "id")?,
-        corpus: field_str(v, "corpus")?,
-        algorithm: field_str(v, "algorithm")?,
-        backend: field_str(v, "backend")?,
-        mode: field_str(v, "mode")?,
         objects: field_u64(v, "objects")? as usize,
         samples: field_u64(v, "samples")? as usize,
         qps: field_f64(v, "qps")?,
-        shed_rate: field_f64(v, "shed_rate")?,
         identical_to_reference: v
             .get("identical_to_reference")
             .and_then(Json::as_bool)
             .ok_or("missing identical_to_reference")?,
-        counters: parse_counters(v)?,
+        counters: parse_counters(&id, v)?,
         mean_ms: parse_estimate(v, "mean_ms")?,
         p50_ms: parse_estimate(v, "p50_ms")?,
         p99_ms: parse_estimate(v, "p99_ms")?,
@@ -364,91 +382,78 @@ fn parse_record(v: &Json) -> Result<MatrixRecord, String> {
             mild_high: field_u64(outliers, "mild_high")? as usize,
             severe_high: field_u64(outliers, "severe_high")? as usize,
         },
+        id,
     })
 }
 
 /// A fixed synthetic report used by the golden-file test and the schema
-/// fingerprint — hand-set values, no benchmarking involved.
+/// fingerprint — hand-set values, no benchmarking involved. It holds rows
+/// of both tables.
 pub fn synthetic_fixture() -> MatrixReport {
     let est = |point: f64, lo: f64, hi: f64| Estimate { point, lo, hi };
-    let record = |id: &str, backend: &str, mode: &str, base: f64, shed_rate: f64| {
-        let (corpus, rest) = id.split_once('/').expect("id has axes");
-        let algorithm = rest.split('/').next().expect("algorithm axis");
-        MatrixRecord {
-            id: id.to_owned(),
-            corpus: corpus.to_owned(),
-            algorithm: algorithm.to_owned(),
-            backend: backend.to_owned(),
-            mode: mode.to_owned(),
-            objects: 1_000,
-            samples: 24,
-            qps: 4000.0 / base,
+    let record = |id: &str, base: f64, counters: Counters| MatrixRecord {
+        id: id.to_owned(),
+        objects: 1_000,
+        samples: 16,
+        qps: 4000.0 / base,
+        identical_to_reference: true,
+        counters,
+        mean_ms: est(base, base * 0.9, base * 1.1),
+        p50_ms: est(base * 0.95, base * 0.85, base * 1.05),
+        p99_ms: est(base * 2.0, base * 1.7, base * 2.4),
+        outliers: Outliers {
+            severe_low: 0,
+            mild_low: 0,
+            mild_high: 1,
+            severe_high: 0,
+        },
+    };
+    let job = |reduce_features_examined| {
+        Counters::Job(JobCounters {
+            map_input_records: 14_400,
+            map_duplicates: 1_200,
+            reduce_features_examined,
+        })
+    };
+    let serve = |kernel_candidates, shed_rate| {
+        Counters::Serve(ServeCounters {
+            shards_touched: 16,
+            shuffle_records: 9_600,
+            shuffle_bytes: 115_200,
+            keyword_terms_probed: 48,
+            keyword_terms_matched: 46,
+            retries: 0,
+            results: 160,
+            kernel_candidates,
+            kernel_visited: 480,
+            kernel_distance_checks: 9_600,
             shed_rate,
-            identical_to_reference: true,
-            counters: Counters {
-                shards_touched: 24,
-                shuffle_records: 9_600,
-                shuffle_bytes: 115_200,
-                keyword_terms_probed: 72,
-                keyword_terms_matched: 70,
-                retries: 0,
-                results: 240,
-                map_input_records: 14_400,
-                map_duplicates: 1_200,
-                reduce_features_examined: 2_400,
-                kernel_candidates: 48_000,
-                kernel_visited: 480,
-                kernel_distance_checks: 9_600,
-            },
-            mean_ms: est(base, base * 0.9, base * 1.1),
-            p50_ms: est(base * 0.95, base * 0.85, base * 1.05),
-            p99_ms: est(base * 2.0, base * 1.7, base * 2.4),
-            outliers: Outliers {
-                severe_low: 0,
-                mild_low: 0,
-                mild_high: 1,
-                severe_high: 0,
-            },
-        }
+        })
     };
     MatrixReport {
         schema_version: SCHEMA_VERSION,
         config: ReportConfig {
             seed: 2017,
             scale: 0.25,
-            queries: 24,
+            queries: 16,
             batch: 8,
             workers: 4,
-            filter: Some("uniform-120k/*".to_owned()),
+            filter: Some("*/uniform-120k/*".to_owned()),
         },
         records: vec![
+            record("job/uniform-120k/pSPQ", 9.5, job(2_400)),
+            record("job/uniform-120k/eSPQsco", 7.25, job(600)),
+            record("serve/uniform-120k/local/execute", 1.25, serve(48_000, 0.0)),
             record(
-                "uniform-120k/pSPQ/local/execute",
-                "local",
-                "execute",
-                1.25,
-                0.0,
-            ),
-            record(
-                "uniform-120k/pSPQ/sharded:4/execute-batch",
-                "sharded:4",
-                "execute-batch",
+                "serve/uniform-120k/sharded:4/execute-batch",
                 0.75,
-                0.0,
+                serve(48_000, 0.0),
             ),
+            record("serve/uniform-120k/remote:2/serve", 2.5, serve(0, 0.0)),
             record(
-                "uniform-120k/eSPQlen/remote:2/serve",
-                "remote:2",
-                "serve",
-                2.5,
-                0.0,
-            ),
-            record(
-                "uniform-120k/eSPQsco/local/serve-admission",
-                "local",
-                "serve-admission",
+                "serve/uniform-120k/local/serve-admission",
                 0.6,
-                0.5,
+                serve(48_000, 0.5),
             ),
         ],
     }
@@ -479,9 +484,10 @@ fn walk(prefix: &str, v: &Json, paths: &mut Vec<String>) {
             }
         }
         Json::Arr(items) => {
-            // Arrays are homogeneous; one representative is the shape.
-            if let Some(first) = items.first() {
-                walk(&format!("{prefix}[]"), first, paths);
+            // Rows of both tables share the array: every item adds its
+            // paths, and the caller's dedup merges them.
+            for item in items {
+                walk(&format!("{prefix}[]"), item, paths);
             }
         }
         _ => paths.push(prefix.to_owned()),
@@ -503,7 +509,7 @@ mod tests {
     fn wrong_schema_version_is_rejected_with_advice() {
         let text = synthetic_fixture()
             .to_json()
-            .replace("\"schema_version\": 4", "\"schema_version\": 999");
+            .replace("\"schema_version\": 5", "\"schema_version\": 999");
         let err = MatrixReport::from_json(&text).unwrap_err();
         assert!(err.contains("schema version 999"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
@@ -514,5 +520,15 @@ mod tests {
         let text = synthetic_fixture().to_json().replace("\"qps\"", "\"zzz\"");
         let err = MatrixReport::from_json(&text).unwrap_err();
         assert!(err.contains("qps"), "{err}");
+        // A row's table decides its counter keys, so an id naming no
+        // table is refused, not read as either kind.
+        let text = synthetic_fixture()
+            .to_json()
+            .replace("\"job/uniform-120k/pSPQ\"", "\"uniform-120k/pSPQ\"");
+        let err = MatrixReport::from_json(&text).unwrap_err();
+        assert!(
+            err.contains("\"uniform-120k/pSPQ\" names no table"),
+            "{err}"
+        );
     }
 }

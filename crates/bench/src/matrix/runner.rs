@@ -1,34 +1,41 @@
-//! The single matrix runner: executes any glob-selected slice of
-//! `corpus × algorithm × backend × mode` and emits one [`MatrixReport`].
+//! The single matrix runner: executes any glob-selected slice of the job
+//! table (`corpus × algorithm`) and the serving table
+//! (`corpus × backend × mode`) and emits one [`MatrixReport`].
 //!
-//! Per benchmark id the runner collects one latency observation per
-//! query (amortized batch wall for `execute-batch`, the response's own
-//! `wall_micros` for `serve`), asserts every response byte-identical to
-//! the paper's job ([`SpqExecutor::run_dataset`] over the whole store),
-//! and summarizes the sample
-//! through [`criterion::stats::summarize`] — bootstrap 95% intervals for
-//! mean/p50/p99 plus the Tukey outlier census. Everything data-shaped is
-//! deterministic from the seed — including the [`Counters`] block summed
-//! from every response's `QueryStats`, from the reference jobs and
-//! from the service's kernel counters, which is what `spq-bench compare`
-//! gates on; only the latencies themselves are machine-dependent.
+//! Per corpus the runner computes one exact answer per stream query
+//! ([`grid_index_topk`]) and asserts every job's top-k and every
+//! response byte-identical to it. Per row it collects one latency
+//! observation per query (the job's wall clock on a job row; on a
+//! serving row the call's, the amortized batch wall for `execute-batch`,
+//! the response's own `wall_micros` for `serve`) and summarizes the
+//! sample through [`criterion::stats::summarize`] — bootstrap 95%
+//! intervals for mean/p50/p99 plus the Tukey outlier census. Everything
+//! data-shaped is deterministic from the seed — including the
+//! [`Counters`] block, summed from the jobs' `JobStats` on a job row and
+//! from every response's `QueryStats` and the service's kernel counters
+//! on a serving row, which is what `spq-bench compare` gates on; only the
+//! latencies themselves are machine-dependent.
 
 use super::corpus::{Mode, CORPORA};
-use super::record::{Counters, MatrixRecord, MatrixReport, ReportConfig};
-use super::{bench_id, glob_match};
+use super::record::{
+    Counters, JobCounters, MatrixRecord, MatrixReport, ReportConfig, ServeCounters,
+};
+use super::{glob_match, job_id, serve_id};
 use criterion::stats::{summarize, BootstrapConfig, Sample};
+use spq_core::centralized::grid_index_topk;
 use spq_core::partitioning::{COUNTER_MAP_DUPLICATES, COUNTER_REDUCE_FEATURES_EXAMINED};
 use spq_core::{
     AdmissionConfig, AdmissionQueue, Algorithm, Backend, OverflowPolicy, QueryExecutor,
-    QueryRequest, QueryResponse, RankedObject, SpqError, SpqExecutor, SpqService, Ticket,
+    QueryRequest, QueryResponse, RankedObject, SpqError, SpqExecutor, SpqQuery, SpqService, Ticket,
 };
+use spq_data::Dataset;
 use spq_mapreduce::ClusterConfig;
 use std::time::{Duration, Instant};
 
 /// Configuration of one matrix run.
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
-    /// Backends measured per corpus/algorithm, in id order.
+    /// Backends of the serving table, in id order.
     pub backends: Vec<Backend>,
     /// Optional id glob; `None` runs the full matrix.
     pub filter: Option<String>,
@@ -36,9 +43,9 @@ pub struct MatrixConfig {
     pub scale: f64,
     /// Dataset / stream seed.
     pub seed: u64,
-    /// Worker threads: serve concurrency and scatter width.
+    /// Worker threads: job cluster, serve concurrency and scatter width.
     pub workers: usize,
-    /// Measured queries per benchmark id.
+    /// Measured queries per row.
     pub queries: usize,
     /// `execute-batch` chunk size.
     pub batch: usize,
@@ -58,7 +65,7 @@ impl Default for MatrixConfig {
             scale: 1.0,
             seed: 2017,
             workers: ClusterConfig::auto().workers,
-            queries: 24,
+            queries: 16,
             batch: 8,
             bootstrap: BootstrapConfig::default(),
         }
@@ -73,117 +80,79 @@ fn selected(filter: &Option<String>, id: &str) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if any backend/mode response diverges from the reference job —
-/// the byte-identity gate every record attests to.
+/// Panics if any job or any backend/mode response diverges from the
+/// corpus's reference answers — the byte-identity gate every record
+/// attests to.
 pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
     assert!(!cfg.backends.is_empty(), "need at least one backend");
     let mut records = Vec::new();
     for spec in &CORPORA {
-        // Only pay for dataset generation when some id under this corpus
+        // Only pay for dataset generation when some row of this corpus
         // survives the filter.
-        let wanted: Vec<(Algorithm, Backend, Mode)> = Algorithm::ALL
-            .iter()
-            .flat_map(|&algorithm| {
-                cfg.backends.iter().flat_map(move |&backend| {
-                    Mode::ALL
-                        .iter()
-                        .map(move |&mode| (algorithm, backend, mode))
-                })
-            })
-            .filter(|(algorithm, backend, mode)| {
-                selected(
-                    &cfg.filter,
-                    &bench_id(
-                        spec.name,
-                        algorithm.name(),
-                        &backend.to_string(),
-                        mode.name(),
-                    ),
-                )
-            })
+        let jobs: Vec<Algorithm> = Algorithm::ALL
+            .into_iter()
+            .filter(|a| selected(&cfg.filter, &job_id(spec.name, a.name())))
             .collect();
-        if wanted.is_empty() {
+        let serves: Vec<(Backend, Vec<Mode>)> = cfg
+            .backends
+            .iter()
+            .map(|&backend| {
+                let modes = Mode::ALL.into_iter().filter(|m| {
+                    let id = serve_id(spec.name, &backend.to_string(), m.name());
+                    selected(&cfg.filter, &id)
+                });
+                (backend, modes.collect::<Vec<_>>())
+            })
+            .filter(|(_, modes)| !modes.is_empty())
+            .collect();
+        let rows = jobs.len() + serves.iter().map(|(_, m)| m.len()).sum::<usize>();
+        if rows == 0 {
             eprintln!("[matrix] {}: skipped (filter)", spec.name);
             continue;
         }
 
         let dataset = spec.generate(cfg.scale, cfg.seed);
         let objects = dataset.total();
-        eprintln!(
-            "[matrix] {}: {objects} objects, {} benchmark ids",
-            spec.name,
-            wanted.len()
-        );
-        let bounds = dataset.bounds;
+        eprintln!("[matrix] {}: {objects} objects, {rows} rows", spec.name);
         let queries = spec.query_stream(&dataset, cfg.seed).batch(cfg.queries);
-        let requests: Vec<QueryRequest> = queries.iter().cloned().map(QueryRequest::new).collect();
+        let reference = reference_answers(&dataset, &queries, cfg.workers);
         let (shared, _) = dataset.to_shared_splits(8);
+        let exec = SpqExecutor::new(dataset.bounds)
+            .grid_size(spec.grid)
+            .cluster(ClusterConfig::with_workers(cfg.workers));
 
-        for &algorithm in Algorithm::ALL.iter() {
-            if !wanted.iter().any(|(a, _, _)| *a == algorithm) {
-                continue;
+        for algorithm in jobs {
+            let id = job_id(spec.name, algorithm.name());
+            let exec = exec.clone().algorithm(algorithm);
+            let mut counters = JobCounters::default();
+            let mut latencies = Vec::with_capacity(queries.len());
+            let wall = Instant::now();
+            for (query, expect) in queries.iter().zip(&reference) {
+                let t0 = Instant::now();
+                let job = exec.run_dataset(&shared, query).expect("job");
+                latencies.push(t0.elapsed());
+                check(&id, &job.top_k, expect);
+                counters.map_input_records += job.stats.map_input_records();
+                counters.map_duplicates += job.stats.counters.get(COUNTER_MAP_DUPLICATES);
+                counters.reduce_features_examined +=
+                    job.stats.counters.get(COUNTER_REDUCE_FEATURES_EXAMINED);
             }
-            let exec = SpqExecutor::new(bounds)
-                .algorithm(algorithm)
-                .grid_size(spec.grid)
-                .cluster(ClusterConfig::with_workers(cfg.workers));
-            // The reference is the paper's job, not the kernel every
-            // backend answers with, and the job-level counters no
-            // `QueryStats` carries (map input, Lemma-1 copies, reducer
-            // work) are gated too.
-            let mut job_counters = Counters::default();
-            let reference: Vec<Vec<RankedObject>> = queries
-                .iter()
-                .map(|q| {
-                    let job = exec.run_dataset(&shared, q).expect("reference job");
-                    job_counters.map_input_records += job.stats.map_input_records();
-                    job_counters.map_duplicates += job.stats.counters.get(COUNTER_MAP_DUPLICATES);
-                    job_counters.reduce_features_examined +=
-                        job.stats.counters.get(COUNTER_REDUCE_FEATURES_EXAMINED);
-                    job.top_k
-                })
-                .collect();
+            let measured = Measured {
+                latencies,
+                wall: wall.elapsed(),
+                counters: Counters::Job(counters),
+            };
+            records.push(make_record(id, objects, measured, cfg));
+        }
 
-            for &backend in &cfg.backends {
-                let modes: Vec<Mode> = wanted
-                    .iter()
-                    .filter(|(a, b, _)| *a == algorithm && *b == backend)
-                    .map(|(_, _, m)| *m)
-                    .collect();
-                if modes.is_empty() {
-                    continue;
-                }
-                let service = SpqService::build(exec.clone(), shared.clone(), backend)
-                    .expect("service build");
-                for mode in modes {
-                    let id = bench_id(
-                        spec.name,
-                        algorithm.name(),
-                        &backend.to_string(),
-                        mode.name(),
-                    );
-                    let before = service.metrics();
-                    let mut measured = measure_mode(
-                        &service,
-                        &requests,
-                        &reference,
-                        job_counters,
-                        mode,
-                        cfg,
-                        &id,
-                    );
-                    // The kernel's work is not on any response: read it as
-                    // the service's counter deltas around the mode's run.
-                    let after = service.metrics();
-                    let c = &mut measured.counters;
-                    c.kernel_candidates = after.kernel_candidates - before.kernel_candidates;
-                    c.kernel_visited = after.kernel_visited - before.kernel_visited;
-                    c.kernel_distance_checks =
-                        after.kernel_distance_checks - before.kernel_distance_checks;
-                    records.push(make_record(
-                        &id, spec.name, algorithm, backend, mode, objects, measured, cfg,
-                    ));
-                }
+        let requests: Vec<QueryRequest> = queries.into_iter().map(QueryRequest::new).collect();
+        for (backend, modes) in serves {
+            let service =
+                SpqService::build(exec.clone(), shared.clone(), backend).expect("service build");
+            for mode in modes {
+                let id = serve_id(spec.name, &backend.to_string(), mode.name());
+                let measured = measure_mode(&service, &requests, &reference, mode, cfg, &id);
+                records.push(make_record(id, objects, measured, cfg));
             }
         }
     }
@@ -201,26 +170,56 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
     }
 }
 
-/// What one mode measurement produced: the per-query latency sample, the
-/// mode's wall clock, the fraction of offered requests not answered
-/// (nonzero only for `serve-admission`), and the `QueryStats` sums of
-/// the answered ones.
+/// One exact answer per query, [`grid_index_topk`] over the whole
+/// corpus: the reference every job and every response is checked
+/// against. `workers` threads compute it, one run of queries each; a
+/// panic in one is re-raised when the scope ends.
+fn reference_answers(
+    dataset: &Dataset,
+    queries: &[SpqQuery],
+    workers: usize,
+) -> Vec<Vec<RankedObject>> {
+    let mut answers = vec![Vec::new(); queries.len()];
+    let per_thread = queries.len().div_ceil(workers.max(1)).max(1);
+    std::thread::scope(|scope| {
+        for (queries, answers) in queries
+            .chunks(per_thread)
+            .zip(answers.chunks_mut(per_thread))
+        {
+            scope.spawn(move || {
+                for (query, answer) in queries.iter().zip(answers) {
+                    *answer =
+                        grid_index_topk(dataset.bounds, &dataset.data, &dataset.features, query);
+                }
+            });
+        }
+    });
+    answers
+}
+
+/// What one row's measurement produced: the per-query latency sample,
+/// the row's wall clock, and its gated counters.
 struct Measured {
     latencies: Vec<Duration>,
     wall: Duration,
-    shed_rate: f64,
     counters: Counters,
 }
 
+/// The byte-identity gate: row `id`'s answer to one query must equal the
+/// corpus's reference answer exactly.
+fn check(id: &str, answer: &[RankedObject], expect: &[RankedObject]) {
+    assert_eq!(answer, expect, "{id}: diverged from the reference");
+}
+
 /// Checks one response against the reference bytes and adds its
-/// `QueryStats` to the id's counters.
+/// `QueryStats` to the row's counters.
 fn check_and_tally(
-    counters: &mut Counters,
+    counters: &mut ServeCounters,
     response: &QueryResponse,
     expect: &[RankedObject],
     id: &str,
 ) {
-    assert_eq!(response.results, expect, "{id}: diverged from reference");
+    check(id, &response.results, expect);
     let stats = &response.stats;
     counters.shards_touched += stats.shards_touched as u64;
     counters.shuffle_records += stats.shuffle_records;
@@ -231,38 +230,33 @@ fn check_and_tally(
     counters.results += response.results.len() as u64;
 }
 
-/// Measures one mode. `counters` arrives holding the reference jobs'
-/// job-level sums; the mode's own `QueryStats` sums are added to it.
+/// Measures one mode on one service: a serving row.
 fn measure_mode(
     service: &SpqService,
     requests: &[QueryRequest],
     reference: &[Vec<RankedObject>],
-    mut counters: Counters,
     mode: Mode,
     cfg: &MatrixConfig,
     id: &str,
 ) -> Measured {
-    match mode {
-        Mode::Execute => {
-            let mut latencies = Vec::with_capacity(requests.len());
-            let wall = Instant::now();
-            for (request, expect) in requests.iter().zip(reference) {
+    let mut counters = ServeCounters::default();
+    let before = service.metrics();
+    let wall = Instant::now();
+    let latencies = match mode {
+        Mode::Execute => requests
+            .iter()
+            .zip(reference)
+            .map(|(request, expect)| {
                 let t0 = Instant::now();
                 let response = service.execute(request).expect("execute");
-                latencies.push(t0.elapsed());
+                let latency = t0.elapsed();
                 check_and_tally(&mut counters, &response, expect, id);
-            }
-            Measured {
-                latencies,
-                wall: wall.elapsed(),
-                shed_rate: 0.0,
-                counters,
-            }
-        }
+                latency
+            })
+            .collect(),
         Mode::ExecuteBatch => {
             let mut latencies = Vec::with_capacity(requests.len());
             let chunk_size = cfg.batch.max(1);
-            let wall = Instant::now();
             for (chunk, expect) in requests
                 .chunks(chunk_size)
                 .zip(reference.chunks(chunk_size))
@@ -275,42 +269,38 @@ fn measure_mode(
                     latencies.push(amortized);
                 }
             }
-            Measured {
-                latencies,
-                wall: wall.elapsed(),
-                shed_rate: 0.0,
-                counters,
-            }
+            latencies
         }
-        Mode::Serve => {
-            let wall = Instant::now();
-            let responses = service
-                .serve_requests(requests, cfg.workers.max(1))
-                .expect("serve");
-            let wall = wall.elapsed();
-            let latencies = responses
-                .iter()
-                .zip(reference)
-                .map(|(response, expect)| {
-                    check_and_tally(&mut counters, response, expect, id);
-                    Duration::from_micros(response.stats.wall_micros)
-                })
-                .collect();
-            Measured {
-                latencies,
-                wall,
-                shed_rate: 0.0,
-                counters,
-            }
-        }
+        Mode::Serve => service
+            .serve_requests(requests, cfg.workers.max(1))
+            .expect("serve")
+            .iter()
+            .zip(reference)
+            .map(|(response, expect)| {
+                check_and_tally(&mut counters, response, expect, id);
+                Duration::from_micros(response.stats.wall_micros)
+            })
+            .collect(),
         Mode::ServeAdmission => {
-            measure_serve_admission(service, requests, reference, counters, cfg, id)
+            serve_admission(service, requests, reference, &mut counters, cfg, id)
         }
+    };
+    let wall = wall.elapsed();
+    // The kernel's work is not on any response: read it as the service's
+    // counter deltas around the mode's run.
+    let after = service.metrics();
+    counters.kernel_candidates = after.kernel_candidates - before.kernel_candidates;
+    counters.kernel_visited = after.kernel_visited - before.kernel_visited;
+    counters.kernel_distance_checks = after.kernel_distance_checks - before.kernel_distance_checks;
+    Measured {
+        latencies,
+        wall,
+        counters: Counters::Serve(counters),
     }
 }
 
-/// Drives the admission front-end at exactly 2× overload, the ISSUE's
-/// acceptance scenario, with a fully deterministic schedule:
+/// Drives the admission front-end at exactly 2× overload with a fully
+/// deterministic schedule:
 ///
 /// * the cap is sized for 1.5× the stream, so of the second (overload)
 ///   copy exactly half is admitted and half rejected with `Overloaded`;
@@ -318,18 +308,19 @@ fn measure_mode(
 ///   the first pump sheds every one of them with `DeadlineExceeded`;
 /// * the originals carry no deadline and a higher priority, execute in
 ///   coalesced windows, and are asserted byte-identical to the
-///   reference job.
+///   reference answers.
 ///
-/// The latency sample is the executed originals' own `wall_micros`; the
-/// shed rate is `(rejected + shed) / offered = 0.5` by construction.
-fn measure_serve_admission(
+/// Returns the latency sample, the executed originals' own
+/// `wall_micros`, and sets `counters.shed_rate` to
+/// `(rejected + shed) / offered`, 0.5 by construction.
+fn serve_admission(
     service: &SpqService,
     requests: &[QueryRequest],
     reference: &[Vec<RankedObject>],
-    mut counters: Counters,
+    counters: &mut ServeCounters,
     cfg: &MatrixConfig,
     id: &str,
-) -> Measured {
+) -> Vec<Duration> {
     let n = requests.len();
     let queue = AdmissionQueue::new(
         service,
@@ -341,7 +332,6 @@ fn measure_serve_admission(
     )
     .expect("admission config");
 
-    let wall = Instant::now();
     let originals: Vec<Ticket> = requests
         .iter()
         .map(|r| {
@@ -365,7 +355,6 @@ fn measure_serve_admission(
         })
         .collect();
     let report = queue.drain();
-    let wall = wall.elapsed();
 
     assert_eq!(report.executed, n, "{id}: every original executes");
     assert_eq!(rejected, n - n / 2, "{id}: overload rejections at the cap");
@@ -380,33 +369,17 @@ fn measure_serve_admission(
         .zip(reference)
         .map(|(ticket, expect)| {
             let response = ticket.wait().expect("admitted original");
-            check_and_tally(&mut counters, &response, expect, id);
+            check_and_tally(counters, &response, expect, id);
             Duration::from_micros(response.stats.wall_micros)
         })
         .collect();
     let stats = queue.stats();
     let offered = stats.submitted.max(1);
-    Measured {
-        latencies,
-        wall,
-        shed_rate: (stats.rejected_overload + stats.shed_deadline) as f64 / offered as f64,
-        counters,
-    }
+    counters.shed_rate = (stats.rejected_overload + stats.shed_deadline) as f64 / offered as f64;
+    latencies
 }
 
-// One call site, assembling a record from the measurement locals; a
-// params struct would just restate the Record fields.
-#[allow(clippy::too_many_arguments)]
-fn make_record(
-    id: &str,
-    corpus: &str,
-    algorithm: Algorithm,
-    backend: Backend,
-    mode: Mode,
-    objects: usize,
-    measured: Measured,
-    cfg: &MatrixConfig,
-) -> MatrixRecord {
+fn make_record(id: String, objects: usize, measured: Measured, cfg: &MatrixConfig) -> MatrixRecord {
     let ms: Vec<f64> = measured
         .latencies
         .iter()
@@ -414,16 +387,11 @@ fn make_record(
         .collect();
     let summary = summarize(&Sample::new(ms), &cfg.bootstrap);
     MatrixRecord {
-        id: id.to_owned(),
-        corpus: corpus.to_owned(),
-        algorithm: algorithm.name().to_owned(),
-        backend: backend.to_string(),
-        mode: mode.name().to_owned(),
+        id,
         objects,
         samples: summary.samples,
         qps: measured.latencies.len() as f64 / measured.wall.as_secs_f64().max(1e-12),
-        shed_rate: measured.shed_rate,
-        // Reaching this point at all means every assert above held.
+        // Reaching this point at all means every check above held.
         identical_to_reference: true,
         counters: measured.counters,
         mean_ms: summary.mean,
@@ -440,13 +408,27 @@ mod tests {
     #[test]
     fn filters_skip_whole_corpora() {
         assert!(selected(&None, "anything"));
-        assert!(selected(
-            &Some("uniform-120k/*".into()),
-            "uniform-120k/pSPQ/local/execute"
-        ));
-        assert!(!selected(
-            &Some("uniform-120k/*".into()),
-            "flickr-40k/pSPQ/local/execute"
-        ));
+        let uniform = Some("*/uniform-120k/*".to_owned());
+        assert!(selected(&uniform, "job/uniform-120k/pSPQ"));
+        assert!(selected(&uniform, "serve/uniform-120k/local/execute"));
+        assert!(!selected(&uniform, "serve/flickr-40k/local/execute"));
+    }
+
+    #[test]
+    #[should_panic(expected = "serve/uniform-120k/local/execute: diverged from the reference")]
+    fn a_diverging_answer_panics_naming_the_row() {
+        use spq_spatial::Point;
+        use spq_text::Score;
+        let answer = |score| vec![RankedObject::new(7, Point::new(0.5, 0.5), score)];
+        check(
+            "job/uniform-120k/pSPQ",
+            &answer(Score::ONE),
+            &answer(Score::ONE),
+        );
+        check(
+            "serve/uniform-120k/local/execute",
+            &answer(Score::ratio(1, 2)),
+            &answer(Score::ONE),
+        );
     }
 }

@@ -7,7 +7,8 @@ use criterion::stats::{Estimate, Outliers};
 use proptest::prelude::*;
 use spq_bench::matrix::record::{schema_fingerprint, synthetic_fixture, ReportConfig};
 use spq_bench::matrix::{
-    run_matrix, Counters, MatrixConfig, MatrixRecord, MatrixReport, SCHEMA_VERSION,
+    run_matrix, Counters, JobCounters, MatrixConfig, MatrixRecord, MatrixReport, ServeCounters,
+    SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -49,28 +50,28 @@ fn golden_file_matches_the_committed_fixture() {
 /// regenerate the golden fixture.
 #[test]
 fn schema_fingerprint_is_pinned_to_the_version() {
-    assert_eq!(SCHEMA_VERSION, 4, "update the fingerprint below on bump");
+    assert_eq!(SCHEMA_VERSION, 5, "update the fingerprint below on bump");
     assert_eq!(
         schema_fingerprint(),
         "bench;\
          config.batch;config.filter;config.queries;config.scale;config.seed;config.workers;\
-         records[].algorithm;records[].backend;records[].corpus;\
          records[].counters.kernel_candidates;records[].counters.kernel_distance_checks;\
          records[].counters.kernel_visited;\
          records[].counters.keyword_terms_matched;records[].counters.keyword_terms_probed;\
          records[].counters.map_duplicates;records[].counters.map_input_records;\
          records[].counters.reduce_features_examined;records[].counters.results;\
          records[].counters.retries;records[].counters.shards_touched;\
+         records[].counters.shed_rate;\
          records[].counters.shuffle_bytes;records[].counters.shuffle_records;\
          records[].id;\
          records[].identical_to_reference;\
          records[].mean_ms.hi;records[].mean_ms.lo;records[].mean_ms.point;\
-         records[].mode;records[].objects;\
+         records[].objects;\
          records[].outliers.mild_high;records[].outliers.mild_low;\
          records[].outliers.severe_high;records[].outliers.severe_low;\
          records[].p50_ms.hi;records[].p50_ms.lo;records[].p50_ms.point;\
          records[].p99_ms.hi;records[].p99_ms.lo;records[].p99_ms.point;\
-         records[].qps;records[].samples;records[].shed_rate;\
+         records[].qps;records[].samples;\
          schema_version"
             .replace(";\n", ";")
             .replace(' ', ""),
@@ -86,9 +87,11 @@ fn arb_estimate() -> impl Strategy<Value = Estimate> {
     })
 }
 
+/// Draws a row of either table: a job row when `axes.4` is 0, a serving
+/// row otherwise.
 fn arb_record() -> impl Strategy<Value = MatrixRecord> {
     (
-        (0usize..4, 0usize..3, 0usize..4, 0usize..4),
+        (0usize..4, 0usize..3, 0usize..4, 0usize..4, 0usize..2),
         (1usize..1_000_000, 1usize..2_000, 0.0f64..1e6),
         arb_estimate(),
         arb_estimate(),
@@ -101,24 +104,17 @@ fn arb_record() -> impl Strategy<Value = MatrixRecord> {
             let algos = ["pSPQ", "eSPQlen", "eSPQsco"];
             let backends = ["local", "sharded:4", "remote:2", "sharded:16"];
             let modes = ["execute", "execute-batch", "serve", "serve-admission"];
-            let (c, a, b, m) = axes;
+            let (c, a, b, m, table) = axes;
             let (objects, samples, qps) = counts;
-            MatrixRecord {
-                id: format!("{}/{}/{}/{}", corpora[c], algos[a], backends[b], modes[m]),
-                corpus: corpora[c].to_owned(),
-                algorithm: algos[a].to_owned(),
-                backend: backends[b].to_owned(),
-                mode: modes[m].to_owned(),
-                objects,
-                samples,
-                qps,
-                shed_rate: if modes[m] == "serve-admission" {
-                    0.5
-                } else {
-                    0.0
-                },
-                identical_to_reference: true,
-                counters: Counters {
+            let (id, counters) = if table == 0 {
+                let counters = Counters::Job(JobCounters {
+                    map_input_records: work.0 / 2,
+                    map_duplicates: work.0 / 7,
+                    reduce_features_examined: work.1 / 5,
+                });
+                (format!("job/{}/{}", corpora[c], algos[a]), counters)
+            } else {
+                let counters = Counters::Serve(ServeCounters {
                     shards_touched: work.2,
                     shuffle_records: work.0,
                     shuffle_bytes: work.1,
@@ -126,13 +122,25 @@ fn arb_record() -> impl Strategy<Value = MatrixRecord> {
                     keyword_terms_matched: work.2 * 2,
                     retries: work.2 % 3,
                     results: work.2 * 10,
-                    map_input_records: work.0 / 2,
-                    map_duplicates: work.0 / 7,
-                    reduce_features_examined: work.1 / 5,
                     kernel_candidates: work.0 / 3,
                     kernel_visited: work.2 * 4,
                     kernel_distance_checks: work.1 / 9,
-                },
+                    shed_rate: if modes[m] == "serve-admission" {
+                        0.5
+                    } else {
+                        0.0
+                    },
+                });
+                let id = format!("serve/{}/{}/{}", corpora[c], backends[b], modes[m]);
+                (id, counters)
+            };
+            MatrixRecord {
+                id,
+                objects,
+                samples,
+                qps,
+                identical_to_reference: true,
+                counters,
                 mean_ms,
                 p50_ms,
                 p99_ms,
@@ -162,10 +170,10 @@ proptest! {
             config: ReportConfig {
                 seed,
                 scale,
-                queries: 24,
+                queries: 16,
                 batch: 8,
                 workers: 4,
-                filter: if seed % 2 == 0 { None } else { Some("remote:*".to_owned()) },
+                filter: if seed % 2 == 0 { None } else { Some("*remote:*".to_owned()) },
             },
             records,
         };
@@ -182,7 +190,7 @@ fn tiny_matrix_run_produces_consistent_records() {
     use spq_core::Backend;
     let cfg = MatrixConfig {
         backends: vec![Backend::Local, Backend::Sharded { shards: 2 }],
-        filter: Some("uniform-120k/*".to_owned()),
+        filter: Some("*/uniform-120k/*".to_owned()),
         scale: 1e-9, // clamps to the 1k-object floor
         queries: 6,
         batch: 3,
@@ -190,35 +198,52 @@ fn tiny_matrix_run_produces_consistent_records() {
         ..MatrixConfig::default()
     };
     let report = run_matrix(&cfg);
-    // 3 algorithms × 2 backends × 4 modes, uniform corpus only.
-    assert_eq!(report.records.len(), 24);
+    let ids: Vec<&str> = report.records.iter().map(|r| r.id.as_str()).collect();
+    // 3 algorithms' jobs, then 2 backends × 4 modes, uniform corpus only.
+    assert_eq!(
+        ids,
+        [
+            "job/uniform-120k/pSPQ",
+            "job/uniform-120k/eSPQlen",
+            "job/uniform-120k/eSPQsco",
+            "serve/uniform-120k/local/execute",
+            "serve/uniform-120k/local/execute-batch",
+            "serve/uniform-120k/local/serve",
+            "serve/uniform-120k/local/serve-admission",
+            "serve/uniform-120k/sharded:2/execute",
+            "serve/uniform-120k/sharded:2/execute-batch",
+            "serve/uniform-120k/sharded:2/serve",
+            "serve/uniform-120k/sharded:2/serve-admission",
+        ]
+    );
     assert_eq!(report.schema_version, SCHEMA_VERSION);
-    assert_eq!(report.config.filter.as_deref(), Some("uniform-120k/*"));
+    assert_eq!(report.config.filter.as_deref(), Some("*/uniform-120k/*"));
     for r in &report.records {
-        assert_eq!(r.corpus, "uniform-120k");
         assert_eq!(r.objects, 1_000);
         assert_eq!(r.samples, 6);
         assert!(r.identical_to_reference);
         assert!(r.qps > 0.0, "{}", r.id);
-        if r.mode == "serve-admission" {
-            // 2× overload against a 1.5× cap: half the offered stream is
-            // rejected or shed, deterministically.
-            assert_eq!(r.shed_rate, 0.5, "{}", r.id);
-        } else {
-            assert_eq!(r.shed_rate, 0.0, "{}", r.id);
-        }
         for e in [&r.mean_ms, &r.p50_ms, &r.p99_ms] {
             assert!(e.lo <= e.point && e.point <= e.hi, "{}: {:?}", r.id, e);
         }
-        // Every query probes its keywords and the reference job maps at
-        // least the data objects; in-process backends never retry.
-        assert!(r.counters.keyword_terms_probed >= 6, "{}", r.id);
-        assert!(r.counters.map_input_records > 0, "{}", r.id);
-        assert_eq!(r.counters.retries, 0, "{}", r.id);
-        assert_eq!(
-            r.id,
-            format!("{}/{}/{}/{}", r.corpus, r.algorithm, r.backend, r.mode)
-        );
+        match r.counters {
+            // Every job maps at least the data objects.
+            Counters::Job(c) => assert!(c.map_input_records > 0, "{}", r.id),
+            Counters::Serve(c) => {
+                // 2× overload against a 1.5× cap: half the offered stream
+                // is rejected or shed, deterministically.
+                let shed = if r.id.ends_with("/serve-admission") {
+                    0.5
+                } else {
+                    0.0
+                };
+                assert_eq!(c.shed_rate, shed, "{}", r.id);
+                // Every query probes its keywords; in-process backends
+                // never retry.
+                assert!(c.keyword_terms_probed >= 6, "{}", r.id);
+                assert_eq!(c.retries, 0, "{}", r.id);
+            }
+        }
     }
     // The document the runner writes parses back to itself.
     let parsed = MatrixReport::from_json(&report.to_json()).unwrap();
@@ -228,7 +253,7 @@ fn tiny_matrix_run_produces_consistent_records() {
     // second run at another worker count reproduces it exactly.
     let again = run_matrix(&MatrixConfig { workers: 1, ..cfg });
     let cmp = spq_bench::matrix::compare_reports(&report, &again).unwrap();
-    assert_eq!(cmp.compared, 24);
+    assert_eq!(cmp.compared, 11);
     assert_eq!(cmp.failures(), 0, "{}", cmp.render());
 }
 
@@ -269,17 +294,42 @@ fn compare_pair(tag: &str, base: &MatrixReport, cand: &MatrixReport) -> (i32, St
     outcome
 }
 
+/// One counter off by one in one row of either table fails the gate
+/// with exactly one `MISMATCH` line, naming the row and the counter.
 #[test]
 fn compare_fails_on_one_counter_off_by_one_naming_id_and_counter() {
     let base = synthetic_fixture();
+    let (job, serve) = (0, 2);
+    assert!(base.records[job].id.starts_with("job/"));
+    assert!(base.records[serve].id.starts_with("serve/"));
+
     let mut cand = base.clone();
-    cand.records[2].counters.shuffle_records += 1;
-    let (code, stdout) = compare_pair("counter", &base, &cand);
+    let Counters::Job(c) = &mut cand.records[job].counters else {
+        panic!("a job row")
+    };
+    c.reduce_features_examined += 1;
+    let (code, stdout) = compare_pair("job-counter", &base, &cand);
     assert_eq!(code, 1, "{stdout}");
     let expected = format!(
-        "MISMATCH {} shuffle_records: baseline 9600, candidate 9601",
-        base.records[2].id
+        "MISMATCH {} reduce_features_examined: baseline 2400, candidate 2401\n",
+        base.records[job].id
     );
+    assert_eq!(stdout.matches("MISMATCH").count(), 1, "{stdout}");
+    assert!(stdout.contains(&expected), "{stdout}");
+    assert!(stdout.contains("1 differing counters"), "{stdout}");
+
+    let mut cand = base.clone();
+    let Counters::Serve(c) = &mut cand.records[serve].counters else {
+        panic!("a serving row")
+    };
+    c.kernel_visited += 1;
+    let (code, stdout) = compare_pair("serve-counter", &base, &cand);
+    assert_eq!(code, 1, "{stdout}");
+    let expected = format!(
+        "MISMATCH {} kernel_visited: baseline 480, candidate 481\n",
+        base.records[serve].id
+    );
+    assert_eq!(stdout.matches("MISMATCH").count(), 1, "{stdout}");
     assert!(stdout.contains(&expected), "{stdout}");
     assert!(stdout.contains("1 differing counters"), "{stdout}");
 }
@@ -303,30 +353,32 @@ fn compare_ignores_tripled_timings_when_counters_are_equal() {
 
 #[test]
 fn compare_reports_disjoint_id_sets_as_added_and_removed() {
-    // A baseline id the candidate lost fails the gate, whatever else the
-    // candidate gained.
+    // A baseline row the candidate lost fails the gate, whichever table
+    // it was in and whatever else the candidate gained.
     let base = synthetic_fixture();
-    let mut cand = base.clone();
-    let dropped = cand.records.remove(0).id;
-    let mut extra = cand.records[0].clone();
-    extra.id = "clustered-60k/eSPQsco/local/serve".to_owned();
-    cand.records.push(extra.clone());
-    let (code, stdout) = compare_pair("disjoint", &base, &cand);
-    assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains(&format!("REMOVED  {dropped}")), "{stdout}");
-    assert!(
-        stdout.contains(&format!("ADDED    {}", extra.id)),
-        "{stdout}"
-    );
-    assert!(stdout.contains("1 removed, 1 added"), "{stdout}");
+    for (tag, drop) in [("disjoint-job", 0), ("disjoint-serve", 3)] {
+        let mut cand = base.clone();
+        let dropped = cand.records.remove(drop).id;
+        let mut extra = cand.records[drop].clone();
+        extra.id = extra.id.replace("uniform-120k", "clustered-60k");
+        cand.records.push(extra.clone());
+        let (code, stdout) = compare_pair(tag, &base, &cand);
+        assert_eq!(code, 1, "{stdout}");
+        assert!(stdout.contains(&format!("REMOVED  {dropped}")), "{stdout}");
+        assert!(
+            stdout.contains(&format!("ADDED    {}", extra.id)),
+            "{stdout}"
+        );
+        assert!(stdout.contains("1 removed, 1 added"), "{stdout}");
+    }
 }
 
 #[test]
 fn compare_lists_an_added_id_and_passes() {
     let base = synthetic_fixture();
     let mut grown = base.clone();
-    let mut extra = base.records[1].clone();
-    extra.id = "clustered-60k/eSPQsco/local/serve".to_owned();
+    let mut extra = base.records[4].clone();
+    extra.id = "serve/clustered-60k/remote:2/serve".to_owned();
     grown.records.push(extra.clone());
     let (code, stdout) = compare_pair("added", &base, &grown);
     assert_eq!(code, 0, "{stdout}");
@@ -345,7 +397,7 @@ fn compare_exits_2_on_documents_that_are_not_like_for_like() {
     let (code, stdout) = compare_pair("scale", &base, &other_scale);
     assert_eq!(code, 2, "{stdout}");
     let mut other_queries = base.clone();
-    other_queries.config.queries = 16;
+    other_queries.config.queries = 24;
     assert_eq!(compare_pair("queries", &base, &other_queries).0, 2);
     // The worker count is not part of the contract.
     let mut other_workers = base.clone();

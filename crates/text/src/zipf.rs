@@ -20,6 +20,8 @@ use rand::Rng;
 pub struct Zipf {
     /// Cumulative (unnormalised) weights; `cdf[i]` = sum of weights 0..=i.
     cdf: Vec<f64>,
+    /// `cdf`'s last entry: the sum of all weights.
+    total: f64,
 }
 
 impl Zipf {
@@ -43,7 +45,7 @@ impl Zipf {
             acc += 1.0 / ((rank + 1) as f64).powf(exponent);
             cdf.push(acc);
         }
-        Self { cdf }
+        Self { cdf, total: acc }
     }
 
     /// Number of ranks.
@@ -58,8 +60,7 @@ impl Zipf {
 
     /// Draws one rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cdf.last().expect("non-empty cdf");
-        let x = rng.gen::<f64>() * total;
+        let x = rng.gen::<f64>() * self.total;
         // partition_point returns the first index whose cumulative weight
         // exceeds x, i.e. the sampled rank.
         self.cdf
