@@ -15,21 +15,21 @@ use crate::matrix::MatrixConfig;
 /// The usage string printed on `--help` and on parse errors.
 pub const USAGE: &str = "usage: spq-bench matrix|compare ...\n\
 spq-bench matrix [--filter GLOB] [--backend local|sharded:N|remote:N]... \
-     [--scale F] [--seed N] [--workers N] [--queries N] [--batch N] \
-     [--out FILE]\n\
+     [--scale F] [--seed N] [--workers N] [--queries N] [--out FILE]\n\
     Runs the declarative benchmark matrix, a job table (corpus x \
 algorithm; ids like job/uniform-120k/eSPQsco) and a serving table \
-(corpus x backend x mode; ids like \
-serve/uniform-120k/remote:2/execute-batch), selected by a '*'-glob over \
-full ids, and writes the versioned record document (default \
-BENCH_MATRIX.json): deterministic work counters, bootstrap 95% CIs, \
-Tukey outlier counts, byte-identity to one exact reference per corpus \
-attested per record. The defaults are the CI gate's preset.\n\
+(corpus x backend; ids like serve/uniform-120k/remote:2, measured on \
+sequential execute calls, with the concurrent and 2x-overload admission \
+runs asserted to agree), selected by a '*'-glob over full ids, and \
+writes the versioned record document (default BENCH_MATRIX.json): \
+deterministic work counters, bootstrap 95% CIs, Tukey outlier counts, \
+byte-identity to one exact reference per corpus attested per record. \
+The defaults are the CI gate's preset.\n\
 spq-bench compare BASELINE.json CANDIDATE.json\n\
     Exact-matches the deterministic counters of every baseline row \
 against the candidate and exits 1 on any differing counter or any \
 baseline row missing from the candidate, 2 on unreadable documents or \
-documents run with a different seed/scale/queries/batch/filter \
+documents run with a different seed/scale/queries/filter \
 (timings are carried as information and never compared) — the CI \
 regression gate.";
 
@@ -101,7 +101,6 @@ fn parse_matrix(args: &[String]) -> Result<Command, String> {
             "--seed" => config.seed = parsed(flag, value()?)?,
             "--workers" => config.workers = parsed(flag, value()?)?,
             "--queries" => config.queries = parsed(flag, value()?)?,
-            "--batch" => config.batch = parsed(flag, value()?)?,
             "--out" => out = value()?,
             "--help" | "-h" => return Ok(Command::Help),
             other => return Err(format!("unknown matrix argument {other:?}")),
@@ -206,7 +205,8 @@ mod tests {
         assert!(err.contains("missing value"), "{err}");
         let err = parse(&["matrix", "--seed", "abc"]).unwrap_err();
         assert!(err.contains("bad value"), "{err}");
-        assert!(parse(&["matrix", "--batch"]).is_err());
+        // The admission window is fixed: there is no --batch.
+        assert!(parse(&["matrix", "--batch", "8"]).is_err());
     }
 
     #[test]
@@ -227,10 +227,7 @@ mod tests {
         assert_eq!(m.out, "BENCH_MATRIX.json");
         assert!(m.config.filter.is_none());
         // The defaults are CI's gate preset, the committed baseline's.
-        assert_eq!(
-            (m.config.scale, m.config.queries, m.config.batch),
-            (1.0, 16, 8)
-        );
+        assert_eq!((m.config.scale, m.config.queries), (1.0, 16));
         assert_eq!(
             m.config.backends,
             vec![
@@ -256,8 +253,6 @@ mod tests {
             "2",
             "--queries",
             "16",
-            "--batch",
-            "4",
             "--out",
             "m.json",
         ]);
@@ -270,7 +265,6 @@ mod tests {
         assert_eq!(m.config.seed, 7);
         assert_eq!(m.config.workers, 2);
         assert_eq!(m.config.queries, 16);
-        assert_eq!(m.config.batch, 4);
         assert_eq!(m.out, "m.json");
     }
 

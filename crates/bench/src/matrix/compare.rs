@@ -12,8 +12,8 @@
 //! belong to `benchmark/run.sh`.
 //!
 //! Because the counters are only comparable like-for-like, two documents
-//! whose `config` echoes differ in `seed`, `scale`, `queries`, `batch` or
-//! `filter` are refused outright (`workers` is excluded: the counters are
+//! whose `config` echoes differ in `seed`, `scale`, `queries` or `filter`
+//! are refused outright (`workers` is excluded: the counters are
 //! worker-invariant).
 
 use super::record::{Counters, MatrixRecord, MatrixReport, ReportConfig};
@@ -25,17 +25,18 @@ use std::path::Path;
 pub struct Mismatch {
     /// The row's id.
     pub id: String,
-    /// The counter's document key (`shuffle_records`, `shed_rate`, …).
+    /// The counter's document key (`shuffle_records`, `kernel_visited`, …).
     pub counter: &'static str,
-    /// The baseline's value, as written in its document.
-    pub baseline: String,
+    /// The baseline's value.
+    pub baseline: u64,
     /// The candidate's value.
-    pub candidate: String,
+    pub candidate: u64,
 }
 
 /// How much kernel work one corpus's `sharded:N` backend does per unit
-/// of the local engine's, read from the two `serve/<corpus>/…/execute`
-/// rows. A ratio is NaN when the local engine did none of that work.
+/// of the local engine's, read from the corpus's `serve/<corpus>/local`
+/// and `serve/<corpus>/sharded:N` rows. A ratio is NaN when the local
+/// engine did none of that work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRatios {
     /// The corpus axis.
@@ -50,7 +51,7 @@ pub struct KernelRatios {
     pub distance_checks: f64,
 }
 
-/// Every corpus's [`KernelRatios`], one per sharded `execute` row, in
+/// Every corpus's [`KernelRatios`], one per sharded serving row, in
 /// report order.
 pub(crate) fn kernel_ratios(report: &MatrixReport) -> Vec<KernelRatios> {
     let kernel = |r: &MatrixRecord| match r.counters {
@@ -65,14 +66,13 @@ pub(crate) fn kernel_ratios(report: &MatrixReport) -> Vec<KernelRatios> {
         .records
         .iter()
         .filter_map(|r| {
-            let axes = r.id.strip_prefix("serve/")?.strip_suffix("/execute")?;
-            let (corpus, backend) = axes.split_once('/')?;
+            let (corpus, backend) = r.id.strip_prefix("serve/")?.split_once('/')?;
             backend
                 .starts_with("sharded:")
                 .then_some((corpus, backend, r))
         })
         .map(|(corpus, backend, sharded)| {
-            let local_id = serve_id(corpus, "local", "execute");
+            let local_id = serve_id(corpus, "local");
             let local = report.records.iter().find(|r| r.id == local_id);
             let (local, sharded) = (local.map_or([0; 3], kernel), kernel(sharded));
             let ratio = |i: usize| sharded[i] as f64 / local[i] as f64;
@@ -131,7 +131,7 @@ impl Comparison {
                 None => format!("{:.2}x", pick(candidate)),
             };
             out.push_str(&format!(
-                "kernel {} {} / local (execute rows): candidates {}, visited {}, distance checks {}\n",
+                "kernel {} {} / local: candidates {}, visited {}, distance checks {}\n",
                 candidate.corpus,
                 candidate.backend,
                 ratio(|r| r.candidates),
@@ -157,7 +157,6 @@ fn config_mismatch(b: &ReportConfig, c: &ReportConfig) -> Option<String> {
         ("seed", b.seed.to_string(), c.seed.to_string()),
         ("scale", format!("{:?}", b.scale), format!("{:?}", c.scale)),
         ("queries", b.queries.to_string(), c.queries.to_string()),
-        ("batch", b.batch.to_string(), c.batch.to_string()),
         (
             "filter",
             format!("{:?}", b.filter),
@@ -255,10 +254,10 @@ mod tests {
             panic!("record 1 is a job row")
         };
         job.map_duplicates += 1;
-        let Counters::Serve(admission) = &mut cand.records[5].counters else {
-            panic!("record 5 is a serving row")
+        let Counters::Serve(sharded) = &mut cand.records[3].counters else {
+            panic!("record 3 is a serving row")
         };
-        admission.shed_rate = 0.25;
+        sharded.shards_touched -= 1;
         for r in &mut cand.records {
             r.qps /= 3.0;
             r.mean_ms.point *= 3.0;
@@ -274,7 +273,7 @@ mod tests {
             found,
             vec![
                 (base.records[1].id.as_str(), "map_duplicates"),
-                (base.records[5].id.as_str(), "shed_rate")
+                (base.records[3].id.as_str(), "shards_touched")
             ]
         );
         assert_eq!(cmp.failures(), 2);
@@ -304,14 +303,15 @@ mod tests {
     #[test]
     fn kernel_ratios_are_printed_per_corpus_before_the_verdict() {
         let mut base = synthetic_fixture();
+        base.records.remove(3);
         let local = base.records[2].clone();
-        assert_eq!(local.id, "serve/uniform-120k/local/execute");
+        assert_eq!(local.id, "serve/uniform-120k/local");
         let Counters::Serve(local_kernel) = local.counters else {
-            panic!("the local execute row is a serving row")
+            panic!("the local row is a serving row")
         };
         let with_kernel = |candidates, visited| {
             let mut row = local.clone();
-            row.id = "serve/uniform-120k/sharded:4/execute".to_owned();
+            row.id = "serve/uniform-120k/sharded:4".to_owned();
             row.counters = Counters::Serve(ServeCounters {
                 kernel_candidates: candidates,
                 kernel_visited: visited,
@@ -339,13 +339,14 @@ mod tests {
             (1.0, 5.0, 1.0)
         );
         let text = compare_reports(&base, &cand).unwrap().render();
-        let line = "kernel uniform-120k sharded:4 / local (execute rows): \
+        let line = "kernel uniform-120k sharded:4 / local: \
                     candidates 4.00x -> 1.00x, visited 20.00x -> 5.00x, \
                     distance checks 1.00x -> 1.00x\n";
         assert!(text.contains(line), "{text}");
         assert!(text.ends_with("— FAILED\n"), "{text}");
-        // A report with no sharded execute row has nothing to print.
-        let plain = synthetic_fixture();
+        // A report with no sharded serving row has nothing to print.
+        let mut plain = synthetic_fixture();
+        plain.records.retain(|r| !r.id.contains("sharded"));
         assert!(kernel_ratios(&plain).is_empty());
     }
 
@@ -357,11 +358,10 @@ mod tests {
         assert_eq!(compare_reports(&base, &cand).unwrap().failures(), 0);
 
         type Edit = fn(&mut ReportConfig);
-        let edits: [(&str, Edit); 5] = [
+        let edits: [(&str, Edit); 4] = [
             ("seed", |c| c.seed += 1),
             ("scale", |c| c.scale *= 2.0),
             ("queries", |c| c.queries += 1),
-            ("batch", |c| c.batch += 1),
             ("filter", |c| c.filter = None),
         ];
         for (field, edit) in edits {

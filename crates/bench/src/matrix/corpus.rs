@@ -1,5 +1,5 @@
-//! The data axes of the benchmark matrix: named dataset corpora and
-//! facade serving modes.
+//! The data axis of the benchmark matrix: named dataset corpora and
+//! their query stream.
 
 use crate::params::{scaled, DEFAULT_GRID_REAL, DEFAULT_GRID_SYNTH};
 use spq_data::{
@@ -95,46 +95,6 @@ impl CorpusSpec {
     }
 }
 
-/// The typed-facade lifecycles measured per backend, mirroring the
-/// PR 5 backend bench so trajectories stay comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Sequential [`spq_core::QueryExecutor::execute`] calls.
-    Execute,
-    /// Chunked [`spq_core::QueryExecutor::execute_batch`]; per-query
-    /// latency is the batch wall amortized over its queries.
-    ExecuteBatch,
-    /// Concurrent [`spq_core::QueryExecutor::serve_requests`]; per-query
-    /// latency is the response's own `wall_micros`.
-    Serve,
-    /// The admission front-end ([`spq_core::AdmissionQueue`]) under 2×
-    /// overload: the query stream is offered twice against a cap sized
-    /// for 1.5×, so the run measures coalesced throughput, the shed rate
-    /// and tail latency while the queue rejects and deadline-sheds the
-    /// excess.
-    ServeAdmission,
-}
-
-impl Mode {
-    /// Every mode, in id and report order.
-    pub const ALL: [Mode; 4] = [
-        Mode::Execute,
-        Mode::ExecuteBatch,
-        Mode::Serve,
-        Mode::ServeAdmission,
-    ];
-
-    /// The id segment.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Mode::Execute => "execute",
-            Mode::ExecuteBatch => "execute-batch",
-            Mode::Serve => "serve",
-            Mode::ServeAdmission => "serve-admission",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,14 +125,5 @@ mod tests {
         assert_eq!(a.total(), 1_000);
         assert_eq!(a.total(), b.total());
         assert_eq!(a.vocab_size, b.vocab_size);
-    }
-
-    #[test]
-    fn mode_names_match_the_id_grammar() {
-        let names: Vec<_> = Mode::ALL.iter().map(|m| m.name()).collect();
-        assert_eq!(
-            names,
-            vec!["execute", "execute-batch", "serve", "serve-admission"]
-        );
     }
 }

@@ -4,17 +4,21 @@
 //! The matrix is two tables, and every row has a stable, filterable id:
 //!
 //! ```text
-//! job/{corpus}/{algorithm}             e.g.  job/uniform-120k/eSPQsco
-//! serve/{corpus}/{backend}/{mode}      e.g.  serve/uniform-120k/remote:2/execute-batch
+//! job/{corpus}/{algorithm}      e.g.  job/uniform-120k/eSPQsco
+//! serve/{corpus}/{backend}      e.g.  serve/uniform-120k/remote:2
 //! ```
 //!
 //! The paper's algorithms differ only in the MapReduce job, so the job
 //! table has one row per corpus and [`spq_core::Algorithm`]: one
 //! [`spq_core::SpqExecutor::run_dataset`] per stream query. Every serving
-//! backend answers with the same kernel whatever the algorithm, so the
-//! serving table has one row per corpus, backend (any parseable
-//! [`spq_core::Backend`]: `local`, `sharded:N`, `remote:N`) and facade
-//! lifecycle ([`corpus::Mode`]). [`corpus::CORPORA`] names the dataset
+//! backend answers with the same kernel whatever the algorithm, through
+//! one entry point ([`spq_core::QueryExecutor::execute`]), so the serving
+//! table has one row per corpus and backend (any parseable
+//! [`spq_core::Backend`]: `local`, `sharded:N`, `remote:N`), measured on
+//! sequential `execute` calls. The runner also serves the stream
+//! concurrently and through the admission queue under 2× overload, and
+//! asserts that both answer the same bytes and add up to the same
+//! counters as the row. [`corpus::CORPORA`] names the dataset
 //! shapes (uniform / clustered / Flickr-shaped). One runner
 //! ([`runner::run_matrix`]) executes any glob-selected slice of both
 //! tables and emits one versioned record format
@@ -33,7 +37,7 @@ pub mod record;
 pub mod runner;
 
 pub use compare::{compare_files, compare_reports, Comparison, KernelRatios, Mismatch};
-pub use corpus::{CorpusShape, CorpusSpec, Mode, CORPORA};
+pub use corpus::{CorpusShape, CorpusSpec, CORPORA};
 pub use record::{
     Counters, JobCounters, MatrixRecord, MatrixReport, ServeCounters, SCHEMA_VERSION,
 };
@@ -45,8 +49,8 @@ pub(crate) fn job_id(corpus: &str, algorithm: &str) -> String {
 }
 
 /// The id of a serving-table row.
-pub(crate) fn serve_id(corpus: &str, backend: &str, mode: &str) -> String {
-    format!("serve/{corpus}/{backend}/{mode}")
+pub(crate) fn serve_id(corpus: &str, backend: &str) -> String {
+    format!("serve/{corpus}/{backend}")
 }
 
 /// Matches a benchmark id against a shell-style glob where `*` matches
@@ -86,29 +90,30 @@ mod tests {
     fn ids_name_their_table() {
         assert_eq!(job_id("uniform-120k", "pSPQ"), "job/uniform-120k/pSPQ");
         assert_eq!(
-            serve_id("uniform-120k", "remote:4", "execute-batch"),
-            "serve/uniform-120k/remote:4/execute-batch"
+            serve_id("uniform-120k", "remote:4"),
+            "serve/uniform-120k/remote:4"
         );
     }
 
     #[test]
     fn globs_match_shell_style() {
-        let id = "serve/uniform-120k/remote:4/execute-batch";
+        let id = "serve/uniform-120k/remote:4";
         assert!(glob_match(id, id)); // literal
         assert!(glob_match("*", id));
         assert!(glob_match("serve/uniform-120k/*", id));
         assert!(glob_match("*/uniform-120k/*", id));
-        assert!(glob_match("*/execute-batch", id));
+        assert!(glob_match("*/remote:4", id));
         assert!(glob_match("*remote:*", id));
-        assert!(glob_match("serve/uniform-*/*/execute-batch", id));
+        assert!(glob_match("serve/uniform-*/remote:*", id));
         assert!(!glob_match("job/*", id));
         assert!(!glob_match("*/clustered-60k/*", id));
-        assert!(!glob_match("*/serve", id));
+        assert!(!glob_match("*/local", id));
         assert!(!glob_match("serve/uniform-120k", id)); // literal, no star
 
         // A `*` crosses `/` by design: backend filters don't need to
         // know how many axes precede them.
-        assert!(glob_match("*:4/*", id));
+        assert!(glob_match("*:4", id));
+        assert!(glob_match("s*:4", id));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! Floats are serialized with Rust's `{:?}` (shortest representation
 //! that round-trips), so `from_json(to_json(r))` reproduces every value
 //! bit for bit — the property the serde-style round-trip proptest pins.
+//! Every gated counter is an integer.
 
 use super::json::Json;
 use criterion::stats::{Estimate, Outliers};
@@ -21,7 +22,7 @@ use criterion::stats::{Estimate, Outliers};
 /// Version of the record shape. **Bump this whenever any field of
 /// [`MatrixReport`]/[`MatrixRecord`] changes**, and regenerate the golden
 /// fixture; the schema-fingerprint test enforces the coupling.
-pub const SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// The run configuration echoed into the document, so a stored report is
 /// self-describing and comparable runs are recognizable.
@@ -33,8 +34,6 @@ pub struct ReportConfig {
     pub scale: f64,
     /// Measured queries per row.
     pub queries: usize,
-    /// `execute-batch` chunk size.
-    pub batch: usize,
     /// Worker threads (job cluster, serve concurrency, scatter width).
     pub workers: usize,
     /// The id glob this run was restricted to, if any.
@@ -55,10 +54,11 @@ pub struct JobCounters {
     pub reduce_features_examined: u64,
 }
 
-/// The gated values of one `serve/…` row: sums over the answered
-/// responses of the mode's run, the service's kernel counter deltas
-/// around it, and its shed rate.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// The gated counters of one `serve/…` row: sums over the responses of
+/// the row's sequential `execute` run, and the service's kernel counter
+/// deltas around it. The runner's concurrent and admission runs must sum
+/// to the same values.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Σ `QueryStats::shards_touched`.
     pub shards_touched: u64,
@@ -74,8 +74,8 @@ pub struct ServeCounters {
     pub retries: u64,
     /// Ranked objects returned, over all responses.
     pub results: u64,
-    /// Candidate features the serving kernel scored during the mode's run
-    /// (the `MetricsSnapshot::kernel_candidates` delta around it). Remote
+    /// Candidate features the serving kernel scored during the run (the
+    /// `MetricsSnapshot::kernel_candidates` delta around it). Remote
     /// rows record 0: the manager's snapshot carries no worker kernel
     /// counters.
     pub kernel_candidates: u64,
@@ -85,17 +85,12 @@ pub struct ServeCounters {
     /// `d(p, f) <= r` evaluations the kernel made (the
     /// `kernel_distance_checks` delta; 0 on remote rows, as above).
     pub kernel_distance_checks: u64,
-    /// Fraction of offered requests not answered — overload rejections
-    /// plus deadline sheds over total offered. `0.0` for every mode but
-    /// `serve-admission`, where the 2×-overload harness makes it
-    /// deterministic and nonzero by construction.
-    pub shed_rate: f64,
 }
 
 /// Everything `spq-bench compare` gates on for one row. Each value is a
-/// pure function of `(seed, scale, queries, batch, filter)`: the same on
-/// any host, at any worker count, on every run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// pure function of `(seed, scale, queries, filter)`: the same on any
+/// host, at any worker count, on every run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counters {
     /// A `job/…` row's counters.
     Job(JobCounters),
@@ -104,24 +99,20 @@ pub enum Counters {
 }
 
 impl Counters {
-    /// Every gated value with its document key, rendered as the document
-    /// writes it, in document order — the one list the writer and the
-    /// gate both walk. The destructuring is exhaustive on purpose: a
-    /// field added to either struct does not compile until it is listed
-    /// here, so it is written and compared.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
+    /// Every gated value with its document key, in document order — the
+    /// one list the writer and the gate both walk. The destructuring is
+    /// exhaustive on purpose: a field added to either struct does not
+    /// compile until it is listed here, so it is written and compared.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
         match *self {
             Counters::Job(JobCounters {
                 map_input_records,
                 map_duplicates,
                 reduce_features_examined,
             }) => vec![
-                ("map_input_records", map_input_records.to_string()),
-                ("map_duplicates", map_duplicates.to_string()),
-                (
-                    "reduce_features_examined",
-                    reduce_features_examined.to_string(),
-                ),
+                ("map_input_records", map_input_records),
+                ("map_duplicates", map_duplicates),
+                ("reduce_features_examined", reduce_features_examined),
             ],
             Counters::Serve(ServeCounters {
                 shards_touched,
@@ -134,8 +125,7 @@ impl Counters {
                 kernel_candidates,
                 kernel_visited,
                 kernel_distance_checks,
-                shed_rate,
-            }) => [
+            }) => vec![
                 ("shards_touched", shards_touched),
                 ("shuffle_records", shuffle_records),
                 ("shuffle_bytes", shuffle_bytes),
@@ -146,11 +136,7 @@ impl Counters {
                 ("kernel_candidates", kernel_candidates),
                 ("kernel_visited", kernel_visited),
                 ("kernel_distance_checks", kernel_distance_checks),
-            ]
-            .into_iter()
-            .map(|(key, value)| (key, value.to_string()))
-            .chain([("shed_rate", format!("{shed_rate:?}"))])
-            .collect(),
+            ],
         }
     }
 }
@@ -159,7 +145,7 @@ impl Counters {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixRecord {
     /// The row's id, `job/{corpus}/{algorithm}` or
-    /// `serve/{corpus}/{backend}/{mode}`; its first segment names the
+    /// `serve/{corpus}/{backend}`; its first segment names the
     /// table and so the kind of [`counters`](Self::counters).
     pub id: String,
     /// Objects actually served (after scaling).
@@ -193,7 +179,7 @@ pub struct MatrixReport {
     /// Run configuration echo.
     pub config: ReportConfig,
     /// One record per row: per corpus, its job rows in algorithm order,
-    /// then its serving rows in backend/mode order.
+    /// then its serving rows in backend order.
     pub records: Vec<MatrixRecord>,
 }
 
@@ -218,8 +204,8 @@ impl MatrixReport {
             None => "null".to_owned(),
         };
         out.push_str(&format!(
-            "  \"config\": {{ \"seed\": {}, \"scale\": {:?}, \"queries\": {}, \"batch\": {}, \"workers\": {}, \"filter\": {filter} }},\n",
-            self.config.seed, self.config.scale, self.config.queries, self.config.batch, self.config.workers
+            "  \"config\": {{ \"seed\": {}, \"scale\": {:?}, \"queries\": {}, \"workers\": {}, \"filter\": {filter} }},\n",
+            self.config.seed, self.config.scale, self.config.queries, self.config.workers
         ));
         out.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
@@ -273,7 +259,6 @@ impl MatrixReport {
             seed: field_u64(cfg, "seed")?,
             scale: field_f64(cfg, "scale")?,
             queries: field_u64(cfg, "queries")? as usize,
-            batch: field_u64(cfg, "batch")? as usize,
             workers: field_u64(cfg, "workers")? as usize,
             filter: match cfg.get("filter") {
                 None | Some(Json::Null) => None,
@@ -355,7 +340,6 @@ fn parse_counters(id: &str, v: &Json) -> Result<Counters, String> {
             kernel_candidates: u("kernel_candidates")?,
             kernel_visited: u("kernel_visited")?,
             kernel_distance_checks: u("kernel_distance_checks")?,
-            shed_rate: field_f64(c, "shed_rate")?,
         })),
         _ => Err(format!("id {id:?} names no table (job/… or serve/…)")),
     }
@@ -415,7 +399,7 @@ pub fn synthetic_fixture() -> MatrixReport {
             reduce_features_examined,
         })
     };
-    let serve = |kernel_candidates, shed_rate| {
+    let serve = |kernel_candidates| {
         Counters::Serve(ServeCounters {
             shards_touched: 16,
             shuffle_records: 9_600,
@@ -427,7 +411,6 @@ pub fn synthetic_fixture() -> MatrixReport {
             kernel_candidates,
             kernel_visited: 480,
             kernel_distance_checks: 9_600,
-            shed_rate,
         })
     };
     MatrixReport {
@@ -436,25 +419,15 @@ pub fn synthetic_fixture() -> MatrixReport {
             seed: 2017,
             scale: 0.25,
             queries: 16,
-            batch: 8,
             workers: 4,
             filter: Some("*/uniform-120k/*".to_owned()),
         },
         records: vec![
             record("job/uniform-120k/pSPQ", 9.5, job(2_400)),
             record("job/uniform-120k/eSPQsco", 7.25, job(600)),
-            record("serve/uniform-120k/local/execute", 1.25, serve(48_000, 0.0)),
-            record(
-                "serve/uniform-120k/sharded:4/execute-batch",
-                0.75,
-                serve(48_000, 0.0),
-            ),
-            record("serve/uniform-120k/remote:2/serve", 2.5, serve(0, 0.0)),
-            record(
-                "serve/uniform-120k/local/serve-admission",
-                0.6,
-                serve(48_000, 0.5),
-            ),
+            record("serve/uniform-120k/local", 1.25, serve(48_000)),
+            record("serve/uniform-120k/sharded:4", 0.75, serve(48_000)),
+            record("serve/uniform-120k/remote:2", 2.5, serve(0)),
         ],
     }
 }
@@ -509,7 +482,7 @@ mod tests {
     fn wrong_schema_version_is_rejected_with_advice() {
         let text = synthetic_fixture()
             .to_json()
-            .replace("\"schema_version\": 5", "\"schema_version\": 999");
+            .replace("\"schema_version\": 6", "\"schema_version\": 999");
         let err = MatrixReport::from_json(&text).unwrap_err();
         assert!(err.contains("schema version 999"), "{err}");
         assert!(err.contains("regenerate"), "{err}");

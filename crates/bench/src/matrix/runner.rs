@@ -1,22 +1,29 @@
 //! The single matrix runner: executes any glob-selected slice of the job
 //! table (`corpus × algorithm`) and the serving table
-//! (`corpus × backend × mode`) and emits one [`MatrixReport`].
+//! (`corpus × backend`) and emits one [`MatrixReport`].
 //!
 //! Per corpus the runner computes one exact answer per stream query
 //! ([`grid_index_topk`]) and asserts every job's top-k and every
 //! response byte-identical to it. Per row it collects one latency
-//! observation per query (the job's wall clock on a job row; on a
-//! serving row the call's, the amortized batch wall for `execute-batch`,
-//! the response's own `wall_micros` for `serve`) and summarizes the
-//! sample through [`criterion::stats::summarize`] — bootstrap 95%
-//! intervals for mean/p50/p99 plus the Tukey outlier census. Everything
-//! data-shaped is deterministic from the seed — including the
-//! [`Counters`] block, summed from the jobs' `JobStats` on a job row and
-//! from every response's `QueryStats` and the service's kernel counters
-//! on a serving row, which is what `spq-bench compare` gates on; only the
+//! observation per query (the job's wall clock on a job row, the
+//! `execute` call's on a serving row) and summarizes the sample through
+//! [`criterion::stats::summarize`] — bootstrap 95% intervals for
+//! mean/p50/p99 plus the Tukey outlier census. Everything data-shaped is
+//! deterministic from the seed — including the [`Counters`] block,
+//! summed from the jobs' `JobStats` on a job row and from every
+//! response's `QueryStats` and the service's kernel counters on a
+//! serving row, which is what `spq-bench compare` gates on; only the
 //! latencies themselves are machine-dependent.
+//!
+//! A serving row is measured on sequential `execute` calls. The runner
+//! then serves the same stream twice more on the same service, with no
+//! row of its own: concurrently (`execute_sequential` tasks on
+//! `workers` threads) and through the admission queue at 2× overload.
+//! Each must answer the reference bytes and sum to the row's counters,
+//! and the admission run must shed exactly half of what it is offered;
+//! a failure panics naming the row.
 
-use super::corpus::{Mode, CORPORA};
+use super::corpus::CORPORA;
 use super::record::{
     Counters, JobCounters, MatrixRecord, MatrixReport, ReportConfig, ServeCounters,
 };
@@ -29,8 +36,12 @@ use spq_core::{
     QueryRequest, QueryResponse, RankedObject, SpqError, SpqExecutor, SpqQuery, SpqService, Ticket,
 };
 use spq_data::Dataset;
+use spq_mapreduce::pool::run_tasks;
 use spq_mapreduce::ClusterConfig;
 use std::time::{Duration, Instant};
+
+/// Requests per admission window in the overload run.
+const ADMISSION_WINDOW: usize = 8;
 
 /// Configuration of one matrix run.
 #[derive(Debug, Clone)]
@@ -47,8 +58,6 @@ pub struct MatrixConfig {
     pub workers: usize,
     /// Measured queries per row.
     pub queries: usize,
-    /// `execute-batch` chunk size.
-    pub batch: usize,
     /// Bootstrap parameters for the per-record statistics.
     pub bootstrap: BootstrapConfig,
 }
@@ -66,7 +75,6 @@ impl Default for MatrixConfig {
             seed: 2017,
             workers: ClusterConfig::auto().workers,
             queries: 16,
-            batch: 8,
             bootstrap: BootstrapConfig::default(),
         }
     }
@@ -80,9 +88,10 @@ fn selected(filter: &Option<String>, id: &str) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if any job or any backend/mode response diverges from the
-/// corpus's reference answers — the byte-identity gate every record
-/// attests to.
+/// Panics if any job or any response diverges from the corpus's
+/// reference answers — the byte-identity gate every record attests to —
+/// or if a serving row's concurrent or admission run disagrees with its
+/// `execute` run.
 pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
     assert!(!cfg.backends.is_empty(), "need at least one backend");
     let mut records = Vec::new();
@@ -93,19 +102,13 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
             .into_iter()
             .filter(|a| selected(&cfg.filter, &job_id(spec.name, a.name())))
             .collect();
-        let serves: Vec<(Backend, Vec<Mode>)> = cfg
+        let serves: Vec<Backend> = cfg
             .backends
             .iter()
-            .map(|&backend| {
-                let modes = Mode::ALL.into_iter().filter(|m| {
-                    let id = serve_id(spec.name, &backend.to_string(), m.name());
-                    selected(&cfg.filter, &id)
-                });
-                (backend, modes.collect::<Vec<_>>())
-            })
-            .filter(|(_, modes)| !modes.is_empty())
+            .copied()
+            .filter(|b| selected(&cfg.filter, &serve_id(spec.name, &b.to_string())))
             .collect();
-        let rows = jobs.len() + serves.iter().map(|(_, m)| m.len()).sum::<usize>();
+        let rows = jobs.len() + serves.len();
         if rows == 0 {
             eprintln!("[matrix] {}: skipped (filter)", spec.name);
             continue;
@@ -146,14 +149,12 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
         }
 
         let requests: Vec<QueryRequest> = queries.into_iter().map(QueryRequest::new).collect();
-        for (backend, modes) in serves {
+        for backend in serves {
+            let id = serve_id(spec.name, &backend.to_string());
             let service =
                 SpqService::build(exec.clone(), shared.clone(), backend).expect("service build");
-            for mode in modes {
-                let id = serve_id(spec.name, &backend.to_string(), mode.name());
-                let measured = measure_mode(&service, &requests, &reference, mode, cfg, &id);
-                records.push(make_record(id, objects, measured, cfg));
-            }
+            let measured = measure_serving(&service, &requests, &reference, cfg, &id);
+            records.push(make_record(id, objects, measured, cfg));
         }
     }
     MatrixReport {
@@ -162,7 +163,6 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
             seed: cfg.seed,
             scale: cfg.scale,
             queries: cfg.queries,
-            batch: cfg.batch,
             workers: cfg.workers,
             filter: cfg.filter.clone(),
         },
@@ -230,73 +230,77 @@ fn check_and_tally(
     counters.results += response.results.len() as u64;
 }
 
-/// Measures one mode on one service: a serving row.
-fn measure_mode(
+/// Measures one serving row: sequential `execute` calls give its latency
+/// sample and counters. The concurrent run and the admission run follow
+/// on the same service, and each must sum to the same counters.
+fn measure_serving(
     service: &SpqService,
     requests: &[QueryRequest],
     reference: &[Vec<RankedObject>],
-    mode: Mode,
     cfg: &MatrixConfig,
     id: &str,
 ) -> Measured {
-    let mut counters = ServeCounters::default();
-    let before = service.metrics();
     let wall = Instant::now();
-    let latencies = match mode {
-        Mode::Execute => requests
+    let (latencies, counters) = counted(service, |counters| {
+        requests
             .iter()
             .zip(reference)
             .map(|(request, expect)| {
                 let t0 = Instant::now();
                 let response = service.execute(request).expect("execute");
                 let latency = t0.elapsed();
-                check_and_tally(&mut counters, &response, expect, id);
+                check_and_tally(counters, &response, expect, id);
                 latency
             })
-            .collect(),
-        Mode::ExecuteBatch => {
-            let mut latencies = Vec::with_capacity(requests.len());
-            let chunk_size = cfg.batch.max(1);
-            for (chunk, expect) in requests
-                .chunks(chunk_size)
-                .zip(reference.chunks(chunk_size))
-            {
-                let t0 = Instant::now();
-                let responses = service.execute_batch(chunk).expect("batch");
-                let amortized = t0.elapsed() / chunk.len() as u32;
-                for (response, expect) in responses.iter().zip(expect) {
-                    check_and_tally(&mut counters, response, expect, id);
-                    latencies.push(amortized);
-                }
-            }
-            latencies
-        }
-        Mode::Serve => service
-            .serve_requests(requests, cfg.workers.max(1))
-            .expect("serve")
-            .iter()
-            .zip(reference)
-            .map(|(response, expect)| {
-                check_and_tally(&mut counters, response, expect, id);
-                Duration::from_micros(response.stats.wall_micros)
-            })
-            .collect(),
-        Mode::ServeAdmission => {
-            serve_admission(service, requests, reference, &mut counters, cfg, id)
-        }
-    };
+            .collect::<Vec<_>>()
+    });
     let wall = wall.elapsed();
-    // The kernel's work is not on any response: read it as the service's
-    // counter deltas around the mode's run.
-    let after = service.metrics();
-    counters.kernel_candidates = after.kernel_candidates - before.kernel_candidates;
-    counters.kernel_visited = after.kernel_visited - before.kernel_visited;
-    counters.kernel_distance_checks = after.kernel_distance_checks - before.kernel_distance_checks;
+
+    let ((), concurrent) = counted(service, |counters| {
+        let responses = run_tasks(cfg.workers.max(1), requests.len(), |i| {
+            service.execute_sequential(&requests[i])
+        })
+        .unwrap_or_else(|p| panic!("{id}: concurrent request {}: {}", p.task_index, p.message));
+        for (response, expect) in responses.into_iter().zip(reference) {
+            check_and_tally(counters, &response.expect("concurrent"), expect, id);
+        }
+    });
+    agree(id, "concurrent", &counters, &concurrent);
+    let ((), admission) = counted(service, |counters| {
+        serve_admission(service, requests, reference, counters, id)
+    });
+    agree(id, "admission", &counters, &admission);
+
     Measured {
         latencies,
         wall,
         counters: Counters::Serve(counters),
     }
+}
+
+/// Runs `run` on fresh counters and adds the service's kernel counter
+/// deltas around it: the kernel's work is not on any response.
+fn counted<T>(
+    service: &SpqService,
+    run: impl FnOnce(&mut ServeCounters) -> T,
+) -> (T, ServeCounters) {
+    let mut counters = ServeCounters::default();
+    let before = service.metrics();
+    let out = run(&mut counters);
+    let after = service.metrics();
+    counters.kernel_candidates = after.kernel_candidates - before.kernel_candidates;
+    counters.kernel_visited = after.kernel_visited - before.kernel_visited;
+    counters.kernel_distance_checks = after.kernel_distance_checks - before.kernel_distance_checks;
+    (out, counters)
+}
+
+/// The serving paths' agreement: the `path` run of row `id` must sum to
+/// the `execute` run's counters exactly.
+fn agree(id: &str, path: &str, execute: &ServeCounters, other: &ServeCounters) {
+    assert_eq!(
+        other, execute,
+        "{id}: the {path} run's counters differ from the execute run's"
+    );
 }
 
 /// Drives the admission front-end at exactly 2× overload with a fully
@@ -307,26 +311,24 @@ fn measure_mode(
 /// * the admitted overload copies carry an already-expired deadline, so
 ///   the first pump sheds every one of them with `DeadlineExceeded`;
 /// * the originals carry no deadline and a higher priority, execute in
-///   coalesced windows, and are asserted byte-identical to the
-///   reference answers.
+///   coalesced windows of [`ADMISSION_WINDOW`], and are asserted
+///   byte-identical to the reference answers and tallied.
 ///
-/// Returns the latency sample, the executed originals' own
-/// `wall_micros`, and sets `counters.shed_rate` to
-/// `(rejected + shed) / offered`, 0.5 by construction.
+/// Asserts that rejections plus sheds are exactly half of what was
+/// offered.
 fn serve_admission(
     service: &SpqService,
     requests: &[QueryRequest],
     reference: &[Vec<RankedObject>],
     counters: &mut ServeCounters,
-    cfg: &MatrixConfig,
     id: &str,
-) -> Vec<Duration> {
+) {
     let n = requests.len();
     let queue = AdmissionQueue::new(
         service,
         AdmissionConfig::default()
             .with_max_in_flight((n + n / 2).max(1))
-            .with_batch_max(cfg.batch.max(1))
+            .with_batch_max(ADMISSION_WINDOW)
             .with_batch_ticks(1)
             .with_overflow(OverflowPolicy::Reject),
     )
@@ -364,19 +366,13 @@ fn serve_admission(
             other => panic!("{id}: overload copy should be shed, got {other:?}"),
         }
     }
-    let latencies: Vec<Duration> = originals
-        .into_iter()
-        .zip(reference)
-        .map(|(ticket, expect)| {
-            let response = ticket.wait().expect("admitted original");
-            check_and_tally(counters, &response, expect, id);
-            Duration::from_micros(response.stats.wall_micros)
-        })
-        .collect();
+    for (ticket, expect) in originals.into_iter().zip(reference) {
+        let response = ticket.wait().expect("admitted original");
+        check_and_tally(counters, &response, expect, id);
+    }
     let stats = queue.stats();
-    let offered = stats.submitted.max(1);
-    counters.shed_rate = (stats.rejected_overload + stats.shed_deadline) as f64 / offered as f64;
-    latencies
+    let shed_rate = (stats.rejected_overload + stats.shed_deadline) as f64 / stats.submitted as f64;
+    assert_eq!(shed_rate, 0.5, "{id}: 2x overload must shed exactly half");
 }
 
 fn make_record(id: String, objects: usize, measured: Measured, cfg: &MatrixConfig) -> MatrixRecord {
@@ -410,12 +406,12 @@ mod tests {
         assert!(selected(&None, "anything"));
         let uniform = Some("*/uniform-120k/*".to_owned());
         assert!(selected(&uniform, "job/uniform-120k/pSPQ"));
-        assert!(selected(&uniform, "serve/uniform-120k/local/execute"));
-        assert!(!selected(&uniform, "serve/flickr-40k/local/execute"));
+        assert!(selected(&uniform, "serve/uniform-120k/local"));
+        assert!(!selected(&uniform, "serve/flickr-40k/local"));
     }
 
     #[test]
-    #[should_panic(expected = "serve/uniform-120k/local/execute: diverged from the reference")]
+    #[should_panic(expected = "serve/uniform-120k/local: diverged from the reference")]
     fn a_diverging_answer_panics_naming_the_row() {
         use spq_spatial::Point;
         use spq_text::Score;
@@ -426,9 +422,37 @@ mod tests {
             &answer(Score::ONE),
         );
         check(
-            "serve/uniform-120k/local/execute",
+            "serve/uniform-120k/local",
             &answer(Score::ratio(1, 2)),
             &answer(Score::ONE),
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "serve/flickr-40k/sharded:4: the admission run's counters differ from the execute run's"
+    )]
+    fn a_serving_path_that_disagrees_panics_naming_the_row() {
+        let execute = ServeCounters {
+            shards_touched: 16,
+            kernel_visited: 480,
+            ..ServeCounters::default()
+        };
+        agree(
+            "serve/flickr-40k/sharded:4",
+            "concurrent",
+            &execute,
+            &execute,
+        );
+        let admission = ServeCounters {
+            kernel_visited: 481,
+            ..execute
+        };
+        agree(
+            "serve/flickr-40k/sharded:4",
+            "admission",
+            &execute,
+            &admission,
         );
     }
 }

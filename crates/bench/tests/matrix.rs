@@ -50,18 +50,17 @@ fn golden_file_matches_the_committed_fixture() {
 /// regenerate the golden fixture.
 #[test]
 fn schema_fingerprint_is_pinned_to_the_version() {
-    assert_eq!(SCHEMA_VERSION, 5, "update the fingerprint below on bump");
+    assert_eq!(SCHEMA_VERSION, 6, "update the fingerprint below on bump");
     assert_eq!(
         schema_fingerprint(),
         "bench;\
-         config.batch;config.filter;config.queries;config.scale;config.seed;config.workers;\
+         config.filter;config.queries;config.scale;config.seed;config.workers;\
          records[].counters.kernel_candidates;records[].counters.kernel_distance_checks;\
          records[].counters.kernel_visited;\
          records[].counters.keyword_terms_matched;records[].counters.keyword_terms_probed;\
          records[].counters.map_duplicates;records[].counters.map_input_records;\
          records[].counters.reduce_features_examined;records[].counters.results;\
          records[].counters.retries;records[].counters.shards_touched;\
-         records[].counters.shed_rate;\
          records[].counters.shuffle_bytes;records[].counters.shuffle_records;\
          records[].id;\
          records[].identical_to_reference;\
@@ -87,11 +86,11 @@ fn arb_estimate() -> impl Strategy<Value = Estimate> {
     })
 }
 
-/// Draws a row of either table: a job row when `axes.4` is 0, a serving
+/// Draws a row of either table: a job row when `axes.3` is 0, a serving
 /// row otherwise.
 fn arb_record() -> impl Strategy<Value = MatrixRecord> {
     (
-        (0usize..4, 0usize..3, 0usize..4, 0usize..4, 0usize..2),
+        (0usize..4, 0usize..3, 0usize..4, 0usize..2),
         (1usize..1_000_000, 1usize..2_000, 0.0f64..1e6),
         arb_estimate(),
         arb_estimate(),
@@ -103,8 +102,7 @@ fn arb_record() -> impl Strategy<Value = MatrixRecord> {
             let corpora = ["uniform-120k", "clustered-60k", "flickr-40k", "tiny"];
             let algos = ["pSPQ", "eSPQlen", "eSPQsco"];
             let backends = ["local", "sharded:4", "remote:2", "sharded:16"];
-            let modes = ["execute", "execute-batch", "serve", "serve-admission"];
-            let (c, a, b, m, table) = axes;
+            let (c, a, b, table) = axes;
             let (objects, samples, qps) = counts;
             let (id, counters) = if table == 0 {
                 let counters = Counters::Job(JobCounters {
@@ -125,13 +123,8 @@ fn arb_record() -> impl Strategy<Value = MatrixRecord> {
                     kernel_candidates: work.0 / 3,
                     kernel_visited: work.2 * 4,
                     kernel_distance_checks: work.1 / 9,
-                    shed_rate: if modes[m] == "serve-admission" {
-                        0.5
-                    } else {
-                        0.0
-                    },
                 });
-                let id = format!("serve/{}/{}/{}", corpora[c], backends[b], modes[m]);
+                let id = format!("serve/{}/{}", corpora[c], backends[b]);
                 (id, counters)
             };
             MatrixRecord {
@@ -171,7 +164,6 @@ proptest! {
                 seed,
                 scale,
                 queries: 16,
-                batch: 8,
                 workers: 4,
                 filter: if seed % 2 == 0 { None } else { Some("*remote:*".to_owned()) },
             },
@@ -184,7 +176,8 @@ proptest! {
 
 /// A tiny end-to-end run: 1k-object floor, one corpus via filter, two
 /// in-process backends. Exercises the full runner path including the
-/// byte-identity asserts.
+/// byte-identity asserts and the serving rows' concurrent and admission
+/// runs, which must agree with them.
 #[test]
 fn tiny_matrix_run_produces_consistent_records() {
     use spq_core::Backend;
@@ -193,27 +186,20 @@ fn tiny_matrix_run_produces_consistent_records() {
         filter: Some("*/uniform-120k/*".to_owned()),
         scale: 1e-9, // clamps to the 1k-object floor
         queries: 6,
-        batch: 3,
         workers: 2,
         ..MatrixConfig::default()
     };
     let report = run_matrix(&cfg);
     let ids: Vec<&str> = report.records.iter().map(|r| r.id.as_str()).collect();
-    // 3 algorithms' jobs, then 2 backends × 4 modes, uniform corpus only.
+    // 3 algorithms' jobs, then 2 backends, uniform corpus only.
     assert_eq!(
         ids,
         [
             "job/uniform-120k/pSPQ",
             "job/uniform-120k/eSPQlen",
             "job/uniform-120k/eSPQsco",
-            "serve/uniform-120k/local/execute",
-            "serve/uniform-120k/local/execute-batch",
-            "serve/uniform-120k/local/serve",
-            "serve/uniform-120k/local/serve-admission",
-            "serve/uniform-120k/sharded:2/execute",
-            "serve/uniform-120k/sharded:2/execute-batch",
-            "serve/uniform-120k/sharded:2/serve",
-            "serve/uniform-120k/sharded:2/serve-admission",
+            "serve/uniform-120k/local",
+            "serve/uniform-120k/sharded:2",
         ]
     );
     assert_eq!(report.schema_version, SCHEMA_VERSION);
@@ -230,14 +216,6 @@ fn tiny_matrix_run_produces_consistent_records() {
             // Every job maps at least the data objects.
             Counters::Job(c) => assert!(c.map_input_records > 0, "{}", r.id),
             Counters::Serve(c) => {
-                // 2× overload against a 1.5× cap: half the offered stream
-                // is rejected or shed, deterministically.
-                let shed = if r.id.ends_with("/serve-admission") {
-                    0.5
-                } else {
-                    0.0
-                };
-                assert_eq!(c.shed_rate, shed, "{}", r.id);
                 // Every query probes its keywords; in-process backends
                 // never retry.
                 assert!(c.keyword_terms_probed >= 6, "{}", r.id);
@@ -253,7 +231,7 @@ fn tiny_matrix_run_produces_consistent_records() {
     // second run at another worker count reproduces it exactly.
     let again = run_matrix(&MatrixConfig { workers: 1, ..cfg });
     let cmp = spq_bench::matrix::compare_reports(&report, &again).unwrap();
-    assert_eq!(cmp.compared, 11);
+    assert_eq!(cmp.compared, 5);
     assert_eq!(cmp.failures(), 0, "{}", cmp.render());
 }
 
@@ -356,7 +334,7 @@ fn compare_reports_disjoint_id_sets_as_added_and_removed() {
     // A baseline row the candidate lost fails the gate, whichever table
     // it was in and whatever else the candidate gained.
     let base = synthetic_fixture();
-    for (tag, drop) in [("disjoint-job", 0), ("disjoint-serve", 3)] {
+    for (tag, drop) in [("disjoint-job", 0), ("disjoint-serve", 2)] {
         let mut cand = base.clone();
         let dropped = cand.records.remove(drop).id;
         let mut extra = cand.records[drop].clone();
@@ -378,7 +356,7 @@ fn compare_lists_an_added_id_and_passes() {
     let base = synthetic_fixture();
     let mut grown = base.clone();
     let mut extra = base.records[4].clone();
-    extra.id = "serve/clustered-60k/remote:2/serve".to_owned();
+    extra.id = "serve/clustered-60k/remote:2".to_owned();
     grown.records.push(extra.clone());
     let (code, stdout) = compare_pair("added", &base, &grown);
     assert_eq!(code, 0, "{stdout}");

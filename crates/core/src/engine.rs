@@ -24,10 +24,10 @@
 //!   the next score is strictly below its `τ` — eSPQsco's early
 //!   termination applied across cells instead of per reducer. The kernel
 //!   is single-threaded whatever the worker budget;
-//!   parallelism comes from **inter-query concurrency**
-//!   ([`serve_requests`](crate::service::QueryExecutor::serve_requests),
-//!   the admission queue) — the right shape for high-QPS traffic of many
-//!   small queries.
+//!   parallelism comes from **inter-query concurrency** (callers running
+//!   [`execute`](crate::service::QueryExecutor::execute) on their own
+//!   threads, or the admission queue) — the right shape for high-QPS
+//!   traffic of many small queries.
 //! * **A trace is the paper's job, beside the kernel** — a request with
 //!   [`with_trace`](crate::service::QueryRequest::with_trace) is answered
 //!   by the kernel like any other. Its trace is the [`JobStats`] of one
@@ -35,12 +35,9 @@
 //!   engine's executor configures it (its algorithm; its keyword pruning,
 //!   whose absence is the shuffle ablation), at the request's worker
 //!   budget ([`QueryOptions::workers`]):
-//!   [`execute`](crate::service::QueryExecutor::execute) and
-//!   [`execute_batch`](crate::service::QueryExecutor::execute_batch) on
-//!   the executor's worker pool unless the request narrows it,
+//!   [`execute`](crate::service::QueryExecutor::execute) on the
+//!   executor's worker pool unless the request narrows it,
 //!   [`execute_sequential`](crate::service::QueryExecutor::execute_sequential)
-//!   and
-//!   [`serve_requests`](crate::service::QueryExecutor::serve_requests)
 //!   at budget 1, single-threaded. The sharded and remote backends trace
 //!   the same way, so one rule holds on every backend: the kernel answers,
 //!   and a trace is `run_dataset` at the request's width. The job pays for
@@ -74,20 +71,22 @@
 //! // …then serve an arbitrary stream of requests against the same state.
 //! let r1 = QueryRequest::new(SpqQuery::new(1, 1.5, KeywordSet::from_ids([0])));
 //! let r2 = QueryRequest::new(SpqQuery::new(1, 2.5, KeywordSet::from_ids([0, 7])));
-//! assert_eq!(engine.execute(&r1).unwrap().results[0].object, 1);
+//! let answers: Vec<_> = [&r1, &r2]
+//!     .into_iter()
+//!     .map(|request| engine.execute(request).unwrap())
+//!     .collect();
+//! assert_eq!(answers[0].results[0].object, 1);
 //!
-//! let batch = engine.execute_batch(&[r1.clone(), r2.clone()]).unwrap();
-//! assert_eq!(batch.len(), 2);
-//!
-//! let served = engine.serve_requests(&[r1.clone(), r2], 2).unwrap();
-//! assert_eq!(served[0].results, batch[0].results);
+//! // Budget 1 runs the same path single-threaded: the same bytes.
+//! let sequential = engine.execute_sequential(&r1).unwrap();
+//! assert_eq!(sequential.results, answers[0].results);
 //!
 //! // A traced request is answered the same way; its trace is the paper's
 //! // job for the query, run beside the kernel and kept by nobody.
 //! let traced = engine.execute(&r1.with_trace()).unwrap();
-//! assert_eq!(traced.results, served[0].results);
+//! assert_eq!(traced.results, answers[0].results);
 //! assert_eq!(traced.trace.map(|jobs| jobs.len()), Some(1));
-//! assert_eq!(engine.metrics().queries, 6); // every request ran the kernel
+//! assert_eq!(engine.metrics().queries, 4); // every request ran the kernel
 //! ```
 
 use crate::executor::{SpqError, SpqExecutor};
@@ -487,10 +486,8 @@ pub struct MetricsSnapshot {
 /// radius reads only those, and a traced request's job is a fresh
 /// [`SpqExecutor::run_dataset`] beside them.
 ///
-/// The engine is `Sync`:
-/// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
-/// shares it across the worker pool, and external callers may do the
-/// same.
+/// The engine is `Sync`: callers may share it across threads and call
+/// [`execute`](crate::service::QueryExecutor::execute) from each.
 #[derive(Debug)]
 pub struct QueryEngine {
     exec: SpqExecutor,
@@ -581,12 +578,6 @@ impl QueryEngine {
         self.metrics.kernel(answer.work);
         answer.top_k
     }
-
-    /// A snapshot of the engine's cumulative counters: queries served,
-    /// keyword-index probe outcomes, kernel work.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
 }
 
 /// Adds `by` to a monotonic counter.
@@ -649,8 +640,10 @@ impl QueryExecutor for QueryEngine {
         })
     }
 
+    /// A snapshot of the engine's cumulative counters: queries served,
+    /// keyword-index probe outcomes, kernel work.
     fn metrics(&self) -> MetricsSnapshot {
-        QueryEngine::metrics(self)
+        self.metrics.snapshot()
     }
 }
 
@@ -663,6 +656,7 @@ mod tests {
     use crate::model::DataObject;
     use crate::partitioning::COUNTER_REDUCE_DISTANCE_CHECKS;
     use crate::service::QueryRequest;
+    use spq_mapreduce::pool::run_tasks;
     use spq_mapreduce::JobStats;
     use spq_spatial::{Point, Rect};
 
@@ -887,9 +881,12 @@ mod tests {
             request(3, 1.5, &[0]),
             request(2, 2.0, &[4, 5]),
         ];
-        let batch = engine.execute_batch(&requests).unwrap();
+        let batch: Vec<_> = requests
+            .iter()
+            .map(|r| engine.execute(r).unwrap())
+            .collect();
         for (req, b) in requests.iter().zip(&batch) {
-            assert_eq!(b.results, engine.execute(req).unwrap().results);
+            assert_eq!(b.results, engine.execute_sequential(req).unwrap().results);
         }
     }
 
@@ -902,8 +899,10 @@ mod tests {
             .map(|r| engine.execute(r).unwrap().results)
             .collect();
         for workers in [1, 2, 8] {
-            let served = engine.serve_requests(&requests, workers).unwrap();
-            let got: Vec<_> = served.into_iter().map(|r| r.results).collect();
+            let got = run_tasks(workers, requests.len(), |i| {
+                engine.execute_sequential(&requests[i]).unwrap().results
+            })
+            .unwrap();
             assert_eq!(got, sequential, "workers={workers}");
         }
     }

@@ -85,9 +85,8 @@ pub enum LoadBalancing {
 pub enum SpqError {
     /// The underlying MapReduce job failed.
     Job(JobError),
-    /// A worker thread of
-    /// [`QueryExecutor::serve_requests`](crate::service::QueryExecutor::serve_requests)
-    /// (or of a shard scatter) panicked outside any MapReduce phase.
+    /// A worker thread of a shard scatter, a shard build or a remote
+    /// provisioning step panicked outside any MapReduce phase.
     Worker {
         /// Human-readable description of the failed query task.
         message: String,

@@ -373,31 +373,6 @@ impl RemoteEngine {
         self.membership.lock().view()
     }
 
-    /// The engine's cumulative counters in the facade's
-    /// [`MetricsSnapshot`] shape: the query-path counters every backend
-    /// keeps plus the membership and provisioning ones
-    /// ([`excluded_workers`](MetricsSnapshot::excluded_workers) is a gauge
-    /// read off the membership machine). Kernel work happens in the
-    /// workers and stays zero here; so do the plan counters,
-    /// which count what a `QueryEngine` plans — a traced request's job is
-    /// planned by the executor on the manager, outside any engine.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let c = &self.counters;
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            remote_retries: load(&c.remote_retries),
-            excluded_workers: self.membership.lock().unavailable_workers().len() as u64,
-            warm_failovers: load(&c.warm_failovers),
-            cold_reprovisions: load(&c.cold_reprovisions),
-            readmissions: load(&c.readmissions),
-            health_probes: load(&c.health_probes),
-            rebalance_moves: load(&c.rebalance_moves),
-            provisions_sent: load(&c.provisions_sent),
-            feature_sets_sent: load(&c.feature_sets_sent),
-            ..c.requests.snapshot()
-        }
-    }
-
     /// Checks the replica-placement invariant the membership layer
     /// converges to: every shard tracked on at least
     /// `min(replication_factor, available_workers)` available workers,
@@ -781,7 +756,28 @@ impl QueryExecutor for RemoteEngine {
             })
     }
 
+    /// The engine's cumulative counters in the facade's
+    /// [`MetricsSnapshot`] shape: the query-path counters every backend
+    /// keeps plus the membership and provisioning ones
+    /// ([`excluded_workers`](MetricsSnapshot::excluded_workers) is a gauge
+    /// read off the membership machine). Kernel work happens in the
+    /// workers and stays zero here; so do the plan counters,
+    /// which count what a `QueryEngine` plans — a traced request's job is
+    /// planned by the executor on the manager, outside any engine.
     fn metrics(&self) -> MetricsSnapshot {
-        RemoteEngine::metrics(self)
+        let c = &self.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        MetricsSnapshot {
+            remote_retries: load(&c.remote_retries),
+            excluded_workers: self.membership.lock().unavailable_workers().len() as u64,
+            warm_failovers: load(&c.warm_failovers),
+            cold_reprovisions: load(&c.cold_reprovisions),
+            readmissions: load(&c.readmissions),
+            health_probes: load(&c.health_probes),
+            rebalance_moves: load(&c.rebalance_moves),
+            provisions_sent: load(&c.provisions_sent),
+            feature_sets_sent: load(&c.feature_sets_sent),
+            ..c.requests.snapshot()
+        }
     }
 }

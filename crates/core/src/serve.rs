@@ -19,8 +19,8 @@
 //!   that closes when it holds [`AdmissionConfig::batch_max`] requests
 //!   *or* [`AdmissionConfig::batch_ticks`] ticks after it opened,
 //!   whichever comes first. A closed window executes as one coalesced
-//!   batch (each member at its own worker budget — exactly what
-//!   [`QueryExecutor::execute_batch`] runs). Responses are
+//!   batch (each member at its own worker budget — exactly what a loop of
+//!   [`QueryExecutor::execute`] calls runs). Responses are
 //!   byte-identical to executing each request alone; coalescing and
 //!   priorities only move *when* a request runs.
 //! * **Deadline shedding** — time is a **manual clock**
@@ -641,9 +641,9 @@ impl<E: QueryExecutor> AdmissionQueue<E> {
                 .deliver(Err(SpqError::DeadlineExceeded { deadline, now }));
         }
         // One coalesced window: each member at its own worker budget,
-        // exactly what `QueryExecutor::execute_batch` runs — but
-        // delivered per ticket, so one failing request cannot poison its
-        // window-mates.
+        // exactly what `QueryExecutor::execute` runs request by request,
+        // each delivered to its own ticket, so one failing request
+        // cannot poison its window-mates.
         let mut failed = 0usize;
         for p in &window.run {
             match self

@@ -23,12 +23,15 @@
 //! * [`SpqService`] — the backend-erased handle examples and benches
 //!   serve through.
 //!
-//! All of it hangs off one trait: [`QueryExecutor`], whose single
-//! required method ([`QueryExecutor::run_validated`]) is the only
-//! engine-specific code — `execute`, `execute_sequential`,
-//! `execute_batch` and `serve_requests` are provided once, on the trait,
-//! so the four backends cannot drift apart. The [`crate::serve`]
-//! admission front-end is generic over the same trait.
+//! All of it hangs off one trait: [`QueryExecutor`], whose
+//! [`QueryExecutor::run_validated`] is the only engine-specific serving
+//! code. The one way in is [`QueryExecutor::execute`], provided once, on
+//! the trait, so the backends cannot drift apart;
+//! [`QueryExecutor::execute_sequential`] is `execute` at worker budget 1.
+//! A caller with many requests loops over `execute`, runs it on its own
+//! threads, or submits through the [`crate::serve`] admission
+//! front-end, which is generic over the same trait and coalesces what it
+//! admits.
 //!
 //! Requests **validate before execution** ([`QueryRequest::validate`]):
 //! a non-finite radius or a zero worker budget comes back as
@@ -61,7 +64,6 @@ use crate::query::SpqQuery;
 use crate::remote::{RemoteEngine, TickReport};
 use crate::sharded::ShardedEngine;
 use crate::store::SharedDataset;
-use spq_mapreduce::pool::run_tasks;
 use spq_mapreduce::JobStats;
 use std::fmt;
 use std::str::FromStr;
@@ -330,26 +332,25 @@ pub struct QueryResponse {
     pub trace: Option<Vec<JobStats>>,
 }
 
-/// The one execute/batch/serve surface every engine speaks.
+/// The one serving surface every engine speaks.
 ///
-/// Implementations provide exactly one method — [`run_validated`]
-/// (run_validated) — the engine-specific lifecycle for a request that
-/// already passed [`QueryRequest::validate`]. Everything callers actually
-/// invoke ([`execute`](Self::execute),
-/// [`execute_sequential`](Self::execute_sequential),
-/// [`execute_batch`](Self::execute_batch),
-/// [`serve_requests`](Self::serve_requests)) is provided once here, so
-/// validation, batching and the concurrent serve loop cannot drift
-/// between backends. [`QueryEngine`], [`ShardedEngine`],
-/// [`RemoteEngine`], [`SpqService`] and the
-/// [`crate::serve::AdmissionQueue`] front-end all serve through this
-/// trait.
+/// Implementations provide [`run_validated`](Self::run_validated) — the
+/// engine-specific lifecycle for a request that already passed
+/// [`QueryRequest::validate`] — and [`metrics`](Self::metrics). What
+/// callers invoke ([`execute`](Self::execute) and
+/// [`execute_sequential`](Self::execute_sequential)) is provided once
+/// here, so validation cannot drift between backends. Every engine is
+/// `Sync`, so concurrent serving is `execute` on the caller's threads
+/// (`spq_mapreduce::pool::run_tasks` is the workspace's scoped pool).
+/// [`QueryEngine`], [`ShardedEngine`], [`RemoteEngine`], [`SpqService`]
+/// and the [`crate::serve::AdmissionQueue`] front-end all serve through
+/// this trait.
 ///
 /// [`run_validated`]: Self::run_validated
 pub trait QueryExecutor: Sync {
     /// Executes one query **already checked** by
     /// [`QueryRequest::validate`] under `options` (the request's, or the
-    /// entry point's variation of them). This is the only method a
+    /// entry point's variation of them). This is the one serving method a
     /// backend implements; callers should prefer the validating entry
     /// points below.
     fn run_validated(
@@ -383,35 +384,6 @@ pub trait QueryExecutor: Sync {
             ..request.options
         };
         self.run_validated(&request.query, &options)
-    }
-
-    /// Validates and executes a batch, responses in request order —
-    /// [`execute`](Self::execute) one by one, stopping at the first
-    /// error.
-    fn execute_batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, SpqError> {
-        requests
-            .iter()
-            .map(|request| self.execute(request))
-            .collect()
-    }
-
-    /// Executes independent requests concurrently on `workers` threads,
-    /// each as [`execute_sequential`](Self::execute_sequential) —
-    /// inter-query concurrency, the high-QPS serving shape. Responses in
-    /// request order, byte-identical to sequential
-    /// [`execute`](Self::execute) calls for any worker count.
-    fn serve_requests(
-        &self,
-        requests: &[QueryRequest],
-        workers: usize,
-    ) -> Result<Vec<QueryResponse>, SpqError> {
-        let outcomes = run_tasks(workers.max(1), requests.len(), |i| {
-            self.execute_sequential(&requests[i])
-        })
-        .map_err(|p| SpqError::Worker {
-            message: format!("request {}: {}", p.task_index, p.message),
-        })?;
-        outcomes.into_iter().collect()
     }
 }
 
@@ -503,14 +475,6 @@ impl SpqService {
         }
     }
 
-    /// Cumulative engine counters in one backend-independent snapshot:
-    /// the per-engine counters every backend keeps, plus the remote
-    /// membership counters (retries, exclusions, warm/cold failovers,
-    /// re-admissions), which stay zero on in-process backends.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        QueryExecutor::metrics(self)
-    }
-
     /// Advances the remote membership layer one deterministic step —
     /// probe excluded workers, re-admit recovered ones, rebalance shard
     /// placement (see [`RemoteEngine::tick`]). The outcome is typed: an
@@ -530,8 +494,8 @@ impl SpqService {
 }
 
 impl QueryExecutor for SpqService {
-    /// The one backend dispatch of the typed surface: every provided
-    /// entry point of [`QueryExecutor`] funnels through this match.
+    /// The one backend dispatch of the typed surface: both provided
+    /// entry points of [`QueryExecutor`] funnel through this match.
     fn run_validated(
         &self,
         query: &SpqQuery,
@@ -544,6 +508,10 @@ impl QueryExecutor for SpqService {
         }
     }
 
+    /// Cumulative engine counters in one backend-independent snapshot:
+    /// the per-engine counters every backend keeps, plus the remote
+    /// membership counters (retries, exclusions, warm/cold failovers,
+    /// re-admissions), which stay zero on in-process backends.
     fn metrics(&self) -> MetricsSnapshot {
         match self {
             SpqService::Local(engine) => engine.metrics(),

@@ -490,9 +490,7 @@ pub struct ShardStats {
 /// See the [module docs](self) for the lifecycle and the byte-identity
 /// argument. Build once with [`new`](Self::new), then serve typed
 /// requests through the [`QueryExecutor`] surface
-/// ([`execute`](QueryExecutor::execute) /
-/// [`execute_batch`](QueryExecutor::execute_batch) /
-/// [`serve_requests`](QueryExecutor::serve_requests)).
+/// ([`execute`](QueryExecutor::execute)).
 #[derive(Debug)]
 pub struct ShardedEngine {
     layout: Layout,
@@ -564,12 +562,6 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Cumulative engine counters: one query and one keyword probe per
-    /// request, and the kernel work summed over the shards.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
     /// Shard `s`'s answer to `query`, counted. The ship is a real
     /// encode/decode round-trip, so the wire format is exercised on every
     /// query.
@@ -616,8 +608,10 @@ impl QueryExecutor for ShardedEngine {
             })
     }
 
+    /// Cumulative engine counters: one query and one keyword probe per
+    /// request, and the kernel work summed over the shards.
     fn metrics(&self) -> MetricsSnapshot {
-        ShardedEngine::metrics(self)
+        self.metrics.snapshot()
     }
 }
 
@@ -888,14 +882,16 @@ mod tests {
             .iter()
             .map(|r| sharded.execute(r).unwrap().results)
             .collect();
-        let batch = sharded.execute_batch(&requests).unwrap();
-        assert_eq!(
-            batch.iter().map(|r| &r.results).collect::<Vec<_>>(),
-            expect.iter().collect::<Vec<_>>()
-        );
+        let sequential: Vec<_> = requests
+            .iter()
+            .map(|r| sharded.execute_sequential(r).unwrap().results)
+            .collect();
+        assert_eq!(sequential, expect);
         for workers in [1, 2, 8] {
-            let served = sharded.serve_requests(&requests, workers).unwrap();
-            let got: Vec<_> = served.into_iter().map(|r| r.results).collect();
+            let got = run_tasks(workers, requests.len(), |i| {
+                sharded.execute_sequential(&requests[i]).unwrap().results
+            })
+            .unwrap();
             assert_eq!(got, expect, "workers={workers}");
         }
     }

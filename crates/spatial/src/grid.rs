@@ -40,6 +40,9 @@ pub struct Grid {
     ny: u32,
     cell_w: f64,
     cell_h: f64,
+    /// Four ulps of the largest bound coordinate: more than `p ± w` can
+    /// round by wherever it lands inside the bounds.
+    edge_slack: f64,
 }
 
 /// Relative tolerance applied to the Lemma-1 test `MINDIST(f, Cj) <= r`.
@@ -64,12 +67,17 @@ impl Grid {
             bounds.width() > 0.0 && bounds.height() > 0.0,
             "grid bounds must have positive area"
         );
+        let (min, max) = (bounds.min(), bounds.max());
+        let magnitude = [min.x, min.y, max.x, max.y]
+            .into_iter()
+            .fold(0.0, |m: f64, c| m.max(c.abs()));
         Self {
             bounds,
             nx,
             ny,
             cell_w: bounds.width() / nx as f64,
             cell_h: bounds.height() / ny as f64,
+            edge_slack: 4.0 * f64::EPSILON * magnitude,
         }
     }
 
@@ -162,9 +170,18 @@ impl Grid {
     /// at `p`.
     ///
     /// The search is restricted to the index window of the box
-    /// `[p − r, p + r]`, so the cost is `O(((2r/α)+2)²)` regardless of grid
+    /// `[p − w, p + w]`, so the cost is `O(((2r/α)+2)²)` regardless of grid
     /// size — at most the 8 surrounding cells in the paper's recommended
-    /// regime `r <= α`.
+    /// regime `r <= α`. The half-width `w` is `r` plus slack for rounding:
+    /// a data object whose distance to `p` rounds to exactly `r` can sit
+    /// an ulp past `p − r` as computed, in the column before the one
+    /// `p − r` falls in. `w` is `r·(1 + DUP_EPS)` plus four ulps of the
+    /// largest bound coordinate, which covers how far `p ± w` can round
+    /// wherever it falls inside the bounds (outside them the window is
+    /// clamped to the edge cells anyway); the subtraction of `min` and
+    /// the division by the cell side round the window's edge and
+    /// [`Grid::cell_of`] alike, monotonically, so they cannot split an
+    /// object from its window. The MINDIST test decides.
     pub fn duplication_targets(&self, p: &Point, r: f64) -> Vec<CellId> {
         let mut out = Vec::new();
         self.for_each_duplication_target(p, r, |c| out.push(c));
@@ -178,10 +195,11 @@ impl Grid {
         let own = self.cell_of(p);
         let r_sq = r * r * (1.0 + DUP_EPS);
         let min = self.bounds.min();
-        let lo_x = self.axis_index(p.x - r - min.x, self.cell_w, self.nx);
-        let hi_x = self.axis_index(p.x + r - min.x, self.cell_w, self.nx);
-        let lo_y = self.axis_index(p.y - r - min.y, self.cell_h, self.ny);
-        let hi_y = self.axis_index(p.y + r - min.y, self.cell_h, self.ny);
+        let w = r * (1.0 + DUP_EPS) + self.edge_slack;
+        let lo_x = self.axis_index(p.x - w - min.x, self.cell_w, self.nx);
+        let hi_x = self.axis_index(p.x + w - min.x, self.cell_w, self.nx);
+        let lo_y = self.axis_index(p.y - w - min.y, self.cell_h, self.ny);
+        let hi_y = self.axis_index(p.y + w - min.y, self.cell_h, self.ny);
         for iy in lo_y..=hi_y {
             for ix in lo_x..=hi_x {
                 let c = self.cell_id(ix, iy);

@@ -87,11 +87,11 @@ fn main() {
         .into_iter()
         .map(QueryRequest::new)
         .collect();
-    let workers = ClusterConfig::auto().workers;
     let t0 = Instant::now();
-    let responses = engine
-        .serve_requests(&requests, workers)
-        .expect("serve stream");
+    let responses: Vec<_> = requests
+        .iter()
+        .map(|request| engine.execute(request).expect("serve stream"))
+        .collect();
     let wall = t0.elapsed();
     println!(
         "served {} queries in {:.0} ms ({:.0} q/s)",

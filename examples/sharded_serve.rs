@@ -81,7 +81,10 @@ fn main() {
         .collect();
 
     let t0 = Instant::now();
-    let responses = service.serve_requests(&requests, 4).expect("serve stream");
+    let responses: Vec<_> = requests
+        .iter()
+        .map(|request| service.execute(request).expect("serve stream"))
+        .collect();
     let wall = t0.elapsed();
     println!(
         "served {} requests in {:.0} ms ({:.0} q/s)",

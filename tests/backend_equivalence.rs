@@ -19,6 +19,7 @@
 use proptest::prelude::*;
 use spq::core::centralized::brute_force;
 use spq::core::service::DEFAULT_SHARDS;
+use spq::mapreduce::pool::run_tasks;
 use spq::prelude::*;
 use spq::text::Term;
 
@@ -77,6 +78,19 @@ const BALANCERS: [LoadBalancing; 2] = [
     LoadBalancing::UniformGrid,
     LoadBalancing::AdaptiveQuadtree { sample_size: 16 },
 ];
+
+/// `requests` served concurrently: `execute_sequential` on `workers`
+/// threads, responses in request order.
+fn serve_concurrently(
+    service: &SpqService,
+    requests: &[QueryRequest],
+    workers: usize,
+) -> Vec<QueryResponse> {
+    run_tasks(workers, requests.len(), |i| {
+        service.execute_sequential(&requests[i]).unwrap()
+    })
+    .unwrap()
+}
 
 fn build_requests(specs: &[(Vec<u32>, u8, u8)]) -> Vec<QueryRequest> {
     specs
@@ -154,11 +168,9 @@ proptest! {
                         );
                         prop_assert!(got.stats.shards_touched <= shards);
                     }
-                    // Batch and serve reproduce execute, in order.
-                    let batch = sharded.execute_batch(&requests).unwrap();
-                    let served = sharded.serve_requests(&requests, 4).unwrap();
+                    // Concurrent serving reproduces execute, in order.
+                    let served = serve_concurrently(&sharded, &requests, 4);
                     for i in 0..requests.len() {
-                        prop_assert_eq!(&batch[i].results, &reference[i].results);
                         prop_assert_eq!(&served[i].results, &reference[i].results);
                     }
                 }
@@ -182,10 +194,8 @@ proptest! {
                         prop_assert!(got.stats.shards_touched <= workers);
                         prop_assert_eq!(got.stats.retries, 0);
                     }
-                    let batch = remote.execute_batch(&requests).unwrap();
-                    let served = remote.serve_requests(&requests, 4).unwrap();
+                    let served = serve_concurrently(&remote, &requests, 4);
                     for i in 0..requests.len() {
-                        prop_assert_eq!(&batch[i].results, &reference[i].results);
                         prop_assert_eq!(&served[i].results, &reference[i].results);
                     }
                 }

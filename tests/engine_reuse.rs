@@ -8,16 +8,31 @@
 //! kernel's results **byte-identical** to the same sequence of fresh
 //! `SpqExecutor::run_dataset` jobs, with interleaved replays not
 //! disturbing later queries, and each trace must be that fresh job's
-//! statistics — every counter and the shuffle volume. `execute_batch`
-//! must match request-for-request, `serve_requests` must reproduce the
-//! sequential results in request order for any worker count, and every
-//! entry point must report the same traced counters.
+//! statistics — every counter and the shuffle volume. `execute` on
+//! concurrent threads (`execute_sequential` tasks on the scoped pool)
+//! must reproduce the sequential results in request order for any
+//! worker count, and every entry point must report the same traced
+//! counters.
 
 use proptest::prelude::*;
 use spq::core::centralized::brute_force;
 use spq::core::{QueryEngine, SharedDataset};
+use spq::mapreduce::pool::run_tasks;
 use spq::prelude::*;
 use spq::text::Term;
+
+/// `requests` served concurrently: `execute_sequential` on `workers`
+/// threads, responses in request order.
+fn serve_concurrently(
+    engine: &QueryEngine,
+    requests: &[QueryRequest],
+    workers: usize,
+) -> Vec<QueryResponse> {
+    run_tasks(workers, requests.len(), |i| {
+        engine.execute_sequential(&requests[i]).unwrap()
+    })
+    .unwrap()
+}
 
 /// Strategy: a small spatio-textual world plus a query stream of three
 /// (keywords, radius, k) draws — radii repeat across a small class set.
@@ -146,10 +161,9 @@ proptest! {
         }
     }
 
-    /// `execute_batch` (keyword-index candidate pruning) and
-    /// `serve_requests` (inter-query concurrency, workers 1/2/8)
-    /// reproduce the sequential `execute` results exactly, in request
-    /// order.
+    /// `execute` over the request slice and concurrent serving
+    /// (`execute_sequential` on 1/2/8 threads) reproduce the sequential
+    /// `execute_sequential` results exactly, in request order.
     #[test]
     fn prop_batch_and_serve_match_sequential(
         (data, features, query_specs, g) in world()
@@ -167,14 +181,14 @@ proptest! {
             let engine = QueryEngine::new(exec, dataset.clone());
             let sequential: Vec<_> = requests
                 .iter()
-                .map(|r| engine.execute(r).unwrap().results)
+                .map(|r| engine.execute_sequential(r).unwrap().results)
                 .collect();
-            let batch = engine.execute_batch(&requests).unwrap();
+            let batch: Vec<_> = requests.iter().map(|r| engine.execute(r).unwrap()).collect();
             for (i, (b, s)) in batch.iter().zip(&sequential).enumerate() {
                 prop_assert_eq!(&b.results, s, "{} request {}: batch diverged", algo, i);
             }
             for workers in WORKER_COUNTS {
-                let served = engine.serve_requests(&requests, workers).unwrap();
+                let served = serve_concurrently(&engine, &requests, workers);
                 prop_assert_eq!(served.len(), requests.len());
                 for (i, (r, s)) in served.iter().zip(&sequential).enumerate() {
                     prop_assert_eq!(
@@ -222,7 +236,7 @@ fn serve_on_generated_workload_is_worker_invariant() {
             .map(|r| engine.execute(&r.clone().with_trace()).unwrap().results)
             .collect();
         for workers in WORKER_COUNTS {
-            let served = engine.serve_requests(&requests, workers).unwrap();
+            let served = serve_concurrently(&engine, &requests, workers);
             let got: Vec<_> = served.into_iter().map(|r| r.results).collect();
             assert_eq!(got, sequential, "{algo} workers={workers}");
         }
@@ -265,7 +279,7 @@ fn entry_points_agree_under(balancing: LoadBalancing) {
     let engine = QueryEngine::new(exec.clone(), shared.clone());
 
     type EntryPoint = fn(&QueryEngine, &[QueryRequest]) -> Vec<QueryResponse>;
-    let entry_points: [(&str, EntryPoint); 5] = [
+    let entry_points: [(&str, EntryPoint); 4] = [
         ("execute", |engine, requests| {
             requests
                 .iter()
@@ -278,11 +292,8 @@ fn entry_points_agree_under(balancing: LoadBalancing) {
                 .map(|r| engine.execute_sequential(r).unwrap())
                 .collect()
         }),
-        ("execute_batch", |engine, requests| {
-            engine.execute_batch(requests).unwrap()
-        }),
-        ("serve_requests", |engine, requests| {
-            engine.serve_requests(requests, 2).unwrap()
+        ("execute_sequential on 2 threads", |engine, requests| {
+            serve_concurrently(engine, requests, 2)
         }),
         ("AdmissionQueue::submit", |engine, requests| {
             let queue = AdmissionQueue::new(engine, AdmissionConfig::default()).unwrap();
